@@ -24,6 +24,7 @@ from .core import (
     check_finite,
     check_trust_region,
     uniform_ball_sample,
+    _norm,
 )
 from .ncfind import lemma_decrease_bound
 
@@ -151,7 +152,7 @@ def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Arra
     momentum is stretched to length s and both signs are tried; ties keep the
     positive side.  Momentum is zeroed in every branch.
     """
-    v_norm = float(np.linalg.norm(v))
+    v_norm = _norm(v)
     zero = np.zeros_like(v)
     if v_norm >= s or v_norm == 0.0:
         return x, zero
@@ -209,14 +210,15 @@ def ancgd_run(
 
     for t in range(params.total_steps + 1):
         g_x = counted.gradient(x)
+        g_norm = _norm(g_x)
         records.append(
             TraceRecord(
                 t=t,
                 f=counted.value(x),
-                grad_norm=float(np.linalg.norm(g_x)),
+                grad_norm=g_norm,
                 event=pending_event,
                 x=x.copy(),
-                v_norm=float(np.linalg.norm(v)),
+                v_norm=_norm(v),
             )
         )
         if t == params.total_steps or stopped:
@@ -224,7 +226,7 @@ def ancgd_run(
         pending_event = EVENT_AGD
 
         in_window = t_perturb is not None and t - t_perturb < params.ncf_steps
-        trigger = float(np.linalg.norm(g_x)) <= params.effective_threshold and (
+        trigger = g_norm <= params.effective_threshold and (
             t_perturb is None or t - t_perturb > params.effective_cooldown
         )
         if trigger:
@@ -252,7 +254,7 @@ def ancgd_run(
             # End of the search window: exploit the direction the momentum
             # pair drifted toward, then restart the loop from the winner.
             diff = x - anchor
-            dn = float(np.linalg.norm(diff))
+            dn = _norm(diff)
             if dn > 0.0:
                 e_hat = diff / dn
                 plus = anchor + exploit_step * e_hat
@@ -295,7 +297,7 @@ def ancgd_run(
 
         if in_window and anchor is not None:
             z_off = z_next - anchor
-            zn = float(np.linalg.norm(z_off))
+            zn = _norm(z_off)
             if zn > 0.0:
                 scale = params.perturb_radius / zn
                 # Both offsets shrink by the z factor, not their own norms:
@@ -359,7 +361,7 @@ def anc_find_unnormalized(
     z_off = x_off.copy()
     path = [x_off.copy()]
     for _ in range(steps):
-        zn = float(np.linalg.norm(z_off))
+        zn = _norm(z_off)
         if zn > 0.0:
             g_scaled = (zn / r) * oracle.gradient(x_tilde + (r / zn) * z_off)
         else:
@@ -369,7 +371,7 @@ def anc_find_unnormalized(
         z_off = x_next + (1.0 - params.theta) * v
         x_off = x_next
         path.append(x_off.copy())
-    norm = float(np.linalg.norm(x_off))
+    norm = _norm(x_off)
     if norm == 0.0:
         raise ParameterError("search collapsed to the anchor")
     return x_off / norm, path

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .core import DivergenceError, ParameterError
+from .core import AlgorithmError, DivergenceError, ParameterError
 from .harness import (
     ExperimentConfig,
     derive_params_for,
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DivergenceError as exc:
         sys.stderr.write(f"diverged: {exc}\n")
+        return EXIT_DIVERGED
+    except AlgorithmError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIVERGED
 
 

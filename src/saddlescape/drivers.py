@@ -3,6 +3,7 @@ perturbation-based baselines it is compared against."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .core import (
     check_trust_region,
     gaussian_sample,
     uniform_ball_sample,
+    _norm,
 )
 from .ancgd import nce_step
 from .ncfind import NCParams, derive_nc_params, lemma_decrease_bound, nc_find
@@ -137,7 +139,7 @@ def pgd_nc_run(
         TraceRecord(
             t=0,
             f=counted.value(x),
-            grad_norm=float(np.linalg.norm(counted.gradient(x))),
+            grad_norm=_norm(counted.gradient(x)),
             event=EVENT_GD,
             x=x.copy(),
         )
@@ -147,7 +149,7 @@ def pgd_nc_run(
     last_search: int | None = None
     while t < params.total_steps:
         g = counted.gradient(x)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = _norm(g)
         cooled = (
             last_search is None
             or params.cooldown is None
@@ -159,14 +161,7 @@ def pgd_nc_run(
             anchor = x.copy()
             anchor_f = counted.value(anchor)
             steps_eff = min(params.nc.steps, remaining - 1)
-            inner = NCParams(
-                steps=steps_eff,
-                radius=params.nc.radius,
-                eps=params.nc.eps,
-                delta0=params.nc.delta0,
-                ell=params.nc.ell,
-                rho=params.nc.rho,
-            )
+            inner = dataclasses.replace(params.nc, steps=steps_eff)
             outcome = nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
             episode += 1
             for _ in range(steps_eff):
@@ -202,7 +197,7 @@ def pgd_nc_run(
                 TraceRecord(
                     t=t,
                     f=counted.value(x),
-                    grad_norm=float(np.linalg.norm(counted.gradient(x))),
+                    grad_norm=_norm(counted.gradient(x)),
                     event=EVENT_NCF_EXPLOIT,
                     x=x.copy(),
                 )
@@ -219,7 +214,7 @@ def pgd_nc_run(
                 TraceRecord(
                     t=t,
                     f=counted.value(x),
-                    grad_norm=float(np.linalg.norm(counted.gradient(x))),
+                    grad_norm=_norm(counted.gradient(x)),
                     event=EVENT_GD,
                     x=x.copy(),
                 )
@@ -287,11 +282,12 @@ def pgd_run(
     event = EVENT_GD
     for t in range(params.total_steps + 1):
         g = counted.gradient(x)
+        g_norm = _norm(g)
         records.append(
             TraceRecord(
                 t=t,
                 f=counted.value(x),
-                grad_norm=float(np.linalg.norm(g)),
+                grad_norm=g_norm,
                 event=event,
                 x=x.copy(),
             )
@@ -299,7 +295,7 @@ def pgd_run(
         if t == params.total_steps:
             break
         if (
-            float(np.linalg.norm(g)) <= params.grad_threshold
+            g_norm <= params.grad_threshold
             and _perturb_ready(t, last, params.cooldown)
         ):
             x = uniform_ball_sample(x, params.radius, stream)
@@ -347,21 +343,22 @@ def pagd_run(
     event = EVENT_AGD
     for t in range(params.total_steps + 1):
         g = counted.gradient(x)
+        g_norm = _norm(g)
         records.append(
             TraceRecord(
                 t=t,
                 f=counted.value(x),
-                grad_norm=float(np.linalg.norm(g)),
+                grad_norm=g_norm,
                 event=event,
                 x=x.copy(),
-                v_norm=float(np.linalg.norm(v)),
+                v_norm=_norm(v),
             )
         )
         if t == params.total_steps:
             break
         event = EVENT_AGD
         if (
-            float(np.linalg.norm(g)) <= params.grad_threshold
+            g_norm <= params.grad_threshold
             and _perturb_ready(t, last, params.cooldown)
         ):
             x = uniform_ball_sample(x, params.radius, stream)
@@ -426,7 +423,7 @@ def psgd_run(
             TraceRecord(
                 t=t,
                 f=oracle.mean.value(x),
-                grad_norm=float(np.linalg.norm(oracle.mean.gradient(x))),
+                grad_norm=_norm(oracle.mean.gradient(x)),
                 event=event,
                 x=x.copy(),
             )
@@ -436,7 +433,7 @@ def psgd_run(
         g = oracle.minibatch_mean(x, params.batch, theta_stream)
         meta["samples"] += params.batch
         if (
-            float(np.linalg.norm(g)) <= params.grad_threshold
+            _norm(g) <= params.grad_threshold
             and _perturb_ready(t, last, params.cooldown)
         ):
             x = gaussian_sample(x, variance, stream)

@@ -304,9 +304,8 @@ def _gap_bound(land: Landscape, x0: Array) -> float:
     return max(f0 - floor, 1e-6)
 
 
-def _trial_trace(payload: dict, trial: int):
-    """Build oracle and parameters from the payload and run one seeded trial."""
-    land = get_landscape(payload["landscape"])
+def _trial_trace(payload: dict, land: Landscape, trial: int):
+    """Build parameters from the payload and run one seeded trial on land."""
     x0 = _start_point(payload, land)
     saddle = land.saddles[0] if land.saddles else None
     k = payload["knobs"]
@@ -466,8 +465,8 @@ def _trial_trace(payload: dict, trial: int):
     raise ParameterError(f"unknown algorithm {alg!r}")
 
 
-def _run_trial(payload: dict, trial: int) -> TrialResult:
-    trace = _trial_trace(payload, trial)
+def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
+    trace = _trial_trace(payload, land, trial)
     f0 = trace.initial_f()
     f_final = trace.final_f()
     decrease = f0 - f_final
@@ -482,9 +481,12 @@ def _run_trial(payload: dict, trial: int) -> TrialResult:
     )
 
 
-def _worker(args: tuple) -> TrialResult:
-    payload, trial = args
-    return _run_trial(payload, trial)
+def _run_chunk(args: tuple) -> list[TrialResult]:
+    """Pool task: a contiguous run of trials sharing one landscape.  A
+    Landscape holds closures and cannot be pickled, so each task builds it."""
+    payload, trials = args
+    land = get_landscape(payload["landscape"])
+    return [_run_trial(payload, land, trial) for trial in trials]
 
 
 def _resolve_jobs(cfg_jobs: int | None) -> int:
@@ -492,7 +494,12 @@ def _resolve_jobs(cfg_jobs: int | None) -> int:
         return max(1, cfg_jobs)
     env = os.environ.get("SADDLESCAPE_JOBS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(
+                f"SADDLESCAPE_JOBS must be an integer, got {env!r}"
+            ) from None
     return 1
 
 
@@ -500,10 +507,10 @@ def _default_threshold(land: Landscape, x0: Array) -> float:
     return 0.9 * _gap_bound(land, x0)
 
 
-def build_payload(cfg: ExperimentConfig) -> dict:
-    """Resolve recipes and defaults into the per-trial work description."""
+def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
+    """Resolve recipes and defaults into the per-trial work description;
+    land is cfg.landscape, already built by the caller."""
     knobs = _resolve_knobs(cfg)
-    land = get_landscape(cfg.landscape)
     x0 = _start_point({"x0": cfg.x0}, land)
     threshold = knobs.get("threshold")
     if threshold is None:
@@ -522,19 +529,23 @@ def build_payload(cfg: ExperimentConfig) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run cfg.trials seeded trials (trial index = stream id) and summarize.
 
-    The same per-trial entry point is used serially and under the process
-    pool, and rows are ordered by trial index either way, so outputs are
-    byte-identical for any job count.
+    The landscape is built once: the serial path shares it between the
+    payload and every trial, and under the process pool each worker task
+    builds its own copy for one contiguous chunk of trials.  The same
+    per-trial entry point runs either way and rows come back in trial
+    order, so outputs are byte-identical for any job count.
     """
-    payload = build_payload(cfg)
     jobs = _resolve_jobs(cfg.jobs)
-    tasks = [(payload, trial) for trial in range(cfg.trials)]
+    land = get_landscape(cfg.landscape)
+    payload = build_payload(cfg, land)
     if jobs > 1 and cfg.trials > 1:
+        jobs = min(jobs, cfg.trials)
+        bounds = [cfg.trials * i // jobs for i in range(jobs + 1)]
+        tasks = [(payload, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_worker, tasks, chunksize=max(1, cfg.trials // (4 * jobs))))
+            rows = [row for chunk in pool.map(_run_chunk, tasks) for row in chunk]
     else:
-        rows = [_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r.trial)
+        rows = [_run_trial(payload, land, trial) for trial in range(cfg.trials)]
     hist = HistogramSummary.from_decreases([r.decrease for r in rows])
     result = ExperimentResult(
         config=cfg, rows=rows, histogram=hist, threshold=payload["threshold"]

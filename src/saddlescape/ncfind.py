@@ -16,6 +16,7 @@ from .core import (
     SmoothnessSpec,
     grad_component,
     uniform_ball_sample,
+    _norm,
 )
 
 __all__ = [
@@ -118,22 +119,22 @@ def nc_find(
         path: list[Array] | None = [] if record_path else None
         failed = False
         for _ in range(params.steps):
-            norm = float(np.linalg.norm(y))
-            if norm == 0.0 or not np.isfinite(norm):
+            norm = _norm(y)
+            if norm == 0.0 or not math.isfinite(norm):
                 failed = True
                 break
             probe = oracle.gradient(x_tilde + (r / norm) * y) - g0
             y = y - (norm / (ell * r)) * probe
             if renormalize:
-                new_norm = float(np.linalg.norm(y))
-                if new_norm == 0.0 or not np.isfinite(new_norm):
+                new_norm = _norm(y)
+                if new_norm == 0.0 or not math.isfinite(new_norm):
                     failed = True
                     break
                 y = (r / new_norm) * y
             if path is not None:
                 path.append(y.copy())
-        norm = float(np.linalg.norm(y))
-        if not failed and norm > 0.0 and np.isfinite(norm):
+        norm = _norm(y)
+        if not failed and norm > 0.0 and math.isfinite(norm):
             return NCOutcome(
                 e_hat=y / norm,
                 steps_used=params.steps,
@@ -165,7 +166,7 @@ def perturb_along_nc(
     """
     x0 = np.asarray(x0, dtype=float)
     e_hat = np.asarray(e_hat, dtype=float)
-    norm = float(np.linalg.norm(e_hat))
+    norm = _norm(e_hat)
     if norm == 0.0:
         raise ParameterError("e_hat must be nonzero")
     e_hat = e_hat / norm

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .core import (
     TraceRecord,
     check_finite,
     check_trust_region,
+    _norm,
 )
 from .ncfind import NCOutcome, lemma_decrease_bound
 
@@ -172,8 +174,8 @@ def snc_find(
             diff = oracle.minibatch_diff(x_tilde, x_tilde + y, m, theta_stream)
             xi = _noise_draw(xi_stream, n, r_s)
             y = y - (1.0 / ell) * (diff + xi / (scale / r_s))
-            norm = float(np.linalg.norm(y))
-            if norm == 0.0 or not np.isfinite(norm):
+            norm = _norm(y)
+            if norm == 0.0 or not math.isfinite(norm):
                 failed = True
                 break
             scale = scale * (norm / r_s)
@@ -215,7 +217,7 @@ def snc_find_unnormalized(
         z = np.zeros(n)
         failed = False
         for _ in range(params.steps):
-            zn = float(np.linalg.norm(z))
+            zn = _norm(z)
             if zn > 0.0:
                 diff = oracle.minibatch_diff(
                     x_tilde, x_tilde + (r_s / zn) * z, m, theta_stream
@@ -228,10 +230,10 @@ def snc_find_unnormalized(
                 g_est = np.zeros(n)
             xi = _noise_draw(xi_stream, n, r_s)
             z = z - (1.0 / ell) * (g_est + xi)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 failed = True
                 break
-        zn = float(np.linalg.norm(z))
+        zn = _norm(z)
         if not failed and zn > 0.0:
             return NCOutcome(e_hat=z / zn, steps_used=params.steps, renormalized=False)
     raise AlgorithmError("stochastic curvature search degenerated repeatedly")
@@ -339,7 +341,7 @@ def sgd_nc_run(
         TraceRecord(
             t=0,
             f=oracle.mean.value(x),
-            grad_norm=float(np.linalg.norm(oracle.mean.gradient(x))),
+            grad_norm=_norm(oracle.mean.gradient(x)),
             event=EVENT_SGD,
             x=x.copy(),
         )
@@ -350,7 +352,7 @@ def sgd_nc_run(
     while t < params.total_steps:
         g = oracle.minibatch_mean(x, params.outer_batch, theta_stream)
         meta["samples"] += params.outer_batch
-        g_norm = float(np.linalg.norm(g))
+        g_norm = _norm(g)
         cooled = (
             last_search is None
             or params.cooldown is None
@@ -362,17 +364,7 @@ def sgd_nc_run(
             anchor = x.copy()
             anchor_f = oracle.mean.value(anchor)
             inner_steps = min(params.snc.steps, remaining - 1)
-            inner = SNCParams(
-                steps=inner_steps,
-                radius=params.snc.radius,
-                batch=params.snc.batch,
-                log_term=params.snc.log_term,
-                eps=params.snc.eps,
-                delta=params.snc.delta,
-                ell=params.snc.ell,
-                rho=params.snc.rho,
-                ell_tilde=params.snc.ell_tilde,
-            )
+            inner = dataclasses.replace(params.snc, steps=inner_steps)
             outcome = snc_find(
                 oracle, anchor, inner, stream.substream(("snc", episode))
             )
@@ -411,7 +403,7 @@ def sgd_nc_run(
                 TraceRecord(
                     t=t,
                     f=oracle.mean.value(x),
-                    grad_norm=float(np.linalg.norm(oracle.mean.gradient(x))),
+                    grad_norm=_norm(oracle.mean.gradient(x)),
                     event=EVENT_NCF_EXPLOIT,
                     x=x.copy(),
                 )
@@ -428,7 +420,7 @@ def sgd_nc_run(
                 TraceRecord(
                     t=t,
                     f=oracle.mean.value(x),
-                    grad_norm=float(np.linalg.norm(oracle.mean.gradient(x))),
+                    grad_norm=_norm(oracle.mean.gradient(x)),
                     event=EVENT_SGD,
                     x=x.copy(),
                 )

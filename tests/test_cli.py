@@ -45,6 +45,21 @@ class TestRunCommand:
         assert code == 3
         assert "diverged:" in capsys.readouterr().err
 
+    def test_degenerate_search_exits_three(self, capsys):
+        code = main([
+            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--eta", "nan",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_bad_jobs_env_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("SADDLESCAPE_JOBS", "abc")
+        code = main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2"])
+        assert code == 1
+        assert "SADDLESCAPE_JOBS" in capsys.readouterr().err
+
     def test_bad_x0_exits_one(self, capsys):
         code = main([
             "run", "--alg", "nc", "--fn", "quartic", "--trials", "1",

@@ -1,9 +1,13 @@
 """Streams, samplers, oracles, and trace plumbing."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from saddlescape import (
@@ -22,6 +26,7 @@ from saddlescape.core import (
     EVENTS,
     EVENT_GD,
     EVENT_NCE,
+    _norm,
     check_finite,
     check_trust_region,
     grad_component,
@@ -232,3 +237,21 @@ class TestGuards:
     def test_check_finite_passthrough(self):
         x = np.array([0.0, 1.0])
         assert check_finite(x) is x
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+)
+
+
+class TestNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 1000), elements=st.floats() | _EDGE_FLOATS))
+    def test_bit_identical_to_numpy(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _norm(x)
+            want = float(np.linalg.norm(x))
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want)

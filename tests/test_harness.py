@@ -18,10 +18,12 @@ from saddlescape import (
     derive_params_for,
     derive_pgdnc_params,
     derive_sgdnc_params,
+    get_landscape,
     run_dimension_scaling,
     run_experiment,
     run_verify,
 )
+from saddlescape import harness
 from saddlescape.harness import _resolve_knobs, build_payload
 
 
@@ -54,7 +56,7 @@ class TestExperimentConfig:
 
     def test_payload_threshold_defaults_to_gap_fraction(self):
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", threshold=None)
-        payload = build_payload(cfg)
+        payload = build_payload(cfg, get_landscape("quartic"))
         # Saddle value 0, minimum value -1: escape bar is 90% of the gap.
         assert payload["threshold"] == pytest.approx(0.9)
 
@@ -63,7 +65,7 @@ class TestExperimentConfig:
             algorithm="nc", landscape="quartic", trials=1, x0=(0.0, 0.0, 0.0)
         )
         with pytest.raises(ParameterError):
-            build_payload(cfg)
+            build_payload(cfg, get_landscape("quartic"))
 
 
 class TestHistogramSummary:
@@ -120,12 +122,28 @@ class TestRunExperiment:
         assert summary["escape_rate"] == pytest.approx(res.escape_rate)
         assert res.escape_rate + res.fail_rate == pytest.approx(1.0)
 
-    def test_serial_and_parallel_outputs_identical(self, tmp_path):
+    def test_landscape_built_once_per_experiment(self, monkeypatch):
+        calls = []
+        real = harness.get_landscape
+
+        def counting(land_id):
+            calls.append(land_id)
+            return real(land_id)
+
+        monkeypatch.setattr(harness, "get_landscape", counting)
+        run_experiment(ExperimentConfig(algorithm="nc", landscape="quartic", trials=8, jobs=1))
+        assert calls == ["quartic"]
+
+    @pytest.mark.parametrize(
+        "algorithm, landscape, trials",
+        [("pgd", "quartic", 6), ("snc", "cubic", 13)],  # 13 = ragged chunks under 2 jobs
+    )
+    def test_serial_and_parallel_outputs_identical(self, tmp_path, algorithm, landscape, trials):
         outs = {}
         for jobs in (1, 2):
             out = str(tmp_path / f"jobs{jobs}")
             cfg = ExperimentConfig(
-                algorithm="pgd", landscape="quartic", trials=6, seed=0,
+                algorithm=algorithm, landscape=landscape, trials=trials, seed=0,
                 jobs=jobs, out=out,
             )
             run_experiment(cfg)

@@ -1,10 +1,12 @@
 """Stochastic curvature search and the SGD escape loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from saddlescape import stochastic
 from saddlescape import (
     AdditiveNoiseOracle,
     ParameterError,
@@ -197,6 +199,23 @@ class TestSgdNcRun:
         assert events[1:46] == [EVENT_NCF_STEP] * 45
         assert events[46] == EVENT_NCF_EXPLOIT
         assert set(events[47:]) <= {EVENT_SGD, EVENT_NCF_STEP, EVENT_NCF_EXPLOIT}
+
+    def test_inner_params_copy_outer_search_except_steps(self, monkeypatch):
+        seen = []
+        real = stochastic.snc_find
+
+        def spy(oracle, x, params, stream, *args, **kwargs):
+            seen.append(params)
+            return real(oracle, x, params, stream, *args, **kwargs)
+
+        monkeypatch.setattr(stochastic, "snc_find", spy)
+        outer = _search_params(batch_raw=1.7)
+        oracle = with_noise(get_landscape("cubic"), 0.01)
+        sgd_nc_run(oracle, np.zeros(2), _run_params(snc=outer, total_steps=10), RngStream(1, 0))
+        assert seen
+        for inner in seen:
+            assert inner.steps <= outer.steps
+            assert inner == dataclasses.replace(outer, steps=inner.steps)
 
     def test_budget_clips_inner_steps(self):
         land = get_landscape("cubic")
