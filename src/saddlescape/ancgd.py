@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,11 @@ from .core import (
     TraceRecord,
     check_finite,
     check_trust_region,
+    require_positive,
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import lemma_decrease_bound
+from .ncfind import exploit
 
 __all__ = [
     "ANCParams",
@@ -59,8 +60,7 @@ class ANCParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
+        require_positive(eta=self.eta, ell=self.ell, rho=self.rho)
         if not (0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         if self.gamma <= 0 or self.nce_radius <= 0 or self.perturb_radius <= 0:
@@ -191,21 +191,8 @@ def ancgd_run(
     anchor_f = 0.0
     t_perturb: int | None = None
     pending_event = EVENT_AGD
-    bound = lemma_decrease_bound(params.eps, params.rho)
-    exploit_step = params.exploit_step
-    if exploit_step is None:
-        exploit_step = 0.25 * math.sqrt(params.eps / params.rho)
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "ancgd",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "eta": eta,
-        "perturbs": [],
-        "exploits": [],
-        "candidates": [],
-    }
-    trace = Trace(records=records, meta=meta)
+    trace = Trace.start("ancgd", stream, eta=eta, perturbs=[], exploits=[], candidates=[])
+    records, meta = trace.records, trace.meta
     stopped = False
 
     for t in range(params.total_steps + 1):
@@ -256,32 +243,12 @@ def ancgd_run(
             diff = x - anchor
             dn = _norm(diff)
             if dn > 0.0:
-                e_hat = diff / dn
-                plus = anchor + exploit_step * e_hat
-                minus = anchor - exploit_step * e_hat
-                f_plus = counted.value(plus)
-                f_minus = counted.value(minus)
-                cand, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
-                if f_cand < anchor_f:
-                    x = cand
-                    decrease = anchor_f - f_cand
-                else:
-                    x = anchor.copy()
-                    decrease = 0.0
-                meta["exploits"].append(
-                    {
-                        "t": t,
-                        "anchor": anchor.copy(),
-                        "e_hat": e_hat,
-                        "decrease": decrease,
-                        "certified": decrease >= bound,
-                    }
+                # The exploit's outcome is the next record, t + 1.
+                x, stopped = exploit(
+                    counted.value, anchor, anchor_f, diff / dn, params.eps, params.rho,
+                    params.exploit_step, meta=meta, t=t + 1,
+                    stop_at_candidate=params.stop_at_candidate,
                 )
-                if decrease < bound:
-                    meta["candidates"].append(anchor.copy())
-                    if params.stop_at_candidate:
-                        stopped = True
-                        meta["stopped_at_candidate"] = anchor.copy()
             else:
                 x = anchor.copy()
             z = x.copy()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -68,15 +69,20 @@ def _parse_x0(text: str) -> tuple:
         raise ParameterError(f"bad x0 {text!r}: {exc}") from None
 
 
+# Flags named differently from their ExperimentConfig field; every other
+# field is its own flag.
+_RENAMED = {
+    "alg": "algorithm", "fn": "landscape", "r": "radius", "m": "batch",
+    "M": "outer_batch", "pert": "exploit_step", "g_thresh": "grad_threshold",
+    "t_thresh": "cooldown",
+}
 _RUN_FIELDS = {
-    "alg": "algorithm", "fn": "landscape", "mode": "mode", "trials": "trials",
-    "seed": "seed", "steps": "steps", "out": "out", "jobs": "jobs",
-    "eta": "eta", "r": "radius", "sigma": "sigma", "m": "batch",
-    "M": "outer_batch", "eps": "eps", "delta": "delta", "delta_f": "delta_f",
-    "ncf_steps": "ncf_steps", "pert": "exploit_step", "g_thresh": "grad_threshold",
-    "t_thresh": "cooldown", "threshold": "threshold", "theta": "theta",
-    "gamma": "gamma", "nce_radius": "nce_radius", "x0": "x0",
-    "trust_region": "trust_region",
+    **_RENAMED,
+    **{
+        f.name: f.name
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in _RENAMED.values()
+    },
 }
 
 

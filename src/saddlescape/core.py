@@ -27,7 +27,7 @@ __all__ = [
     "DivergenceError",
     "uniform_ball_sample",
     "gaussian_sample",
-    "grad_component",
+    "require_positive",
     "EVENT_GD",
     "EVENT_AGD",
     "EVENT_PERTURB",
@@ -59,6 +59,13 @@ class AlgorithmError(RuntimeError):
     """Raised when an iteration reaches a state the algorithm cannot recover from."""
 
 
+def require_positive(**values) -> None:
+    """Reject any given value that is not positive and finite; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
 class DivergenceError(RuntimeError):
     """Raised when an iterate leaves the trust region; carries the partial trace."""
 
@@ -75,10 +82,7 @@ class SmoothnessSpec:
     rho: float
 
     def __post_init__(self):
-        if not (self.ell > 0 and math.isfinite(self.ell)):
-            raise ParameterError(f"ell must be positive and finite, got {self.ell}")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ParameterError(f"rho must be positive and finite, got {self.rho}")
+        require_positive(ell=self.ell, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -299,11 +303,6 @@ def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream)
     return center + math.sqrt(variance_per_coord) * stream.gen.standard_normal(center.shape[0])
 
 
-def grad_component(oracle, x: Array, e: Array) -> float:
-    """Directional derivative <grad f(x), e>."""
-    return float(np.dot(oracle.gradient(np.asarray(x, dtype=float)), np.asarray(e, dtype=float)))
-
-
 @dataclass
 class TraceRecord:
     """State after one counted iteration: step index, value, gradient norm, event."""
@@ -322,6 +321,12 @@ class Trace:
 
     records: list[TraceRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, algorithm: str, stream: RngStream, **meta) -> "Trace":
+        """Empty trace whose meta names the algorithm and the trial's stream."""
+        return cls(meta={"algorithm": algorithm, "seed": stream.seed,
+                         "stream_id": stream.stream_id, **meta})
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)

@@ -14,8 +14,6 @@ from .core import (
     EVENT_AGD,
     EVENT_GD,
     EVENT_NCE,
-    EVENT_NCF_EXPLOIT,
-    EVENT_NCF_STEP,
     EVENT_PERTURB,
     EVENT_SGD,
     CountingOracle,
@@ -29,11 +27,12 @@ from .core import (
     check_finite,
     check_trust_region,
     gaussian_sample,
+    require_positive,
     uniform_ball_sample,
     _norm,
 )
 from .ancgd import nce_step
-from .ncfind import NCParams, derive_nc_params, lemma_decrease_bound, nc_find
+from .ncfind import NCParams, derive_nc_params, nc_find, search_descent
 
 __all__ = [
     "PGDNCParams",
@@ -67,6 +66,7 @@ class PGDNCParams:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
+        require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
 
     @property
     def effective_eta(self) -> float:
@@ -120,109 +120,16 @@ def pgd_nc_run(
     to the anchor and the small gradient immediately re-enters the search.
     """
     counted = CountingOracle(oracle)
-    x = np.asarray(x0, dtype=float).copy()
-    eta = params.effective_eta
-    bound = lemma_decrease_bound(params.eps, params.rho)
-    exploit_step = params.exploit_step
-    if exploit_step is None:
-        exploit_step = 0.25 * math.sqrt(params.eps / params.rho)
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "pgd-nc",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "exploits": [],
-        "candidates": [],
-    }
-    trace = Trace(records=records, meta=meta)
-    records.append(
-        TraceRecord(
-            t=0,
-            f=counted.value(x),
-            grad_norm=_norm(counted.gradient(x)),
-            event=EVENT_GD,
-            x=x.copy(),
-        )
+
+    def search(anchor: Array, budget: int, episode: int):
+        inner = dataclasses.replace(params.nc, steps=min(params.nc.steps, budget))
+        return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
+
+    trace = search_descent(
+        x0, params, Trace.start("pgd-nc", stream), counted.gradient, counted, search, EVENT_GD
     )
-    t = 0
-    episode = 0
-    last_search: int | None = None
-    while t < params.total_steps:
-        g = counted.gradient(x)
-        g_norm = _norm(g)
-        cooled = (
-            last_search is None
-            or params.cooldown is None
-            or t - last_search > params.cooldown
-        )
-        remaining = params.total_steps - t
-        if g_norm <= params.effective_threshold and cooled and remaining >= 2:
-            last_search = t
-            anchor = x.copy()
-            anchor_f = counted.value(anchor)
-            steps_eff = min(params.nc.steps, remaining - 1)
-            inner = dataclasses.replace(params.nc, steps=steps_eff)
-            outcome = nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
-            episode += 1
-            for _ in range(steps_eff):
-                t += 1
-                records.append(
-                    TraceRecord(
-                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor.copy()
-                    )
-                )
-            e_hat = outcome.e_hat
-            plus = anchor + exploit_step * e_hat
-            minus = anchor - exploit_step * e_hat
-            f_plus = counted.value(plus)
-            f_minus = counted.value(minus)
-            cand, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
-            if f_cand < anchor_f:
-                x = cand
-                decrease = anchor_f - f_cand
-            else:
-                x = anchor.copy()
-                decrease = 0.0
-            meta["exploits"].append(
-                {
-                    "t": t + 1,
-                    "anchor": anchor,
-                    "e_hat": e_hat,
-                    "decrease": decrease,
-                    "certified": decrease >= bound,
-                }
-            )
-            t += 1
-            records.append(
-                TraceRecord(
-                    t=t,
-                    f=counted.value(x),
-                    grad_norm=_norm(counted.gradient(x)),
-                    event=EVENT_NCF_EXPLOIT,
-                    x=x.copy(),
-                )
-            )
-            if decrease < bound:
-                meta["candidates"].append(anchor)
-                if params.stop_at_candidate:
-                    meta["stopped_at_candidate"] = anchor
-                    break
-        else:
-            x = x - eta * g
-            t += 1
-            records.append(
-                TraceRecord(
-                    t=t,
-                    f=counted.value(x),
-                    grad_norm=_norm(counted.gradient(x)),
-                    event=EVENT_GD,
-                    x=x.copy(),
-                )
-            )
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
-    meta["f_evals"] = counted.f_evals
-    meta["grad_evals"] = counted.grad_evals
+    trace.meta["f_evals"] = counted.f_evals
+    trace.meta["grad_evals"] = counted.grad_evals
     return trace
 
 
@@ -247,8 +154,7 @@ class BaselineParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        if self.eta <= 0 or self.radius <= 0:
-            raise ParameterError("eta and radius must be positive")
+        require_positive(eta=self.eta, radius=self.radius)
         if self.grad_threshold < 0:
             raise ParameterError("grad_threshold must be nonnegative")
         if self.total_steps < 1:
@@ -270,14 +176,8 @@ def pgd_run(
     """Gradient descent with uniform-ball perturbations at flat points."""
     counted = CountingOracle(oracle)
     x = np.asarray(x0, dtype=float).copy()
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "pgd",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "perturbs": [],
-    }
-    trace = Trace(records=records, meta=meta)
+    trace = Trace.start("pgd", stream, perturbs=[])
+    records, meta = trace.records, trace.meta
     last: int | None = None
     event = EVENT_GD
     for t in range(params.total_steps + 1):
@@ -331,14 +231,8 @@ def pagd_run(
     x = np.asarray(x0, dtype=float).copy()
     z = x.copy()
     v = np.zeros_like(x)
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "pagd",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "perturbs": [],
-    }
-    trace = Trace(records=records, meta=meta)
+    trace = Trace.start("pagd", stream, perturbs=[])
+    records, meta = trace.records, trace.meta
     last: int | None = None
     event = EVENT_AGD
     for t in range(params.total_steps + 1):
@@ -406,15 +300,8 @@ def psgd_run(
     """
     x = np.asarray(x0, dtype=float).copy()
     theta_stream = stream.substream("theta")
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "psgd",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "perturbs": [],
-        "samples": 0,
-    }
-    trace = Trace(records=records, meta=meta)
+    trace = Trace.start("psgd", stream, perturbs=[], samples=0)
+    records, meta = trace.records, trace.meta
     last: int | None = None
     event = EVENT_SGD
     variance = params.radius**2 / x.shape[0]
@@ -445,5 +332,4 @@ def psgd_run(
             event = EVENT_SGD
         check_finite(x, trace, "iterate")
         check_trust_region(x, params.trust_region, trace)
-    meta["samples_total"] = meta["samples"]
     return trace

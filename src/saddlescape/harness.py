@@ -9,9 +9,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+# The six run functions are module globals that _trial_trace looks up by
+# name at call time, so a wrapper installed on this module sees every trial.
 from . import verify as verify_mod
 from .ancgd import ANCParams, ancgd_run, derive_anc_params
 from .core import (
@@ -20,6 +23,7 @@ from .core import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    require_positive,
 )
 from .drivers import (
     BaselineParams,
@@ -48,7 +52,6 @@ __all__ = [
     "write_csv",
 ]
 
-ALGORITHMS = ("nc", "ancgd", "snc", "pgd", "pagd", "psgd")
 _ALIASES = {"pgd-nc": "nc", "sgd-nc": "snc"}
 BIN_WIDTH = 0.05
 _NEVER = 10**9
@@ -139,6 +142,8 @@ class ExperimentConfig:
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ParameterError(f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -186,25 +191,6 @@ class HistogramSummary:
             if left < value - 1e-12 and left + self.bin_width <= value + 1e-12:
                 acc += count
         return acc / self.total
-
-    def merge(self, other: "HistogramSummary") -> "HistogramSummary":
-        if abs(other.bin_width - self.bin_width) > 1e-12:
-            raise ParameterError("cannot merge histograms with different bin widths")
-        lo = min(self.bin_edges[0], other.bin_edges[0])
-        hi = max(self.bin_edges[-1], other.bin_edges[-1])
-        nbins = round((hi - lo) / self.bin_width)
-        edges = [round(lo + i * self.bin_width, 10) for i in range(nbins + 1)]
-        counts = [0] * nbins
-        for hist in (self, other):
-            offset = round((hist.bin_edges[0] - lo) / self.bin_width)
-            for i, c in enumerate(hist.counts):
-                counts[offset + i] += c
-        return HistogramSummary(
-            bin_width=self.bin_width,
-            bin_edges=edges,
-            counts=counts,
-            total=self.total + other.total,
-        )
 
 
 @dataclass
@@ -256,21 +242,23 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
+# Config fields that plan the experiment; every other field is a knob.
+_PLAN_FIELDS = ("algorithm", "landscape", "mode", "trials", "seed", "x0", "jobs", "out")
+_KNOBS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in _PLAN_FIELDS
+)
+
+
 def _resolve_knobs(cfg: ExperimentConfig) -> dict:
     """Recipe defaults for the (algorithm, landscape family) pair overlaid
     with every explicitly set config field."""
     knobs: dict = {}
     if cfg.mode == "experiment":
         knobs.update(RECIPES.get((cfg.algorithm, _family(cfg.landscape)), {}))
-    for name in (
-        "steps", "eps", "delta", "delta_f", "eta", "radius", "sigma", "batch",
-        "outer_batch", "ncf_steps", "exploit_step", "grad_threshold",
-        "cooldown", "threshold", "theta", "gamma", "nce_radius",
-    ):
+    for name in _KNOBS:
         value = getattr(cfg, name)
         if value is not None:
             knobs[name] = value
-    knobs["trust_region"] = cfg.trust_region
     return knobs
 
 
@@ -304,165 +292,209 @@ def _gap_bound(land: Landscape, x0: Array) -> float:
     return max(f0 - floor, 1e-6)
 
 
+@dataclass(frozen=True)
+class _Setting:
+    """What one trial's parameters are built from: the landscape's constants
+    and the resolved knobs, with the defaults the builders share."""
+
+    spec: SmoothnessSpec
+    n: int
+    knobs: dict
+    eps: float
+    delta: float
+    delta_f: float
+    rho_loc: float
+    ell_tilde: float
+
+    @property
+    def trust(self) -> float:
+        return self.knobs.get("trust_region", 1e6)
+
+
+def _overlay(params, knobs: dict, **names):
+    """params with each field replaced by the knob named for it, where set."""
+    return dataclasses.replace(
+        params, **{f: knobs[name] for f, name in names.items() if name in knobs}
+    )
+
+
+_OUTER_KNOBS = dict(
+    total_steps="steps", eta="eta", exploit_step="exploit_step",
+    cooldown="cooldown", trust_region="trust_region",
+)
+_SEARCH_NEEDS = ("eta", "radius", "ncf_steps", "eps", "steps")
+_BASELINE_NEEDS = ("eta", "radius", "grad_threshold", "steps")
+
+
+def _nc_paper(s: _Setting) -> PGDNCParams:
+    params = derive_pgdnc_params(s.spec, s.eps, s.delta, s.n, s.delta_f)
+    nc = _overlay(params.nc, s.knobs, steps="ncf_steps", radius="radius")
+    return _overlay(
+        dataclasses.replace(params, nc=nc), s.knobs,
+        grad_threshold="grad_threshold", **_OUTER_KNOBS,
+    )
+
+
+def _nc_recipe(s: _Setting) -> PGDNCParams:
+    k = s.knobs
+    ell_eff = 1.0 / k["eta"]
+    nc = NCParams(
+        steps=k["ncf_steps"], radius=k["radius"], eps=s.eps,
+        delta0=s.delta, ell=ell_eff, rho=s.rho_loc,
+    )
+    return PGDNCParams(
+        nc=nc, total_steps=k["steps"], eps=s.eps, ell=ell_eff, rho=s.rho_loc,
+        eta=k["eta"], grad_threshold=k.get("grad_threshold"),
+        exploit_step=k.get("exploit_step"), cooldown=k.get("cooldown"),
+        trust_region=s.trust,
+    )
+
+
+def _ancgd_paper(s: _Setting) -> ANCParams:
+    delta0 = min(1.0, s.delta / (384.0 * s.delta_f) * math.sqrt(s.eps**3 / s.spec.rho))
+    params = derive_anc_params(
+        s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=s.knobs.get("steps")
+    )
+    return _overlay(
+        params, s.knobs, cooldown="cooldown", grad_threshold="grad_threshold",
+        exploit_step="exploit_step", trust_region="trust_region",
+    )
+
+
+def _ancgd_recipe(s: _Setting) -> ANCParams:
+    k = s.knobs
+    return ANCParams(
+        eta=k["eta"], theta=k["theta"], gamma=k["gamma"],
+        nce_radius=k["nce_radius"], ncf_steps=k["ncf_steps"],
+        perturb_radius=k["radius"], total_steps=k["steps"], eps=s.eps,
+        delta0=s.delta, ell=1.0 / (4.0 * k["eta"]), rho=s.rho_loc,
+        cooldown=k.get("cooldown"), grad_threshold=k.get("grad_threshold"),
+        exploit_step=k.get("exploit_step"), trust_region=s.trust,
+    )
+
+
+def _snc_paper(s: _Setting) -> SGDNCParams:
+    params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
+    snc = _overlay(params.snc, s.knobs, steps="ncf_steps", radius="radius", batch="batch")
+    return _overlay(
+        dataclasses.replace(params, snc=snc), s.knobs,
+        outer_batch="outer_batch", **_OUTER_KNOBS,
+    )
+
+
+def _snc_recipe(s: _Setting) -> SGDNCParams:
+    k = s.knobs
+    ell_eff = 1.0 / k["eta"]
+    snc = SNCParams(
+        steps=k["ncf_steps"], radius=k["radius"], batch=k.get("batch", 1),
+        log_term=10.0, eps=s.eps, delta=s.delta,
+        ell=ell_eff, rho=s.rho_loc, ell_tilde=s.ell_tilde,
+    )
+    return SGDNCParams(
+        snc=snc, outer_batch=k.get("outer_batch", 10),
+        total_steps=k["steps"], eps=s.eps, ell=ell_eff, rho=s.rho_loc,
+        trigger_threshold=k.get("grad_threshold"),
+        exploit_step=k.get("exploit_step"), eta=k["eta"],
+        cooldown=k.get("cooldown"), trust_region=s.trust,
+    )
+
+
+def _baseline(s: _Setting, defaults: dict) -> BaselineParams:
+    k = {**defaults, **s.knobs}
+    return BaselineParams(
+        eta=k["eta"], radius=k["radius"], grad_threshold=k["grad_threshold"],
+        total_steps=k["steps"], cooldown=k.get("cooldown"), theta=k.get("theta"),
+        gamma=k.get("gamma"), nce_radius=k.get("nce_radius"),
+        batch=k.get("batch", 1), trust_region=s.trust,
+    )
+
+
+def _baseline_paper(s: _Setting) -> BaselineParams:
+    nc = derive_nc_params(s.spec, s.eps, min(s.delta, 1.0), s.n)
+    defaults = dict(
+        eta=1.0 / s.spec.ell, radius=nc.radius, grad_threshold=s.eps, cooldown=nc.steps
+    )
+    if "steps" not in s.knobs:
+        defaults["steps"] = max(1, math.ceil(8.0 * s.spec.ell * s.delta_f / s.eps**2))
+    return _baseline(s, defaults)
+
+
+def _baseline_recipe(s: _Setting) -> BaselineParams:
+    return _baseline(s, {})
+
+
+def _momentum(params: BaselineParams, s: _Setting) -> BaselineParams:
+    """PAGD's momentum constants, derived from the smoothness constants
+    unless theta is set."""
+    if params.theta is not None:
+        return params
+    theta = min(0.999, (s.spec.rho * s.eps) ** 0.25 / (4.0 * math.sqrt(s.spec.ell)))
+    gamma = theta**2 / params.eta
+    return dataclasses.replace(
+        params, theta=theta, gamma=gamma, nce_radius=gamma / (4.0 * s.spec.rho)
+    )
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """How the harness runs one algorithm: the name of its run function
+    (a module global, looked up at call time), its paper-mode and
+    experiment-mode parameter builders, the knobs experiment mode needs,
+    and whether it sees the noisy oracle."""
+
+    run: str
+    paper: Callable[[_Setting], object]
+    recipe: Callable[[_Setting], object]
+    needs: tuple[str, ...]
+    noisy: bool = False
+
+
+_ALGORITHMS = {
+    "nc": _Algorithm("pgd_nc_run", _nc_paper, _nc_recipe, _SEARCH_NEEDS),
+    "ancgd": _Algorithm(
+        "ancgd_run", _ancgd_paper, _ancgd_recipe,
+        _SEARCH_NEEDS + ("theta", "gamma", "nce_radius"),
+    ),
+    "snc": _Algorithm("sgd_nc_run", _snc_paper, _snc_recipe, _SEARCH_NEEDS, noisy=True),
+    "pgd": _Algorithm("pgd_run", _baseline_paper, _baseline_recipe, _BASELINE_NEEDS),
+    "pagd": _Algorithm(
+        "pagd_run",
+        lambda s: _momentum(_baseline_paper(s), s),
+        lambda s: _momentum(_baseline_recipe(s), s),
+        _BASELINE_NEEDS,
+    ),
+    "psgd": _Algorithm(
+        "psgd_run", _baseline_paper, _baseline_recipe, _BASELINE_NEEDS, noisy=True
+    ),
+}
+ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def _trial_trace(payload: dict, land: Landscape, trial: int):
     """Build parameters from the payload and run one seeded trial on land."""
     x0 = _start_point(payload, land)
-    saddle = land.saddles[0] if land.saddles else None
     k = payload["knobs"]
-    alg = payload["algorithm"]
-    mode = payload["mode"]
-    stream = RngStream(payload["seed"], trial)
-    n = land.dim
+    alg = _ALGORITHMS[payload["algorithm"]]
     spec = land.oracle.spec
-    eps = k.get("eps", 0.01)
-    delta = k.get("delta", 0.1)
-    delta_f = k.get("delta_f") or _gap_bound(land, x0)
-    rho_loc = saddle.rho_local if saddle is not None else spec.rho
-    trust = k.get("trust_region", 1e6)
-
-    if alg == "nc":
-        if mode == "paper":
-            params = derive_pgdnc_params(spec, eps, delta, n, delta_f)
-            params = dataclasses.replace(
-                params,
-                total_steps=k.get("steps", params.total_steps),
-                eta=k.get("eta"),
-                grad_threshold=k.get("grad_threshold"),
-                exploit_step=k.get("exploit_step"),
-                cooldown=k.get("cooldown"),
-                trust_region=trust,
-            )
-            if k.get("ncf_steps") or k.get("radius"):
-                params = dataclasses.replace(
-                    params,
-                    nc=dataclasses.replace(
-                        params.nc,
-                        steps=k.get("ncf_steps", params.nc.steps),
-                        radius=k.get("radius", params.nc.radius),
-                    ),
-                )
-        else:
-            _require(k, ["eta", "radius", "ncf_steps", "eps", "steps"], alg)
-            ell_eff = 1.0 / k["eta"]
-            nc = NCParams(
-                steps=k["ncf_steps"], radius=k["radius"], eps=eps,
-                delta0=k.get("delta", 0.1), ell=ell_eff, rho=rho_loc,
-            )
-            params = PGDNCParams(
-                nc=nc, total_steps=k["steps"], eps=eps, ell=ell_eff, rho=rho_loc,
-                eta=k["eta"], grad_threshold=k.get("grad_threshold"),
-                exploit_step=k.get("exploit_step"), cooldown=k.get("cooldown"),
-                trust_region=trust,
-            )
-        return pgd_nc_run(land.oracle, x0, params, stream)
-
-    if alg == "ancgd":
-        if mode == "paper":
-            delta0 = min(1.0, delta / (384.0 * delta_f) * math.sqrt(eps**3 / spec.rho))
-            params = derive_anc_params(
-                spec, eps, delta0, n, delta_f, total_steps=k.get("steps")
-            )
-            params = dataclasses.replace(
-                params,
-                cooldown=k.get("cooldown"),
-                grad_threshold=k.get("grad_threshold"),
-                exploit_step=k.get("exploit_step"),
-                trust_region=trust,
-            )
-        else:
-            _require(
-                k,
-                ["eta", "radius", "ncf_steps", "eps", "steps", "theta", "gamma", "nce_radius"],
-                alg,
-            )
-            params = ANCParams(
-                eta=k["eta"], theta=k["theta"], gamma=k["gamma"],
-                nce_radius=k["nce_radius"], ncf_steps=k["ncf_steps"],
-                perturb_radius=k["radius"], total_steps=k["steps"], eps=eps,
-                delta0=k.get("delta", 0.1), ell=1.0 / (4.0 * k["eta"]), rho=rho_loc,
-                cooldown=k.get("cooldown"), grad_threshold=k.get("grad_threshold"),
-                exploit_step=k.get("exploit_step"), trust_region=trust,
-            )
-        return ancgd_run(land.oracle, x0, params, stream)
-
-    if alg == "snc":
-        sigma = k.get("sigma", 0.01)
-        oracle = with_noise(land, sigma)
-        if mode == "paper":
-            params = derive_sgdnc_params(spec, oracle.ell_tilde, eps, delta, n, delta_f)
-            params = dataclasses.replace(
-                params,
-                total_steps=k.get("steps", params.total_steps),
-                outer_batch=k.get("outer_batch", params.outer_batch),
-                eta=k.get("eta"),
-                exploit_step=k.get("exploit_step"),
-                cooldown=k.get("cooldown"),
-                trust_region=trust,
-            )
-            if k.get("ncf_steps") or k.get("radius") or k.get("batch"):
-                params = dataclasses.replace(
-                    params,
-                    snc=dataclasses.replace(
-                        params.snc,
-                        steps=k.get("ncf_steps", params.snc.steps),
-                        radius=k.get("radius", params.snc.radius),
-                        batch=k.get("batch", params.snc.batch),
-                    ),
-                )
-        else:
-            _require(k, ["eta", "radius", "ncf_steps", "eps", "steps"], alg)
-            ell_eff = 1.0 / k["eta"]
-            snc = SNCParams(
-                steps=k["ncf_steps"], radius=k["radius"], batch=k.get("batch", 1),
-                log_term=10.0, eps=eps, delta=k.get("delta", 0.1),
-                ell=ell_eff, rho=rho_loc, ell_tilde=oracle.ell_tilde,
-            )
-            params = SGDNCParams(
-                snc=snc, outer_batch=k.get("outer_batch", 10),
-                total_steps=k["steps"], eps=eps, ell=ell_eff, rho=rho_loc,
-                trigger_threshold=k.get("grad_threshold"),
-                exploit_step=k.get("exploit_step"), eta=k["eta"],
-                cooldown=k.get("cooldown"), trust_region=trust,
-            )
-        return sgd_nc_run(oracle, x0, params, stream)
-
-    if alg in ("pgd", "pagd", "psgd"):
-        if mode == "paper":
-            nc = derive_nc_params(spec, eps, min(delta, 1.0), n)
-            eta = k.get("eta", 1.0 / spec.ell)
-            radius = k.get("radius", nc.radius)
-            grad_threshold = k.get("grad_threshold", eps)
-            cooldown = k.get("cooldown", nc.steps)
-            steps = k.get("steps")
-            if steps is None:
-                steps = max(1, math.ceil(8.0 * spec.ell * delta_f / eps**2))
-        else:
-            _require(k, ["eta", "radius", "grad_threshold", "steps"], alg)
-            eta = k["eta"]
-            radius = k["radius"]
-            grad_threshold = k["grad_threshold"]
-            cooldown = k.get("cooldown")
-            steps = k["steps"]
-        params = BaselineParams(
-            eta=eta, radius=radius, grad_threshold=grad_threshold,
-            total_steps=steps, cooldown=cooldown, theta=k.get("theta"),
-            gamma=k.get("gamma"), nce_radius=k.get("nce_radius"),
-            batch=k.get("batch", 1), trust_region=trust,
-        )
-        if alg == "pgd":
-            return pgd_run(land.oracle, x0, params, stream)
-        if alg == "pagd":
-            if params.theta is None:
-                theta = min(0.999, (spec.rho * eps) ** 0.25 / (4.0 * math.sqrt(spec.ell)))
-                gamma = theta**2 / eta
-                params = dataclasses.replace(
-                    params, theta=theta, gamma=gamma, nce_radius=gamma / (4.0 * spec.rho)
-                )
-            return pagd_run(land.oracle, x0, params, stream)
-        oracle = with_noise(land, k.get("sigma", 0.01))
-        return psgd_run(oracle, x0, params, stream)
-
-    raise ParameterError(f"unknown algorithm {alg!r}")
+    oracle = with_noise(land, k.get("sigma", 0.01)) if alg.noisy else land.oracle
+    setting = _Setting(
+        spec=spec,
+        n=land.dim,
+        knobs=k,
+        eps=k.get("eps", 0.01),
+        delta=k.get("delta", 0.1),
+        delta_f=k.get("delta_f") or _gap_bound(land, x0),
+        rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
+        ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
+    )
+    if payload["mode"] == "paper":
+        params = alg.paper(setting)
+    else:
+        _require(k, alg.needs, payload["algorithm"])
+        require_positive(eta=k["eta"])
+        params = alg.recipe(setting)
+    run = globals()[alg.run]
+    return run(oracle, x0, params, RngStream(payload["seed"], trial))
 
 
 def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
@@ -535,6 +567,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     per-trial entry point runs either way and rows come back in trial
     order, so outputs are byte-identical for any job count.
     """
+    _check_out_dir(cfg.out)
     jobs = _resolve_jobs(cfg.jobs)
     land = get_landscape(cfg.landscape)
     payload = build_payload(cfg, land)
@@ -557,6 +590,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             json.dump(result.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
+
+
+def _check_out_dir(out: str | None) -> None:
+    """Fail before the first trial when the output directory is missing."""
+    parent = os.path.dirname(out or "")
+    if parent and not os.path.isdir(parent):
+        raise ParameterError(f"output directory {parent!r} does not exist")
 
 
 def _out_paths(out: str) -> tuple[str, str]:
@@ -584,6 +624,7 @@ def run_dimension_scaling(
 ) -> list[dict]:
     """Escape rates across dimensions n = 10**p under the published budgets:
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10."""
+    _check_out_dir(out)
     rows = []
     for p in ps:
         if p < 1:
@@ -779,19 +820,14 @@ def derive_params_for(
     """Derived constants for one algorithm as a plain dict (CLI `params`)."""
     alg = _ALIASES.get(alg, alg)
     spec = SmoothnessSpec(ell, rho)
-    if alg == "nc":
-        out = dataclasses.asdict(derive_pgdnc_params(spec, eps, delta, n, delta_f))
-    elif alg == "ncf":
-        out = dataclasses.asdict(derive_nc_params(spec, eps, delta, n))
-    elif alg == "ancgd":
-        delta0 = min(1.0, delta / (384.0 * delta_f) * math.sqrt(eps**3 / rho))
-        out = dataclasses.asdict(derive_anc_params(spec, eps, delta0, n, delta_f))
-    elif alg == "snc":
-        out = dataclasses.asdict(
-            derive_sgdnc_params(spec, ell_tilde or ell, eps, delta, n, delta_f)
-        )
-    else:
+    if alg == "ncf":
+        return dataclasses.asdict(derive_nc_params(spec, eps, delta, n))
+    if alg not in ("nc", "ancgd", "snc"):
         raise ParameterError(
             f"no derived parameters for {alg!r}; choose nc, ncf, ancgd, or snc"
         )
-    return out
+    setting = _Setting(
+        spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
+        rho_loc=rho, ell_tilde=ell_tilde or ell,
+    )
+    return dataclasses.asdict(_ALGORITHMS[alg].paper(setting))

@@ -1,20 +1,28 @@
-"""Negative-curvature finding from gradient differences, and the escape step it feeds."""
+"""Negative-curvature finding from gradient differences, the exploit step it
+feeds, and the escape-episode loop both escape drivers run."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     AlgorithmError,
     Array,
+    EVENT_NCF_EXPLOIT,
+    EVENT_NCF_STEP,
     GradientOracle,
     ParameterError,
     RngStream,
     SmoothnessSpec,
-    grad_component,
+    Trace,
+    TraceRecord,
+    check_finite,
+    check_trust_region,
+    require_positive,
     uniform_ball_sample,
     _norm,
 )
@@ -26,6 +34,8 @@ __all__ = [
     "nc_find",
     "perturb_along_nc",
     "lemma_decrease_bound",
+    "exploit",
+    "search_descent",
 ]
 
 _MAX_RESTARTS = 3
@@ -51,6 +61,7 @@ class NCParams:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (0 < self.delta0 <= 1):
             raise ParameterError(f"delta0 must be in (0, 1], got {self.delta0}")
+        require_positive(ell=self.ell, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,133 @@ def lemma_decrease_bound(eps: float, rho: float) -> float:
     return math.sqrt(eps**3 / rho) / 384.0
 
 
+def exploit(
+    value: Callable[[Array], float],
+    anchor: Array,
+    anchor_f: float,
+    e_hat: Array,
+    eps: float,
+    rho: float,
+    step: float | None = None,
+    *,
+    meta: dict | None = None,
+    t: int = 0,
+    stop_at_candidate: bool = False,
+) -> tuple[Array, bool]:
+    """Two-candidate exploit: step `step` (default sqrt(eps/rho)/4) both ways
+    along e_hat from the anchor, keep the lower candidate, and fall back to
+    the anchor when neither decreases f.
+
+    With meta, the episode is logged in meta["exploits"] as ending at record
+    t and certified against lemma_decrease_bound; an uncertified anchor is a
+    second-order candidate.  Returns the new point and whether the loop stops
+    there (stop_at_candidate and the anchor became a candidate).
+    """
+    if step is None:
+        step = 0.25 * math.sqrt(eps / rho)
+    plus = anchor + step * e_hat
+    minus = anchor - step * e_hat
+    f_plus = value(plus)
+    f_minus = value(minus)
+    cand, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
+    if f_cand < anchor_f:
+        x, decrease = cand, anchor_f - f_cand
+    else:
+        x, decrease = anchor.copy(), 0.0
+    if meta is None:
+        return x, False
+    certified = decrease >= lemma_decrease_bound(eps, rho)
+    meta["exploits"].append(
+        {"t": t, "anchor": anchor, "e_hat": e_hat, "decrease": decrease, "certified": certified}
+    )
+    if certified:
+        return x, False
+    meta["candidates"].append(anchor)
+    if stop_at_candidate:
+        meta["stopped_at_candidate"] = anchor
+    return x, stop_at_candidate
+
+
+def search_descent(
+    x0: Array,
+    params,
+    trace: Trace,
+    estimate: Callable[[Array], Array],
+    recorder,
+    search: Callable[[Array, int, int], NCOutcome],
+    event: str,
+) -> Trace:
+    """Descent loop that runs a curvature search at flat points.
+
+    Each iteration takes a gradient estimate(x).  When it is at most
+    params.effective_threshold, the cooldown since the last search has
+    passed and at least two iterations remain, x anchors an episode:
+    search(anchor, budget, episode) returns a direction from at most budget
+    steps, each billed as one record at the anchor, and the exploit from the
+    anchor takes one more record.  Otherwise x steps against the estimate
+    and the record is tagged event.  recorder.value and recorder.gradient
+    score the records and the exploit candidates.  params is a PGDNCParams
+    or SGDNCParams; the loop reads only the fields the two share.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    eta = params.effective_eta
+    records, meta = trace.records, trace.meta
+    meta["exploits"], meta["candidates"] = [], []
+
+    def record(t: int, x: Array, tag: str) -> None:
+        records.append(
+            TraceRecord(
+                t=t,
+                f=recorder.value(x),
+                grad_norm=_norm(recorder.gradient(x)),
+                event=tag,
+                x=x.copy(),
+            )
+        )
+
+    record(0, x, event)
+    t = 0
+    episode = 0
+    last_search: int | None = None
+    while t < params.total_steps:
+        g = estimate(x)
+        g_norm = _norm(g)
+        cooled = (
+            last_search is None
+            or params.cooldown is None
+            or t - last_search > params.cooldown
+        )
+        remaining = params.total_steps - t
+        if g_norm <= params.effective_threshold and cooled and remaining >= 2:
+            last_search = t
+            anchor = x.copy()
+            anchor_f = recorder.value(anchor)
+            outcome = search(anchor, remaining - 1, episode)
+            episode += 1
+            for _ in range(outcome.steps_used):
+                t += 1
+                records.append(
+                    TraceRecord(
+                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor.copy()
+                    )
+                )
+            t += 1
+            x, stop = exploit(
+                recorder.value, anchor, anchor_f, outcome.e_hat, params.eps, params.rho,
+                params.exploit_step, meta=meta, t=t, stop_at_candidate=params.stop_at_candidate,
+            )
+            record(t, x, EVENT_NCF_EXPLOIT)
+            if stop:
+                break
+        else:
+            x = x - eta * g
+            t += 1
+            record(t, x, event)
+        check_finite(x, trace, "iterate")
+        check_trust_region(x, params.trust_region, trace)
+    return trace
+
+
 def perturb_along_nc(
     oracle: GradientOracle,
     x0: Array,
@@ -170,20 +308,11 @@ def perturb_along_nc(
     if norm == 0.0:
         raise ParameterError("e_hat must be nonzero")
     e_hat = e_hat / norm
-    if step is None:
-        step = 0.25 * math.sqrt(eps / rho)
     if mode == "gradient-sign":
-        slope = grad_component(oracle, x0, e_hat)
-        sign = 1.0 if slope >= 0 else -1.0
+        if step is None:
+            step = 0.25 * math.sqrt(eps / rho)
+        sign = 1.0 if float(np.dot(oracle.gradient(x0), e_hat)) >= 0 else -1.0
         return x0 - step * sign * e_hat
     if mode != "two-candidate":
         raise ParameterError(f"unknown perturbation mode: {mode!r}")
-    f0 = oracle.value(x0)
-    plus = x0 + step * e_hat
-    minus = x0 - step * e_hat
-    f_plus = oracle.value(plus)
-    f_minus = oracle.value(minus)
-    candidate, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
-    if f_cand < f0:
-        return candidate
-    return x0
+    return exploit(oracle.value, x0, oracle.value(x0), e_hat, eps, rho, step)[0]

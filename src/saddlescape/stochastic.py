@@ -11,20 +11,16 @@ import numpy as np
 from .core import (
     AlgorithmError,
     Array,
-    EVENT_NCF_EXPLOIT,
-    EVENT_NCF_STEP,
     EVENT_SGD,
     ParameterError,
     RngStream,
     SmoothnessSpec,
     StochasticOracle,
     Trace,
-    TraceRecord,
-    check_finite,
-    check_trust_region,
+    require_positive,
     _norm,
 )
-from .ncfind import NCOutcome, lemma_decrease_bound
+from .ncfind import NCOutcome, search_descent
 
 __all__ = [
     "SNCParams",
@@ -65,6 +61,7 @@ class SNCParams:
             raise ParameterError(f"radius must be positive, got {self.radius}")
         if self.batch < 1:
             raise ParameterError(f"batch must be >= 1, got {self.batch}")
+        require_positive(ell=self.ell, rho=self.rho)
 
 
 def derive_snc_params(
@@ -263,6 +260,7 @@ class SGDNCParams:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
+        require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
 
     @property
     def effective_threshold(self) -> float:
@@ -320,111 +318,16 @@ def sgd_nc_run(
     the stated exact directional sign), and the loop resumes with a fresh
     estimate.  Otherwise the estimate is consumed by a plain SGD step.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    eta = params.effective_eta
-    bound = lemma_decrease_bound(params.eps, params.rho)
-    exploit_step = params.exploit_step
-    if exploit_step is None:
-        exploit_step = 0.25 * math.sqrt(params.eps / params.rho)
+    trace = Trace.start("sgd-nc", stream, samples=0)
     theta_stream = stream.substream("outer-theta")
-    records: list[TraceRecord] = []
-    meta: dict = {
-        "algorithm": "sgd-nc",
-        "seed": stream.seed,
-        "stream_id": stream.stream_id,
-        "exploits": [],
-        "candidates": [],
-        "samples": 0,
-    }
-    trace = Trace(records=records, meta=meta)
-    records.append(
-        TraceRecord(
-            t=0,
-            f=oracle.mean.value(x),
-            grad_norm=_norm(oracle.mean.gradient(x)),
-            event=EVENT_SGD,
-            x=x.copy(),
-        )
-    )
-    t = 0
-    last_search: int | None = None
-    episode = 0
-    while t < params.total_steps:
-        g = oracle.minibatch_mean(x, params.outer_batch, theta_stream)
-        meta["samples"] += params.outer_batch
-        g_norm = _norm(g)
-        cooled = (
-            last_search is None
-            or params.cooldown is None
-            or t - last_search > params.cooldown
-        )
-        remaining = params.total_steps - t
-        if g_norm <= params.effective_threshold and cooled and remaining >= 2:
-            last_search = t
-            anchor = x.copy()
-            anchor_f = oracle.mean.value(anchor)
-            inner_steps = min(params.snc.steps, remaining - 1)
-            inner = dataclasses.replace(params.snc, steps=inner_steps)
-            outcome = snc_find(
-                oracle, anchor, inner, stream.substream(("snc", episode))
-            )
-            meta["samples"] += inner_steps * inner.batch * 2
-            for _ in range(inner_steps):
-                t += 1
-                records.append(
-                    TraceRecord(
-                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor.copy()
-                    )
-                )
-            episode += 1
-            e_hat = outcome.e_hat
-            plus = anchor + exploit_step * e_hat
-            minus = anchor - exploit_step * e_hat
-            f_plus = oracle.mean.value(plus)
-            f_minus = oracle.mean.value(minus)
-            cand, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
-            if f_cand < anchor_f:
-                x = cand
-                decrease = anchor_f - f_cand
-            else:
-                x = anchor.copy()
-                decrease = 0.0
-            meta["exploits"].append(
-                {
-                    "t": t,
-                    "anchor": anchor,
-                    "e_hat": e_hat,
-                    "decrease": decrease,
-                    "certified": decrease >= bound,
-                }
-            )
-            t += 1
-            records.append(
-                TraceRecord(
-                    t=t,
-                    f=oracle.mean.value(x),
-                    grad_norm=_norm(oracle.mean.gradient(x)),
-                    event=EVENT_NCF_EXPLOIT,
-                    x=x.copy(),
-                )
-            )
-            if decrease < bound:
-                meta["candidates"].append(anchor)
-                if params.stop_at_candidate:
-                    meta["stopped_at_candidate"] = anchor
-                    break
-        else:
-            x = x - eta * g
-            t += 1
-            records.append(
-                TraceRecord(
-                    t=t,
-                    f=oracle.mean.value(x),
-                    grad_norm=_norm(oracle.mean.gradient(x)),
-                    event=EVENT_SGD,
-                    x=x.copy(),
-                )
-            )
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
-    return trace
+
+    def estimate(x: Array) -> Array:
+        trace.meta["samples"] += params.outer_batch
+        return oracle.minibatch_mean(x, params.outer_batch, theta_stream)
+
+    def search(anchor: Array, budget: int, episode: int) -> NCOutcome:
+        inner = dataclasses.replace(params.snc, steps=min(params.snc.steps, budget))
+        trace.meta["samples"] += inner.steps * inner.batch * 2
+        return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
+
+    return search_descent(x0, params, trace, estimate, oracle.mean, search, EVENT_SGD)

@@ -22,7 +22,6 @@ __all__ = [
     "Landscape",
     "make_quartic",
     "make_cubic_stochastic",
-    "make_cubic",
     "make_triangle",
     "make_exponential",
     "make_highdim",
@@ -182,9 +181,6 @@ def make_cubic_stochastic() -> Landscape:
     )
     land.self_check()
     return land
-
-
-make_cubic = make_cubic_stochastic
 
 
 def make_triangle() -> Landscape:

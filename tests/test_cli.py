@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from saddlescape import SmoothnessSpec, VerifyReport, derive_nc_params
+from saddlescape import SmoothnessSpec, VerifyReport, derive_nc_params, harness
 from saddlescape.cli import main, read_config
 
 
@@ -46,8 +46,10 @@ class TestRunCommand:
         assert "diverged:" in capsys.readouterr().err
 
     def test_degenerate_search_exits_three(self, capsys):
+        # An infinite probe radius passes validation but leaves the search
+        # nothing finite to iterate on.
         code = main([
-            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--eta", "nan",
+            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--r", "inf",
         ])
         assert code == 3
         err = capsys.readouterr().err
@@ -59,6 +61,35 @@ class TestRunCommand:
         code = main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2"])
         assert code == 1
         assert "SADDLESCAPE_JOBS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eta", "-1"],
+            ["--eta", "nan"],
+            ["--eta", "0"],
+            ["--threshold", "nan"],
+            ["--mode", "paper", "--steps", "20", "--eta", "nan"],
+            ["--alg", "pgd", "--eta", "nan"],
+        ],
+    )
+    def test_bad_values_rejected_before_running(self, flags, capsys, monkeypatch):
+        ran = []
+        for name in ("pgd_nc_run", "pgd_run"):
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        code = main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert ran == []
+
+    def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))
+        out = str(tmp_path / "missing" / "x")
+        code = main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2", "--out", out])
+        assert code == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert ran == []
 
     def test_bad_x0_exits_one(self, capsys):
         code = main([

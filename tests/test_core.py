@@ -29,7 +29,6 @@ from saddlescape.core import (
     _norm,
     check_finite,
     check_trust_region,
-    grad_component,
 )
 
 from conftest import make_quadratic
@@ -146,11 +145,6 @@ class TestOracles:
         assert counted.grad_evals == 2
         assert counted.dim == 2
         assert counted.spec.ell == quad2.spec.ell
-
-    def test_grad_component(self, quad2):
-        x = np.array([1.0, 1.0])
-        e = np.array([0.0, 1.0])
-        assert grad_component(quad2, x, e) == pytest.approx(2.0)
 
     def test_additive_minibatch_mean_distribution(self, quad2):
         oracle = AdditiveNoiseOracle(quad2, sigma=0.5)

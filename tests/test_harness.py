@@ -93,21 +93,6 @@ class TestHistogramSummary:
         hist = HistogramSummary.from_decreases([])
         assert hist.fraction_below(1.0) == 0.0
 
-    def test_merge_aligned(self):
-        a = HistogramSummary.from_decreases([0.01, 0.06], bin_width=0.05)
-        b = HistogramSummary.from_decreases([0.26], bin_width=0.05)
-        merged = a.merge(b)
-        assert merged.total == 3
-        assert sum(merged.counts) == 3
-        assert merged.bin_edges[0] == 0.0
-        assert merged.bin_edges[-1] == pytest.approx(0.3)
-
-    def test_merge_rejects_mismatched_widths(self):
-        a = HistogramSummary.from_decreases([0.1], bin_width=0.05)
-        b = HistogramSummary.from_decreases([0.1], bin_width=0.1)
-        with pytest.raises(ParameterError):
-            a.merge(b)
-
 
 class TestRunExperiment:
     def test_rows_ordered_and_summary_consistent(self):
