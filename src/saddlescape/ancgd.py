@@ -21,8 +21,7 @@ from .core import (
     SmoothnessSpec,
     Trace,
     TraceRecord,
-    check_finite,
-    check_trust_region,
+    check_iterate,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -60,11 +59,12 @@ class ANCParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        require_positive(eta=self.eta, ell=self.ell, rho=self.rho)
+        require_positive(
+            eta=self.eta, ell=self.ell, rho=self.rho, gamma=self.gamma,
+            nce_radius=self.nce_radius, perturb_radius=self.perturb_radius,
+        )
         if not (0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
-        if self.gamma <= 0 or self.nce_radius <= 0 or self.perturb_radius <= 0:
-            raise ParameterError("gamma, nce_radius, perturb_radius must be positive")
         if self.ncf_steps < 1:
             raise ParameterError(f"ncf_steps must be >= 1, got {self.ncf_steps}")
         if self.total_steps < 1:
@@ -183,7 +183,7 @@ def ancgd_run(
     """
     counted = CountingOracle(oracle)
     x = np.asarray(x0, dtype=float).copy()
-    z = x.copy()
+    z = x
     zeta = np.zeros_like(x)
     v = np.zeros_like(x)
     eta, theta = params.eta, params.theta
@@ -204,7 +204,7 @@ def ancgd_run(
                 f=counted.value(x),
                 grad_norm=g_norm,
                 event=pending_event,
-                x=x.copy(),
+                x=x,
                 v_norm=_norm(v),
             )
         )
@@ -217,17 +217,17 @@ def ancgd_run(
             t_perturb is None or t - t_perturb > params.effective_cooldown
         )
         if trigger:
-            anchor = x.copy()
+            anchor = x
             anchor_f = counted.value(anchor)
-            zeta = g_x.copy()
+            zeta = g_x
             x = uniform_ball_sample(anchor, params.perturb_radius, stream)
-            z = x.copy()
+            z = x
             v = np.zeros_like(x)
             t_perturb = t
             in_window = True
             pending_event = EVENT_NCF_STEP
             meta["perturbs"].append(
-                {"t": t, "anchor": anchor.copy(), "offset": x - anchor}
+                {"t": t, "anchor": anchor, "offset": x - anchor}
             )
             records[-1] = TraceRecord(
                 t=t,
@@ -250,8 +250,8 @@ def ancgd_run(
                     stop_at_candidate=params.stop_at_candidate,
                 )
             else:
-                x = anchor.copy()
-            z = x.copy()
+                x = anchor
+            z = x
             v = np.zeros_like(x)
             zeta = np.zeros_like(x)
             in_window = False
@@ -291,8 +291,7 @@ def ancgd_run(
                     pending_event = EVENT_NCE
 
         x, z, v = x_next, z_next, v_next
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
+        check_iterate(x, params.trust_region, trace)
 
     meta["f_evals"] = counted.f_evals
     meta["grad_evals"] = counted.grad_evals

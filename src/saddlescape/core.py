@@ -305,7 +305,12 @@ def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream)
 
 @dataclass
 class TraceRecord:
-    """State after one counted iteration: step index, value, gradient norm, event."""
+    """State after one counted iteration: step index, value, gradient norm, event.
+
+    x is the iterate itself, not a copy: records may share one array (the
+    search steps of an episode all hold the anchor) with each other and with
+    the run's meta, so treat record arrays as read-only.
+    """
 
     t: int
     f: float
@@ -347,14 +352,17 @@ class Trace:
         return len(self.records)
 
 
-def check_finite(x: Array, trace: Trace | None = None, what: str = "iterate") -> Array:
-    """Reject NaN/Inf before it enters algorithm state."""
-    if not np.isfinite(x).all():
-        raise DivergenceError(f"non-finite {what} encountered", trace)
-    return x
+def check_iterate(x: Array, bound: float, trace: Trace | None = None) -> Array:
+    """Reject a non-finite iterate, then one outside the trust region.
 
-
-def check_trust_region(x: Array, bound: float, trace: Trace | None = None) -> Array:
-    if _norm(x) > bound:
+    One dot product serves both checks: a finite sum of squares means every
+    element is finite, so the elementwise scan runs only when it is not.  A
+    sum that overflows from finite elements fails the trust region (unless
+    bound is inf), exactly as the norm it stands for would.
+    """
+    s = x.dot(x)
+    if not math.isfinite(s) and not np.isfinite(x).all():
+        raise DivergenceError("non-finite iterate encountered", trace)
+    if math.sqrt(s) > bound:
         raise DivergenceError(f"iterate norm exceeded trust region bound {bound}", trace)
     return x

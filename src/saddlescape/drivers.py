@@ -24,8 +24,7 @@ from .core import (
     StochasticOracle,
     Trace,
     TraceRecord,
-    check_finite,
-    check_trust_region,
+    check_iterate,
     gaussian_sample,
     require_positive,
     uniform_ball_sample,
@@ -189,7 +188,7 @@ def pgd_run(
                 f=counted.value(x),
                 grad_norm=g_norm,
                 event=event,
-                x=x.copy(),
+                x=x,
             )
         )
         if t == params.total_steps:
@@ -201,12 +200,11 @@ def pgd_run(
             x = uniform_ball_sample(x, params.radius, stream)
             last = t
             event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x.copy()})
+            meta["perturbs"].append({"t": t, "x": x})
         else:
             x = x - params.eta * g
             event = EVENT_GD
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
+        check_iterate(x, params.trust_region, trace)
     meta["f_evals"] = counted.f_evals
     meta["grad_evals"] = counted.grad_evals
     return trace
@@ -229,7 +227,7 @@ def pagd_run(
         raise ParameterError("pagd_run needs theta, gamma, and nce_radius")
     counted = CountingOracle(oracle)
     x = np.asarray(x0, dtype=float).copy()
-    z = x.copy()
+    z = x
     v = np.zeros_like(x)
     trace = Trace.start("pagd", stream, perturbs=[])
     records, meta = trace.records, trace.meta
@@ -244,7 +242,7 @@ def pagd_run(
                 f=counted.value(x),
                 grad_norm=g_norm,
                 event=event,
-                x=x.copy(),
+                x=x,
                 v_norm=_norm(v),
             )
         )
@@ -256,11 +254,11 @@ def pagd_run(
             and _perturb_ready(t, last, params.cooldown)
         ):
             x = uniform_ball_sample(x, params.radius, stream)
-            z = x.copy()
+            z = x
             v = np.zeros_like(x)
             last = t
             event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x.copy()})
+            meta["perturbs"].append({"t": t, "x": x})
         g_z = counted.gradient(z)
         x_next = z - params.eta * g_z
         v_next = x_next - x
@@ -280,8 +278,7 @@ def pagd_run(
             if event == EVENT_AGD:
                 event = EVENT_NCE
         x, z, v = x_next, z_next, v_next
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
+        check_iterate(x, params.trust_region, trace)
     meta["f_evals"] = counted.f_evals
     meta["grad_evals"] = counted.grad_evals
     return trace
@@ -312,7 +309,7 @@ def psgd_run(
                 f=oracle.mean.value(x),
                 grad_norm=_norm(oracle.mean.gradient(x)),
                 event=event,
-                x=x.copy(),
+                x=x,
             )
         )
         if t == params.total_steps:
@@ -326,10 +323,9 @@ def psgd_run(
             x = gaussian_sample(x, variance, stream)
             last = t
             event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x.copy()})
+            meta["perturbs"].append({"t": t, "x": x})
         else:
             x = x - params.eta * g
             event = EVENT_SGD
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
+        check_iterate(x, params.trust_region, trace)
     return trace

@@ -356,8 +356,10 @@ def _ancgd_paper(s: _Setting) -> ANCParams:
         s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=s.knobs.get("steps")
     )
     return _overlay(
-        params, s.knobs, cooldown="cooldown", grad_threshold="grad_threshold",
-        exploit_step="exploit_step", trust_region="trust_region",
+        params, s.knobs, eta="eta", perturb_radius="radius", ncf_steps="ncf_steps",
+        theta="theta", gamma="gamma", nce_radius="nce_radius", cooldown="cooldown",
+        grad_threshold="grad_threshold", exploit_step="exploit_step",
+        trust_region="trust_region",
     )
 
 
@@ -377,8 +379,8 @@ def _snc_paper(s: _Setting) -> SGDNCParams:
     params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
     snc = _overlay(params.snc, s.knobs, steps="ncf_steps", radius="radius", batch="batch")
     return _overlay(
-        dataclasses.replace(params, snc=snc), s.knobs,
-        outer_batch="outer_batch", **_OUTER_KNOBS,
+        dataclasses.replace(params, snc=snc), s.knobs, outer_batch="outer_batch",
+        trigger_threshold="grad_threshold", **_OUTER_KNOBS,
     )
 
 
@@ -695,10 +697,11 @@ def _fd_gradient(oracle: GradientOracle, x: Array) -> Array:
 def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> VerifyReport:
     """Independent numerical audit of every registered landscape.
 
-    Checks per landscape: analytic gradients against central differences at
-    sampled box points, saddle classification (non-second-order-stationary
-    with the declared bottom eigenvalue), minimum classification, and the
-    sampled Hessian spectrum against the declared smoothness constant.
+    Checks per landscape: the landscape's own self_check, analytic gradients
+    against central differences at sampled box points, saddle classification
+    (non-second-order-stationary with the declared bottom eigenvalue),
+    minimum classification, and the sampled Hessian spectrum against the
+    declared smoothness constant.
     """
     report = VerifyReport()
     if landscapes is None:
@@ -710,6 +713,13 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
         n = land.dim
         stream = RngStream(2026, 0).substream(("verify", land.id))
         lo, hi = land.box
+
+        try:
+            land.self_check()
+            ok, detail = True, "critical points and finite-difference gradient"
+        except AssertionError as err:
+            ok, detail = False, str(err)
+        _check(report, entry, "self-check", ok, detail)
 
         worst = 0.0
         for _ in range(points_per_landscape):

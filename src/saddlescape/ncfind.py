@@ -20,8 +20,7 @@ from .core import (
     SmoothnessSpec,
     Trace,
     TraceRecord,
-    check_finite,
-    check_trust_region,
+    check_iterate,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -55,13 +54,11 @@ class NCParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.radius <= 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (0 < self.delta0 <= 1):
             raise ParameterError(f"delta0 must be in (0, 1], got {self.delta0}")
-        require_positive(ell=self.ell, rho=self.rho)
+        require_positive(radius=self.radius, ell=self.ell, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ def search_descent(
                 f=recorder.value(x),
                 grad_norm=_norm(recorder.gradient(x)),
                 event=tag,
-                x=x.copy(),
+                x=x,
             )
         )
 
@@ -259,7 +256,7 @@ def search_descent(
         remaining = params.total_steps - t
         if g_norm <= params.effective_threshold and cooled and remaining >= 2:
             last_search = t
-            anchor = x.copy()
+            anchor = x
             anchor_f = recorder.value(anchor)
             outcome = search(anchor, remaining - 1, episode)
             episode += 1
@@ -267,7 +264,7 @@ def search_descent(
                 t += 1
                 records.append(
                     TraceRecord(
-                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor.copy()
+                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor
                     )
                 )
             t += 1
@@ -282,8 +279,7 @@ def search_descent(
             x = x - eta * g
             t += 1
             record(t, x, event)
-        check_finite(x, trace, "iterate")
-        check_trust_region(x, params.trust_region, trace)
+        check_iterate(x, params.trust_region, trace)
     return trace
 
 

@@ -57,11 +57,9 @@ class SNCParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.radius <= 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
         if self.batch < 1:
             raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        require_positive(ell=self.ell, rho=self.rho)
+        require_positive(radius=self.radius, ell=self.ell, rho=self.rho)
 
 
 def derive_snc_params(

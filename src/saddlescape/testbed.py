@@ -66,7 +66,11 @@ class Landscape:
         return self.oracle.dim
 
     def self_check(self) -> None:
-        """Cheap construction-time sanity: critical points and FD gradient."""
+        """Sanity check of the declared structure: zero gradient at every
+        saddle and minimum, declared minimum values, and the gradient against
+        central differences at three box points (6n value calls).  Raises
+        AssertionError on the first mismatch.  Construction does not run it;
+        run_verify (saddlescape verify) and the tests do."""
         for sad in self.saddles:
             g = self.oracle.gradient(sad.point)
             if float(np.linalg.norm(g)) > 1e-9:
@@ -108,7 +112,7 @@ def make_quartic() -> Landscape:
         return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
 
     oracle = GradientOracle(f, grad, SmoothnessSpec(ell=5.75, rho=4.5), dim=2, name="quartic")
-    land = Landscape(
+    return Landscape(
         id="quartic",
         oracle=oracle,
         box=(-3.0, 3.0),
@@ -125,8 +129,6 @@ def make_quartic() -> Landscape:
         hessian=hess,
         notes="ell/rho hold on the box; local constants hold within 0.5 of the saddle",
     )
-    land.self_check()
-    return land
 
 
 # Interior minimum of the cubic landscape, found by damped Newton and polished
@@ -162,7 +164,7 @@ def make_cubic_stochastic() -> Landscape:
     oracle = GradientOracle(f, grad, SmoothnessSpec(ell=35.0, rho=30.0), dim=2, name="cubic")
     inv2 = 1.0 / math.sqrt(2.0)
     mirror = np.array([-_CUBIC_MIN[1], -_CUBIC_MIN[0]])
-    land = Landscape(
+    return Landscape(
         id="cubic",
         oracle=oracle,
         box=(-1.5, 1.5),
@@ -179,8 +181,6 @@ def make_cubic_stochastic() -> Landscape:
         hessian=hess,
         notes="local constants hold within 0.1 of the saddle",
     )
-    land.self_check()
-    return land
 
 
 def make_triangle() -> Landscape:
@@ -212,7 +212,7 @@ def make_triangle() -> Landscape:
         return np.array([[h11, h12], [h12, 1.0]])
 
     oracle = GradientOracle(f, grad, SmoothnessSpec(ell=55.0, rho=380.0), dim=2, name="triangle")
-    land = Landscape(
+    return Landscape(
         id="triangle",
         oracle=oracle,
         box=(-1.5, 1.5),
@@ -229,8 +229,6 @@ def make_triangle() -> Landscape:
         hessian=hess,
         notes="local constants hold within 0.01 of the saddle",
     )
-    land.self_check()
-    return land
 
 
 def make_exponential() -> Landscape:
@@ -272,7 +270,7 @@ def make_exponential() -> Landscape:
         return np.array([[h11, h12], [h12, 1.0]])
 
     oracle = GradientOracle(f, grad, SmoothnessSpec(ell=8.0, rho=16.0), dim=2, name="exponential")
-    land = Landscape(
+    return Landscape(
         id="exponential",
         oracle=oracle,
         box=(-2.0, 2.0),
@@ -289,8 +287,6 @@ def make_exponential() -> Landscape:
         hessian=hess,
         notes="infimum -1 approached as |x1| grows along the ridge x2 = x1^2 exp(-x1^2)",
     )
-    land.self_check()
-    return land
 
 
 def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
@@ -330,7 +326,7 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     )
     e1 = np.zeros(n)
     e1[0] = 1.0
-    land = Landscape(
+    return Landscape(
         id=f"highdim-{n}" + ("" if eps_h == 1.0 else "-soft"),
         oracle=oracle,
         box=(-3.0, 3.0),
@@ -350,8 +346,6 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
         hessian=hess,
         notes="analytic Hessian supplied for dimensions beyond the dense verification cap",
     )
-    land.self_check()
-    return land
 
 
 def with_noise(landscape: Landscape | GradientOracle, sigma: float, exact_batches: bool = True) -> AdditiveNoiseOracle:

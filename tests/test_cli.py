@@ -45,16 +45,23 @@ class TestRunCommand:
         assert code == 3
         assert "diverged:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_degenerate_search_exits_three(self, capsys):
-        # An infinite probe radius passes validation but leaves the search
-        # nothing finite to iterate on.
+        # A finite probe radius passes validation, but its squared norm
+        # overflows, which leaves the search nothing finite to iterate on.
         code = main([
-            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--r", "inf",
+            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--r", "1e300",
         ])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alg, fn", [("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic")])
+    def test_infinite_radius_exits_one(self, alg, fn, capsys):
+        code = main(["run", "--alg", alg, "--fn", fn, "--trials", "1", "--r", "inf"])
+        assert code == 1
+        assert "radius must be positive and finite" in capsys.readouterr().err
 
     def test_bad_jobs_env_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv("SADDLESCAPE_JOBS", "abc")

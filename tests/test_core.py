@@ -27,8 +27,7 @@ from saddlescape.core import (
     EVENT_GD,
     EVENT_NCE,
     _norm,
-    check_finite,
-    check_trust_region,
+    check_iterate,
 )
 
 from conftest import make_quadratic
@@ -216,21 +215,42 @@ class TestTrace:
 
 
 class TestGuards:
-    def test_check_finite_raises_with_trace(self):
+    def test_check_iterate_nan_raises_with_trace(self):
         trace = Trace(records=[], meta={})
-        with pytest.raises(DivergenceError) as err:
-            check_finite(np.array([1.0, math.nan]), trace, "iterate")
+        with pytest.raises(DivergenceError, match="non-finite iterate") as err:
+            check_iterate(np.array([1.0, math.nan]), math.inf, trace)
         assert err.value.trace is trace
 
-    def test_check_trust_region(self):
-        ok = check_trust_region(np.array([3.0, 4.0]), 5.0 + 1e-9)
+    def test_check_iterate_trust_region(self):
+        ok = check_iterate(np.array([3.0, 4.0]), 5.0 + 1e-9)
         assert np.allclose(ok, [3.0, 4.0])
-        with pytest.raises(DivergenceError):
-            check_trust_region(np.array([3.0, 4.0]), 4.99)
+        with pytest.raises(DivergenceError, match="trust region bound 4.99"):
+            check_iterate(np.array([3.0, 4.0]), 4.99)
 
-    def test_check_finite_passthrough(self):
+    def test_check_iterate_passthrough(self):
         x = np.array([0.0, 1.0])
-        assert check_finite(x) is x
+        assert check_iterate(x, 1e6) is x
+
+    def test_check_iterate_rejects_inf(self):
+        with pytest.raises(DivergenceError, match="non-finite iterate"):
+            check_iterate(np.array([0.0, -math.inf]), math.inf)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_check_iterate_overflowing_norm_fails_trust_region(self):
+        # Every element is finite, but the sum of squares overflows to inf.
+        x = np.array([1e200, 1e200])
+        with pytest.raises(DivergenceError, match="trust region"):
+            check_iterate(x, 1e300)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_check_iterate_overflowing_norm_passes_infinite_bound(self):
+        x = np.array([1e200, 1e200])
+        assert check_iterate(x, math.inf) is x
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_check_iterate_nan_beats_large_norm(self):
+        with pytest.raises(DivergenceError, match="non-finite iterate"):
+            check_iterate(np.array([1e200, math.nan]), 1.0)
 
 
 _EDGE_FLOATS = st.sampled_from(

@@ -21,6 +21,7 @@ from saddlescape import (
     run_experiment,
     stochastic,
 )
+from saddlescape.cli import main
 from saddlescape.core import EVENT_NCF_EXPLOIT
 from saddlescape.harness import ALGORITHMS, _trial_trace, build_payload
 from saddlescape.ncfind import exploit
@@ -165,3 +166,44 @@ def test_loops_search_through_module_bindings(monkeypatch, alg, land_id, module,
     episodes = sum(len(trace.meta["exploits"]) for trace in traces)
     assert episodes > 0
     assert len(calls) == episodes
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_records_score_their_own_iterate(alg):
+    """Records hold the iterate itself, not a copy, so a loop that wrote into
+    an array after recording it would change a recorded point; every record's
+    value must still be the objective at its x."""
+    land_id = "cubic" if alg in NOISY else "quartic"
+    value = get_landscape(land_id).oracle.value
+    (trace,) = _recipe_traces(alg, land_id, trials=1)
+    for rec in trace.records:
+        assert rec.f == value(rec.x)
+
+
+@pytest.mark.parametrize(
+    "alg, fn, flag, value, field",
+    [
+        ("ancgd", "quartic", "--eta", 0.07, "eta"),
+        ("ancgd", "quartic", "--r", 0.02, "perturb_radius"),
+        ("ancgd", "quartic", "--ncf-steps", 7, "ncf_steps"),
+        ("ancgd", "quartic", "--theta", 0.3, "theta"),
+        ("ancgd", "quartic", "--gamma", 0.05, "gamma"),
+        ("ancgd", "quartic", "--nce-radius", 0.01, "nce_radius"),
+        ("snc", "cubic", "--g-thresh", 100.0, "trigger_threshold"),
+    ],
+)
+def test_paper_mode_applies_flags(monkeypatch, alg, fn, flag, value, field):
+    seen = []
+    real = getattr(harness, RUN_FUNCTIONS[alg])
+
+    def spy(oracle, x0, params, stream):
+        seen.append(params)
+        return real(oracle, x0, params, stream)
+
+    monkeypatch.setattr(harness, RUN_FUNCTIONS[alg], spy)
+    code = main([
+        "run", "--alg", alg, "--fn", fn, "--mode", "paper", "--steps", "12",
+        "--trials", "2", flag, str(value),
+    ])
+    assert code == 0
+    assert [getattr(params, field) for params in seen] == [value, value]

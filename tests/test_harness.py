@@ -222,14 +222,17 @@ class TestRunVerify:
         assert {e["landscape"] for e in report.entries} == set(VERIFY_IDS)
         for entry in report.entries:
             assert all(c["ok"] for c in entry["checks"])
+            assert "self-check" in {c["name"] for c in entry["checks"]}
 
     def test_broken_landscape_flagged(self):
         report = run_verify(landscapes=[_broken_landscape()], points_per_landscape=10)
         assert not report.ok
         names = {f.split(": ")[1] for f in report.failures}
         # The declared minimum value is wrong (bowl bottom is 0, not -1),
-        # the declared eigenvalue is wrong, and ell understates the spectrum.
+        # which the landscape's own self-check also catches; the declared
+        # eigenvalue is wrong, and ell understates the spectrum.
         assert "minimum-0-value" in names
+        assert "self-check" in names
         assert "saddle-0-eigenvalue" in names
         assert "spectrum-bound" in names
 

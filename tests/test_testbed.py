@@ -14,7 +14,8 @@ from saddlescape import (
     with_noise,
     with_random_quadratic_noise,
 )
-from saddlescape.testbed import VERIFY_IDS
+from saddlescape.core import GradientOracle
+from saddlescape.testbed import _FACTORIES, VERIFY_IDS, Landscape
 from saddlescape.verify import dense_hessian, dense_hessian_eig
 
 
@@ -25,6 +26,10 @@ def _fd_grad(oracle, x, h=1e-6):
         e[i] = h
         g[i] = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
     return g
+
+
+# Every factory plus highdim ids of several sizes, both curvature settings.
+ALL_IDS = [*_FACTORIES, "highdim-2", "highdim-10", "highdim-25", "highdim-25-soft", "highdim-1000"]
 
 
 @pytest.fixture(params=VERIFY_IDS)
@@ -51,6 +56,16 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             get_landscape("highdim-1")
 
+    def test_construction_makes_no_oracle_calls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle or self_check called during construction")
+
+        monkeypatch.setattr(Landscape, "self_check", refuse)
+        monkeypatch.setattr(GradientOracle, "value", refuse)
+        monkeypatch.setattr(GradientOracle, "gradient", refuse)
+        for land_id in ALL_IDS:
+            assert get_landscape(land_id).id == land_id
+
     def test_instances_are_fresh(self):
         a = get_landscape("quartic")
         b = get_landscape("quartic")
@@ -58,8 +73,9 @@ class TestRegistry:
 
 
 class TestDeclaredStructure:
-    def test_self_check_passes(self, landscape):
-        landscape.self_check()
+    @pytest.mark.parametrize("land_id", ALL_IDS)
+    def test_self_check_passes(self, land_id):
+        get_landscape(land_id).self_check()
 
     def test_gradient_matches_fd(self, landscape):
         stream = RngStream(5, 0).substream(landscape.id)
