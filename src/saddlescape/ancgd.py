@@ -22,6 +22,7 @@ from .core import (
     Trace,
     TraceRecord,
     check_iterate,
+    require_bound,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -71,6 +72,7 @@ class ANCParams:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
+        require_bound(trust_region=self.trust_region)
 
     @property
     def effective_cooldown(self) -> int:
@@ -179,7 +181,9 @@ def ancgd_run(
     the pair's geometry aligned with the unnormalized search); the window
     ends with a certified exploit step from the anchor.  Outside windows a
     per-step certificate compares f(x) against the gamma-strongly-convex
-    lower model at z and reroutes through the momentum reset when violated.
+    lower model at z and reroutes through the momentum reset when violated;
+    its f(x_next) and grad f(z_next) serve the next record and step when
+    those arrays become x and z.
     """
     counted = CountingOracle(oracle)
     x = np.asarray(x0, dtype=float).copy()
@@ -189,6 +193,8 @@ def ancgd_run(
     eta, theta = params.eta, params.theta
     anchor: Array | None = None
     anchor_f = 0.0
+    x_scored = z_scored = g_z_next = None
+    f_x_next = 0.0
     t_perturb: int | None = None
     pending_event = EVENT_AGD
     trace = Trace.start("ancgd", stream, eta=eta, perturbs=[], exploits=[], candidates=[])
@@ -201,7 +207,7 @@ def ancgd_run(
         records.append(
             TraceRecord(
                 t=t,
-                f=counted.value(x),
+                f=f_x_next if x is x_scored else counted.value(x),
                 grad_norm=g_norm,
                 event=pending_event,
                 x=x,
@@ -218,7 +224,7 @@ def ancgd_run(
         )
         if trigger:
             anchor = x
-            anchor_f = counted.value(anchor)
+            anchor_f = records[-1].f
             zeta = g_x
             x = uniform_ball_sample(anchor, params.perturb_radius, stream)
             z = x
@@ -257,7 +263,7 @@ def ancgd_run(
             in_window = False
             pending_event = EVENT_NCF_EXPLOIT
 
-        g_z = counted.gradient(z)
+        g_z = g_z_next if z is z_scored else counted.gradient(z)
         x_next = z - eta * (g_z - zeta)
         v_next = x_next - x
         z_next = x_next + (1.0 - theta) * v_next
@@ -278,6 +284,7 @@ def ancgd_run(
             f_x_next = counted.value(x_next)
             f_z_next = counted.value(z_next)
             g_z_next = counted.gradient(z_next)
+            x_scored, z_scored = x_next, z_next
             gap = x_next - z_next
             model = (
                 f_z_next

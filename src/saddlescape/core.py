@@ -28,6 +28,7 @@ __all__ = [
     "uniform_ball_sample",
     "gaussian_sample",
     "require_positive",
+    "require_bound",
     "EVENT_GD",
     "EVENT_AGD",
     "EVENT_PERTURB",
@@ -64,6 +65,13 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def require_bound(**values) -> None:
+    """Reject any given bound that is NaN or not positive; inf means no bound."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ParameterError(f"{name} must be positive (inf for no bound), got {value}")
 
 
 class DivergenceError(RuntimeError):

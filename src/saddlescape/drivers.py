@@ -26,6 +26,7 @@ from .core import (
     TraceRecord,
     check_iterate,
     gaussian_sample,
+    require_bound,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -66,6 +67,7 @@ class PGDNCParams:
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
+        require_bound(trust_region=self.trust_region)
 
     @property
     def effective_eta(self) -> float:
@@ -125,7 +127,7 @@ def pgd_nc_run(
         return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
 
     trace = search_descent(
-        x0, params, Trace.start("pgd-nc", stream), counted.gradient, counted, search, EVENT_GD
+        x0, params, Trace.start("pgd-nc", stream), lambda x, g: g, counted, search, EVENT_GD
     )
     trace.meta["f_evals"] = counted.f_evals
     trace.meta["grad_evals"] = counted.grad_evals
@@ -153,7 +155,12 @@ class BaselineParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        require_positive(eta=self.eta, radius=self.radius)
+        require_positive(
+            eta=self.eta, radius=self.radius, gamma=self.gamma, nce_radius=self.nce_radius
+        )
+        if self.theta is not None and not (0 < self.theta < 1):
+            raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
+        require_bound(trust_region=self.trust_region)
         if self.grad_threshold < 0:
             raise ParameterError("grad_threshold must be nonnegative")
         if self.total_steps < 1:
@@ -221,7 +228,9 @@ def pagd_run(
     Same momentum loop as the accelerated escape algorithm, but the
     perturbation only re-seeds the iterate (no anchor gradient, no pinned
     window, no exploit step); the per-step certificate and momentum reset
-    still run every iteration.
+    still run every iteration.  The certificate's f(x_next) and
+    grad f(z_next) serve the next record and step when those arrays become
+    x and z.
     """
     if params.theta is None or params.gamma is None or params.nce_radius is None:
         raise ParameterError("pagd_run needs theta, gamma, and nce_radius")
@@ -233,13 +242,15 @@ def pagd_run(
     records, meta = trace.records, trace.meta
     last: int | None = None
     event = EVENT_AGD
+    x_scored = z_scored = g_z_next = None
+    f_x_next = 0.0
     for t in range(params.total_steps + 1):
         g = counted.gradient(x)
         g_norm = _norm(g)
         records.append(
             TraceRecord(
                 t=t,
-                f=counted.value(x),
+                f=f_x_next if x is x_scored else counted.value(x),
                 grad_norm=g_norm,
                 event=event,
                 x=x,
@@ -259,13 +270,14 @@ def pagd_run(
             last = t
             event = EVENT_PERTURB
             meta["perturbs"].append({"t": t, "x": x})
-        g_z = counted.gradient(z)
+        g_z = g_z_next if z is z_scored else counted.gradient(z)
         x_next = z - params.eta * g_z
         v_next = x_next - x
         z_next = x_next + (1.0 - params.theta) * v_next
         f_x_next = counted.value(x_next)
         f_z_next = counted.value(z_next)
         g_z_next = counted.gradient(z_next)
+        x_scored, z_scored = x_next, z_next
         gap = x_next - z_next
         model = (
             f_z_next

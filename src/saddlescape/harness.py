@@ -23,6 +23,7 @@ from .core import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    require_bound,
     require_positive,
 )
 from .drivers import (
@@ -144,6 +145,8 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ParameterError(f"threshold must be finite, got {self.threshold}")
+        if self.trust_region is not None:
+            require_bound(trust_region=self.trust_region)
 
 
 @dataclass(frozen=True)

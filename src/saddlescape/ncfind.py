@@ -208,45 +208,42 @@ def search_descent(
     x0: Array,
     params,
     trace: Trace,
-    estimate: Callable[[Array], Array],
+    estimate: Callable[[Array, Array], Array],
     recorder,
     search: Callable[[Array, int, int], NCOutcome],
     event: str,
 ) -> Trace:
     """Descent loop that runs a curvature search at flat points.
 
-    Each iteration takes a gradient estimate(x).  When it is at most
+    Each iteration takes a gradient estimate(x, g), where g is the exact
+    gradient that x's record took.  When the estimate's norm is at most
     params.effective_threshold, the cooldown since the last search has
     passed and at least two iterations remain, x anchors an episode:
     search(anchor, budget, episode) returns a direction from at most budget
     steps, each billed as one record at the anchor, and the exploit from the
-    anchor takes one more record.  Otherwise x steps against the estimate
-    and the record is tagged event.  recorder.value and recorder.gradient
-    score the records and the exploit candidates.  params is a PGDNCParams
-    or SGDNCParams; the loop reads only the fields the two share.
+    anchor takes one more record; the anchor's f is read from its record.
+    Otherwise x steps against the estimate and the record is tagged event.
+    recorder.value and recorder.gradient score the records and the exploit
+    candidates.  params is a PGDNCParams or SGDNCParams; the loop reads
+    only the fields the two share.
     """
     x = np.asarray(x0, dtype=float).copy()
     eta = params.effective_eta
     records, meta = trace.records, trace.meta
     meta["exploits"], meta["candidates"] = [], []
 
-    def record(t: int, x: Array, tag: str) -> None:
-        records.append(
-            TraceRecord(
-                t=t,
-                f=recorder.value(x),
-                grad_norm=_norm(recorder.gradient(x)),
-                event=tag,
-                x=x,
-            )
-        )
+    def record(t: int, x: Array, tag: str) -> Array:
+        f = recorder.value(x)
+        g = recorder.gradient(x)
+        records.append(TraceRecord(t=t, f=f, grad_norm=_norm(g), event=tag, x=x))
+        return g
 
-    record(0, x, event)
+    g_x = record(0, x, event)
     t = 0
     episode = 0
     last_search: int | None = None
     while t < params.total_steps:
-        g = estimate(x)
+        g = estimate(x, g_x)
         g_norm = _norm(g)
         cooled = (
             last_search is None
@@ -257,7 +254,7 @@ def search_descent(
         if g_norm <= params.effective_threshold and cooled and remaining >= 2:
             last_search = t
             anchor = x
-            anchor_f = recorder.value(anchor)
+            anchor_f = records[-1].f
             outcome = search(anchor, remaining - 1, episode)
             episode += 1
             for _ in range(outcome.steps_used):
@@ -272,13 +269,13 @@ def search_descent(
                 recorder.value, anchor, anchor_f, outcome.e_hat, params.eps, params.rho,
                 params.exploit_step, meta=meta, t=t, stop_at_candidate=params.stop_at_candidate,
             )
-            record(t, x, EVENT_NCF_EXPLOIT)
+            g_x = record(t, x, EVENT_NCF_EXPLOIT)
             if stop:
                 break
         else:
             x = x - eta * g
             t += 1
-            record(t, x, event)
+            g_x = record(t, x, event)
         check_iterate(x, params.trust_region, trace)
     return trace
 

@@ -17,6 +17,7 @@ from .core import (
     SmoothnessSpec,
     StochasticOracle,
     Trace,
+    require_bound,
     require_positive,
     _norm,
 )
@@ -259,6 +260,7 @@ class SGDNCParams:
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
         require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
+        require_bound(trust_region=self.trust_region)
 
     @property
     def effective_threshold(self) -> float:
@@ -319,7 +321,7 @@ def sgd_nc_run(
     trace = Trace.start("sgd-nc", stream, samples=0)
     theta_stream = stream.substream("outer-theta")
 
-    def estimate(x: Array) -> Array:
+    def estimate(x: Array, g: Array) -> Array:
         trace.meta["samples"] += params.outer_batch
         return oracle.minibatch_mean(x, params.outer_batch, theta_stream)
 

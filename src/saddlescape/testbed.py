@@ -96,19 +96,39 @@ class Landscape:
                 raise AssertionError(f"{self.id}: gradient/value mismatch at {x}")
 
 
+def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], object]:
+    """Evaluate formula(x1, x2) at a 2-d point on its Python floats.
+
+    Python float arithmetic rounds exactly as numpy scalar arithmetic does,
+    at a fraction of the cost, but ``**`` raises OverflowError where numpy
+    returns inf or nan.  The formula then runs again on numpy scalars, so an
+    overflowing point gets the same non-finite result (and warnings) as it
+    would without the float path.
+    """
+
+    def evaluate(x: Array):
+        x1, x2 = x.tolist()
+        try:
+            return formula(x1, x2)
+        except OverflowError:
+            return formula(x[0], x[1])
+
+    return evaluate
+
+
 def make_quartic() -> Landscape:
     """Even 2-d quartic: saddle at the origin, minima at (+-2, 0)."""
 
-    def f(x: Array) -> float:
-        x1, x2 = x
+    @_on_floats
+    def f(x1: float, x2: float) -> float:
         return x1**4 / 16 - x1**2 / 2 + 9 / 8 * x2**2
 
-    def grad(x: Array) -> Array:
-        x1, x2 = x
+    @_on_floats
+    def grad(x1: float, x2: float) -> Array:
         return np.array([x1**3 / 4 - x1, 9 / 4 * x2])
 
-    def hess(x: Array) -> Array:
-        x1, _ = x
+    @_on_floats
+    def hess(x1: float, x2: float) -> Array:
         return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
 
     oracle = GradientOracle(f, grad, SmoothnessSpec(ell=5.75, rho=4.5), dim=2, name="quartic")
@@ -141,19 +161,19 @@ _CUBIC_MIN_F = -1.3641479081703338
 def make_cubic_stochastic() -> Landscape:
     """Cubic-plus-quartic 2-d landscape whose saddle has off-axis curvature."""
 
-    def f(x: Array) -> float:
-        x1, x2 = x
+    @_on_floats
+    def f(x1: float, x2: float) -> float:
         return (x1**3 - x2**3) / 2 - 3 * x1 * x2 + (x1**2 + x2**2) ** 2 / 2
 
-    def grad(x: Array) -> Array:
-        x1, x2 = x
+    @_on_floats
+    def grad(x1: float, x2: float) -> Array:
         sq = x1**2 + x2**2
         return np.array(
             [1.5 * x1**2 - 3 * x2 + 2 * x1 * sq, -1.5 * x2**2 - 3 * x1 + 2 * x2 * sq]
         )
 
-    def hess(x: Array) -> Array:
-        x1, x2 = x
+    @_on_floats
+    def hess(x1: float, x2: float) -> Array:
         return np.array(
             [
                 [3 * x1 + 6 * x1**2 + 2 * x2**2, -3 + 4 * x1 * x2],
@@ -191,19 +211,19 @@ def make_triangle() -> Landscape:
     def _w(x1: float, x2: float) -> float:
         return x2 + (math.cos(2 * pi * x1) - 1) / 2
 
-    def f(x: Array) -> float:
-        x1, x2 = x
+    @_on_floats
+    def f(x1: float, x2: float) -> float:
         return 0.5 * math.cos(pi * x1) + 0.5 * _w(x1, x2) ** 2 - 0.5
 
-    def grad(x: Array) -> Array:
-        x1, x2 = x
+    @_on_floats
+    def grad(x1: float, x2: float) -> Array:
         w = _w(x1, x2)
         return np.array(
             [-0.5 * pi * math.sin(pi * x1) - w * pi * math.sin(2 * pi * x1), w]
         )
 
-    def hess(x: Array) -> Array:
-        x1, x2 = x
+    @_on_floats
+    def hess(x1: float, x2: float) -> Array:
         w = _w(x1, x2)
         s2 = math.sin(2 * pi * x1)
         c2 = math.cos(2 * pi * x1)
@@ -235,33 +255,37 @@ def make_exponential() -> Landscape:
     """Sigmoid-plus-ridge landscape: weak curvature, no finite minimum."""
 
     def _parts(x1: float):
+        """u = x1^2, s = 1/(1 + e^u), a pair (eu, s2) whose product is
+        e^u s^2, e^-u and p = u e^-u.  Where e^u overflows, 1 + e^-u rounds
+        to 1, so s is e^-u and the pair is (e^-u, 1)."""
         u = x1**2
-        s = 1.0 / (1.0 + math.exp(u))
-        p = u * math.exp(-u)
-        return u, s, p
+        emu = math.exp(-u)
+        try:
+            eu = math.exp(u)
+        except OverflowError:
+            return u, emu, emu, 1.0, emu, u * emu
+        s = 1.0 / (1.0 + eu)
+        return u, s, eu, s**2, emu, u * emu
 
-    def f(x: Array) -> float:
-        x1, x2 = x
-        u, s, p = _parts(x1)
+    @_on_floats
+    def f(x1: float, x2: float) -> float:
+        u, s, eu, s2, emu, p = _parts(x1)
         return s + 0.5 * (x2 - p) ** 2 - 1.0
 
-    def grad(x: Array) -> Array:
-        x1, x2 = x
-        u, s, p = _parts(x1)
+    @_on_floats
+    def grad(x1: float, x2: float) -> Array:
+        u, s, eu, s2, emu, p = _parts(x1)
         w = x2 - p
-        eu = math.exp(u)
-        dp = 2 * x1 * math.exp(-u) * (1 - u)
-        return np.array([-2 * x1 * eu * s**2 - w * dp, w])
+        dp = 2 * x1 * emu * (1 - u)
+        return np.array([-2 * x1 * eu * s2 - w * dp, w])
 
-    def hess(x: Array) -> Array:
-        x1, x2 = x
-        u, s, p = _parts(x1)
+    @_on_floats
+    def hess(x1: float, x2: float) -> Array:
+        u, s, eu, s2, emu, p = _parts(x1)
         w = x2 - p
-        eu = math.exp(u)
-        emu = math.exp(-u)
         h11 = (
-            -2 * eu * s**2
-            - 4 * x1**2 * eu * s**2 * (2 * s - 1)
+            -2 * eu * s2
+            - 4 * x1**2 * eu * s2 * (2 * s - 1)
             - 2 * (1 - u) * emu * w
             - 4 * x1**2 * w * emu * (u - 2)
             + 4 * x1**2 * (1 - u) ** 2 * emu**2

@@ -57,6 +57,47 @@ class TestRunCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_start_diverges(self, capsys):
+        # x1**4 overflows at the start: the landscape returns inf/nan as
+        # numpy does, and the trial ends as a divergence, not a traceback.
+        code = main([
+            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--x0", "1e300,0",
+        ])
+        assert code == 3
+        assert "diverged:" in capsys.readouterr().err
+
+    def test_exponential_far_from_saddle_runs(self):
+        # e^(x1^2) overflows at x1 = 30 while f is finite.
+        code = main([
+            "run", "--alg", "nc", "--fn", "exponential", "--trials", "2", "--x0", "30,0",
+            "--eta", "0.1", "--r", "0.01", "--ncf-steps", "5", "--steps", "10",
+            "--threshold", "0.1", "--eps", "0.1",
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--alg", "pagd", "--theta", "2"], "theta must be in (0, 1)"),
+            (["--alg", "pagd", "--theta", "nan"], "theta must be in (0, 1)"),
+            (["--alg", "pagd", "--gamma", "nan"], "gamma must be positive"),
+            (["--alg", "pagd", "--nce-radius", "-1"], "nce_radius must be positive"),
+            (["--alg", "nc", "--trust-region", "nan"], "trust_region must be positive"),
+            (["--alg", "pgd", "--trust-region", "-5"], "trust_region must be positive"),
+            (["--alg", "ancgd", "--trust-region", "0"], "trust_region must be positive"),
+        ],
+    )
+    def test_bad_momentum_and_trust_region_exit_one(self, flags, message, capsys, monkeypatch):
+        ran = []
+        for name in ("pgd_nc_run", "pgd_run", "pagd_run", "ancgd_run"):
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        code = main(["run", "--fn", "quartic", "--trials", "3", *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert ran == []
+
     @pytest.mark.parametrize("alg, fn", [("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic")])
     def test_infinite_radius_exits_one(self, alg, fn, capsys):
         code = main(["run", "--alg", alg, "--fn", fn, "--trials", "1", "--r", "inf"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saddlescape import (
+    ANCParams,
     AdditiveNoiseOracle,
     BaselineParams,
     DivergenceError,
@@ -13,6 +14,7 @@ from saddlescape import (
     PGDNCParams,
     RngStream,
     SmoothnessSpec,
+    ancgd_run,
     classify,
     derive_pgdnc_params,
     get_landscape,
@@ -23,7 +25,9 @@ from saddlescape import (
     psgd_run,
 )
 from saddlescape.core import (
+    EVENT_AGD,
     EVENT_GD,
+    EVENT_NCE,
     EVENT_NCF_EXPLOIT,
     EVENT_NCF_STEP,
     EVENT_PERTURB,
@@ -242,6 +246,100 @@ class TestPagdBaseline:
         a = pagd_run(land.oracle, np.zeros(2), self._params(), RngStream(2, 3))
         b = pagd_run(land.oracle, np.zeros(2), self._params(), RngStream(2, 3))
         assert a.final_f() == b.final_f()
+
+
+class TestOracleCounts:
+    """Algorithm oracle calls per trial, derived by hand from the loop shapes.
+
+    A record scores its iterate with one value and one gradient; pgd_nc_run
+    steps on the record's gradient; an episode anchor reads f from its
+    record; the momentum loops carry the certificate's f(x_next) and
+    grad f(z_next) into the next record and step when those arrays become x
+    and z.
+    """
+
+    def test_pgd_nc_run(self):
+        land = get_landscape("quartic")
+        trace = pgd_nc_run(land.oracle, np.zeros(2), _nc_run_params(), RngStream(0, 0))
+        events = trace.events()
+        records = len(events)
+        search_steps = events.count(EVENT_NCF_STEP)
+        episodes = len(trace.meta["exploits"])
+        assert (records, search_steps, episodes) == (91, 41, 2)
+        # Gradients: one per record that is not a search step, plus per
+        # episode the anchor gradient and one probe per search step.
+        assert trace.meta["grad_evals"] == (records - search_steps) + episodes + search_steps == 93
+        # Values: one per record that is not a search step, plus the two
+        # exploit candidates per episode.
+        assert trace.meta["f_evals"] == (records - search_steps) + 2 * episodes == 54
+
+    def test_pagd_run_carries_certificate_values(self):
+        # From (1.5, 0.5) the quartic is convex and the gradient is large:
+        # no perturbation, and the certificate never calls for a reset.
+        land = get_landscape("quartic")
+        T = 5
+        params = BaselineParams(
+            eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=T,
+            theta=0.042, gamma=0.0355, nce_radius=0.0089,
+        )
+        trace = pagd_run(land.oracle, np.array([1.5, 0.5]), params, RngStream(0, 0))
+        assert trace.events() == [EVENT_AGD] * (T + 1)
+        # Gradients: T + 1 records, grad f(z) once (at t = 0; later z is the
+        # certified z_next), one certificate gradient per step.
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
+        # Values: the first record only (later x is the certified x_next),
+        # f(x_next) and f(z_next) per step.
+        assert trace.meta["f_evals"] == 1 + 2 * T == 11
+
+    def test_pagd_run_after_momentum_reset(self):
+        # Near the saddle the certificate fails.  With a reset radius far
+        # below the momentum norm the reset zeroes v but keeps x, so f(x)
+        # still carries; z_next is rebuilt, so the next grad f(z) is fresh.
+        # A zero trigger threshold rules out perturbations.
+        land = get_landscape("quartic")
+        T = 8
+        params = BaselineParams(
+            eta=0.05, radius=0.08, grad_threshold=0.0, total_steps=T,
+            theta=0.042, gamma=0.0355, nce_radius=1e-12,
+        )
+        trace = pagd_run(land.oracle, np.array([0.05, 0.02]), params, RngStream(0, 0))
+        events = trace.events()
+        resets_before_last_step = events[1:T].count(EVENT_NCE)
+        assert resets_before_last_step == 5
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + resets_before_last_step + T == 23
+        assert trace.meta["f_evals"] == 1 + 2 * T == 17
+
+    def _anc(self, **overrides):
+        base = dict(
+            eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=20,
+            perturb_radius=0.08, total_steps=40, eps=0.02, delta0=0.1, ell=5.0,
+            rho=1.0, grad_threshold=0.02, exploit_step=1.2,
+        )
+        base.update(overrides)
+        return ANCParams(**base)
+
+    def test_ancgd_run_carries_certificate_values(self):
+        # Same convex start as for pagd_run: no trigger, no reset.
+        land = get_landscape("quartic")
+        T = 5
+        trace = ancgd_run(
+            land.oracle, np.array([1.5, 0.5]), self._anc(total_steps=T), RngStream(0, 0)
+        )
+        assert trace.events() == [EVENT_AGD] * (T + 1)
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
+        assert trace.meta["f_evals"] == 1 + 2 * T == 11
+
+    def test_ancgd_run_window(self):
+        # At the saddle the first record triggers a window of ncf_steps
+        # pinned steps and the budget ends with it: the anchor's f comes from
+        # its record, each pinned step takes one grad f(z), no certificate
+        # runs, and every record scores its (pinned, unscored) iterate.
+        land = get_landscape("quartic")
+        T = 20
+        trace = ancgd_run(land.oracle, np.zeros(2), self._anc(total_steps=T), RngStream(0, 0))
+        assert trace.events() == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
+        assert trace.meta["grad_evals"] == (T + 1) + T == 41
+        assert trace.meta["f_evals"] == T + 1 == 21
 
 
 class TestPsgdBaseline:

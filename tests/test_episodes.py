@@ -8,6 +8,7 @@ import pytest
 
 from saddlescape import (
     ANCParams,
+    BaselineParams,
     ExperimentConfig,
     NCParams,
     ParameterError,
@@ -115,6 +116,43 @@ def test_params_reject_nonpositive_or_nonfinite(cls, name, value):
     _build(cls)
     with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
         _build(cls, **{name: value})
+
+
+_ANC = dict(
+    eta=0.1, theta=0.1, gamma=0.1, nce_radius=0.1, ncf_steps=3,
+    perturb_radius=0.1, total_steps=10, eps=0.1, delta0=0.1, ell=1.0, rho=1.0,
+)
+_BASELINE = dict(
+    eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=10,
+    theta=0.042, gamma=0.0355, nce_radius=0.0089,
+)
+_WITH_TRUST_REGION = {
+    "PGDNCParams": lambda **kw: _build(PGDNCParams, **kw),
+    "SGDNCParams": lambda **kw: _build(SGDNCParams, **kw),
+    "ANCParams": lambda **kw: ANCParams(**{**_ANC, **kw}),
+    "BaselineParams": lambda **kw: BaselineParams(**{**_BASELINE, **kw}),
+    "ExperimentConfig": lambda **kw: ExperimentConfig("nc", "quartic", **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITH_TRUST_REGION))
+@pytest.mark.parametrize("value", [math.nan, 0.0, -5.0])
+def test_trust_region_rejects_nan_and_nonpositive(name, value):
+    build = _WITH_TRUST_REGION[name]
+    assert build(trust_region=math.inf).trust_region == math.inf
+    with pytest.raises(ParameterError, match="trust_region must be positive"):
+        build(trust_region=value)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("theta", v) for v in (0.0, 1.0, 2.0, math.nan)]
+    + [(name, v) for name in ("gamma", "nce_radius") for v in (0.0, -1.0, math.nan, math.inf)],
+)
+def test_baseline_params_check_momentum_constants(name, value):
+    BaselineParams(**{**_BASELINE, name: None})
+    with pytest.raises(ParameterError, match=name):
+        BaselineParams(**{**_BASELINE, name: value})
 
 
 def test_accelerated_params_reject_nan_eta():

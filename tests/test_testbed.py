@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     AdditiveNoiseOracle,
@@ -230,3 +232,175 @@ class TestNoiseWrappers:
         diff = oracle.minibatch_diff(x0, x1, 1, RngStream(1, 1))
         exact = oracle.mean_gradient(x1) - oracle.mean_gradient(x0)
         assert not np.allclose(diff, exact, atol=1e-6)
+
+
+# The 2-d formulas as they read before the landscapes evaluated on Python
+# floats: unpacking x gives numpy scalars, so every operation is numpy scalar
+# arithmetic.  They are the reference for the float path.
+def _ref_quartic_f(x):
+    x1, x2 = x
+    return x1**4 / 16 - x1**2 / 2 + 9 / 8 * x2**2
+
+
+def _ref_quartic_grad(x):
+    x1, x2 = x
+    return np.array([x1**3 / 4 - x1, 9 / 4 * x2])
+
+
+def _ref_quartic_hess(x):
+    x1, _ = x
+    return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
+
+
+def _ref_cubic_f(x):
+    x1, x2 = x
+    return (x1**3 - x2**3) / 2 - 3 * x1 * x2 + (x1**2 + x2**2) ** 2 / 2
+
+
+def _ref_cubic_grad(x):
+    x1, x2 = x
+    sq = x1**2 + x2**2
+    return np.array([1.5 * x1**2 - 3 * x2 + 2 * x1 * sq, -1.5 * x2**2 - 3 * x1 + 2 * x2 * sq])
+
+
+def _ref_cubic_hess(x):
+    x1, x2 = x
+    return np.array(
+        [
+            [3 * x1 + 6 * x1**2 + 2 * x2**2, -3 + 4 * x1 * x2],
+            [-3 + 4 * x1 * x2, -3 * x2 + 2 * x1**2 + 6 * x2**2],
+        ]
+    )
+
+
+def _ref_w(x1, x2):
+    return x2 + (math.cos(2 * math.pi * x1) - 1) / 2
+
+
+def _ref_triangle_f(x):
+    x1, x2 = x
+    return 0.5 * math.cos(math.pi * x1) + 0.5 * _ref_w(x1, x2) ** 2 - 0.5
+
+
+def _ref_triangle_grad(x):
+    x1, x2 = x
+    pi = math.pi
+    w = _ref_w(x1, x2)
+    return np.array([-0.5 * pi * math.sin(pi * x1) - w * pi * math.sin(2 * pi * x1), w])
+
+
+def _ref_triangle_hess(x):
+    x1, x2 = x
+    pi = math.pi
+    w = _ref_w(x1, x2)
+    s2 = math.sin(2 * pi * x1)
+    c2 = math.cos(2 * pi * x1)
+    h11 = -0.5 * pi**2 * math.cos(pi * x1) + pi**2 * s2**2 - 2 * pi**2 * w * c2
+    h12 = -pi * s2
+    return np.array([[h11, h12], [h12, 1.0]])
+
+
+def _ref_exp_parts(x1):
+    u = x1**2
+    s = 1.0 / (1.0 + math.exp(u))
+    p = u * math.exp(-u)
+    return u, s, p
+
+
+def _ref_exponential_f(x):
+    x1, x2 = x
+    u, s, p = _ref_exp_parts(x1)
+    return s + 0.5 * (x2 - p) ** 2 - 1.0
+
+
+def _ref_exponential_grad(x):
+    x1, x2 = x
+    u, s, p = _ref_exp_parts(x1)
+    w = x2 - p
+    eu = math.exp(u)
+    dp = 2 * x1 * math.exp(-u) * (1 - u)
+    return np.array([-2 * x1 * eu * s**2 - w * dp, w])
+
+
+def _ref_exponential_hess(x):
+    x1, x2 = x
+    u, s, p = _ref_exp_parts(x1)
+    w = x2 - p
+    eu = math.exp(u)
+    emu = math.exp(-u)
+    h11 = (
+        -2 * eu * s**2
+        - 4 * x1**2 * eu * s**2 * (2 * s - 1)
+        - 2 * (1 - u) * emu * w
+        - 4 * x1**2 * w * emu * (u - 2)
+        + 4 * x1**2 * (1 - u) ** 2 * emu**2
+    )
+    h12 = -2 * x1 * emu * (1 - u)
+    return np.array([[h11, h12], [h12, 1.0]])
+
+
+_REFERENCE = {
+    "quartic": (_ref_quartic_f, _ref_quartic_grad, _ref_quartic_hess),
+    "cubic": (_ref_cubic_f, _ref_cubic_grad, _ref_cubic_hess),
+    "triangle": (_ref_triangle_f, _ref_triangle_grad, _ref_triangle_hess),
+    "exponential": (_ref_exponential_f, _ref_exponential_grad, _ref_exponential_hess),
+}
+_LANDS = {name: get_landscape(name) for name in _REFERENCE}
+
+# Coordinates from the saddle region out to magnitudes 1e-300 .. 1e300.
+_COORD = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.99),
+        st.integers(-300, 299),
+    ),
+)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit (so -0.0 differs from 0.0), with NaN matching NaN."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestFloatPath:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(_REFERENCE)), x1=_COORD, x2=_COORD)
+    def test_matches_numpy_scalar_formulas(self, name, x1, x2):
+        land = _LANDS[name]
+        x = np.array([x1, x2])
+        for new, ref in zip((land.oracle.f, land.oracle.grad, land.hessian), _REFERENCE[name]):
+            try:
+                expected = ref(x)
+            except OverflowError:
+                # math.exp(x1**2) overflowed; only exponential calls it.
+                assert name == "exponential"
+                continue
+            assert _same_bits(new(x), expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(_REFERENCE))
+    def test_overflow_falls_back_to_numpy(self, name):
+        # A square of 1e300 overflows: Python floats raise, numpy gives inf.
+        land = _LANDS[name]
+        x = np.array([1e300, 1e300])
+        assert not math.isfinite(land.oracle.f(x))
+        for new, ref in zip((land.oracle.f, land.oracle.grad, land.hessian), _REFERENCE[name]):
+            assert _same_bits(new(x), ref(x))
+
+    @pytest.mark.parametrize("x1", [26.7, -30.0, 1e3, 1e40])
+    def test_exponential_evaluates_where_exp_overflows(self, x1):
+        land = _LANDS["exponential"]
+        x = np.array([x1, 0.3])
+        with pytest.raises(OverflowError):
+            _ref_exponential_f(x)
+        # e^(-x1^2) is below the smallest normal double here, so the sigmoid
+        # and ridge terms vanish: f = x2^2 / 2 - 1 and grad f = (0, x2).
+        assert land.oracle.value(x) == pytest.approx(0.5 * 0.3**2 - 1.0, rel=1e-15)
+        assert land.oracle.gradient(x) == pytest.approx([0.0, 0.3], abs=1e-300)
+        assert land.hessian(x) == pytest.approx(np.diag([0.0, 1.0]), abs=1e-290)
