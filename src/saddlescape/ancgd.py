@@ -23,6 +23,7 @@ from .core import (
     TraceRecord,
     check_iterate,
     require_bound,
+    require_nonnegative,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -63,15 +64,15 @@ class ANCParams:
         require_positive(
             eta=self.eta, ell=self.ell, rho=self.rho, gamma=self.gamma,
             nce_radius=self.nce_radius, perturb_radius=self.perturb_radius,
+            eps=self.eps, exploit_step=self.exploit_step,
         )
+        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
         if not (0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         if self.ncf_steps < 1:
             raise ParameterError(f"ncf_steps must be >= 1, got {self.ncf_steps}")
         if self.total_steps < 1:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
         require_bound(trust_region=self.trust_region)
 
     @property
@@ -99,14 +100,11 @@ def derive_anc_params(
     free constant in the episode length and must keep the per-episode
     decrease target below the certified decrease, hence c_a**7 >= 384.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    require_positive(eps=eps, delta_f_bound=delta_f_bound)
     if not (0 < delta0 <= 1):
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if delta_f_bound <= 0:
-        raise ParameterError(f"delta_f_bound must be positive, got {delta_f_bound}")
     if c_a**7 < 384.0:
         raise ParameterError(f"c_a**7 must be >= 384, got c_a={c_a}")
     ell, rho = spec.ell, spec.rho

@@ -13,9 +13,9 @@ from .harness import (
     derive_params_for,
     run_dimension_scaling,
     run_experiment,
-    run_verify,
 )
 from .testbed import registry_ids
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -28,6 +28,7 @@ __all__ = [
     "uniform_ball_sample",
     "gaussian_sample",
     "require_positive",
+    "require_nonnegative",
     "require_bound",
     "EVENT_GD",
     "EVENT_AGD",
@@ -65,6 +66,13 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def require_nonnegative(**values) -> None:
+    """Reject any given value that is negative or not finite; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not (value >= 0 and math.isfinite(value)):
+            raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def require_bound(**values) -> None:
@@ -152,10 +160,8 @@ class StochasticOracle:
     """
 
     def __init__(self, mean: GradientOracle, sigma: float, ell_tilde: float):
-        if sigma < 0:
-            raise ParameterError(f"sigma must be nonnegative, got {sigma}")
-        if ell_tilde <= 0:
-            raise ParameterError(f"ell_tilde must be positive, got {ell_tilde}")
+        require_nonnegative(sigma=sigma)
+        require_positive(ell_tilde=ell_tilde)
         self.mean = mean
         self.sigma = float(sigma)
         self.ell_tilde = float(ell_tilde)
@@ -210,9 +216,8 @@ class AdditiveNoiseOracle(StochasticOracle):
     theoretically derived batch sizes affordable.
     """
 
-    def __init__(self, mean: GradientOracle, sigma: float, exact_batches: bool = True):
+    def __init__(self, mean: GradientOracle, sigma: float):
         super().__init__(mean, sigma, ell_tilde=mean.spec.ell)
-        self.exact_batches = exact_batches
 
     def draw_theta(self, stream: "RngStream", m: int) -> Array:
         return self.sigma * stream.gen.standard_normal((m, self.dim))
@@ -221,15 +226,11 @@ class AdditiveNoiseOracle(StochasticOracle):
         return self.mean.gradient(x)[None, :] + thetas
 
     def minibatch_mean(self, x: Array, m: int, stream: "RngStream") -> Array:
-        if not self.exact_batches:
-            return super().minibatch_mean(x, m, stream)
         self.sample_count += m
         noise = self.sigma / math.sqrt(m) * stream.gen.standard_normal(self.dim)
         return self.mean.gradient(x) + noise
 
     def minibatch_diff(self, x0: Array, x1: Array, m: int, stream: "RngStream") -> Array:
-        if not self.exact_batches:
-            return super().minibatch_diff(x0, x1, m, stream)
         # theta is x-independent, so it cancels for any batch size.
         self.sample_count += 2 * m
         return self.mean.gradient(x1) - self.mean.gradient(x0)

@@ -27,6 +27,7 @@ from .core import (
     check_iterate,
     gaussian_sample,
     require_bound,
+    require_nonnegative,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -64,9 +65,11 @@ class PGDNCParams:
     def __post_init__(self):
         if self.total_steps < 1:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
+        require_positive(
+            eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
+            exploit_step=self.exploit_step,
+        )
+        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)
 
     @property
@@ -87,8 +90,7 @@ def derive_pgdnc_params(
 ) -> PGDNCParams:
     """Search schedule and step budget for overall failure probability
     delta_overall, given the initial gap bound delta_f_bound."""
-    if delta_f_bound <= 0:
-        raise ParameterError(f"delta_f_bound must be positive, got {delta_f_bound}")
+    require_positive(eps=eps, delta_f_bound=delta_f_bound)
     if not (0 < delta_overall < 1):
         raise ParameterError(f"delta_overall must be in (0, 1), got {delta_overall}")
     ell, rho = spec.ell, spec.rho
@@ -161,8 +163,7 @@ class BaselineParams:
         if self.theta is not None and not (0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         require_bound(trust_region=self.trust_region)
-        if self.grad_threshold < 0:
-            raise ParameterError("grad_threshold must be nonnegative")
+        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
         if self.total_steps < 1:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.batch < 1:

@@ -1,5 +1,4 @@
-"""Seeded experiment harness: trial runners, escape histograms, scaling sweeps,
-and the landscape verification report."""
+"""Seeded experiment harness: trial runners, escape histograms and scaling sweeps."""
 
 from __future__ import annotations
 
@@ -8,18 +7,16 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 # The six run functions are module globals that _trial_trace looks up by
 # name at call time, so a wrapper installed on this module sees every trial.
-from . import verify as verify_mod
 from .ancgd import ANCParams, ancgd_run, derive_anc_params
 from .core import (
     Array,
-    GradientOracle,
     ParameterError,
     RngStream,
     SmoothnessSpec,
@@ -37,7 +34,7 @@ from .drivers import (
 )
 from .ncfind import NCParams, derive_nc_params
 from .stochastic import SGDNCParams, SNCParams, derive_sgdnc_params, sgd_nc_run
-from .testbed import VERIFY_IDS, Landscape, get_landscape, with_noise
+from .testbed import Landscape, get_landscape, with_noise
 
 __all__ = [
     "ALGORITHMS",
@@ -47,8 +44,6 @@ __all__ = [
     "HistogramSummary",
     "run_experiment",
     "run_dimension_scaling",
-    "VerifyReport",
-    "run_verify",
     "derive_params_for",
     "write_csv",
 ]
@@ -280,6 +275,8 @@ def _start_point(payload: dict, land: Landscape) -> Array:
         x0 = np.asarray(payload["x0"], dtype=float)
         if x0.shape[0] != land.dim:
             raise ParameterError(f"x0 has dimension {x0.shape[0]}, expected {land.dim}")
+        if not np.isfinite(x0).all():
+            raise ParameterError(f"x0 must be finite, got {payload['x0']}")
         return x0
     if not land.saddles:
         raise ParameterError(f"landscape {land.id} declares no saddle to start from")
@@ -308,6 +305,9 @@ class _Setting:
     delta_f: float
     rho_loc: float
     ell_tilde: float
+
+    def __post_init__(self):
+        require_positive(eps=self.eps)
 
     @property
     def trust(self) -> float:
@@ -669,155 +669,6 @@ def run_dimension_scaling(
                     f"{r['pgd_steps']},{r['nc_escape_rate']!r},{r['pgd_escape_rate']!r}\n"
                 )
     return rows
-
-
-@dataclass
-class VerifyReport:
-    entries: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _check(report: VerifyReport, entry: dict, name: str, ok: bool, detail: str) -> None:
-    entry["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
-    if not ok:
-        report.failures.append(f"{entry['landscape']}: {name}: {detail}")
-
-
-def _fd_gradient(oracle: GradientOracle, x: Array) -> Array:
-    h = verify_mod.default_step(x)
-    g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
-    return g
-
-
-def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> VerifyReport:
-    """Independent numerical audit of every registered landscape.
-
-    Checks per landscape: the landscape's own self_check, analytic gradients
-    against central differences at sampled box points, saddle classification
-    (non-second-order-stationary with the declared bottom eigenvalue),
-    minimum classification, and the sampled Hessian spectrum against the
-    declared smoothness constant.
-    """
-    report = VerifyReport()
-    if landscapes is None:
-        landscapes = [get_landscape(i) for i in (ids or VERIFY_IDS)]
-    for land in landscapes:
-        entry = {"landscape": land.id, "checks": []}
-        report.entries.append(entry)
-        oracle = land.oracle
-        n = land.dim
-        stream = RngStream(2026, 0).substream(("verify", land.id))
-        lo, hi = land.box
-
-        try:
-            land.self_check()
-            ok, detail = True, "critical points and finite-difference gradient"
-        except AssertionError as err:
-            ok, detail = False, str(err)
-        _check(report, entry, "self-check", ok, detail)
-
-        worst = 0.0
-        for _ in range(points_per_landscape):
-            x = stream.gen.uniform(lo, hi, size=n)
-            g = oracle.gradient(x)
-            g_fd = _fd_gradient(oracle, x)
-            rel = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
-            worst = max(worst, rel)
-        _check(
-            report, entry, "gradient-consistency", worst <= 1e-5,
-            f"worst relative error {worst:.3e} over {points_per_landscape} points",
-        )
-
-        for idx, sad in enumerate(land.saddles):
-            eps_ref = 0.5 * sad.lambda_min**2 / sad.rho_local
-            curv = _curvature_at(land, sad.point)
-            lam_err = abs(curv.lambda_min - sad.lambda_min) / max(1.0, abs(sad.lambda_min))
-            _check(
-                report, entry, f"saddle-{idx}-eigenvalue", lam_err <= 1e-3,
-                f"measured {curv.lambda_min:.6f}, declared {sad.lambda_min:.6f}",
-            )
-            verdict = _classify_at(land, sad.point, eps_ref, sad.rho_local)
-            _check(
-                report, entry, f"saddle-{idx}-not-sosp", not verdict.is_sosp,
-                f"lambda_min {verdict.lambda_min:.6f} vs threshold {verdict.threshold:.6f}",
-            )
-
-        for idx, (point, value) in enumerate(land.minima):
-            fval = oracle.value(point)
-            _check(
-                report, entry, f"minimum-{idx}-value", abs(fval - value) <= 1e-9,
-                f"f={fval!r}, declared {value!r}",
-            )
-            rho_ref = land.saddles[0].rho_local if land.saddles else oracle.spec.rho
-            eps_ref = (
-                0.5 * land.saddles[0].lambda_min**2 / rho_ref if land.saddles else 0.01
-            )
-            verdict = _classify_at(land, point, eps_ref, rho_ref)
-            _check(
-                report, entry, f"minimum-{idx}-sosp", verdict.is_sosp,
-                f"grad {verdict.grad_norm:.3e}, lambda_min {verdict.lambda_min:.6f}",
-            )
-
-        worst_eig = 0.0
-        for _ in range(25):
-            x = stream.gen.uniform(lo, hi, size=n)
-            if n <= verify_mod.DENSE_CAP:
-                H = verify_mod.dense_hessian(oracle, x)
-            elif land.hessian is not None:
-                H = land.hessian(x)
-            else:
-                break
-            worst_eig = max(worst_eig, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
-        _check(
-            report, entry, "spectrum-bound", worst_eig <= oracle.spec.ell * 1.001,
-            f"max |eig| {worst_eig:.4f} vs declared ell {oracle.spec.ell}",
-        )
-    return report
-
-
-def _curvature_at(land: Landscape, x: Array):
-    if land.dim <= verify_mod.DENSE_CAP:
-        return verify_mod.dense_hessian_eig(land.oracle, x)
-    if land.hessian is not None:
-        H = land.hessian(x)
-        vals, vecs = np.linalg.eigh(H)
-        return verify_mod.CurvatureReport(
-            lambda_min=float(vals[0]),
-            direction=vecs[:, 0],
-            quad_form=float(vals[0]),
-            method="analytic",
-            h=0.0,
-        )
-    return verify_mod.grad_power_lambda_min(
-        land.oracle, x, iters=200, stream=RngStream(7, 0)
-    )
-
-
-def _classify_at(land: Landscape, x: Array, eps: float, rho: float):
-    if land.dim <= verify_mod.DENSE_CAP:
-        return verify_mod.classify(land.oracle, x, eps, rho=rho)
-    curv = _curvature_at(land, x)
-    g = land.oracle.gradient(x)
-    grad_norm = float(np.linalg.norm(g))
-    threshold = -math.sqrt(rho * eps)
-    grad_ok = grad_norm <= eps
-    curv_ok = curv.lambda_min >= threshold
-    return verify_mod.StationarityVerdict(
-        grad_ok=grad_ok,
-        curv_ok=curv_ok,
-        is_sosp=grad_ok and curv_ok,
-        grad_norm=grad_norm,
-        lambda_min=curv.lambda_min,
-        threshold=threshold,
-    )
 
 
 def derive_params_for(

@@ -54,11 +54,9 @@ class NCParams:
     def __post_init__(self):
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
         if not (0 < self.delta0 <= 1):
             raise ParameterError(f"delta0 must be in (0, 1], got {self.delta0}")
-        require_positive(radius=self.radius, ell=self.ell, rho=self.rho)
+        require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class NCOutcome:
     e_hat: Array
     steps_used: int
     renormalized: bool
-    path: list[Array] | None = None
     ledger: list[float] | None = None
 
 
@@ -78,8 +75,7 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     Requires sqrt(rho * eps) <= ell so the curvature threshold is inside the
     representable spectrum.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    require_positive(eps=eps)
     if not (0 < delta0 <= 1):
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
     if n < 1:
@@ -103,7 +99,6 @@ def nc_find(
     stream: RngStream,
     renormalize: bool = True,
     y0: Array | None = None,
-    record_path: bool = False,
 ) -> NCOutcome:
     """Estimate the most-negative-curvature direction at x_tilde.
 
@@ -124,7 +119,6 @@ def nc_find(
             y = np.asarray(y0, dtype=float).copy()
         else:
             y = uniform_ball_sample(np.zeros(n), r, stream)
-        path: list[Array] | None = [] if record_path else None
         failed = False
         for _ in range(params.steps):
             norm = _norm(y)
@@ -139,15 +133,12 @@ def nc_find(
                     failed = True
                     break
                 y = (r / new_norm) * y
-            if path is not None:
-                path.append(y.copy())
         norm = _norm(y)
         if not failed and norm > 0.0 and math.isfinite(norm):
             return NCOutcome(
                 e_hat=y / norm,
                 steps_used=params.steps,
                 renormalized=renormalize,
-                path=path,
             )
     raise AlgorithmError("curvature search degenerated to the zero vector repeatedly")
 
@@ -286,26 +277,15 @@ def perturb_along_nc(
     e_hat: Array,
     eps: float,
     rho: float,
-    mode: str = "two-candidate",
     step: float | None = None,
 ) -> Array:
-    """Step distance sqrt(eps/rho)/4 along the curvature direction.
-
-    two-candidate mode evaluates both signs and keeps the lower value,
-    falling back to x0 when neither candidate decreases f.  gradient-sign
-    mode uses the sign of the directional derivative, as stated.
-    """
+    """Step distance sqrt(eps/rho)/4 (or step) both ways along the curvature
+    direction and keep the lower candidate, falling back to x0 when neither
+    decreases f."""
     x0 = np.asarray(x0, dtype=float)
     e_hat = np.asarray(e_hat, dtype=float)
     norm = _norm(e_hat)
     if norm == 0.0:
         raise ParameterError("e_hat must be nonzero")
     e_hat = e_hat / norm
-    if mode == "gradient-sign":
-        if step is None:
-            step = 0.25 * math.sqrt(eps / rho)
-        sign = 1.0 if float(np.dot(oracle.gradient(x0), e_hat)) >= 0 else -1.0
-        return x0 - step * sign * e_hat
-    if mode != "two-candidate":
-        raise ParameterError(f"unknown perturbation mode: {mode!r}")
     return exploit(oracle.value, x0, oracle.value(x0), e_hat, eps, rho, step)[0]

@@ -18,6 +18,7 @@ from .core import (
     StochasticOracle,
     Trace,
     require_bound,
+    require_nonnegative,
     require_positive,
     _norm,
 )
@@ -60,7 +61,10 @@ class SNCParams:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
         if self.batch < 1:
             raise ParameterError(f"batch must be >= 1, got {self.batch}")
-        require_positive(radius=self.radius, ell=self.ell, rho=self.rho)
+        require_positive(
+            eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
+            ell_tilde=self.ell_tilde,
+        )
 
 
 def derive_snc_params(
@@ -76,14 +80,11 @@ def derive_snc_params(
     equation (the radius depends on iota, iota depends on the radius through
     a log), so it is resolved by fixed-point iteration from iota = 10.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    require_positive(eps=eps, ell_tilde=ell_tilde)
     if not (0 < delta < 1):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if ell_tilde <= 0:
-        raise ParameterError(f"ell_tilde must be positive, got {ell_tilde}")
     ell, rho = spec.ell, spec.rho
     threshold = math.sqrt(rho * eps)
     if threshold > ell:
@@ -257,9 +258,13 @@ class SGDNCParams:
             raise ParameterError(f"outer_batch must be >= 1, got {self.outer_batch}")
         if self.total_steps < 1:
             raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        require_positive(ell=self.ell, rho=self.rho, eta=self.eta)
+        require_positive(
+            eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
+            exploit_step=self.exploit_step,
+        )
+        require_nonnegative(
+            trigger_threshold=self.trigger_threshold, cooldown=self.cooldown
+        )
         require_bound(trust_region=self.trust_region)
 
     @property
@@ -281,8 +286,7 @@ def derive_sgdnc_params(
 ) -> SGDNCParams:
     """Outer batch size, budget, and inner search schedule for overall failure
     probability delta_overall given the initial gap bound delta_f_bound."""
-    if delta_f_bound <= 0:
-        raise ParameterError(f"delta_f_bound must be positive, got {delta_f_bound}")
+    require_positive(eps=eps, delta_f_bound=delta_f_bound)
     if not (0 < delta_overall < 1):
         raise ParameterError(f"delta_overall must be in (0, 1), got {delta_overall}")
     ell, rho = spec.ell, spec.rho

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,36 +64,6 @@ class Landscape:
     @property
     def dim(self) -> int:
         return self.oracle.dim
-
-    def self_check(self) -> None:
-        """Sanity check of the declared structure: zero gradient at every
-        saddle and minimum, declared minimum values, and the gradient against
-        central differences at three box points (6n value calls).  Raises
-        AssertionError on the first mismatch.  Construction does not run it;
-        run_verify (saddlescape verify) and the tests do."""
-        for sad in self.saddles:
-            g = self.oracle.gradient(sad.point)
-            if float(np.linalg.norm(g)) > 1e-9:
-                raise AssertionError(f"{self.id}: saddle gradient not zero: {g}")
-        for point, value in self.minima:
-            g = self.oracle.gradient(point)
-            if float(np.linalg.norm(g)) > 1e-7:
-                raise AssertionError(f"{self.id}: minimum gradient not zero: {g}")
-            if abs(self.oracle.value(point) - value) > 1e-9:
-                raise AssertionError(f"{self.id}: minimum value mismatch")
-        rng = np.random.default_rng(0)
-        lo, hi = self.box
-        h = 1e-6
-        for _ in range(3):
-            x = rng.uniform(lo, hi, size=self.dim)
-            g = self.oracle.gradient(x)
-            fd = np.empty_like(g)
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = h
-                fd[i] = (self.oracle.value(x + e) - self.oracle.value(x - e)) / (2 * h)
-            if float(np.linalg.norm(fd - g)) > 1e-4 * max(1.0, float(np.linalg.norm(g))):
-                raise AssertionError(f"{self.id}: gradient/value mismatch at {x}")
 
 
 def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], object]:
@@ -372,10 +342,10 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     )
 
 
-def with_noise(landscape: Landscape | GradientOracle, sigma: float, exact_batches: bool = True) -> AdditiveNoiseOracle:
+def with_noise(landscape: Landscape | GradientOracle, sigma: float) -> AdditiveNoiseOracle:
     """Additive-Gaussian stochastic oracle over a landscape's gradient."""
     oracle = landscape.oracle if isinstance(landscape, Landscape) else landscape
-    return AdditiveNoiseOracle(oracle, sigma, exact_batches=exact_batches)
+    return AdditiveNoiseOracle(oracle, sigma)
 
 
 class RandomQuadraticNoiseOracle(StochasticOracle):

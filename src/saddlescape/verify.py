@@ -1,13 +1,15 @@
-"""Independent curvature checks: finite-difference Hessians and stationarity tests."""
+"""Independent checks of declared structure: finite-difference gradients and
+Hessians, stationarity tests, and the landscape verification report."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, GradientOracle, ParameterError, RngStream
+from .core import Array, GradientOracle, ParameterError, RngStream, require_positive
+from .testbed import VERIFY_IDS, Landscape, get_landscape
 
 __all__ = [
     "CurvatureReport",
@@ -19,6 +21,8 @@ __all__ = [
     "classify",
     "grad_power_lambda_min",
     "DENSE_CAP",
+    "VerifyReport",
+    "run_verify",
 ]
 
 # Above this dimension a dense finite-difference Hessian is refused; callers
@@ -73,62 +77,57 @@ def fd_quadform(oracle: GradientOracle, x: Array, e: Array, h: float | None = No
     return float(np.dot(gp - gm, e) / (2.0 * h))
 
 
+def _central_differences(fn, x: Array, h: float) -> Array:
+    """(fn(x + h e_i) - fn(x - h e_i)) / 2h for each coordinate axis e_i,
+    stacked along the last axis."""
+    diffs = [(fn(x + e) - fn(x - e)) / (2.0 * h) for e in h * np.eye(x.shape[0])]
+    return np.array(diffs).T
+
+
 def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> Array:
     """Symmetrized central-difference Hessian, one gradient pair per column."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n > DENSE_CAP:
+    if x.shape[0] > DENSE_CAP:
         raise ParameterError(
             f"dense Hessian capped at n={DENSE_CAP}; use fd_quadform or analytic structure"
         )
     if h is None:
         h = default_step(x)
-    columns = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        columns[:, i] = (oracle.gradient(x + e) - oracle.gradient(x - e)) / (2.0 * h)
+    columns = _central_differences(oracle.gradient, x, h)
     return (columns + columns.T) / 2.0
 
 
-def _smallest_eigpair(matrix: Array, max_iter: int = 20000, tol: float = 1e-13):
-    """Smallest eigenpair by power iteration on a spectrally shifted copy.
-
-    Deterministic start vector; the shift comes from a Gershgorin bound so no
-    external eigensolver is involved.
-    """
-    n = matrix.shape[0]
-    bound = float(np.max(np.sum(np.abs(matrix), axis=1)))
-    if bound == 0.0:
-        e = np.zeros(n)
-        e[0] = 1.0
-        return 0.0, e
-    shifted = bound * np.eye(n) - matrix  # eigenvalues bound - lam >= 0
-    v = np.ones(n) + 1e-3 * np.arange(n)  # ramp breaks symmetric ties
-    v /= np.linalg.norm(v)
-    lam = float(v @ matrix @ v)
-    for _ in range(max_iter):
-        w = shifted @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        v = w / norm
-        new_lam = float(v @ matrix @ v)
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam, v
-
-
 def dense_hessian_eig(oracle: GradientOracle, x: Array, h: float | None = None) -> CurvatureReport:
-    """Most-negative eigenpair of the finite-difference Hessian."""
+    """Most-negative eigenpair of the finite-difference Hessian (numpy's
+    symmetric eigensolver), with the direction rescored by fd_quadform."""
+    x = np.asarray(x, dtype=float)
     if h is None:
-        h = default_step(np.asarray(x, dtype=float))
-    matrix = dense_hessian(oracle, x, h)
-    lam, v = _smallest_eigpair(matrix)
+        h = default_step(x)
+    vals, vecs = np.linalg.eigh(dense_hessian(oracle, x, h))
+    v = vecs[:, 0]
     quad = fd_quadform(oracle, x, v, h)
-    return CurvatureReport(lambda_min=lam, direction=v, quad_form=quad, method="dense-fd", h=h)
+    return CurvatureReport(
+        lambda_min=float(vals[0]), direction=v, quad_form=quad, method="dense-fd", h=h
+    )
+
+
+def _verdict(
+    grad_norm: float, lambda_min: float, h: float, eps: float, rho: float
+) -> StationarityVerdict:
+    """Small gradient and no strong negative curvature; the curvature margin
+    10 * rho * h absorbs the error of a Hessian differenced at step h (none
+    for an analytic Hessian, h = 0)."""
+    threshold = -math.sqrt(rho * eps)
+    grad_ok = grad_norm <= eps
+    curv_ok = lambda_min >= threshold - 10.0 * rho * h
+    return StationarityVerdict(
+        grad_ok=grad_ok,
+        curv_ok=curv_ok,
+        is_sosp=grad_ok and curv_ok,
+        grad_norm=grad_norm,
+        lambda_min=lambda_min,
+        threshold=threshold,
+    )
 
 
 def classify(
@@ -138,30 +137,14 @@ def classify(
     rho: float | None = None,
     h: float | None = None,
 ) -> StationarityVerdict:
-    """Second-order stationarity test: small gradient and no strong negative curvature.
-
-    The curvature margin 10 * rho * h absorbs the finite-difference error.
-    """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    """Second-order stationarity test at tolerances (eps, rho) on the
+    finite-difference Hessian."""
+    require_positive(eps=eps)
     x = np.asarray(x, dtype=float)
     rho = oracle.spec.rho if rho is None else rho
-    if h is None:
-        h = default_step(x)
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))
     report = dense_hessian_eig(oracle, x, h)
-    threshold = -math.sqrt(rho * eps)
-    tol_curv = 10.0 * rho * h
-    grad_ok = grad_norm <= eps
-    curv_ok = report.lambda_min >= threshold - tol_curv
-    return StationarityVerdict(
-        grad_ok=grad_ok,
-        curv_ok=curv_ok,
-        is_sosp=grad_ok and curv_ok,
-        grad_norm=grad_norm,
-        lambda_min=report.lambda_min,
-        threshold=threshold,
-    )
+    return _verdict(grad_norm, report.lambda_min, report.h, eps, rho)
 
 
 def grad_power_lambda_min(
@@ -196,3 +179,127 @@ def grad_power_lambda_min(
     h = default_step(x)
     quad = fd_quadform(oracle, x, y, h)
     return CurvatureReport(lambda_min=quad, direction=y, quad_form=quad, method="grad-power", h=h)
+
+
+@dataclass
+class VerifyReport:
+    entries: list[dict] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _check(report: VerifyReport, entry: dict, name: str, ok: bool, detail: str) -> None:
+    entry["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
+    if not ok:
+        report.failures.append(f"{entry['landscape']}: {name}: {detail}")
+
+
+def _fd_gradient(oracle: GradientOracle, x: Array) -> Array:
+    return _central_differences(oracle.value, x, default_step(x))
+
+
+def _hessian_at(land: Landscape, x: Array) -> tuple[Array, float] | None:
+    """The Hessian the audit trusts at x and its difference step: central
+    differences up to DENSE_CAP, else the analytic Hessian (step 0), else None."""
+    if land.dim <= DENSE_CAP:
+        h = default_step(x)
+        return dense_hessian(land.oracle, x, h), h
+    if land.hessian is not None:
+        return land.hessian(x), 0.0
+    return None
+
+
+def _curvature_at(land: Landscape, x: Array) -> tuple[float, float]:
+    """Bottom Hessian eigenvalue at x and the difference step behind it."""
+    hess = _hessian_at(land, x)
+    if hess is None:
+        report = grad_power_lambda_min(land.oracle, x, iters=200, stream=RngStream(7, 0))
+        return report.lambda_min, report.h
+    return float(np.linalg.eigvalsh(hess[0])[0]), hess[1]
+
+
+def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> VerifyReport:
+    """Independent numerical audit of every registered landscape.
+
+    Checks per landscape: analytic gradients against central differences at
+    sampled box points; every declared saddle is stationary, has the declared
+    bottom eigenvalue and is not second-order stationary; every declared
+    minimum is stationary, has the declared value and is second-order
+    stationary; the sampled Hessian spectrum respects the declared ell.
+    """
+    if points_per_landscape < 1:
+        raise ParameterError(f"points_per_landscape must be >= 1, got {points_per_landscape}")
+    report = VerifyReport()
+    if landscapes is None:
+        landscapes = [get_landscape(i) for i in (ids or VERIFY_IDS)]
+    for land in landscapes:
+        entry = {"landscape": land.id, "checks": []}
+        report.entries.append(entry)
+        oracle = land.oracle
+        stream = RngStream(2026, 0).substream(("verify", land.id))
+        lo, hi = land.box
+
+        worst = 0.0
+        for _ in range(points_per_landscape):
+            x = stream.gen.uniform(lo, hi, size=land.dim)
+            g = oracle.gradient(x)
+            g_fd = _fd_gradient(oracle, x)
+            rel = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
+            worst = max(worst, rel)
+        _check(
+            report, entry, "gradient-consistency", worst <= 1e-5,
+            f"worst relative error {worst:.3e} over {points_per_landscape} points",
+        )
+
+        for idx, sad in enumerate(land.saddles):
+            grad_norm = float(np.linalg.norm(oracle.gradient(sad.point)))
+            _check(
+                report, entry, f"saddle-{idx}-stationary", grad_norm <= 1e-9,
+                f"grad {grad_norm:.3e} vs bound 1e-09",
+            )
+            eps_ref = 0.5 * sad.lambda_min**2 / sad.rho_local
+            lam, h = _curvature_at(land, sad.point)
+            lam_err = abs(lam - sad.lambda_min) / max(1.0, abs(sad.lambda_min))
+            _check(
+                report, entry, f"saddle-{idx}-eigenvalue", lam_err <= 1e-3,
+                f"measured {lam:.6f}, declared {sad.lambda_min:.6f}",
+            )
+            verdict = _verdict(grad_norm, lam, h, eps_ref, sad.rho_local)
+            _check(
+                report, entry, f"saddle-{idx}-not-sosp", not verdict.is_sosp,
+                f"lambda_min {verdict.lambda_min:.6f} vs threshold {verdict.threshold:.6f}",
+            )
+
+        rho_ref = land.saddles[0].rho_local if land.saddles else oracle.spec.rho
+        eps_ref = 0.5 * land.saddles[0].lambda_min**2 / rho_ref if land.saddles else 0.01
+        for idx, (point, value) in enumerate(land.minima):
+            fval = oracle.value(point)
+            _check(
+                report, entry, f"minimum-{idx}-value", abs(fval - value) <= 1e-9,
+                f"f={fval!r}, declared {value!r}",
+            )
+            grad_norm = float(np.linalg.norm(oracle.gradient(point)))
+            _check(
+                report, entry, f"minimum-{idx}-stationary", grad_norm <= 1e-7,
+                f"grad {grad_norm:.3e} vs bound 1e-07",
+            )
+            verdict = _verdict(grad_norm, *_curvature_at(land, point), eps_ref, rho_ref)
+            _check(
+                report, entry, f"minimum-{idx}-sosp", verdict.is_sosp,
+                f"grad {verdict.grad_norm:.3e}, lambda_min {verdict.lambda_min:.6f}",
+            )
+
+        worst_eig = 0.0
+        for _ in range(25):
+            hess = _hessian_at(land, stream.gen.uniform(lo, hi, size=land.dim))
+            if hess is None:
+                break
+            worst_eig = max(worst_eig, float(np.max(np.abs(np.linalg.eigvalsh(hess[0])))))
+        _check(
+            report, entry, "spectrum-bound", worst_eig <= oracle.spec.ell * 1.001,
+            f"max |eig| {worst_eig:.4f} vs declared ell {oracle.spec.ell}",
+        )
+    return report

@@ -32,7 +32,7 @@ from saddlescape import (
     uniform_ball_sample,
     with_noise,
 )
-from saddlescape.harness import _fd_gradient
+from saddlescape.verify import _fd_gradient
 
 from conftest import angular_gap, make_quadratic
 

@@ -8,6 +8,9 @@ from saddlescape import SmoothnessSpec, VerifyReport, derive_nc_params, harness
 from saddlescape.cli import main, read_config
 
 
+_RUN_FUNCTIONS = ("pgd_nc_run", "ancgd_run", "sgd_nc_run", "pgd_run", "pagd_run", "psgd_run")
+
+
 class TestRunCommand:
     def test_run_writes_outputs(self, tmp_path, capsys):
         out = str(tmp_path / "res")
@@ -130,6 +133,49 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "alg, fn, flags",
+        [
+            (alg, fn, ["--eps", "nan"])
+            for alg, fn in (("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic"))
+        ]
+        + [
+            (alg, fn, ["--g-thresh", value])
+            for alg, fn in (
+                ("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic"),
+                ("pgd", "quartic"), ("psgd", "cubic"),
+            )
+            for value in ("nan", "-1")
+        ]
+        + [
+            (alg, fn, ["--pert", "nan"])
+            for alg, fn in (("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic"))
+        ]
+        + [
+            (alg, fn, ["--t-thresh", "-5"])
+            for alg, fn in (
+                ("nc", "quartic"), ("ancgd", "quartic"), ("snc", "cubic"),
+                ("pgd", "quartic"), ("pagd", "quartic"),
+            )
+        ]
+        + [
+            ("snc", "cubic", ["--sigma", "nan"]),
+            ("psgd", "cubic", ["--sigma", "nan"]),
+            ("nc", "quartic", ["--x0", "nan,0"]),
+            ("pgd", "quartic", ["--x0", "0,inf"]),
+            ("nc", "quartic", ["--mode", "paper", "--steps", "20", "--g-thresh", "nan"]),
+            ("snc", "cubic", ["--mode", "paper", "--steps", "20", "--t-thresh", "-1"]),
+        ],
+    )
+    def test_bad_knobs_rejected_before_running(self, alg, fn, flags, capsys, monkeypatch):
+        ran = []
+        for name in _RUN_FUNCTIONS:
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        code = main(["run", "--alg", alg, "--fn", fn, "--trials", "2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert ran == []
+
     def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))
@@ -235,6 +281,27 @@ class TestParamsCommand:
         ref = derive_nc_params(SmoothnessSpec(1.0, 1.0), 0.01, 0.1, 2)
         assert out["steps"] == ref.steps == 351
         assert out["radius"] == pytest.approx(ref.radius, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "alg, flags",
+        [
+            (alg, ["--eps", eps])
+            for alg in ("ncf", "nc", "ancgd", "snc")
+            for eps in ("nan", "-1", "inf")
+        ]
+        + [
+            ("nc", ["--eps", "0.1", "--delta-f", "nan"]),
+            ("ancgd", ["--eps", "0.1", "--delta-f", "-1"]),
+            ("snc", ["--eps", "0.1", "--delta-f", "nan"]),
+            ("snc", ["--eps", "0.1", "--ell-tilde", "nan"]),
+        ],
+    )
+    def test_bad_values_exit_one(self, alg, flags, capsys):
+        code = main([
+            "params", "--alg", alg, "--ell", "1", "--rho", "1", "--n", "2", *flags
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unsupported_alg_exits_one(self, capsys):
         code = main([

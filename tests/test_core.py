@@ -17,6 +17,7 @@ from saddlescape import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    StochasticOracle,
     Trace,
     TraceRecord,
     gaussian_sample,
@@ -164,17 +165,20 @@ class TestOracles:
         assert np.allclose(diff, quad2.gradient(x1) - quad2.gradient(x0), atol=1e-14)
 
     def test_additive_exact_batches_matches_literal_sampling_law(self, quad2):
-        # exact_batches collapses an m-mean to one scaled draw; the literal
-        # path averages m draws.  Same law, checked through the variance.
+        # The additive oracle collapses an m-mean to one scaled draw; the
+        # generic StochasticOracle path averages m draws.  Same law, checked
+        # through the variance.
         m = 9
         x = np.zeros(2)
-        fast = AdditiveNoiseOracle(quad2, sigma=1.0, exact_batches=True)
-        slow = AdditiveNoiseOracle(quad2, sigma=1.0, exact_batches=False)
+        oracle = AdditiveNoiseOracle(quad2, sigma=1.0)
         fast_draws = np.array(
-            [fast.minibatch_mean(x, m, RngStream(0, i)) for i in range(4000)]
+            [oracle.minibatch_mean(x, m, RngStream(0, i)) for i in range(4000)]
         )
         slow_draws = np.array(
-            [slow.minibatch_mean(x, m, RngStream(10**6, i)) for i in range(4000)]
+            [
+                StochasticOracle.minibatch_mean(oracle, x, m, RngStream(10**6, i))
+                for i in range(4000)
+            ]
         )
         assert np.allclose(fast_draws.var(axis=0), 1.0 / m, rtol=0.1)
         assert np.allclose(slow_draws.var(axis=0), 1.0 / m, rtol=0.1)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, histograms, outputs, verification sweep."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -222,19 +223,39 @@ class TestRunVerify:
         assert {e["landscape"] for e in report.entries} == set(VERIFY_IDS)
         for entry in report.entries:
             assert all(c["ok"] for c in entry["checks"])
-            assert "self-check" in {c["name"] for c in entry["checks"]}
+            assert "saddle-0-stationary" in {c["name"] for c in entry["checks"]}
 
     def test_broken_landscape_flagged(self):
         report = run_verify(landscapes=[_broken_landscape()], points_per_landscape=10)
         assert not report.ok
         names = {f.split(": ")[1] for f in report.failures}
-        # The declared minimum value is wrong (bowl bottom is 0, not -1),
-        # which the landscape's own self-check also catches; the declared
-        # eigenvalue is wrong, and ell understates the spectrum.
+        # The declared minimum value is wrong (bowl bottom is 0, not -1), the
+        # declared eigenvalue is wrong, and ell understates the spectrum.
         assert "minimum-0-value" in names
-        assert "self-check" in names
         assert "saddle-0-eigenvalue" in names
         assert "spectrum-bound" in names
+
+    @pytest.mark.parametrize(
+        "shift, check",
+        [("saddles", "saddle-0-stationary"), ("minima", "minimum-0-stationary")],
+    )
+    def test_declared_point_off_critical_flagged(self, shift, check):
+        # Move the first declared saddle or minimum of the quartic off its
+        # critical point: only the stationarity checks see the gradient.
+        land = get_landscape("quartic")
+        if shift == "saddles":
+            moved = dataclasses.replace(land.saddles[0], point=np.array([0.0, 1e-3]))
+            land = dataclasses.replace(land, saddles=[moved])
+        else:
+            moved = (np.array([2.0, 1e-3]), land.minima[0][1])
+            land = dataclasses.replace(land, minima=[moved])
+        report = run_verify(landscapes=[land], points_per_landscape=1)
+        assert f"quartic: {check}" in {f.rsplit(": ", 1)[0] for f in report.failures}
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_rejects_fewer_than_one_point(self, points):
+        with pytest.raises(ParameterError, match="points_per_landscape"):
+            run_verify(ids=["quartic"], points_per_landscape=points)
 
 
 class TestDeriveParamsFor:

@@ -103,14 +103,6 @@ class TestSearchDynamics:
         assert angular_gap(pinned.e_hat, free.e_hat) <= 1e-8
         assert not free.renormalized
 
-    def test_record_path(self, quad2):
-        params = NCParams(steps=7, radius=1e-3, eps=0.1, delta0=0.1, ell=2.0, rho=1.0)
-        out = nc_find(quad2, np.zeros(2), params, RngStream(0, 2), record_path=True)
-        assert out.path is not None
-        assert len(out.path) == 7
-        for y in out.path:
-            assert np.linalg.norm(y) == pytest.approx(params.radius, rel=1e-9)
-
     def test_seeded_determinism(self, quad5):
         params = NCParams(steps=40, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
         a = nc_find(quad5, np.zeros(5), params, RngStream(9, 4))
@@ -203,19 +195,6 @@ class TestExploit:
         y = perturb_along_nc(oracle, np.zeros(1), np.array([1.0]), 0.1, 1.0)
         assert y[0] == 0.0
 
-    def test_gradient_sign_mode(self):
-        oracle = GradientOracle(
-            f=lambda x: float(2.0 * x[0]),
-            grad=lambda x: np.array([2.0, 0.0]),
-            spec=SmoothnessSpec(1.0, 1.0),
-            dim=2,
-        )
-        x = perturb_along_nc(
-            oracle, np.zeros(2), np.array([1.0, 0.0]), 0.1, 1.0, mode="gradient-sign"
-        )
-        # Positive slope along e, so the step goes to the negative side.
-        assert x[0] == pytest.approx(-0.25 * math.sqrt(0.1))
-
     def test_direction_is_normalized_and_validated(self):
         land = get_landscape("quartic")
         big = np.array([10.0, 0.0])
@@ -224,13 +203,6 @@ class TestExploit:
         assert np.allclose(a, b)
         with pytest.raises(ParameterError):
             perturb_along_nc(land.oracle, np.zeros(2), np.zeros(2), 0.04, 1.0)
-
-    def test_unknown_mode_rejected(self):
-        land = get_landscape("quartic")
-        with pytest.raises(ParameterError):
-            perturb_along_nc(
-                land.oracle, np.zeros(2), np.array([1.0, 0.0]), 0.04, 1.0, mode="newton"
-            )
 
     def test_explicit_step_override(self):
         land = get_landscape("quartic")
