@@ -23,6 +23,7 @@ from .core import (
     TraceRecord,
     check_iterate,
     require_bound,
+    require_count,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
@@ -37,6 +38,10 @@ __all__ = [
     "ancgd_run",
     "anc_find_unnormalized",
 ]
+
+# The free constant in the episode length.  c_a**7 >= 384 keeps the
+# per-episode decrease target below the certified decrease.
+_C_A = 8.0
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,7 @@ class ANCParams:
         require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
         if not (0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
-        if self.ncf_steps < 1:
-            raise ParameterError(f"ncf_steps must be >= 1, got {self.ncf_steps}")
-        if self.total_steps < 1:
-            raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
+        require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
         require_bound(trust_region=self.trust_region)
 
     @property
@@ -90,23 +92,17 @@ def derive_anc_params(
     delta0: float,
     n: int,
     delta_f_bound: float,
-    c_a: float = 8.0,
     total_steps: int | None = None,
 ) -> ANCParams:
     """Constants for the accelerated loop at target accuracy eps.
 
     delta0 is the per-episode failure probability of the curvature search;
-    delta_f_bound bounds f(x0) - inf f and sets the step budget.  c_a is the
-    free constant in the episode length and must keep the per-episode
-    decrease target below the certified decrease, hence c_a**7 >= 384.
+    delta_f_bound bounds f(x0) - inf f and sets the step budget.
     """
     require_positive(eps=eps, delta_f_bound=delta_f_bound)
     if not (0 < delta0 <= 1):
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if c_a**7 < 384.0:
-        raise ParameterError(f"c_a**7 must be >= 384, got c_a={c_a}")
+    require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = math.sqrt(rho * eps)
     if threshold > ell:
@@ -123,8 +119,8 @@ def derive_anc_params(
     )
     r_prime = (delta0 * eps / 32.0) * math.sqrt(math.pi / (rho * n))
     if total_steps is None:
-        episode = math.sqrt(ell / threshold) * c_a
-        decrease = math.sqrt(eps**3 / rho) / c_a**7
+        episode = math.sqrt(ell / threshold) * _C_A
+        decrease = math.sqrt(eps**3 / rho) / _C_A**7
         budget = max(
             4.0 * delta_f_bound * (episode + ncf_steps) / decrease,
             768.0 * delta_f_bound * ncf_steps * math.sqrt(rho / eps**3),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +30,7 @@ __all__ = [
     "gaussian_sample",
     "require_positive",
     "require_nonnegative",
+    "require_count",
     "require_bound",
     "EVENT_GD",
     "EVENT_AGD",
@@ -73,6 +75,13 @@ def require_nonnegative(**values) -> None:
     for name, value in values.items():
         if value is not None and not (value >= 0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def require_count(**values) -> None:
+    """Reject any given value that is not an integer >= 1; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ParameterError(f"{name} must be an integer >= 1, got {value}")
 
 
 def require_bound(**values) -> None:

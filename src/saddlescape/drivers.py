@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,13 +28,14 @@ from .core import (
     check_iterate,
     gaussian_sample,
     require_bound,
+    require_count,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
     _norm,
 )
 from .ancgd import nce_step
-from .ncfind import NCParams, derive_nc_params, nc_find, search_descent
+from .ncfind import NCParams, curvature_escape, derive_nc_params, descend, nc_find
 
 __all__ = [
     "PGDNCParams",
@@ -63,8 +65,7 @@ class PGDNCParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
+        require_count(total_steps=self.total_steps)
         require_positive(
             eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
             exploit_step=self.exploit_step,
@@ -128,8 +129,11 @@ def pgd_nc_run(
         inner = dataclasses.replace(params.nc, steps=min(params.nc.steps, budget))
         return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
 
-    trace = search_descent(
-        x0, params, Trace.start("pgd-nc", stream), lambda x, g: g, counted, search, EVENT_GD
+    trace = Trace.start("pgd-nc", stream)
+    escape = curvature_escape(trace, params, counted.value, search)
+    descend(
+        x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD,
+        params.effective_eta, params.effective_threshold,
     )
     trace.meta["f_evals"] = counted.f_evals
     trace.meta["grad_evals"] = counted.grad_evals
@@ -164,14 +168,19 @@ class BaselineParams:
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         require_bound(trust_region=self.trust_region)
         require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
-        if self.total_steps < 1:
-            raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
+        require_count(total_steps=self.total_steps, batch=self.batch)
 
 
-def _perturb_ready(t: int, last: int | None, cooldown: int | None) -> bool:
-    return last is None or cooldown is None or t - last > cooldown
+def _perturbation(trace: Trace, draw: Callable[[Array], Array]):
+    """Episode hook for descend: replace x by draw(x), holding no iterations,
+    and log the draw in meta["perturbs"]."""
+
+    def escape(x: Array, t: int, budget: int):
+        x = draw(x)
+        trace.meta["perturbs"].append({"t": t, "x": x})
+        return x, EVENT_PERTURB, 0, False
+
+    return escape
 
 
 def pgd_run(
@@ -182,39 +191,14 @@ def pgd_run(
 ) -> Trace:
     """Gradient descent with uniform-ball perturbations at flat points."""
     counted = CountingOracle(oracle)
-    x = np.asarray(x0, dtype=float).copy()
     trace = Trace.start("pgd", stream, perturbs=[])
-    records, meta = trace.records, trace.meta
-    last: int | None = None
-    event = EVENT_GD
-    for t in range(params.total_steps + 1):
-        g = counted.gradient(x)
-        g_norm = _norm(g)
-        records.append(
-            TraceRecord(
-                t=t,
-                f=counted.value(x),
-                grad_norm=g_norm,
-                event=event,
-                x=x,
-            )
-        )
-        if t == params.total_steps:
-            break
-        if (
-            g_norm <= params.grad_threshold
-            and _perturb_ready(t, last, params.cooldown)
-        ):
-            x = uniform_ball_sample(x, params.radius, stream)
-            last = t
-            event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x})
-        else:
-            x = x - params.eta * g
-            event = EVENT_GD
-        check_iterate(x, params.trust_region, trace)
-    meta["f_evals"] = counted.f_evals
-    meta["grad_evals"] = counted.grad_evals
+    escape = _perturbation(trace, lambda x: uniform_ball_sample(x, params.radius, stream))
+    descend(
+        x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD,
+        params.eta, params.grad_threshold,
+    )
+    trace.meta["f_evals"] = counted.f_evals
+    trace.meta["grad_evals"] = counted.grad_evals
     return trace
 
 
@@ -263,7 +247,7 @@ def pagd_run(
         event = EVENT_AGD
         if (
             g_norm <= params.grad_threshold
-            and _perturb_ready(t, last, params.cooldown)
+            and (last is None or params.cooldown is None or t - last > params.cooldown)
         ):
             x = uniform_ball_sample(x, params.radius, stream)
             z = x
@@ -308,37 +292,16 @@ def psgd_run(
     Traces record the noiseless objective so decreases are measured against
     the true landscape.
     """
-    x = np.asarray(x0, dtype=float).copy()
     theta_stream = stream.substream("theta")
     trace = Trace.start("psgd", stream, perturbs=[], samples=0)
-    records, meta = trace.records, trace.meta
-    last: int | None = None
-    event = EVENT_SGD
-    variance = params.radius**2 / x.shape[0]
-    for t in range(params.total_steps + 1):
-        records.append(
-            TraceRecord(
-                t=t,
-                f=oracle.mean.value(x),
-                grad_norm=_norm(oracle.mean.gradient(x)),
-                event=event,
-                x=x,
-            )
-        )
-        if t == params.total_steps:
-            break
-        g = oracle.minibatch_mean(x, params.batch, theta_stream)
-        meta["samples"] += params.batch
-        if (
-            _norm(g) <= params.grad_threshold
-            and _perturb_ready(t, last, params.cooldown)
-        ):
-            x = gaussian_sample(x, variance, stream)
-            last = t
-            event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x})
-        else:
-            x = x - params.eta * g
-            event = EVENT_SGD
-        check_iterate(x, params.trust_region, trace)
-    return trace
+    variance = params.radius**2 / len(x0)
+
+    def estimate(x: Array, g: Array) -> Array:
+        trace.meta["samples"] += params.batch
+        return oracle.minibatch_mean(x, params.batch, theta_stream)
+
+    escape = _perturbation(trace, lambda x: gaussian_sample(x, variance, stream))
+    return descend(
+        x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
+        params.eta, params.grad_threshold,
+    )

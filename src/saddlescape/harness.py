@@ -17,10 +17,13 @@ import numpy as np
 from .ancgd import ANCParams, ancgd_run, derive_anc_params
 from .core import (
     Array,
+    DivergenceError,
     ParameterError,
     RngStream,
     SmoothnessSpec,
     require_bound,
+    require_count,
+    require_nonnegative,
     require_positive,
 )
 from .drivers import (
@@ -136,12 +139,25 @@ class ExperimentConfig:
             )
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ParameterError(f"threshold must be finite, got {self.threshold}")
         if self.trust_region is not None:
             require_bound(trust_region=self.trust_region)
+        require_positive(
+            eta=self.eta, radius=self.radius, eps=self.eps, delta_f=self.delta_f,
+            exploit_step=self.exploit_step, gamma=self.gamma, nce_radius=self.nce_radius,
+        )
+        require_nonnegative(
+            sigma=self.sigma, grad_threshold=self.grad_threshold, cooldown=self.cooldown
+        )
+        require_count(
+            trials=self.trials, steps=self.steps, batch=self.batch,
+            outer_batch=self.outer_batch, ncf_steps=self.ncf_steps, jobs=self.jobs,
+        )
+        if self.delta is not None and not (0 < self.delta <= 1):
+            raise ParameterError(f"delta must be in (0, 1], got {self.delta}")
+        if self.theta is not None and not (0 < self.theta < 1):
+            raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -285,6 +301,8 @@ def _start_point(payload: dict, land: Landscape) -> Array:
 
 def _gap_bound(land: Landscape, x0: Array) -> float:
     f0 = land.oracle.value(x0)
+    if not math.isfinite(f0):
+        raise DivergenceError(f"f(x0) = {f0} is not finite; no gap bound")
     if land.minima:
         floor = min(v for _, v in land.minima)
     else:
@@ -488,7 +506,7 @@ def _trial_trace(payload: dict, land: Landscape, trial: int):
         knobs=k,
         eps=k.get("eps", 0.01),
         delta=k.get("delta", 0.1),
-        delta_f=k.get("delta_f") or _gap_bound(land, x0),
+        delta_f=_gap_bound(land, x0) if k.get("delta_f") is None else k["delta_f"],
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
     )
@@ -496,7 +514,6 @@ def _trial_trace(payload: dict, land: Landscape, trial: int):
         params = alg.paper(setting)
     else:
         _require(k, alg.needs, payload["algorithm"])
-        require_positive(eta=k["eta"])
         params = alg.recipe(setting)
     run = globals()[alg.run]
     return run(oracle, x0, params, RngStream(payload["seed"], trial))
@@ -528,16 +545,16 @@ def _run_chunk(args: tuple) -> list[TrialResult]:
 
 def _resolve_jobs(cfg_jobs: int | None) -> int:
     if cfg_jobs is not None:
-        return max(1, cfg_jobs)
+        return cfg_jobs
     env = os.environ.get("SADDLESCAPE_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(
-                f"SADDLESCAPE_JOBS must be an integer, got {env!r}"
-            ) from None
-    return 1
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise ParameterError(f"SADDLESCAPE_JOBS must be an integer, got {env!r}") from None
+    require_count(SADDLESCAPE_JOBS=jobs)
+    return jobs
 
 
 def _default_threshold(land: Landscape, x0: Array) -> float:
@@ -632,8 +649,7 @@ def run_dimension_scaling(
     _check_out_dir(out)
     rows = []
     for p in ps:
-        if p < 1:
-            raise ParameterError(f"p must be >= 1, got {p}")
+        require_count(p=p)
         n = 10**p
         land_id = f"highdim-{n}"
         nc_cfg = ExperimentConfig(

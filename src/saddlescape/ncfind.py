@@ -1,5 +1,6 @@
 """Negative-curvature finding from gradient differences, the exploit step it
-feeds, and the escape-episode loop both escape drivers run."""
+feeds, and the descent loop with escape episodes that nc, snc, pgd and psgd
+share."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .core import (
     Trace,
     TraceRecord,
     check_iterate,
+    require_count,
     require_positive,
     uniform_ball_sample,
     _norm,
@@ -34,7 +36,8 @@ __all__ = [
     "perturb_along_nc",
     "lemma_decrease_bound",
     "exploit",
-    "search_descent",
+    "descend",
+    "curvature_escape",
 ]
 
 _MAX_RESTARTS = 3
@@ -52,8 +55,7 @@ class NCParams:
     rho: float
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        require_count(steps=self.steps)
         if not (0 < self.delta0 <= 1):
             raise ParameterError(f"delta0 must be in (0, 1], got {self.delta0}")
         require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
@@ -78,8 +80,7 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     require_positive(eps=eps)
     if not (0 < delta0 <= 1):
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = math.sqrt(rho * eps)
     if threshold > ell:
@@ -195,33 +196,27 @@ def exploit(
     return x, stop_at_candidate
 
 
-def search_descent(
-    x0: Array,
-    params,
-    trace: Trace,
-    estimate: Callable[[Array, Array], Array],
-    recorder,
-    search: Callable[[Array, int, int], NCOutcome],
-    event: str,
+def descend(
+    x0: Array, params, trace: Trace, estimate: Callable[[Array, Array], Array], recorder,
+    escape: Callable[[Array, int, int], tuple | None], event: str, eta: float,
+    threshold: float,
 ) -> Trace:
-    """Descent loop that runs a curvature search at flat points.
+    """The descent loop of nc, snc, pgd and psgd, with escape episodes.
 
     Each iteration takes a gradient estimate(x, g), where g is the exact
     gradient that x's record took.  When the estimate's norm is at most
-    params.effective_threshold, the cooldown since the last search has
-    passed and at least two iterations remain, x anchors an episode:
-    search(anchor, budget, episode) returns a direction from at most budget
-    steps, each billed as one record at the anchor, and the exploit from the
-    anchor takes one more record; the anchor's f is read from its record.
-    Otherwise x steps against the estimate and the record is tagged event.
-    recorder.value and recorder.gradient score the records and the exploit
-    candidates.  params is a PGDNCParams or SGDNCParams; the loop reads
-    only the fields the two share.
+    threshold and the cooldown since the last episode has passed, x is
+    offered to the episode hook escape(x, t, budget), budget being the
+    iterations left.  The hook returns (new x, record tag, held iterations,
+    stop), or None to decline.  An episode bills each held iteration as one
+    ncf-step record at x and gives the new point one more record under the
+    tag; the loop ends there if stop is set.  Otherwise x steps against the
+    estimate and the record is tagged event.  recorder.value and
+    recorder.gradient score the records; params supplies total_steps,
+    cooldown and trust_region.
     """
     x = np.asarray(x0, dtype=float).copy()
-    eta = params.effective_eta
-    records, meta = trace.records, trace.meta
-    meta["exploits"], meta["candidates"] = [], []
+    records = trace.records
 
     def record(t: int, x: Array, tag: str) -> Array:
         f = recorder.value(x)
@@ -231,44 +226,61 @@ def search_descent(
 
     g_x = record(0, x, event)
     t = 0
-    episode = 0
-    last_search: int | None = None
+    # No cooldown lets any later iteration start the next episode.
+    last, cooldown = -math.inf, params.cooldown or 0
     while t < params.total_steps:
         g = estimate(x, g_x)
-        g_norm = _norm(g)
-        cooled = (
-            last_search is None
-            or params.cooldown is None
-            or t - last_search > params.cooldown
-        )
-        remaining = params.total_steps - t
-        if g_norm <= params.effective_threshold and cooled and remaining >= 2:
-            last_search = t
-            anchor = x
-            anchor_f = records[-1].f
-            outcome = search(anchor, remaining - 1, episode)
-            episode += 1
-            for _ in range(outcome.steps_used):
-                t += 1
-                records.append(
-                    TraceRecord(
-                        t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor
-                    )
-                )
-            t += 1
-            x, stop = exploit(
-                recorder.value, anchor, anchor_f, outcome.e_hat, params.eps, params.rho,
-                params.exploit_step, meta=meta, t=t, stop_at_candidate=params.stop_at_candidate,
-            )
-            g_x = record(t, x, EVENT_NCF_EXPLOIT)
-            if stop:
-                break
-        else:
+        g_norm = records[-1].grad_norm if g is g_x else _norm(g)
+        episode = None
+        if g_norm <= threshold and t - last > cooldown:
+            episode = escape(x, t, params.total_steps - t)
+        if episode is None:
             x = x - eta * g
             t += 1
             g_x = record(t, x, event)
+        else:
+            last = t
+            anchor, anchor_f = x, records[-1].f
+            x, tag, held, stop = episode
+            for _ in range(held):
+                t += 1
+                records.append(
+                    TraceRecord(t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor)
+                )
+            t += 1
+            g_x = record(t, x, tag)
+            if stop:
+                break
         check_iterate(x, params.trust_region, trace)
     return trace
+
+
+def curvature_escape(
+    trace: Trace, params, value: Callable[[Array], float],
+    search: Callable[[Array, int, int], NCOutcome],
+) -> Callable[[Array, int, int], tuple | None]:
+    """Episode hook for descend: search(anchor, budget, episode) returns a
+    direction from at most budget steps, one held iteration each, and the
+    exploit from the anchor (scored by value, its f read from the anchor's
+    record) takes the closing record.  Declines when fewer than two
+    iterations remain.  params is a PGDNCParams or SGDNCParams; the hook
+    reads only the fields the two share.
+    """
+    meta = trace.meta
+    meta["exploits"], meta["candidates"] = [], []
+
+    def escape(anchor: Array, t: int, budget: int):
+        if budget < 2:
+            return None
+        outcome = search(anchor, budget - 1, len(meta["exploits"]))
+        x, stop = exploit(
+            value, anchor, trace.records[-1].f, outcome.e_hat, params.eps, params.rho,
+            params.exploit_step, meta=meta, t=t + outcome.steps_used + 1,
+            stop_at_candidate=params.stop_at_candidate,
+        )
+        return x, EVENT_NCF_EXPLOIT, outcome.steps_used, stop
+
+    return escape
 
 
 def perturb_along_nc(

@@ -18,11 +18,12 @@ from .core import (
     StochasticOracle,
     Trace,
     require_bound,
+    require_count,
     require_nonnegative,
     require_positive,
     _norm,
 )
-from .ncfind import NCOutcome, search_descent
+from .ncfind import NCOutcome, curvature_escape, descend
 
 __all__ = [
     "SNCParams",
@@ -57,10 +58,7 @@ class SNCParams:
     batch_raw: float = 0.0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.batch < 1:
-            raise ParameterError(f"batch must be >= 1, got {self.batch}")
+        require_count(steps=self.steps, batch=self.batch)
         require_positive(
             eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
             ell_tilde=self.ell_tilde,
@@ -83,8 +81,7 @@ def derive_snc_params(
     require_positive(eps=eps, ell_tilde=ell_tilde)
     if not (0 < delta < 1):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = math.sqrt(rho * eps)
     if threshold > ell:
@@ -143,7 +140,6 @@ def snc_find(
     x_tilde: Array,
     params: SNCParams,
     stream: RngStream,
-    batch: int | None = None,
 ) -> NCOutcome:
     """Stochastic curvature search with per-step renormalization.
 
@@ -158,7 +154,6 @@ def snc_find(
     n = x_tilde.shape[0]
     r_s = params.radius
     ell = params.ell
-    m = params.batch if batch is None else batch
     theta_stream = stream.substream("theta")
     xi_stream = stream.substream("xi")
 
@@ -168,7 +163,7 @@ def snc_find(
         ledger = [scale]
         failed = False
         for _ in range(params.steps):
-            diff = oracle.minibatch_diff(x_tilde, x_tilde + y, m, theta_stream)
+            diff = oracle.minibatch_diff(x_tilde, x_tilde + y, params.batch, theta_stream)
             xi = _noise_draw(xi_stream, n, r_s)
             y = y - (1.0 / ell) * (diff + xi / (scale / r_s))
             norm = _norm(y)
@@ -193,7 +188,6 @@ def snc_find_unnormalized(
     x_tilde: Array,
     params: SNCParams,
     stream: RngStream,
-    batch: int | None = None,
 ) -> NCOutcome:
     """Free-running twin of snc_find: same randomness, no renormalization.
 
@@ -206,7 +200,6 @@ def snc_find_unnormalized(
     n = x_tilde.shape[0]
     r_s = params.radius
     ell = params.ell
-    m = params.batch if batch is None else batch
     theta_stream = stream.substream("theta")
     xi_stream = stream.substream("xi")
 
@@ -217,13 +210,13 @@ def snc_find_unnormalized(
             zn = _norm(z)
             if zn > 0.0:
                 diff = oracle.minibatch_diff(
-                    x_tilde, x_tilde + (r_s / zn) * z, m, theta_stream
+                    x_tilde, x_tilde + (r_s / zn) * z, params.batch, theta_stream
                 )
                 g_est = (zn / r_s) * diff
             else:
                 # Consume the same sample draws as the renormalized twin so
                 # the two runs stay aligned stream-for-stream.
-                oracle.minibatch_diff(x_tilde, x_tilde, m, theta_stream)
+                oracle.minibatch_diff(x_tilde, x_tilde, params.batch, theta_stream)
                 g_est = np.zeros(n)
             xi = _noise_draw(xi_stream, n, r_s)
             z = z - (1.0 / ell) * (g_est + xi)
@@ -254,10 +247,7 @@ class SGDNCParams:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        if self.outer_batch < 1:
-            raise ParameterError(f"outer_batch must be >= 1, got {self.outer_batch}")
-        if self.total_steps < 1:
-            raise ParameterError(f"total_steps must be >= 1, got {self.total_steps}")
+        require_count(outer_batch=self.outer_batch, total_steps=self.total_steps)
         require_positive(
             eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
             exploit_step=self.exploit_step,
@@ -334,4 +324,8 @@ def sgd_nc_run(
         trace.meta["samples"] += inner.steps * inner.batch * 2
         return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
 
-    return search_descent(x0, params, trace, estimate, oracle.mean, search, EVENT_SGD)
+    escape = curvature_escape(trace, params, oracle.mean.value, search)
+    return descend(
+        x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
+        params.effective_eta, params.effective_threshold,
+    )

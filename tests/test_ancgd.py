@@ -62,10 +62,6 @@ class TestDerivedConstants:
         assert p.gamma == pytest.approx(p.theta**2 / p.eta)
         assert p.nce_radius == pytest.approx(p.gamma / (4.0 * 2.0))
 
-    def test_free_constant_floor(self):
-        with pytest.raises(ParameterError):
-            derive_anc_params(SmoothnessSpec(4.0, 1.0), 0.01, 0.1, 2, 1.0, c_a=2.0)
-
     def test_curvature_scale_must_fit_spectrum(self):
         with pytest.raises(ParameterError):
             derive_anc_params(SmoothnessSpec(1.0, 1.0), 4.0, 0.1, 2, 1.0)

@@ -71,6 +71,19 @@ class TestRunCommand:
         assert code == 3
         assert "diverged:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("x0", ["1e300,0", "1e100,0"])
+    def test_overflowing_start_diverges_in_paper_mode(self, x0, capsys):
+        # f(x0) is nan or inf, so there is no gap bound to derive the budget
+        # from: the start diverged, whichever mode asked for the bound.
+        code = main([
+            "run", "--alg", "nc", "--fn", "quartic", "--mode", "paper", "--steps", "20",
+            "--trials", "1", "--x0", x0,
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("diverged:")
+
     def test_exponential_far_from_saddle_runs(self):
         # e^(x1^2) overflows at x1 = 30 while f is finite.
         code = main([
@@ -172,6 +185,42 @@ class TestRunCommand:
         for name in _RUN_FUNCTIONS:
             monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
         code = main(["run", "--alg", alg, "--fn", fn, "--trials", "2", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            ("--alg pgd --delta 7", None),
+            ("--alg pgd --delta 0", None),
+            ("--alg pgd --sigma nan", None),
+            ("--alg pgd --sigma -1", None),
+            ("--alg pgd --ncf-steps -2", None),
+            ("--alg pgd --pert 0", None),
+            ("--alg nc --M -1", None),
+            ("--alg nc --gamma -1", None),
+            ("--alg nc --theta 1", None),
+            ("--alg nc --delta-f nan", None),
+            ("--alg nc --delta-f -3", None),
+            ("--alg nc --mode paper --steps 20 --delta-f 0", None),
+            ("--alg nc --jobs 0", None),
+            ("--alg nc --jobs -4", None),
+            ("--alg nc", "0"),
+            ("--alg nc", "-2"),
+        ],
+    )
+    def test_every_knob_range_checked_whatever_the_algorithm(
+        self, flags, env, capsys, monkeypatch
+    ):
+        # Each knob is checked once, on the config, so a knob the chosen
+        # algorithm ignores is rejected too and nothing is clamped.
+        ran = []
+        for name in _RUN_FUNCTIONS:
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        if env is not None:
+            monkeypatch.setenv("SADDLESCAPE_JOBS", env)
+        code = main(["run", "--fn", "quartic", "--trials", "2", *flags.split()])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
         assert ran == []
@@ -316,6 +365,11 @@ class TestDimscaleCommand:
         code = main(["dimscale", "--p", "1", "--trials", "2", "--seed", "0"])
         assert code == 0
         assert "p=1 n=10" in capsys.readouterr().out
+
+    def test_zero_jobs_exits_one(self, capsys):
+        code = main(["dimscale", "--p", "1", "--trials", "2", "--jobs", "0"])
+        assert code == 1
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
     def test_bad_p_list(self, capsys):
         code = main(["dimscale", "--p", "x"])

@@ -188,6 +188,24 @@ class TestPgdBaseline:
         assert EVENT_PERTURB not in trace.events()
         assert trace.decrease() > 0
 
+    def test_matches_pgd_nc_run_when_trigger_never_fires(self):
+        # With a zero trigger threshold neither arm starts an episode, so
+        # both run the same descent loop step for step.
+        land = get_landscape("quartic")
+        x0 = np.array([1.0, 1.0])
+        base = pgd_run(
+            land.oracle, x0,
+            BaselineParams(eta=0.05, radius=0.1, grad_threshold=0.0, total_steps=40),
+            RngStream(0, 0),
+        )
+        nc = pgd_nc_run(land.oracle, x0, _nc_run_params(grad_threshold=0.0, total_steps=40),
+                        RngStream(0, 0))
+        assert len(base.records) == len(nc.records) == 41
+        for a, b in zip(base.records, nc.records):
+            assert (a.t, a.f, a.grad_norm, a.event) == (b.t, b.f, b.grad_norm, b.event)
+            assert np.array_equal(a.x, b.x)
+        assert "exploits" not in base.meta and "candidates" not in base.meta
+
     def test_some_trials_stay_stuck_at_budget(self):
         # With a single perturbation and the calibrated budget, a sizable
         # fraction fails to clear the escape threshold.
@@ -272,6 +290,25 @@ class TestOracleCounts:
         # Values: one per record that is not a search step, plus the two
         # exploit candidates per episode.
         assert trace.meta["f_evals"] == (records - search_steps) + 2 * episodes == 54
+
+    @pytest.mark.parametrize(
+        "x0, perturbs", [((1.5, 0.5), 0), ((0.0, 0.0), 1)], ids=["descent", "perturbed"]
+    )
+    def test_pgd_run(self, x0, perturbs):
+        # From (1.5, 0.5) the gradient is large and every step descends; at
+        # the saddle the first record triggers the one perturbation the
+        # cooldown allows.  Either way each record scores its iterate with
+        # one value and one gradient, the step reuses the record's gradient
+        # and the draw asks the oracle nothing.
+        land = get_landscape("quartic")
+        T = 5
+        params = BaselineParams(
+            eta=0.05, radius=0.1, grad_threshold=0.05, total_steps=T, cooldown=10**9
+        )
+        trace = pgd_run(land.oracle, np.array(x0), params, RngStream(0, 0))
+        assert len(trace.meta["perturbs"]) == trace.events().count(EVENT_PERTURB) == perturbs
+        assert trace.meta["grad_evals"] == T + 1 == 6
+        assert trace.meta["f_evals"] == T + 1 == 6
 
     def test_pagd_run_carries_certificate_values(self):
         # From (1.5, 0.5) the quartic is convex and the gradient is large:
