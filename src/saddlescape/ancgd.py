@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "ANCParams",
     "derive_anc_params",
     "nce_step",
+    "accelerate",
     "ancgd_run",
     "anc_find_unnormalized",
 ]
@@ -160,124 +162,95 @@ def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Arra
     return minus, zero
 
 
-def ancgd_run(
-    oracle: GradientOracle,
-    x0: Array,
-    params: ANCParams,
-    stream: RngStream,
+def accelerate(
+    oracle: CountingOracle, x0: Array, params, trace: Trace, stream: RngStream,
+    threshold: float, cooldown: int, radius: float, window: int,
+    close: Callable[[Array, float, Array, int], tuple[Array, bool]] | None = None,
 ) -> Trace:
-    """Run the accelerated escape loop from x0 for the configured budget.
+    """The momentum loop of ancgd and pagd.
 
-    Iteration shape: a small-gradient trigger replaces the iterate by a
-    uniform ball draw and anchors a curvature-search window; for the next
-    ncf_steps iterations the momentum pair is pinned to the probe sphere
-    around the anchor (x is rescaled by the same factor as z, which keeps
-    the pair's geometry aligned with the unnormalized search); the window
-    ends with a certified exploit step from the anchor.  Outside windows a
-    per-step certificate compares f(x) against the gamma-strongly-convex
-    lower model at z and reroutes through the momentum reset when violated;
-    its f(x_next) and grad f(z_next) serve the next record and step when
-    those arrays become x and z.
+    Each iteration records x and takes one accelerated step from z.  When
+    the gradient norm is at most threshold and more than cooldown iterations
+    have passed since the last trigger, x (the anchor) is replaced by a
+    uniform draw from the radius ball around it and the momentum restarts.
+    With window > 0 the draw opens a search window: the anchor gradient zeta
+    is subtracted from every step, for the next window iterations the
+    momentum pair is pinned to the probe sphere around the anchor (x is
+    rescaled by the same factor as z, which keeps the pair's geometry
+    aligned with the unnormalized search), and at its end close(anchor,
+    anchor_f, direction, t) takes the unit direction the pair drifted toward
+    and returns the point of record t, where the loop restarts, and whether
+    the loop stops there.  With window = 0 the draw only re-seeds the
+    iterate.  Outside windows a per-step certificate compares f(x) against
+    the gamma-strongly-convex lower model at z and reroutes through the
+    momentum reset when violated; its f(x_next) and grad f(z_next) serve the
+    next record and step when those arrays become x and z.  params supplies
+    eta, theta, gamma, nce_radius, total_steps and trust_region; the
+    oracle's call counts end up in trace.meta.
     """
-    counted = CountingOracle(oracle)
-    x = np.asarray(x0, dtype=float).copy()
-    z = x
-    zeta = np.zeros_like(x)
-    v = np.zeros_like(x)
+    x = z = np.asarray(x0, dtype=float).copy()
+    v = zeta = np.zeros_like(x)
     eta, theta = params.eta, params.theta
-    anchor: Array | None = None
-    anchor_f = 0.0
+    records, meta = trace.records, trace.meta
+    # The first small gradient triggers, whatever the cooldown.
+    last = -math.inf
     x_scored = z_scored = g_z_next = None
     f_x_next = 0.0
-    t_perturb: int | None = None
-    pending_event = EVENT_AGD
-    trace = Trace.start("ancgd", stream, eta=eta, perturbs=[], exploits=[], candidates=[])
-    records, meta = trace.records, trace.meta
-    stopped = False
+    event = EVENT_AGD
+    stop = False
 
     for t in range(params.total_steps + 1):
-        g_x = counted.gradient(x)
+        g_x = oracle.gradient(x)
         g_norm = _norm(g_x)
-        records.append(
-            TraceRecord(
-                t=t,
-                f=f_x_next if x is x_scored else counted.value(x),
-                grad_norm=g_norm,
-                event=pending_event,
-                x=x,
-                v_norm=_norm(v),
-            )
-        )
-        if t == params.total_steps or stopped:
+        f = f_x_next if x is x_scored else oracle.value(x)
+        records.append(TraceRecord(t=t, f=f, grad_norm=g_norm, event=event, x=x, v_norm=_norm(v)))
+        if t == params.total_steps or stop:
             break
-        pending_event = EVENT_AGD
+        event = EVENT_AGD
 
-        in_window = t_perturb is not None and t - t_perturb < params.ncf_steps
-        trigger = g_norm <= params.effective_threshold and (
-            t_perturb is None or t - t_perturb > params.effective_cooldown
-        )
-        if trigger:
-            anchor = x
-            anchor_f = records[-1].f
-            zeta = g_x
-            x = uniform_ball_sample(anchor, params.perturb_radius, stream)
-            z = x
+        if g_norm <= threshold and t - last > cooldown:
+            anchor, anchor_f, last = x, f, t
+            x = z = uniform_ball_sample(anchor, radius, stream)
             v = np.zeros_like(x)
-            t_perturb = t
-            in_window = True
-            pending_event = EVENT_NCF_STEP
-            meta["perturbs"].append(
-                {"t": t, "anchor": anchor, "offset": x - anchor}
-            )
-            records[-1] = TraceRecord(
-                t=t,
-                f=records[-1].f,
-                grad_norm=records[-1].grad_norm,
-                event=EVENT_PERTURB,
-                x=records[-1].x,
-                v_norm=records[-1].v_norm,
-            )
-        elif t_perturb is not None and t - t_perturb == params.ncf_steps and anchor is not None:
-            # End of the search window: exploit the direction the momentum
-            # pair drifted toward, then restart the loop from the winner.
+            if window > 0:
+                # The anchor's record marks the draw; the window's records
+                # are search steps.
+                zeta = g_x
+                records[-1].event = EVENT_PERTURB
+                meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
+            else:
+                event = EVENT_PERTURB
+                meta["perturbs"].append({"t": t, "x": x})
+        elif t - last == window:
+            # End of the search window: close maps the direction the
+            # momentum pair drifted toward to the next record's point.
             diff = x - anchor
             dn = _norm(diff)
-            if dn > 0.0:
-                # The exploit's outcome is the next record, t + 1.
-                x, stopped = exploit(
-                    counted.value, anchor, anchor_f, diff / dn, params.eps, params.rho,
-                    params.exploit_step, meta=meta, t=t + 1,
-                    stop_at_candidate=params.stop_at_candidate,
-                )
-            else:
-                x = anchor
+            x, stop = close(anchor, anchor_f, diff / dn, t + 1) if dn > 0.0 else (anchor, False)
             z = x
-            v = np.zeros_like(x)
-            zeta = np.zeros_like(x)
-            in_window = False
-            pending_event = EVENT_NCF_EXPLOIT
+            v = zeta = np.zeros_like(x)
+            event = EVENT_NCF_EXPLOIT
 
-        g_z = g_z_next if z is z_scored else counted.gradient(z)
+        g_z = g_z_next if z is z_scored else oracle.gradient(z)
         x_next = z - eta * (g_z - zeta)
         v_next = x_next - x
         z_next = x_next + (1.0 - theta) * v_next
 
-        if in_window and anchor is not None:
+        if t - last < window:
             z_off = z_next - anchor
             zn = _norm(z_off)
             if zn > 0.0:
-                scale = params.perturb_radius / zn
+                scale = radius / zn
                 # Both offsets shrink by the z factor, not their own norms:
                 # the pair stays a rigid rescaling of the free-space iterates.
                 z_next = anchor + scale * z_off
                 x_next = anchor + scale * (x_next - anchor)
                 v_next = x_next - x
-            if pending_event == EVENT_AGD:
-                pending_event = EVENT_NCF_STEP
+            event = EVENT_NCF_STEP
         else:
-            f_x_next = counted.value(x_next)
-            f_z_next = counted.value(z_next)
-            g_z_next = counted.gradient(z_next)
+            f_x_next = oracle.value(x_next)
+            f_z_next = oracle.value(z_next)
+            g_z_next = oracle.gradient(z_next)
             x_scored, z_scored = x_next, z_next
             gap = x_next - z_next
             model = (
@@ -286,17 +259,47 @@ def ancgd_run(
                 - 0.5 * params.gamma * float(np.dot(gap, gap))
             )
             if f_x_next <= model:
-                x_next, v_next = nce_step(counted, x_next, v_next, params.nce_radius)
+                x_next, v_next = nce_step(oracle, x_next, v_next, params.nce_radius)
                 z_next = x_next + (1.0 - theta) * v_next
-                if pending_event == EVENT_AGD:
-                    pending_event = EVENT_NCE
+                if event == EVENT_AGD:
+                    event = EVENT_NCE
 
         x, z, v = x_next, z_next, v_next
         check_iterate(x, params.trust_region, trace)
 
-    meta["f_evals"] = counted.f_evals
-    meta["grad_evals"] = counted.grad_evals
+    meta["f_evals"] = oracle.f_evals
+    meta["grad_evals"] = oracle.grad_evals
     return trace
+
+
+def ancgd_run(
+    oracle: GradientOracle,
+    x0: Array,
+    params: ANCParams,
+    stream: RngStream,
+) -> Trace:
+    """Run the accelerated escape loop from x0 for the configured budget.
+
+    Each trigger opens a window of ncf_steps pinned search steps, closed by
+    a certified exploit step from the anchor along the direction the
+    momentum pair drifted toward (see accelerate).
+    """
+    counted = CountingOracle(oracle)
+    trace = Trace.start(
+        "ancgd", stream, eta=params.eta, perturbs=[], exploits=[], candidates=[]
+    )
+
+    def close(anchor: Array, anchor_f: float, direction: Array, t: int):
+        return exploit(
+            counted.value, anchor, anchor_f, direction, params.eps, params.rho,
+            params.exploit_step, meta=trace.meta, t=t,
+            stop_at_candidate=params.stop_at_candidate,
+        )
+
+    return accelerate(
+        counted, x0, params, trace, stream, params.effective_threshold,
+        params.effective_cooldown, params.perturb_radius, params.ncf_steps, close,
+    )
 
 
 def anc_find_unnormalized(

@@ -33,18 +33,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    try:
-        return int(low)
-    except ValueError:
-        pass
-    try:
-        return float(low)
-    except ValueError:
-        pass
-    return low
+    text = text.strip()
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def read_config(path: str) -> dict:

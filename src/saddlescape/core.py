@@ -63,31 +63,36 @@ class AlgorithmError(RuntimeError):
     """Raised when an iteration reaches a state the algorithm cannot recover from."""
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """True for an instance of the numeric kind that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def require_positive(**values) -> None:
     """Reject any given value that is not positive and finite; None is skipped."""
     for name, value in values.items():
-        if value is not None and not (value > 0 and math.isfinite(value)):
+        if value is not None and not (_is_number(value) and value > 0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def require_nonnegative(**values) -> None:
     """Reject any given value that is negative or not finite; None is skipped."""
     for name, value in values.items():
-        if value is not None and not (value >= 0 and math.isfinite(value)):
+        if value is not None and not (_is_number(value) and value >= 0 and math.isfinite(value)):
             raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def require_count(**values) -> None:
     """Reject any given value that is not an integer >= 1; None is skipped."""
     for name, value in values.items():
-        if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
+        if value is not None and not (_is_number(value, numbers.Integral) and value >= 1):
             raise ParameterError(f"{name} must be an integer >= 1, got {value}")
 
 
 def require_bound(**values) -> None:
     """Reject any given bound that is NaN or not positive; inf means no bound."""
     for name, value in values.items():
-        if not value > 0:
+        if not (_is_number(value) and value > 0):
             raise ParameterError(f"{name} must be positive (inf for no bound), got {value}")
 
 

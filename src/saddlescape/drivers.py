@@ -8,13 +8,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .core import (
     Array,
-    EVENT_AGD,
     EVENT_GD,
-    EVENT_NCE,
     EVENT_PERTURB,
     EVENT_SGD,
     CountingOracle,
@@ -24,18 +20,17 @@ from .core import (
     SmoothnessSpec,
     StochasticOracle,
     Trace,
-    TraceRecord,
-    check_iterate,
     gaussian_sample,
     require_bound,
     require_count,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
-    _norm,
 )
-from .ancgd import nce_step
-from .ncfind import NCParams, curvature_escape, derive_nc_params, descend, nc_find
+from .ancgd import accelerate
+from .ncfind import (
+    NCParams, _descent_budget, curvature_escape, derive_nc_params, descend, nc_find,
+)
 
 __all__ = [
     "PGDNCParams",
@@ -97,13 +92,9 @@ def derive_pgdnc_params(
     ell, rho = spec.ell, spec.rho
     delta0 = delta_overall / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho)
     nc = derive_nc_params(spec, eps, min(delta0, 1.0), n)
-    budget = max(
-        8.0 * ell * delta_f_bound / eps**2,
-        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
-    )
     return PGDNCParams(
         nc=nc,
-        total_steps=max(1, math.ceil(budget)),
+        total_steps=_descent_budget(ell, rho, eps, delta_f_bound),
         eps=eps,
         ell=ell,
         rho=rho,
@@ -208,77 +199,18 @@ def pagd_run(
     params: BaselineParams,
     stream: RngStream,
 ) -> Trace:
-    """Accelerated descent with ball perturbations and the momentum reset.
-
-    Same momentum loop as the accelerated escape algorithm, but the
-    perturbation only re-seeds the iterate (no anchor gradient, no pinned
-    window, no exploit step); the per-step certificate and momentum reset
-    still run every iteration.  The certificate's f(x_next) and
-    grad f(z_next) serve the next record and step when those arrays become
-    x and z.
-    """
+    """Accelerated descent with ball perturbations and the momentum reset:
+    the momentum loop of the accelerated escape algorithm with an empty
+    search window, so a draw only re-seeds the iterate (no anchor gradient,
+    no pinned steps, no exploit step) while the per-step certificate and
+    momentum reset still run every iteration."""
     if params.theta is None or params.gamma is None or params.nce_radius is None:
         raise ParameterError("pagd_run needs theta, gamma, and nce_radius")
-    counted = CountingOracle(oracle)
-    x = np.asarray(x0, dtype=float).copy()
-    z = x
-    v = np.zeros_like(x)
     trace = Trace.start("pagd", stream, perturbs=[])
-    records, meta = trace.records, trace.meta
-    last: int | None = None
-    event = EVENT_AGD
-    x_scored = z_scored = g_z_next = None
-    f_x_next = 0.0
-    for t in range(params.total_steps + 1):
-        g = counted.gradient(x)
-        g_norm = _norm(g)
-        records.append(
-            TraceRecord(
-                t=t,
-                f=f_x_next if x is x_scored else counted.value(x),
-                grad_norm=g_norm,
-                event=event,
-                x=x,
-                v_norm=_norm(v),
-            )
-        )
-        if t == params.total_steps:
-            break
-        event = EVENT_AGD
-        if (
-            g_norm <= params.grad_threshold
-            and (last is None or params.cooldown is None or t - last > params.cooldown)
-        ):
-            x = uniform_ball_sample(x, params.radius, stream)
-            z = x
-            v = np.zeros_like(x)
-            last = t
-            event = EVENT_PERTURB
-            meta["perturbs"].append({"t": t, "x": x})
-        g_z = g_z_next if z is z_scored else counted.gradient(z)
-        x_next = z - params.eta * g_z
-        v_next = x_next - x
-        z_next = x_next + (1.0 - params.theta) * v_next
-        f_x_next = counted.value(x_next)
-        f_z_next = counted.value(z_next)
-        g_z_next = counted.gradient(z_next)
-        x_scored, z_scored = x_next, z_next
-        gap = x_next - z_next
-        model = (
-            f_z_next
-            + float(np.dot(g_z_next, gap))
-            - 0.5 * params.gamma * float(np.dot(gap, gap))
-        )
-        if f_x_next <= model:
-            x_next, v_next = nce_step(counted, x_next, v_next, params.nce_radius)
-            z_next = x_next + (1.0 - params.theta) * v_next
-            if event == EVENT_AGD:
-                event = EVENT_NCE
-        x, z, v = x_next, z_next, v_next
-        check_iterate(x, params.trust_region, trace)
-    meta["f_evals"] = counted.f_evals
-    meta["grad_evals"] = counted.grad_evals
-    return trace
+    return accelerate(
+        CountingOracle(oracle), x0, params, trace, stream, params.grad_threshold,
+        params.cooldown or 0, params.radius, 0,
+    )
 
 
 def psgd_run(

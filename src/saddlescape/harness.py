@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .core import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    _is_number,
     require_bound,
     require_count,
     require_nonnegative,
@@ -139,7 +141,11 @@ class ExperimentConfig:
             )
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
-        if self.threshold is not None and not math.isfinite(self.threshold):
+        if not _is_number(self.seed, numbers.Integral):
+            raise ParameterError(f"seed must be an integer, got {self.seed}")
+        if self.threshold is not None and not (
+            _is_number(self.threshold) and math.isfinite(self.threshold)
+        ):
             raise ParameterError(f"threshold must be finite, got {self.threshold}")
         if self.trust_region is not None:
             require_bound(trust_region=self.trust_region)
@@ -154,9 +160,9 @@ class ExperimentConfig:
             trials=self.trials, steps=self.steps, batch=self.batch,
             outer_batch=self.outer_batch, ncf_steps=self.ncf_steps, jobs=self.jobs,
         )
-        if self.delta is not None and not (0 < self.delta <= 1):
+        if self.delta is not None and not (_is_number(self.delta) and 0 < self.delta <= 1):
             raise ParameterError(f"delta must be in (0, 1], got {self.delta}")
-        if self.theta is not None and not (0 < self.theta < 1):
+        if self.theta is not None and not (_is_number(self.theta) and 0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
 
 
@@ -320,7 +326,7 @@ class _Setting:
     knobs: dict
     eps: float
     delta: float
-    delta_f: float
+    delta_f: float | None
     rho_loc: float
     ell_tilde: float
 
@@ -506,7 +512,7 @@ def _trial_trace(payload: dict, land: Landscape, trial: int):
         knobs=k,
         eps=k.get("eps", 0.01),
         delta=k.get("delta", 0.1),
-        delta_f=_gap_bound(land, x0) if k.get("delta_f") is None else k["delta_f"],
+        delta_f=payload["delta_f"],
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
     )
@@ -557,18 +563,18 @@ def _resolve_jobs(cfg_jobs: int | None) -> int:
     return jobs
 
 
-def _default_threshold(land: Landscape, x0: Array) -> float:
-    return 0.9 * _gap_bound(land, x0)
-
-
 def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
     """Resolve recipes and defaults into the per-trial work description;
     land is cfg.landscape, already built by the caller."""
     knobs = _resolve_knobs(cfg)
     x0 = _start_point({"x0": cfg.x0}, land)
-    threshold = knobs.get("threshold")
-    if threshold is None:
-        threshold = _default_threshold(land, x0)
+    threshold, delta_f = knobs.get("threshold"), knobs.get("delta_f")
+    # The gap bound f(x0) - min f sets the default escape threshold and, in
+    # paper mode, the derived budgets; an explicit delta_f wins.
+    if threshold is None or (delta_f is None and cfg.mode == "paper"):
+        gap = _gap_bound(land, x0)
+        threshold = 0.9 * gap if threshold is None else threshold
+        delta_f = gap if delta_f is None else delta_f
     return {
         "algorithm": cfg.algorithm,
         "landscape": cfg.landscape,
@@ -576,6 +582,7 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         "seed": cfg.seed,
         "x0": None if cfg.x0 is None else tuple(cfg.x0),
         "threshold": float(threshold),
+        "delta_f": delta_f,
         "knobs": knobs,
     }
 

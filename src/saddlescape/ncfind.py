@@ -93,6 +93,16 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     return NCParams(steps=steps, radius=radius, eps=eps, delta0=delta0, ell=ell, rho=rho)
 
 
+def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) -> int:
+    """Step budget of nc and snc: the larger of the gradient-step and the
+    certified-escape counts that would use up the gap delta_f_bound."""
+    budget = max(
+        8.0 * ell * delta_f_bound / eps**2,
+        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
+    )
+    return max(1, math.ceil(budget))
+
+
 def nc_find(
     oracle: GradientOracle,
     x_tilde: Array,

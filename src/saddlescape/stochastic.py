@@ -23,7 +23,7 @@ from .core import (
     require_positive,
     _norm,
 )
-from .ncfind import NCOutcome, curvature_escape, descend
+from .ncfind import NCOutcome, _descent_budget, curvature_escape, descend
 
 __all__ = [
     "SNCParams",
@@ -283,14 +283,10 @@ def derive_sgdnc_params(
     delta = delta_overall / (2304.0 * delta_f_bound) * math.sqrt(eps**3 / rho)
     snc = derive_snc_params(spec, ell_tilde, eps, delta, n)
     outer_batch = max(1, math.ceil(16.0 * ell * delta_f_bound / eps**2))
-    budget = max(
-        8.0 * ell * delta_f_bound / eps**2,
-        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
-    )
     return SGDNCParams(
         snc=snc,
         outer_batch=outer_batch,
-        total_steps=max(1, math.ceil(budget)),
+        total_steps=_descent_budget(ell, rho, eps, delta_f_bound),
         eps=eps,
         ell=ell,
         rho=rho,

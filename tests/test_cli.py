@@ -292,6 +292,21 @@ class TestConfigFile:
             "eta": 0.5, "trials": 12, "fn": "quartic", "mode": "experiment"
         }
 
+    @pytest.mark.parametrize(
+        "line",
+        ["eta = abc", "seed = abc", "threshold = abc", "trust_region = abc",
+         "eta = true", "steps = true"],
+    )
+    def test_non_numeric_value_is_usage_error(self, tmp_path, capsys, line):
+        # Words are kept as strings (no field is boolean, so "true" is one
+        # too) and every numeric field rejects them by name.
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"alg = pgd\nfn = quartic\ntrials = 1\n{line}\n")
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {line.split()[0]} must" in err
+        assert "Traceback" not in err
+
     def test_read_config_bad_line(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("eta 0.5\n")

@@ -244,6 +244,9 @@ class TestPagdBaseline:
         events = trace.events()
         k = events.index(EVENT_PERTURB)
         assert len(trace.meta["perturbs"]) == 1
+        # The zero gradient at the start triggers at once; the draw's own
+        # record is the next one, tagged as the perturbation.
+        assert k == 1 and trace.meta["perturbs"][0]["t"] == 0
         # The draw replaced x with v reset; the very next step starts from it.
         draw = trace.meta["perturbs"][0]["x"]
         assert np.linalg.norm(draw) <= 0.08 + 1e-12
@@ -327,6 +330,25 @@ class TestOracleCounts:
         # Values: the first record only (later x is the certified x_next),
         # f(x_next) and f(z_next) per step.
         assert trace.meta["f_evals"] == 1 + 2 * T == 11
+
+    def test_pagd_run_perturbed(self):
+        # At the saddle the first record triggers the one draw the cooldown
+        # allows.  The draw asks the oracle nothing and becomes z as well as
+        # x, so grad f(z) at t = 0 is fresh, as it is without a draw; the
+        # draw's record and every later one reuse the certificate's values.
+        # The certificate holds throughout (a reset of the short momentum
+        # would cost two values).
+        land = get_landscape("quartic")
+        T = 8
+        params = BaselineParams(
+            eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=T, cooldown=10**9,
+            theta=0.042, gamma=0.0355, nce_radius=0.0089,
+        )
+        trace = pagd_run(land.oracle, np.zeros(2), params, RngStream(0, 0))
+        assert trace.events() == [EVENT_AGD, EVENT_PERTURB] + [EVENT_AGD] * (T - 1)
+        assert [p["t"] for p in trace.meta["perturbs"]] == [0]
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
+        assert trace.meta["f_evals"] == 1 + 2 * T == 17
 
     def test_pagd_run_after_momentum_reset(self):
         # Near the saddle the certificate fails.  With a reset radius far

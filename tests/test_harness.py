@@ -61,6 +61,27 @@ class TestExperimentConfig:
         # Saddle value 0, minimum value -1: escape bar is 90% of the gap.
         assert payload["threshold"] == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("mode, calls", [("experiment", 0), ("paper", 1)])
+    def test_gap_bound_computed_at_most_once(self, monkeypatch, mode, calls):
+        # The pgd recipe sets the escape threshold, so experiment mode never
+        # needs the gap bound; paper mode takes it once for every trial's
+        # budget and the default threshold.
+        gap_bound = harness._gap_bound
+        seen = []
+        monkeypatch.setattr(
+            harness, "_gap_bound", lambda land, x0: seen.append(x0) or gap_bound(land, x0)
+        )
+        cfg = ExperimentConfig(
+            algorithm="pgd", landscape="quartic", mode=mode, trials=5, steps=20
+        )
+        run_experiment(cfg)
+        assert len(seen) == calls
+
+    def test_payload_keeps_explicit_delta_f(self):
+        cfg = ExperimentConfig(algorithm="nc", landscape="quartic", mode="paper", delta_f=2.5)
+        payload = build_payload(cfg, get_landscape("quartic"))
+        assert (payload["delta_f"], payload["threshold"]) == (2.5, pytest.approx(0.9))
+
     def test_x0_dimension_checked(self):
         cfg = ExperimentConfig(
             algorithm="nc", landscape="quartic", trials=1, x0=(0.0, 0.0, 0.0)

@@ -1,6 +1,7 @@
-"""Package surface and demos: every exported name resolves and every demo
-imports against the current API."""
+"""Package surface and demos: every exported name resolves, every demo
+imports against the current API, and no module keeps a dead import."""
 
+import ast
 import importlib
 import pkgutil
 import runpy
@@ -29,3 +30,30 @@ def test_demo_imports(path):
     # definitions) without the demo itself.
     namespace = runpy.run_path(str(path), run_name="smoke")
     assert namespace["__name__"] == "smoke"
+
+
+SOURCES = sorted(
+    path for path in Path(saddlescape.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=lambda path: path.stem)
+def test_no_unused_imports(module):
+    # A name bound by a top-level import must be used in the code or named
+    # in a string constant (the harness looks its run functions up by name).
+    tree = ast.parse(module.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    assert sorted(imported - used) == []
