@@ -53,7 +53,9 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = _coerce(val)
+            key = key.strip().replace("-", "_")
+            text = key in ("fn", "landscape", "out", "x0")  # kept as text even if numeric
+            values[key] = val.strip() if text else _coerce(val)
     return values
 
 
@@ -113,7 +115,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--steps", type=int, help="iteration budget per trial")
     p.add_argument("--out", help="output path; writes .csv and .summary.json")
-    p.add_argument("--jobs", type=int, help="worker processes (or SADDLESCAPE_JOBS)")
+    p.add_argument("--jobs", type=int, help="workers, at most the CPUs (or SADDLESCAPE_JOBS)")
     p.add_argument("--eta", type=float, help="step size")
     p.add_argument("--r", type=float, help="perturbation/probe radius")
     p.add_argument("--sigma", type=float, help="gradient noise level")
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--p", default="1,2,3", help="comma list of exponents")
     p_dim.add_argument("--trials", type=int, default=100)
     p_dim.add_argument("--seed", type=int, default=0)
-    p_dim.add_argument("--jobs", type=int, default=None)
+    p_dim.add_argument("--jobs", type=int, help="workers, at most the CPUs (or SADDLESCAPE_JOBS)")
     p_dim.add_argument("--out", help="CSV output path")
     p_dim.set_defaults(func=_cmd_dimscale)
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,6 +139,10 @@ class ExperimentConfig:
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        if not isinstance(self.landscape, str):
+            raise ParameterError(f"landscape must be a string, got {self.landscape!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ParameterError(f"out must be a string, got {self.out!r}")
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if not _is_number(self.seed, numbers.Integral):
@@ -550,17 +554,27 @@ def _run_chunk(args: tuple) -> list[TrialResult]:
 
 
 def _resolve_jobs(cfg_jobs: int | None) -> int:
-    if cfg_jobs is not None:
-        return cfg_jobs
+    """jobs= or SADDLESCAPE_JOBS, capped at the CPUs this process may use."""
     env = os.environ.get("SADDLESCAPE_JOBS", "").strip()
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise ParameterError(f"SADDLESCAPE_JOBS must be an integer, got {env!r}") from None
-    require_count(SADDLESCAPE_JOBS=jobs)
-    return jobs
+    if cfg_jobs is None and env:
+        try:
+            cfg_jobs = int(env)
+        except ValueError:
+            raise ParameterError(f"SADDLESCAPE_JOBS must be an integer, got {env!r}") from None
+        require_count(SADDLESCAPE_JOBS=cfg_jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(1 if cfg_jobs is None else cfg_jobs, cpus or 1)
+
+
+def _open_pool(workers: int):
+    """The process pool of one experiment or one sweep, or a null context
+    (no pool) for one worker.  Its workers start with the first chunk and
+    are joined when the context exits."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
@@ -597,17 +611,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     order, so outputs are byte-identical for any job count.
     """
     _check_out_dir(cfg.out)
-    jobs = _resolve_jobs(cfg.jobs)
+    workers = min(_resolve_jobs(cfg.jobs), cfg.trials)
+    with _open_pool(workers) as pool:
+        return _run_experiment(cfg, pool, workers)
+
+
+def _run_experiment(cfg: ExperimentConfig, pool, workers: int) -> ExperimentResult:
+    """run_experiment on a pool of `workers` opened by the caller (None:
+    serial), so that a sweep forks one pool for all its experiments."""
     land = get_landscape(cfg.landscape)
     payload = build_payload(cfg, land)
-    if jobs > 1 and cfg.trials > 1:
-        jobs = min(jobs, cfg.trials)
-        bounds = [cfg.trials * i // jobs for i in range(jobs + 1)]
-        tasks = [(payload, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for chunk in pool.map(_run_chunk, tasks) for row in chunk]
-    else:
+    if pool is None:
         rows = [_run_trial(payload, land, trial) for trial in range(cfg.trials)]
+    else:
+        bounds = [cfg.trials * i // workers for i in range(workers + 1)]
+        tasks = [(payload, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        rows = [row for chunk in pool.map(_run_chunk, tasks) for row in chunk]
     hist = HistogramSummary.from_decreases([r.decrease for r in rows])
     result = ExperimentResult(
         config=cfg, rows=rows, histogram=hist, threshold=payload["threshold"]
@@ -654,35 +673,38 @@ def run_dimension_scaling(
     """Escape rates across dimensions n = 10**p under the published budgets:
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10."""
     _check_out_dir(out)
+    require_count(trials=trials)
+    workers = min(_resolve_jobs(jobs), trials)
     rows = []
-    for p in ps:
-        require_count(p=p)
-        n = 10**p
-        land_id = f"highdim-{n}"
-        nc_cfg = ExperimentConfig(
-            algorithm="nc", landscape=land_id, mode="experiment", trials=trials,
-            seed=seed, steps=30 * p, ncf_steps=30 * p - 2, eta=0.2, radius=0.1,
-            eps=0.05, exploit_step=2.0, grad_threshold=0.05, threshold=0.9,
-            jobs=jobs,
-        )
-        pgd_cfg = ExperimentConfig(
-            algorithm="pgd", landscape=land_id, mode="experiment", trials=trials,
-            seed=seed, steps=20 * p * p + 10, eta=0.2, radius=0.1,
-            grad_threshold=0.05, cooldown=_NEVER, threshold=0.9, jobs=jobs,
-        )
-        nc_res = run_experiment(nc_cfg)
-        pgd_res = run_experiment(pgd_cfg)
-        rows.append(
-            {
-                "p": p,
-                "n": n,
-                "trials": trials,
-                "nc_steps": 30 * p,
-                "pgd_steps": 20 * p * p + 10,
-                "nc_escape_rate": nc_res.escape_rate,
-                "pgd_escape_rate": pgd_res.escape_rate,
-            }
-        )
+    with _open_pool(workers) as pool:
+        for p in ps:
+            require_count(p=p)
+            n = 10**p
+            land_id = f"highdim-{n}"
+            nc_cfg = ExperimentConfig(
+                algorithm="nc", landscape=land_id, mode="experiment", trials=trials,
+                seed=seed, steps=30 * p, ncf_steps=30 * p - 2, eta=0.2, radius=0.1,
+                eps=0.05, exploit_step=2.0, grad_threshold=0.05, threshold=0.9,
+                jobs=jobs,
+            )
+            pgd_cfg = ExperimentConfig(
+                algorithm="pgd", landscape=land_id, mode="experiment", trials=trials,
+                seed=seed, steps=20 * p * p + 10, eta=0.2, radius=0.1,
+                grad_threshold=0.05, cooldown=_NEVER, threshold=0.9, jobs=jobs,
+            )
+            nc_res = _run_experiment(nc_cfg, pool, workers)
+            pgd_res = _run_experiment(pgd_cfg, pool, workers)
+            rows.append(
+                {
+                    "p": p,
+                    "n": n,
+                    "trials": trials,
+                    "nc_steps": 30 * p,
+                    "pgd_steps": 20 * p * p + 10,
+                    "nc_escape_rate": nc_res.escape_rate,
+                    "pgd_escape_rate": pgd_res.escape_rate,
+                }
+            )
     if out:
         with open(out, "w") as fh:
             fh.write("p,n,trials,nc_steps,pgd_steps,nc_escape_rate,pgd_escape_rate\n")

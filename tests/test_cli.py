@@ -307,6 +307,28 @@ class TestConfigFile:
         assert f"error: {line.split()[0]} must" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ("out = 123", 0, None),
+            ("fn = 5", 1, "error: unknown landscape id: '5'"),
+            ("x0 = 1", 1, "error: x0 has dimension 1, expected 2"),
+        ],
+    )
+    def test_text_fields_stay_text(self, tmp_path, monkeypatch, capsys, line, code, message):
+        # landscape, out and x0 keep their text even when it reads as a number.
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "text.cfg"
+        cfg_file.write_text(f"alg = pgd\nfn = quartic\ntrials = 1\n{line}\n")
+        assert main(["run", "--config", str(cfg_file)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is None:
+            assert "error:" not in err
+            assert (tmp_path / "123.csv").is_file()
+        else:
+            assert message in err
+
     def test_read_config_bad_line(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("eta 0.5\n")

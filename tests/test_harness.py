@@ -1,7 +1,9 @@
 """Experiment harness: configs, histograms, outputs, verification sweep."""
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +30,40 @@ from saddlescape import harness
 from saddlescape.harness import _resolve_knobs, build_payload
 
 
+def _pin_cpus(monkeypatch, count):
+    """Make harness see `count` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch, two_cpus):
+    """Replace the process pool by one that runs its tasks in this process
+    and logs its life, so pool bookkeeping is tested without forking."""
+    log = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+            log.append(("open", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            log.append(("shutdown", self.workers))
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
 class TestExperimentConfig:
     def test_aliases_normalize(self):
         assert ExperimentConfig(algorithm="pgd-nc", landscape="quartic").algorithm == "nc"
@@ -42,6 +78,11 @@ class TestExperimentConfig:
             ExperimentConfig(algorithm="nc", landscape="quartic", mode="fast")
         with pytest.raises(ParameterError):
             ExperimentConfig(algorithm="nc", landscape="quartic", trials=0)
+
+    @pytest.mark.parametrize("field", [{"landscape": 5}, {"landscape": None}, {"out": 123}])
+    def test_rejects_non_text_landscape_and_out(self, field):
+        with pytest.raises(ParameterError, match="must be a string"):
+            ExperimentConfig(**{"algorithm": "nc", "landscape": "quartic", **field})
 
     def test_recipe_overlay_precedence(self):
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", eta=0.123)
@@ -145,7 +186,9 @@ class TestRunExperiment:
         "algorithm, landscape, trials",
         [("pgd", "quartic", 6), ("snc", "cubic", 13)],  # 13 = ragged chunks under 2 jobs
     )
-    def test_serial_and_parallel_outputs_identical(self, tmp_path, algorithm, landscape, trials):
+    def test_serial_and_parallel_outputs_identical(
+        self, tmp_path, two_cpus, algorithm, landscape, trials
+    ):
         outs = {}
         for jobs in (1, 2):
             out = str(tmp_path / f"jobs{jobs}")
@@ -188,6 +231,59 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert [r.f_final for r in a.rows] == [r.f_final for r in b.rows]
+
+
+class TestProcessPool:
+    """At most two worker processes are alive at any time in these tests."""
+
+    @staticmethod
+    def _cfg(jobs, out=None, **kw):
+        kw = {"algorithm": "pgd", "landscape": "quartic", "trials": 6, **kw}
+        return ExperimentConfig(seed=0, jobs=jobs, out=out, **kw)
+
+    def test_jobs_capped_at_available_cpus(self, monkeypatch, two_cpus):
+        monkeypatch.delenv("SADDLESCAPE_JOBS", raising=False)
+        assert [harness._resolve_jobs(j) for j in (None, 1, 2, 3, 100000)] == [1, 1, 2, 2, 2]
+        monkeypatch.setenv("SADDLESCAPE_JOBS", "100000")
+        assert harness._resolve_jobs(None) == 2
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness._resolve_jobs(8) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._resolve_jobs(8) == 1
+
+    def test_pool_never_wider_than_cpus(self, inline_pool):
+        rows = run_experiment(self._cfg(100000, trials=100)).rows
+        assert inline_pool == [("open", 2), ("shutdown", 2)]
+        assert rows == run_experiment(self._cfg(1, trials=100)).rows
+
+    def test_each_experiment_shuts_its_pool(self, inline_pool):
+        run_experiment(self._cfg(2))
+        run_experiment(self._cfg(2, trials=1))  # one trial: serial, no pool
+        with pytest.raises(ParameterError):
+            run_experiment(self._cfg(2, x0=(1.0,)))
+        assert inline_pool == [("open", 2), ("shutdown", 2)] * 2
+
+    def test_sweep_shuts_its_pool_on_error(self, inline_pool):
+        with pytest.raises(ParameterError):
+            run_dimension_scaling([1, 0], trials=4, jobs=2)
+        assert inline_pool == [("open", 2), ("shutdown", 2)]
+
+    def test_one_pool_per_sweep(self, monkeypatch, two_cpus):
+        made = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Spy(real):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        rows = run_dimension_scaling([1, 2, 3], trials=4, jobs=2)
+        assert made == [{"max_workers": 2}]
+        assert rows == run_dimension_scaling([1, 2, 3], trials=4, jobs=1)
 
 
 class TestDimensionScaling:

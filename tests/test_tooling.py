@@ -4,7 +4,10 @@ imports against the current API, and no module keeps a dead import."""
 import ast
 import importlib
 import pkgutil
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,17 @@ def test_no_unused_imports(module):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     assert sorted(imported - used) == []
+
+
+def test_cli_import_leaves_out_process_pool_modules():
+    # The harness imports concurrent.futures only when it opens a pool.
+    code = (
+        "import sys, saddlescape.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(saddlescape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
