@@ -30,7 +30,7 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import exploit
+from .ncfind import _curvature_threshold, exploit
 
 __all__ = [
     "ANCParams",
@@ -38,7 +38,6 @@ __all__ = [
     "nce_step",
     "accelerate",
     "ancgd_run",
-    "anc_find_unnormalized",
 ]
 
 # The free constant in the episode length.  c_a**7 >= 384 keeps the
@@ -106,11 +105,7 @@ def derive_anc_params(
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
-    threshold = math.sqrt(rho * eps)
-    if threshold > ell:
-        raise ParameterError(
-            f"sqrt(rho*eps)={threshold:g} exceeds ell={ell:g}; shrink eps"
-        )
+    threshold = _curvature_threshold(ell, rho, eps)
     eta = 1.0 / (4.0 * ell)
     theta = (rho * eps) ** 0.25 / (4.0 * math.sqrt(ell))
     gamma = theta**2 / eta
@@ -177,7 +172,7 @@ def accelerate(
     is subtracted from every step, for the next window iterations the
     momentum pair is pinned to the probe sphere around the anchor (x is
     rescaled by the same factor as z, which keeps the pair's geometry
-    aligned with the unnormalized search), and at its end close(anchor,
+    aligned with the free-running search), and at its end close(anchor,
     anchor_f, direction, t) takes the unit direction the pair drifted toward
     and returns the point of record t, where the loop restarts, and whether
     the loop stops there.  With window = 0 the draw only re-seeds the
@@ -300,48 +295,3 @@ def ancgd_run(
         counted, x0, params, trace, stream, params.effective_threshold,
         params.effective_cooldown, params.perturb_radius, params.ncf_steps, close,
     )
-
-
-def anc_find_unnormalized(
-    oracle: GradientOracle,
-    x_tilde: Array,
-    params: ANCParams,
-    stream: RngStream | None = None,
-    x0_offset: Array | None = None,
-    steps: int | None = None,
-) -> tuple[Array, list[Array]]:
-    """Free-space twin of the pinned search window; returns (unit direction, offsets).
-
-    The iterate runs unconstrained while every gradient is taken on the probe
-    sphere and scaled by the offset norm over the probe radius.  With the same
-    initial offset this reproduces the pinned window's direction sequence
-    exactly, which is the correctness check for the pinning trick.
-    """
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    r = params.perturb_radius
-    if x0_offset is not None:
-        x_off = np.asarray(x0_offset, dtype=float).copy()
-    elif stream is not None:
-        x_off = uniform_ball_sample(np.zeros_like(x_tilde), r, stream)
-    else:
-        raise ParameterError("provide x0_offset or a stream")
-    if steps is None:
-        steps = params.ncf_steps
-    g_anchor = oracle.gradient(x_tilde)
-    z_off = x_off.copy()
-    path = [x_off.copy()]
-    for _ in range(steps):
-        zn = _norm(z_off)
-        if zn > 0.0:
-            g_scaled = (zn / r) * oracle.gradient(x_tilde + (r / zn) * z_off)
-        else:
-            g_scaled = np.zeros_like(z_off)
-        x_next = z_off - params.eta * (g_scaled - g_anchor)
-        v = x_next - x_off
-        z_off = x_next + (1.0 - params.theta) * v
-        x_off = x_next
-        path.append(x_off.copy())
-    norm = _norm(x_off)
-    if norm == 0.0:
-        raise ParameterError("search collapsed to the anchor")
-    return x_off / norm, path

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import numbers
@@ -131,10 +130,6 @@ class GradientOracle:
     def gradient(self, x: Array) -> Array:
         return np.asarray(self.grad(x), dtype=float)
 
-    def with_spec(self, ell: float, rho: float) -> "GradientOracle":
-        """Same function with different declared constants (e.g. local bounds)."""
-        return dataclasses.replace(self, spec=SmoothnessSpec(ell, rho))
-
 
 class CountingOracle:
     """Wraps an oracle and counts value/gradient calls for run metadata."""
@@ -196,19 +191,12 @@ class StochasticOracle:
     def value(self, x: Array) -> float:
         return self.mean.value(x)
 
-    def mean_gradient(self, x: Array) -> Array:
-        return self.mean.gradient(x)
-
     def draw_theta(self, stream: "RngStream", m: int) -> Array:
         raise NotImplementedError
 
     def grad_at(self, x: Array, thetas: Array) -> Array:
         """Per-sample gradients g(x; theta_j), stacked as an (m, dim) array."""
         raise NotImplementedError
-
-    def sample(self, x: Array, stream: "RngStream") -> Array:
-        self.sample_count += 1
-        return self.grad_at(x, self.draw_theta(stream, 1))[0]
 
     def minibatch_mean(self, x: Array, m: int, stream: "RngStream") -> Array:
         self.sample_count += m

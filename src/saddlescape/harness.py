@@ -168,6 +168,13 @@ class ExperimentConfig:
             raise ParameterError(f"delta must be in (0, 1], got {self.delta}")
         if self.theta is not None and not (_is_number(self.theta) and 0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
+        if self.x0 is not None and not (
+            isinstance(self.x0, (tuple, list))
+            and all(_is_number(v) and math.isfinite(v) for v in self.x0)
+        ):
+            raise ParameterError(
+                f"x0 must be a flat sequence of finite numbers, got {self.x0!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -205,16 +212,6 @@ class HistogramSummary:
             counts=[int(c) for c in counts],
             total=int(vals.size),
         )
-
-    def fraction_below(self, value: float) -> float:
-        """Fraction of mass in bins strictly below value (bin edges align)."""
-        if self.total == 0:
-            return 0.0
-        acc = 0
-        for left, count in zip(self.bin_edges[:-1], self.counts):
-            if left < value - 1e-12 and left + self.bin_width <= value + 1e-12:
-                acc += count
-        return acc / self.total
 
 
 @dataclass
@@ -301,8 +298,6 @@ def _start_point(payload: dict, land: Landscape) -> Array:
         x0 = np.asarray(payload["x0"], dtype=float)
         if x0.shape[0] != land.dim:
             raise ParameterError(f"x0 has dimension {x0.shape[0]}, expected {land.dim}")
-        if not np.isfinite(x0).all():
-            raise ParameterError(f"x0 must be finite, got {payload['x0']}")
         return x0
     if not land.saddles:
         raise ParameterError(f"landscape {land.id} declares no saddle to start from")
@@ -681,16 +676,15 @@ def run_dimension_scaling(
             require_count(p=p)
             n = 10**p
             land_id = f"highdim-{n}"
+            # The ("nc", "highdim") and ("pgd", "highdim") recipes supply
+            # every other knob.
             nc_cfg = ExperimentConfig(
-                algorithm="nc", landscape=land_id, mode="experiment", trials=trials,
-                seed=seed, steps=30 * p, ncf_steps=30 * p - 2, eta=0.2, radius=0.1,
-                eps=0.05, exploit_step=2.0, grad_threshold=0.05, threshold=0.9,
-                jobs=jobs,
+                algorithm="nc", landscape=land_id, trials=trials, seed=seed,
+                steps=30 * p, ncf_steps=30 * p - 2, jobs=jobs,
             )
             pgd_cfg = ExperimentConfig(
-                algorithm="pgd", landscape=land_id, mode="experiment", trials=trials,
-                seed=seed, steps=20 * p * p + 10, eta=0.2, radius=0.1,
-                grad_threshold=0.05, cooldown=_NEVER, threshold=0.9, jobs=jobs,
+                algorithm="pgd", landscape=land_id, trials=trials, seed=seed,
+                steps=20 * p * p + 10, jobs=jobs,
             )
             nc_res = _run_experiment(nc_cfg, pool, workers)
             pgd_res = _run_experiment(pgd_cfg, pool, workers)

@@ -63,12 +63,21 @@ class NCParams:
 
 @dataclass(frozen=True)
 class NCOutcome:
-    """Unit escape direction plus diagnostics from the curvature search."""
+    """Unit escape direction and the number of search steps it took."""
 
     e_hat: Array
     steps_used: int
-    renormalized: bool
-    ledger: list[float] | None = None
+
+
+def _curvature_threshold(ell: float, rho: float, eps: float) -> float:
+    """sqrt(rho * eps), the curvature scale the searches resolve; it must fit
+    inside the representable spectrum [-ell, ell]."""
+    threshold = math.sqrt(rho * eps)
+    if threshold > ell:
+        raise ParameterError(
+            f"sqrt(rho*eps)={threshold:g} exceeds ell={ell:g}; shrink eps"
+        )
+    return threshold
 
 
 def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) -> NCParams:
@@ -82,11 +91,7 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
         raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
-    threshold = math.sqrt(rho * eps)
-    if threshold > ell:
-        raise ParameterError(
-            f"sqrt(rho*eps)={threshold:g} exceeds ell={ell:g}; shrink eps"
-        )
+    threshold = _curvature_threshold(ell, rho, eps)
     log_arg = (ell / delta0) * math.sqrt(n / (math.pi * rho * eps))
     steps = max(1, math.ceil(8 * ell / threshold * math.log(log_arg)))
     radius = eps / (8 * ell) * math.sqrt(math.pi / n) * delta0
@@ -108,16 +113,16 @@ def nc_find(
     x_tilde: Array,
     params: NCParams,
     stream: RngStream,
-    renormalize: bool = True,
-    y0: Array | None = None,
 ) -> NCOutcome:
     """Estimate the most-negative-curvature direction at x_tilde.
 
     Gradient differences at a fixed probe radius act as Hessian-vector
     products, so the loop is a power iteration on (I - H/ell) and converges
-    to the bottom eigenvector.  The update is 1-homogeneous in y, so
-    renormalizing the iterate to the probe radius each step (the default,
-    which keeps magnitudes tame) leaves the direction unchanged.
+    to the bottom eigenvector.  The search starts from a uniform draw in the
+    probe ball and renormalizes the iterate to the probe radius each step;
+    the update is 1-homogeneous in y, so this keeps magnitudes tame without
+    bending the direction.  A degenerate iterate (zero or not finite)
+    restarts from a fresh draw, at most _MAX_RESTARTS times.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     n = x_tilde.shape[0]
@@ -125,32 +130,22 @@ def nc_find(
     r = params.radius
     g0 = oracle.gradient(x_tilde)
 
-    for attempt in range(_MAX_RESTARTS + 1):
-        if y0 is not None and attempt == 0:
-            y = np.asarray(y0, dtype=float).copy()
-        else:
-            y = uniform_ball_sample(np.zeros(n), r, stream)
-        failed = False
+    for _ in range(_MAX_RESTARTS + 1):
+        y = uniform_ball_sample(np.zeros(n), r, stream)
         for _ in range(params.steps):
             norm = _norm(y)
             if norm == 0.0 or not math.isfinite(norm):
-                failed = True
                 break
             probe = oracle.gradient(x_tilde + (r / norm) * y) - g0
             y = y - (norm / (ell * r)) * probe
-            if renormalize:
-                new_norm = _norm(y)
-                if new_norm == 0.0 or not math.isfinite(new_norm):
-                    failed = True
-                    break
-                y = (r / new_norm) * y
-        norm = _norm(y)
-        if not failed and norm > 0.0 and math.isfinite(norm):
-            return NCOutcome(
-                e_hat=y / norm,
-                steps_used=params.steps,
-                renormalized=renormalize,
-            )
+            new_norm = _norm(y)
+            if new_norm == 0.0 or not math.isfinite(new_norm):
+                break
+            y = (r / new_norm) * y
+        else:
+            norm = _norm(y)
+            if norm > 0.0 and math.isfinite(norm):
+                return NCOutcome(e_hat=y / norm, steps_used=params.steps)
     raise AlgorithmError("curvature search degenerated to the zero vector repeatedly")
 
 

@@ -23,19 +23,23 @@ from .core import (
     require_positive,
     _norm,
 )
-from .ncfind import NCOutcome, _descent_budget, curvature_escape, descend
+from .ncfind import (
+    NCOutcome,
+    _MAX_RESTARTS,
+    _curvature_threshold,
+    _descent_budget,
+    curvature_escape,
+    descend,
+)
 
 __all__ = [
     "SNCParams",
     "derive_snc_params",
     "snc_find",
-    "snc_find_unnormalized",
     "SGDNCParams",
     "derive_sgdnc_params",
     "sgd_nc_run",
 ]
-
-_MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,7 @@ def derive_snc_params(
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
-    threshold = math.sqrt(rho * eps)
-    if threshold > ell:
-        raise ParameterError(
-            f"sqrt(rho*eps)={threshold:g} exceeds ell={ell:g}; shrink eps"
-        )
+    threshold = _curvature_threshold(ell, rho, eps)
     steps_arg = ell * n / (delta * threshold)
     if steps_arg <= 1.0:
         raise ParameterError("step-count log argument must exceed 1")
@@ -144,11 +144,12 @@ def snc_find(
     """Stochastic curvature search with per-step renormalization.
 
     Starts from the zero vector; injected Gaussian noise supplies the initial
-    alignment.  Each step renormalizes the iterate to the probe radius and
-    tracks the would-be magnitude in a scale ledger, dividing the injected
-    noise by the accumulated scale so the noise-to-signal schedule matches
-    the free-running recursion.  Gradient differences share the sample draw
-    across both query points, which is what turns them into curvature probes.
+    alignment.  Each step renormalizes the iterate to the probe radius, and
+    scale carries the magnitude the free-running recursion would have
+    reached: dividing the injected noise by scale / radius keeps the
+    noise-to-signal schedule of that recursion.  Gradient differences share
+    the sample draw across both query points, which is what turns them into
+    curvature probes.
     """
     x_tilde = np.asarray(x_tilde, dtype=float)
     n = x_tilde.shape[0]
@@ -160,72 +161,17 @@ def snc_find(
     for _ in range(_MAX_RESTARTS + 1):
         y = np.zeros(n)
         scale = r_s
-        ledger = [scale]
-        failed = False
         for _ in range(params.steps):
             diff = oracle.minibatch_diff(x_tilde, x_tilde + y, params.batch, theta_stream)
             xi = _noise_draw(xi_stream, n, r_s)
             y = y - (1.0 / ell) * (diff + xi / (scale / r_s))
             norm = _norm(y)
             if norm == 0.0 or not math.isfinite(norm):
-                failed = True
                 break
             scale = scale * (norm / r_s)
-            ledger.append(scale)
             y = (r_s / norm) * y
-        if not failed:
-            return NCOutcome(
-                e_hat=y / r_s,
-                steps_used=params.steps,
-                renormalized=True,
-                ledger=ledger,
-            )
-    raise AlgorithmError("stochastic curvature search degenerated repeatedly")
-
-
-def snc_find_unnormalized(
-    oracle: StochasticOracle,
-    x_tilde: Array,
-    params: SNCParams,
-    stream: RngStream,
-) -> NCOutcome:
-    """Free-running twin of snc_find: same randomness, no renormalization.
-
-    Queries stay on the probe sphere (the iterate is rescaled to radius r_s
-    for each gradient difference, and the result is scaled back up), so with
-    a shared stream the direction sequence matches snc_find exactly while the
-    magnitude grows freely.
-    """
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    n = x_tilde.shape[0]
-    r_s = params.radius
-    ell = params.ell
-    theta_stream = stream.substream("theta")
-    xi_stream = stream.substream("xi")
-
-    for _ in range(_MAX_RESTARTS + 1):
-        z = np.zeros(n)
-        failed = False
-        for _ in range(params.steps):
-            zn = _norm(z)
-            if zn > 0.0:
-                diff = oracle.minibatch_diff(
-                    x_tilde, x_tilde + (r_s / zn) * z, params.batch, theta_stream
-                )
-                g_est = (zn / r_s) * diff
-            else:
-                # Consume the same sample draws as the renormalized twin so
-                # the two runs stay aligned stream-for-stream.
-                oracle.minibatch_diff(x_tilde, x_tilde, params.batch, theta_stream)
-                g_est = np.zeros(n)
-            xi = _noise_draw(xi_stream, n, r_s)
-            z = z - (1.0 / ell) * (g_est + xi)
-            if not np.isfinite(z).all():
-                failed = True
-                break
-        zn = _norm(z)
-        if not failed and zn > 0.0:
-            return NCOutcome(e_hat=z / zn, steps_used=params.steps, renormalized=False)
+        else:
+            return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
     raise AlgorithmError("stochastic curvature search degenerated repeatedly")
 
 

@@ -1,9 +1,20 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and free-running reference searches.
+
+The library's curvature searches keep their iterates on the probe sphere.
+The references below run the same recursions with the magnitude left free,
+on the same streams, so a test can check that pinning never bends the
+direction.  Each takes one attempt (no restarts).
+"""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from saddlescape import GradientOracle, SmoothnessSpec
+from saddlescape import GradientOracle, SmoothnessSpec, uniform_ball_sample
+from saddlescape.core import _norm
+from saddlescape.stochastic import _noise_draw
 
 
 def make_quadratic(diag, rho=1.0, ell=None):
@@ -21,6 +32,83 @@ def make_quadratic(diag, rho=1.0, ell=None):
     return GradientOracle(
         f=f, grad=grad, spec=SmoothnessSpec(ell, rho), dim=d.shape[0], name="quadratic"
     )
+
+
+def relabel(oracle, ell, rho):
+    """The same oracle declaring other constants (e.g. a saddle's local ones)."""
+    return dataclasses.replace(oracle, spec=SmoothnessSpec(ell, rho))
+
+
+def free_nc_direction(oracle, x_tilde, params, stream):
+    """nc_find without the renormalization: same start draw and queries,
+    unit direction of the free iterate."""
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    ell, r = params.ell, params.radius
+    g0 = oracle.gradient(x_tilde)
+    y = uniform_ball_sample(np.zeros(x_tilde.shape[0]), r, stream)
+    for _ in range(params.steps):
+        norm = _norm(y)
+        assert norm > 0.0 and math.isfinite(norm), "free search degenerated"
+        probe = oracle.gradient(x_tilde + (r / norm) * y) - g0
+        y = y - (norm / (ell * r)) * probe
+    return y / _norm(y)
+
+
+def free_snc_direction(oracle, x_tilde, params, stream):
+    """snc_find without the renormalization: the same sample and noise draws,
+    every gradient difference taken on the probe sphere and scaled back up,
+    so the direction sequence matches while the magnitude grows freely."""
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    n = x_tilde.shape[0]
+    r_s, ell = params.radius, params.ell
+    theta_stream = stream.substream("theta")
+    xi_stream = stream.substream("xi")
+    z = np.zeros(n)
+    for _ in range(params.steps):
+        zn = _norm(z)
+        if zn > 0.0:
+            diff = oracle.minibatch_diff(
+                x_tilde, x_tilde + (r_s / zn) * z, params.batch, theta_stream
+            )
+            g_est = (zn / r_s) * diff
+        else:
+            # Consume the same sample draws as snc_find so the two runs stay
+            # aligned stream for stream.
+            oracle.minibatch_diff(x_tilde, x_tilde, params.batch, theta_stream)
+            g_est = np.zeros(n)
+        xi = _noise_draw(xi_stream, n, r_s)
+        z = z - (1.0 / ell) * (g_est + xi)
+        assert np.isfinite(z).all(), "free search degenerated"
+    zn = _norm(z)
+    assert zn > 0.0, "free search collapsed to zero"
+    return z / zn
+
+
+def free_anc_window(oracle, x_tilde, params, x_off):
+    """Free-space twin of ancgd_run's pinned search window from the initial
+    offset x_off: the momentum iterate runs unconstrained while every
+    gradient is taken on the probe sphere and scaled by the offset norm over
+    the probe radius.  Returns (unit direction, offsets after each step)."""
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    r = params.perturb_radius
+    x_off = np.asarray(x_off, dtype=float).copy()
+    g_anchor = oracle.gradient(x_tilde)
+    z_off = x_off.copy()
+    path = [x_off.copy()]
+    for _ in range(params.ncf_steps):
+        zn = _norm(z_off)
+        if zn > 0.0:
+            g_scaled = (zn / r) * oracle.gradient(x_tilde + (r / zn) * z_off)
+        else:
+            g_scaled = np.zeros_like(z_off)
+        x_next = z_off - params.eta * (g_scaled - g_anchor)
+        v = x_next - x_off
+        z_off = x_next + (1.0 - params.theta) * v
+        x_off = x_next
+        path.append(x_off.copy())
+    norm = _norm(x_off)
+    assert norm > 0.0, "search collapsed to the anchor"
+    return x_off / norm, path
 
 
 def angular_gap(a, b):

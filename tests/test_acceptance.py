@@ -28,13 +28,17 @@ from saddlescape import (
     run_dimension_scaling,
     run_experiment,
     snc_find,
-    snc_find_unnormalized,
     uniform_ball_sample,
     with_noise,
 )
 from saddlescape.verify import _fd_gradient
 
-from conftest import angular_gap, make_quadratic
+from conftest import (
+    angular_gap,
+    free_nc_direction,
+    free_snc_direction,
+    make_quadratic,
+)
 
 _EPS = 0.04
 _TRIALS = 200
@@ -222,8 +226,9 @@ def test_criterion_7_structural_properties(capsys):
     quad = make_quadratic([-2.0, -0.5, 0.3, 1.0, 3.0], ell=3.0)
     params = derive_nc_params(SmoothnessSpec(3.0, 1.0), 0.05, 0.1, 5)
     params = dataclasses.replace(params, steps=40)
+    # nc_find's first draw from its stream is the start vector.
     y0 = uniform_ball_sample(np.zeros(5), params.radius, RngStream(70, 0))
-    out = nc_find(quad, np.zeros(5), params, RngStream(70, 1), y0=y0)
+    out = nc_find(quad, np.zeros(5), params, RngStream(70, 0))
     ref = y0.copy()
     for _ in range(params.steps):
         ref = ref - np.array([-2.0, -0.5, 0.3, 1.0, 3.0]) * ref / 3.0
@@ -234,8 +239,8 @@ def test_criterion_7_structural_properties(capsys):
     noisy = with_noise(make_quadratic([-1.0, 2.0], ell=2.0), 0.05)
     sparams = derive_snc_params(SmoothnessSpec(2.0, 1.0), 2.0, 0.1, 0.1, 2)
     pinned = snc_find(noisy, np.zeros(2), sparams, RngStream(71, 0))
-    free = snc_find_unnormalized(noisy, np.zeros(2), sparams, RngStream(71, 0))
-    gap_b = angular_gap(pinned.e_hat, free.e_hat)
+    free = free_snc_direction(noisy, np.zeros(2), sparams, RngStream(71, 0))
+    gap_b = angular_gap(pinned.e_hat, free)
     results.append(("pinned-vs-free", gap_b <= 1e-6, f"{gap_b:.2e}"))
 
     # (c) The momentum energy f + |v|^2/(2 eta) never rises on plain steps.
@@ -258,12 +263,9 @@ def test_criterion_7_structural_properties(capsys):
     # (d) Renormalization does not bend the search direction.
     land = get_landscape("quartic")
     nparams = derive_nc_params(SmoothnessSpec(3.0, 1.0), _EPS, 0.1, 2)
-    y0 = uniform_ball_sample(np.zeros(2), nparams.radius, RngStream(73, 0))
-    pinned = nc_find(land.oracle, np.zeros(2), nparams, RngStream(73, 1), y0=y0)
-    free = nc_find(
-        land.oracle, np.zeros(2), nparams, RngStream(73, 1), y0=y0, renormalize=False
-    )
-    gap_d = angular_gap(pinned.e_hat, free.e_hat)
+    pinned = nc_find(land.oracle, np.zeros(2), nparams, RngStream(73, 0))
+    free = free_nc_direction(land.oracle, np.zeros(2), nparams, RngStream(73, 0))
+    gap_d = angular_gap(pinned.e_hat, free)
     results.append(("renormalization", gap_d <= 1e-8, f"{gap_d:.2e}"))
 
     # (e) Declared gradients match finite differences everywhere sampled.

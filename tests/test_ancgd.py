@@ -11,11 +11,11 @@ from saddlescape import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
-    anc_find_unnormalized,
     ancgd_run,
     derive_anc_params,
     get_landscape,
     nce_step,
+    uniform_ball_sample,
 )
 from saddlescape.core import (
     EVENT_AGD,
@@ -25,7 +25,7 @@ from saddlescape.core import (
     EVENT_PERTURB,
 )
 
-from conftest import angular_gap, make_quadratic
+from conftest import angular_gap, free_anc_window, make_quadratic
 
 
 def _window_params(**overrides):
@@ -122,9 +122,7 @@ class TestWindowEquivalence:
         trace = ancgd_run(saddle_quad, np.zeros(2), params, stream)
         perturb = trace.meta["perturbs"][0]
         exploit = trace.meta["exploits"][0]
-        free_dir, path = anc_find_unnormalized(
-            saddle_quad, np.zeros(2), params, x0_offset=perturb["offset"]
-        )
+        free_dir, path = free_anc_window(saddle_quad, np.zeros(2), params, perturb["offset"])
         assert angular_gap(exploit["e_hat"], free_dir) <= 1e-10
         # Pinned per-step states are a rigid rescaling of the free states.
         anchor = perturb["anchor"]
@@ -143,9 +141,7 @@ class TestWindowEquivalence:
         trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(5, 0))
         perturb = trace.meta["perturbs"][0]
         exploit = trace.meta["exploits"][0]
-        free_dir, _ = anc_find_unnormalized(
-            land.oracle, np.zeros(2), params, x0_offset=perturb["offset"]
-        )
+        free_dir, _ = free_anc_window(land.oracle, np.zeros(2), params, perturb["offset"])
         assert angular_gap(exploit["e_hat"], free_dir) <= 1e-3
 
     def test_window_finds_negative_curvature_direction(self):
@@ -288,17 +284,11 @@ class TestHamiltonian:
 
 
 class TestFreeTwinInterface:
-    def test_requires_offset_or_stream(self):
-        land = get_landscape("quartic")
-        with pytest.raises(ParameterError):
-            anc_find_unnormalized(land.oracle, np.zeros(2), _window_params())
-
     def test_stream_draw_matches_run_draw(self):
         # Drawing from an identical stream state reproduces the run's offset.
         land = get_landscape("quartic")
         params = _window_params(cooldown=10**6, total_steps=22)
         trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(12, 0))
-        direction, _ = anc_find_unnormalized(
-            land.oracle, np.zeros(2), params, stream=RngStream(12, 0)
-        )
+        offset = uniform_ball_sample(np.zeros(2), params.perturb_radius, RngStream(12, 0))
+        direction, _ = free_anc_window(land.oracle, np.zeros(2), params, offset)
         assert angular_gap(direction, trace.meta["exploits"][0]["e_hat"]) <= 1e-3

@@ -31,7 +31,7 @@ from saddlescape.core import (
     check_iterate,
 )
 
-from conftest import make_quadratic
+from conftest import make_quadratic, relabel
 
 
 class TestRngStream:
@@ -131,7 +131,7 @@ class TestOracles:
         x = np.array([1.0, 2.0])
         assert quad2.value(x) == pytest.approx(0.5 * (-1.0 + 8.0))
         assert np.allclose(quad2.gradient(x), [-1.0, 4.0])
-        relabeled = quad2.with_spec(5.0, 2.0)
+        relabeled = relabel(quad2, 5.0, 2.0)
         assert relabeled.spec.ell == 5.0
         assert relabeled.value(x) == quad2.value(x)
 
@@ -187,7 +187,7 @@ class TestOracles:
         oracle = AdditiveNoiseOracle(quad2, sigma=0.1)
         stream = RngStream(0, 0)
         x = np.zeros(2)
-        oracle.sample(x, stream)
+        oracle.minibatch_mean(x, 1, stream)
         oracle.minibatch_mean(x, 5, stream)
         oracle.minibatch_diff(x, x, 3, stream)
         assert oracle.sample_count == 1 + 5 + 6

@@ -130,6 +130,13 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             build_payload(cfg, get_landscape("quartic"))
 
+    @pytest.mark.parametrize(
+        "x0", [1, "1,0", (1, "a"), ((1, 0), (0, 1)), (True, 0.0)], ids=repr
+    )
+    def test_x0_must_be_flat_finite_numbers(self, x0):
+        with pytest.raises(ParameterError, match="x0 must be"):
+            ExperimentConfig(algorithm="pgd", landscape="quartic", trials=1, x0=x0)
+
 
 class TestHistogramSummary:
     def test_from_decreases_bins(self):
@@ -145,16 +152,6 @@ class TestHistogramSummary:
         hist = HistogramSummary.from_decreases([-0.12, 0.3], bin_width=0.05)
         assert hist.bin_edges[0] == pytest.approx(-0.15)
         assert hist.total == 2
-
-    def test_fraction_below(self):
-        hist = HistogramSummary.from_decreases([0.01, 0.02, 0.5, 0.92], bin_width=0.05)
-        assert hist.fraction_below(0.05) == pytest.approx(0.5)
-        assert hist.fraction_below(0.9) == pytest.approx(0.75)
-        assert hist.fraction_below(2.0) == pytest.approx(1.0)
-
-    def test_fraction_below_empty(self):
-        hist = HistogramSummary.from_decreases([])
-        assert hist.fraction_below(1.0) == 0.0
 
 
 class TestRunExperiment:

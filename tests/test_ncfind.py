@@ -11,16 +11,19 @@ from saddlescape import (
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    derive_anc_params,
     derive_nc_params,
+    derive_snc_params,
     get_landscape,
     lemma_decrease_bound,
     nc_find,
     perturb_along_nc,
+    uniform_ball_sample,
 )
 from saddlescape.ncfind import NCParams
 from saddlescape.verify import fd_quadform
 
-from conftest import angular_gap, make_quadratic
+from conftest import angular_gap, free_nc_direction, make_quadratic, relabel
 
 
 class TestDerivedSchedule:
@@ -47,6 +50,20 @@ class TestDerivedSchedule:
         with pytest.raises(ParameterError):
             derive_nc_params(SmoothnessSpec(1.0, 1.0), 2.0, 0.1, 2)
 
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda spec, eps: derive_nc_params(spec, eps, 0.1, 2),
+            lambda spec, eps: derive_snc_params(spec, 1.0, eps, 0.1, 2),
+            lambda spec, eps: derive_anc_params(spec, eps, 0.1, 2, 1.0),
+        ],
+        ids=["nc", "snc", "anc"],
+    )
+    def test_every_derivation_guards_the_curvature_scale(self, derive):
+        # sqrt(rho * eps) = sqrt(2) lies outside the spectrum [-1, 1].
+        with pytest.raises(ParameterError, match="exceeds ell"):
+            derive(SmoothnessSpec(1.0, 1.0), 2.0)
+
     def test_input_validation(self):
         spec = SmoothnessSpec(1.0, 1.0)
         with pytest.raises(ParameterError):
@@ -70,7 +87,6 @@ class TestSearchDynamics:
         assert np.linalg.norm(out.e_hat) == pytest.approx(1.0, abs=1e-12)
         assert angular_gap(out.e_hat, np.array([1, 0, 0, 0, 0.0])) <= 1e-10
         assert out.steps_used == 80
-        assert out.renormalized
 
     def test_matches_explicit_power_iteration_on_quadratic(self, quad5):
         # On a quadratic the update is exactly y <- (I - H/ell) y, so the
@@ -78,8 +94,9 @@ class TestSearchDynamics:
         d = np.array([-2.0, -0.5, 0.3, 1.0, 3.0])
         ell = 3.0
         params = NCParams(steps=23, radius=1e-3, eps=0.1, delta0=0.1, ell=ell, rho=1.0)
-        y0 = RngStream(42, 0).gen.standard_normal(5)
-        out = nc_find(quad5, np.zeros(5), params, RngStream(42, 1), y0=y0)
+        # The search starts from its stream's first draw.
+        y0 = uniform_ball_sample(np.zeros(5), params.radius, RngStream(42, 0))
+        out = nc_find(quad5, np.zeros(5), params, RngStream(42, 0))
         ref = y0.copy()
         for _ in range(23):
             ref = ref - (d * ref) / ell
@@ -87,21 +104,17 @@ class TestSearchDynamics:
 
     def test_renormalization_is_direction_neutral(self):
         # The update is 1-homogeneous in y even off-quadratic, since queries
-        # sit on the probe sphere; renormalized and free runs must agree.
+        # sit on the probe sphere; nc_find and the free reference must agree.
         land = get_landscape("quartic")
         sad = land.saddles[0]
-        oracle = land.oracle.with_spec(sad.ell_local, sad.rho_local)
+        oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
         params = NCParams(
             steps=60, radius=1e-3, eps=0.04, delta0=0.1,
             ell=sad.ell_local, rho=sad.rho_local,
         )
-        y0 = RngStream(3, 0).gen.standard_normal(2) * params.radius
-        pinned = nc_find(oracle, sad.point, params, RngStream(3, 1), y0=y0)
-        free = nc_find(
-            oracle, sad.point, params, RngStream(3, 1), y0=y0, renormalize=False
-        )
-        assert angular_gap(pinned.e_hat, free.e_hat) <= 1e-8
-        assert not free.renormalized
+        pinned = nc_find(oracle, sad.point, params, RngStream(3, 0))
+        free = free_nc_direction(oracle, sad.point, params, RngStream(3, 0))
+        assert angular_gap(pinned.e_hat, free) <= 1e-8
 
     def test_seeded_determinism(self, quad5):
         params = NCParams(steps=40, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
@@ -129,7 +142,7 @@ class TestSearchDynamics:
         for land_id in ("quartic", "cubic", "triangle", "exponential"):
             land = get_landscape(land_id)
             sad = land.saddles[0]
-            oracle = land.oracle.with_spec(sad.ell_local, sad.rho_local)
+            oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
             spec = SmoothnessSpec(sad.ell_local, sad.rho_local)
             params = derive_nc_params(spec, 0.04, 0.1, land.dim)
             out = nc_find(oracle, sad.point, params, RngStream(17, 0))

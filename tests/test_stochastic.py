@@ -18,13 +18,12 @@ from saddlescape import (
     get_landscape,
     sgd_nc_run,
     snc_find,
-    snc_find_unnormalized,
     with_noise,
 )
 from saddlescape.core import EVENT_NCF_EXPLOIT, EVENT_NCF_STEP, EVENT_SGD
-from saddlescape.stochastic import SNCParams, _noise_draw
+from saddlescape.stochastic import SNCParams
 
-from conftest import angular_gap, make_quadratic
+from conftest import angular_gap, free_snc_direction, make_quadratic, relabel
 
 
 def _search_params(**overrides):
@@ -79,16 +78,16 @@ class TestSearchTwins:
     def test_shared_stream_directions_match(self):
         land = get_landscape("cubic")
         sad = land.saddles[0]
-        oracle = with_noise(land.oracle.with_spec(sad.ell_local, sad.rho_local), 0.01)
+        oracle = with_noise(relabel(land.oracle, sad.ell_local, sad.rho_local), 0.01)
         params = _search_params()
         a = snc_find(oracle, sad.point, params, RngStream(0, 0))
-        b = snc_find_unnormalized(oracle, sad.point, params, RngStream(0, 0))
-        assert angular_gap(a.e_hat, b.e_hat) <= 1e-6
+        b = free_snc_direction(oracle, sad.point, params, RngStream(0, 0))
+        assert angular_gap(a.e_hat, b) <= 1e-6
 
     def test_direction_aligns_with_negative_curvature(self):
         land = get_landscape("cubic")
         sad = land.saddles[0]
-        oracle = with_noise(land.oracle.with_spec(sad.ell_local, sad.rho_local), 0.01)
+        oracle = with_noise(relabel(land.oracle, sad.ell_local, sad.rho_local), 0.01)
         # Alignment has heavy tails (the transverse/aligned ratio is a noise
         # quotient), so the useful-alignment region |cos| >= 0.7 is the right
         # bar, not near-perfect alignment.
@@ -105,38 +104,18 @@ class TestSearchTwins:
         out = snc_find(oracle, np.zeros(2), _search_params(), RngStream(3, 0))
         assert np.linalg.norm(out.e_hat) == pytest.approx(1.0, abs=1e-12)
 
-    def test_scale_ledger_tracks_free_magnitude(self):
-        # The ledger must reproduce the norm of the free-running iterate:
-        # replaying the same substreams unnormalized gives ||z_t|| = ledger[t].
+    def test_every_step_matches_free_reference(self):
+        # scale must carry the free iterate's magnitude at every step, or the
+        # noise-to-signal schedule drifts from the free recursion: a search
+        # cut after t steps points where the free reference does after t.
         land = get_landscape("cubic")
         sad = land.saddles[0]
-        oracle = with_noise(land.oracle.with_spec(sad.ell_local, sad.rho_local), 0.01)
-        params = _search_params(steps=30)
-        out = snc_find(oracle, sad.point, params, RngStream(4, 0))
-        assert out.ledger is not None
-        assert len(out.ledger) == params.steps + 1
-        assert out.ledger[0] == params.radius
-
-        replay = RngStream(4, 0)
-        theta_stream = replay.substream("theta")
-        xi_stream = replay.substream("xi")
-        r_s, ell = params.radius, params.ell
-        z = np.zeros(2)
-        for t in range(params.steps):
-            zn = float(np.linalg.norm(z))
-            if zn > 0.0:
-                diff = oracle.minibatch_diff(
-                    sad.point, sad.point + (r_s / zn) * z, params.batch, theta_stream
-                )
-                g_est = (zn / r_s) * diff
-            else:
-                oracle.minibatch_diff(sad.point, sad.point, params.batch, theta_stream)
-                g_est = np.zeros(2)
-            xi = _noise_draw(xi_stream, 2, r_s)
-            z = z - (1.0 / ell) * (g_est + xi)
-            assert float(np.linalg.norm(z)) == pytest.approx(
-                out.ledger[t + 1], rel=1e-9
-            )
+        oracle = with_noise(relabel(land.oracle, sad.ell_local, sad.rho_local), 0.01)
+        for t in range(1, 31):
+            params = _search_params(steps=t)
+            out = snc_find(oracle, sad.point, params, RngStream(4, 0))
+            free = free_snc_direction(oracle, sad.point, params, RngStream(4, 0))
+            assert angular_gap(out.e_hat, free) <= 1e-12, f"step {t}"
 
     def test_seeded_determinism(self):
         land = get_landscape("cubic")

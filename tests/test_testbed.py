@@ -212,16 +212,16 @@ class TestNoiseWrappers:
         assert isinstance(b, AdditiveNoiseOracle)
         assert a.sigma == b.sigma == 0.1
         x = np.array([0.5, 0.5])
-        assert a.mean_gradient(x) == pytest.approx(b.mean_gradient(x))
+        assert a.mean.gradient(x) == pytest.approx(b.mean.gradient(x))
 
     def test_random_quadratic_noise_is_unbiased(self):
         land = get_landscape("cubic")
         oracle = with_random_quadratic_noise(land, sigma_b=0.3, sigma_a=0.2)
         x = np.array([0.4, -0.2])
         stream = RngStream(0, 0)
-        draws = np.array([oracle.sample(x, stream) for _ in range(20000)])
+        draws = np.array([oracle.minibatch_mean(x, 1, stream) for _ in range(20000)])
         assert np.allclose(
-            draws.mean(axis=0), oracle.mean_gradient(x), atol=0.02
+            draws.mean(axis=0), oracle.mean.gradient(x), atol=0.02
         )
 
     def test_random_quadratic_noise_depends_on_x(self):
@@ -231,7 +231,7 @@ class TestNoiseWrappers:
         x0 = np.zeros(2)
         x1 = np.array([0.5, 0.0])
         diff = oracle.minibatch_diff(x0, x1, 1, RngStream(1, 1))
-        exact = oracle.mean_gradient(x1) - oracle.mean_gradient(x0)
+        exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
         assert not np.allclose(diff, exact, atol=1e-6)
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import pkgutil
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import saddlescape
 MODULES = ["saddlescape"] + [
     f"saddlescape.{info.name}" for info in pkgutil.iter_modules(saddlescape.__path__)
 ]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -33,6 +35,14 @@ def test_demo_imports(path):
     # definitions) without the demo itself.
     namespace = runpy.run_path(str(path), run_name="smoke")
     assert namespace["__name__"] == "smoke"
+
+
+def test_readme_quick_tour_runs():
+    # The README's one python block is the documented example of the API.
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
 
 
 SOURCES = sorted(

@@ -19,7 +19,7 @@ from saddlescape import (
 )
 from saddlescape.verify import DENSE_CAP, default_step
 
-from conftest import make_quadratic
+from conftest import make_quadratic, relabel
 
 
 class TestFdQuadform:
@@ -132,9 +132,7 @@ class TestClassify:
 class TestGradPower:
     def test_quartic_saddle(self):
         land = get_landscape("quartic")
-        oracle = land.oracle.with_spec(
-            land.saddles[0].ell_local, land.saddles[0].rho_local
-        )
+        oracle = relabel(land.oracle, land.saddles[0].ell_local, land.saddles[0].rho_local)
         report = grad_power_lambda_min(
             oracle, land.saddles[0].point, iters=300, stream=RngStream(0, 0)
         )
@@ -151,7 +149,7 @@ class TestGradPower:
     def test_works_beyond_dense_cap(self):
         land = get_landscape("highdim-300")
         sad = land.saddles[0]
-        oracle = land.oracle.with_spec(sad.ell_local, sad.rho_local)
+        oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
         report = grad_power_lambda_min(
             oracle, sad.point, iters=400, stream=RngStream(2, 0)
         )
