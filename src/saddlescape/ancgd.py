@@ -145,6 +145,12 @@ def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Arra
     momentum is stretched to length s and both signs are tried; ties keep the
     positive side.  Momentum is zeroed in every branch.
     """
+    require_positive(s=s)
+    return _nce_step(oracle, x, v, s)
+
+
+def _nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Array, Array]:
+    """nce_step for the loop, whose params already checked s."""
     v_norm = _norm(v)
     zero = np.zeros_like(v)
     if v_norm >= s or v_norm == 0.0:
@@ -254,7 +260,7 @@ def accelerate(
                 - 0.5 * params.gamma * float(np.dot(gap, gap))
             )
             if f_x_next <= model:
-                x_next, v_next = nce_step(oracle, x_next, v_next, params.nce_radius)
+                x_next, v_next = _nce_step(oracle, x_next, v_next, params.nce_radius)
                 z_next = x_next + (1.0 - theta) * v_next
                 if event == EVENT_AGD:
                     event = EVENT_NCE

@@ -292,8 +292,7 @@ def _norm(x: Array) -> float:
 
 def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Array:
     """Uniform draw from the closed ball of given radius around center."""
-    if radius < 0:
-        raise ParameterError(f"radius must be nonnegative, got {radius}")
+    require_nonnegative(radius=radius)
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
     direction = stream.gen.standard_normal(n)
@@ -308,8 +307,7 @@ def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Arra
 
 def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream) -> Array:
     """Isotropic Gaussian draw N(center, variance_per_coord * I)."""
-    if variance_per_coord < 0:
-        raise ParameterError(f"variance must be nonnegative, got {variance_per_coord}")
+    require_nonnegative(variance=variance_per_coord)
     center = np.asarray(center, dtype=float)
     return center + math.sqrt(variance_per_coord) * stream.gen.standard_normal(center.shape[0])
 

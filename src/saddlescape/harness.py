@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -164,8 +165,8 @@ class ExperimentConfig:
             trials=self.trials, steps=self.steps, batch=self.batch,
             outer_batch=self.outer_batch, ncf_steps=self.ncf_steps, jobs=self.jobs,
         )
-        if self.delta is not None and not (_is_number(self.delta) and 0 < self.delta <= 1):
-            raise ParameterError(f"delta must be in (0, 1], got {self.delta}")
+        if self.delta is not None and not (_is_number(self.delta) and 0 < self.delta < 1):
+            raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
         if self.theta is not None and not (_is_number(self.theta) and 0 < self.theta < 1):
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         if self.x0 is not None and not (
@@ -272,7 +273,8 @@ _KNOBS = tuple(
 
 def _resolve_knobs(cfg: ExperimentConfig) -> dict:
     """Recipe defaults for the (algorithm, landscape family) pair overlaid
-    with every explicitly set config field."""
+    with every explicitly set config field.  Experiment mode must end up
+    with every knob its parameter builder reads."""
     knobs: dict = {}
     if cfg.mode == "experiment":
         knobs.update(RECIPES.get((cfg.algorithm, _family(cfg.landscape)), {}))
@@ -280,22 +282,19 @@ def _resolve_knobs(cfg: ExperimentConfig) -> dict:
         value = getattr(cfg, name)
         if value is not None:
             knobs[name] = value
-    return knobs
-
-
-def _require(knobs: dict, names: list[str], alg: str) -> None:
-    missing = [n for n in names if knobs.get(n) is None]
-    if missing:
+    missing = [n for n in _ALGORITHMS[cfg.algorithm].needs if n not in knobs]
+    if cfg.mode == "experiment" and missing:
         raise ParameterError(
-            f"experiment mode for {alg!r} needs explicit settings for "
+            f"experiment mode for {cfg.algorithm!r} needs explicit settings for "
             f"{', '.join(missing)} (no recipe covers this landscape); "
             "pass them or use paper mode"
         )
+    return knobs
 
 
-def _start_point(payload: dict, land: Landscape) -> Array:
-    if payload.get("x0") is not None:
-        x0 = np.asarray(payload["x0"], dtype=float)
+def _start_point(x0, land: Landscape) -> Array:
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
         if x0.shape[0] != land.dim:
             raise ParameterError(f"x0 has dimension {x0.shape[0]}, expected {land.dim}")
         return x0
@@ -317,9 +316,11 @@ def _gap_bound(land: Landscape, x0: Array) -> float:
 
 @dataclass(frozen=True)
 class _Setting:
-    """What one trial's parameters are built from: the landscape's constants
-    and the resolved knobs, with the defaults the builders share."""
+    """What an experiment's parameters are built from: the mode, the
+    landscape's constants and the resolved knobs, with the defaults the
+    builders share."""
 
+    paper: bool
     spec: SmoothnessSpec
     n: int
     knobs: dict
@@ -329,21 +330,15 @@ class _Setting:
     rho_loc: float
     ell_tilde: float
 
-    def __post_init__(self):
-        require_positive(eps=self.eps)
 
-    @property
-    def trust(self) -> float:
-        return self.knobs.get("trust_region", 1e6)
+def _fields(knobs: dict, **names) -> dict:
+    """Each params field mapped to the knob named for it, where that is set."""
+    return {f: knobs[name] for f, name in names.items() if name in knobs}
 
 
-def _overlay(params, knobs: dict, **names):
-    """params with each field replaced by the knob named for it, where set."""
-    return dataclasses.replace(
-        params, **{f: knobs[name] for f, name in names.items() if name in knobs}
-    )
-
-
+# Each builder lays the knobs over a base that only the mode chooses: paper
+# mode derives it at the declared (ell, rho), experiment mode takes the local
+# constants ell = 1/eta (1/(4 eta) for ancgd), rho_local and delta0 = delta.
 _OUTER_KNOBS = dict(
     total_steps="steps", eta="eta", exploit_step="exploit_step",
     cooldown="cooldown", trust_region="trust_region",
@@ -352,176 +347,114 @@ _SEARCH_NEEDS = ("eta", "radius", "ncf_steps", "eps", "steps")
 _BASELINE_NEEDS = ("eta", "radius", "grad_threshold", "steps")
 
 
-def _nc_paper(s: _Setting) -> PGDNCParams:
-    params = derive_pgdnc_params(s.spec, s.eps, s.delta, s.n, s.delta_f)
-    nc = _overlay(params.nc, s.knobs, steps="ncf_steps", radius="radius")
-    return _overlay(
-        dataclasses.replace(params, nc=nc), s.knobs,
-        grad_threshold="grad_threshold", **_OUTER_KNOBS,
-    )
-
-
-def _nc_recipe(s: _Setting) -> PGDNCParams:
+def _nc(s: _Setting) -> PGDNCParams:
     k = s.knobs
-    ell_eff = 1.0 / k["eta"]
-    nc = NCParams(
-        steps=k["ncf_steps"], radius=k["radius"], eps=s.eps,
-        delta0=s.delta, ell=ell_eff, rho=s.rho_loc,
+    search = _fields(k, steps="ncf_steps", radius="radius")
+    outer = _fields(k, grad_threshold="grad_threshold", **_OUTER_KNOBS)
+    if s.paper:
+        params = derive_pgdnc_params(s.spec, s.eps, s.delta, s.n, s.delta_f)
+        nc = dataclasses.replace(params.nc, **search)
+        return dataclasses.replace(params, nc=nc, **outer)
+    ell = 1.0 / k["eta"]
+    nc = NCParams(**search, eps=s.eps, delta0=s.delta, ell=ell, rho=s.rho_loc)
+    return PGDNCParams(nc=nc, **outer, eps=s.eps, ell=ell, rho=s.rho_loc)
+
+
+def _snc(s: _Setting) -> SGDNCParams:
+    k = s.knobs if s.paper else {"batch": 1, "outer_batch": 10, **s.knobs}
+    search = _fields(k, steps="ncf_steps", radius="radius", batch="batch")
+    outer = _fields(
+        k, outer_batch="outer_batch", trigger_threshold="grad_threshold", **_OUTER_KNOBS
     )
-    return PGDNCParams(
-        nc=nc, total_steps=k["steps"], eps=s.eps, ell=ell_eff, rho=s.rho_loc,
-        eta=k["eta"], grad_threshold=k.get("grad_threshold"),
-        exploit_step=k.get("exploit_step"), cooldown=k.get("cooldown"),
-        trust_region=s.trust,
-    )
-
-
-def _ancgd_paper(s: _Setting) -> ANCParams:
-    delta0 = min(1.0, s.delta / (384.0 * s.delta_f) * math.sqrt(s.eps**3 / s.spec.rho))
-    params = derive_anc_params(
-        s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=s.knobs.get("steps")
-    )
-    return _overlay(
-        params, s.knobs, eta="eta", perturb_radius="radius", ncf_steps="ncf_steps",
-        theta="theta", gamma="gamma", nce_radius="nce_radius", cooldown="cooldown",
-        grad_threshold="grad_threshold", exploit_step="exploit_step",
-        trust_region="trust_region",
-    )
-
-
-def _ancgd_recipe(s: _Setting) -> ANCParams:
-    k = s.knobs
-    return ANCParams(
-        eta=k["eta"], theta=k["theta"], gamma=k["gamma"],
-        nce_radius=k["nce_radius"], ncf_steps=k["ncf_steps"],
-        perturb_radius=k["radius"], total_steps=k["steps"], eps=s.eps,
-        delta0=s.delta, ell=1.0 / (4.0 * k["eta"]), rho=s.rho_loc,
-        cooldown=k.get("cooldown"), grad_threshold=k.get("grad_threshold"),
-        exploit_step=k.get("exploit_step"), trust_region=s.trust,
-    )
-
-
-def _snc_paper(s: _Setting) -> SGDNCParams:
-    params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
-    snc = _overlay(params.snc, s.knobs, steps="ncf_steps", radius="radius", batch="batch")
-    return _overlay(
-        dataclasses.replace(params, snc=snc), s.knobs, outer_batch="outer_batch",
-        trigger_threshold="grad_threshold", **_OUTER_KNOBS,
-    )
-
-
-def _snc_recipe(s: _Setting) -> SGDNCParams:
-    k = s.knobs
-    ell_eff = 1.0 / k["eta"]
+    if s.paper:
+        params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
+        snc = dataclasses.replace(params.snc, **search)
+        return dataclasses.replace(params, snc=snc, **outer)
+    ell = 1.0 / k["eta"]
     snc = SNCParams(
-        steps=k["ncf_steps"], radius=k["radius"], batch=k.get("batch", 1),
-        log_term=10.0, eps=s.eps, delta=s.delta,
-        ell=ell_eff, rho=s.rho_loc, ell_tilde=s.ell_tilde,
+        **search, log_term=10.0, eps=s.eps, delta=s.delta, ell=ell, rho=s.rho_loc,
+        ell_tilde=s.ell_tilde,
     )
-    return SGDNCParams(
-        snc=snc, outer_batch=k.get("outer_batch", 10),
-        total_steps=k["steps"], eps=s.eps, ell=ell_eff, rho=s.rho_loc,
-        trigger_threshold=k.get("grad_threshold"),
-        exploit_step=k.get("exploit_step"), eta=k["eta"],
-        cooldown=k.get("cooldown"), trust_region=s.trust,
+    return SGDNCParams(snc=snc, **outer, eps=s.eps, ell=ell, rho=s.rho_loc)
+
+
+def _ancgd(s: _Setting) -> ANCParams:
+    k = s.knobs
+    fields = _fields(
+        k, perturb_radius="radius", ncf_steps="ncf_steps", theta="theta", gamma="gamma",
+        nce_radius="nce_radius", grad_threshold="grad_threshold", **_OUTER_KNOBS,
+    )
+    if s.paper:
+        delta0 = min(1.0, s.delta / (384.0 * s.delta_f) * math.sqrt(s.eps**3 / s.spec.rho))
+        params = derive_anc_params(
+            s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=k.get("steps")
+        )
+        return dataclasses.replace(params, **fields)
+    return ANCParams(
+        **fields, eps=s.eps, delta0=s.delta, ell=1.0 / (4.0 * k["eta"]), rho=s.rho_loc
     )
 
 
-def _baseline(s: _Setting, defaults: dict) -> BaselineParams:
-    k = {**defaults, **s.knobs}
-    return BaselineParams(
-        eta=k["eta"], radius=k["radius"], grad_threshold=k["grad_threshold"],
-        total_steps=k["steps"], cooldown=k.get("cooldown"), theta=k.get("theta"),
-        gamma=k.get("gamma"), nce_radius=k.get("nce_radius"),
-        batch=k.get("batch", 1), trust_region=s.trust,
-    )
-
-
-def _baseline_paper(s: _Setting) -> BaselineParams:
-    nc = derive_nc_params(s.spec, s.eps, min(s.delta, 1.0), s.n)
-    defaults = dict(
-        eta=1.0 / s.spec.ell, radius=nc.radius, grad_threshold=s.eps, cooldown=nc.steps
-    )
-    if "steps" not in s.knobs:
-        defaults["steps"] = max(1, math.ceil(8.0 * s.spec.ell * s.delta_f / s.eps**2))
-    return _baseline(s, defaults)
-
-
-def _baseline_recipe(s: _Setting) -> BaselineParams:
-    return _baseline(s, {})
-
-
-def _momentum(params: BaselineParams, s: _Setting) -> BaselineParams:
-    """PAGD's momentum constants, derived from the smoothness constants
-    unless theta is set."""
-    if params.theta is not None:
-        return params
-    theta = min(0.999, (s.spec.rho * s.eps) ** 0.25 / (4.0 * math.sqrt(s.spec.ell)))
-    gamma = theta**2 / params.eta
-    return dataclasses.replace(
-        params, theta=theta, gamma=gamma, nce_radius=gamma / (4.0 * s.spec.rho)
-    )
+def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
+    """PGD and PSGD, or PAGD with momentum.  Paper mode's defaults come from
+    the search schedule and the gap bound; momentum constants that no knob
+    sets are derived from the smoothness constants in either mode."""
+    k = s.knobs
+    if s.paper:
+        nc = derive_nc_params(s.spec, s.eps, s.delta, s.n)
+        defaults = dict(
+            eta=1.0 / s.spec.ell, radius=nc.radius, grad_threshold=s.eps,
+            cooldown=nc.steps,
+        )
+        if "steps" not in k:
+            defaults["steps"] = max(1, math.ceil(8.0 * s.spec.ell * s.delta_f / s.eps**2))
+        k = {**defaults, **k}
+    if momentum:
+        theta = k.get(
+            "theta", min(0.999, (s.spec.rho * s.eps) ** 0.25 / (4.0 * math.sqrt(s.spec.ell)))
+        )
+        gamma = k.get("gamma", theta**2 / k["eta"])
+        k = {"theta": theta, "gamma": gamma, "nce_radius": gamma / (4.0 * s.spec.rho), **k}
+    return BaselineParams(**_fields(
+        k, eta="eta", radius="radius", grad_threshold="grad_threshold",
+        total_steps="steps", cooldown="cooldown", theta="theta", gamma="gamma",
+        nce_radius="nce_radius", batch="batch", trust_region="trust_region",
+    ))
 
 
 @dataclass(frozen=True)
 class _Algorithm:
     """How the harness runs one algorithm: the name of its run function
-    (a module global, looked up at call time), its paper-mode and
-    experiment-mode parameter builders, the knobs experiment mode needs,
-    and whether it sees the noisy oracle."""
+    (a module global, looked up at call time), its parameter builder, the
+    knobs experiment mode needs, and whether it sees the noisy oracle."""
 
     run: str
-    paper: Callable[[_Setting], object]
-    recipe: Callable[[_Setting], object]
+    build: Callable[[_Setting], object]
     needs: tuple[str, ...]
     noisy: bool = False
 
 
 _ALGORITHMS = {
-    "nc": _Algorithm("pgd_nc_run", _nc_paper, _nc_recipe, _SEARCH_NEEDS),
+    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS),
     "ancgd": _Algorithm(
-        "ancgd_run", _ancgd_paper, _ancgd_recipe,
-        _SEARCH_NEEDS + ("theta", "gamma", "nce_radius"),
+        "ancgd_run", _ancgd, _SEARCH_NEEDS + ("theta", "gamma", "nce_radius")
     ),
-    "snc": _Algorithm("sgd_nc_run", _snc_paper, _snc_recipe, _SEARCH_NEEDS, noisy=True),
-    "pgd": _Algorithm("pgd_run", _baseline_paper, _baseline_recipe, _BASELINE_NEEDS),
+    "snc": _Algorithm("sgd_nc_run", _snc, _SEARCH_NEEDS, noisy=True),
+    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS),
     "pagd": _Algorithm(
-        "pagd_run",
-        lambda s: _momentum(_baseline_paper(s), s),
-        lambda s: _momentum(_baseline_recipe(s), s),
-        _BASELINE_NEEDS,
+        "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS
     ),
-    "psgd": _Algorithm(
-        "psgd_run", _baseline_paper, _baseline_recipe, _BASELINE_NEEDS, noisy=True
-    ),
+    "psgd": _Algorithm("psgd_run", _baseline, _BASELINE_NEEDS, noisy=True),
 }
 ALGORITHMS = tuple(_ALGORITHMS)
 
 
 def _trial_trace(payload: dict, land: Landscape, trial: int):
-    """Build parameters from the payload and run one seeded trial on land."""
-    x0 = _start_point(payload, land)
-    k = payload["knobs"]
+    """Run one seeded trial of the payload's algorithm on land."""
     alg = _ALGORITHMS[payload["algorithm"]]
-    spec = land.oracle.spec
-    oracle = with_noise(land, k.get("sigma", 0.01)) if alg.noisy else land.oracle
-    setting = _Setting(
-        spec=spec,
-        n=land.dim,
-        knobs=k,
-        eps=k.get("eps", 0.01),
-        delta=k.get("delta", 0.1),
-        delta_f=payload["delta_f"],
-        rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
-        ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
-    )
-    if payload["mode"] == "paper":
-        params = alg.paper(setting)
-    else:
-        _require(k, alg.needs, payload["algorithm"])
-        params = alg.recipe(setting)
+    oracle = with_noise(land, payload["sigma"]) if alg.noisy else land.oracle
     run = globals()[alg.run]
-    return run(oracle, x0, params, RngStream(payload["seed"], trial))
+    return run(oracle, payload["x0"], payload["params"], RngStream(payload["seed"], trial))
 
 
 def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
@@ -573,26 +506,42 @@ def _open_pool(workers: int):
 
 
 def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
-    """Resolve recipes and defaults into the per-trial work description;
-    land is cfg.landscape, already built by the caller."""
+    """Resolve recipes and defaults into the work every trial shares: the
+    params, the read-only start point and the escape threshold; land is
+    cfg.landscape, already built by the caller."""
     knobs = _resolve_knobs(cfg)
-    x0 = _start_point({"x0": cfg.x0}, land)
+    alg = _ALGORITHMS[cfg.algorithm]
+    paper = cfg.mode == "paper"
+    x0 = _start_point(cfg.x0, land)
+    x0.setflags(write=False)
     threshold, delta_f = knobs.get("threshold"), knobs.get("delta_f")
     # The gap bound f(x0) - min f sets the default escape threshold and, in
     # paper mode, the derived budgets; an explicit delta_f wins.
-    if threshold is None or (delta_f is None and cfg.mode == "paper"):
+    if threshold is None or (delta_f is None and paper):
         gap = _gap_bound(land, x0)
         threshold = 0.9 * gap if threshold is None else threshold
         delta_f = gap if delta_f is None else delta_f
+    spec = land.oracle.spec
+    sigma = knobs.get("sigma", 0.01)
+    setting = _Setting(
+        paper=paper,
+        spec=spec,
+        n=land.dim,
+        knobs=knobs,
+        eps=knobs.get("eps", 0.01),
+        delta=knobs.get("delta", 0.1),
+        delta_f=delta_f,
+        rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
+        ell_tilde=with_noise(land, sigma).ell_tilde if alg.noisy else spec.ell,
+    )
     return {
         "algorithm": cfg.algorithm,
         "landscape": cfg.landscape,
-        "mode": cfg.mode,
         "seed": cfg.seed,
-        "x0": None if cfg.x0 is None else tuple(cfg.x0),
+        "x0": x0,
+        "sigma": sigma,
         "threshold": float(threshold),
-        "delta_f": delta_f,
-        "knobs": knobs,
+        "params": alg.build(setting),
     }
 
 
@@ -729,8 +678,11 @@ def derive_params_for(
         raise ParameterError(
             f"no derived parameters for {alg!r}; choose nc, ncf, ancgd, or snc"
         )
+    require_positive(eps=eps, delta_f=delta_f)
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must be in (0, 1), got {delta}")
     setting = _Setting(
-        spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
+        paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
         rho_loc=rho, ell_tilde=ell_tilde or ell,
     )
-    return dataclasses.asdict(_ALGORITHMS[alg].paper(setting))
+    return dataclasses.asdict(_ALGORITHMS[alg].build(setting))

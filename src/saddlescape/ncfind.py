@@ -151,6 +151,7 @@ def nc_find(
 
 def lemma_decrease_bound(eps: float, rho: float) -> float:
     """Guaranteed decrease of a certified escape step."""
+    require_positive(eps=eps, rho=rho)
     return math.sqrt(eps**3 / rho) / 384.0
 
 
@@ -299,10 +300,11 @@ def perturb_along_nc(
     """Step distance sqrt(eps/rho)/4 (or step) both ways along the curvature
     direction and keep the lower candidate, falling back to x0 when neither
     decreases f."""
+    require_positive(eps=eps, rho=rho, step=step)
     x0 = np.asarray(x0, dtype=float)
     e_hat = np.asarray(e_hat, dtype=float)
     norm = _norm(e_hat)
-    if norm == 0.0:
-        raise ParameterError("e_hat must be nonzero")
+    if not 0.0 < norm < math.inf:
+        raise ParameterError("e_hat must be nonzero and finite")
     e_hat = e_hat / norm
     return exploit(oracle.value, x0, oracle.value(x0), e_hat, eps, rho, step)[0]

@@ -66,6 +66,7 @@ def fd_quadform(oracle: GradientOracle, x: Array, e: Array, h: float | None = No
     """
     x = np.asarray(x, dtype=float)
     e = np.asarray(e, dtype=float)
+    require_positive(h=h)
     norm = float(np.linalg.norm(e))
     if norm == 0.0:
         raise ParameterError("direction must be nonzero")
@@ -91,6 +92,7 @@ def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> A
         raise ParameterError(
             f"dense Hessian capped at n={DENSE_CAP}; use fd_quadform or analytic structure"
         )
+    require_positive(h=h)
     if h is None:
         h = default_step(x)
     columns = _central_differences(oracle.gradient, x, h)

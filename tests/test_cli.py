@@ -1,11 +1,19 @@
 """Command line interface: subcommands, exit codes, config files."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from saddlescape import SmoothnessSpec, VerifyReport, derive_nc_params, harness
-from saddlescape.cli import main, read_config
+from saddlescape import (
+    ExperimentConfig,
+    SmoothnessSpec,
+    VerifyReport,
+    derive_nc_params,
+    harness,
+)
+from saddlescape.cli import _RUN_FIELDS, build_parser, main, read_config
 
 
 _RUN_FUNCTIONS = ("pgd_nc_run", "ancgd_run", "sgd_nc_run", "pgd_run", "pagd_run", "psgd_run")
@@ -178,6 +186,7 @@ class TestRunCommand:
             ("pgd", "quartic", ["--x0", "0,inf"]),
             ("nc", "quartic", ["--mode", "paper", "--steps", "20", "--g-thresh", "nan"]),
             ("snc", "cubic", ["--mode", "paper", "--steps", "20", "--t-thresh", "-1"]),
+            ("ancgd", "quartic", ["--mode", "paper", "--steps", "20", "--delta", "1"]),
         ],
     )
     def test_bad_knobs_rejected_before_running(self, alg, fn, flags, capsys, monkeypatch):
@@ -329,6 +338,14 @@ class TestConfigFile:
         else:
             assert message in err
 
+    def test_every_config_field_is_a_run_flag(self):
+        # A field without a flag could only be set from a config file.
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {action.dest for action in sub.choices["run"]._actions} - {"help", "config"}
+        assert dests <= set(_RUN_FIELDS)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {_RUN_FIELDS[dest] for dest in dests} == fields
+
     def test_read_config_bad_line(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("eta 0.5\n")
@@ -380,6 +397,8 @@ class TestParamsCommand:
             ("ancgd", ["--eps", "0.1", "--delta-f", "-1"]),
             ("snc", ["--eps", "0.1", "--delta-f", "nan"]),
             ("snc", ["--eps", "0.1", "--ell-tilde", "nan"]),
+            ("ancgd", ["--eps", "0.1", "--delta-f", "0"]),
+            ("ancgd", ["--eps", "0.1", "--delta", "1"]),
         ],
     )
     def test_bad_values_exit_one(self, alg, flags, capsys):

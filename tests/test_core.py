@@ -20,7 +20,12 @@ from saddlescape import (
     StochasticOracle,
     Trace,
     TraceRecord,
+    dense_hessian,
+    fd_quadform,
     gaussian_sample,
+    lemma_decrease_bound,
+    nce_step,
+    perturb_along_nc,
     uniform_ball_sample,
 )
 from saddlescape.core import (
@@ -255,6 +260,50 @@ class TestGuards:
     def test_check_iterate_nan_beats_large_norm(self):
         with pytest.raises(DivergenceError, match="non-finite iterate"):
             check_iterate(np.array([1e200, math.nan]), 1.0)
+
+
+_SADDLE = make_quadratic([-1.0, 2.0])
+_ORIGIN = np.zeros(2)
+_AXIS = np.array([1.0, 0.0])
+_NAN, _INF = math.nan, math.inf
+# (helper, argument, call with the argument set to v, bad values of v)
+_BAD_INPUTS = [
+    ("uniform_ball_sample", "radius",
+     lambda v: uniform_ball_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
+    ("gaussian_sample", "variance",
+     lambda v: gaussian_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
+    ("perturb_along_nc", "eps",
+     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, v, 1.0), (_NAN, 0.0, -1.0, _INF)),
+    ("perturb_along_nc", "rho",
+     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, 0.1, v), (_NAN, 0.0)),
+    ("perturb_along_nc", "step",
+     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, 0.1, 1.0, v), (_NAN, -1.0, _INF)),
+    ("perturb_along_nc", "e_hat",
+     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, np.array([v, 0.0]), 0.1, 1.0),
+     (_NAN, _INF, 0.0)),
+    ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
+    ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
+    ("nce_step", "s",
+     lambda v: nce_step(_SADDLE, _ORIGIN, np.array([0.1, 0.0]), v), (_NAN, _INF, 0.0, -1.0)),
+    ("fd_quadform", "h",
+     lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (0.0, -1e-4, _NAN, _INF)),
+    ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (0.0, _NAN)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(call, name, v, id=f"{helper}-{name}-{v}")
+        for helper, name, call, values in _BAD_INPUTS
+        for v in values
+    ],
+)
+def test_public_helpers_reject_bad_inputs(call, name, value):
+    """NaN, inf and out-of-range inputs raise ParameterError naming the input,
+    instead of returning NaN or a bare ValueError or ZeroDivisionError."""
+    with pytest.raises(ParameterError, match=name):
+        call(value)
 
 
 _EDGE_FLOATS = st.sampled_from(

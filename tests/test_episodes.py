@@ -1,6 +1,7 @@
 """The shared escape-episode kernel, parameter validation, and the way the
 harness reaches its run functions and searches."""
 
+import functools
 import math
 
 import numpy as np
@@ -218,19 +219,59 @@ def test_records_score_their_own_iterate(alg):
         assert rec.f == value(rec.x)
 
 
-@pytest.mark.parametrize(
-    "alg, fn, flag, value, field",
-    [
-        ("ancgd", "quartic", "--eta", 0.07, "eta"),
-        ("ancgd", "quartic", "--r", 0.02, "perturb_radius"),
-        ("ancgd", "quartic", "--ncf-steps", 7, "ncf_steps"),
-        ("ancgd", "quartic", "--theta", 0.3, "theta"),
-        ("ancgd", "quartic", "--gamma", 0.05, "gamma"),
-        ("ancgd", "quartic", "--nce-radius", 0.01, "nce_radius"),
+# Every (algorithm, flag) pair that reaches a params field, with the field
+# it sets; a dotted field lives on the inner search's params.
+_SEARCH_FLAGS = [
+    ("--steps", 9, "total_steps"),
+    ("--eta", 0.07, "eta"),
+    ("--pert", 0.5, "exploit_step"),
+    ("--t-thresh", 3, "cooldown"),
+    ("--trust-region", 1e5, "trust_region"),
+    ("--eps", 0.03, "eps"),
+]
+_BASELINE_FLAGS = [
+    ("--steps", 9, "total_steps"),
+    ("--eta", 0.07, "eta"),
+    ("--r", 0.02, "radius"),
+    ("--g-thresh", 0.3, "grad_threshold"),
+    ("--t-thresh", 3, "cooldown"),
+    ("--trust-region", 1e5, "trust_region"),
+]
+_MOMENTUM_FLAGS = [
+    ("--theta", 0.3, "theta"),
+    ("--gamma", 0.05, "gamma"),
+    ("--nce-radius", 0.01, "nce_radius"),
+]
+_FLAG_ROWS = (
+    [("nc", "quartic", *row) for row in _SEARCH_FLAGS]
+    + [
+        ("nc", "quartic", "--g-thresh", 0.3, "grad_threshold"),
+        ("nc", "quartic", "--ncf-steps", 7, "nc.steps"),
+        ("nc", "quartic", "--r", 0.02, "nc.radius"),
+    ]
+    + [("snc", "cubic", *row) for row in _SEARCH_FLAGS]
+    + [
         ("snc", "cubic", "--g-thresh", 100.0, "trigger_threshold"),
-    ],
+        ("snc", "cubic", "--ncf-steps", 7, "snc.steps"),
+        ("snc", "cubic", "--r", 0.005, "snc.radius"),
+        ("snc", "cubic", "--m", 3, "snc.batch"),
+        ("snc", "cubic", "--M", 4, "outer_batch"),
+    ]
+    + [("ancgd", "quartic", *row) for row in _SEARCH_FLAGS + _MOMENTUM_FLAGS]
+    + [
+        ("ancgd", "quartic", "--g-thresh", 0.3, "grad_threshold"),
+        ("ancgd", "quartic", "--ncf-steps", 7, "ncf_steps"),
+        ("ancgd", "quartic", "--r", 0.02, "perturb_radius"),
+    ]
+    + [("pgd", "quartic", *row) for row in _BASELINE_FLAGS]
+    + [("pagd", "quartic", *row) for row in _BASELINE_FLAGS]
+    + [("psgd", "cubic", *row) for row in _BASELINE_FLAGS]
+    + [("psgd", "cubic", "--m", 3, "batch")]
 )
-def test_paper_mode_applies_flags(monkeypatch, alg, fn, flag, value, field):
+
+
+def _spy_params(monkeypatch, alg):
+    """Patch alg's run function to record the params of every trial."""
     seen = []
     real = getattr(harness, RUN_FUNCTIONS[alg])
 
@@ -239,9 +280,57 @@ def test_paper_mode_applies_flags(monkeypatch, alg, fn, flag, value, field):
         return real(oracle, x0, params, stream)
 
     monkeypatch.setattr(harness, RUN_FUNCTIONS[alg], spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "mode, alg, fn, flag, value, field",
+    [
+        pytest.param(
+            mode, *row,
+            id="-".join(map(str, row)) + ("" if mode == "paper" else "-experiment"),
+        )
+        for mode in ("paper", "experiment")
+        for row in _FLAG_ROWS
+    ],
+)
+def test_paper_mode_applies_flags(monkeypatch, mode, alg, fn, flag, value, field):
+    """Each flag lands on its params field in both modes."""
+    seen = _spy_params(monkeypatch, alg)
     code = main([
-        "run", "--alg", alg, "--fn", fn, "--mode", "paper", "--steps", "12",
+        "run", "--alg", alg, "--fn", fn, "--mode", mode, "--steps", "12",
         "--trials", "2", flag, str(value),
     ])
     assert code == 0
-    assert [getattr(params, field) for params in seen] == [value, value]
+    assert [functools.reduce(getattr, field.split("."), p) for p in seen] == [value, value]
+
+
+@pytest.mark.parametrize("mode", ["paper", "experiment"])
+@pytest.mark.parametrize(
+    "alg, fn, search, scale, delta0",
+    [
+        ("nc", "quartic", "nc", 1.0, "delta0"),
+        ("snc", "cubic", "snc", 1.0, "delta"),
+        ("ancgd", "quartic", None, 4.0, "delta0"),
+    ],
+)
+def test_search_constants_follow_mode(monkeypatch, mode, alg, fn, search, scale, delta0):
+    """Paper mode searches with the declared (ell, rho); experiment mode with
+    ell = 1/(scale * eta), the saddle's local rho and delta as the search's
+    failure probability."""
+    seen = _spy_params(monkeypatch, alg)
+    code = main([
+        "run", "--alg", alg, "--fn", fn, "--mode", mode, "--steps", "12",
+        "--trials", "1", "--eta", "0.04", "--delta", "0.2",
+    ])
+    assert code == 0
+    land = get_landscape(fn)
+    if mode == "paper":
+        ell, rho = land.oracle.spec.ell, land.oracle.spec.rho
+    else:
+        ell, rho = 1.0 / (scale * 0.04), land.saddles[0].rho_local
+    (params,) = seen
+    inner = getattr(params, search) if search else params
+    for holder in (params, inner):
+        assert (holder.ell, holder.rho) == (ell, rho)
+    assert (getattr(inner, delta0) == 0.2) == (mode == "experiment")

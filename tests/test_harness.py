@@ -120,8 +120,11 @@ class TestExperimentConfig:
 
     def test_payload_keeps_explicit_delta_f(self):
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", mode="paper", delta_f=2.5)
-        payload = build_payload(cfg, get_landscape("quartic"))
-        assert (payload["delta_f"], payload["threshold"]) == (2.5, pytest.approx(0.9))
+        land = get_landscape("quartic")
+        payload = build_payload(cfg, land)
+        derived = derive_pgdnc_params(land.oracle.spec, 0.01, 0.1, land.dim, delta_f_bound=2.5)
+        assert payload["params"].total_steps == derived.total_steps
+        assert payload["threshold"] == pytest.approx(0.9)
 
     def test_x0_dimension_checked(self):
         cfg = ExperimentConfig(
@@ -222,6 +225,47 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "res.summary.json").read_text())
         assert summary["algorithm"] == "nc"
         assert summary["counts"] == res.histogram.counts
+
+    @pytest.mark.parametrize("mode", ["experiment", "paper"])
+    @pytest.mark.parametrize("alg", harness.ALGORITHMS)
+    def test_params_built_once_per_experiment(self, monkeypatch, alg, mode):
+        calls = []
+        entry = harness._ALGORITHMS[alg]
+
+        def spy(setting):
+            calls.append(setting)
+            return entry.build(setting)
+
+        monkeypatch.setitem(harness._ALGORITHMS, alg, dataclasses.replace(entry, build=spy))
+        land_id = "cubic" if alg in ("snc", "psgd") else "quartic"
+        cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode=mode, steps=12)
+        assert len(run_experiment(cfg).rows) == 100
+        assert len(calls) == 1
+
+    def test_start_point_is_read_only_and_shared(self, monkeypatch):
+        seen = []
+        real = harness.pgd_nc_run
+        monkeypatch.setattr(
+            harness, "pgd_nc_run", lambda *args: seen.append(args[1]) or real(*args)
+        )
+        run_experiment(ExperimentConfig(algorithm="nc", landscape="quartic", trials=3))
+        assert seen[0] is seen[1] is seen[2]
+        assert not seen[0].flags.writeable
+
+    def test_pagd_derives_only_unset_momentum_constants(self):
+        land = get_landscape("quartic")
+        rho = land.oracle.spec.rho
+
+        def params(**knobs):
+            cfg = ExperimentConfig("pagd", "quartic", mode="paper", steps=12, **knobs)
+            return build_payload(cfg, land)["params"]
+
+        p = params(theta=0.3)
+        assert (p.theta, p.gamma) == (0.3, 0.3**2 / p.eta)
+        assert p.nce_radius == p.gamma / (4.0 * rho)
+        p = params(gamma=0.05)
+        assert (p.theta, p.gamma, p.nce_radius) == (params().theta, 0.05, 0.05 / (4.0 * rho))
+        assert params(nce_radius=0.01).nce_radius == 0.01
 
     def test_reruns_are_deterministic(self):
         cfg = ExperimentConfig(algorithm="snc", landscape="cubic", trials=3, seed=1)
