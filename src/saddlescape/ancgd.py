@@ -176,18 +176,18 @@ def accelerate(
     uniform draw from the radius ball around it and the momentum restarts.
     With window > 0 the draw opens a search window: the anchor gradient zeta
     is subtracted from every step, for the next window iterations the
-    momentum pair is pinned to the probe sphere around the anchor (x is
-    rescaled by the same factor as z, which keeps the pair's geometry
-    aligned with the free-running search), and at its end close(anchor,
-    anchor_f, direction, t) takes the unit direction the pair drifted toward
-    and returns the point of record t, where the loop restarts, and whether
-    the loop stops there.  With window = 0 the draw only re-seeds the
-    iterate.  Outside windows a per-step certificate compares f(x) against
-    the gamma-strongly-convex lower model at z and reroutes through the
-    momentum reset when violated; its f(x_next) and grad f(z_next) serve the
-    next record and step when those arrays become x and z.  params supplies
-    eta, theta, gamma, nce_radius, total_steps and trust_region; the
-    oracle's call counts end up in trace.meta.
+    momentum pair is pinned to the probe sphere around the anchor, and at
+    its end close(anchor, anchor_f, direction, t) takes the unit direction
+    the pair drifted toward and returns the point of record t, where the
+    loop restarts, and whether the loop stops there.  It is not
+    ncfind._power_search: it pins the pair, its steps are scored records of
+    this loop, and this loop's trigger opens it.  With window = 0 the draw
+    only re-seeds the iterate.  Outside windows a per-step certificate
+    compares f(x) against the gamma-strongly-convex lower model at z and
+    reroutes through the momentum reset when violated; its f(x_next) and
+    grad f(z_next) serve the next record and step when those arrays become x
+    and z.  params supplies eta, theta, gamma, nce_radius, total_steps and
+    trust_region; trace.meta gets the oracle's call counts.
     """
     x = z = np.asarray(x0, dtype=float).copy()
     v = zeta = np.zeros_like(x)

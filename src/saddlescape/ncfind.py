@@ -108,6 +108,53 @@ def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) ->
     return max(1, math.ceil(budget))
 
 
+def _power_search(start: Callable[[], Array], step: Callable, radius: float, steps: int) -> Array:
+    """The Hessian power method of every curvature search: from y = start(),
+    steps times y <- step(y, norm) ~ y - H y / ell, rescaled to radius after
+    each step; norm is y's length before that rescaling (the start's at the
+    first step).  A start of non-finite length or an iterate that turns zero
+    or not finite restarts, at most _MAX_RESTARTS times, then AlgorithmError
+    is raised.  Returns the last iterate, whose length is radius.
+    """
+    for _ in range(_MAX_RESTARTS + 1):
+        y = start()
+        norm = _norm(y)
+        if not math.isfinite(norm):
+            continue
+        for _ in range(steps):
+            y = step(y, norm)
+            norm = _norm(y)
+            if norm == 0.0 or not math.isfinite(norm):
+                break
+            y = (radius / norm) * y
+        else:
+            return y
+    raise AlgorithmError("curvature search degenerated repeatedly")
+
+
+def _difference_step(oracle: GradientOracle, x: Array, r: float, ell: float) -> Callable:
+    """Power step on exact gradient differences at x, probed at the offset y
+    rescaled to radius r; 1-homogeneous in y.  Queries grad f(x) once, now."""
+    g0 = oracle.gradient(x)
+
+    def step(y: Array, _) -> Array:
+        norm = _norm(y)
+        if norm == 0.0:  # a zero start stays zero, so the attempt restarts
+            return y
+        probe = oracle.gradient(x + (r / norm) * y) - g0
+        return y - (norm / (ell * r)) * probe
+
+    return step
+
+
+def _point(oracle, x: Array) -> Array:
+    """x as a float array, checked to be a finite point of oracle's domain."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (oracle.dim,) or not np.isfinite(x).all():
+        raise ParameterError(f"point must be finite with shape ({oracle.dim},), got {x.shape}")
+    return x
+
+
 def nc_find(
     oracle: GradientOracle,
     x_tilde: Array,
@@ -117,36 +164,14 @@ def nc_find(
     """Estimate the most-negative-curvature direction at x_tilde.
 
     Gradient differences at a fixed probe radius act as Hessian-vector
-    products, so the loop is a power iteration on (I - H/ell) and converges
-    to the bottom eigenvector.  The search starts from a uniform draw in the
-    probe ball and renormalizes the iterate to the probe radius each step;
-    the update is 1-homogeneous in y, so this keeps magnitudes tame without
-    bending the direction.  A degenerate iterate (zero or not finite)
-    restarts from a fresh draw, at most _MAX_RESTARTS times.
+    products, so _power_search converges to the bottom eigenvector.  Each
+    attempt starts from a uniform draw in the probe ball.
     """
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    n = x_tilde.shape[0]
-    ell = params.ell
-    r = params.radius
-    g0 = oracle.gradient(x_tilde)
-
-    for _ in range(_MAX_RESTARTS + 1):
-        y = uniform_ball_sample(np.zeros(n), r, stream)
-        for _ in range(params.steps):
-            norm = _norm(y)
-            if norm == 0.0 or not math.isfinite(norm):
-                break
-            probe = oracle.gradient(x_tilde + (r / norm) * y) - g0
-            y = y - (norm / (ell * r)) * probe
-            new_norm = _norm(y)
-            if new_norm == 0.0 or not math.isfinite(new_norm):
-                break
-            y = (r / new_norm) * y
-        else:
-            norm = _norm(y)
-            if norm > 0.0 and math.isfinite(norm):
-                return NCOutcome(e_hat=y / norm, steps_used=params.steps)
-    raise AlgorithmError("curvature search degenerated to the zero vector repeatedly")
+    x_tilde = _point(oracle, x_tilde)
+    n, r = x_tilde.shape[0], params.radius
+    step = _difference_step(oracle, x_tilde, r, params.ell)
+    y = _power_search(lambda: uniform_ball_sample(np.zeros(n), r, stream), step, r, params.steps)
+    return NCOutcome(e_hat=y / _norm(y), steps_used=params.steps)
 
 
 def lemma_decrease_bound(eps: float, rho: float) -> float:

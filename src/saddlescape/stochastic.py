@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    AlgorithmError,
     Array,
     EVENT_SGD,
     ParameterError,
@@ -21,13 +20,13 @@ from .core import (
     require_count,
     require_nonnegative,
     require_positive,
-    _norm,
 )
 from .ncfind import (
     NCOutcome,
-    _MAX_RESTARTS,
     _curvature_threshold,
     _descent_budget,
+    _point,
+    _power_search,
     curvature_escape,
     descend,
 )
@@ -144,35 +143,29 @@ def snc_find(
     """Stochastic curvature search with per-step renormalization.
 
     Starts from the zero vector; injected Gaussian noise supplies the initial
-    alignment.  Each step renormalizes the iterate to the probe radius, and
+    alignment.  _power_search renormalizes each step to the probe radius, and
     scale carries the magnitude the free-running recursion would have
     reached: dividing the injected noise by scale / radius keeps the
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
     curvature probes.
     """
-    x_tilde = np.asarray(x_tilde, dtype=float)
+    x_tilde = _point(oracle, x_tilde)
     n = x_tilde.shape[0]
-    r_s = params.radius
-    ell = params.ell
+    r_s = scale = params.radius
     theta_stream = stream.substream("theta")
     xi_stream = stream.substream("xi")
 
-    for _ in range(_MAX_RESTARTS + 1):
-        y = np.zeros(n)
-        scale = r_s
-        for _ in range(params.steps):
-            diff = oracle.minibatch_diff(x_tilde, x_tilde + y, params.batch, theta_stream)
-            xi = _noise_draw(xi_stream, n, r_s)
-            y = y - (1.0 / ell) * (diff + xi / (scale / r_s))
-            norm = _norm(y)
-            if norm == 0.0 or not math.isfinite(norm):
-                break
-            scale = scale * (norm / r_s)
-            y = (r_s / norm) * y
-        else:
-            return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
-    raise AlgorithmError("stochastic curvature search degenerated repeatedly")
+    def step(y: Array, norm: float) -> Array:
+        nonlocal scale
+        # Only an attempt's first step, from zero, sees norm 0: scale restarts.
+        scale = scale * (norm / r_s) if norm else r_s
+        diff = oracle.minibatch_diff(x_tilde, x_tilde + y, params.batch, theta_stream)
+        xi = _noise_draw(xi_stream, n, r_s)
+        return y - (1.0 / params.ell) * (diff + xi / (scale / r_s))
+
+    y = _power_search(lambda: np.zeros(n), step, r_s, params.steps)
+    return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
 
 
 @dataclass(frozen=True)

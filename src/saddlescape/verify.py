@@ -8,7 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, GradientOracle, ParameterError, RngStream, require_positive
+from .core import (
+    Array, GradientOracle, ParameterError, RngStream, require_count, require_positive,
+)
+from .ncfind import _difference_step, _point, _power_search
 from .testbed import VERIFY_IDS, Landscape, get_landscape
 
 __all__ = [
@@ -64,12 +67,12 @@ def fd_quadform(oracle: GradientOracle, x: Array, e: Array, h: float | None = No
     For a unit direction the error is bounded by rho * h on a declared
     Hessian-Lipschitz domain.
     """
-    x = np.asarray(x, dtype=float)
+    x = _point(oracle, x)
     e = np.asarray(e, dtype=float)
     require_positive(h=h)
     norm = float(np.linalg.norm(e))
-    if norm == 0.0:
-        raise ParameterError("direction must be nonzero")
+    if e.shape != x.shape or not 0.0 < norm < math.inf:
+        raise ParameterError(f"direction must be nonzero and finite with shape {x.shape}")
     e = e / norm
     if h is None:
         h = default_step(x)
@@ -87,7 +90,7 @@ def _central_differences(fn, x: Array, h: float) -> Array:
 
 def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> Array:
     """Symmetrized central-difference Hessian, one gradient pair per column."""
-    x = np.asarray(x, dtype=float)
+    x = _point(oracle, x)
     if x.shape[0] > DENSE_CAP:
         raise ParameterError(
             f"dense Hessian capped at n={DENSE_CAP}; use fd_quadform or analytic structure"
@@ -141,8 +144,8 @@ def classify(
 ) -> StationarityVerdict:
     """Second-order stationarity test at tolerances (eps, rho) on the
     finite-difference Hessian."""
-    require_positive(eps=eps)
-    x = np.asarray(x, dtype=float)
+    require_positive(eps=eps, rho=rho)
+    x = _point(oracle, x)
     rho = oracle.spec.rho if rho is None else rho
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))
     report = dense_hessian_eig(oracle, x, h)
@@ -158,26 +161,18 @@ def grad_power_lambda_min(
 ) -> CurvatureReport:
     """Gradient-only bottom-eigenpair estimate via fixed-radius power steps.
 
-    Runs the same gradient-difference iteration the escape algorithms use,
-    at a vanishing probe radius, then scores the direction with fd_quadform.
+    Runs nc_find's gradient-difference power method at a vanishing probe
+    radius from a Gaussian start, then scores the direction with fd_quadform.
     Useful as a cross-check that needs no Hessian assembly.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    ell = oracle.spec.ell
+    x = _point(oracle, x)
+    require_count(iters=iters)
+    require_positive(radius=radius)
     if radius is None:
         radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    g0 = oracle.gradient(x)
-    y = stream.gen.standard_normal(n)
-    y /= np.linalg.norm(y)
-    for _ in range(iters):
-        probe = oracle.gradient(x + radius * y) - g0
-        y = y - probe / (ell * radius)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0 or not np.isfinite(norm):
-            y = stream.gen.standard_normal(n)
-            norm = float(np.linalg.norm(y))
-        y = y / norm
+    step = _difference_step(oracle, x, radius, oracle.spec.ell)
+    y = _power_search(lambda: stream.gen.standard_normal(x.shape), step, radius, iters)
+    y = y / np.linalg.norm(y)
     h = default_step(x)
     quad = fd_quadform(oracle, x, y, h)
     return CurvatureReport(lambda_min=quad, direction=y, quad_form=quad, method="grad-power", h=h)

@@ -20,12 +20,16 @@ from saddlescape import (
     StochasticOracle,
     Trace,
     TraceRecord,
+    classify,
     dense_hessian,
     fd_quadform,
     gaussian_sample,
+    grad_power_lambda_min,
     lemma_decrease_bound,
+    nc_find,
     nce_step,
     perturb_along_nc,
+    snc_find,
     uniform_ball_sample,
 )
 from saddlescape.core import (
@@ -35,6 +39,8 @@ from saddlescape.core import (
     _norm,
     check_iterate,
 )
+from saddlescape.ncfind import NCParams
+from saddlescape.stochastic import SNCParams
 
 from conftest import make_quadratic, relabel
 
@@ -266,6 +272,12 @@ _SADDLE = make_quadratic([-1.0, 2.0])
 _ORIGIN = np.zeros(2)
 _AXIS = np.array([1.0, 0.0])
 _NAN, _INF = math.nan, math.inf
+_NOISY = AdditiveNoiseOracle(_SADDLE, 0.1)
+_NC = NCParams(steps=5, radius=1e-3, eps=0.1, delta0=0.1, ell=2.0, rho=1.0)
+_SNC = SNCParams(
+    steps=5, radius=1e-3, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=2.0, rho=1.0,
+    ell_tilde=2.0,
+)
 # (helper, argument, call with the argument set to v, bad values of v)
 _BAD_INPUTS = [
     ("uniform_ball_sample", "radius",
@@ -288,6 +300,36 @@ _BAD_INPUTS = [
     ("fd_quadform", "h",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (0.0, -1e-4, _NAN, _INF)),
     ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (0.0, _NAN)),
+    ("grad_power_lambda_min", "iters",
+     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, v, RngStream(0, 0)), (0, -1)),
+    ("grad_power_lambda_min", "radius",
+     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, 5, RngStream(0, 0), v),
+     (0.0, -1e-4, _NAN, _INF)),
+    ("fd_quadform", "direction",
+     lambda v: fd_quadform(_SADDLE, _ORIGIN, np.array([v, 0.0])), (_NAN, _INF)),
+    ("fd_quadform", "point",
+     lambda v: fd_quadform(_SADDLE, np.array([v, 0.0]), _AXIS), (_NAN, _INF)),
+    ("fd_quadform", "direction",
+     lambda v: fd_quadform(_SADDLE, _ORIGIN, np.ones(v)), (1, 3, (2, 1))),
+    ("dense_hessian", "point",
+     lambda v: dense_hessian(_SADDLE, np.array([v, 0.0])), (_NAN, _INF)),
+    ("classify", "rho", lambda v: classify(_SADDLE, _ORIGIN, 0.1, v), (_NAN, -1.0)),
+    ("classify", "point", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
+    # The finders' anchor: a non-finite entry, or a shape other than (dim,).
+    ("nc_find", "point",
+     lambda v: nc_find(_SADDLE, np.array([v, 0.0]), _NC, RngStream(0, 0)), (_NAN, _INF)),
+    ("nc_find", "point",
+     lambda v: nc_find(_SADDLE, np.zeros(v), _NC, RngStream(0, 0)), (1, 3, (2, 1))),
+    ("snc_find", "point",
+     lambda v: snc_find(_NOISY, np.array([v, 0.0]), _SNC, RngStream(0, 0)), (_NAN, _INF)),
+    ("snc_find", "point",
+     lambda v: snc_find(_NOISY, np.zeros(v), _SNC, RngStream(0, 0)), (1, 3, (2, 1))),
+    ("grad_power_lambda_min", "point",
+     lambda v: grad_power_lambda_min(_SADDLE, np.array([v, 0.0]), 5, RngStream(0, 0)),
+     (_NAN, _INF)),
+    ("grad_power_lambda_min", "point",
+     lambda v: grad_power_lambda_min(_SADDLE, np.zeros(v), 5, RngStream(0, 0)),
+     (1, 3, (2, 1))),
 ]
 
 

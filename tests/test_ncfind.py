@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saddlescape import (
+    AdditiveNoiseOracle,
     AlgorithmError,
     GradientOracle,
     ParameterError,
@@ -15,12 +16,17 @@ from saddlescape import (
     derive_nc_params,
     derive_snc_params,
     get_landscape,
+    grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
     perturb_along_nc,
+    snc_find,
     uniform_ball_sample,
 )
-from saddlescape.ncfind import NCParams
+from saddlescape import ncfind, stochastic, verify
+from saddlescape.ncfind import _MAX_RESTARTS, NCParams
+from saddlescape.stochastic import SNCParams
+from saddlescape.testbed import VERIFY_IDS
 from saddlescape.verify import fd_quadform
 
 from conftest import angular_gap, free_nc_direction, make_quadratic, relabel
@@ -80,6 +86,65 @@ class TestDerivedSchedule:
             NCParams(steps=5, radius=-0.1, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
 
 
+def _pinned_vs_free_gap(land_id, steps):
+    """Angular gap between nc_find and its free-running reference at the
+    landscape's first saddle, declared with the saddle's local constants."""
+    land = get_landscape(land_id)
+    sad = land.saddles[0]
+    oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
+    params = NCParams(
+        steps=steps, radius=1e-3, eps=0.04, delta0=0.1, ell=sad.ell_local, rho=sad.rho_local,
+    )
+    pinned = nc_find(oracle, sad.point, params, RngStream(3, 0))
+    free = free_nc_direction(oracle, sad.point, params, RngStream(3, 0))
+    return angular_gap(pinned.e_hat, free)
+
+
+def _degenerate_oracle():
+    """An oracle whose gradient is finite at its first call and NaN after."""
+    calls = []
+
+    def grad(x):
+        calls.append(x)
+        return np.zeros(2) if len(calls) == 1 else np.full(2, math.nan)
+
+    return GradientOracle(f=lambda x: 0.0, grad=grad, spec=SmoothnessSpec(1.0, 1.0), dim=2)
+
+
+_NC = NCParams(steps=5, radius=1e-3, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+_SNC = SNCParams(
+    steps=5, radius=1e-3, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=1.0, rho=1.0,
+    ell_tilde=1.0,
+)
+# Each finder's module (whose _power_search it calls) and a run of it whose
+# gradient differences are NaN from the first search step on.
+_DEGENERATE_RUNS = {
+    "nc_find": (ncfind, lambda: nc_find(_degenerate_oracle(), np.zeros(2), _NC, RngStream(0, 0))),
+    "snc_find": (stochastic, lambda: snc_find(
+        AdditiveNoiseOracle(_degenerate_oracle(), 0.1), np.zeros(2), _SNC, RngStream(0, 0))),
+    "grad_power_lambda_min": (verify, lambda: grad_power_lambda_min(
+        _degenerate_oracle(), np.zeros(2), 5, RngStream(0, 0))),
+}
+
+
+def _start_draws_before_raise(monkeypatch, finder):
+    """Run the finder on its degenerate oracle, expect AlgorithmError, and
+    return how many start draws the shared kernel made before it raised."""
+    module, run = _DEGENERATE_RUNS[finder]
+    search, draws = module._power_search, []
+
+    def counted(start, *args):
+        def draw():
+            draws.append(None)
+            return start()
+        return search(draw, *args)
+
+    monkeypatch.setattr(module, "_power_search", counted)
+    with pytest.raises(AlgorithmError, match="degenerated"):
+        run()
+    return len(draws)
+
+
 class TestSearchDynamics:
     def test_aligns_with_bottom_eigenvector(self, quad5):
         params = NCParams(steps=80, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
@@ -105,16 +170,12 @@ class TestSearchDynamics:
     def test_renormalization_is_direction_neutral(self):
         # The update is 1-homogeneous in y even off-quadratic, since queries
         # sit on the probe sphere; nc_find and the free reference must agree.
-        land = get_landscape("quartic")
-        sad = land.saddles[0]
-        oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
-        params = NCParams(
-            steps=60, radius=1e-3, eps=0.04, delta0=0.1,
-            ell=sad.ell_local, rho=sad.rho_local,
-        )
-        pinned = nc_find(oracle, sad.point, params, RngStream(3, 0))
-        free = free_nc_direction(oracle, sad.point, params, RngStream(3, 0))
-        assert angular_gap(pinned.e_hat, free) <= 1e-8
+        assert _pinned_vs_free_gap("quartic", 60) <= 1e-8
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 30, 60])
+    @pytest.mark.parametrize("land_id", VERIFY_IDS)
+    def test_renormalization_is_direction_neutral_at_every_saddle(self, land_id, steps):
+        assert _pinned_vs_free_gap(land_id, steps) <= 1e-8
 
     def test_seeded_determinism(self, quad5):
         params = NCParams(steps=40, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
@@ -122,21 +183,27 @@ class TestSearchDynamics:
         b = nc_find(quad5, np.zeros(5), params, RngStream(9, 4))
         assert np.array_equal(a.e_hat, b.e_hat)
 
-    def test_degenerate_oracle_raises_after_restarts(self):
-        calls = {"grad": 0}
+    def test_degenerate_oracle_raises_after_restarts(self, monkeypatch):
+        assert _start_draws_before_raise(monkeypatch, "nc_find") == _MAX_RESTARTS + 1
 
-        def bad_grad(x):
-            calls["grad"] += 1
-            if calls["grad"] == 1:
-                return np.zeros(2)
-            return np.array([math.nan, math.nan])
+    @pytest.mark.parametrize("finder", ["snc_find", "grad_power_lambda_min"])
+    def test_degenerate_oracle_raises_in_other_finders(self, monkeypatch, finder):
+        assert _start_draws_before_raise(monkeypatch, finder) == _MAX_RESTARTS + 1
 
-        oracle = GradientOracle(
-            f=lambda x: 0.0, grad=bad_grad, spec=SmoothnessSpec(1.0, 1.0), dim=2
-        )
-        params = NCParams(steps=5, radius=1e-3, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
-        with pytest.raises(AlgorithmError):
-            nc_find(oracle, np.zeros(2), params, RngStream(0, 0))
+    def test_zero_start_restarts(self, quad5, monkeypatch):
+        # A uniform-ball draw is exactly zero when its radial draw is 0.0;
+        # that attempt restarts from the next draw.
+        draws = []
+
+        def draw(center, radius, stream):
+            draws.append(None)
+            return np.zeros(5) if len(draws) == 1 else uniform_ball_sample(center, radius, stream)
+
+        monkeypatch.setattr(ncfind, "uniform_ball_sample", draw)
+        params = NCParams(steps=80, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
+        out = nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
+        assert len(draws) == 2
+        assert angular_gap(out.e_hat, np.array([1, 0, 0, 0, 0.0])) <= 1e-10
 
     def test_certified_direction_on_every_landscape_saddle(self):
         for land_id in ("quartic", "cubic", "triangle", "exponential"):

@@ -37,6 +37,12 @@ def test_demo_imports(path):
     assert namespace["__name__"] == "smoke"
 
 
+def test_verification_tour_runs(capsys):
+    # The one demo that calls grad_power_lambda_min, run in full.
+    runpy.run_path(str(ROOT / "demos" / "verification_tour.py"), run_name="__main__")
+    assert "method grad-power" in capsys.readouterr().out
+
+
 def test_readme_quick_tour_runs():
     # The README's one python block is the documented example of the API.
     readme = (ROOT / "README.md").read_text()
