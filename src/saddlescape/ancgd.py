@@ -30,7 +30,7 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _curvature_threshold, exploit
+from .ncfind import _curvature_threshold, _point, exploit
 
 __all__ = [
     "ANCParams",
@@ -146,7 +146,7 @@ def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Arra
     positive side.  Momentum is zeroed in every branch.
     """
     require_positive(s=s)
-    return _nce_step(oracle, x, v, s)
+    return _nce_step(oracle, _point(oracle, x), _point(oracle, v, "v"), s)
 
 
 def _nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Array, Array]:

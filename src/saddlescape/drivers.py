@@ -4,7 +4,6 @@ perturbation-based baselines it is compared against."""
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,11 +28,11 @@ from .core import (
 )
 from .ancgd import accelerate
 from .ncfind import (
-    NCParams, _descent_budget, curvature_escape, derive_nc_params, descend, nc_find,
+    NCDescentParams, _descent_budget, _episode_delta0, curvature_escape, derive_nc_params,
+    descend, nc_find,
 )
 
 __all__ = [
-    "PGDNCParams",
     "derive_pgdnc_params",
     "pgd_nc_run",
     "BaselineParams",
@@ -43,68 +42,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PGDNCParams:
-    """Outer gradient-descent loop wrapped around the curvature search."""
-
-    nc: NCParams
-    total_steps: int
-    eps: float
-    ell: float
-    rho: float
-    eta: float | None = None
-    grad_threshold: float | None = None
-    exploit_step: float | None = None
-    cooldown: int | None = None
-    stop_at_candidate: bool = False
-    trust_region: float = 1e6
-
-    def __post_init__(self):
-        require_count(total_steps=self.total_steps)
-        require_positive(
-            eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
-            exploit_step=self.exploit_step,
-        )
-        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
-        require_bound(trust_region=self.trust_region)
-
-    @property
-    def effective_eta(self) -> float:
-        return 1.0 / self.ell if self.eta is None else self.eta
-
-    @property
-    def effective_threshold(self) -> float:
-        return self.eps if self.grad_threshold is None else self.grad_threshold
-
-
 def derive_pgdnc_params(
     spec: SmoothnessSpec,
     eps: float,
     delta_overall: float,
     n: int,
     delta_f_bound: float,
-) -> PGDNCParams:
+) -> NCDescentParams:
     """Search schedule and step budget for overall failure probability
     delta_overall, given the initial gap bound delta_f_bound."""
     require_positive(eps=eps, delta_f_bound=delta_f_bound)
     if not (0 < delta_overall < 1):
         raise ParameterError(f"delta_overall must be in (0, 1), got {delta_overall}")
-    ell, rho = spec.ell, spec.rho
-    delta0 = delta_overall / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho)
-    nc = derive_nc_params(spec, eps, min(delta0, 1.0), n)
-    return PGDNCParams(
-        nc=nc,
-        total_steps=_descent_budget(ell, rho, eps, delta_f_bound),
-        eps=eps,
-        ell=ell,
-        rho=rho,
+    delta0 = _episode_delta0(delta_overall, delta_f_bound, eps, spec.rho)
+    return NCDescentParams(
+        derive_nc_params(spec, eps, delta0, n),
+        total_steps=_descent_budget(spec.ell, spec.rho, eps, delta_f_bound),
     )
 
 
 def pgd_nc_run(
     oracle: GradientOracle,
     x0: Array,
-    params: PGDNCParams,
+    params: NCDescentParams,
     stream: RngStream,
 ) -> Trace:
     """Gradient descent that runs the curvature search at flat points.
@@ -113,19 +73,20 @@ def pgd_nc_run(
     steps (one record each), the exploit step tries both signs from the
     anchor, and there is no cooldown by default: a failed exploit falls back
     to the anchor and the small gradient immediately re-enters the search.
+    The step size defaults to 1/ell and the trigger to eps.
     """
     counted = CountingOracle(oracle)
+    nc = params.search
+    eta = 1.0 / nc.ell if params.eta is None else params.eta
+    threshold = nc.eps if params.grad_threshold is None else params.grad_threshold
 
     def search(anchor: Array, budget: int, episode: int):
-        inner = dataclasses.replace(params.nc, steps=min(params.nc.steps, budget))
+        inner = dataclasses.replace(nc, steps=min(nc.steps, budget))
         return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
 
     trace = Trace.start("pgd-nc", stream)
     escape = curvature_escape(trace, params, counted.value, search)
-    descend(
-        x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD,
-        params.effective_eta, params.effective_threshold,
-    )
+    descend(x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD, eta, threshold)
     trace.meta["f_evals"] = counted.f_evals
     trace.meta["grad_evals"] = counted.grad_evals
     return trace

@@ -31,15 +31,14 @@ from .core import (
 )
 from .drivers import (
     BaselineParams,
-    PGDNCParams,
     derive_pgdnc_params,
     pagd_run,
     pgd_nc_run,
     pgd_run,
     psgd_run,
 )
-from .ncfind import NCParams, derive_nc_params
-from .stochastic import SGDNCParams, SNCParams, derive_sgdnc_params, sgd_nc_run
+from .ncfind import NCDescentParams, NCParams, _episode_delta0, derive_nc_params
+from .stochastic import SNCParams, derive_sgdnc_params, sgd_nc_run
 from .testbed import Landscape, get_landscape, with_noise
 
 __all__ = [
@@ -57,6 +56,8 @@ __all__ = [
 _ALIASES = {"pgd-nc": "nc", "sgd-nc": "snc"}
 BIN_WIDTH = 0.05
 _NEVER = 10**9
+# The largest budget a run takes from a derivation; a larger one needs steps.
+MAX_DERIVED_STEPS = 10**7
 
 # Calibrated equal-budget settings for the desk-scale comparisons.  Keyed by
 # (algorithm, landscape family); missing knobs fall back to derived values
@@ -340,52 +341,50 @@ def _fields(knobs: dict, **names) -> dict:
 # mode derives it at the declared (ell, rho), experiment mode takes the local
 # constants ell = 1/eta (1/(4 eta) for ancgd), rho_local and delta0 = delta.
 _OUTER_KNOBS = dict(
-    total_steps="steps", eta="eta", exploit_step="exploit_step",
-    cooldown="cooldown", trust_region="trust_region",
+    total_steps="steps", eta="eta", grad_threshold="grad_threshold",
+    exploit_step="exploit_step", cooldown="cooldown", trust_region="trust_region",
 )
 _SEARCH_NEEDS = ("eta", "radius", "ncf_steps", "eps", "steps")
 _BASELINE_NEEDS = ("eta", "radius", "grad_threshold", "steps")
 
 
-def _nc(s: _Setting) -> PGDNCParams:
+def _nc(s: _Setting) -> NCDescentParams:
     k = s.knobs
     search = _fields(k, steps="ncf_steps", radius="radius")
-    outer = _fields(k, grad_threshold="grad_threshold", **_OUTER_KNOBS)
+    outer = _fields(k, **_OUTER_KNOBS)
     if s.paper:
         params = derive_pgdnc_params(s.spec, s.eps, s.delta, s.n, s.delta_f)
-        nc = dataclasses.replace(params.nc, **search)
-        return dataclasses.replace(params, nc=nc, **outer)
-    ell = 1.0 / k["eta"]
-    nc = NCParams(**search, eps=s.eps, delta0=s.delta, ell=ell, rho=s.rho_loc)
-    return PGDNCParams(nc=nc, **outer, eps=s.eps, ell=ell, rho=s.rho_loc)
+        return dataclasses.replace(
+            params, search=dataclasses.replace(params.search, **search), **outer
+        )
+    nc = NCParams(**search, eps=s.eps, delta0=s.delta, ell=1.0 / k["eta"], rho=s.rho_loc)
+    return NCDescentParams(nc, **outer)
 
 
-def _snc(s: _Setting) -> SGDNCParams:
+def _snc(s: _Setting) -> NCDescentParams:
     k = s.knobs if s.paper else {"batch": 1, "outer_batch": 10, **s.knobs}
     search = _fields(k, steps="ncf_steps", radius="radius", batch="batch")
-    outer = _fields(
-        k, outer_batch="outer_batch", trigger_threshold="grad_threshold", **_OUTER_KNOBS
-    )
+    outer = _fields(k, outer_batch="outer_batch", **_OUTER_KNOBS)
     if s.paper:
         params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
-        snc = dataclasses.replace(params.snc, **search)
-        return dataclasses.replace(params, snc=snc, **outer)
-    ell = 1.0 / k["eta"]
+        return dataclasses.replace(
+            params, search=dataclasses.replace(params.search, **search), **outer
+        )
     snc = SNCParams(
-        **search, log_term=10.0, eps=s.eps, delta=s.delta, ell=ell, rho=s.rho_loc,
-        ell_tilde=s.ell_tilde,
+        **search, log_term=10.0, eps=s.eps, delta=s.delta, ell=1.0 / k["eta"],
+        rho=s.rho_loc, ell_tilde=s.ell_tilde,
     )
-    return SGDNCParams(snc=snc, **outer, eps=s.eps, ell=ell, rho=s.rho_loc)
+    return NCDescentParams(snc, **outer)
 
 
 def _ancgd(s: _Setting) -> ANCParams:
     k = s.knobs
     fields = _fields(
         k, perturb_radius="radius", ncf_steps="ncf_steps", theta="theta", gamma="gamma",
-        nce_radius="nce_radius", grad_threshold="grad_threshold", **_OUTER_KNOBS,
+        nce_radius="nce_radius", **_OUTER_KNOBS,
     )
     if s.paper:
-        delta0 = min(1.0, s.delta / (384.0 * s.delta_f) * math.sqrt(s.eps**3 / s.spec.rho))
+        delta0 = _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho)
         params = derive_anc_params(
             s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=k.get("steps")
         )
@@ -534,6 +533,12 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=with_noise(land, sigma).ell_tilde if alg.noisy else spec.ell,
     )
+    params = alg.build(setting)
+    if "steps" not in knobs and params.total_steps > MAX_DERIVED_STEPS:
+        raise ParameterError(
+            f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
+            "pass --steps"
+        )
     return {
         "algorithm": cfg.algorithm,
         "landscape": cfg.landscape,
@@ -541,7 +546,7 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         "x0": x0,
         "sigma": sigma,
         "threshold": float(threshold),
-        "params": alg.build(setting),
+        "params": params,
     }
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -22,11 +22,16 @@ from .core import (
     Trace,
     TraceRecord,
     check_iterate,
+    require_bound,
     require_count,
+    require_nonnegative,
     require_positive,
     uniform_ball_sample,
     _norm,
 )
+
+if TYPE_CHECKING:
+    from .stochastic import SNCParams
 
 __all__ = [
     "NCParams",
@@ -36,6 +41,7 @@ __all__ = [
     "perturb_along_nc",
     "lemma_decrease_bound",
     "exploit",
+    "NCDescentParams",
     "descend",
     "curvature_escape",
 ]
@@ -98,6 +104,13 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     return NCParams(steps=steps, radius=radius, eps=eps, delta0=delta0, ell=ell, rho=rho)
 
 
+def _episode_delta0(delta: float, delta_f_bound: float, eps: float, rho: float) -> float:
+    """Per-episode failure probability of nc and ancgd: the overall delta
+    split over the certified episodes that would use up the gap
+    delta_f_bound, capped at 1."""
+    return min(1.0, delta / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho))
+
+
 def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) -> int:
     """Step budget of nc and snc: the larger of the gradient-step and the
     certified-escape counts that would use up the gap delta_f_bound."""
@@ -147,11 +160,11 @@ def _difference_step(oracle: GradientOracle, x: Array, r: float, ell: float) -> 
     return step
 
 
-def _point(oracle, x: Array) -> Array:
-    """x as a float array, checked to be a finite point of oracle's domain."""
+def _point(oracle, x: Array, name: str = "point") -> Array:
+    """x as a float array, checked to be a finite vector of oracle's domain."""
     x = np.asarray(x, dtype=float)
     if x.shape != (oracle.dim,) or not np.isfinite(x).all():
-        raise ParameterError(f"point must be finite with shape ({oracle.dim},), got {x.shape}")
+        raise ParameterError(f"{name} must be finite with shape ({oracle.dim},), got {x.shape}")
     return x
 
 
@@ -227,6 +240,33 @@ def exploit(
     return x, stop_at_candidate
 
 
+@dataclass(frozen=True)
+class NCDescentParams:
+    """The descent loop of nc and snc around its curvature search.
+
+    search (an NCParams or SNCParams) also supplies the loop's eps, ell and
+    rho.  eta and grad_threshold default, when None, to what the run
+    function states; outer_batch is the minibatch of snc's gradient
+    estimate, which nc ignores.
+    """
+
+    search: NCParams | SNCParams
+    total_steps: int
+    eta: float | None = None
+    grad_threshold: float | None = None
+    exploit_step: float | None = None
+    cooldown: int | None = None
+    outer_batch: int = 1
+    stop_at_candidate: bool = False
+    trust_region: float = 1e6
+
+    def __post_init__(self):
+        require_count(total_steps=self.total_steps, outer_batch=self.outer_batch)
+        require_positive(eta=self.eta, exploit_step=self.exploit_step)
+        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
+        require_bound(trust_region=self.trust_region)
+
+
 def descend(
     x0: Array, params, trace: Trace, estimate: Callable[[Array, Array], Array], recorder,
     escape: Callable[[Array, int, int], tuple | None], event: str, eta: float,
@@ -287,25 +327,25 @@ def descend(
 
 
 def curvature_escape(
-    trace: Trace, params, value: Callable[[Array], float],
+    trace: Trace, params: NCDescentParams, value: Callable[[Array], float],
     search: Callable[[Array, int, int], NCOutcome],
 ) -> Callable[[Array, int, int], tuple | None]:
     """Episode hook for descend: search(anchor, budget, episode) returns a
     direction from at most budget steps, one held iteration each, and the
     exploit from the anchor (scored by value, its f read from the anchor's
     record) takes the closing record.  Declines when fewer than two
-    iterations remain.  params is a PGDNCParams or SGDNCParams; the hook
-    reads only the fields the two share.
+    iterations remain.
     """
     meta = trace.meta
     meta["exploits"], meta["candidates"] = [], []
+    eps, rho = params.search.eps, params.search.rho
 
     def escape(anchor: Array, t: int, budget: int):
         if budget < 2:
             return None
         outcome = search(anchor, budget - 1, len(meta["exploits"]))
         x, stop = exploit(
-            value, anchor, trace.records[-1].f, outcome.e_hat, params.eps, params.rho,
+            value, anchor, trace.records[-1].f, outcome.e_hat, eps, rho,
             params.exploit_step, meta=meta, t=t + outcome.steps_used + 1,
             stop_at_candidate=params.stop_at_candidate,
         )
@@ -326,8 +366,8 @@ def perturb_along_nc(
     direction and keep the lower candidate, falling back to x0 when neither
     decreases f."""
     require_positive(eps=eps, rho=rho, step=step)
-    x0 = np.asarray(x0, dtype=float)
-    e_hat = np.asarray(e_hat, dtype=float)
+    x0 = _point(oracle, x0)
+    e_hat = _point(oracle, e_hat, "e_hat")
     norm = _norm(e_hat)
     if not 0.0 < norm < math.inf:
         raise ParameterError("e_hat must be nonzero and finite")

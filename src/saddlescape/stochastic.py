@@ -16,12 +16,11 @@ from .core import (
     SmoothnessSpec,
     StochasticOracle,
     Trace,
-    require_bound,
     require_count,
-    require_nonnegative,
     require_positive,
 )
 from .ncfind import (
+    NCDescentParams,
     NCOutcome,
     _curvature_threshold,
     _descent_budget,
@@ -35,7 +34,6 @@ __all__ = [
     "SNCParams",
     "derive_snc_params",
     "snc_find",
-    "SGDNCParams",
     "derive_sgdnc_params",
     "sgd_nc_run",
 ]
@@ -168,43 +166,6 @@ def snc_find(
     return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
 
 
-@dataclass(frozen=True)
-class SGDNCParams:
-    """Outer SGD loop constants wrapped around the stochastic curvature search."""
-
-    snc: SNCParams
-    outer_batch: int
-    total_steps: int
-    eps: float
-    ell: float
-    rho: float
-    trigger_threshold: float | None = None
-    exploit_step: float | None = None
-    eta: float | None = None
-    cooldown: int | None = None
-    stop_at_candidate: bool = False
-    trust_region: float = 1e6
-
-    def __post_init__(self):
-        require_count(outer_batch=self.outer_batch, total_steps=self.total_steps)
-        require_positive(
-            eps=self.eps, ell=self.ell, rho=self.rho, eta=self.eta,
-            exploit_step=self.exploit_step,
-        )
-        require_nonnegative(
-            trigger_threshold=self.trigger_threshold, cooldown=self.cooldown
-        )
-        require_bound(trust_region=self.trust_region)
-
-    @property
-    def effective_threshold(self) -> float:
-        return 0.75 * self.eps if self.trigger_threshold is None else self.trigger_threshold
-
-    @property
-    def effective_eta(self) -> float:
-        return 1.0 / self.ell if self.eta is None else self.eta
-
-
 def derive_sgdnc_params(
     spec: SmoothnessSpec,
     ell_tilde: float,
@@ -212,7 +173,7 @@ def derive_sgdnc_params(
     delta_overall: float,
     n: int,
     delta_f_bound: float,
-) -> SGDNCParams:
+) -> NCDescentParams:
     """Outer batch size, budget, and inner search schedule for overall failure
     probability delta_overall given the initial gap bound delta_f_bound."""
     require_positive(eps=eps, delta_f_bound=delta_f_bound)
@@ -221,21 +182,17 @@ def derive_sgdnc_params(
     ell, rho = spec.ell, spec.rho
     delta = delta_overall / (2304.0 * delta_f_bound) * math.sqrt(eps**3 / rho)
     snc = derive_snc_params(spec, ell_tilde, eps, delta, n)
-    outer_batch = max(1, math.ceil(16.0 * ell * delta_f_bound / eps**2))
-    return SGDNCParams(
-        snc=snc,
-        outer_batch=outer_batch,
+    return NCDescentParams(
+        snc,
         total_steps=_descent_budget(ell, rho, eps, delta_f_bound),
-        eps=eps,
-        ell=ell,
-        rho=rho,
+        outer_batch=max(1, math.ceil(16.0 * ell * delta_f_bound / eps**2)),
     )
 
 
 def sgd_nc_run(
     oracle: StochasticOracle,
     x0: Array,
-    params: SGDNCParams,
+    params: NCDescentParams,
     stream: RngStream,
 ) -> Trace:
     """Minibatch SGD that switches to the curvature search at flat points.
@@ -245,8 +202,12 @@ def sgd_nc_run(
     iteration against the budget, the resulting direction feeds a two-sided
     exploit from the anchor (scored with noiseless values, standing in for
     the stated exact directional sign), and the loop resumes with a fresh
-    estimate.  Otherwise the estimate is consumed by a plain SGD step.
+    estimate.  Otherwise the estimate is consumed by a plain SGD step.  The
+    step size defaults to 1/ell and the trigger to 0.75 eps.
     """
+    snc = params.search
+    eta = 1.0 / snc.ell if params.eta is None else params.eta
+    threshold = 0.75 * snc.eps if params.grad_threshold is None else params.grad_threshold
     trace = Trace.start("sgd-nc", stream, samples=0)
     theta_stream = stream.substream("outer-theta")
 
@@ -255,12 +216,9 @@ def sgd_nc_run(
         return oracle.minibatch_mean(x, params.outer_batch, theta_stream)
 
     def search(anchor: Array, budget: int, episode: int) -> NCOutcome:
-        inner = dataclasses.replace(params.snc, steps=min(params.snc.steps, budget))
+        inner = dataclasses.replace(snc, steps=min(snc.steps, budget))
         trace.meta["samples"] += inner.steps * inner.batch * 2
         return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
 
     escape = curvature_escape(trace, params, oracle.mean.value, search)
-    return descend(
-        x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
-        params.effective_eta, params.effective_threshold,
-    )
+    return descend(x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD, eta, threshold)

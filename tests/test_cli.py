@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -32,6 +33,25 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert "escape_rate=" in stdout
         assert "wrote" in stdout
+
+    def test_derived_budget_too_large_needs_steps(self, tmp_path, capsys, monkeypatch):
+        # Paper-mode ancgd on the quartic derives 58 734 828 411 955 steps;
+        # a trial that started would not end, so one fails the test at once.
+        argv = ["run", "--alg", "ancgd", "--fn", "quartic", "--mode", "paper", "--trials", "1"]
+        with monkeypatch.context() as m:
+            m.setattr(harness, "ancgd_run", lambda *args: pytest.fail("a trial ran"))
+            start = time.perf_counter()
+            assert main(argv) == 1
+            assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "58734828411955" in err and str(harness.MAX_DERIVED_STEPS) in err
+        assert "--steps" in err
+        out = tmp_path / "anc"
+        assert main(argv + ["--steps", "200", "--out", str(out)]) == 0
+        assert (tmp_path / "anc.csv").read_text() == (
+            "trial,seed,t,f0,f_final,decrease,escaped\n"
+            "0,0,200,0.0,-1.855444522649346e-22,1.855444522649346e-22,0\n"
+        )
 
     def test_missing_alg_is_usage_error(self, capsys):
         code = main(["run", "--fn", "quartic"])

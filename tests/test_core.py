@@ -330,6 +330,18 @@ _BAD_INPUTS = [
     ("grad_power_lambda_min", "point",
      lambda v: grad_power_lambda_min(_SADDLE, np.zeros(v), 5, RngStream(0, 0)),
      (1, 3, (2, 1))),
+    ("perturb_along_nc", "point",
+     lambda v: perturb_along_nc(_SADDLE, np.array([v, 0.0]), _AXIS, 0.1, 1.0), (_NAN, _INF)),
+    ("perturb_along_nc", "point",
+     lambda v: perturb_along_nc(_SADDLE, np.zeros(v), _AXIS, 0.1, 1.0), (1, 3, (2, 1))),
+    ("nce_step", "point",
+     lambda v: nce_step(_SADDLE, np.array([v, 0.0]), np.array([0.1, 0.0]), 0.5), (_NAN, _INF)),
+    ("nce_step", "point",
+     lambda v: nce_step(_SADDLE, np.zeros(v), np.array([0.1, 0.0]), 0.5), (1, 3, (2, 1))),
+    ("nce_step", "v",
+     lambda v: nce_step(_SADDLE, _ORIGIN, np.array([v, 0.0]), 0.5), (_NAN, _INF)),
+    ("nce_step", "v",
+     lambda v: nce_step(_SADDLE, _ORIGIN, np.full(v, 0.1), 0.5), (1, 3, (2, 1))),
 ]
 
 

@@ -10,13 +10,14 @@ from saddlescape import (
     AdditiveNoiseOracle,
     BaselineParams,
     DivergenceError,
+    NCDescentParams,
     ParameterError,
-    PGDNCParams,
     RngStream,
     SmoothnessSpec,
     ancgd_run,
     classify,
     derive_pgdnc_params,
+    drivers,
     get_landscape,
     lemma_decrease_bound,
     pagd_run,
@@ -41,12 +42,9 @@ from conftest import make_quadratic
 def _nc_run_params(**overrides):
     # The calibrated quartic comparison settings.
     nc = NCParams(steps=30, radius=0.1, eps=0.05, delta0=0.1, ell=20.0, rho=1.0)
-    base = dict(
-        nc=nc, total_steps=90, eps=0.05, ell=20.0, rho=1.0, eta=0.05,
-        grad_threshold=0.05, exploit_step=1.0,
-    )
+    base = dict(search=nc, total_steps=90, eta=0.05, grad_threshold=0.05, exploit_step=1.0)
     base.update(overrides)
-    return PGDNCParams(**base)
+    return NCDescentParams(**base)
 
 
 class TestDerivedSchedule:
@@ -54,17 +52,35 @@ class TestDerivedSchedule:
         # ell = rho = 1, eps = 0.1, overall delta = 0.1, n = 2, gap 1.
         p = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.1, 0.1, 2, 1.0)
         assert p.total_steps == 24287
-        assert p.nc.steps == 320
-        assert p.nc.delta0 == pytest.approx(8.235098073355155e-06, rel=1e-12)
+        assert p.search.steps == 320
+        assert p.search.delta0 == pytest.approx(8.235098073355155e-06, rel=1e-12)
 
     def test_delta_capped_at_one(self):
         p = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.9, 0.9, 2, 1e-6)
-        assert p.nc.delta0 == 1.0
+        assert p.search.delta0 == 1.0
 
-    def test_effective_defaults(self):
-        p = derive_pgdnc_params(SmoothnessSpec(4.0, 1.0), 0.1, 0.1, 2, 1.0)
-        assert p.effective_eta == pytest.approx(0.25)
-        assert p.effective_threshold == pytest.approx(0.1)
+    def test_unset_step_and_trigger_default_to_one_over_ell_and_eps(self, monkeypatch):
+        seen = []
+        real = drivers.descend
+
+        def spy(*args):
+            seen.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(drivers, "descend", spy)
+        land = get_landscape("quartic")
+        unset = _nc_run_params(eta=None, grad_threshold=None)
+        explicit = _nc_run_params(eta=1.0 / 20.0, grad_threshold=0.05)
+        traces = [
+            pgd_nc_run(land.oracle, np.zeros(2), p, RngStream(5, 0))
+            for p in (unset, explicit, _nc_run_params(eta=0.04, grad_threshold=0.02))
+        ]
+        assert seen == [(1.0 / 20.0, 0.05), (1.0 / 20.0, 0.05), (0.04, 0.02)]
+        a, b = traces[0].records, traces[1].records
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert (ra.t, ra.f, ra.grad_norm, ra.event) == (rb.t, rb.f, rb.grad_norm, rb.event)
+            assert np.array_equal(ra.x, rb.x)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -11,10 +11,9 @@ from saddlescape import (
     ANCParams,
     BaselineParams,
     ExperimentConfig,
+    NCDescentParams,
     NCParams,
     ParameterError,
-    PGDNCParams,
-    SGDNCParams,
     SNCParams,
     drivers,
     get_landscape,
@@ -93,30 +92,29 @@ _SNC = dict(
 )
 
 
-def _build(cls, **bad):
-    if cls is NCParams:
-        return NCParams(**{**_NC, **bad})
-    if cls is SNCParams:
-        return SNCParams(**{**_SNC, **bad})
-    if cls is PGDNCParams:
-        base = dict(nc=NCParams(**_NC), total_steps=10, eps=0.05, ell=1.0, rho=1.0)
-        return PGDNCParams(**{**base, **bad})
-    base = dict(
-        snc=SNCParams(**_SNC), outer_batch=2, total_steps=10, eps=0.5, ell=50.0, rho=5.0
-    )
-    return SGDNCParams(**{**base, **bad})
+# Builders of valid params, keyed by test id; keywords override fields.
+_BUILD = {
+    "NCParams": lambda **kw: NCParams(**{**_NC, **kw}),
+    "SNCParams": lambda **kw: SNCParams(**{**_SNC, **kw}),
+    "NCDescentParams-nc": lambda **kw: NCDescentParams(
+        NCParams(**_NC), **{"total_steps": 10, **kw}
+    ),
+    "NCDescentParams-snc": lambda **kw: NCDescentParams(
+        SNCParams(**_SNC), **{"outer_batch": 2, "total_steps": 10, **kw}
+    ),
+}
 
 
 @pytest.mark.parametrize(
     "cls, name",
-    [(cls, name) for cls in (NCParams, SNCParams) for name in ("ell", "rho")]
-    + [(cls, name) for cls in (PGDNCParams, SGDNCParams) for name in ("ell", "rho", "eta")],
+    [(cls, name) for cls in ("NCParams", "SNCParams") for name in ("ell", "rho")]
+    + [(cls, "eta") for cls in ("NCDescentParams-nc", "NCDescentParams-snc")],
 )
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_params_reject_nonpositive_or_nonfinite(cls, name, value):
-    _build(cls)
+    _BUILD[cls]()
     with pytest.raises(ParameterError, match=f"{name} must be positive and finite"):
-        _build(cls, **{name: value})
+        _BUILD[cls](**{name: value})
 
 
 _ANC = dict(
@@ -128,8 +126,8 @@ _BASELINE = dict(
     theta=0.042, gamma=0.0355, nce_radius=0.0089,
 )
 _WITH_TRUST_REGION = {
-    "PGDNCParams": lambda **kw: _build(PGDNCParams, **kw),
-    "SGDNCParams": lambda **kw: _build(SGDNCParams, **kw),
+    "NCDescentParams-nc": _BUILD["NCDescentParams-nc"],
+    "NCDescentParams-snc": _BUILD["NCDescentParams-snc"],
     "ANCParams": lambda **kw: ANCParams(**{**_ANC, **kw}),
     "BaselineParams": lambda **kw: BaselineParams(**{**_BASELINE, **kw}),
     "ExperimentConfig": lambda **kw: ExperimentConfig("nc", "quartic", **kw),
@@ -227,7 +225,6 @@ _SEARCH_FLAGS = [
     ("--pert", 0.5, "exploit_step"),
     ("--t-thresh", 3, "cooldown"),
     ("--trust-region", 1e5, "trust_region"),
-    ("--eps", 0.03, "eps"),
 ]
 _BASELINE_FLAGS = [
     ("--steps", 9, "total_steps"),
@@ -245,20 +242,23 @@ _MOMENTUM_FLAGS = [
 _FLAG_ROWS = (
     [("nc", "quartic", *row) for row in _SEARCH_FLAGS]
     + [
+        ("nc", "quartic", "--eps", 0.03, "search.eps"),
         ("nc", "quartic", "--g-thresh", 0.3, "grad_threshold"),
-        ("nc", "quartic", "--ncf-steps", 7, "nc.steps"),
-        ("nc", "quartic", "--r", 0.02, "nc.radius"),
+        ("nc", "quartic", "--ncf-steps", 7, "search.steps"),
+        ("nc", "quartic", "--r", 0.02, "search.radius"),
     ]
     + [("snc", "cubic", *row) for row in _SEARCH_FLAGS]
     + [
-        ("snc", "cubic", "--g-thresh", 100.0, "trigger_threshold"),
-        ("snc", "cubic", "--ncf-steps", 7, "snc.steps"),
-        ("snc", "cubic", "--r", 0.005, "snc.radius"),
-        ("snc", "cubic", "--m", 3, "snc.batch"),
+        ("snc", "cubic", "--eps", 0.03, "search.eps"),
+        ("snc", "cubic", "--g-thresh", 100.0, "grad_threshold"),
+        ("snc", "cubic", "--ncf-steps", 7, "search.steps"),
+        ("snc", "cubic", "--r", 0.005, "search.radius"),
+        ("snc", "cubic", "--m", 3, "search.batch"),
         ("snc", "cubic", "--M", 4, "outer_batch"),
     ]
     + [("ancgd", "quartic", *row) for row in _SEARCH_FLAGS + _MOMENTUM_FLAGS]
     + [
+        ("ancgd", "quartic", "--eps", 0.03, "eps"),
         ("ancgd", "quartic", "--g-thresh", 0.3, "grad_threshold"),
         ("ancgd", "quartic", "--ncf-steps", 7, "ncf_steps"),
         ("ancgd", "quartic", "--r", 0.02, "perturb_radius"),
@@ -309,8 +309,8 @@ def test_paper_mode_applies_flags(monkeypatch, mode, alg, fn, flag, value, field
 @pytest.mark.parametrize(
     "alg, fn, search, scale, delta0",
     [
-        ("nc", "quartic", "nc", 1.0, "delta0"),
-        ("snc", "cubic", "snc", 1.0, "delta"),
+        ("nc", "quartic", "search", 1.0, "delta0"),
+        ("snc", "cubic", "search", 1.0, "delta"),
         ("ancgd", "quartic", None, 4.0, "delta0"),
     ],
 )
@@ -331,6 +331,5 @@ def test_search_constants_follow_mode(monkeypatch, mode, alg, fn, search, scale,
         ell, rho = 1.0 / (scale * 0.04), land.saddles[0].rho_local
     (params,) = seen
     inner = getattr(params, search) if search else params
-    for holder in (params, inner):
-        assert (holder.ell, holder.rho) == (ell, rho)
+    assert (inner.ell, inner.rho) == (ell, rho)
     assert (getattr(inner, delta0) == 0.2) == (mode == "experiment")

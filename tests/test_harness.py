@@ -13,7 +13,10 @@ from saddlescape import (
     GradientOracle,
     HistogramSummary,
     Landscape,
+    NCDescentParams,
+    NCParams,
     ParameterError,
+    SNCParams,
     SaddleInfo,
     SmoothnessSpec,
     VERIFY_IDS,
@@ -421,7 +424,7 @@ class TestDeriveParamsFor:
         out = derive_params_for("nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
         ref = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.1, 0.1, 2, 1.0)
         assert out["total_steps"] == ref.total_steps == 24287
-        assert out["nc"]["steps"] == ref.nc.steps
+        assert out["search"]["steps"] == ref.search.steps
 
     def test_ncf_matches(self):
         out = derive_params_for("ncf", 1.0, 1.0, 0.01, 0.1, 2)
@@ -434,7 +437,19 @@ class TestDeriveParamsFor:
         ref = derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, 1.0)
         assert out["total_steps"] == ref.total_steps == 24287
         assert out["outer_batch"] == ref.outer_batch == 1600
-        assert out["snc"]["batch"] == ref.snc.batch
+        assert out["search"]["batch"] == ref.search.batch
+
+    @pytest.mark.parametrize(
+        "alg, search, derive",
+        [
+            ("nc", NCParams, lambda spec: derive_pgdnc_params(spec, 0.1, 0.1, 2, 1.0)),
+            ("snc", SNCParams, lambda spec: derive_sgdnc_params(spec, 1.0, 0.1, 0.1, 2, 1.0)),
+        ],
+    )
+    def test_json_rebuilds_the_derived_params(self, alg, search, derive):
+        out = json.loads(json.dumps(derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, 1.0)))
+        rebuilt = NCDescentParams(**{**out, "search": search(**out["search"])})
+        assert rebuilt == derive(SmoothnessSpec(1.0, 1.0))
 
     def test_alias_and_unknown(self):
         out = derive_params_for("pgd-nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)

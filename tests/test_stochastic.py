@@ -9,9 +9,9 @@ import pytest
 from saddlescape import stochastic
 from saddlescape import (
     AdditiveNoiseOracle,
+    NCDescentParams,
     ParameterError,
     RngStream,
-    SGDNCParams,
     SmoothnessSpec,
     derive_sgdnc_params,
     derive_snc_params,
@@ -131,38 +131,48 @@ class TestOuterLoopSchedule:
         p = derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, 1.0)
         assert p.outer_batch == 1600
         assert p.total_steps == 24287
-        assert p.snc.delta == pytest.approx(
+        assert p.search.delta == pytest.approx(
             0.1 / 2304.0 * math.sqrt(0.1**3), rel=1e-12
         )
 
-    def test_effective_defaults(self):
-        p = derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, 1.0)
-        assert p.effective_threshold == pytest.approx(0.075)
-        assert p.effective_eta == pytest.approx(1.0)
-        q = SGDNCParams(
-            snc=_search_params(), outer_batch=5, total_steps=10, eps=0.5,
-            ell=50.0, rho=5.0, trigger_threshold=0.02, eta=0.3,
-        )
-        assert q.effective_threshold == 0.02
-        assert q.effective_eta == 0.3
+    def test_unset_step_and_trigger_default_to_one_over_ell_and_three_quarters_eps(
+        self, monkeypatch
+    ):
+        seen = []
+        real = stochastic.descend
+
+        def spy(*args):
+            seen.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(stochastic, "descend", spy)
+        oracle = with_noise(get_landscape("cubic"), 0.01)
+        unset = _run_params(eta=None, grad_threshold=None)
+        explicit = _run_params(eta=1.0 / 50.0, grad_threshold=0.75 * 0.5)
+        traces = [
+            sgd_nc_run(oracle, np.zeros(2), p, RngStream(5, 0))
+            for p in (unset, explicit, _run_params(eta=0.01, grad_threshold=0.02))
+        ]
+        assert seen == [(1.0 / 50.0, 0.75 * 0.5), (1.0 / 50.0, 0.75 * 0.5), (0.01, 0.02)]
+        a, b = traces[0].records, traces[1].records
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert (ra.t, ra.f, ra.grad_norm, ra.event) == (rb.t, rb.f, rb.grad_norm, rb.event)
+            assert np.array_equal(ra.x, rb.x)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            SGDNCParams(
-                snc=_search_params(), outer_batch=0, total_steps=10, eps=0.5,
-                ell=50.0, rho=5.0,
-            )
+            NCDescentParams(_search_params(), outer_batch=0, total_steps=10)
         with pytest.raises(ParameterError):
             derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, -1.0)
 
 
 def _run_params(**overrides):
     base = dict(
-        snc=_search_params(), outer_batch=10, total_steps=60, eps=0.5,
-        ell=50.0, rho=5.0, eta=0.02, exploit_step=0.5,
+        search=_search_params(), outer_batch=10, total_steps=60, eta=0.02, exploit_step=0.5,
     )
     base.update(overrides)
-    return SGDNCParams(**base)
+    return NCDescentParams(**base)
 
 
 class TestSgdNcRun:
@@ -190,7 +200,7 @@ class TestSgdNcRun:
         monkeypatch.setattr(stochastic, "snc_find", spy)
         outer = _search_params(batch_raw=1.7)
         oracle = with_noise(get_landscape("cubic"), 0.01)
-        sgd_nc_run(oracle, np.zeros(2), _run_params(snc=outer, total_steps=10), RngStream(1, 0))
+        sgd_nc_run(oracle, np.zeros(2), _run_params(search=outer, total_steps=10), RngStream(1, 0))
         assert seen
         for inner in seen:
             assert inner.steps <= outer.steps
@@ -228,8 +238,8 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                snc=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
-                ell=2.0, rho=1.0, eta=0.1, total_steps=30, cooldown=10**9,
+                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                eta=0.1, total_steps=30, cooldown=10**9,
             ),
             RngStream(3, 0),
         )
@@ -238,8 +248,8 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                snc=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
-                ell=2.0, rho=1.0, eta=0.1, total_steps=30,
+                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                eta=0.1, total_steps=30,
             ),
             RngStream(3, 0),
         )
@@ -252,8 +262,8 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                snc=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
-                ell=2.0, rho=1.0, eta=0.1, total_steps=50, stop_at_candidate=True,
+                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                eta=0.1, total_steps=50, stop_at_candidate=True,
             ),
             RngStream(4, 0),
         )
@@ -269,8 +279,8 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                snc=_search_params(steps=5, batch=2, ell=2.0, rho=1.0, ell_tilde=2.0),
-                outer_batch=3, ell=2.0, rho=1.0, eta=0.1, total_steps=50,
+                search=_search_params(steps=5, batch=2, ell=2.0, rho=1.0, ell_tilde=2.0),
+                outer_batch=3, eta=0.1, total_steps=50,
                 stop_at_candidate=True,
             ),
             RngStream(5, 0),
