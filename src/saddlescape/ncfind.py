@@ -247,7 +247,8 @@ class NCDescentParams:
     search (an NCParams or SNCParams) also supplies the loop's eps, ell and
     rho.  eta and grad_threshold default, when None, to what the run
     function states; outer_batch is the minibatch of snc's gradient
-    estimate, which nc ignores.
+    estimate, and must stay 1 under an NCParams search, whose exact
+    gradient takes no minibatch.
     """
 
     search: NCParams | SNCParams
@@ -265,6 +266,8 @@ class NCDescentParams:
         require_positive(eta=self.eta, exploit_step=self.exploit_step)
         require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)
+        if isinstance(self.search, NCParams) and self.outer_batch != 1:
+            raise ParameterError(f"outer_batch applies to snc only, got {self.outer_batch} for nc")
 
 
 def descend(

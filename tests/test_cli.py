@@ -3,7 +3,6 @@
 import argparse
 import dataclasses
 import json
-import time
 
 import pytest
 
@@ -40,9 +39,7 @@ class TestRunCommand:
         argv = ["run", "--alg", "ancgd", "--fn", "quartic", "--mode", "paper", "--trials", "1"]
         with monkeypatch.context() as m:
             m.setattr(harness, "ancgd_run", lambda *args: pytest.fail("a trial ran"))
-            start = time.perf_counter()
             assert main(argv) == 1
-            assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "58734828411955" in err and str(harness.MAX_DERIVED_STEPS) in err
         assert "--steps" in err

@@ -88,6 +88,11 @@ class TestDerivedSchedule:
         with pytest.raises(ParameterError):
             _nc_run_params(total_steps=0)
 
+    def test_nc_search_takes_no_outer_batch(self):
+        assert _nc_run_params().outer_batch == 1
+        with pytest.raises(ParameterError, match="outer_batch applies to snc only"):
+            _nc_run_params(outer_batch=50)
+
 
 class TestPgdNcRun:
     def test_escapes_quartic_saddle_reliably(self):

@@ -129,6 +129,30 @@ class TestExperimentConfig:
         assert payload["params"].total_steps == derived.total_steps
         assert payload["threshold"] == pytest.approx(0.9)
 
+    @pytest.mark.parametrize(
+        "alg, land_id, budget, refused",
+        [
+            ("nc", "triangle", 14971077, True),
+            ("snc", "triangle", 14971077, True),
+            ("ancgd", "highdim-10-soft", 3712188226, True),
+            ("nc", "exponential", 3072000, False),
+            ("snc", "cubic", 5738301, False),
+            ("pgd", "triangle", 4400000, False),
+        ],
+    )
+    def test_derived_budget_cap(self, alg, land_id, budget, refused):
+        # Derived paper-mode budgets at the default eps; the largest allowed
+        # and the smallest refused among the shipped landscapes.
+        land = get_landscape(land_id)
+        cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode="paper", trials=1)
+        if refused:
+            with pytest.raises(ParameterError, match=f"budget of {budget} steps.*--steps"):
+                build_payload(cfg, land)
+        else:
+            assert build_payload(cfg, land)["params"].total_steps == budget
+        capped = dataclasses.replace(cfg, steps=200)
+        assert build_payload(capped, land)["params"].total_steps == 200
+
     def test_x0_dimension_checked(self):
         cfg = ExperimentConfig(
             algorithm="nc", landscape="quartic", trials=1, x0=(0.0, 0.0, 0.0)
