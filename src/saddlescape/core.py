@@ -6,7 +6,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -208,6 +208,16 @@ class StochasticOracle:
         thetas = self.draw_theta(stream, m)
         return (self.grad_at(x1, thetas) - self.grad_at(x0, thetas)).mean(axis=0)
 
+    def mean_sampler(self, m: int, stream: "RngStream", calls: int) -> Callable:
+        """sample(x, g) = minibatch_mean(x, m, stream), for at most calls
+        calls; g is the caller's exact grad f(x), which this model ignores."""
+        return lambda x, g: self.minibatch_mean(x, m, stream)
+
+    def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
+        """diff(x1) = minibatch_diff(x0, x1, m, stream), for many x1 around
+        one x0."""
+        return lambda x1: self.minibatch_diff(x0, x1, m, stream)
+
 
 class AdditiveNoiseOracle(StochasticOracle):
     """g(x; theta) = grad f(x) + theta with theta ~ N(0, sigma^2 I).
@@ -215,7 +225,11 @@ class AdditiveNoiseOracle(StochasticOracle):
     The noise does not depend on x, so shared-theta differences cancel it
     exactly and an m-sample mean collapses to a single scaled draw.  The
     closed forms below are distributionally exact for every m and keep
-    theoretically derived batch sizes affordable.
+    theoretically derived batch sizes affordable.  Both reuse the exact
+    gradients their caller holds: a mean sampler adds its noise to the g
+    passed in (no gradient query) and draws that noise in blocks, and a
+    difference sampler queries grad f(x0) once, so each difference costs
+    one gradient query.  Sample counts are billed as for m samples.
     """
 
     def __init__(self, mean: GradientOracle, sigma: float):
@@ -228,14 +242,29 @@ class AdditiveNoiseOracle(StochasticOracle):
         return self.mean.gradient(x)[None, :] + thetas
 
     def minibatch_mean(self, x: Array, m: int, stream: "RngStream") -> Array:
-        self.sample_count += m
-        noise = self.sigma / math.sqrt(m) * stream.gen.standard_normal(self.dim)
-        return self.mean.gradient(x) + noise
+        return self.mean_sampler(m, stream, 1)(x, self.mean.gradient(x))
 
     def minibatch_diff(self, x0: Array, x1: Array, m: int, stream: "RngStream") -> Array:
+        return self.diff_sampler(x0, m, stream)(x1)
+
+    def mean_sampler(self, m: int, stream: "RngStream", calls: int) -> Callable:
+        noise = _normal_rows(stream, self.dim, self.sigma / math.sqrt(m), calls)
+
+        def sample(x: Array, g: Array) -> Array:
+            self.sample_count += m
+            return g + next(noise)
+
+        return sample
+
+    def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
         # theta is x-independent, so it cancels for any batch size.
-        self.sample_count += 2 * m
-        return self.mean.gradient(x1) - self.mean.gradient(x0)
+        g0 = self.mean.gradient(x0)
+
+        def diff(x1: Array) -> Array:
+            self.sample_count += 2 * m
+            return self.mean.gradient(x1) - g0
+
+        return diff
 
 
 def _mix64(a: int, b: int) -> int:
@@ -288,6 +317,23 @@ def _norm(x: Array) -> float:
     that dominates on the short vectors of the escape loops.
     """
     return math.sqrt(x.dot(x))
+
+
+# The most floats _normal_rows draws from a stream at once (32 KiB).
+_BLOCK_FLOATS = 4096
+
+
+def _normal_rows(stream: RngStream, n: int, scale: float, rows: int) -> Iterator[Array]:
+    """rows rows of scale * N(0, I_n), bit for bit the rows that as many
+    calls of scale * stream.gen.standard_normal(n) give.  They are drawn in
+    blocks of at most _BLOCK_FLOATS floats (one row at least), and no block
+    reaches past rows, so the stream is never drawn further than the caller
+    can use.  For a stream that draws nothing else."""
+    block = max(1, _BLOCK_FLOATS // n)
+    while rows > 0:
+        k = min(block, rows)
+        yield from scale * stream.gen.standard_normal((k, n))
+        rows -= k
 
 
 def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Array:

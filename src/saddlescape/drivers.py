@@ -81,7 +81,7 @@ def pgd_nc_run(
     threshold = nc.eps if params.grad_threshold is None else params.grad_threshold
 
     def search(anchor: Array, budget: int, episode: int):
-        inner = dataclasses.replace(nc, steps=min(nc.steps, budget))
+        inner = nc if nc.steps <= budget else dataclasses.replace(nc, steps=budget)
         return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
 
     trace = Trace.start("pgd-nc", stream)
@@ -185,13 +185,13 @@ def psgd_run(
     Traces record the noiseless objective so decreases are measured against
     the true landscape.
     """
-    theta_stream = stream.substream("theta")
     trace = Trace.start("psgd", stream, perturbs=[], samples=0)
     variance = params.radius**2 / len(x0)
+    sample = oracle.mean_sampler(params.batch, stream.substream("theta"), params.total_steps)
 
     def estimate(x: Array, g: Array) -> Array:
         trace.meta["samples"] += params.batch
-        return oracle.minibatch_mean(x, params.batch, theta_stream)
+        return sample(x, g)
 
     escape = _perturbation(trace, lambda x: gaussian_sample(x, variance, stream))
     return descend(

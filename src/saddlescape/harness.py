@@ -177,6 +177,12 @@ class ExperimentConfig:
             raise ParameterError(
                 f"x0 must be a flat sequence of finite numbers, got {self.x0!r}"
             )
+        reads = _ALGORITHMS[self.algorithm].reads
+        ignored = [n for n in _KNOBS if getattr(self, n) is not None and n not in reads]
+        if ignored:
+            raise ParameterError(
+                f"{self.algorithm!r} never reads {', '.join(ignored)}; leave it unset"
+            )
 
 
 @dataclass(frozen=True)
@@ -346,6 +352,14 @@ _OUTER_KNOBS = dict(
 )
 _SEARCH_NEEDS = ("eta", "radius", "ncf_steps", "eps", "steps")
 _BASELINE_NEEDS = ("eta", "radius", "grad_threshold", "steps")
+# The knobs every algorithm reads, in at least one mode.
+_COMMON_READS = (
+    "steps", "eps", "delta", "delta_f", "eta", "radius", "grad_threshold", "cooldown",
+    "threshold", "trust_region",
+)
+_SEARCH_READS = _COMMON_READS + ("ncf_steps", "exploit_step")
+_MOMENTUM_READS = ("theta", "gamma", "nce_radius")
+_NOISE_READS = ("sigma", "batch")
 
 
 def _nc(s: _Setting) -> NCDescentParams:
@@ -425,25 +439,33 @@ def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
 class _Algorithm:
     """How the harness runs one algorithm: the name of its run function
     (a module global, looked up at call time), its parameter builder, the
-    knobs experiment mode needs, and whether it sees the noisy oracle."""
+    knobs experiment mode needs, the knobs it reads (a config that sets any
+    other knob is refused), and whether it sees the noisy oracle."""
 
     run: str
     build: Callable[[_Setting], object]
     needs: tuple[str, ...]
+    reads: tuple[str, ...]
     noisy: bool = False
 
 
 _ALGORITHMS = {
-    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS),
+    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS, _SEARCH_READS),
     "ancgd": _Algorithm(
-        "ancgd_run", _ancgd, _SEARCH_NEEDS + ("theta", "gamma", "nce_radius")
+        "ancgd_run", _ancgd, _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS
     ),
-    "snc": _Algorithm("sgd_nc_run", _snc, _SEARCH_NEEDS, noisy=True),
-    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS),
+    "snc": _Algorithm(
+        "sgd_nc_run", _snc, _SEARCH_NEEDS, _SEARCH_READS + _NOISE_READS + ("outer_batch",),
+        noisy=True,
+    ),
+    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS),
     "pagd": _Algorithm(
-        "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS
+        "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS,
+        _COMMON_READS + _MOMENTUM_READS,
     ),
-    "psgd": _Algorithm("psgd_run", _baseline, _BASELINE_NEEDS, noisy=True),
+    "psgd": _Algorithm(
+        "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS, noisy=True
+    ),
 }
 ALGORITHMS = tuple(_ALGORITHMS)
 

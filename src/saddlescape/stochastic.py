@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,10 +17,12 @@ from .core import (
     SmoothnessSpec,
     StochasticOracle,
     Trace,
+    _normal_rows,
     require_count,
     require_positive,
 )
 from .ncfind import (
+    _MAX_RESTARTS,
     NCDescentParams,
     NCOutcome,
     _curvature_threshold,
@@ -127,11 +130,6 @@ def derive_snc_params(
     )
 
 
-def _noise_draw(stream: RngStream, n: int, radius: float) -> Array:
-    """Isotropic Gaussian with total variance radius**2."""
-    return stream.gen.standard_normal(n) * (radius / math.sqrt(n))
-
-
 def snc_find(
     oracle: StochasticOracle,
     x_tilde: Array,
@@ -146,21 +144,27 @@ def snc_find(
     reached: dividing the injected noise by scale / radius keeps the
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
-    curvature probes.
+    curvature probes.  Under additive noise a search queries grad f at
+    x_tilde once and then once per step (steps + 1 in all), while each step
+    still bills 2 * batch samples; the injected noise is drawn in blocks of
+    rows, the same bits as one draw per step.
     """
     x_tilde = _point(oracle, x_tilde)
     n = x_tilde.shape[0]
     r_s = scale = params.radius
-    theta_stream = stream.substream("theta")
+    diff = oracle.diff_sampler(x_tilde, params.batch, stream.substream("theta"))
+    # A restart takes up to steps more rows from the same stream.
     xi_stream = stream.substream("xi")
+    xi_rows = itertools.chain.from_iterable(
+        _normal_rows(xi_stream, n, r_s / math.sqrt(n), params.steps)
+        for _ in range(_MAX_RESTARTS + 1)
+    )
 
     def step(y: Array, norm: float) -> Array:
         nonlocal scale
         # Only an attempt's first step, from zero, sees norm 0: scale restarts.
         scale = scale * (norm / r_s) if norm else r_s
-        diff = oracle.minibatch_diff(x_tilde, x_tilde + y, params.batch, theta_stream)
-        xi = _noise_draw(xi_stream, n, r_s)
-        return y - (1.0 / params.ell) * (diff + xi / (scale / r_s))
+        return y - (1.0 / params.ell) * (diff(x_tilde + y) + next(xi_rows) / (scale / r_s))
 
     y = _power_search(lambda: np.zeros(n), step, r_s, params.steps)
     return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
@@ -209,14 +213,16 @@ def sgd_nc_run(
     eta = 1.0 / snc.ell if params.eta is None else params.eta
     threshold = 0.75 * snc.eps if params.grad_threshold is None else params.grad_threshold
     trace = Trace.start("sgd-nc", stream, samples=0)
-    theta_stream = stream.substream("outer-theta")
+    sample = oracle.mean_sampler(
+        params.outer_batch, stream.substream("outer-theta"), params.total_steps
+    )
 
     def estimate(x: Array, g: Array) -> Array:
         trace.meta["samples"] += params.outer_batch
-        return oracle.minibatch_mean(x, params.outer_batch, theta_stream)
+        return sample(x, g)
 
     def search(anchor: Array, budget: int, episode: int) -> NCOutcome:
-        inner = dataclasses.replace(snc, steps=min(snc.steps, budget))
+        inner = snc if snc.steps <= budget else dataclasses.replace(snc, steps=budget)
         trace.meta["samples"] += inner.steps * inner.batch * 2
         return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
 

@@ -14,7 +14,6 @@ import pytest
 
 from saddlescape import GradientOracle, SmoothnessSpec, uniform_ball_sample
 from saddlescape.core import _norm
-from saddlescape.stochastic import _noise_draw
 
 
 def make_quadratic(diag, rho=1.0, ell=None):
@@ -76,7 +75,7 @@ def free_snc_direction(oracle, x_tilde, params, stream):
             # aligned stream for stream.
             oracle.minibatch_diff(x_tilde, x_tilde, params.batch, theta_stream)
             g_est = np.zeros(n)
-        xi = _noise_draw(xi_stream, n, r_s)
+        xi = xi_stream.gen.standard_normal(n) * (r_s / math.sqrt(n))
         z = z - (1.0 / ell) * (g_est + xi)
         assert np.isfinite(z).all(), "free search degenerated"
     zn = _norm(z)

@@ -251,6 +251,29 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            ("--alg pgd --pert 0.3", "exploit_step"),
+            ("--alg nc --M 4", "outer_batch"),
+            ("--alg nc --sigma 0.1", "sigma"),
+            ("--alg pgd --m 2", "batch"),
+            ("--alg pagd --ncf-steps 5", "ncf_steps"),
+            ("--alg psgd --theta 0.3", "theta"),
+            ("--alg ancgd --mode paper --steps 20 --M 4", "outer_batch"),
+        ],
+    )
+    def test_knob_the_algorithm_never_reads_rejected(self, flags, knob, capsys, monkeypatch):
+        # In range, but the chosen algorithm would silently drop it.
+        ran = []
+        for name in _RUN_FUNCTIONS:
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        code = main(["run", "--fn", "quartic", "--trials", "2", *flags.split()])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and knob in err
+        assert ran == []
+
     def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))

@@ -33,16 +33,56 @@ from saddlescape import (
     uniform_ball_sample,
 )
 from saddlescape.core import (
+    _BLOCK_FLOATS,
     EVENTS,
     EVENT_GD,
     EVENT_NCE,
     _norm,
+    _normal_rows,
     check_iterate,
 )
 from saddlescape.ncfind import NCParams
 from saddlescape.stochastic import SNCParams
 
 from conftest import make_quadratic, relabel
+
+
+class _BlockSpy:
+    """A generator stand-in that logs the shape of every normal draw."""
+
+    def __init__(self, gen):
+        self.gen, self.shapes = gen, []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.gen.standard_normal(shape)
+
+
+class TestNormalRows:
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_rows_match_one_draw_per_row(self, n):
+        block = max(1, _BLOCK_FLOATS // n)
+        rows = 2 * block + 3  # three blocks, the last one short
+        stream = RngStream(5, 1)
+        spy = stream._gen = _BlockSpy(stream.gen)
+        got = list(_normal_rows(stream, n, 0.3, rows))
+        ref = RngStream(5, 1).gen
+        want = [ref.standard_normal(n) * 0.3 for _ in range(rows)]
+        assert len(got) == rows
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # Every block holds at most _BLOCK_FLOATS floats, and none is drawn
+        # past the last row: the stream stands where the row-by-row one does.
+        assert spy.shapes == [(block, n), (block, n), (3, n)]
+        assert block * n <= _BLOCK_FLOATS
+        assert np.array_equal(spy.gen.standard_normal(4), ref.standard_normal(4))
+
+    def test_draws_nothing_before_the_first_row(self):
+        stream = RngStream(5, 1)
+        spy = stream._gen = _BlockSpy(stream.gen)
+        rows = _normal_rows(stream, 2, 1.0, 10)
+        assert spy.shapes == []
+        next(rows)
+        assert spy.shapes == [(10, 2)]
 
 
 class TestRngStream:

@@ -1,5 +1,6 @@
 """Escape drivers and perturbation baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from saddlescape import (
     ANCParams,
     AdditiveNoiseOracle,
     BaselineParams,
+    CountingOracle,
     DivergenceError,
     NCDescentParams,
     ParameterError,
@@ -148,6 +150,22 @@ class TestPgdNcRun:
         )
         # 3 episodes of 30 search steps + 1 exploit each fill 93 iterations.
         assert len(trace.meta["exploits"]) == 3
+
+    def test_untruncated_search_reuses_params(self, monkeypatch):
+        seen = []
+        real = drivers.nc_find
+
+        def spy(oracle, x, params, stream):
+            seen.append(params)
+            return real(oracle, x, params, stream)
+
+        monkeypatch.setattr(drivers, "nc_find", spy)
+        outer = _nc_run_params(total_steps=80)
+        pgd_nc_run(get_landscape("quartic").oracle, np.array([2.0, 0.0]), outer, RngStream(4, 0))
+        # Two full episodes of 31 iterations leave 18: a 17-step search.
+        assert [p.steps for p in seen] == [30, 30, 17]
+        assert seen[0] is seen[1] is outer.search
+        assert seen[2] == dataclasses.replace(outer.search, steps=17)
 
     def test_cooldown_blocks_reentry(self):
         land = get_landscape("quartic")
@@ -333,6 +351,23 @@ class TestOracleCounts:
         assert len(trace.meta["perturbs"]) == trace.events().count(EVENT_PERTURB) == perturbs
         assert trace.meta["grad_evals"] == T + 1 == 6
         assert trace.meta["f_evals"] == T + 1 == 6
+
+    def test_psgd_run(self):
+        # At the cubic's saddle the first record triggers a perturbation and
+        # the cooldown then lets a few more through.  Each record scores its
+        # iterate with one value and one gradient; the additive estimate
+        # adds its noise to the record's gradient and queries nothing.
+        counted = CountingOracle(get_landscape("cubic").oracle)
+        oracle = AdditiveNoiseOracle(counted, sigma=0.01)
+        T = 20
+        params = BaselineParams(
+            eta=0.02, radius=0.01, grad_threshold=0.05, total_steps=T, cooldown=3, batch=3
+        )
+        trace = psgd_run(oracle, np.zeros(2), params, RngStream(0, 0))
+        assert trace.events().count(EVENT_PERTURB) >= 1
+        assert counted.grad_evals == counted.f_evals == T + 1
+        # One batch-3 estimate per iteration.
+        assert trace.meta["samples"] == oracle.sample_count == 3 * T
 
     def test_pagd_run_carries_certificate_values(self):
         # From (1.5, 0.5) the quartic is convex and the gradient is large:

@@ -87,6 +87,21 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError, match="must be a string"):
             ExperimentConfig(**{"algorithm": "nc", "landscape": "quartic", **field})
 
+    def test_rejects_knob_the_algorithm_never_reads(self):
+        with pytest.raises(ParameterError, match="never reads exploit_step"):
+            ExperimentConfig(algorithm="pgd", landscape="quartic", exploit_step=0.3)
+        with pytest.raises(ParameterError, match="never reads outer_batch"):
+            ExperimentConfig(algorithm="nc", landscape="quartic", mode="paper", outer_batch=4)
+        # A range error still comes first.
+        with pytest.raises(ParameterError, match="exploit_step must be positive"):
+            ExperimentConfig(algorithm="pgd", landscape="quartic", exploit_step=0.0)
+
+    def test_recipes_and_needs_lie_within_the_read_knobs(self):
+        for (alg, _), recipe in harness.RECIPES.items():
+            assert set(recipe) <= set(harness._ALGORITHMS[alg].reads), alg
+        for entry in harness._ALGORITHMS.values():
+            assert set(entry.needs) <= set(entry.reads)
+
     def test_recipe_overlay_precedence(self):
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", eta=0.123)
         knobs = _resolve_knobs(cfg)

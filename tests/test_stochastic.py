@@ -5,22 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import stochastic
 from saddlescape import (
     AdditiveNoiseOracle,
+    BaselineParams,
+    CountingOracle,
     NCDescentParams,
     ParameterError,
     RngStream,
     SmoothnessSpec,
+    StochasticOracle,
     derive_sgdnc_params,
     derive_snc_params,
     get_landscape,
+    psgd_run,
     sgd_nc_run,
     snc_find,
     with_noise,
 )
-from saddlescape.core import EVENT_NCF_EXPLOIT, EVENT_NCF_STEP, EVENT_SGD
+from saddlescape.core import _BLOCK_FLOATS, EVENT_NCF_EXPLOIT, EVENT_NCF_STEP, EVENT_SGD
 from saddlescape.stochastic import SNCParams
 
 from conftest import angular_gap, free_snc_direction, make_quadratic, relabel
@@ -175,6 +181,12 @@ def _run_params(**overrides):
     return NCDescentParams(**base)
 
 
+def _bowl_run_params(**overrides):
+    # A convex bowl: at its minimum every exploit fails and the search re-runs.
+    search = _search_params(steps=5, batch=2, ell=2.0, rho=1.0, ell_tilde=2.0)
+    return _run_params(search=search, eta=0.1, outer_batch=3, **overrides)
+
+
 class TestSgdNcRun:
     def test_episode_billing_and_events(self):
         land = get_landscape("cubic")
@@ -205,6 +217,23 @@ class TestSgdNcRun:
         for inner in seen:
             assert inner.steps <= outer.steps
             assert inner == dataclasses.replace(outer, steps=inner.steps)
+
+    def test_untruncated_search_reuses_params(self, monkeypatch):
+        seen = []
+        real = stochastic.snc_find
+
+        def spy(oracle, x, params, stream):
+            seen.append(params)
+            return real(oracle, x, params, stream)
+
+        monkeypatch.setattr(stochastic, "snc_find", spy)
+        outer = _bowl_run_params(total_steps=28)
+        oracle = AdditiveNoiseOracle(make_quadratic([1.0, 2.0], rho=1.0), sigma=1e-4)
+        sgd_nc_run(oracle, np.zeros(2), outer, RngStream(3, 0))
+        # Failed exploits at the minimum re-enter the search until the
+        # budget truncates the last one.
+        assert [p.steps for p in seen] == [5, 5, 5, 5, 3]
+        assert all(p is outer.search for p in seen[:4])
 
     def test_budget_clips_inner_steps(self):
         land = get_landscape("cubic")
@@ -300,3 +329,106 @@ class TestSgdNcRun:
             if trace.decrease() >= 0.6:
                 escaped += 1
         assert escaped >= 17
+
+
+class TestAdditiveQueryCounts:
+    """Under additive noise the samplers reuse the exact gradients their
+    caller holds, while samples are billed as for full minibatches."""
+
+    def test_search_queries_the_anchor_once(self):
+        land = get_landscape("cubic")
+        sad = land.saddles[0]
+        counted = CountingOracle(relabel(land.oracle, sad.ell_local, sad.rho_local))
+        oracle = AdditiveNoiseOracle(counted, 0.01)
+        params = _search_params(batch=3)
+        snc_find(oracle, sad.point, params, RngStream(0, 0))
+        # grad f(x_tilde) once, then one probe per step.
+        assert counted.grad_evals == params.steps + 1 == 46
+        assert counted.f_evals == 0
+        assert oracle.sample_count == 2 * params.batch * params.steps
+
+    def test_sgd_nc_run_one_gradient_per_record(self):
+        counted = CountingOracle(make_quadratic([1.0, 2.0], rho=1.0))
+        oracle = AdditiveNoiseOracle(counted, sigma=1e-4)
+        params = _bowl_run_params(total_steps=28)
+        trace = sgd_nc_run(oracle, np.zeros(2), params, RngStream(3, 0))
+        events = trace.events()
+        records, search_steps = len(events), events.count(EVENT_NCF_STEP)
+        episodes = len(trace.meta["exploits"])
+        assert (records, search_steps, episodes) == (29, 23, 5)
+        # Gradients: one per record that is not a search step; per search
+        # the anchor and one probe per step.  The estimates query nothing.
+        assert counted.grad_evals == (records - search_steps) + episodes + search_steps
+        # Values: one per record that is not a search step, two per exploit.
+        assert counted.f_evals == (records - search_steps) + 2 * episodes
+        # Samples: outer_batch per loop iteration, 2 * batch per search step.
+        estimates = records - 1 - search_steps
+        expected = params.outer_batch * estimates + 2 * params.search.batch * search_steps
+        assert trace.meta["samples"] == oracle.sample_count == expected
+
+
+class _RowByRowNoise(AdditiveNoiseOracle):
+    """The additive model with one noise draw and fresh gradients at every
+    query: the reference that the block-drawn samplers must reproduce."""
+
+    def minibatch_mean(self, x, m, stream):
+        self.sample_count += m
+        noise = self.sigma / math.sqrt(m) * stream.gen.standard_normal(self.dim)
+        return self.mean.gradient(x) + noise
+
+    def minibatch_diff(self, x0, x1, m, stream):
+        self.sample_count += 2 * m
+        return self.mean.gradient(x1) - self.mean.gradient(x0)
+
+    mean_sampler = StochasticOracle.mean_sampler
+    diff_sampler = StochasticOracle.diff_sampler
+
+
+def _one_row_per_call(stream, n, scale, rows):
+    for _ in range(rows):
+        yield stream.gen.standard_normal(n) * scale
+
+
+def _assert_same_trace(a, b):
+    assert [(r.t, r.f, r.grad_norm, r.event) for r in a.records] == [
+        (r.t, r.f, r.grad_norm, r.event) for r in b.records
+    ]
+    assert all(np.array_equal(ra.x, rb.x) for ra, rb in zip(a.records, b.records))
+    assert a.meta["samples"] == b.meta["samples"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 10, 1000]),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+@example(n=1000, steps=40, seed=0)
+def test_block_draws_match_row_by_row_draws(n, steps, seed):
+    # At n = 1000 the noise of more than four steps crosses _BLOCK_FLOATS.
+    assert 5 * 1000 > _BLOCK_FLOATS
+    quad = make_quadratic(np.linspace(-1.0, 2.0, n))
+    search = _search_params(steps=steps, batch=3, ell=2.0, rho=1.0, ell_tilde=2.0)
+    loop = _run_params(search=search, total_steps=2 * steps + 5, outer_batch=4, eta=0.1)
+    base = BaselineParams(
+        eta=0.1, radius=0.01, grad_threshold=0.05, total_steps=steps, cooldown=3, batch=2,
+    )
+    x0 = np.zeros(n)
+
+    def run_all(noise):
+        oracle = noise(quad, 0.01)
+        e_hat = snc_find(oracle, x0, search, RngStream(seed, 1)).e_hat
+        traces = [
+            sgd_nc_run(oracle, x0, loop, RngStream(seed, 2)),
+            psgd_run(oracle, x0, base, RngStream(seed, 3)),
+        ]
+        return e_hat, traces, oracle.sample_count
+
+    e_hat, traces, samples = run_all(AdditiveNoiseOracle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "_normal_rows", _one_row_per_call)
+        ref_e_hat, ref_traces, ref_samples = run_all(_RowByRowNoise)
+    assert np.array_equal(e_hat, ref_e_hat)
+    for trace, ref in zip(traces, ref_traces):
+        _assert_same_trace(trace, ref)
+    assert samples == ref_samples

@@ -90,3 +90,36 @@ def test_cli_import_leaves_out_process_pool_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_tests_import_no_private_name_that_src_does_not_use():
+    # A private helper kept in src/ only for the tests to import belongs in
+    # the tests (tests/conftest.py holds the references).
+    src_used = set().union(*(
+        _names_used(ast.parse(path.read_text()))
+        for path in Path(saddlescape.__file__).parent.glob("*.py")
+    ))
+    imported = {
+        (path.name, alias.name)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "saddlescape"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported  # the check sees the tests' private imports
+    assert sorted((f, name) for f, name in imported if name not in src_used) == []
