@@ -146,21 +146,26 @@ def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Arra
     positive side.  Momentum is zeroed in every branch.
     """
     require_positive(s=s)
-    return _nce_step(oracle, _point(oracle, x), _point(oracle, v, "v"), s)
+    return _nce_step(oracle, _point(oracle, x), _point(oracle, v, "v"), s, None)[:2]
 
 
-def _nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Array, Array]:
-    """nce_step for the loop, whose params already checked s."""
+def _nce_step(
+    oracle: GradientOracle, x: Array, v: Array, s: float, f_x: float | None
+) -> tuple[Array, Array, float | None]:
+    """nce_step for the loop, whose params already checked s, that also
+    returns f at the point it returns: f_x (f(x), as the caller holds it)
+    where x stays, else the winner's value."""
     v_norm = _norm(v)
-    zero = np.zeros_like(v)
+    zero = np.zeros(v.shape[0])
     if v_norm >= s or v_norm == 0.0:
-        return x, zero
+        return x, zero, f_x
     xi = (s / v_norm) * v
     plus = x + xi
     minus = x - xi
-    if oracle.value(plus) <= oracle.value(minus):
-        return plus, zero
-    return minus, zero
+    f_plus, f_minus = oracle.value(plus), oracle.value(minus)
+    if f_plus <= f_minus:
+        return plus, zero, f_plus
+    return minus, zero, f_minus
 
 
 def accelerate(
@@ -184,10 +189,19 @@ def accelerate(
     this loop, and this loop's trigger opens it.  With window = 0 the draw
     only re-seeds the iterate.  Outside windows a per-step certificate
     compares f(x) against the gamma-strongly-convex lower model at z and
-    reroutes through the momentum reset when violated; its f(x_next) and
-    grad f(z_next) serve the next record and step when those arrays become x
-    and z.  params supplies eta, theta, gamma, nce_radius, total_steps and
-    trust_region; trace.meta gets the oracle's call counts.
+    reroutes through the momentum reset when violated.  params supplies
+    eta, theta, gamma, nce_radius, total_steps and trust_region; trace.meta
+    gets the oracle's call counts.
+
+    Queries per iteration: the record takes grad f(x), and f(x) with it in
+    one value_and_gradient call unless the last certificate or momentum
+    reset already scored that very array.  The step takes grad f(z) unless
+    z is the certificate's z_next, or z follows a reset and equals the
+    recorded x bit for bit (z = x + (1 - theta) * 0 differs from x only
+    where x holds -0.0), when it reuses that gradient.  Outside windows
+    the certificate takes f(x_next) and, in one value_and_gradient call,
+    f(z_next) and grad f(z_next); a reset of short momentum adds the values
+    of its two candidates.
     """
     x = z = np.asarray(x0, dtype=float).copy()
     v = zeta = np.zeros_like(x)
@@ -195,16 +209,18 @@ def accelerate(
     records, meta = trace.records, trace.meta
     # The first small gradient triggers, whatever the cooldown.
     last = -math.inf
-    x_scored = z_scored = g_z_next = None
+    x_scored = z_scored = z_reset = g_z_next = None
     f_x_next = 0.0
     event = EVENT_AGD
     stop = False
 
     for t in range(params.total_steps + 1):
-        g_x = oracle.gradient(x)
+        if x is x_scored:
+            f, g_x = f_x_next, oracle.gradient(x)
+        else:
+            f, g_x = oracle.value_and_gradient(x)
         g_norm = _norm(g_x)
-        f = f_x_next if x is x_scored else oracle.value(x)
-        records.append(TraceRecord(t=t, f=f, grad_norm=g_norm, event=event, x=x, v_norm=_norm(v)))
+        records.append(TraceRecord(t, f, g_norm, event, x, _norm(v)))
         if t == params.total_steps or stop:
             break
         event = EVENT_AGD
@@ -232,7 +248,13 @@ def accelerate(
             v = zeta = np.zeros_like(x)
             event = EVENT_NCF_EXPLOIT
 
-        g_z = g_z_next if z is z_scored else oracle.gradient(z)
+        if z is z_scored:
+            g_z = g_z_next
+        elif z is z_reset and z.tobytes() == x.tobytes():
+            # z = x + (1 - theta) * 0: the bits of x unless x holds -0.0.
+            g_z = g_x
+        else:
+            g_z = oracle.gradient(z)
         x_next = z - eta * (g_z - zeta)
         v_next = x_next - x
         z_next = x_next + (1.0 - theta) * v_next
@@ -250,8 +272,7 @@ def accelerate(
             event = EVENT_NCF_STEP
         else:
             f_x_next = oracle.value(x_next)
-            f_z_next = oracle.value(z_next)
-            g_z_next = oracle.gradient(z_next)
+            f_z_next, g_z_next = oracle.value_and_gradient(z_next)
             x_scored, z_scored = x_next, z_next
             gap = x_next - z_next
             model = (
@@ -260,8 +281,11 @@ def accelerate(
                 - 0.5 * params.gamma * float(np.dot(gap, gap))
             )
             if f_x_next <= model:
-                x_next, v_next = _nce_step(oracle, x_next, v_next, params.nce_radius)
-                z_next = x_next + (1.0 - theta) * v_next
+                x_next, v_next, f_x_next = _nce_step(
+                    oracle, x_next, v_next, params.nce_radius, f_x_next
+                )
+                x_scored = x_next
+                z_next = z_reset = x_next + (1.0 - theta) * v_next
                 if event == EVENT_AGD:
                     event = EVENT_NCE
 

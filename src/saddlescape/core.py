@@ -116,13 +116,18 @@ class SmoothnessSpec:
 
 @dataclass(frozen=True)
 class GradientOracle:
-    """Deterministic first-order oracle: function value, exact gradient, constants."""
+    """Deterministic first-order oracle: function value, exact gradient, constants.
+
+    f_and_grad, when given, evaluates f and grad at one point in one call and
+    must return exactly (f(x), grad(x)); value_and_gradient uses it.
+    """
 
     f: Callable[[Array], float]
     grad: Callable[[Array], Array]
     spec: SmoothnessSpec
     dim: int
     name: str = ""
+    f_and_grad: Callable[[Array], tuple] | None = None
 
     def value(self, x: Array) -> float:
         return float(self.f(x))
@@ -130,9 +135,18 @@ class GradientOracle:
     def gradient(self, x: Array) -> Array:
         return np.asarray(self.grad(x), dtype=float)
 
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        """(value(x), gradient(x)), bit for bit, from one call where the
+        oracle has f_and_grad."""
+        if self.f_and_grad is None:
+            return self.value(x), self.gradient(x)
+        f, g = self.f_and_grad(x)
+        return float(f), np.asarray(g, dtype=float)
+
 
 class CountingOracle:
-    """Wraps an oracle and counts value/gradient calls for run metadata."""
+    """Wraps an oracle and counts value/gradient calls for run metadata; a
+    value_and_gradient call counts one of each."""
 
     def __init__(self, inner: GradientOracle):
         self.inner = inner
@@ -158,6 +172,11 @@ class CountingOracle:
     def gradient(self, x: Array) -> Array:
         self.grad_evals += 1
         return self.inner.gradient(x)
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        self.f_evals += 1
+        self.grad_evals += 1
+        return self.inner.value_and_gradient(x)
 
 
 class StochasticOracle:

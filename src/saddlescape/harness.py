@@ -177,11 +177,17 @@ class ExperimentConfig:
             raise ParameterError(
                 f"x0 must be a flat sequence of finite numbers, got {self.x0!r}"
             )
-        reads = _ALGORITHMS[self.algorithm].reads
-        ignored = [n for n in _KNOBS if getattr(self, n) is not None and n not in reads]
+        alg = _ALGORITHMS[self.algorithm]
+        ignored = [n for n in _KNOBS if getattr(self, n) is not None and n not in alg.reads]
         if ignored:
             raise ParameterError(
                 f"{self.algorithm!r} never reads {', '.join(ignored)}; leave it unset"
+            )
+        paper_only = [n for n in alg.paper_only if getattr(self, n) is not None]
+        if paper_only and self.mode == "experiment":
+            raise ParameterError(
+                f"{self.algorithm!r} reads {', '.join(paper_only)} in paper mode only; "
+                "leave it unset or use --mode paper"
             )
 
 
@@ -360,6 +366,11 @@ _COMMON_READS = (
 _SEARCH_READS = _COMMON_READS + ("ncf_steps", "exploit_step")
 _MOMENTUM_READS = ("theta", "gamma", "nce_radius")
 _NOISE_READS = ("sigma", "batch")
+# Of those, the knobs only a paper derivation reads: the gap bound always,
+# and for the baselines eps and delta (pagd keeps eps, which sets its
+# momentum constants when no knob does).
+_PAPER_ONLY = ("delta_f",)
+_BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps", "delta")
 
 
 def _nc(s: _Setting) -> NCDescentParams:
@@ -439,32 +450,37 @@ def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
 class _Algorithm:
     """How the harness runs one algorithm: the name of its run function
     (a module global, looked up at call time), its parameter builder, the
-    knobs experiment mode needs, the knobs it reads (a config that sets any
-    other knob is refused), and whether it sees the noisy oracle."""
+    knobs experiment mode needs, the knobs it reads in either mode (a config
+    that sets any other knob is refused), those of them that it reads in
+    paper mode only (refused in experiment mode), and whether it sees the
+    noisy oracle."""
 
     run: str
     build: Callable[[_Setting], object]
     needs: tuple[str, ...]
     reads: tuple[str, ...]
+    paper_only: tuple[str, ...]
     noisy: bool = False
 
 
 _ALGORITHMS = {
-    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS, _SEARCH_READS),
+    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS, _SEARCH_READS, _PAPER_ONLY),
     "ancgd": _Algorithm(
-        "ancgd_run", _ancgd, _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS
+        "ancgd_run", _ancgd, _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS,
+        _PAPER_ONLY,
     ),
     "snc": _Algorithm(
         "sgd_nc_run", _snc, _SEARCH_NEEDS, _SEARCH_READS + _NOISE_READS + ("outer_batch",),
-        noisy=True,
+        _PAPER_ONLY, noisy=True,
     ),
-    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS),
+    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
     "pagd": _Algorithm(
         "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS,
-        _COMMON_READS + _MOMENTUM_READS,
+        _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY + ("delta",),
     ),
     "psgd": _Algorithm(
-        "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS, noisy=True
+        "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
+        _BASELINE_PAPER_ONLY, noisy=True,
     ),
 }
 ALGORITHMS = tuple(_ALGORITHMS)

@@ -285,17 +285,21 @@ def descend(
     stop), or None to decline.  An episode bills each held iteration as one
     ncf-step record at x and gives the new point one more record under the
     tag; the loop ends there if stop is set.  Otherwise x steps against the
-    estimate and the record is tagged event.  recorder.value and
-    recorder.gradient score the records; params supplies total_steps,
+    estimate and the record is tagged event.  params supplies total_steps,
     cooldown and trust_region.
+
+    Queries: each record scores its point with one
+    recorder.value_and_gradient call (one value and one gradient); a held
+    search step reuses the anchor's record and queries nothing.  Whatever
+    estimate and escape query comes on top.
     """
     x = np.asarray(x0, dtype=float).copy()
     records = trace.records
+    value_and_gradient = recorder.value_and_gradient
 
     def record(t: int, x: Array, tag: str) -> Array:
-        f = recorder.value(x)
-        g = recorder.gradient(x)
-        records.append(TraceRecord(t=t, f=f, grad_norm=_norm(g), event=tag, x=x))
+        f, g = value_and_gradient(x)
+        records.append(TraceRecord(t, f, _norm(g), tag, x))
         return g
 
     g_x = record(0, x, event)
@@ -318,9 +322,7 @@ def descend(
             x, tag, held, stop = episode
             for _ in range(held):
                 t += 1
-                records.append(
-                    TraceRecord(t=t, f=anchor_f, grad_norm=g_norm, event=EVENT_NCF_STEP, x=anchor)
-                )
+                records.append(TraceRecord(t, anchor_f, g_norm, EVENT_NCF_STEP, anchor))
             t += 1
             g_x = record(t, x, tag)
             if stop:

@@ -86,14 +86,35 @@ def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], o
     return evaluate
 
 
+def _planar_oracle(
+    f: Callable[[float, float], float], grad: Callable[[float, float], Array],
+    spec: SmoothnessSpec, name: str,
+) -> GradientOracle:
+    """The oracle of a 2-d landscape: f and grad evaluated by _on_floats, and
+    a fused f_and_grad that unpacks the point once for both, each formula
+    keeping its own overflow fallback, so the pair is bit for bit the two
+    separate calls."""
+
+    def f_and_grad(x: Array) -> tuple:
+        x1, x2 = x.tolist()
+        try:
+            fx = f(x1, x2)
+        except OverflowError:
+            fx = f(x[0], x[1])
+        try:
+            return fx, grad(x1, x2)
+        except OverflowError:
+            return fx, grad(x[0], x[1])
+
+    return GradientOracle(_on_floats(f), _on_floats(grad), spec, 2, name, f_and_grad)
+
+
 def make_quartic() -> Landscape:
     """Even 2-d quartic: saddle at the origin, minima at (+-2, 0)."""
 
-    @_on_floats
     def f(x1: float, x2: float) -> float:
         return x1**4 / 16 - x1**2 / 2 + 9 / 8 * x2**2
 
-    @_on_floats
     def grad(x1: float, x2: float) -> Array:
         return np.array([x1**3 / 4 - x1, 9 / 4 * x2])
 
@@ -101,7 +122,7 @@ def make_quartic() -> Landscape:
     def hess(x1: float, x2: float) -> Array:
         return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
 
-    oracle = GradientOracle(f, grad, SmoothnessSpec(ell=5.75, rho=4.5), dim=2, name="quartic")
+    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=5.75, rho=4.5), "quartic")
     return Landscape(
         id="quartic",
         oracle=oracle,
@@ -131,11 +152,9 @@ _CUBIC_MIN_F = -1.3641479081703338
 def make_cubic_stochastic() -> Landscape:
     """Cubic-plus-quartic 2-d landscape whose saddle has off-axis curvature."""
 
-    @_on_floats
     def f(x1: float, x2: float) -> float:
         return (x1**3 - x2**3) / 2 - 3 * x1 * x2 + (x1**2 + x2**2) ** 2 / 2
 
-    @_on_floats
     def grad(x1: float, x2: float) -> Array:
         sq = x1**2 + x2**2
         return np.array(
@@ -151,7 +170,7 @@ def make_cubic_stochastic() -> Landscape:
             ]
         )
 
-    oracle = GradientOracle(f, grad, SmoothnessSpec(ell=35.0, rho=30.0), dim=2, name="cubic")
+    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=35.0, rho=30.0), "cubic")
     inv2 = 1.0 / math.sqrt(2.0)
     mirror = np.array([-_CUBIC_MIN[1], -_CUBIC_MIN[0]])
     return Landscape(
@@ -181,11 +200,9 @@ def make_triangle() -> Landscape:
     def _w(x1: float, x2: float) -> float:
         return x2 + (math.cos(2 * pi * x1) - 1) / 2
 
-    @_on_floats
     def f(x1: float, x2: float) -> float:
         return 0.5 * math.cos(pi * x1) + 0.5 * _w(x1, x2) ** 2 - 0.5
 
-    @_on_floats
     def grad(x1: float, x2: float) -> Array:
         w = _w(x1, x2)
         return np.array(
@@ -201,7 +218,7 @@ def make_triangle() -> Landscape:
         h12 = -pi * s2
         return np.array([[h11, h12], [h12, 1.0]])
 
-    oracle = GradientOracle(f, grad, SmoothnessSpec(ell=55.0, rho=380.0), dim=2, name="triangle")
+    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=55.0, rho=380.0), "triangle")
     return Landscape(
         id="triangle",
         oracle=oracle,
@@ -237,12 +254,10 @@ def make_exponential() -> Landscape:
         s = 1.0 / (1.0 + eu)
         return u, s, eu, s**2, emu, u * emu
 
-    @_on_floats
     def f(x1: float, x2: float) -> float:
         u, s, eu, s2, emu, p = _parts(x1)
         return s + 0.5 * (x2 - p) ** 2 - 1.0
 
-    @_on_floats
     def grad(x1: float, x2: float) -> Array:
         u, s, eu, s2, emu, p = _parts(x1)
         w = x2 - p
@@ -263,7 +278,7 @@ def make_exponential() -> Landscape:
         h12 = -2 * x1 * emu * (1 - u)
         return np.array([[h11, h12], [h12, 1.0]])
 
-    oracle = GradientOracle(f, grad, SmoothnessSpec(ell=8.0, rho=16.0), dim=2, name="exponential")
+    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=8.0, rho=16.0), "exponential")
     return Landscape(
         id="exponential",
         oracle=oracle,
@@ -300,13 +315,21 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     diag = np.ones(n)
     diag[0] = -eps_h
 
-    def f(x: Array) -> float:
-        return 0.5 * float(np.dot(x, diag * x)) + x[0] ** 4 / 16
+    # f and grad take dx = diag * x from a caller that already has it.
+    def f(x: Array, dx: Array | None = None) -> float:
+        if dx is None:
+            dx = diag * x
+        return 0.5 * float(np.dot(x, dx)) + x[0] ** 4 / 16
 
-    def grad(x: Array) -> Array:
-        g = diag * x
+    def grad(x: Array, dx: Array | None = None) -> Array:
+        g = diag * x if dx is None else dx
         g[0] += x[0] ** 3 / 4
         return g
+
+    def f_and_grad(x: Array) -> tuple:
+        dx = diag * x
+        # f reads dx before grad adds the quartic term to it in place.
+        return f(x, dx), grad(x, dx)
 
     def hess(x: Array) -> Array:
         h = np.diag(diag.copy())
@@ -316,7 +339,8 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     ell = max(1.0, 6.75 - eps_h)
     x_min = 2 * math.sqrt(eps_h)
     oracle = GradientOracle(
-        f, grad, SmoothnessSpec(ell=ell, rho=4.5), dim=n, name=f"highdim-{n}"
+        f, grad, SmoothnessSpec(ell=ell, rho=4.5), dim=n, name=f"highdim-{n}",
+        f_and_grad=f_and_grad,
     )
     e1 = np.zeros(n)
     e1[0] = 1.0

@@ -274,6 +274,37 @@ class TestRunCommand:
         assert err.startswith("error:") and knob in err
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [
+            ("--alg pgd --eps 0.3", "eps"),
+            ("--alg psgd --delta 0.2", "delta"),
+            ("--alg pagd --delta 0.2", "delta"),
+            ("--alg nc --delta-f 5", "delta_f"),
+            ("--alg ancgd --delta-f 5", "delta_f"),
+        ],
+    )
+    def test_paper_only_knob_rejected_in_experiment_mode(
+        self, flags, knob, capsys, monkeypatch
+    ):
+        # Experiment mode would silently drop it; paper mode reads it.
+        ran = []
+        for name in _RUN_FUNCTIONS:
+            monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
+        code = main(["run", "--fn", "quartic", "--trials", "2", *flags.split()])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"reads {knob} in paper mode only" in err
+        assert ran == []
+
+    @pytest.mark.parametrize("flags", ["--alg pgd --eps 0.3", "--alg nc --delta-f 5"])
+    def test_paper_only_knob_runs_in_paper_mode(self, flags):
+        code = main([
+            "run", "--fn", "quartic", "--trials", "2", "--mode", "paper", "--steps", "20",
+            *flags.split(),
+        ])
+        assert code == 0
+
     def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     ANCParams,
@@ -12,6 +14,8 @@ from saddlescape import (
     BaselineParams,
     CountingOracle,
     DivergenceError,
+    ExperimentConfig,
+    GradientOracle,
     NCDescentParams,
     ParameterError,
     RngStream,
@@ -26,6 +30,8 @@ from saddlescape import (
     pgd_nc_run,
     pgd_run,
     psgd_run,
+    sgd_nc_run,
+    with_noise,
 )
 from saddlescape.core import (
     EVENT_AGD,
@@ -36,6 +42,7 @@ from saddlescape.core import (
     EVENT_PERTURB,
     EVENT_SGD,
 )
+from saddlescape.harness import build_payload
 from saddlescape.ncfind import NCParams
 
 from conftest import make_quadratic
@@ -311,11 +318,13 @@ class TestPagdBaseline:
 class TestOracleCounts:
     """Algorithm oracle calls per trial, derived by hand from the loop shapes.
 
-    A record scores its iterate with one value and one gradient; pgd_nc_run
-    steps on the record's gradient; an episode anchor reads f from its
-    record; the momentum loops carry the certificate's f(x_next) and
-    grad f(z_next) into the next record and step when those arrays become x
-    and z.
+    A record scores its iterate with one value and one gradient (one
+    value_and_gradient call); pgd_nc_run steps on the record's gradient; an
+    episode anchor reads f from its record; the momentum loops carry the
+    certificate's f(x_next) and grad f(z_next) into the next record and
+    step when those arrays become x and z, carry a momentum reset's
+    winning value into the next record, and after a reset step on the
+    record's gradient when z equals x bit for bit.
     """
 
     def test_pgd_nc_run(self):
@@ -409,8 +418,11 @@ class TestOracleCounts:
     def test_pagd_run_after_momentum_reset(self):
         # Near the saddle the certificate fails.  With a reset radius far
         # below the momentum norm the reset zeroes v but keeps x, so f(x)
-        # still carries; z_next is rebuilt, so the next grad f(z) is fresh.
-        # A zero trigger threshold rules out perturbations.
+        # still carries.  z_next is rebuilt as x + (1 - theta) * 0, the bits
+        # of x, so the next step reuses the record's gradient where it used
+        # to query grad f(z) afresh: 23 gradients before, one more per reset
+        # before the last step.  A zero trigger threshold rules out
+        # perturbations.
         land = get_landscape("quartic")
         T = 8
         params = BaselineParams(
@@ -419,10 +431,57 @@ class TestOracleCounts:
         )
         trace = pagd_run(land.oracle, np.array([0.05, 0.02]), params, RngStream(0, 0))
         events = trace.events()
-        resets_before_last_step = events[1:T].count(EVENT_NCE)
-        assert resets_before_last_step == 5
-        assert trace.meta["grad_evals"] == (T + 1) + 1 + resets_before_last_step + T == 23
+        assert events[1:T].count(EVENT_NCE) == 5
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
         assert trace.meta["f_evals"] == 1 + 2 * T == 17
+
+    def test_pagd_run_after_short_momentum_reset(self):
+        # From (0.01, 0) every certificate fails and the momentum is always
+        # shorter than the reset radius, so each reset moves x to the lower
+        # of its two candidates (two values).  The winner's value carries
+        # into the next record, which used to score it again (41 values
+        # before, one more per reset); the next step reuses the record's
+        # gradient (25 gradients before, one more per reset before the
+        # last step).
+        land = get_landscape("quartic")
+        T = 8
+        params = BaselineParams(
+            eta=0.05, radius=0.08, grad_threshold=0.0, total_steps=T,
+            theta=0.042, gamma=0.0355, nce_radius=0.0089,
+        )
+        trace = pagd_run(land.oracle, np.array([0.01, 0.0]), params, RngStream(0, 0))
+        resets = trace.events().count(EVENT_NCE)
+        assert trace.events() == [EVENT_AGD] + [EVENT_NCE] * T and resets == T
+        # Every reset zeroed the momentum.
+        assert all(rec.v_norm == 0.0 for rec in trace.records[1:])
+        assert trace.meta["f_evals"] == 1 + 2 * T + 2 * resets == 33
+        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
+
+    def test_pagd_run_reset_at_negative_zero_queries_z(self):
+        # f = x1^4/16 - x1^2/2 - x2^2/2 from (s, 0.05): the first certificate
+        # fails along x2 and the long momentum keeps x_next, whose first
+        # entry is s.  z_next = x_next + (1 - theta) * 0 turns a -0.0 into
+        # +0.0, so from s = -0.0 z and x differ in their bytes and the next
+        # step queries grad f(z) once more than from s = +0.0.
+        def f(x):
+            return x[0] ** 4 / 16 - x[0] ** 2 / 2 - x[1] ** 2 / 2
+
+        def grad(x):
+            return np.array([x[0] ** 3 / 4 - x[0], -x[1]])
+
+        oracle = GradientOracle(f, grad, SmoothnessSpec(2.0, 2.0), 2)
+        T = 8
+        params = BaselineParams(
+            eta=0.05, radius=0.08, grad_threshold=0.0, total_steps=T,
+            theta=0.042, gamma=0.0355, nce_radius=1e-12,
+        )
+        counts = []
+        for s in (-0.0, 0.0):
+            trace = pagd_run(oracle, np.array([s, 0.05]), params, RngStream(0, 0))
+            assert trace.events() == [EVENT_AGD] + [EVENT_NCE] * T
+            assert math.copysign(1.0, trace.records[1].x[0]) == math.copysign(1.0, s)
+            counts.append(trace.meta["grad_evals"])
+        assert counts == [(T + 1) + 1 + T + 1, (T + 1) + 1 + T] == [19, 18]
 
     def _anc(self, **overrides):
         base = dict(
@@ -521,3 +580,92 @@ class TestBaselineParams:
             BaselineParams(
                 eta=0.1, radius=0.1, grad_threshold=0.1, total_steps=10, batch=0
             )
+
+
+_RUNS = {
+    "nc": pgd_nc_run, "pgd": pgd_run, "ancgd": ancgd_run, "pagd": pagd_run,
+    "snc": sgd_nc_run, "psgd": psgd_run,
+}
+_SIGNED_ZEROS = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+
+
+def _plan(alg, land_id, reset):
+    """The recipe's params; with reset, the momentum loops' trigger is off,
+    so that near the saddle they run into resets of short momentum, which
+    move x."""
+    cfg = ExperimentConfig(algorithm=alg, landscape=land_id)
+    params = build_payload(cfg, get_landscape(land_id))["params"]
+    return dataclasses.replace(params, grad_threshold=0.0) if reset else params
+
+
+# The calibrated recipes (highdim-10 for nc and pgd too), and the momentum
+# loops with the trigger off.
+_PLANS = {
+    (alg, land_id, reset): _plan(alg, land_id, reset)
+    for alg, land_id in [
+        ("nc", "quartic"), ("pgd", "quartic"), ("ancgd", "quartic"), ("pagd", "quartic"),
+        ("snc", "cubic"), ("psgd", "cubic"), ("nc", "highdim-10"), ("pgd", "highdim-10"),
+    ]
+    for reset in ((False, True) if alg in ("ancgd", "pagd") else (False,))
+}
+
+
+def _compared(trace):
+    """Every record's t, f, grad_norm, v_norm, event and x bytes, and the
+    exploit log; floats by repr, which tells -0.0 from 0.0."""
+    records = [
+        (r.t, repr(r.f), repr(r.grad_norm), repr(r.v_norm), r.event, r.x.tobytes())
+        for r in trace.records
+    ]
+    exploits = [
+        (e["t"], repr(e["decrease"]), e["certified"], e["anchor"].tobytes(), e["e_hat"].tobytes())
+        for e in trace.meta.get("exploits", [])
+    ]
+    return records, exploits
+
+
+class TestFusedOracleTraces:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        plan=st.sampled_from(sorted(_PLANS)),
+        seed=st.integers(0, 2**16),
+        start=st.one_of(
+            st.sampled_from(_SIGNED_ZEROS + [(0.01, 0.0), (0.05, 0.02), None]),
+            st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        ),
+    )
+    @example(plan=("pagd", "quartic", True), seed=0, start=(0.01, 0.0))
+    @example(plan=("ancgd", "quartic", True), seed=0, start=(0.01, 0.0))
+    @example(plan=("pagd", "quartic", False), seed=0, start=(-0.0, 0.0))
+    @example(plan=("ancgd", "quartic", False), seed=0, start=(-0.0, 0.0))
+    def test_fused_and_plain_oracles_give_the_same_trace(self, plan, seed, start):
+        # The plain oracle has no f_and_grad, so each record queries f and
+        # grad f separately: it is the reference for the fused evaluation.
+        alg, land_id, _ = plan
+        land = get_landscape(land_id)
+        o = land.oracle
+        plain = GradientOracle(o.f, o.grad, o.spec, o.dim)
+        x0 = land.saddles[0].point.copy()
+        if start is not None and land.dim == 2:
+            x0 = np.array(start)
+        traces = []
+        for oracle in (o, plain):
+            if alg in ("snc", "psgd"):
+                oracle = with_noise(oracle, 0.01)
+            traces.append(_RUNS[alg](oracle, x0, _PLANS[plan], RngStream(seed, 1)))
+        assert _compared(traces[0]) == _compared(traces[1])
+
+    def test_reset_plans_move_x(self):
+        # The trigger-off plans reach the short-momentum reset they exist
+        # for: the first step's x_next = x0 - eta grad f(x0) moves by
+        # nce_radius, and the momentum is zeroed.
+        land = get_landscape("quartic")
+        x0 = np.array([0.01, 0.0])
+        for alg in ("ancgd", "pagd"):
+            params = _PLANS[(alg, "quartic", True)]
+            trace = _RUNS[alg](land.oracle, x0, params, RngStream(0, 1))
+            assert trace.events()[1] == EVENT_NCE
+            assert trace.records[1].v_norm == 0.0
+            x_next = x0 - params.eta * land.oracle.gradient(x0)
+            moved = np.linalg.norm(trace.records[1].x - x_next)
+            assert moved == pytest.approx(params.nce_radius, rel=1e-9)

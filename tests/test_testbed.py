@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from saddlescape import (
     AdditiveNoiseOracle,
+    CountingOracle,
     ParameterError,
     RngStream,
     get_landscape,
@@ -405,3 +406,56 @@ class TestFloatPath:
         assert land.oracle.value(x) == pytest.approx(0.5 * 0.3**2 - 1.0, rel=1e-15)
         assert land.oracle.gradient(x) == pytest.approx([0.0, 0.3], abs=1e-300)
         assert land.hessian(x) == pytest.approx(np.diag([0.0, 1.0]), abs=1e-290)
+
+
+_FUSED_IDS = sorted(_FACTORIES) + ["highdim-10", "highdim-1000"]
+_FUSED_LANDS = {land_id: get_landscape(land_id) for land_id in _FUSED_IDS}
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def _fused_points(draw):
+    """A landscape and a point: x1 in the box, -0.0, in exponential's band
+    where e^(x1^2) overflows and grad turns NaN (|x1| in [26.4, 27]), or
+    beyond 30, out to where Python's ** overflows and the formulas fall back
+    to numpy; the other entries in the box with some of them -0.0."""
+    land_id = draw(st.sampled_from(_FUSED_IDS))
+    land = _FUSED_LANDS[land_id]
+    lo, hi = land.box
+    x1 = draw(st.one_of(
+        st.floats(lo, hi),
+        st.just(-0.0),
+        st.builds(lambda s, m: s * m, _SIGN, st.floats(26.4, 27.0)),
+        st.builds(lambda s, m: s * m, _SIGN, st.floats(30.0, 1e3)),
+        st.builds(lambda s, m, e: s * m * 10.0**e, _SIGN, st.floats(1.0, 9.99),
+                  st.integers(2, 299)),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(lo, hi, land.dim)
+    x[0] = x1
+    x[1:][rng.random(land.dim - 1) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
+    return land_id, x
+
+
+class TestFusedPath:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fused_points())
+    def test_value_and_gradient_is_value_then_gradient(self, case):
+        land_id, x = case
+        oracle = _FUSED_LANDS[land_id].oracle
+        assert oracle.f_and_grad is not None
+        f, g = oracle.value_and_gradient(x)
+        assert type(f) is float and g.dtype == float
+        assert _same_bits(f, oracle.value(x))
+        assert _same_bits(g, oracle.gradient(x))
+
+    def test_plain_oracle_and_counting_oracle(self):
+        land = get_landscape("quartic")
+        o = land.oracle
+        plain = GradientOracle(o.f, o.grad, o.spec, o.dim)
+        counted = CountingOracle(plain)
+        x = np.array([0.3, -0.0])
+        f, g = counted.value_and_gradient(x)
+        assert _same_bits(f, o.value(x)) and _same_bits(g, o.gradient(x))
+        assert (counted.f_evals, counted.grad_evals) == (1, 1)

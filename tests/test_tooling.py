@@ -1,8 +1,10 @@
 """Package surface and demos: every exported name resolves, every demo
-imports against the current API, and no module keeps a dead import."""
+imports against the current API, no module keeps a dead import, and the
+benchmark's tracer still finds every name it wraps."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import os
 import re
@@ -123,3 +125,33 @@ def test_tests_import_no_private_name_that_src_does_not_use():
     }
     assert imported  # the check sees the tests' private imports
     assert sorted((f, name) for f, name in imported if name not in src_used) == []
+
+
+def test_perfbench_tracer_finds_every_point_it_wraps(monkeypatch):
+    # The benchmark's tracer wraps library names (harness.pgd_nc_run,
+    # drivers.nc_find, GradientOracle.gradient, ...) by looking them up; a
+    # rename would otherwise fail only inside a traced benchmark run.
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only: no cache file
+    spec.loader.exec_module(spans)
+    mods = {
+        name: importlib.import_module(f"saddlescape.{name}")
+        for name in (
+            "ancgd", "cli", "core", "drivers", "harness", "ncfind", "stochastic", "testbed",
+            "verify",
+        )
+    }
+    tracer = spans.Tracer()
+    try:
+        tracer.install(mods, full=True)
+        patched = list(tracer._patched)
+        assert patched
+        for owner, attr, original in patched:
+            assert owner.__dict__[attr].__wrapped__ is original
+    finally:
+        assert tracer.uninstall() == []
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original
