@@ -30,12 +30,11 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _curvature_threshold, _point, exploit
+from .ncfind import _curvature_threshold, exploit
 
 __all__ = [
     "ANCParams",
     "derive_anc_params",
-    "nce_step",
     "accelerate",
     "ancgd_run",
 ]
@@ -77,14 +76,6 @@ class ANCParams:
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
         require_bound(trust_region=self.trust_region)
-
-    @property
-    def effective_cooldown(self) -> int:
-        return self.ncf_steps if self.cooldown is None else self.cooldown
-
-    @property
-    def effective_threshold(self) -> float:
-        return self.eps if self.grad_threshold is None else self.grad_threshold
 
 
 def derive_anc_params(
@@ -138,23 +129,17 @@ def derive_anc_params(
     )
 
 
-def nce_step(oracle: GradientOracle, x: Array, v: Array, s: float) -> tuple[Array, Array]:
+def _nce_step(
+    oracle: GradientOracle, x: Array, v: Array, s: float, f_x: float | None
+) -> tuple[Array, Array, float | None]:
     """Momentum-reset step taken when the certificate flags negative curvature.
 
     Long momentum (norm >= s) already made progress, so x stays put.  Short
     momentum is stretched to length s and both signs are tried; ties keep the
-    positive side.  Momentum is zeroed in every branch.
+    positive side.  Momentum is zeroed in every branch.  Also returns f at
+    the point it returns: f_x (f(x), as the caller holds it) where x stays,
+    else the winner's value.
     """
-    require_positive(s=s)
-    return _nce_step(oracle, _point(oracle, x), _point(oracle, v, "v"), s, None)[:2]
-
-
-def _nce_step(
-    oracle: GradientOracle, x: Array, v: Array, s: float, f_x: float | None
-) -> tuple[Array, Array, float | None]:
-    """nce_step for the loop, whose params already checked s, that also
-    returns f at the point it returns: f_x (f(x), as the caller holds it)
-    where x stays, else the winner's value."""
     v_norm = _norm(v)
     zero = np.zeros(v.shape[0])
     if v_norm >= s or v_norm == 0.0:
@@ -307,7 +292,8 @@ def ancgd_run(
 
     Each trigger opens a window of ncf_steps pinned search steps, closed by
     a certified exploit step from the anchor along the direction the
-    momentum pair drifted toward (see accelerate).
+    momentum pair drifted toward (see accelerate).  The trigger defaults
+    to eps and the cooldown to ncf_steps.
     """
     counted = CountingOracle(oracle)
     trace = Trace.start(
@@ -321,7 +307,9 @@ def ancgd_run(
             stop_at_candidate=params.stop_at_candidate,
         )
 
+    threshold = params.eps if params.grad_threshold is None else params.grad_threshold
+    cooldown = params.ncf_steps if params.cooldown is None else params.cooldown
     return accelerate(
-        counted, x0, params, trace, stream, params.effective_threshold,
-        params.effective_cooldown, params.perturb_radius, params.ncf_steps, close,
+        counted, x0, params, trace, stream, threshold, cooldown,
+        params.perturb_radius, params.ncf_steps, close,
     )

@@ -180,62 +180,32 @@ class CountingOracle:
 
 
 class StochasticOracle:
-    """Sampled first-order oracle g(x; theta) with unbiased mean gradient.
+    """Sampled first-order oracle g(x; theta) whose mean over theta is the
+    gradient of the mean oracle.
 
-    Subclasses define the noise model through draw_theta/grad_at.  The
-    minibatch helpers share one theta draw across evaluation points, which is
-    what difference estimators require.
+    A noise model is its two samplers; the loops make no other call.  Each
+    draws its thetas from the stream it is given, and the caller bills the
+    samples they stand for (meta["samples"]).
     """
 
-    def __init__(self, mean: GradientOracle, sigma: float, ell_tilde: float):
-        require_nonnegative(sigma=sigma)
+    def __init__(self, mean: GradientOracle, ell_tilde: float):
         require_positive(ell_tilde=ell_tilde)
         self.mean = mean
-        self.sigma = float(sigma)
         self.ell_tilde = float(ell_tilde)
-        self.sample_count = 0
-
-    @property
-    def spec(self) -> SmoothnessSpec:
-        return self.mean.spec
 
     @property
     def dim(self) -> int:
         return self.mean.dim
 
-    @property
-    def name(self) -> str:
-        return self.mean.name
-
-    def value(self, x: Array) -> float:
-        return self.mean.value(x)
-
-    def draw_theta(self, stream: "RngStream", m: int) -> Array:
-        raise NotImplementedError
-
-    def grad_at(self, x: Array, thetas: Array) -> Array:
-        """Per-sample gradients g(x; theta_j), stacked as an (m, dim) array."""
-        raise NotImplementedError
-
-    def minibatch_mean(self, x: Array, m: int, stream: "RngStream") -> Array:
-        self.sample_count += m
-        return self.grad_at(x, self.draw_theta(stream, m)).mean(axis=0)
-
-    def minibatch_diff(self, x0: Array, x1: Array, m: int, stream: "RngStream") -> Array:
-        """Mean over a shared-theta minibatch of g(x1; theta) - g(x0; theta)."""
-        self.sample_count += 2 * m
-        thetas = self.draw_theta(stream, m)
-        return (self.grad_at(x1, thetas) - self.grad_at(x0, thetas)).mean(axis=0)
-
     def mean_sampler(self, m: int, stream: "RngStream", calls: int) -> Callable:
-        """sample(x, g) = minibatch_mean(x, m, stream), for at most calls
-        calls; g is the caller's exact grad f(x), which this model ignores."""
-        return lambda x, g: self.minibatch_mean(x, m, stream)
+        """sample(x, g): the mean of g(x; theta) over m fresh draws of theta,
+        for at most calls calls; g is the caller's exact grad f(x)."""
+        raise NotImplementedError
 
     def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
-        """diff(x1) = minibatch_diff(x0, x1, m, stream), for many x1 around
-        one x0."""
-        return lambda x1: self.minibatch_diff(x0, x1, m, stream)
+        """diff(x1): the mean over m fresh draws of theta, shared by both
+        points, of g(x1; theta) - g(x0; theta), for many x1 around one x0."""
+        raise NotImplementedError
 
 
 class AdditiveNoiseOracle(StochasticOracle):
@@ -248,42 +218,22 @@ class AdditiveNoiseOracle(StochasticOracle):
     gradients their caller holds: a mean sampler adds its noise to the g
     passed in (no gradient query) and draws that noise in blocks, and a
     difference sampler queries grad f(x0) once, so each difference costs
-    one gradient query.  Sample counts are billed as for m samples.
+    one gradient query.
     """
 
     def __init__(self, mean: GradientOracle, sigma: float):
-        super().__init__(mean, sigma, ell_tilde=mean.spec.ell)
-
-    def draw_theta(self, stream: "RngStream", m: int) -> Array:
-        return self.sigma * stream.gen.standard_normal((m, self.dim))
-
-    def grad_at(self, x: Array, thetas: Array) -> Array:
-        return self.mean.gradient(x)[None, :] + thetas
-
-    def minibatch_mean(self, x: Array, m: int, stream: "RngStream") -> Array:
-        return self.mean_sampler(m, stream, 1)(x, self.mean.gradient(x))
-
-    def minibatch_diff(self, x0: Array, x1: Array, m: int, stream: "RngStream") -> Array:
-        return self.diff_sampler(x0, m, stream)(x1)
+        require_nonnegative(sigma=sigma)
+        super().__init__(mean, ell_tilde=mean.spec.ell)
+        self.sigma = float(sigma)
 
     def mean_sampler(self, m: int, stream: "RngStream", calls: int) -> Callable:
         noise = _normal_rows(stream, self.dim, self.sigma / math.sqrt(m), calls)
-
-        def sample(x: Array, g: Array) -> Array:
-            self.sample_count += m
-            return g + next(noise)
-
-        return sample
+        return lambda x, g: g + next(noise)
 
     def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
         # theta is x-independent, so it cancels for any batch size.
         g0 = self.mean.gradient(x0)
-
-        def diff(x1: Array) -> Array:
-            self.sample_count += 2 * m
-            return self.mean.gradient(x1) - g0
-
-        return diff
+        return lambda x1: self.mean.gradient(x1) - g0
 
 
 def _mix64(a: int, b: int) -> int:

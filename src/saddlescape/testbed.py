@@ -15,6 +15,7 @@ from .core import (
     ParameterError,
     SmoothnessSpec,
     StochasticOracle,
+    require_nonnegative,
 )
 
 __all__ = [
@@ -378,28 +379,40 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
     b has i.i.d. N(0, sigma_b^2) coordinates and A is a symmetric matrix with
     N(0, sigma_a^2) entries, so each realized sample is the gradient of a
     random quadratic perturbation of f.  Unlike the additive model, batch
-    size genuinely matters here.
+    size genuinely matters here.  Each sampler call draws m fresh (b, A)
+    pairs, m (n + n^2) floats; the mean sampler adds them to the g its
+    caller holds and the difference sampler queries grad f(x0) once.
     """
 
     def __init__(self, mean: GradientOracle, sigma_b: float, sigma_a: float):
-        n = mean.dim
-        sigma = sigma_b + 3 * sigma_a * math.sqrt(n)  # valid near the origin box
-        ell_tilde = mean.spec.ell + 3 * sigma_a * n
-        super().__init__(mean, sigma, ell_tilde)
+        require_nonnegative(sigma_b=sigma_b, sigma_a=sigma_a)
+        super().__init__(mean, ell_tilde=mean.spec.ell + 3 * sigma_a * mean.dim)
         self.sigma_b = float(sigma_b)
         self.sigma_a = float(sigma_a)
 
-    def draw_theta(self, stream, m: int) -> Array:
+    def _draw(self, stream, m: int) -> tuple[Array, Array]:
+        """m draws of theta = (b, A): the b rows first, then the symmetrised A."""
         n = self.dim
         b = self.sigma_b * stream.gen.standard_normal((m, n))
         raw = self.sigma_a * stream.gen.standard_normal((m, n, n))
-        a = (raw + np.swapaxes(raw, 1, 2)) / 2
-        return np.concatenate([b[:, :, None], a], axis=2)  # (m, n, 1 + n)
+        return b, (raw + np.swapaxes(raw, 1, 2)) / 2
 
-    def grad_at(self, x: Array, thetas: Array) -> Array:
-        b = thetas[:, :, 0]
-        a = thetas[:, :, 1:]
-        return self.mean.gradient(x)[None, :] + b + a @ x
+    def mean_sampler(self, m: int, stream, calls: int) -> Callable:
+        def sample(x: Array, g: Array) -> Array:
+            b, a = self._draw(stream, m)
+            return (g[None, :] + b + a @ x).mean(axis=0)
+
+        return sample
+
+    def diff_sampler(self, x0: Array, m: int, stream) -> Callable:
+        g0 = self.mean.gradient(x0)
+
+        def diff(x1: Array) -> Array:
+            b, a = self._draw(stream, m)
+            g1 = self.mean.gradient(x1)
+            return ((g1[None, :] + b + a @ x1) - (g0[None, :] + b + a @ x0)).mean(axis=0)
+
+        return diff
 
 
 def with_random_quadratic_noise(

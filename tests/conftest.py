@@ -1,19 +1,33 @@
-"""Shared builders for the test suite, and free-running reference searches.
+"""Shared builders for the test suite, and reference implementations.
 
 The library's curvature searches keep their iterates on the probe sphere.
-The references below run the same recursions with the magnitude left free,
-on the same streams, so a test can check that pinning never bends the
-direction.  Each takes one attempt (no restarts).
+The free-running references below run the same recursions with the
+magnitude left free, on the same streams, so a test can check that pinning
+never bends the direction.  Each takes one attempt (no restarts).
+
+A noise model in src/ is only its two samplers.  LITERAL_LAWS writes out,
+sample by sample, the law each model's samplers stand for, and LiteralNoise
+samples a model by that law, as the reference its samplers are tested
+against.
 """
 
 import dataclasses
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from saddlescape import GradientOracle, SmoothnessSpec, uniform_ball_sample
+from saddlescape import (
+    AdditiveNoiseOracle,
+    GradientOracle,
+    SmoothnessSpec,
+    StochasticOracle,
+    uniform_ball_sample,
+)
 from saddlescape.core import _norm
+from saddlescape.testbed import RandomQuadraticNoiseOracle
 
 
 def make_quadratic(diag, rho=1.0, ell=None):
@@ -60,20 +74,17 @@ def free_snc_direction(oracle, x_tilde, params, stream):
     x_tilde = np.asarray(x_tilde, dtype=float)
     n = x_tilde.shape[0]
     r_s, ell = params.radius, params.ell
-    theta_stream = stream.substream("theta")
+    diff = oracle.diff_sampler(x_tilde, params.batch, stream.substream("theta"))
     xi_stream = stream.substream("xi")
     z = np.zeros(n)
     for _ in range(params.steps):
         zn = _norm(z)
         if zn > 0.0:
-            diff = oracle.minibatch_diff(
-                x_tilde, x_tilde + (r_s / zn) * z, params.batch, theta_stream
-            )
-            g_est = (zn / r_s) * diff
+            g_est = (zn / r_s) * diff(x_tilde + (r_s / zn) * z)
         else:
             # Consume the same sample draws as snc_find so the two runs stay
             # aligned stream for stream.
-            oracle.minibatch_diff(x_tilde, x_tilde, params.batch, theta_stream)
+            diff(x_tilde)
             g_est = np.zeros(n)
         xi = xi_stream.gen.standard_normal(n) * (r_s / math.sqrt(n))
         z = z - (1.0 / ell) * (g_est + xi)
@@ -108,6 +119,77 @@ def free_anc_window(oracle, x_tilde, params, x_off):
     norm = _norm(x_off)
     assert norm > 0.0, "search collapsed to the anchor"
     return x_off / norm, path
+
+
+@dataclasses.dataclass(frozen=True)
+class NoiseLaw:
+    """The per-sample law of a noise model.
+
+    build(mean) makes the model over a mean oracle; draw(model, stream, m)
+    draws m thetas; grad_at(model, x, thetas) stacks the m per-sample
+    gradients g(x; theta_j).  exact says whether the model's samplers draw
+    those very thetas (and must match the law bit for bit) or use a closed
+    form that matches it in distribution only.
+    """
+
+    build: Callable
+    draw: Callable
+    grad_at: Callable
+    exact: bool
+
+
+def _additive_draw(model, stream, m):
+    return model.sigma * stream.gen.standard_normal((m, model.dim))
+
+
+def _additive_grad_at(model, x, thetas):
+    return model.mean.gradient(x)[None, :] + thetas
+
+
+def _quadratic_draw(model, stream, m):
+    # b for all m samples first, then the symmetrised A.
+    n = model.dim
+    b = model.sigma_b * stream.gen.standard_normal((m, n))
+    raw = model.sigma_a * stream.gen.standard_normal((m, n, n))
+    return b, (raw + np.swapaxes(raw, 1, 2)) / 2
+
+
+def _quadratic_grad_at(model, x, thetas):
+    b, a = thetas
+    return model.mean.gradient(x)[None, :] + b + a @ x
+
+
+LITERAL_LAWS = {
+    AdditiveNoiseOracle: NoiseLaw(
+        lambda mean: AdditiveNoiseOracle(mean, 0.5), _additive_draw, _additive_grad_at,
+        exact=False,
+    ),
+    RandomQuadraticNoiseOracle: NoiseLaw(
+        lambda mean: RandomQuadraticNoiseOracle(mean, 0.3, 0.2), _quadratic_draw,
+        _quadratic_grad_at, exact=True,
+    ),
+}
+
+
+class LiteralNoise(StochasticOracle):
+    """A noise model sampled by its literal law: every call draws its m
+    thetas and averages m per-sample gradients, queried afresh."""
+
+    def __init__(self, model):
+        super().__init__(model.mean, model.ell_tilde)
+        law = LITERAL_LAWS[type(model)]
+        self.draw_theta = functools.partial(law.draw, model)
+        self.grad_at = functools.partial(law.grad_at, model)
+
+    def mean_sampler(self, m, stream, calls):
+        return lambda x, g: self.grad_at(x, self.draw_theta(stream, m)).mean(axis=0)
+
+    def diff_sampler(self, x0, m, stream):
+        def diff(x1):
+            thetas = self.draw_theta(stream, m)
+            return (self.grad_at(x1, thetas) - self.grad_at(x0, thetas)).mean(axis=0)
+
+        return diff
 
 
 def angular_gap(a, b):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from saddlescape import ancgd
 from saddlescape import (
     ANCParams,
     ParameterError,
@@ -14,7 +15,6 @@ from saddlescape import (
     ancgd_run,
     derive_anc_params,
     get_landscape,
-    nce_step,
     uniform_ball_sample,
 )
 from saddlescape.core import (
@@ -74,32 +74,42 @@ class TestDerivedConstants:
         with pytest.raises(ParameterError):
             _window_params(ncf_steps=0)
 
-    def test_effective_defaults(self):
-        p = _window_params(grad_threshold=None, cooldown=None)
-        assert p.effective_threshold == p.eps
-        assert p.effective_cooldown == p.ncf_steps
-        q = _window_params(cooldown=77)
-        assert q.effective_cooldown == 77
+    def test_trigger_defaults_reach_the_loop(self, quad2, monkeypatch):
+        # Unset, the trigger is eps and the cooldown ncf_steps; set, each
+        # reaches the loop as given.
+        seen = []
+
+        def spy(oracle, x0, params, trace, stream, threshold, cooldown, *rest):
+            seen.append((threshold, cooldown))
+            return trace
+
+        monkeypatch.setattr(ancgd, "accelerate", spy)
+        for overrides in (
+            dict(grad_threshold=None, cooldown=None), dict(grad_threshold=0.25, cooldown=77)
+        ):
+            ancgd_run(quad2, np.zeros(2), _window_params(**overrides), RngStream(0, 0))
+        p = _window_params()
+        assert seen == [(p.eps, p.ncf_steps), (0.25, 77)]
 
 
 class TestNceStep:
     def test_zero_momentum_is_noop(self, quad2):
         x = np.array([1.0, 1.0])
-        x2, v2 = nce_step(quad2, x, np.zeros(2), 0.5)
+        x2, v2 = ancgd._nce_step(quad2, x, np.zeros(2), 0.5, None)[:2]
         assert np.array_equal(x2, x)
         assert np.array_equal(v2, np.zeros(2))
 
     def test_long_momentum_keeps_x_zeroes_v(self, quad2):
         x = np.array([1.0, 1.0])
         v = np.array([0.8, 0.0])
-        x2, v2 = nce_step(quad2, x, v, 0.5)
+        x2, v2 = ancgd._nce_step(quad2, x, v, 0.5, None)[:2]
         assert np.array_equal(x2, x)
         assert np.array_equal(v2, np.zeros(2))
 
     def test_short_momentum_steps_downhill(self):
         # f = -x0^2: from the origin both signs tie, the positive side wins.
         hump = make_quadratic([-2.0, 1.0])
-        x2, v2 = nce_step(hump, np.zeros(2), np.array([0.1, 0.0]), 0.5)
+        x2, v2 = ancgd._nce_step(hump, np.zeros(2), np.array([0.1, 0.0]), 0.5, None)[:2]
         assert x2[0] == pytest.approx(0.5)
         assert np.array_equal(v2, np.zeros(2))
 
@@ -107,7 +117,7 @@ class TestNceStep:
         tilted = make_quadratic([1.0, 1.0])
         x = np.array([1.0, 0.0])
         # From x, stepping toward the origin is lower on a bowl.
-        x2, _ = nce_step(tilted, x, np.array([0.01, 0.0]), 0.5)
+        x2, _ = ancgd._nce_step(tilted, x, np.array([0.01, 0.0]), 0.5, None)[:2]
         assert x2[0] == pytest.approx(0.5)
 
 

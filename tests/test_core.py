@@ -27,7 +27,6 @@ from saddlescape import (
     grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
-    nce_step,
     perturb_along_nc,
     snc_find,
     uniform_ball_sample,
@@ -44,7 +43,7 @@ from saddlescape.core import (
 from saddlescape.ncfind import NCParams
 from saddlescape.stochastic import SNCParams
 
-from conftest import make_quadratic, relabel
+from conftest import LiteralNoise, make_quadratic, relabel
 
 
 class _BlockSpy:
@@ -197,55 +196,53 @@ class TestOracles:
         assert counted.dim == 2
         assert counted.spec.ell == quad2.spec.ell
 
-    def test_additive_minibatch_mean_distribution(self, quad2):
+    def test_additive_mean_sampler_distribution(self, quad2):
         oracle = AdditiveNoiseOracle(quad2, sigma=0.5)
-        stream = RngStream(0, 9)
         x = np.array([1.0, -1.0])
         m = 16
-        draws = np.array([oracle.minibatch_mean(x, m, stream) for _ in range(8000)])
+        sample = oracle.mean_sampler(m, RngStream(0, 9), 8000)
+        draws = np.array([sample(x, quad2.gradient(x)) for _ in range(8000)])
         assert np.allclose(draws.mean(axis=0), quad2.gradient(x), atol=0.02)
         assert np.allclose(draws.var(axis=0), 0.5**2 / m, rtol=0.08)
 
     def test_additive_shared_theta_diff_is_exact(self, quad2):
         # Noise is x-independent, so a shared-draw difference cancels it.
         oracle = AdditiveNoiseOracle(quad2, sigma=3.0)
-        stream = RngStream(1, 4)
         x0 = np.array([0.2, 0.1])
         x1 = np.array([-0.4, 0.5])
-        diff = oracle.minibatch_diff(x0, x1, 7, stream)
+        diff = oracle.diff_sampler(x0, 7, RngStream(1, 4))(x1)
         assert np.allclose(diff, quad2.gradient(x1) - quad2.gradient(x0), atol=1e-14)
 
     def test_additive_exact_batches_matches_literal_sampling_law(self, quad2):
         # The additive oracle collapses an m-mean to one scaled draw; the
-        # generic StochasticOracle path averages m draws.  Same law, checked
-        # through the variance.
+        # literal law averages m draws.  Same law, checked through the
+        # variance.
         m = 9
         x = np.zeros(2)
+        g = quad2.gradient(x)
         oracle = AdditiveNoiseOracle(quad2, sigma=1.0)
+        literal = LiteralNoise(oracle)
         fast_draws = np.array(
-            [oracle.minibatch_mean(x, m, RngStream(0, i)) for i in range(4000)]
+            [oracle.mean_sampler(m, RngStream(0, i), 1)(x, g) for i in range(4000)]
         )
         slow_draws = np.array(
-            [
-                StochasticOracle.minibatch_mean(oracle, x, m, RngStream(10**6, i))
-                for i in range(4000)
-            ]
+            [literal.mean_sampler(m, RngStream(10**6, i), 1)(x, g) for i in range(4000)]
         )
         assert np.allclose(fast_draws.var(axis=0), 1.0 / m, rtol=0.1)
         assert np.allclose(slow_draws.var(axis=0), 1.0 / m, rtol=0.1)
 
-    def test_sample_count_accounting(self, quad2):
-        oracle = AdditiveNoiseOracle(quad2, sigma=0.1)
-        stream = RngStream(0, 0)
-        x = np.zeros(2)
-        oracle.minibatch_mean(x, 1, stream)
-        oracle.minibatch_mean(x, 5, stream)
-        oracle.minibatch_diff(x, x, 3, stream)
-        assert oracle.sample_count == 1 + 5 + 6
-
     def test_stochastic_oracle_validation(self, quad2):
         with pytest.raises(ParameterError):
             AdditiveNoiseOracle(quad2, sigma=-0.5)
+
+    def test_stochastic_oracle_is_its_two_samplers(self, quad2):
+        oracle = StochasticOracle(quad2, ell_tilde=2.0)
+        public = {name for name in dir(oracle) if not name.startswith("_")}
+        assert public == {"mean", "ell_tilde", "dim", "mean_sampler", "diff_sampler"}
+        with pytest.raises(NotImplementedError):
+            oracle.mean_sampler(1, RngStream(0, 0), 1)
+        with pytest.raises(NotImplementedError):
+            oracle.diff_sampler(np.zeros(2), 1, RngStream(0, 0))
 
 
 class TestTrace:
@@ -335,8 +332,6 @@ _BAD_INPUTS = [
      (_NAN, _INF, 0.0)),
     ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
     ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
-    ("nce_step", "s",
-     lambda v: nce_step(_SADDLE, _ORIGIN, np.array([0.1, 0.0]), v), (_NAN, _INF, 0.0, -1.0)),
     ("fd_quadform", "h",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (0.0, -1e-4, _NAN, _INF)),
     ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (0.0, _NAN)),
@@ -374,14 +369,6 @@ _BAD_INPUTS = [
      lambda v: perturb_along_nc(_SADDLE, np.array([v, 0.0]), _AXIS, 0.1, 1.0), (_NAN, _INF)),
     ("perturb_along_nc", "point",
      lambda v: perturb_along_nc(_SADDLE, np.zeros(v), _AXIS, 0.1, 1.0), (1, 3, (2, 1))),
-    ("nce_step", "point",
-     lambda v: nce_step(_SADDLE, np.array([v, 0.0]), np.array([0.1, 0.0]), 0.5), (_NAN, _INF)),
-    ("nce_step", "point",
-     lambda v: nce_step(_SADDLE, np.zeros(v), np.array([0.1, 0.0]), 0.5), (1, 3, (2, 1))),
-    ("nce_step", "v",
-     lambda v: nce_step(_SADDLE, _ORIGIN, np.array([v, 0.0]), 0.5), (_NAN, _INF)),
-    ("nce_step", "v",
-     lambda v: nce_step(_SADDLE, _ORIGIN, np.full(v, 0.1), 0.5), (1, 3, (2, 1))),
 ]
 
 

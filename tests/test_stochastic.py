@@ -28,8 +28,16 @@ from saddlescape import (
 )
 from saddlescape.core import _BLOCK_FLOATS, EVENT_NCF_EXPLOIT, EVENT_NCF_STEP, EVENT_SGD
 from saddlescape.stochastic import SNCParams
+from saddlescape.testbed import RandomQuadraticNoiseOracle
 
-from conftest import angular_gap, free_snc_direction, make_quadratic, relabel
+from conftest import (
+    LITERAL_LAWS,
+    LiteralNoise,
+    angular_gap,
+    free_snc_direction,
+    make_quadratic,
+    relabel,
+)
 
 
 def _search_params(**overrides):
@@ -316,7 +324,6 @@ class TestSgdNcRun:
         )
         # One outer estimate plus one 5-step batch-2 shared-draw search.
         assert trace.meta["samples"] == 3 + 5 * 2 * 2
-        assert oracle.sample_count == trace.meta["samples"]
 
     def test_escapes_cubic_saddle(self):
         land = get_landscape("cubic")
@@ -345,7 +352,6 @@ class TestAdditiveQueryCounts:
         # grad f(x_tilde) once, then one probe per step.
         assert counted.grad_evals == params.steps + 1 == 46
         assert counted.f_evals == 0
-        assert oracle.sample_count == 2 * params.batch * params.steps
 
     def test_sgd_nc_run_one_gradient_per_record(self):
         counted = CountingOracle(make_quadratic([1.0, 2.0], rho=1.0))
@@ -364,24 +370,22 @@ class TestAdditiveQueryCounts:
         # Samples: outer_batch per loop iteration, 2 * batch per search step.
         estimates = records - 1 - search_steps
         expected = params.outer_batch * estimates + 2 * params.search.batch * search_steps
-        assert trace.meta["samples"] == oracle.sample_count == expected
+        assert trace.meta["samples"] == expected
 
 
 class _RowByRowNoise(AdditiveNoiseOracle):
     """The additive model with one noise draw and fresh gradients at every
     query: the reference that the block-drawn samplers must reproduce."""
 
-    def minibatch_mean(self, x, m, stream):
-        self.sample_count += m
-        noise = self.sigma / math.sqrt(m) * stream.gen.standard_normal(self.dim)
-        return self.mean.gradient(x) + noise
+    def mean_sampler(self, m, stream, calls):
+        def sample(x, g):
+            noise = self.sigma / math.sqrt(m) * stream.gen.standard_normal(self.dim)
+            return self.mean.gradient(x) + noise
 
-    def minibatch_diff(self, x0, x1, m, stream):
-        self.sample_count += 2 * m
-        return self.mean.gradient(x1) - self.mean.gradient(x0)
+        return sample
 
-    mean_sampler = StochasticOracle.mean_sampler
-    diff_sampler = StochasticOracle.diff_sampler
+    def diff_sampler(self, x0, m, stream):
+        return lambda x1: self.mean.gradient(x1) - self.mean.gradient(x0)
 
 
 def _one_row_per_call(stream, n, scale, rows):
@@ -422,13 +426,91 @@ def test_block_draws_match_row_by_row_draws(n, steps, seed):
             sgd_nc_run(oracle, x0, loop, RngStream(seed, 2)),
             psgd_run(oracle, x0, base, RngStream(seed, 3)),
         ]
-        return e_hat, traces, oracle.sample_count
+        return e_hat, traces
 
-    e_hat, traces, samples = run_all(AdditiveNoiseOracle)
+    e_hat, traces = run_all(AdditiveNoiseOracle)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stochastic, "_normal_rows", _one_row_per_call)
-        ref_e_hat, ref_traces, ref_samples = run_all(_RowByRowNoise)
+        ref_e_hat, ref_traces = run_all(_RowByRowNoise)
     assert np.array_equal(e_hat, ref_e_hat)
     for trace, ref in zip(traces, ref_traces):
         _assert_same_trace(trace, ref)
-    assert samples == ref_samples
+
+
+def _noise_models():
+    """Every StochasticOracle subclass defined in src/, found recursively
+    through __subclasses__()."""
+    found, todo = {}, [StochasticOracle]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("saddlescape."):
+                found[sub.__qualname__] = sub
+    return [found[name] for name in sorted(found)]
+
+
+def test_noise_models_are_found():
+    assert {AdditiveNoiseOracle, RandomQuadraticNoiseOracle} <= set(_noise_models())
+
+
+def _same_law(a, b):
+    """Two stacks of draws agree in mean (within five standard errors) and
+    in per-coordinate variance (within 15%)."""
+    se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / len(a))
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * se + 1e-12)
+    assert np.allclose(a.var(axis=0), b.var(axis=0), rtol=0.15, atol=1e-20)
+
+
+@pytest.mark.parametrize("model_cls", _noise_models(), ids=lambda cls: cls.__name__)
+def test_samplers_follow_the_literal_law(model_cls):
+    # A noise model added to src/ must bring its literal law to conftest.
+    assert model_cls in LITERAL_LAWS, f"tests/conftest.py has no literal law for {model_cls}"
+    law = LITERAL_LAWS[model_cls]
+    mean = make_quadratic([-1.0, 0.5, 2.0])
+    model = law.build(mean)
+    x0 = np.array([0.3, -0.2, 0.1])
+    x1 = np.array([-0.4, 0.6, 0.2])
+    m, calls = 4, 2000
+
+    def draws(noise, seed):
+        sample = noise.mean_sampler(m, RngStream(seed, 0), calls)
+        diff = noise.diff_sampler(x0, m, RngStream(seed, 1))
+        means = np.array([sample(x1, mean.gradient(x1)) for _ in range(calls)])
+        return means, np.array([diff(x1) for _ in range(calls)])
+
+    if law.exact:
+        for got, want in zip(draws(model, 0), draws(LiteralNoise(model), 0)):
+            assert np.array_equal(got, want)
+    else:
+        for got, want in zip(draws(model, 0), draws(LiteralNoise(model), 1)):
+            _same_law(got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5]),
+    m=st.sampled_from([1, 3, 17]),
+    seed=st.integers(0, 2**32),
+)
+def test_random_quadratic_noise_is_its_literal_law_bit_for_bit(n, m, seed):
+    mean = make_quadratic(np.linspace(-1.0, 2.0, n))
+    model = RandomQuadraticNoiseOracle(mean, sigma_b=0.05, sigma_a=0.1)
+    literal = LiteralNoise(model)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    xs = rng.uniform(-1.0, 1.0, (5, n))
+
+    def draws(noise):
+        sample = noise.mean_sampler(m, RngStream(seed, 0), len(xs))
+        diff = noise.diff_sampler(x0, m, RngStream(seed, 1))
+        return [sample(x, mean.gradient(x)) for x in xs] + [diff(x) for x in xs]
+
+    assert all(np.array_equal(a, b) for a, b in zip(draws(model), draws(literal)))
+    search = _search_params(steps=6, batch=m, ell=2.0, rho=1.0, ell_tilde=model.ell_tilde)
+    loop = _run_params(search=search, total_steps=20, outer_batch=m, eta=0.1)
+    base = BaselineParams(
+        eta=0.1, radius=0.01, grad_threshold=0.05, total_steps=20, cooldown=3, batch=m,
+    )
+    for run, params in ((sgd_nc_run, loop), (psgd_run, base)):
+        trace = run(model, np.zeros(n), params, RngStream(seed, 2))
+        _assert_same_trace(trace, run(literal, np.zeros(n), params, RngStream(seed, 2)))

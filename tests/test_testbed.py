@@ -219,8 +219,8 @@ class TestNoiseWrappers:
         land = get_landscape("cubic")
         oracle = with_random_quadratic_noise(land, sigma_b=0.3, sigma_a=0.2)
         x = np.array([0.4, -0.2])
-        stream = RngStream(0, 0)
-        draws = np.array([oracle.minibatch_mean(x, 1, stream) for _ in range(20000)])
+        sample = oracle.mean_sampler(1, RngStream(0, 0), 20000)
+        draws = np.array([sample(x, oracle.mean.gradient(x)) for _ in range(20000)])
         assert np.allclose(
             draws.mean(axis=0), oracle.mean.gradient(x), atol=0.02
         )
@@ -231,9 +231,17 @@ class TestNoiseWrappers:
         oracle = with_random_quadratic_noise(land, sigma_b=0.0, sigma_a=1.0)
         x0 = np.zeros(2)
         x1 = np.array([0.5, 0.0])
-        diff = oracle.minibatch_diff(x0, x1, 1, RngStream(1, 1))
+        diff = oracle.diff_sampler(x0, 1, RngStream(1, 1))(x1)
         exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
         assert not np.allclose(diff, exact, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["sigma_b", "sigma_a"])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_random_quadratic_noise_rejects_bad_scales(self, name, bad):
+        # Each scale is checked by name, before anything is derived from it.
+        scales = {"sigma_b": 1.0, "sigma_a": 1.0, name: bad}
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            with_random_quadratic_noise(get_landscape("cubic"), **scales)
 
 
 # The 2-d formulas as they read before the landscapes evaluated on Python
