@@ -30,7 +30,7 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _curvature_threshold, exploit
+from .ncfind import _curvature_threshold, _point, exploit
 
 __all__ = [
     "ANCParams",
@@ -176,7 +176,7 @@ def accelerate(
     compares f(x) against the gamma-strongly-convex lower model at z and
     reroutes through the momentum reset when violated.  params supplies
     eta, theta, gamma, nce_radius, total_steps and trust_region; trace.meta
-    gets the oracle's call counts.
+    gets the oracle's call counts.  x0 must be a finite (dim,) vector.
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
@@ -188,7 +188,7 @@ def accelerate(
     f(z_next) and grad f(z_next); a reset of short momentum adds the values
     of its two candidates.
     """
-    x = z = np.asarray(x0, dtype=float).copy()
+    x = z = _point(oracle, x0, "x0").copy()
     v = zeta = np.zeros_like(x)
     eta, theta = params.eta, params.theta
     records, meta = trace.records, trace.meta

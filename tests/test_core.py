@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from saddlescape import (
+    ANCParams,
     AdditiveNoiseOracle,
+    BaselineParams,
     CountingOracle,
     DivergenceError,
     ParameterError,
@@ -20,6 +22,7 @@ from saddlescape import (
     StochasticOracle,
     Trace,
     TraceRecord,
+    ancgd_run,
     classify,
     dense_hessian,
     fd_quadform,
@@ -27,6 +30,7 @@ from saddlescape import (
     grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
+    pagd_run,
     perturb_along_nc,
     snc_find,
     uniform_ball_sample,
@@ -315,6 +319,14 @@ _SNC = SNCParams(
     steps=5, radius=1e-3, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=2.0, rho=1.0,
     ell_tilde=2.0,
 )
+_ANC = dict(
+    eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=5,
+    perturb_radius=0.08, total_steps=5, eps=0.02, delta0=0.1, ell=5.0, rho=1.0,
+)
+_PAGD = BaselineParams(
+    eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=5, theta=0.042,
+    gamma=0.0355, nce_radius=0.0089,
+)
 # (helper, argument, call with the argument set to v, bad values of v)
 _BAD_INPUTS = [
     ("uniform_ball_sample", "radius",
@@ -332,6 +344,9 @@ _BAD_INPUTS = [
      (_NAN, _INF, 0.0)),
     ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
     ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
+    # The momentum reset's radius, checked where the loop takes it from.
+    ("ANCParams", "nce_radius",
+     lambda v: ANCParams(**{**_ANC, "nce_radius": v}), (_NAN, _INF, 0.0, -1.0)),
     ("fd_quadform", "h",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (0.0, -1e-4, _NAN, _INF)),
     ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (0.0, _NAN)),
@@ -369,6 +384,17 @@ _BAD_INPUTS = [
      lambda v: perturb_along_nc(_SADDLE, np.array([v, 0.0]), _AXIS, 0.1, 1.0), (_NAN, _INF)),
     ("perturb_along_nc", "point",
      lambda v: perturb_along_nc(_SADDLE, np.zeros(v), _AXIS, 0.1, 1.0), (1, 3, (2, 1))),
+    # The momentum loop's start point, through both of its entry points.
+    ("ancgd_run", "x0",
+     lambda v: ancgd_run(_SADDLE, np.array([v, 0.0]), ANCParams(**_ANC), RngStream(0, 0)),
+     (_NAN, _INF)),
+    ("ancgd_run", "x0",
+     lambda v: ancgd_run(_SADDLE, np.zeros(v), ANCParams(**_ANC), RngStream(0, 0)),
+     (1, 3, (2, 1))),
+    ("pagd_run", "x0",
+     lambda v: pagd_run(_SADDLE, np.array([v, 0.0]), _PAGD, RngStream(0, 0)), (_NAN, _INF)),
+    ("pagd_run", "x0",
+     lambda v: pagd_run(_SADDLE, np.zeros(v), _PAGD, RngStream(0, 0)), (1, 3, (2, 1))),
 ]
 
 
