@@ -32,33 +32,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _coerce(text: str):
-    text = text.strip()
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            pass
-    return text
-
-
-def read_config(path: str) -> dict:
-    """Flat key = value file; # starts a comment, blank lines are skipped."""
-    values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            text = key in ("fn", "landscape", "out", "x0")  # kept as text even if numeric
-            values[key] = val.strip() if text else _coerce(val)
-    return values
-
-
 def _parse_x0(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -84,26 +57,15 @@ _RUN_FIELDS = {
 
 
 def _build_run_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        for key, val in read_config(args.config).items():
-            if key in _RUN_FIELDS:
-                values[_RUN_FIELDS[key]] = val
-            elif key in _RUN_FIELDS.values():
-                values[key] = val
-            else:
-                raise ParameterError(f"unknown config key {key!r}")
-    for flag, field in _RUN_FIELDS.items():
-        given = getattr(args, flag, None)
-        if given is not None:
-            values[field] = given
-    if isinstance(values.get("x0"), str):
+    values = {
+        field: getattr(args, flag)
+        for flag, field in _RUN_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
+    if "x0" in values:
         values["x0"] = _parse_x0(values["x0"])
     if "algorithm" not in values or "landscape" not in values:
-        raise ParameterError("--alg and --fn are required (flag or config file)")
-    values.setdefault("mode", "experiment")
-    values.setdefault("trials", 100)
-    values.setdefault("seed", 0)
+        raise ParameterError("--alg and --fn are required")
     return ExperimentConfig(**values)
 
 
@@ -115,7 +77,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--steps", type=int, help="iteration budget per trial")
     p.add_argument("--out", help="output path; writes .csv and .summary.json")
-    p.add_argument("--jobs", type=int, help="workers, at most the CPUs (or SADDLESCAPE_JOBS)")
+    p.add_argument("--jobs", type=int, help="workers, at most the CPUs")
     p.add_argument("--eta", type=float, help="step size")
     p.add_argument("--r", type=float, help="perturbation/probe radius")
     p.add_argument("--sigma", type=float, help="gradient noise level")
@@ -134,7 +96,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nce-radius", dest="nce_radius", type=float, help="momentum-reset step")
     p.add_argument("--x0", help="start point, comma separated (default: first saddle)")
     p.add_argument("--trust-region", dest="trust_region", type=float, help="divergence bound")
-    p.add_argument("--config", help="flat key = value config file; flags override it")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -217,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--p", default="1,2,3", help="comma list of exponents")
     p_dim.add_argument("--trials", type=int, default=100)
     p_dim.add_argument("--seed", type=int, default=0)
-    p_dim.add_argument("--jobs", type=int, help="workers, at most the CPUs (or SADDLESCAPE_JOBS)")
+    p_dim.add_argument("--jobs", type=int, help="workers, at most the CPUs")
     p_dim.add_argument("--out", help="CSV output path")
     p_dim.set_defaults(func=_cmd_dimscale)
 
@@ -226,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_par = sub.add_parser("params", help="print derived constants for an algorithm")
-    p_par.add_argument("--alg", required=True, help="nc, ncf, ancgd, or snc")
+    p_par.add_argument("--alg", required=True, help="ncf or any run --alg id")
     p_par.add_argument("--ell", type=float, required=True)
     p_par.add_argument("--rho", type=float, required=True)
     p_par.add_argument("--eps", type=float, required=True)

@@ -357,23 +357,11 @@ class Trace:
         return cls(meta={"algorithm": algorithm, "seed": stream.seed,
                          "stream_id": stream.stream_id, **meta})
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
     def final_f(self) -> float:
         return self.records[-1].f
 
     def initial_f(self) -> float:
         return self.records[0].f
-
-    def decrease(self) -> float:
-        return self.initial_f() - self.final_f()
-
-    def events(self) -> list[str]:
-        return [rec.event for rec in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def check_iterate(x: Array, bound: float, trace: Trace | None = None) -> Array:

@@ -53,7 +53,6 @@ __all__ = [
     "write_csv",
 ]
 
-_ALIASES = {"pgd-nc": "nc", "sgd-nc": "snc"}
 BIN_WIDTH = 0.05
 _NEVER = 10**9
 # The largest budget a run takes from a derivation; a larger one needs steps.
@@ -136,7 +135,6 @@ class ExperimentConfig:
     trust_region: float = 1e6
 
     def __post_init__(self):
-        self.algorithm = _ALIASES.get(self.algorithm, self.algorithm)
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
@@ -366,11 +364,11 @@ _COMMON_READS = (
 _SEARCH_READS = _COMMON_READS + ("ncf_steps", "exploit_step")
 _MOMENTUM_READS = ("theta", "gamma", "nce_radius")
 _NOISE_READS = ("sigma", "batch")
-# Of those, the knobs only a paper derivation reads: the gap bound always,
-# and for the baselines eps and delta (pagd keeps eps, which sets its
-# momentum constants when no knob does).
-_PAPER_ONLY = ("delta_f",)
-_BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps", "delta")
+# Of those, the knobs only a paper derivation reads: the failure probability
+# and the gap bound always, and eps for pgd and psgd (pagd keeps eps, which
+# sets its momentum constants when no knob does).
+_PAPER_ONLY = ("delta", "delta_f")
+_BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps",)
 
 
 def _nc(s: _Setting) -> NCDescentParams:
@@ -476,7 +474,7 @@ _ALGORITHMS = {
     "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
     "pagd": _Algorithm(
         "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS,
-        _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY + ("delta",),
+        _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY,
     ),
     "psgd": _Algorithm(
         "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
@@ -519,14 +517,7 @@ def _run_chunk(args: tuple) -> list[TrialResult]:
 
 
 def _resolve_jobs(cfg_jobs: int | None) -> int:
-    """jobs= or SADDLESCAPE_JOBS, capped at the CPUs this process may use."""
-    env = os.environ.get("SADDLESCAPE_JOBS", "").strip()
-    if cfg_jobs is None and env:
-        try:
-            cfg_jobs = int(env)
-        except ValueError:
-            raise ParameterError(f"SADDLESCAPE_JOBS must be an integer, got {env!r}") from None
-        require_count(SADDLESCAPE_JOBS=cfg_jobs)
+    """jobs= (default 1), capped at the CPUs this process may use."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(1 if cfg_jobs is None else cfg_jobs, cpus or 1)
 
@@ -712,15 +703,13 @@ def derive_params_for(
     delta_f: float = 1.0,
     ell_tilde: float | None = None,
 ) -> dict:
-    """Derived constants for one algorithm as a plain dict (CLI `params`)."""
-    alg = _ALIASES.get(alg, alg)
+    """Paper-mode constants for ncf (the curvature search alone) or one of
+    ALGORITHMS, as a plain dict (CLI `params`)."""
     spec = SmoothnessSpec(ell, rho)
     if alg == "ncf":
         return dataclasses.asdict(derive_nc_params(spec, eps, delta, n))
-    if alg not in ("nc", "ancgd", "snc"):
-        raise ParameterError(
-            f"no derived parameters for {alg!r}; choose nc, ncf, ancgd, or snc"
-        )
+    if alg not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {alg!r}; choose ncf or one of {ALGORITHMS}")
     require_positive(eps=eps, delta_f=delta_f)
     if not 0 < delta < 1:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")

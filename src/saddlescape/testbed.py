@@ -28,7 +28,6 @@ __all__ = [
     "make_highdim",
     "with_noise",
     "RandomQuadraticNoiseOracle",
-    "with_random_quadratic_noise",
     "get_landscape",
     "registry_ids",
     "VERIFY_IDS",
@@ -376,12 +375,14 @@ def with_noise(landscape: Landscape | GradientOracle, sigma: float) -> AdditiveN
 class RandomQuadraticNoiseOracle(StochasticOracle):
     """Finite-sum-style noise: g(x; theta) = grad f(x) + b + A x.
 
-    b has i.i.d. N(0, sigma_b^2) coordinates and A is a symmetric matrix with
-    N(0, sigma_a^2) entries, so each realized sample is the gradient of a
-    random quadratic perturbation of f.  Unlike the additive model, batch
-    size genuinely matters here.  Each sampler call draws m fresh (b, A)
-    pairs, m (n + n^2) floats; the mean sampler adds them to the g its
-    caller holds and the difference sampler queries grad f(x0) once.
+    b has i.i.d. N(0, sigma_b^2) coordinates and A = (R + R^T) / 2 for R with
+    i.i.d. N(0, sigma_a^2) entries, so A is symmetric with diagonal entries of
+    variance sigma_a^2 and off-diagonal entries of variance sigma_a^2 / 2, and
+    each realized sample is the gradient of a random quadratic perturbation
+    of f.  Unlike the additive model, batch size genuinely matters here.
+    Each sampler call draws m fresh (b, A) pairs, m (n + n^2) floats; the
+    mean sampler adds them to the g its caller holds and the difference
+    sampler queries grad f(x0) once.
     """
 
     def __init__(self, mean: GradientOracle, sigma_b: float, sigma_a: float):
@@ -413,13 +414,6 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
             return ((g1[None, :] + b + a @ x1) - (g0[None, :] + b + a @ x0)).mean(axis=0)
 
         return diff
-
-
-def with_random_quadratic_noise(
-    landscape: Landscape | GradientOracle, sigma_b: float, sigma_a: float
-) -> RandomQuadraticNoiseOracle:
-    oracle = landscape.oracle if isinstance(landscape, Landscape) else landscape
-    return RandomQuadraticNoiseOracle(oracle, sigma_b, sigma_a)
 
 
 _FACTORIES: dict[str, Callable[[], Landscape]] = {

@@ -22,12 +22,12 @@ import pytest
 from saddlescape import (
     AdditiveNoiseOracle,
     GradientOracle,
+    RandomQuadraticNoiseOracle,
     SmoothnessSpec,
     StochasticOracle,
     uniform_ball_sample,
 )
 from saddlescape.core import _norm
-from saddlescape.testbed import RandomQuadraticNoiseOracle
 
 
 def make_quadratic(diag, rho=1.0, ell=None):
@@ -45,6 +45,16 @@ def make_quadratic(diag, rho=1.0, ell=None):
     return GradientOracle(
         f=f, grad=grad, spec=SmoothnessSpec(ell, rho), dim=d.shape[0], name="quadratic"
     )
+
+
+def trace_events(trace):
+    """The event tag of each record, in order."""
+    return [rec.event for rec in trace.records]
+
+
+def trace_decrease(trace):
+    """f at the first record minus f at the last."""
+    return trace.initial_f() - trace.final_f()
 
 
 def relabel(oracle, ell, rho):

@@ -25,7 +25,13 @@ from saddlescape.core import (
     EVENT_PERTURB,
 )
 
-from conftest import angular_gap, free_anc_window, make_quadratic
+from conftest import (
+    angular_gap,
+    free_anc_window,
+    make_quadratic,
+    trace_decrease,
+    trace_events,
+)
 
 
 def _window_params(**overrides):
@@ -177,7 +183,7 @@ class TestRunMechanics:
         k = 6
         params = _window_params(ncf_steps=k, total_steps=k + 4, cooldown=10**6)
         trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(3, 0))
-        events = trace.events()
+        events = trace_events(trace)
         assert events[0] == EVENT_PERTURB
         assert events[1 : k + 1] == [EVENT_NCF_STEP] * k
         assert events[k + 1] == EVENT_NCF_EXPLOIT
@@ -188,7 +194,7 @@ class TestRunMechanics:
         params = _window_params(grad_threshold=1e-9)
         trace = ancgd_run(land.oracle, np.array([1.0, 1.0]), params, RngStream(4, 0))
         assert trace.meta["perturbs"] == []
-        assert EVENT_PERTURB not in trace.events()
+        assert EVENT_PERTURB not in trace_events(trace)
 
     def test_window_states_pinned_to_probe_sphere(self):
         land = get_landscape("quartic")
@@ -226,7 +232,7 @@ class TestRunMechanics:
         assert np.allclose(trace.meta["stopped_at_candidate"], np.zeros(2), atol=1e-12)
         assert trace.meta["exploits"][0]["decrease"] == 0.0
         assert not trace.meta["exploits"][0]["certified"]
-        assert len(trace) < params.total_steps + 1
+        assert len(trace.records) < params.total_steps + 1
 
     def test_cooldown_permits_repeat_windows(self):
         bowl = make_quadratic([1.0, 2.0])
@@ -241,7 +247,7 @@ class TestRunMechanics:
             trace = ancgd_run(
                 land.oracle, np.zeros(2), _window_params(), RngStream(seed, 0)
             )
-            if trace.decrease() >= 0.9:
+            if trace_decrease(trace) >= 0.9:
                 escaped += 1
         assert escaped >= 18
 
@@ -257,7 +263,7 @@ class TestRunMechanics:
         a = ancgd_run(land.oracle, np.zeros(2), _window_params(), RngStream(11, 5))
         b = ancgd_run(land.oracle, np.zeros(2), _window_params(), RngStream(11, 5))
         assert a.final_f() == b.final_f()
-        assert a.events() == b.events()
+        assert trace_events(a) == trace_events(b)
 
 
 class TestHamiltonian:

@@ -1,4 +1,4 @@
-"""Command line interface: subcommands, exit codes, config files."""
+"""Command line interface: subcommands, exit codes, flags."""
 
 import argparse
 import dataclasses
@@ -13,7 +13,7 @@ from saddlescape import (
     derive_nc_params,
     harness,
 )
-from saddlescape.cli import _RUN_FIELDS, build_parser, main, read_config
+from saddlescape.cli import _RUN_FIELDS, build_parser, main
 
 
 _RUN_FUNCTIONS = ("pgd_nc_run", "ancgd_run", "sgd_nc_run", "pgd_run", "pagd_run", "psgd_run")
@@ -145,12 +145,6 @@ class TestRunCommand:
         assert code == 1
         assert "radius must be positive and finite" in capsys.readouterr().err
 
-    def test_bad_jobs_env_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setenv("SADDLESCAPE_JOBS", "abc")
-        code = main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2"])
-        assert code == 1
-        assert "SADDLESCAPE_JOBS" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flags",
         [
@@ -216,36 +210,30 @@ class TestRunCommand:
         assert ran == []
 
     @pytest.mark.parametrize(
-        "flags, env",
+        "flags",
         [
-            ("--alg pgd --delta 7", None),
-            ("--alg pgd --delta 0", None),
-            ("--alg pgd --sigma nan", None),
-            ("--alg pgd --sigma -1", None),
-            ("--alg pgd --ncf-steps -2", None),
-            ("--alg pgd --pert 0", None),
-            ("--alg nc --M -1", None),
-            ("--alg nc --gamma -1", None),
-            ("--alg nc --theta 1", None),
-            ("--alg nc --delta-f nan", None),
-            ("--alg nc --delta-f -3", None),
-            ("--alg nc --mode paper --steps 20 --delta-f 0", None),
-            ("--alg nc --jobs 0", None),
-            ("--alg nc --jobs -4", None),
-            ("--alg nc", "0"),
-            ("--alg nc", "-2"),
+            "--alg pgd --delta 7",
+            "--alg pgd --delta 0",
+            "--alg pgd --sigma nan",
+            "--alg pgd --sigma -1",
+            "--alg pgd --ncf-steps -2",
+            "--alg pgd --pert 0",
+            "--alg nc --M -1",
+            "--alg nc --gamma -1",
+            "--alg nc --theta 1",
+            "--alg nc --delta-f nan",
+            "--alg nc --delta-f -3",
+            "--alg nc --mode paper --steps 20 --delta-f 0",
+            "--alg nc --jobs 0",
+            "--alg nc --jobs -4",
         ],
     )
-    def test_every_knob_range_checked_whatever_the_algorithm(
-        self, flags, env, capsys, monkeypatch
-    ):
+    def test_every_knob_range_checked_whatever_the_algorithm(self, flags, capsys, monkeypatch):
         # Each knob is checked once, on the config, so a knob the chosen
         # algorithm ignores is rejected too and nothing is clamped.
         ran = []
         for name in _RUN_FUNCTIONS:
             monkeypatch.setattr(harness, name, lambda *a: ran.append(a))
-        if env is not None:
-            monkeypatch.setenv("SADDLESCAPE_JOBS", env)
         code = main(["run", "--fn", "quartic", "--trials", "2", *flags.split()])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -282,6 +270,9 @@ class TestRunCommand:
             ("--alg pagd --delta 0.2", "delta"),
             ("--alg nc --delta-f 5", "delta_f"),
             ("--alg ancgd --delta-f 5", "delta_f"),
+            ("--alg nc --delta 0.5", "delta"),
+            ("--alg ancgd --delta 0.5", "delta"),
+            ("--alg snc --delta 0.5", "delta"),
         ],
     )
     def test_paper_only_knob_rejected_in_experiment_mode(
@@ -314,6 +305,25 @@ class TestRunCommand:
         assert "does not exist" in capsys.readouterr().err
         assert ran == []
 
+    def test_config_file_flag_is_gone(self):
+        # Flags are the one way into a run.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--alg", "nc", "--fn", "quartic", "--config", "exp.cfg"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("alg", ["pgd-nc", "sgd-nc"])
+    def test_each_algorithm_has_one_name(self, alg, capsys):
+        code = main(["run", "--alg", alg, "--fn", "quartic", "--trials", "1"])
+        assert code == 1
+        assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_every_config_field_is_a_run_flag(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {action.dest for action in sub.choices["run"]._actions} - {"help"}
+        assert dests <= set(_RUN_FIELDS)
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {_RUN_FIELDS[dest] for dest in dests} == fields
+
     def test_bad_x0_exits_one(self, capsys):
         code = main([
             "run", "--alg", "nc", "--fn", "quartic", "--trials", "1",
@@ -321,107 +331,6 @@ class TestRunCommand:
         ])
         assert code == 1
         assert "bad x0" in capsys.readouterr().err
-
-
-class TestConfigFile:
-    def test_flags_override_config(self, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            "# quartic comparison\n"
-            "alg = nc\n"
-            "fn = quartic\n"
-            "eta = 0.9\n"
-            "t-thresh = 7\n"
-            "\n"
-            "trials = 2\n"
-        )
-        out = str(tmp_path / "res")
-        code = main([
-            "run", "--config", str(cfg_file), "--eta", "0.05", "--out", out,
-        ])
-        assert code == 0
-        summary = json.loads((tmp_path / "res.summary.json").read_text())
-        echo = summary["config"]
-        assert echo["eta"] == 0.05
-        assert echo["cooldown"] == 7
-        assert echo["trials"] == 2
-        assert summary["algorithm"] == "nc"
-
-    def test_field_names_accepted_too(self, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("algorithm = nc\nlandscape = quartic\ntrials = 1\n")
-        assert main(["run", "--config", str(cfg_file)]) == 0
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("alg = nc\nfn = quartic\nwarp = 9\n")
-        code = main(["run", "--config", str(cfg_file)])
-        assert code == 1
-        assert "unknown config key" in capsys.readouterr().err
-
-    def test_read_config_parsing(self, tmp_path):
-        cfg_file = tmp_path / "mix.cfg"
-        cfg_file.write_text(
-            "eta = 0.5   # trailing comment\n"
-            "trials = 12\n"
-            "fn = quartic\n"
-            "mode = experiment\n"
-        )
-        values = read_config(str(cfg_file))
-        assert values == {
-            "eta": 0.5, "trials": 12, "fn": "quartic", "mode": "experiment"
-        }
-
-    @pytest.mark.parametrize(
-        "line",
-        ["eta = abc", "seed = abc", "threshold = abc", "trust_region = abc",
-         "eta = true", "steps = true"],
-    )
-    def test_non_numeric_value_is_usage_error(self, tmp_path, capsys, line):
-        # Words are kept as strings (no field is boolean, so "true" is one
-        # too) and every numeric field rejects them by name.
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(f"alg = pgd\nfn = quartic\ntrials = 1\n{line}\n")
-        assert main(["run", "--config", str(cfg_file)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {line.split()[0]} must" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "line, code, message",
-        [
-            ("out = 123", 0, None),
-            ("fn = 5", 1, "error: unknown landscape id: '5'"),
-            ("x0 = 1", 1, "error: x0 has dimension 1, expected 2"),
-        ],
-    )
-    def test_text_fields_stay_text(self, tmp_path, monkeypatch, capsys, line, code, message):
-        # landscape, out and x0 keep their text even when it reads as a number.
-        monkeypatch.chdir(tmp_path)
-        cfg_file = tmp_path / "text.cfg"
-        cfg_file.write_text(f"alg = pgd\nfn = quartic\ntrials = 1\n{line}\n")
-        assert main(["run", "--config", str(cfg_file)]) == code
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if message is None:
-            assert "error:" not in err
-            assert (tmp_path / "123.csv").is_file()
-        else:
-            assert message in err
-
-    def test_every_config_field_is_a_run_flag(self):
-        # A field without a flag could only be set from a config file.
-        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        dests = {action.dest for action in sub.choices["run"]._actions} - {"help", "config"}
-        assert dests <= set(_RUN_FIELDS)
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert {_RUN_FIELDS[dest] for dest in dests} == fields
-
-    def test_read_config_bad_line(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("eta 0.5\n")
-        code = main(["run", "--config", str(cfg_file)])
-        assert code == 1
 
 
 class TestVerifyCommand:
@@ -460,7 +369,7 @@ class TestParamsCommand:
         "alg, flags",
         [
             (alg, ["--eps", eps])
-            for alg in ("ncf", "nc", "ancgd", "snc")
+            for alg in ("ncf", *harness.ALGORITHMS)
             for eps in ("nan", "-1", "inf")
         ]
         + [
@@ -479,12 +388,24 @@ class TestParamsCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_unsupported_alg_exits_one(self, capsys):
+    def test_unknown_alg_exits_one(self, capsys):
         code = main([
-            "params", "--alg", "pgd", "--ell", "1", "--rho", "1",
+            "params", "--alg", "pgd-nc", "--ell", "1", "--rho", "1",
             "--eps", "0.1", "--n", "2",
         ])
         assert code == 1
+        assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg", ["pgd", "pagd", "psgd"])
+    def test_baselines_print_their_paper_params(self, alg, capsys):
+        code = main([
+            "params", "--alg", alg, "--ell", "5.75", "--rho", "4.5",
+            "--eps", "0.01", "--n", "2",
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == harness.derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2, 1.0)
+        assert out["total_steps"] == 460000
 
 
 class TestDimscaleCommand:

@@ -47,7 +47,7 @@ from saddlescape.core import (
 from saddlescape.ncfind import NCParams
 from saddlescape.stochastic import SNCParams
 
-from conftest import LiteralNoise, make_quadratic, relabel
+from conftest import LiteralNoise, make_quadratic, relabel, trace_decrease, trace_events
 
 
 class _BlockSpy:
@@ -258,10 +258,10 @@ class TestTrace:
         trace = Trace(records=list(records), meta={})
         assert trace.initial_f() == 3.0
         assert trace.final_f() == 2.5
-        assert trace.decrease() == pytest.approx(0.5)
-        assert trace.events() == [EVENT_GD, EVENT_NCE]
-        trace.append(TraceRecord(t=2, f=2.0, grad_norm=0.1, event=EVENT_GD))
-        assert len(trace) == 3
+        assert trace_decrease(trace) == pytest.approx(0.5)
+        assert trace_events(trace) == [EVENT_GD, EVENT_NCE]
+        trace.records.append(TraceRecord(t=2, f=2.0, grad_norm=0.1, event=EVENT_GD))
+        assert len(trace.records) == 3
         assert trace.final_f() == 2.0
 
     def test_event_vocabulary(self):

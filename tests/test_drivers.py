@@ -45,7 +45,7 @@ from saddlescape.core import (
 from saddlescape.harness import build_payload
 from saddlescape.ncfind import NCParams
 
-from conftest import make_quadratic
+from conftest import make_quadratic, trace_decrease, trace_events
 
 
 def _nc_run_params(**overrides):
@@ -111,7 +111,7 @@ class TestPgdNcRun:
             trace = pgd_nc_run(
                 land.oracle, np.zeros(2), _nc_run_params(), RngStream(0, trial)
             )
-            if trace.decrease() >= 0.9:
+            if trace_decrease(trace) >= 0.9:
                 escaped += 1
         assert escaped >= 48
 
@@ -120,7 +120,7 @@ class TestPgdNcRun:
         trace = pgd_nc_run(
             land.oracle, np.zeros(2), _nc_run_params(), RngStream(1, 0)
         )
-        assert len(trace) == 91
+        assert len(trace.records) == 91
         assert [r.t for r in trace.records] == list(range(91))
 
     def test_search_fills_flat_start(self):
@@ -128,7 +128,7 @@ class TestPgdNcRun:
         trace = pgd_nc_run(
             land.oracle, np.zeros(2), _nc_run_params(), RngStream(2, 0)
         )
-        events = trace.events()
+        events = trace_events(trace)
         assert events[0] == EVENT_GD
         assert events[1:31] == [EVENT_NCF_STEP] * 30
         assert events[31] == EVENT_NCF_EXPLOIT
@@ -182,7 +182,7 @@ class TestPgdNcRun:
             RngStream(5, 0),
         )
         assert len(trace.meta["exploits"]) == 1
-        assert EVENT_GD in trace.events()[32:]
+        assert EVENT_GD in trace_events(trace)[32:]
 
     def test_divergence_guard(self):
         land = get_landscape("quartic")
@@ -205,7 +205,7 @@ class TestPgdBaseline:
             eta=0.05, radius=0.1, grad_threshold=0.05, total_steps=90, cooldown=10**9
         )
         trace = pgd_run(land.oracle, np.zeros(2), params, RngStream(0, 0))
-        events = trace.events()
+        events = trace_events(trace)
         assert events[0] == EVENT_GD
         assert events[1] == EVENT_PERTURB
         assert events.count(EVENT_PERTURB) == 1
@@ -231,8 +231,8 @@ class TestPgdBaseline:
             eta=0.05, radius=0.1, grad_threshold=1e-9, total_steps=50
         )
         trace = pgd_run(land.oracle, np.array([1.0, 1.0]), params, RngStream(2, 0))
-        assert EVENT_PERTURB not in trace.events()
-        assert trace.decrease() > 0
+        assert EVENT_PERTURB not in trace_events(trace)
+        assert trace_decrease(trace) > 0
 
     def test_matches_pgd_nc_run_when_trigger_never_fires(self):
         # With a zero trigger threshold neither arm starts an episode, so
@@ -262,7 +262,7 @@ class TestPgdBaseline:
         stuck = 0
         for trial in range(50):
             trace = pgd_run(land.oracle, np.zeros(2), params, RngStream(0, trial))
-            if trace.decrease() < 0.9:
+            if trace_decrease(trace) < 0.9:
                 stuck += 1
         assert 10 <= stuck <= 40
 
@@ -287,7 +287,7 @@ class TestPagdBaseline:
     def test_perturb_reseeds_momentum(self):
         land = get_landscape("quartic")
         trace = pagd_run(land.oracle, np.zeros(2), self._params(), RngStream(1, 0))
-        events = trace.events()
+        events = trace_events(trace)
         k = events.index(EVENT_PERTURB)
         assert len(trace.meta["perturbs"]) == 1
         # The zero gradient at the start triggers at once; the draw's own
@@ -304,7 +304,7 @@ class TestPagdBaseline:
             trace = pagd_run(
                 land.oracle, np.zeros(2), self._params(), RngStream(0, trial)
             )
-            if trace.decrease() < 0.9:
+            if trace_decrease(trace) < 0.9:
                 stuck += 1
         assert stuck >= 25
 
@@ -330,7 +330,7 @@ class TestOracleCounts:
     def test_pgd_nc_run(self):
         land = get_landscape("quartic")
         trace = pgd_nc_run(land.oracle, np.zeros(2), _nc_run_params(), RngStream(0, 0))
-        events = trace.events()
+        events = trace_events(trace)
         records = len(events)
         search_steps = events.count(EVENT_NCF_STEP)
         episodes = len(trace.meta["exploits"])
@@ -357,7 +357,7 @@ class TestOracleCounts:
             eta=0.05, radius=0.1, grad_threshold=0.05, total_steps=T, cooldown=10**9
         )
         trace = pgd_run(land.oracle, np.array(x0), params, RngStream(0, 0))
-        assert len(trace.meta["perturbs"]) == trace.events().count(EVENT_PERTURB) == perturbs
+        assert len(trace.meta["perturbs"]) == trace_events(trace).count(EVENT_PERTURB) == perturbs
         assert trace.meta["grad_evals"] == T + 1 == 6
         assert trace.meta["f_evals"] == T + 1 == 6
 
@@ -373,7 +373,7 @@ class TestOracleCounts:
             eta=0.02, radius=0.01, grad_threshold=0.05, total_steps=T, cooldown=3, batch=3
         )
         trace = psgd_run(oracle, np.zeros(2), params, RngStream(0, 0))
-        assert trace.events().count(EVENT_PERTURB) >= 1
+        assert trace_events(trace).count(EVENT_PERTURB) >= 1
         assert counted.grad_evals == counted.f_evals == T + 1
         # One batch-3 estimate per iteration.
         assert trace.meta["samples"] == 3 * T
@@ -388,7 +388,7 @@ class TestOracleCounts:
             theta=0.042, gamma=0.0355, nce_radius=0.0089,
         )
         trace = pagd_run(land.oracle, np.array([1.5, 0.5]), params, RngStream(0, 0))
-        assert trace.events() == [EVENT_AGD] * (T + 1)
+        assert trace_events(trace) == [EVENT_AGD] * (T + 1)
         # Gradients: T + 1 records, grad f(z) once (at t = 0; later z is the
         # certified z_next), one certificate gradient per step.
         assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
@@ -410,7 +410,7 @@ class TestOracleCounts:
             theta=0.042, gamma=0.0355, nce_radius=0.0089,
         )
         trace = pagd_run(land.oracle, np.zeros(2), params, RngStream(0, 0))
-        assert trace.events() == [EVENT_AGD, EVENT_PERTURB] + [EVENT_AGD] * (T - 1)
+        assert trace_events(trace) == [EVENT_AGD, EVENT_PERTURB] + [EVENT_AGD] * (T - 1)
         assert [p["t"] for p in trace.meta["perturbs"]] == [0]
         assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
         assert trace.meta["f_evals"] == 1 + 2 * T == 17
@@ -430,7 +430,7 @@ class TestOracleCounts:
             theta=0.042, gamma=0.0355, nce_radius=1e-12,
         )
         trace = pagd_run(land.oracle, np.array([0.05, 0.02]), params, RngStream(0, 0))
-        events = trace.events()
+        events = trace_events(trace)
         assert events[1:T].count(EVENT_NCE) == 5
         assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
         assert trace.meta["f_evals"] == 1 + 2 * T == 17
@@ -450,8 +450,8 @@ class TestOracleCounts:
             theta=0.042, gamma=0.0355, nce_radius=0.0089,
         )
         trace = pagd_run(land.oracle, np.array([0.01, 0.0]), params, RngStream(0, 0))
-        resets = trace.events().count(EVENT_NCE)
-        assert trace.events() == [EVENT_AGD] + [EVENT_NCE] * T and resets == T
+        resets = trace_events(trace).count(EVENT_NCE)
+        assert trace_events(trace) == [EVENT_AGD] + [EVENT_NCE] * T and resets == T
         # Every reset zeroed the momentum.
         assert all(rec.v_norm == 0.0 for rec in trace.records[1:])
         assert trace.meta["f_evals"] == 1 + 2 * T + 2 * resets == 33
@@ -478,7 +478,7 @@ class TestOracleCounts:
         counts = []
         for s in (-0.0, 0.0):
             trace = pagd_run(oracle, np.array([s, 0.05]), params, RngStream(0, 0))
-            assert trace.events() == [EVENT_AGD] + [EVENT_NCE] * T
+            assert trace_events(trace) == [EVENT_AGD] + [EVENT_NCE] * T
             assert math.copysign(1.0, trace.records[1].x[0]) == math.copysign(1.0, s)
             counts.append(trace.meta["grad_evals"])
         assert counts == [(T + 1) + 1 + T + 1, (T + 1) + 1 + T] == [19, 18]
@@ -499,7 +499,7 @@ class TestOracleCounts:
         trace = ancgd_run(
             land.oracle, np.array([1.5, 0.5]), self._anc(total_steps=T), RngStream(0, 0)
         )
-        assert trace.events() == [EVENT_AGD] * (T + 1)
+        assert trace_events(trace) == [EVENT_AGD] * (T + 1)
         assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
         assert trace.meta["f_evals"] == 1 + 2 * T == 11
 
@@ -511,7 +511,7 @@ class TestOracleCounts:
         land = get_landscape("quartic")
         T = 20
         trace = ancgd_run(land.oracle, np.zeros(2), self._anc(total_steps=T), RngStream(0, 0))
-        assert trace.events() == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
+        assert trace_events(trace) == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
         assert trace.meta["grad_evals"] == (T + 1) + T == 41
         assert trace.meta["f_evals"] == T + 1 == 21
 
@@ -537,7 +537,7 @@ class TestPsgdBaseline:
         oracle = AdditiveNoiseOracle(land.oracle, sigma=0.01)
         trace = psgd_run(oracle, np.zeros(2), self._params(), RngStream(1, 0))
         assert len(trace.meta["perturbs"]) >= 1
-        assert trace.events().count(EVENT_PERTURB) == len(trace.meta["perturbs"])
+        assert trace_events(trace).count(EVENT_PERTURB) == len(trace.meta["perturbs"])
 
     def test_sample_accounting(self):
         land = get_landscape("cubic")
@@ -551,7 +551,7 @@ class TestPsgdBaseline:
         stuck = 0
         for trial in range(30):
             trace = psgd_run(oracle, np.zeros(2), self._params(), RngStream(0, trial))
-            if trace.decrease() < 0.6:
+            if trace_decrease(trace) < 0.6:
                 stuck += 1
         assert stuck >= 28
 
@@ -564,7 +564,7 @@ class TestPsgdBaseline:
             self._params(grad_threshold=1e-12),
             RngStream(3, 0),
         )
-        assert set(trace.events()) == {EVENT_SGD}
+        assert set(trace_events(trace)) == {EVENT_SGD}
 
 
 class TestBaselineParams:
@@ -663,7 +663,7 @@ class TestFusedOracleTraces:
         for alg in ("ancgd", "pagd"):
             params = _PLANS[(alg, "quartic", True)]
             trace = _RUNS[alg](land.oracle, x0, params, RngStream(0, 1))
-            assert trace.events()[1] == EVENT_NCE
+            assert trace_events(trace)[1] == EVENT_NCE
             assert trace.records[1].v_norm == 0.0
             x_next = x0 - params.eta * land.oracle.gradient(x0)
             moved = np.linalg.norm(trace.records[1].x - x_next)

@@ -68,13 +68,10 @@ def inline_pool(monkeypatch, two_cpus):
 
 
 class TestExperimentConfig:
-    def test_aliases_normalize(self):
-        assert ExperimentConfig(algorithm="pgd-nc", landscape="quartic").algorithm == "nc"
-        assert ExperimentConfig(algorithm="sgd-nc", landscape="cubic").algorithm == "snc"
-
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ParameterError):
-            ExperimentConfig(algorithm="adam", landscape="quartic")
+    @pytest.mark.parametrize("alg", ["adam", "pgd-nc", "sgd-nc"])
+    def test_rejects_unknown_algorithm(self, alg):
+        with pytest.raises(ParameterError, match="unknown algorithm"):
+            ExperimentConfig(algorithm=alg, landscape="quartic")
 
     def test_rejects_bad_mode_and_trials(self):
         with pytest.raises(ParameterError):
@@ -324,11 +321,8 @@ class TestProcessPool:
         kw = {"algorithm": "pgd", "landscape": "quartic", "trials": 6, **kw}
         return ExperimentConfig(seed=0, jobs=jobs, out=out, **kw)
 
-    def test_jobs_capped_at_available_cpus(self, monkeypatch, two_cpus):
-        monkeypatch.delenv("SADDLESCAPE_JOBS", raising=False)
+    def test_jobs_capped_at_available_cpus(self, two_cpus):
         assert [harness._resolve_jobs(j) for j in (None, 1, 2, 3, 100000)] == [1, 1, 2, 2, 2]
-        monkeypatch.setenv("SADDLESCAPE_JOBS", "100000")
-        assert harness._resolve_jobs(None) == 2
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -457,6 +451,16 @@ class TestRunVerify:
         with pytest.raises(ParameterError, match="points_per_landscape"):
             run_verify(ids=["quartic"], points_per_landscape=points)
 
+    def test_spectrum_bound_without_a_hessian_fails(self):
+        # Above DENSE_CAP only an analytic Hessian can be sampled; without
+        # one the bound is unchecked, and an unchecked bound does not pass.
+        land = dataclasses.replace(get_landscape("highdim-300"), hessian=None)
+        report = run_verify(landscapes=[land], points_per_landscape=1)
+        (check,) = [c for c in report.entries[0]["checks"] if c["name"] == "spectrum-bound"]
+        assert not check["ok"]
+        assert "no analytic Hessian" in check["detail"]
+        assert not report.ok
+
 
 class TestDeriveParamsFor:
     def test_nc_matches_driver_derivation(self):
@@ -490,8 +494,16 @@ class TestDeriveParamsFor:
         rebuilt = NCDescentParams(**{**out, "search": search(**out["search"])})
         assert rebuilt == derive(SmoothnessSpec(1.0, 1.0))
 
-    def test_alias_and_unknown(self):
-        out = derive_params_for("pgd-nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
-        assert out["total_steps"] == 24287
-        with pytest.raises(ParameterError):
-            derive_params_for("pgd", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
+    @pytest.mark.parametrize("alg", ["pgd-nc", "sgd-nc", "adam"])
+    def test_unknown_algorithm(self, alg):
+        with pytest.raises(ParameterError, match="unknown algorithm"):
+            derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, 1.0)
+
+    @pytest.mark.parametrize("alg", ["pgd", "pagd", "psgd"])
+    def test_baselines_match_paper_mode(self, alg):
+        # The quartic declares ell = 5.75, rho = 4.5 and has the gap 1.0.
+        land = get_landscape("quartic")
+        cfg = ExperimentConfig(algorithm=alg, landscape="quartic", mode="paper", trials=1)
+        params = build_payload(cfg, land)["params"]
+        out = derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2, 1.0)
+        assert out == dataclasses.asdict(params)

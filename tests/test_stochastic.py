@@ -37,6 +37,8 @@ from conftest import (
     free_snc_direction,
     make_quadratic,
     relabel,
+    trace_decrease,
+    trace_events,
 )
 
 
@@ -200,8 +202,8 @@ class TestSgdNcRun:
         land = get_landscape("cubic")
         oracle = with_noise(land, 0.01)
         trace = sgd_nc_run(oracle, np.zeros(2), _run_params(), RngStream(0, 0))
-        events = trace.events()
-        assert len(trace) == 61
+        events = trace_events(trace)
+        assert len(trace.records) == 61
         assert [r.t for r in trace.records] == list(range(61))
         assert events[0] == EVENT_SGD
         # Flat start: the search window fills the first 45 iterations.
@@ -249,8 +251,8 @@ class TestSgdNcRun:
         trace = sgd_nc_run(
             oracle, np.zeros(2), _run_params(total_steps=10), RngStream(1, 0)
         )
-        events = trace.events()
-        assert len(trace) == 11
+        events = trace_events(trace)
+        assert len(trace.records) == 11
         assert events[1:10] == [EVENT_NCF_STEP] * 9
         assert events[10] == EVENT_NCF_EXPLOIT
 
@@ -306,7 +308,7 @@ class TestSgdNcRun:
         )
         assert "stopped_at_candidate" in trace.meta
         assert np.allclose(trace.meta["stopped_at_candidate"], np.zeros(2), atol=1e-6)
-        assert len(trace) < 51
+        assert len(trace.records) < 51
         assert trace.meta["exploits"][0]["decrease"] == 0.0
 
     def test_sample_accounting(self):
@@ -333,7 +335,7 @@ class TestSgdNcRun:
             trace = sgd_nc_run(
                 oracle, np.zeros(2), _run_params(), RngStream(trial, 2)
             )
-            if trace.decrease() >= 0.6:
+            if trace_decrease(trace) >= 0.6:
                 escaped += 1
         assert escaped >= 17
 
@@ -358,7 +360,7 @@ class TestAdditiveQueryCounts:
         oracle = AdditiveNoiseOracle(counted, sigma=1e-4)
         params = _bowl_run_params(total_steps=28)
         trace = sgd_nc_run(oracle, np.zeros(2), params, RngStream(3, 0))
-        events = trace.events()
+        events = trace_events(trace)
         records, search_steps = len(events), events.count(EVENT_NCF_STEP)
         episodes = len(trace.meta["exploits"])
         assert (records, search_steps, episodes) == (29, 23, 5)

@@ -11,12 +11,12 @@ from saddlescape import (
     AdditiveNoiseOracle,
     CountingOracle,
     ParameterError,
+    RandomQuadraticNoiseOracle,
     RngStream,
     get_landscape,
     registry_ids,
     run_verify,
     with_noise,
-    with_random_quadratic_noise,
 )
 from saddlescape.core import GradientOracle
 from saddlescape.testbed import _FACTORIES, VERIFY_IDS
@@ -217,7 +217,7 @@ class TestNoiseWrappers:
 
     def test_random_quadratic_noise_is_unbiased(self):
         land = get_landscape("cubic")
-        oracle = with_random_quadratic_noise(land, sigma_b=0.3, sigma_a=0.2)
+        oracle = RandomQuadraticNoiseOracle(land.oracle, sigma_b=0.3, sigma_a=0.2)
         x = np.array([0.4, -0.2])
         sample = oracle.mean_sampler(1, RngStream(0, 0), 20000)
         draws = np.array([sample(x, oracle.mean.gradient(x)) for _ in range(20000)])
@@ -228,12 +228,23 @@ class TestNoiseWrappers:
     def test_random_quadratic_noise_depends_on_x(self):
         # Unlike additive noise, shared-draw differences keep a residual here.
         land = get_landscape("cubic")
-        oracle = with_random_quadratic_noise(land, sigma_b=0.0, sigma_a=1.0)
+        oracle = RandomQuadraticNoiseOracle(land.oracle, sigma_b=0.0, sigma_a=1.0)
         x0 = np.zeros(2)
         x1 = np.array([0.5, 0.0])
         diff = oracle.diff_sampler(x0, 1, RngStream(1, 1))(x1)
         exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
         assert not np.allclose(diff, exact, atol=1e-6)
+
+    def test_random_quadratic_noise_entry_variances(self):
+        # A = (R + R^T) / 2: the diagonal keeps sigma_a^2, the off-diagonal
+        # entries have sigma_a^2 / 2.  With b = 0, x0 = 0 and x1 = e0 the
+        # difference sampler's residual is A's first column.
+        oracle = RandomQuadraticNoiseOracle(get_landscape("cubic").oracle, 0.0, 1.0)
+        x0, x1 = np.zeros(2), np.array([1.0, 0.0])
+        exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
+        diff = oracle.diff_sampler(x0, 1, RngStream(3, 0))
+        column = np.array([diff(x1) - exact for _ in range(20000)])
+        assert column.var(axis=0) == pytest.approx([1.0, 0.5], rel=0.05)
 
     @pytest.mark.parametrize("name", ["sigma_b", "sigma_a"])
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
@@ -241,7 +252,7 @@ class TestNoiseWrappers:
         # Each scale is checked by name, before anything is derived from it.
         scales = {"sigma_b": 1.0, "sigma_a": 1.0, name: bad}
         with pytest.raises(ParameterError, match=f"^{name} must be"):
-            with_random_quadratic_noise(get_landscape("cubic"), **scales)
+            RandomQuadraticNoiseOracle(get_landscape("cubic").oracle, **scales)
 
 
 # The 2-d formulas as they read before the landscapes evaluated on Python

@@ -2,6 +2,7 @@
 imports against the current API, no module keeps a dead import, and the
 benchmark's tracer still finds every name it wraps."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -155,3 +156,24 @@ def test_perfbench_tracer_finds_every_point_it_wraps(monkeypatch):
         assert tracer.uninstall() == []
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_readme_cli_section_names_only_what_exists():
+    # The CLI section documents every way into a run: each flag it names is
+    # one that build_parser() defines, and each SADDLESCAPE_* variable is
+    # one that src/ reads.
+    from saddlescape.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.DOTALL | re.MULTILINE).group(1)
+    parsers = [build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    flags = {opt for p in parsers for action in p._actions for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    assert named and sorted(named - flags) == []
+    source = "".join(path.read_text() for path in Path(saddlescape.__file__).parent.glob("*.py"))
+    env_read = r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](SADDLESCAPE_\w+)"""
+    read = set(re.findall(env_read, source))
+    assert sorted(set(re.findall(r"\bSADDLESCAPE_\w+", section)) - read) == []
