@@ -159,7 +159,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
         delta_f=args.delta_f,
         ell_tilde=args.ell_tilde,
     )
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(out), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--eps", type=float, required=True)
     p_par.add_argument("--delta", type=float, default=0.1)
     p_par.add_argument("--n", type=int, required=True)
-    p_par.add_argument("--delta-f", dest="delta_f", type=float, default=1.0)
-    p_par.add_argument("--ell-tilde", dest="ell_tilde", type=float, default=None)
+    p_par.add_argument("--delta-f", dest="delta_f", type=float, help="gap bound (default 1)")
+    p_par.add_argument("--ell-tilde", dest="ell_tilde", type=float)
     p_par.set_defaults(func=_cmd_params)
     return parser
 

@@ -16,7 +16,6 @@ from .core import (
     GradientOracle,
     ParameterError,
     RngStream,
-    SmoothnessSpec,
     StochasticOracle,
     Trace,
     gaussian_sample,
@@ -27,38 +26,15 @@ from .core import (
     uniform_ball_sample,
 )
 from .ancgd import accelerate
-from .ncfind import (
-    NCDescentParams, _descent_budget, _episode_delta0, curvature_escape, derive_nc_params,
-    descend, nc_find,
-)
+from .ncfind import NCDescentParams, curvature_escape, descend, nc_find
 
 __all__ = [
-    "derive_pgdnc_params",
     "pgd_nc_run",
     "BaselineParams",
     "pgd_run",
     "pagd_run",
     "psgd_run",
 ]
-
-
-def derive_pgdnc_params(
-    spec: SmoothnessSpec,
-    eps: float,
-    delta_overall: float,
-    n: int,
-    delta_f_bound: float,
-) -> NCDescentParams:
-    """Search schedule and step budget for overall failure probability
-    delta_overall, given the initial gap bound delta_f_bound."""
-    require_positive(eps=eps, delta_f_bound=delta_f_bound)
-    if not (0 < delta_overall < 1):
-        raise ParameterError(f"delta_overall must be in (0, 1), got {delta_overall}")
-    delta0 = _episode_delta0(delta_overall, delta_f_bound, eps, spec.rho)
-    return NCDescentParams(
-        derive_nc_params(spec, eps, delta0, n),
-        total_steps=_descent_budget(spec.ell, spec.rho, eps, delta_f_bound),
-    )
 
 
 def pgd_nc_run(

@@ -1,4 +1,5 @@
-"""Seeded experiment harness: trial runners, escape histograms and scaling sweeps."""
+"""Seeded experiment harness: paper-mode schedules, trial runners, escape
+histograms and scaling sweeps."""
 
 from __future__ import annotations
 
@@ -29,16 +30,9 @@ from .core import (
     require_nonnegative,
     require_positive,
 )
-from .drivers import (
-    BaselineParams,
-    derive_pgdnc_params,
-    pagd_run,
-    pgd_nc_run,
-    pgd_run,
-    psgd_run,
-)
-from .ncfind import NCDescentParams, NCParams, _episode_delta0, derive_nc_params
-from .stochastic import SNCParams, derive_sgdnc_params, sgd_nc_run
+from .drivers import BaselineParams, pagd_run, pgd_nc_run, pgd_run, psgd_run
+from .ncfind import NCDescentParams, NCParams, derive_nc_params
+from .stochastic import SNCParams, derive_snc_params, sgd_nc_run
 from .testbed import Landscape, get_landscape, with_noise
 
 __all__ = [
@@ -371,14 +365,33 @@ _PAPER_ONLY = ("delta", "delta_f")
 _BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps",)
 
 
+def _episode_delta0(delta: float, delta_f_bound: float, eps: float, rho: float) -> float:
+    """Per-episode failure probability of nc and ancgd: the overall delta
+    split over the certified episodes that would use up the gap
+    delta_f_bound, capped at 1."""
+    return min(1.0, delta / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho))
+
+
+def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) -> int:
+    """Step budget of nc and snc: the larger of the gradient-step and the
+    certified-escape counts that would use up the gap delta_f_bound."""
+    budget = max(
+        8.0 * ell * delta_f_bound / eps**2,
+        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
+    )
+    return max(1, math.ceil(budget))
+
+
 def _nc(s: _Setting) -> NCDescentParams:
     k = s.knobs
     search = _fields(k, steps="ncf_steps", radius="radius")
     outer = _fields(k, **_OUTER_KNOBS)
     if s.paper:
-        params = derive_pgdnc_params(s.spec, s.eps, s.delta, s.n, s.delta_f)
-        return dataclasses.replace(
-            params, search=dataclasses.replace(params.search, **search), **outer
+        delta0 = _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho)
+        nc = derive_nc_params(s.spec, s.eps, delta0, s.n)
+        budget = _descent_budget(s.spec.ell, s.spec.rho, s.eps, s.delta_f)
+        return NCDescentParams(
+            dataclasses.replace(nc, **search), **{"total_steps": budget, **outer}
         )
     nc = NCParams(**search, eps=s.eps, delta0=s.delta, ell=1.0 / k["eta"], rho=s.rho_loc)
     return NCDescentParams(nc, **outer)
@@ -389,10 +402,15 @@ def _snc(s: _Setting) -> NCDescentParams:
     search = _fields(k, steps="ncf_steps", radius="radius", batch="batch")
     outer = _fields(k, outer_batch="outer_batch", **_OUTER_KNOBS)
     if s.paper:
-        params = derive_sgdnc_params(s.spec, s.ell_tilde, s.eps, s.delta, s.n, s.delta_f)
-        return dataclasses.replace(
-            params, search=dataclasses.replace(params.search, **search), **outer
+        ell, rho, eps = s.spec.ell, s.spec.rho, s.eps
+        # The per-search failure probability: _episode_delta0 with 2304 for 384, uncapped.
+        delta = s.delta / (2304.0 * s.delta_f) * math.sqrt(eps**3 / rho)
+        snc = derive_snc_params(s.spec, s.ell_tilde, eps, delta, s.n)
+        derived = dict(
+            total_steps=_descent_budget(ell, rho, eps, s.delta_f),
+            outer_batch=max(1, math.ceil(16.0 * ell * s.delta_f / eps**2)),
         )
+        return NCDescentParams(dataclasses.replace(snc, **search), **{**derived, **outer})
     snc = SNCParams(
         **search, log_term=10.0, eps=s.eps, delta=s.delta, ell=1.0 / k["eta"],
         rho=s.rho_loc, ell_tilde=s.ell_tilde,
@@ -700,21 +718,31 @@ def derive_params_for(
     eps: float,
     delta: float,
     n: int,
-    delta_f: float = 1.0,
+    delta_f: float | None = None,
     ell_tilde: float | None = None,
-) -> dict:
-    """Paper-mode constants for ncf (the curvature search alone) or one of
-    ALGORITHMS, as a plain dict (CLI `params`)."""
+) -> NCParams | NCDescentParams | ANCParams | BaselineParams:
+    """The paper-mode params of ncf (the curvature search alone, an NCParams)
+    or of one of ALGORITHMS (what `run --mode paper` builds at these
+    constants): the one path to them, and CLI `params`.  delta_f, the gap
+    bound, defaults to 1 and ell_tilde to ell; ncf reads neither, and only
+    snc reads ell_tilde."""
     spec = SmoothnessSpec(ell, rho)
-    if alg == "ncf":
-        return dataclasses.asdict(derive_nc_params(spec, eps, delta, n))
-    if alg not in ALGORITHMS:
+    if alg != "ncf" and alg not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {alg!r}; choose ncf or one of {ALGORITHMS}")
-    require_positive(eps=eps, delta_f=delta_f)
+    reads = {"ncf": (), "snc": ("delta_f", "ell_tilde")}.get(alg, ("delta_f",))
+    given = {"delta_f": delta_f, "ell_tilde": ell_tilde}
+    ignored = [name for name, v in given.items() if v is not None and name not in reads]
+    if ignored:
+        raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
+    if alg == "ncf":
+        return derive_nc_params(spec, eps, delta, n)
+    delta_f = 1.0 if delta_f is None else delta_f
+    ell_tilde = ell if ell_tilde is None else ell_tilde
+    require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
     if not 0 < delta < 1:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     setting = _Setting(
         paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
-        rho_loc=rho, ell_tilde=ell_tilde or ell,
+        rho_loc=rho, ell_tilde=ell_tilde,
     )
-    return dataclasses.asdict(_ALGORITHMS[alg].build(setting))
+    return _ALGORITHMS[alg].build(setting)

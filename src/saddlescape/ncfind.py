@@ -104,23 +104,6 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     return NCParams(steps=steps, radius=radius, eps=eps, delta0=delta0, ell=ell, rho=rho)
 
 
-def _episode_delta0(delta: float, delta_f_bound: float, eps: float, rho: float) -> float:
-    """Per-episode failure probability of nc and ancgd: the overall delta
-    split over the certified episodes that would use up the gap
-    delta_f_bound, capped at 1."""
-    return min(1.0, delta / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho))
-
-
-def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) -> int:
-    """Step budget of nc and snc: the larger of the gradient-step and the
-    certified-escape counts that would use up the gap delta_f_bound."""
-    budget = max(
-        8.0 * ell * delta_f_bound / eps**2,
-        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
-    )
-    return max(1, math.ceil(budget))
-
-
 def _power_search(start: Callable[[], Array], step: Callable, radius: float, steps: int) -> Array:
     """The Hessian power method of every curvature search: from y = start(),
     steps times y <- step(y, norm) ~ y - H y / ell, rescaled to radius after

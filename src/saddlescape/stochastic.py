@@ -26,7 +26,6 @@ from .ncfind import (
     NCDescentParams,
     NCOutcome,
     _curvature_threshold,
-    _descent_budget,
     _point,
     _power_search,
     curvature_escape,
@@ -37,7 +36,6 @@ __all__ = [
     "SNCParams",
     "derive_snc_params",
     "snc_find",
-    "derive_sgdnc_params",
     "sgd_nc_run",
 ]
 
@@ -168,29 +166,6 @@ def snc_find(
 
     y = _power_search(lambda: np.zeros(n), step, r_s, params.steps)
     return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
-
-
-def derive_sgdnc_params(
-    spec: SmoothnessSpec,
-    ell_tilde: float,
-    eps: float,
-    delta_overall: float,
-    n: int,
-    delta_f_bound: float,
-) -> NCDescentParams:
-    """Outer batch size, budget, and inner search schedule for overall failure
-    probability delta_overall given the initial gap bound delta_f_bound."""
-    require_positive(eps=eps, delta_f_bound=delta_f_bound)
-    if not (0 < delta_overall < 1):
-        raise ParameterError(f"delta_overall must be in (0, 1), got {delta_overall}")
-    ell, rho = spec.ell, spec.rho
-    delta = delta_overall / (2304.0 * delta_f_bound) * math.sqrt(eps**3 / rho)
-    snc = derive_snc_params(spec, ell_tilde, eps, delta, n)
-    return NCDescentParams(
-        snc,
-        total_steps=_descent_budget(ell, rho, eps, delta_f_bound),
-        outer_batch=max(1, math.ceil(16.0 * ell * delta_f_bound / eps**2)),
-    )
 
 
 def sgd_nc_run(

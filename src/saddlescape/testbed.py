@@ -298,6 +298,10 @@ def make_exponential() -> Landscape:
     )
 
 
+# The largest highdim dimension; every vector of the landscape holds n floats.
+MAX_HIGHDIM = 10**6
+
+
 def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     """Quadratic with one negative direction plus a quartic bowl along it.
 
@@ -307,8 +311,8 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     family.
     """
 
-    if n < 2:
-        raise ParameterError(f"highdim landscape needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_HIGHDIM:
+        raise ParameterError(f"highdim landscape needs 2 <= n <= {MAX_HIGHDIM}, got {n}")
     if eps_h <= 0:
         raise ParameterError(f"eps_h must be positive, got {eps_h}")
 

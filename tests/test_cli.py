@@ -379,6 +379,12 @@ class TestParamsCommand:
             ("snc", ["--eps", "0.1", "--ell-tilde", "nan"]),
             ("ancgd", ["--eps", "0.1", "--delta-f", "0"]),
             ("ancgd", ["--eps", "0.1", "--delta", "1"]),
+            # Inputs the derivation never reads, and a zero that is not unset.
+            ("ncf", ["--eps", "0.1", "--delta-f", "nan"]),
+            ("ncf", ["--eps", "0.1", "--ell-tilde", "-3"]),
+            ("nc", ["--eps", "0.1", "--ell-tilde", "nan"]),
+            ("pgd", ["--eps", "0.1", "--ell-tilde", "0"]),
+            ("snc", ["--eps", "0.1", "--ell-tilde", "0"]),
         ],
     )
     def test_bad_values_exit_one(self, alg, flags, capsys):
@@ -404,11 +410,26 @@ class TestParamsCommand:
         ])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == harness.derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2, 1.0)
+        assert out == dataclasses.asdict(harness.derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2))
         assert out["total_steps"] == 460000
 
 
 class TestDimscaleCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimscale", "--p", "7", "--trials", "1"],
+            ["run", "--alg", "nc", "--fn", "highdim-1000000000", "--trials", "1"],
+        ],
+    )
+    def test_oversized_highdim_exits_one_before_allocating(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a highdim landscape")
+
+        monkeypatch.setattr(harness.np, "ones", refuse)
+        assert main(argv) == 1
+        assert "n <= 1000000" in capsys.readouterr().err
+
     def test_small_sweep(self, capsys):
         code = main(["dimscale", "--p", "1", "--trials", "2", "--seed", "0"])
         assert code == 0

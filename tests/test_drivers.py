@@ -22,7 +22,7 @@ from saddlescape import (
     SmoothnessSpec,
     ancgd_run,
     classify,
-    derive_pgdnc_params,
+    derive_params_for,
     drivers,
     get_landscape,
     lemma_decrease_bound,
@@ -59,13 +59,13 @@ def _nc_run_params(**overrides):
 class TestDerivedSchedule:
     def test_frozen_reference_values(self):
         # ell = rho = 1, eps = 0.1, overall delta = 0.1, n = 2, gap 1.
-        p = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.1, 0.1, 2, 1.0)
+        p = derive_params_for("nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
         assert p.total_steps == 24287
         assert p.search.steps == 320
         assert p.search.delta0 == pytest.approx(8.235098073355155e-06, rel=1e-12)
 
     def test_delta_capped_at_one(self):
-        p = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.9, 0.9, 2, 1e-6)
+        p = derive_params_for("nc", 1.0, 1.0, 0.9, 0.9, 2, 1e-6)
         assert p.search.delta0 == 1.0
 
     def test_unset_step_and_trigger_default_to_one_over_ell_and_eps(self, monkeypatch):
@@ -93,7 +93,7 @@ class TestDerivedSchedule:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.1, 1.5, 2, 1.0)
+            derive_params_for("nc", 1.0, 1.0, 0.1, 1.5, 2, 1.0)
         with pytest.raises(ParameterError):
             _nc_run_params(total_steps=0)
 

@@ -13,21 +13,17 @@ from saddlescape import (
     GradientOracle,
     HistogramSummary,
     Landscape,
-    NCDescentParams,
-    NCParams,
     ParameterError,
-    SNCParams,
     SaddleInfo,
     SmoothnessSpec,
     VERIFY_IDS,
     derive_nc_params,
     derive_params_for,
-    derive_pgdnc_params,
-    derive_sgdnc_params,
     get_landscape,
     run_dimension_scaling,
     run_experiment,
     run_verify,
+    with_noise,
 )
 from saddlescape import harness
 from saddlescape.harness import _resolve_knobs, build_payload
@@ -137,7 +133,8 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", mode="paper", delta_f=2.5)
         land = get_landscape("quartic")
         payload = build_payload(cfg, land)
-        derived = derive_pgdnc_params(land.oracle.spec, 0.01, 0.1, land.dim, delta_f_bound=2.5)
+        spec = land.oracle.spec
+        derived = derive_params_for("nc", spec.ell, spec.rho, 0.01, 0.1, land.dim, delta_f=2.5)
         assert payload["params"].total_steps == derived.total_steps
         assert payload["threshold"] == pytest.approx(0.9)
 
@@ -463,47 +460,52 @@ class TestRunVerify:
 
 
 class TestDeriveParamsFor:
-    def test_nc_matches_driver_derivation(self):
-        out = derive_params_for("nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
-        ref = derive_pgdnc_params(SmoothnessSpec(1.0, 1.0), 0.1, 0.1, 2, 1.0)
-        assert out["total_steps"] == ref.total_steps == 24287
-        assert out["search"]["steps"] == ref.search.steps
-
     def test_ncf_matches(self):
         out = derive_params_for("ncf", 1.0, 1.0, 0.01, 0.1, 2)
-        ref = derive_nc_params(SmoothnessSpec(1.0, 1.0), 0.01, 0.1, 2)
-        assert out["steps"] == ref.steps == 351
-        assert out["radius"] == ref.radius
+        assert out == derive_nc_params(SmoothnessSpec(1.0, 1.0), 0.01, 0.1, 2)
+        assert out.steps == 351
 
-    def test_snc_matches_outer_loop_derivation(self):
-        out = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, 1.0, ell_tilde=1.0)
-        ref = derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, 1.0)
-        assert out["total_steps"] == ref.total_steps == 24287
-        assert out["outer_batch"] == ref.outer_batch == 1600
-        assert out["search"]["batch"] == ref.search.batch
-
-    @pytest.mark.parametrize(
-        "alg, search, derive",
-        [
-            ("nc", NCParams, lambda spec: derive_pgdnc_params(spec, 0.1, 0.1, 2, 1.0)),
-            ("snc", SNCParams, lambda spec: derive_sgdnc_params(spec, 1.0, 0.1, 0.1, 2, 1.0)),
-        ],
-    )
-    def test_json_rebuilds_the_derived_params(self, alg, search, derive):
-        out = json.loads(json.dumps(derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, 1.0)))
-        rebuilt = NCDescentParams(**{**out, "search": search(**out["search"])})
-        assert rebuilt == derive(SmoothnessSpec(1.0, 1.0))
+    @pytest.mark.parametrize("land_id", VERIFY_IDS)
+    @pytest.mark.parametrize("alg", harness.ALGORITHMS)
+    def test_equals_paper_mode(self, alg, land_id):
+        # At the landscape's declared constants and an explicit gap bound,
+        # the params are those run --mode paper builds; where the cap refuses
+        # the derived budget, --steps sets it.
+        land = get_landscape(land_id)
+        spec = land.oracle.spec
+        ell_tilde = with_noise(land, 0.01).ell_tilde if alg == "snc" else None
+        out = derive_params_for(alg, spec.ell, spec.rho, 0.01, 0.1, land.dim, 1.5, ell_tilde)
+        cfg = ExperimentConfig(
+            algorithm=alg, landscape=land_id, mode="paper", trials=1, delta_f=1.5
+        )
+        if out.total_steps > harness.MAX_DERIVED_STEPS:
+            cfg = dataclasses.replace(cfg, steps=200)
+            out = dataclasses.replace(out, total_steps=200)
+        assert build_payload(cfg, land)["params"] == out
 
     @pytest.mark.parametrize("alg", ["pgd-nc", "sgd-nc", "adam"])
     def test_unknown_algorithm(self, alg):
         with pytest.raises(ParameterError, match="unknown algorithm"):
             derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, 1.0)
 
-    @pytest.mark.parametrize("alg", ["pgd", "pagd", "psgd"])
-    def test_baselines_match_paper_mode(self, alg):
-        # The quartic declares ell = 5.75, rho = 4.5 and has the gap 1.0.
-        land = get_landscape("quartic")
-        cfg = ExperimentConfig(algorithm=alg, landscape="quartic", mode="paper", trials=1)
-        params = build_payload(cfg, land)["params"]
-        out = derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2, 1.0)
-        assert out == dataclasses.asdict(params)
+    @pytest.mark.parametrize(
+        "alg, given, unread",
+        [
+            ("ncf", dict(delta_f=1.0), "delta_f"),
+            ("ncf", dict(ell_tilde=1.0), "ell_tilde"),
+            ("nc", dict(ell_tilde=1.0), "ell_tilde"),
+            ("pgd", dict(ell_tilde=1.0), "ell_tilde"),
+        ],
+    )
+    def test_unread_input_refused(self, alg, given, unread):
+        with pytest.raises(ParameterError, match=f"never reads {unread}"):
+            derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, **given)
+
+    @pytest.mark.parametrize("ell_tilde, read", [(None, 1.0), (3.0, 3.0)])
+    def test_snc_search_reads_ell_tilde(self, ell_tilde, read):
+        out = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, ell_tilde=ell_tilde)
+        assert out.search.ell_tilde == read
+
+    def test_ell_tilde_zero_is_not_unset(self):
+        with pytest.raises(ParameterError, match="ell_tilde must be positive"):
+            derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, ell_tilde=0.0)

@@ -18,7 +18,7 @@ from saddlescape import (
     RngStream,
     SmoothnessSpec,
     StochasticOracle,
-    derive_sgdnc_params,
+    derive_params_for,
     derive_snc_params,
     get_landscape,
     psgd_run,
@@ -144,7 +144,7 @@ class TestSearchTwins:
 class TestOuterLoopSchedule:
     def test_frozen_reference_values(self):
         # ell = rho = 1, ell_tilde = 1, eps = 0.1, overall delta = 0.1, gap 1.
-        p = derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, 1.0)
+        p = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, 1.0, ell_tilde=1.0)
         assert p.outer_batch == 1600
         assert p.total_steps == 24287
         assert p.search.delta == pytest.approx(
@@ -180,7 +180,7 @@ class TestOuterLoopSchedule:
         with pytest.raises(ParameterError):
             NCDescentParams(_search_params(), outer_batch=0, total_steps=10)
         with pytest.raises(ParameterError):
-            derive_sgdnc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2, -1.0)
+            derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, -1.0, ell_tilde=1.0)
 
 
 def _run_params(**overrides):

@@ -19,7 +19,7 @@ from saddlescape import (
     with_noise,
 )
 from saddlescape.core import GradientOracle
-from saddlescape.testbed import _FACTORIES, VERIFY_IDS
+from saddlescape.testbed import _FACTORIES, MAX_HIGHDIM, VERIFY_IDS
 from saddlescape.verify import dense_hessian, dense_hessian_eig
 
 
@@ -59,6 +59,19 @@ class TestRegistry:
         assert soft.saddles[0].lambda_min == pytest.approx(-0.01)
         with pytest.raises(ParameterError):
             get_landscape("highdim-1")
+
+    def test_highdim_dimension_is_capped_before_any_allocation(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr(np, "ones", refuse)
+        with pytest.raises(Allocated):
+            get_landscape(f"highdim-{MAX_HIGHDIM}")
+        with pytest.raises(ParameterError, match="n <= 1000000, got 1000001"):
+            get_landscape("highdim-1000001")
 
     def test_construction_makes_no_oracle_calls(self, monkeypatch):
         def refuse(*args, **kwargs):

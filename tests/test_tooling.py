@@ -10,6 +10,7 @@ import pkgutil
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -177,3 +178,25 @@ def test_readme_cli_section_names_only_what_exists():
     env_read = r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](SADDLESCAPE_\w+)"""
     read = set(re.findall(env_read, source))
     assert sorted(set(re.findall(r"\bSADDLESCAPE_\w+", section)) - read) == []
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.DOTALL | re.MULTILINE).group(1)
+    block = re.search(r"^```sh\n(.*?)^```", section, re.DOTALL | re.MULTILINE).group(1)
+    return [line for line in block.splitlines() if line.startswith("saddlescape ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_runs(line, tmp_path, monkeypatch, capsys):
+    # Each command the README's CLI block shows exits 0 as written.
+    from saddlescape.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line, comments=True)[1:]) == 0
+
+
+def test_readme_cli_block_is_found():
+    # An empty block would leave test_readme_cli_line_runs with no cases.
+    assert _readme_cli_lines()
+
