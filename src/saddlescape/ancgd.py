@@ -181,20 +181,21 @@ def accelerate(
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
     reset already scored that very array.  The step takes grad f(z) unless
-    z is the certificate's z_next, or z follows a reset and equals the
-    recorded x bit for bit (z = x + (1 - theta) * 0 differs from x only
-    where x holds -0.0), when it reuses that gradient.  Outside windows
-    the certificate takes f(x_next) and, in one value_and_gradient call,
-    f(z_next) and grad f(z_next); a reset of short momentum adds the values
-    of its two candidates.
+    z is the certificate's z_next, or z is the start point at t = 0, or z
+    follows a reset and equals the recorded x bit for bit (z = x + (1 -
+    theta) * 0 differs from x only where x holds -0.0), when it reuses that
+    gradient.  Outside windows the certificate takes f(x_next) and, in one
+    value_and_gradient call, f(z_next) and grad f(z_next); a reset of short
+    momentum adds the values of its two candidates.
     """
-    x = z = _point(oracle, x0, "x0").copy()
+    # z is x at t = 0, so the first step reuses the first record's gradient.
+    x = z = z_reset = _point(oracle, x0, "x0").copy()
     v = zeta = np.zeros_like(x)
     eta, theta = params.eta, params.theta
     records, meta = trace.records, trace.meta
     # The first small gradient triggers, whatever the cooldown.
     last = -math.inf
-    x_scored = z_scored = z_reset = g_z_next = None
+    x_scored = z_scored = g_z_next = None
     f_x_next = 0.0
     event = EVENT_AGD
     stop = False

@@ -3,13 +3,14 @@ histograms and scaling sweeps."""
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import numbers
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +20,7 @@ import numpy as np
 # name at call time, so a wrapper installed on this module sees every trial.
 from .ancgd import ANCParams, ancgd_run, derive_anc_params
 from .core import (
+    AlgorithmError,
     Array,
     DivergenceError,
     ParameterError,
@@ -335,6 +337,22 @@ class _Setting:
     rho_loc: float
     ell_tilde: float
 
+    def __post_init__(self):
+        # Paper-mode budgets grow as ell delta_f / eps**2 and delta_f
+        # sqrt(rho / eps**3), failure probabilities shrink as delta / delta_f
+        # sqrt(eps**3 / rho) (snc's, over 2304, is the smallest): refuse an
+        # eps below 1 that takes one of them out of the floats.
+        eps, rho, delta_f = self.eps, self.spec.rho, self.delta_f
+        if self.paper and eps < 1.0 and not (
+            self.delta / (2304.0 * delta_f) * math.sqrt(eps**3 / rho) > 0.0
+            and math.isfinite(16.0 * self.spec.ell * delta_f / eps**2)
+            and math.isfinite(768.0 * delta_f * math.sqrt(rho / eps**3))
+        ):
+            raise ParameterError(
+                f"eps {eps} is too small: a paper-mode budget or failure probability "
+                "derived from it is zero or not finite"
+            )
+
 
 def _fields(knobs: dict, **names) -> dict:
     """Each params field mapped to the knob named for it, where that is set."""
@@ -526,29 +544,73 @@ def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
     )
 
 
-def _run_chunk(args: tuple) -> list[TrialResult]:
-    """Pool task: a contiguous run of trials sharing one landscape.  A
-    Landscape holds closures and cannot be pickled, so each task builds it."""
-    payload, trials = args
-    land = get_landscape(payload["landscape"])
-    return [_run_trial(payload, land, trial) for trial in trials]
-
-
 def _resolve_jobs(cfg_jobs: int | None) -> int:
-    """jobs= (default 1), capped at the CPUs this process may use."""
+    """jobs= (default 1), capped at the CPUs this process may use; 1 where
+    os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(1 if cfg_jobs is None else cfg_jobs, cpus or 1)
 
 
-def _open_pool(workers: int):
-    """The process pool of one experiment or one sweep, or a null context
-    (no pool) for one worker.  Its workers start with the first chunk and
-    are joined when the context exits."""
-    if workers <= 1:
-        return contextlib.nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
+def _fork_map(fn: Callable, tasks) -> list:
+    """[fn(task) for task in tasks] for a non-empty sequence of tasks: the
+    first task runs in this process, each other in an os.fork child.  A
+    child inherits fn and what it closes over, so nothing is pickled on the
+    way in; it pickles (ok, result or exception) into a pipe and leaves with
+    os._exit.  Results are read in task order and a child's exception is
+    re-raised here with its own type.  If anything fails, every child still
+    running is killed; every child is reaped before this returns."""
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for task in tasks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    _send(w, fn, task)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(tasks[0])]
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                ok, value = pickle.loads(data)
+            except Exception as exc:
+                raise AlgorithmError(
+                    f"trial worker {pid} ended without a readable result ({exc!r})"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:
+        for pid, r in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            os.waitpid(pid, 0)
 
-    return ProcessPoolExecutor(max_workers=workers)
+
+def _send(fd: int, fn: Callable, task) -> None:
+    """In a _fork_map child: run fn(task) and write what the parent reads."""
+    try:
+        out = (True, fn(task))
+    except Exception as exc:
+        out = (False, exc)
+    try:
+        data = pickle.dumps(out)
+    except Exception as exc:
+        what = "result" if out[0] else f"error {out[1]!r}"
+        data = pickle.dumps((False, AlgorithmError(f"could not send the {what}: {exc!r}")))
+    with open(fd, "wb") as fh:
+        fh.write(data)
 
 
 def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
@@ -598,42 +660,43 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run cfg.trials seeded trials (trial index = stream id) and summarize.
-
-    The landscape is built once: the serial path shares it between the
-    payload and every trial, and under the process pool each worker task
-    builds its own copy for one contiguous chunk of trials.  The same
-    per-trial entry point runs either way and rows come back in trial
-    order, so outputs are byte-identical for any job count.
-    """
-    _check_out_dir(cfg.out)
-    workers = min(_resolve_jobs(cfg.jobs), cfg.trials)
-    with _open_pool(workers) as pool:
-        return _run_experiment(cfg, pool, workers)
+    """Run cfg.trials seeded trials (trial index = stream id) and summarize."""
+    return _run_experiments([cfg], cfg.jobs)[0]
 
 
-def _run_experiment(cfg: ExperimentConfig, pool, workers: int) -> ExperimentResult:
-    """run_experiment on a pool of `workers` opened by the caller (None:
-    serial), so that a sweep forks one pool for all its experiments."""
-    land = get_landscape(cfg.landscape)
-    payload = build_payload(cfg, land)
-    if pool is None:
-        rows = [_run_trial(payload, land, trial) for trial in range(cfg.trials)]
-    else:
-        bounds = [cfg.trials * i // workers for i in range(workers + 1)]
-        tasks = [(payload, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        rows = [row for chunk in pool.map(_run_chunk, tasks) for row in chunk]
-    hist = HistogramSummary.from_decreases([r.decrease for r in rows])
-    result = ExperimentResult(
-        config=cfg, rows=rows, histogram=hist, threshold=payload["threshold"]
-    )
-    if cfg.out:
-        csv_path, summary_path = _out_paths(cfg.out)
-        write_csv(rows, csv_path)
-        with open(summary_path, "w") as fh:
-            json.dump(result.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return result
+def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[ExperimentResult]:
+    """Run each config's experiment, with every landscape and payload built,
+    and so checked, before the first trial.  The (experiment, trial) pairs
+    are dealt round-robin to at most jobs workers (see _fork_map), which
+    keeps cheap and dear experiments of a sweep balanced.  The same
+    per-trial entry point runs on every worker and rows go back into trial
+    order, so outputs are byte-identical for any job count."""
+    payloads, trials = [], []
+    for cfg in cfgs:
+        _check_out_dir(cfg.out)
+        land = get_landscape(cfg.landscape)
+        payloads.append(build_payload(cfg, land))
+        trials += [(payloads[-1], land, trial) for trial in range(cfg.trials)]
+    workers = max(1, min(_resolve_jobs(jobs), len(trials)))
+    shares = _fork_map(lambda w: [_run_trial(*t) for t in trials[w::workers]], range(workers))
+    rows: list = [None] * len(trials)
+    for w, share in enumerate(shares):
+        rows[w::workers] = share
+    results = []
+    for cfg, payload in zip(cfgs, payloads):
+        own, rows = rows[: cfg.trials], rows[cfg.trials :]
+        hist = HistogramSummary.from_decreases([r.decrease for r in own])
+        result = ExperimentResult(
+            config=cfg, rows=own, histogram=hist, threshold=payload["threshold"]
+        )
+        if cfg.out:
+            csv_path, summary_path = _out_paths(cfg.out)
+            write_csv(own, csv_path)
+            with open(summary_path, "w") as fh:
+                json.dump(result.summary(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        results.append(result)
+    return results
 
 
 def _check_out_dir(out: str | None) -> None:
@@ -670,36 +733,31 @@ def run_dimension_scaling(
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10."""
     _check_out_dir(out)
     require_count(trials=trials)
-    workers = min(_resolve_jobs(jobs), trials)
-    rows = []
-    with _open_pool(workers) as pool:
-        for p in ps:
-            require_count(p=p)
-            n = 10**p
-            land_id = f"highdim-{n}"
-            # The ("nc", "highdim") and ("pgd", "highdim") recipes supply
-            # every other knob.
-            nc_cfg = ExperimentConfig(
-                algorithm="nc", landscape=land_id, trials=trials, seed=seed,
-                steps=30 * p, ncf_steps=30 * p - 2, jobs=jobs,
-            )
-            pgd_cfg = ExperimentConfig(
-                algorithm="pgd", landscape=land_id, trials=trials, seed=seed,
-                steps=20 * p * p + 10, jobs=jobs,
-            )
-            nc_res = _run_experiment(nc_cfg, pool, workers)
-            pgd_res = _run_experiment(pgd_cfg, pool, workers)
-            rows.append(
-                {
-                    "p": p,
-                    "n": n,
-                    "trials": trials,
-                    "nc_steps": 30 * p,
-                    "pgd_steps": 20 * p * p + 10,
-                    "nc_escape_rate": nc_res.escape_rate,
-                    "pgd_escape_rate": pgd_res.escape_rate,
-                }
-            )
+    rows, cfgs = [], []
+    for p in ps:
+        require_count(p=p)
+        n = 10**p
+        nc_steps, pgd_steps = 30 * p, 20 * p * p + 10
+        rows.append(
+            {"p": p, "n": n, "trials": trials, "nc_steps": nc_steps, "pgd_steps": pgd_steps}
+        )
+        # The ("nc", "highdim") and ("pgd", "highdim") recipes supply every
+        # other knob.
+        cfgs += [
+            ExperimentConfig(
+                algorithm="nc", landscape=f"highdim-{n}", trials=trials, seed=seed,
+                steps=nc_steps, ncf_steps=nc_steps - 2, jobs=jobs,
+            ),
+            ExperimentConfig(
+                algorithm="pgd", landscape=f"highdim-{n}", trials=trials, seed=seed,
+                steps=pgd_steps, jobs=jobs,
+            ),
+        ]
+    # Every p is checked and every payload built before the first trial.
+    results = _run_experiments(cfgs, jobs)
+    for row, nc_res, pgd_res in zip(rows, results[::2], results[1::2]):
+        row["nc_escape_rate"] = nc_res.escape_rate
+        row["pgd_escape_rate"] = pgd_res.escape_rate
     if out:
         with open(out, "w") as fh:
             fh.write("p,n,trials,nc_steps,pgd_steps,nc_escape_rate,pgd_escape_rate\n")

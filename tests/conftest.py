@@ -1,4 +1,5 @@
-"""Shared builders for the test suite, and reference implementations.
+"""Shared builders and fixtures for the test suite, and reference
+implementations.
 
 The library's curvature searches keep their iterates on the probe sphere.
 The free-running references below run the same recursions with the
@@ -14,6 +15,7 @@ against.
 import dataclasses
 import functools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,48 @@ from saddlescape import (
     StochasticOracle,
     uniform_ball_sample,
 )
+from saddlescape import harness
 from saddlescape.core import _norm
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Make harness see two usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch, two_cpus):
+    """The pids of the trial workers this process forks, at most two CPUs'
+    worth.  After the test no child of this process is left, running or
+    unreaped."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def trials_run(monkeypatch):
+    """The index of each trial harness._run_trial runs in this process."""
+    ran = []
+    real = harness._run_trial
+
+    def run_trial(payload, land, trial):
+        ran.append(trial)
+        return real(payload, land, trial)
+
+    monkeypatch.setattr(harness, "_run_trial", run_trial)
+    return ran
 
 
 def make_quadratic(diag, rho=1.0, ell=None):

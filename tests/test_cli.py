@@ -394,6 +394,24 @@ class TestParamsCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["params", "run"])
+    @pytest.mark.parametrize(
+        "alg, eps",
+        [
+            ("pgd", "1e-200"), ("pagd", "1e-200"), ("psgd", "1e-155"),
+            ("nc", "1e-200"), ("ancgd", "1e-200"), ("snc", "1e-170"),
+        ],
+    )
+    def test_tiny_eps_exits_one_naming_eps(self, command, alg, eps, capsys):
+        # Each eps takes a paper-mode budget or failure probability out of
+        # the floats (to 0, inf or a division by zero).
+        argv = {
+            "params": ["params", "--ell", "1", "--rho", "1", "--n", "2"],
+            "run": ["run", "--fn", "quartic", "--mode", "paper", "--trials", "1"],
+        }[command]
+        assert main(argv + ["--alg", alg, "--eps", eps]) == 1
+        assert capsys.readouterr().err.startswith(f"error: eps {float(eps)} is too small")
+
     def test_unknown_alg_exits_one(self, capsys):
         code = main([
             "params", "--alg", "pgd-nc", "--ell", "1", "--rho", "1",
@@ -439,6 +457,12 @@ class TestDimscaleCommand:
         code = main(["dimscale", "--p", "1", "--trials", "2", "--jobs", "0"])
         assert code == 1
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["2,0", "2,7"])
+    def test_bad_exponent_exits_one_before_any_trial(self, p, forks, trials_run, capsys):
+        assert main(["dimscale", "--p", p, "--trials", "4", "--jobs", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert trials_run == [] and forks == []
 
     def test_bad_p_list(self, capsys):
         code = main(["dimscale", "--p", "x"])

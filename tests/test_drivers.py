@@ -323,8 +323,8 @@ class TestOracleCounts:
     episode anchor reads f from its record; the momentum loops carry the
     certificate's f(x_next) and grad f(z_next) into the next record and
     step when those arrays become x and z, carry a momentum reset's
-    winning value into the next record, and after a reset step on the
-    record's gradient when z equals x bit for bit.
+    winning value into the next record, and at t = 0 and after a reset
+    step on the record's gradient when z equals x bit for bit.
     """
 
     def test_pgd_nc_run(self):
@@ -389,9 +389,10 @@ class TestOracleCounts:
         )
         trace = pagd_run(land.oracle, np.array([1.5, 0.5]), params, RngStream(0, 0))
         assert trace_events(trace) == [EVENT_AGD] * (T + 1)
-        # Gradients: T + 1 records, grad f(z) once (at t = 0; later z is the
-        # certified z_next), one certificate gradient per step.
-        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
+        # Gradients: T + 1 records (the first step reuses the first
+        # record's, as z is x at t = 0; later z is the certified z_next),
+        # one certificate gradient per step.
+        assert trace.meta["grad_evals"] == (T + 1) + T == 11
         # Values: the first record only (later x is the certified x_next),
         # f(x_next) and f(z_next) per step.
         assert trace.meta["f_evals"] == 1 + 2 * T == 11
@@ -399,8 +400,9 @@ class TestOracleCounts:
     def test_pagd_run_perturbed(self):
         # At the saddle the first record triggers the one draw the cooldown
         # allows.  The draw asks the oracle nothing and becomes z as well as
-        # x, so grad f(z) at t = 0 is fresh, as it is without a draw; the
-        # draw's record and every later one reuse the certificate's values.
+        # x, so grad f(z) at t = 0 is fresh (without a draw z would be x and
+        # the step would reuse the record's gradient); the draw's record and
+        # every later one reuse the certificate's values.
         # The certificate holds throughout (a reset of the short momentum
         # would cost two values).
         land = get_landscape("quartic")
@@ -419,10 +421,8 @@ class TestOracleCounts:
         # Near the saddle the certificate fails.  With a reset radius far
         # below the momentum norm the reset zeroes v but keeps x, so f(x)
         # still carries.  z_next is rebuilt as x + (1 - theta) * 0, the bits
-        # of x, so the next step reuses the record's gradient where it used
-        # to query grad f(z) afresh: 23 gradients before, one more per reset
-        # before the last step.  A zero trigger threshold rules out
-        # perturbations.
+        # of x, so the next step reuses the record's gradient, as the first
+        # step does.  A zero trigger threshold rules out perturbations.
         land = get_landscape("quartic")
         T = 8
         params = BaselineParams(
@@ -432,17 +432,15 @@ class TestOracleCounts:
         trace = pagd_run(land.oracle, np.array([0.05, 0.02]), params, RngStream(0, 0))
         events = trace_events(trace)
         assert events[1:T].count(EVENT_NCE) == 5
-        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
+        assert trace.meta["grad_evals"] == (T + 1) + T == 17
         assert trace.meta["f_evals"] == 1 + 2 * T == 17
 
     def test_pagd_run_after_short_momentum_reset(self):
         # From (0.01, 0) every certificate fails and the momentum is always
         # shorter than the reset radius, so each reset moves x to the lower
         # of its two candidates (two values).  The winner's value carries
-        # into the next record, which used to score it again (41 values
-        # before, one more per reset); the next step reuses the record's
-        # gradient (25 gradients before, one more per reset before the
-        # last step).
+        # into the next record, which does not score it again; the next
+        # step reuses the record's gradient, as the first step does.
         land = get_landscape("quartic")
         T = 8
         params = BaselineParams(
@@ -455,7 +453,7 @@ class TestOracleCounts:
         # Every reset zeroed the momentum.
         assert all(rec.v_norm == 0.0 for rec in trace.records[1:])
         assert trace.meta["f_evals"] == 1 + 2 * T + 2 * resets == 33
-        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 18
+        assert trace.meta["grad_evals"] == (T + 1) + T == 17
 
     def test_pagd_run_reset_at_negative_zero_queries_z(self):
         # f = x1^4/16 - x1^2/2 - x2^2/2 from (s, 0.05): the first certificate
@@ -481,7 +479,7 @@ class TestOracleCounts:
             assert trace_events(trace) == [EVENT_AGD] + [EVENT_NCE] * T
             assert math.copysign(1.0, trace.records[1].x[0]) == math.copysign(1.0, s)
             counts.append(trace.meta["grad_evals"])
-        assert counts == [(T + 1) + 1 + T + 1, (T + 1) + 1 + T] == [19, 18]
+        assert counts == [(T + 1) + T + 1, (T + 1) + T] == [18, 17]
 
     def _anc(self, **overrides):
         base = dict(
@@ -500,7 +498,7 @@ class TestOracleCounts:
             land.oracle, np.array([1.5, 0.5]), self._anc(total_steps=T), RngStream(0, 0)
         )
         assert trace_events(trace) == [EVENT_AGD] * (T + 1)
-        assert trace.meta["grad_evals"] == (T + 1) + 1 + T == 12
+        assert trace.meta["grad_evals"] == (T + 1) + T == 11
         assert trace.meta["f_evals"] == 1 + 2 * T == 11
 
     def test_ancgd_run_window(self):

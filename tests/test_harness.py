@@ -1,14 +1,16 @@
 """Experiment harness: configs, histograms, outputs, verification sweep."""
 
-import concurrent.futures
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from saddlescape import (
+    AlgorithmError,
+    DivergenceError,
     ExperimentConfig,
     GradientOracle,
     HistogramSummary,
@@ -26,41 +28,8 @@ from saddlescape import (
     with_noise,
 )
 from saddlescape import harness
+from saddlescape.cli import main
 from saddlescape.harness import _resolve_knobs, build_payload
-
-
-def _pin_cpus(monkeypatch, count):
-    """Make harness see `count` usable CPUs, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    _pin_cpus(monkeypatch, 2)
-
-
-@pytest.fixture
-def inline_pool(monkeypatch, two_cpus):
-    """Replace the process pool by one that runs its tasks in this process
-    and logs its life, so pool bookkeeping is tested without forking."""
-    log = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.workers = max_workers
-            log.append(("open", max_workers))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            log.append(("shutdown", self.workers))
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return log
 
 
 class TestExperimentConfig:
@@ -220,7 +189,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "algorithm, landscape, trials",
-        [("pgd", "quartic", 6), ("snc", "cubic", 13)],  # 13 = ragged chunks under 2 jobs
+        [("pgd", "quartic", 6), ("snc", "cubic", 13)],  # 13 = uneven shares under 2 jobs
     )
     def test_serial_and_parallel_outputs_identical(
         self, tmp_path, two_cpus, algorithm, landscape, trials
@@ -310,8 +279,16 @@ class TestRunExperiment:
         assert [r.f_final for r in a.rows] == [r.f_final for r in b.rows]
 
 
+class OddError(Exception):
+    """Pickles, but cannot be unpickled: its args hold one of its two."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 class TestProcessPool:
-    """At most two worker processes are alive at any time in these tests."""
+    """The fork-join trial workers.  At most two are alive at any time in
+    these tests, and the forks fixture checks that none is left behind."""
 
     @staticmethod
     def _cfg(jobs, out=None, **kw):
@@ -328,36 +305,88 @@ class TestProcessPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert harness._resolve_jobs(8) == 1
 
-    def test_pool_never_wider_than_cpus(self, inline_pool):
-        rows = run_experiment(self._cfg(100000, trials=100)).rows
-        assert inline_pool == [("open", 2), ("shutdown", 2)]
-        assert rows == run_experiment(self._cfg(1, trials=100)).rows
+    def test_serial_without_fork(self, monkeypatch, two_cpus):
+        monkeypatch.delattr(os, "fork")
+        assert harness._resolve_jobs(2) == 1
+        assert len(run_experiment(self._cfg(2)).rows) == 6
 
-    def test_each_experiment_shuts_its_pool(self, inline_pool):
-        run_experiment(self._cfg(2))
-        run_experiment(self._cfg(2, trials=1))  # one trial: serial, no pool
+    def test_workers_never_wider_than_cpus(self, forks):
+        rows = run_experiment(self._cfg(100000, trials=100)).rows
+        assert len(forks) == 1
+        assert rows == run_experiment(self._cfg(1, trials=100)).rows
+        assert len(forks) == 1
+
+    def test_nothing_forks_for_one_worker_or_a_bad_payload(self, forks, trials_run):
+        run_experiment(self._cfg(2, trials=1))
+        run_experiment(self._cfg(1))
         with pytest.raises(ParameterError):
             run_experiment(self._cfg(2, x0=(1.0,)))
-        assert inline_pool == [("open", 2), ("shutdown", 2)] * 2
+        assert forks == []
+        assert trials_run == [0, 0, 1, 2, 3, 4, 5]
 
-    def test_sweep_shuts_its_pool_on_error(self, inline_pool):
-        with pytest.raises(ParameterError):
-            run_dimension_scaling([1, 0], trials=4, jobs=2)
-        assert inline_pool == [("open", 2), ("shutdown", 2)]
-
-    def test_one_pool_per_sweep(self, monkeypatch, two_cpus):
-        made = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        class Spy(real):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    def test_one_fork_per_sweep(self, forks, trials_run):
         rows = run_dimension_scaling([1, 2, 3], trials=4, jobs=2)
-        assert made == [{"max_workers": 2}]
+        assert len(forks) == 1
+        # This process runs every other (experiment, trial) pair of the six
+        # experiments; the child runs the rest.
+        assert trials_run == [0, 2] * 6
         assert rows == run_dimension_scaling([1, 2, 3], trials=4, jobs=1)
+
+    def test_child_error_reaches_the_caller(self, forks, monkeypatch, capsys):
+        parent, real = os.getpid(), harness._run_trial
+
+        def run_trial(payload, land, trial):
+            if os.getpid() != parent:
+                raise DivergenceError(f"trial {trial} left the trust region")
+            return real(payload, land, trial)
+
+        monkeypatch.setattr(harness, "_run_trial", run_trial)
+        with pytest.raises(DivergenceError, match="^trial 1 left the trust region$"):
+            run_experiment(self._cfg(2))
+        argv = ["run", "--alg", "pgd", "--fn", "quartic", "--trials", "6", "--jobs", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "diverged: trial 1 left the trust region\n"
+        assert len(forks) == 2
+
+    def test_parent_error_kills_a_blocked_child(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def run_trial(payload, land, trial):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise DivergenceError("failed in the parent's share")
+
+        monkeypatch.setattr(harness, "_run_trial", run_trial)
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match="parent's share"):
+            run_experiment(self._cfg(2))
+        assert time.perf_counter() - start < 5.0
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "child, message",
+        [
+            (lambda: (lambda: None), "could not send the result"),
+            (lambda: ValueError(lambda: None), "could not send the error ValueError"),
+            (lambda: OddError("a", "b"), "without a readable result"),
+            (lambda: os._exit(1), "without a readable result"),
+        ],
+        ids=["result", "error", "unreadable-error", "exit"],
+    )
+    def test_unsendable_or_missing_result_is_an_error(self, forks, child, message):
+        parent = os.getpid()
+
+        def fn(task):
+            if os.getpid() == parent:
+                return task
+            out = child()
+            if isinstance(out, Exception):
+                raise out
+            return out
+
+        with pytest.raises(AlgorithmError, match=message):
+            harness._fork_map(fn, [0, 1])
+        assert len(forks) == 1
 
 
 class TestDimensionScaling:

@@ -83,7 +83,7 @@ def test_no_unused_imports(module):
 
 
 def test_cli_import_leaves_out_process_pool_modules():
-    # The harness imports concurrent.futures only when it opens a pool.
+    # The harness forks its trial workers itself and imports neither.
     code = (
         "import sys, saddlescape.cli; "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
@@ -94,6 +94,20 @@ def test_cli_import_leaves_out_process_pool_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_dimscale_real_fork_matches_serial():
+    # End to end with real os.fork workers: rows do not depend on the job
+    # count, and the run ends (it is timed out otherwise).
+    src = str(Path(saddlescape.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "saddlescape.cli", "dimscale", "--p", "1,2", "--trials", "6"]
+    runs = [
+        subprocess.run(argv + ["--jobs", jobs], env=env, capture_output=True, timeout=120)
+        for jobs in ("2", "1")
+    ]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout != b""
 
 
 def _names_used(tree: ast.AST) -> set[str]:
