@@ -19,7 +19,6 @@ from .core import (
     GradientOracle,
     ParameterError,
     RngStream,
-    SmoothnessSpec,
     Trace,
     TraceRecord,
     check_iterate,
@@ -30,18 +29,13 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _curvature_threshold, _point, exploit
+from .ncfind import _point, exploit
 
 __all__ = [
     "ANCParams",
-    "derive_anc_params",
     "accelerate",
     "ancgd_run",
 ]
-
-# The free constant in the episode length.  c_a**7 >= 384 keeps the
-# per-episode decrease target below the certified decrease.
-_C_A = 8.0
 
 
 @dataclass(frozen=True)
@@ -76,57 +70,6 @@ class ANCParams:
             raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
         require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
         require_bound(trust_region=self.trust_region)
-
-
-def derive_anc_params(
-    spec: SmoothnessSpec,
-    eps: float,
-    delta0: float,
-    n: int,
-    delta_f_bound: float,
-    total_steps: int | None = None,
-) -> ANCParams:
-    """Constants for the accelerated loop at target accuracy eps.
-
-    delta0 is the per-episode failure probability of the curvature search;
-    delta_f_bound bounds f(x0) - inf f and sets the step budget.
-    """
-    require_positive(eps=eps, delta_f_bound=delta_f_bound)
-    if not (0 < delta0 <= 1):
-        raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
-    require_count(n=n)
-    ell, rho = spec.ell, spec.rho
-    threshold = _curvature_threshold(ell, rho, eps)
-    eta = 1.0 / (4.0 * ell)
-    theta = (rho * eps) ** 0.25 / (4.0 * math.sqrt(ell))
-    gamma = theta**2 / eta
-    s = gamma / (4.0 * rho)
-    log_arg = (ell / delta0) * math.sqrt(n / (rho * eps))
-    ncf_steps = max(
-        1, math.ceil(32.0 * math.sqrt(ell) / (rho * eps) ** 0.25 * math.log(log_arg))
-    )
-    r_prime = (delta0 * eps / 32.0) * math.sqrt(math.pi / (rho * n))
-    if total_steps is None:
-        episode = math.sqrt(ell / threshold) * _C_A
-        decrease = math.sqrt(eps**3 / rho) / _C_A**7
-        budget = max(
-            4.0 * delta_f_bound * (episode + ncf_steps) / decrease,
-            768.0 * delta_f_bound * ncf_steps * math.sqrt(rho / eps**3),
-        )
-        total_steps = max(1, math.ceil(budget))
-    return ANCParams(
-        eta=eta,
-        theta=theta,
-        gamma=gamma,
-        nce_radius=s,
-        ncf_steps=ncf_steps,
-        perturb_radius=r_prime,
-        total_steps=total_steps,
-        eps=eps,
-        delta0=delta0,
-        ell=ell,
-        rho=rho,
-    )
 
 
 def _nce_step(

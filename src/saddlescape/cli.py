@@ -8,12 +8,8 @@ import json
 import sys
 
 from .core import AlgorithmError, DivergenceError, ParameterError
-from .harness import (
-    ExperimentConfig,
-    derive_params_for,
-    run_dimension_scaling,
-    run_experiment,
-)
+from .harness import ExperimentConfig, run_dimension_scaling, run_experiment
+from .schedules import derive_params_for
 from .testbed import registry_ids
 from .verify import run_verify
 

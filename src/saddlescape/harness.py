@@ -1,10 +1,9 @@
-"""Seeded experiment harness: paper-mode schedules, trial runners, escape
+"""Seeded experiment harness: configs and knobs, trial runners, escape
 histograms and scaling sweeps."""
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -18,23 +17,22 @@ import numpy as np
 
 # The six run functions are module globals that _trial_trace looks up by
 # name at call time, so a wrapper installed on this module sees every trial.
-from .ancgd import ANCParams, ancgd_run, derive_anc_params
+from .ancgd import ancgd_run
 from .core import (
     AlgorithmError,
     Array,
     DivergenceError,
     ParameterError,
     RngStream,
-    SmoothnessSpec,
     _is_number,
     require_bound,
     require_count,
     require_nonnegative,
     require_positive,
 )
-from .drivers import BaselineParams, pagd_run, pgd_nc_run, pgd_run, psgd_run
-from .ncfind import NCDescentParams, NCParams, derive_nc_params
-from .stochastic import SNCParams, derive_snc_params, sgd_nc_run
+from .drivers import pagd_run, pgd_nc_run, pgd_run, psgd_run
+from .schedules import build_params
+from .stochastic import sgd_nc_run
 from .testbed import Landscape, get_landscape, with_noise
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "HistogramSummary",
     "run_experiment",
     "run_dimension_scaling",
-    "derive_params_for",
     "write_csv",
 ]
 
@@ -321,51 +318,6 @@ def _gap_bound(land: Landscape, x0: Array) -> float:
     return max(f0 - floor, 1e-6)
 
 
-@dataclass(frozen=True)
-class _Setting:
-    """What an experiment's parameters are built from: the mode, the
-    landscape's constants and the resolved knobs, with the defaults the
-    builders share."""
-
-    paper: bool
-    spec: SmoothnessSpec
-    n: int
-    knobs: dict
-    eps: float
-    delta: float
-    delta_f: float | None
-    rho_loc: float
-    ell_tilde: float
-
-    def __post_init__(self):
-        # Paper-mode budgets grow as ell delta_f / eps**2 and delta_f
-        # sqrt(rho / eps**3), failure probabilities shrink as delta / delta_f
-        # sqrt(eps**3 / rho) (snc's, over 2304, is the smallest): refuse an
-        # eps below 1 that takes one of them out of the floats.
-        eps, rho, delta_f = self.eps, self.spec.rho, self.delta_f
-        if self.paper and eps < 1.0 and not (
-            self.delta / (2304.0 * delta_f) * math.sqrt(eps**3 / rho) > 0.0
-            and math.isfinite(16.0 * self.spec.ell * delta_f / eps**2)
-            and math.isfinite(768.0 * delta_f * math.sqrt(rho / eps**3))
-        ):
-            raise ParameterError(
-                f"eps {eps} is too small: a paper-mode budget or failure probability "
-                "derived from it is zero or not finite"
-            )
-
-
-def _fields(knobs: dict, **names) -> dict:
-    """Each params field mapped to the knob named for it, where that is set."""
-    return {f: knobs[name] for f, name in names.items() if name in knobs}
-
-
-# Each builder lays the knobs over a base that only the mode chooses: paper
-# mode derives it at the declared (ell, rho), experiment mode takes the local
-# constants ell = 1/eta (1/(4 eta) for ancgd), rho_local and delta0 = delta.
-_OUTER_KNOBS = dict(
-    total_steps="steps", eta="eta", grad_threshold="grad_threshold",
-    exploit_step="exploit_step", cooldown="cooldown", trust_region="trust_region",
-)
 _SEARCH_NEEDS = ("eta", "radius", "ncf_steps", "eps", "steps")
 _BASELINE_NEEDS = ("eta", "radius", "grad_threshold", "steps")
 # The knobs every algorithm reads, in at least one mode.
@@ -383,114 +335,15 @@ _PAPER_ONLY = ("delta", "delta_f")
 _BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps",)
 
 
-def _episode_delta0(delta: float, delta_f_bound: float, eps: float, rho: float) -> float:
-    """Per-episode failure probability of nc and ancgd: the overall delta
-    split over the certified episodes that would use up the gap
-    delta_f_bound, capped at 1."""
-    return min(1.0, delta / (384.0 * delta_f_bound) * math.sqrt(eps**3 / rho))
-
-
-def _descent_budget(ell: float, rho: float, eps: float, delta_f_bound: float) -> int:
-    """Step budget of nc and snc: the larger of the gradient-step and the
-    certified-escape counts that would use up the gap delta_f_bound."""
-    budget = max(
-        8.0 * ell * delta_f_bound / eps**2,
-        768.0 * delta_f_bound * math.sqrt(rho / eps**3),
-    )
-    return max(1, math.ceil(budget))
-
-
-def _nc(s: _Setting) -> NCDescentParams:
-    k = s.knobs
-    search = _fields(k, steps="ncf_steps", radius="radius")
-    outer = _fields(k, **_OUTER_KNOBS)
-    if s.paper:
-        delta0 = _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho)
-        nc = derive_nc_params(s.spec, s.eps, delta0, s.n)
-        budget = _descent_budget(s.spec.ell, s.spec.rho, s.eps, s.delta_f)
-        return NCDescentParams(
-            dataclasses.replace(nc, **search), **{"total_steps": budget, **outer}
-        )
-    nc = NCParams(**search, eps=s.eps, delta0=s.delta, ell=1.0 / k["eta"], rho=s.rho_loc)
-    return NCDescentParams(nc, **outer)
-
-
-def _snc(s: _Setting) -> NCDescentParams:
-    k = s.knobs if s.paper else {"batch": 1, "outer_batch": 10, **s.knobs}
-    search = _fields(k, steps="ncf_steps", radius="radius", batch="batch")
-    outer = _fields(k, outer_batch="outer_batch", **_OUTER_KNOBS)
-    if s.paper:
-        ell, rho, eps = s.spec.ell, s.spec.rho, s.eps
-        # The per-search failure probability: _episode_delta0 with 2304 for 384, uncapped.
-        delta = s.delta / (2304.0 * s.delta_f) * math.sqrt(eps**3 / rho)
-        snc = derive_snc_params(s.spec, s.ell_tilde, eps, delta, s.n)
-        derived = dict(
-            total_steps=_descent_budget(ell, rho, eps, s.delta_f),
-            outer_batch=max(1, math.ceil(16.0 * ell * s.delta_f / eps**2)),
-        )
-        return NCDescentParams(dataclasses.replace(snc, **search), **{**derived, **outer})
-    snc = SNCParams(
-        **search, log_term=10.0, eps=s.eps, delta=s.delta, ell=1.0 / k["eta"],
-        rho=s.rho_loc, ell_tilde=s.ell_tilde,
-    )
-    return NCDescentParams(snc, **outer)
-
-
-def _ancgd(s: _Setting) -> ANCParams:
-    k = s.knobs
-    fields = _fields(
-        k, perturb_radius="radius", ncf_steps="ncf_steps", theta="theta", gamma="gamma",
-        nce_radius="nce_radius", **_OUTER_KNOBS,
-    )
-    if s.paper:
-        delta0 = _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho)
-        params = derive_anc_params(
-            s.spec, s.eps, delta0, s.n, s.delta_f, total_steps=k.get("steps")
-        )
-        return dataclasses.replace(params, **fields)
-    return ANCParams(
-        **fields, eps=s.eps, delta0=s.delta, ell=1.0 / (4.0 * k["eta"]), rho=s.rho_loc
-    )
-
-
-def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
-    """PGD and PSGD, or PAGD with momentum.  Paper mode's defaults come from
-    the search schedule and the gap bound; momentum constants that no knob
-    sets are derived from the smoothness constants in either mode."""
-    k = s.knobs
-    if s.paper:
-        nc = derive_nc_params(s.spec, s.eps, s.delta, s.n)
-        defaults = dict(
-            eta=1.0 / s.spec.ell, radius=nc.radius, grad_threshold=s.eps,
-            cooldown=nc.steps,
-        )
-        if "steps" not in k:
-            defaults["steps"] = max(1, math.ceil(8.0 * s.spec.ell * s.delta_f / s.eps**2))
-        k = {**defaults, **k}
-    if momentum:
-        theta = k.get(
-            "theta", min(0.999, (s.spec.rho * s.eps) ** 0.25 / (4.0 * math.sqrt(s.spec.ell)))
-        )
-        gamma = k.get("gamma", theta**2 / k["eta"])
-        k = {"theta": theta, "gamma": gamma, "nce_radius": gamma / (4.0 * s.spec.rho), **k}
-    return BaselineParams(**_fields(
-        k, eta="eta", radius="radius", grad_threshold="grad_threshold",
-        total_steps="steps", cooldown="cooldown", theta="theta", gamma="gamma",
-        nce_radius="nce_radius", batch="batch", trust_region="trust_region",
-    ))
-
-
 @dataclass(frozen=True)
 class _Algorithm:
     """How the harness runs one algorithm: the name of its run function
-    (a module global, looked up at call time), its parameter builder, the
-    knobs experiment mode needs, the knobs it reads in either mode (a config
-    that sets any other knob is refused), those of them that it reads in
-    paper mode only (refused in experiment mode), and whether it sees the
-    noisy oracle."""
+    (a module global, looked up at call time), the knobs experiment mode
+    needs, the knobs it reads in either mode (a config that sets any other
+    knob is refused), those of them that it reads in paper mode only
+    (refused in experiment mode), and whether it sees the noisy oracle."""
 
     run: str
-    build: Callable[[_Setting], object]
     needs: tuple[str, ...]
     reads: tuple[str, ...]
     paper_only: tuple[str, ...]
@@ -498,22 +351,21 @@ class _Algorithm:
 
 
 _ALGORITHMS = {
-    "nc": _Algorithm("pgd_nc_run", _nc, _SEARCH_NEEDS, _SEARCH_READS, _PAPER_ONLY),
+    "nc": _Algorithm("pgd_nc_run", _SEARCH_NEEDS, _SEARCH_READS, _PAPER_ONLY),
     "ancgd": _Algorithm(
-        "ancgd_run", _ancgd, _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS,
+        "ancgd_run", _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS,
         _PAPER_ONLY,
     ),
     "snc": _Algorithm(
-        "sgd_nc_run", _snc, _SEARCH_NEEDS, _SEARCH_READS + _NOISE_READS + ("outer_batch",),
+        "sgd_nc_run", _SEARCH_NEEDS, _SEARCH_READS + _NOISE_READS + ("outer_batch",),
         _PAPER_ONLY, noisy=True,
     ),
-    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
+    "pgd": _Algorithm("pgd_run", _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
     "pagd": _Algorithm(
-        "pagd_run", functools.partial(_baseline, momentum=True), _BASELINE_NEEDS,
-        _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY,
+        "pagd_run", _BASELINE_NEEDS, _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY
     ),
     "psgd": _Algorithm(
-        "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
+        "psgd_run", _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
         _BASELINE_PAPER_ONLY, noisy=True,
     ),
 }
@@ -631,18 +483,12 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         delta_f = gap if delta_f is None else delta_f
     spec = land.oracle.spec
     sigma = knobs.get("sigma", 0.01)
-    setting = _Setting(
-        paper=paper,
-        spec=spec,
-        n=land.dim,
-        knobs=knobs,
-        eps=knobs.get("eps", 0.01),
-        delta=knobs.get("delta", 0.1),
-        delta_f=delta_f,
+    params = build_params(
+        cfg.algorithm, paper=paper, spec=spec, n=land.dim, knobs=knobs,
+        eps=knobs.get("eps", 0.01), delta=knobs.get("delta", 0.1), delta_f=delta_f,
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=with_noise(land, sigma).ell_tilde if alg.noisy else spec.ell,
     )
-    params = alg.build(setting)
     if "steps" not in knobs and params.total_steps > MAX_DERIVED_STEPS:
         raise ParameterError(
             f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
@@ -768,39 +614,3 @@ def run_dimension_scaling(
                 )
     return rows
 
-
-def derive_params_for(
-    alg: str,
-    ell: float,
-    rho: float,
-    eps: float,
-    delta: float,
-    n: int,
-    delta_f: float | None = None,
-    ell_tilde: float | None = None,
-) -> NCParams | NCDescentParams | ANCParams | BaselineParams:
-    """The paper-mode params of ncf (the curvature search alone, an NCParams)
-    or of one of ALGORITHMS (what `run --mode paper` builds at these
-    constants): the one path to them, and CLI `params`.  delta_f, the gap
-    bound, defaults to 1 and ell_tilde to ell; ncf reads neither, and only
-    snc reads ell_tilde."""
-    spec = SmoothnessSpec(ell, rho)
-    if alg != "ncf" and alg not in ALGORITHMS:
-        raise ParameterError(f"unknown algorithm {alg!r}; choose ncf or one of {ALGORITHMS}")
-    reads = {"ncf": (), "snc": ("delta_f", "ell_tilde")}.get(alg, ("delta_f",))
-    given = {"delta_f": delta_f, "ell_tilde": ell_tilde}
-    ignored = [name for name, v in given.items() if v is not None and name not in reads]
-    if ignored:
-        raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
-    if alg == "ncf":
-        return derive_nc_params(spec, eps, delta, n)
-    delta_f = 1.0 if delta_f is None else delta_f
-    ell_tilde = ell if ell_tilde is None else ell_tilde
-    require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    setting = _Setting(
-        paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
-        rho_loc=rho, ell_tilde=ell_tilde,
-    )
-    return _ALGORITHMS[alg].build(setting)

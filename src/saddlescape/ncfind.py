@@ -18,7 +18,6 @@ from .core import (
     GradientOracle,
     ParameterError,
     RngStream,
-    SmoothnessSpec,
     Trace,
     TraceRecord,
     check_iterate,
@@ -36,7 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NCParams",
     "NCOutcome",
-    "derive_nc_params",
     "nc_find",
     "perturb_along_nc",
     "lemma_decrease_bound",
@@ -73,35 +71,6 @@ class NCOutcome:
 
     e_hat: Array
     steps_used: int
-
-
-def _curvature_threshold(ell: float, rho: float, eps: float) -> float:
-    """sqrt(rho * eps), the curvature scale the searches resolve; it must fit
-    inside the representable spectrum [-ell, ell]."""
-    threshold = math.sqrt(rho * eps)
-    if threshold > ell:
-        raise ParameterError(
-            f"sqrt(rho*eps)={threshold:g} exceeds ell={ell:g}; shrink eps"
-        )
-    return threshold
-
-
-def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) -> NCParams:
-    """Failure-probability-delta0 step count and radius for dimension n.
-
-    Requires sqrt(rho * eps) <= ell so the curvature threshold is inside the
-    representable spectrum.
-    """
-    require_positive(eps=eps)
-    if not (0 < delta0 <= 1):
-        raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
-    require_count(n=n)
-    ell, rho = spec.ell, spec.rho
-    threshold = _curvature_threshold(ell, rho, eps)
-    log_arg = (ell / delta0) * math.sqrt(n / (math.pi * rho * eps))
-    steps = max(1, math.ceil(8 * ell / threshold * math.log(log_arg)))
-    radius = eps / (8 * ell) * math.sqrt(math.pi / n) * delta0
-    return NCParams(steps=steps, radius=radius, eps=eps, delta0=delta0, ell=ell, rho=rho)
 
 
 def _power_search(start: Callable[[], Array], step: Callable, radius: float, steps: int) -> Array:
@@ -170,10 +139,15 @@ def nc_find(
     return NCOutcome(e_hat=y / _norm(y), steps_used=params.steps)
 
 
+# K of the certified decrease sqrt(eps^3 / rho) / K; the paper-mode budgets
+# and failure probabilities (schedules) count escapes of that size.
+_K = 384.0
+
+
 def lemma_decrease_bound(eps: float, rho: float) -> float:
     """Guaranteed decrease of a certified escape step."""
     require_positive(eps=eps, rho=rho)
-    return math.sqrt(eps**3 / rho) / 384.0
+    return math.sqrt(eps**3 / rho) / _K
 
 
 def exploit(

@@ -12,9 +12,7 @@ import numpy as np
 from .core import (
     Array,
     EVENT_SGD,
-    ParameterError,
     RngStream,
-    SmoothnessSpec,
     StochasticOracle,
     Trace,
     _normal_rows,
@@ -25,7 +23,6 @@ from .ncfind import (
     _MAX_RESTARTS,
     NCDescentParams,
     NCOutcome,
-    _curvature_threshold,
     _point,
     _power_search,
     curvature_escape,
@@ -34,7 +31,6 @@ from .ncfind import (
 
 __all__ = [
     "SNCParams",
-    "derive_snc_params",
     "snc_find",
     "sgd_nc_run",
 ]
@@ -65,67 +61,6 @@ class SNCParams:
             eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
             ell_tilde=self.ell_tilde,
         )
-
-
-def derive_snc_params(
-    spec: SmoothnessSpec,
-    ell_tilde: float,
-    eps: float,
-    delta: float,
-    n: int,
-) -> SNCParams:
-    """Step count, probe radius, and minibatch size at failure probability delta.
-
-    The concentration exponent iota appears on both sides of its defining
-    equation (the radius depends on iota, iota depends on the radius through
-    a log), so it is resolved by fixed-point iteration from iota = 10.
-    """
-    require_positive(eps=eps, ell_tilde=ell_tilde)
-    if not (0 < delta < 1):
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    require_count(n=n)
-    ell, rho = spec.ell, spec.rho
-    threshold = _curvature_threshold(ell, rho, eps)
-    steps_arg = ell * n / (delta * threshold)
-    if steps_arg <= 1.0:
-        raise ParameterError("step-count log argument must exceed 1")
-    steps = max(1, math.ceil(8 * ell / threshold * math.log(steps_arg)))
-    eta = 1.0 / ell
-
-    def radius_of(iota: float) -> float:
-        return delta / (480.0 * rho * n * steps) * math.sqrt(rho * eps / iota)
-
-    iota = 10.0
-    for _ in range(100):
-        r_s = radius_of(iota)
-        inner = math.sqrt(n) / (eta * r_s)
-        if inner <= 1.0:
-            raise ParameterError("concentration log argument must exceed 1")
-        outer = (n * steps**2 / delta) * math.log(inner)
-        if outer <= 1.0:
-            raise ParameterError("concentration log argument must exceed 1")
-        iota_next = 10.0 * math.log(outer)
-        if abs(iota_next - iota) <= 1e-12 * max(1.0, abs(iota)):
-            iota = iota_next
-            break
-        iota = iota_next
-    else:
-        raise ParameterError("concentration exponent iteration did not converge")
-    r_s = radius_of(iota)
-    batch_raw = 160.0 * (ell + ell_tilde) / (delta * threshold) * math.sqrt(steps * iota)
-    batch = max(1, math.ceil(batch_raw))
-    return SNCParams(
-        steps=steps,
-        radius=r_s,
-        batch=batch,
-        log_term=iota,
-        eps=eps,
-        delta=delta,
-        ell=ell,
-        rho=rho,
-        ell_tilde=ell_tilde,
-        batch_raw=batch_raw,
-    )
 
 
 def snc_find(

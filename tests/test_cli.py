@@ -11,6 +11,7 @@ from saddlescape import (
     SmoothnessSpec,
     VerifyReport,
     derive_nc_params,
+    derive_params_for,
     harness,
 )
 from saddlescape.cli import _RUN_FIELDS, build_parser, main
@@ -412,6 +413,40 @@ class TestParamsCommand:
         assert main(argv + ["--alg", alg, "--eps", eps]) == 1
         assert capsys.readouterr().err.startswith(f"error: eps {float(eps)} is too small")
 
+    @pytest.mark.parametrize("command", ["params", "run"])
+    @pytest.mark.parametrize("alg", harness.ALGORITHMS)
+    def test_large_eps_exits_one_naming_eps(self, command, alg, capsys):
+        # eps**3 overflows (float ** raises where * gives inf) in the failure
+        # probabilities of nc, snc and ancgd; pgd, pagd and psgd meet the
+        # curvature-threshold check sqrt(rho * eps) <= ell first.
+        argv = {
+            "params": ["params", "--ell", "1", "--rho", "1", "--n", "2"],
+            "run": ["run", "--fn", "quartic", "--mode", "paper", "--trials", "1"],
+        }[command]
+        assert main(argv + ["--alg", alg, "--eps", "1e150"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "eps" in err
+        if alg in ("nc", "snc", "ancgd"):
+            assert err.startswith("error: eps 1e+150 is too large")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # snc's probe radius underflows to 0.
+            ["params", "--alg", "snc", "--ell", "5.75", "--rho", "4.5", "--n", "2"]
+            + ["--eps", "5e-93", "--delta", "0.9", "--delta-f", "1e116"],
+            ["run", "--alg", "snc", "--fn", "quartic", "--mode", "paper", "--trials", "1"]
+            + ["--eps", "5e-93", "--delta", "0.9", "--delta-f", "1e116"],
+            # rho * eps underflows, so the curvature threshold is 0.
+            ["params", "--alg", "ncf", "--ell", "1e-55", "--rho", "1e-66", "--n", "2"]
+            + ["--eps", "1e-298"],
+        ],
+    )
+    def test_quantity_out_of_the_floats_exits_one_naming_eps(self, argv, capsys):
+        assert main(argv) == 1
+        eps = argv[argv.index("--eps") + 1]
+        assert capsys.readouterr().err.startswith(f"error: eps {float(eps)} is too small")
+
     def test_unknown_alg_exits_one(self, capsys):
         code = main([
             "params", "--alg", "pgd-nc", "--ell", "1", "--rho", "1",
@@ -428,7 +463,7 @@ class TestParamsCommand:
         ])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == dataclasses.asdict(harness.derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2))
+        assert out == dataclasses.asdict(derive_params_for(alg, 5.75, 4.5, 0.01, 0.1, 2))
         assert out["total_steps"] == 460000
 
 

@@ -27,7 +27,7 @@ from saddlescape import (
     run_verify,
     with_noise,
 )
-from saddlescape import harness
+from saddlescape import harness, schedules
 from saddlescape.cli import main
 from saddlescape.harness import _resolve_knobs, build_payload
 
@@ -235,13 +235,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("alg", harness.ALGORITHMS)
     def test_params_built_once_per_experiment(self, monkeypatch, alg, mode):
         calls = []
-        entry = harness._ALGORITHMS[alg]
+        build = schedules._BUILDERS[alg]
 
         def spy(setting):
             calls.append(setting)
-            return entry.build(setting)
+            return build(setting)
 
-        monkeypatch.setitem(harness._ALGORITHMS, alg, dataclasses.replace(entry, build=spy))
+        monkeypatch.setitem(schedules._BUILDERS, alg, spy)
         land_id = "cubic" if alg in ("snc", "psgd") else "quartic"
         cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode=mode, steps=12)
         assert len(run_experiment(cfg).rows) == 100

@@ -13,6 +13,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -214,3 +215,43 @@ def test_readme_cli_block_is_found():
     # An empty block would leave test_readme_cli_line_runs with no cases.
     assert _readme_cli_lines()
 
+
+def test_schedule_constants_are_written_once():
+    # K = 384 of the certified decrease sqrt(eps^3 / rho) / K is written once,
+    # beside lemma_decrease_bound; the schedules write 768 and 2304 as 2 K and
+    # 6 K.  Comments and strings do not count.
+    numbers = []
+    for path in Path(saddlescape.__file__).parent.glob("*.py"):
+        with open(path) as fh:
+            numbers += [
+                ast.literal_eval(tok.string)
+                for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NUMBER
+            ]
+    assert [numbers.count(c) for c in (384, 768, 2304)] == [1, 0, 0]
+
+
+def _perfbench_module(name: str, monkeypatch):
+    """perfbench/<name>.py imported under its own name, read-only (no cache
+    file), and forgotten after the test."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_certify_runs_one_saddle(monkeypatch):
+    # The certify workload calls derive_nc_params, derive_anc_params and
+    # derive_snc_params by package name; a move or rename would otherwise
+    # fail only inside a benchmark run.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # load_package prepends src/
+    _perfbench_module("spans", monkeypatch)  # run.py imports it by that name
+    run = _perfbench_module("run", monkeypatch)
+    pkg = run.load_package()
+    certify = run.Certify(pkg)
+    exps = certify.run_saddle(pkg, 0, certify.landscapes[0], None)
+    assert [(exp.label, exp.error) for exp in exps] == [
+        (f"{finder}/{certify.landscapes[0]}", None) for finder in certify.finder_seeds
+    ]
