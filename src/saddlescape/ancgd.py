@@ -22,6 +22,7 @@ from .core import (
     Trace,
     TraceRecord,
     check_iterate,
+    keeps_iterates,
     require_bound,
     require_count,
     require_nonnegative,
@@ -100,6 +101,7 @@ def accelerate(
     oracle: CountingOracle, x0: Array, params, trace: Trace, stream: RngStream,
     threshold: float, cooldown: int, radius: float, window: int,
     close: Callable[[Array, float, Array, int], tuple[Array, bool]] | None = None,
+    *, record: str = "full",
 ) -> Trace:
     """The momentum loop of ancgd and pagd.
 
@@ -119,7 +121,8 @@ def accelerate(
     compares f(x) against the gamma-strongly-convex lower model at z and
     reroutes through the momentum reset when violated.  params supplies
     eta, theta, gamma, nce_radius, total_steps and trust_region; trace.meta
-    gets the oracle's call counts.  x0 must be a finite (dim,) vector.
+    gets the oracle's call counts.  x0 must be a finite (dim,) vector.  At
+    record="summary" no record keeps its iterate (TraceRecord).
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
@@ -131,6 +134,7 @@ def accelerate(
     value_and_gradient call, f(z_next) and grad f(z_next); a reset of short
     momentum adds the values of its two candidates.
     """
+    keep = keeps_iterates(record)
     # z is x at t = 0, so the first step reuses the first record's gradient.
     x = z = z_reset = _point(oracle, x0, "x0").copy()
     v = zeta = np.zeros_like(x)
@@ -149,7 +153,7 @@ def accelerate(
         else:
             f, g_x = oracle.value_and_gradient(x)
         g_norm = _norm(g_x)
-        records.append(TraceRecord(t, f, g_norm, event, x, _norm(v)))
+        records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
         if t == params.total_steps or stop:
             break
         event = EVENT_AGD
@@ -231,6 +235,7 @@ def ancgd_run(
     x0: Array,
     params: ANCParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Run the accelerated escape loop from x0 for the configured budget.
 
@@ -255,5 +260,5 @@ def ancgd_run(
     cooldown = params.ncf_steps if params.cooldown is None else params.cooldown
     return accelerate(
         counted, x0, params, trace, stream, threshold, cooldown,
-        params.perturb_radius, params.ncf_steps, close,
+        params.perturb_radius, params.ncf_steps, close, record=record,
     )

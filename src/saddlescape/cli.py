@@ -146,14 +146,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_params(args: argparse.Namespace) -> int:
     out = derive_params_for(
-        args.alg,
-        ell=args.ell,
-        rho=args.rho,
-        eps=args.eps,
-        delta=args.delta,
-        n=args.n,
-        delta_f=args.delta_f,
-        ell_tilde=args.ell_tilde,
+        args.alg, ell=args.ell, rho=args.rho, eps=args.eps, delta=args.delta, n=args.n,
+        delta_f=args.delta_f, ell_tilde=args.ell_tilde,
     )
     print(json.dumps(dataclasses.asdict(out), indent=2, sort_keys=True))
     return EXIT_OK

@@ -88,6 +88,13 @@ def require_count(**values) -> None:
             raise ParameterError(f"{name} must be an integer >= 1, got {value}")
 
 
+def keeps_iterates(record) -> bool:
+    """True at recording level "full", False at "summary"; others are refused."""
+    if record not in ("full", "summary"):
+        raise ParameterError(f"record must be 'full' or 'summary', got {record!r}")
+    return record == "full"
+
+
 def require_bound(**values) -> None:
     """Reject any given bound that is NaN or not positive; inf means no bound."""
     for name, value in values.items():
@@ -331,9 +338,9 @@ def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream)
 class TraceRecord:
     """State after one counted iteration: step index, value, gradient norm, event.
 
-    x is the iterate itself, not a copy: records may share one array (the
-    search steps of an episode all hold the anchor) with each other and with
-    the run's meta, so treat record arrays as read-only.
+    x is the iterate itself at recording level "full", not a copy: records may
+    share one array (an episode's search steps all hold the anchor) with each
+    other and the run's meta, so treat it as read-only.  At "summary" it is None.
     """
 
     t: int

@@ -42,6 +42,7 @@ def pgd_nc_run(
     x0: Array,
     params: NCDescentParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Gradient descent that runs the curvature search at flat points.
 
@@ -62,10 +63,10 @@ def pgd_nc_run(
 
     trace = Trace.start("pgd-nc", stream)
     escape = curvature_escape(trace, params, counted.value, search)
-    descend(x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD, eta, threshold)
-    trace.meta["f_evals"] = counted.f_evals
-    trace.meta["grad_evals"] = counted.grad_evals
-    return trace
+    return descend(
+        x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD, eta, threshold,
+        record=record,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,15 @@ def pgd_run(
     x0: Array,
     params: BaselineParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Gradient descent with uniform-ball perturbations at flat points."""
-    counted = CountingOracle(oracle)
     trace = Trace.start("pgd", stream, perturbs=[])
     escape = _perturbation(trace, lambda x: uniform_ball_sample(x, params.radius, stream))
-    descend(
-        x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD,
-        params.eta, params.grad_threshold,
+    return descend(
+        x0, params, trace, lambda x, g: g, CountingOracle(oracle), escape, EVENT_GD,
+        params.eta, params.grad_threshold, record=record,
     )
-    trace.meta["f_evals"] = counted.f_evals
-    trace.meta["grad_evals"] = counted.grad_evals
-    return trace
 
 
 def pagd_run(
@@ -135,6 +133,7 @@ def pagd_run(
     x0: Array,
     params: BaselineParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Accelerated descent with ball perturbations and the momentum reset:
     the momentum loop of the accelerated escape algorithm with an empty
@@ -146,7 +145,7 @@ def pagd_run(
     trace = Trace.start("pagd", stream, perturbs=[])
     return accelerate(
         CountingOracle(oracle), x0, params, trace, stream, params.grad_threshold,
-        params.cooldown or 0, params.radius, 0,
+        params.cooldown or 0, params.radius, 0, record=record,
     )
 
 
@@ -155,6 +154,7 @@ def psgd_run(
     x0: Array,
     params: BaselineParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Minibatch SGD with Gaussian perturbations at flat points.
 
@@ -172,5 +172,5 @@ def psgd_run(
     escape = _perturbation(trace, lambda x: gaussian_sample(x, variance, stream))
     return descend(
         x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
-        params.eta, params.grad_threshold,
+        params.eta, params.grad_threshold, record=record,
     )

@@ -207,8 +207,6 @@ class HistogramSummary:
         vals = np.asarray(list(decreases), dtype=float)
         lo_bin = min(0, math.floor(float(vals.min()) / bin_width)) if vals.size else 0
         hi_bin = max(1, math.ceil(float(vals.max()) / bin_width)) if vals.size else 1
-        if hi_bin <= lo_bin:
-            hi_bin = lo_bin + 1
         edges = [round(i * bin_width, 10) for i in range(lo_bin, hi_bin + 1)]
         counts, _ = np.histogram(vals, bins=edges)
         return cls(
@@ -373,17 +371,18 @@ ALGORITHMS = tuple(_ALGORITHMS)
 
 
 def _trial_trace(payload: dict, land: Landscape, trial: int):
-    """Run one seeded trial of the payload's algorithm on land."""
+    """Run one seeded trial of the payload's algorithm on land, keeping no iterates."""
     alg = _ALGORITHMS[payload["algorithm"]]
     oracle = with_noise(land, payload["sigma"]) if alg.noisy else land.oracle
     run = globals()[alg.run]
-    return run(oracle, payload["x0"], payload["params"], RngStream(payload["seed"], trial))
+    # x0 and params stay positional: perfbench's wrappers read args[1] and args[2].
+    stream = RngStream(payload["seed"], trial)
+    return run(oracle, payload["x0"], payload["params"], stream, record="summary")
 
 
 def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
     trace = _trial_trace(payload, land, trial)
-    f0 = trace.initial_f()
-    f_final = trace.final_f()
+    f0, f_final = trace.initial_f(), trace.final_f()
     decrease = f0 - f_final
     return TrialResult(
         trial=trial,

@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     AlgorithmError,
     Array,
+    CountingOracle,
     EVENT_NCF_EXPLOIT,
     EVENT_NCF_STEP,
     GradientOracle,
@@ -21,6 +22,7 @@ from .core import (
     Trace,
     TraceRecord,
     check_iterate,
+    keeps_iterates,
     require_bound,
     require_count,
     require_nonnegative,
@@ -36,7 +38,6 @@ __all__ = [
     "NCParams",
     "NCOutcome",
     "nc_find",
-    "perturb_along_nc",
     "lemma_decrease_bound",
     "exploit",
     "NCDescentParams",
@@ -230,7 +231,7 @@ class NCDescentParams:
 def descend(
     x0: Array, params, trace: Trace, estimate: Callable[[Array, Array], Array], recorder,
     escape: Callable[[Array, int, int], tuple | None], event: str, eta: float,
-    threshold: float,
+    threshold: float, *, record: str = "full",
 ) -> Trace:
     """The descent loop of nc, snc, pgd and psgd, with escape episodes.
 
@@ -243,23 +244,25 @@ def descend(
     ncf-step record at x and gives the new point one more record under the
     tag; the loop ends there if stop is set.  Otherwise x steps against the
     estimate and the record is tagged event.  params supplies total_steps,
-    cooldown and trust_region.
+    cooldown and trust_region.  A CountingOracle recorder's call counts go
+    into trace.meta, and at record="summary" no record keeps its iterate.
 
     Queries: each record scores its point with one
     recorder.value_and_gradient call (one value and one gradient); a held
     search step reuses the anchor's record and queries nothing.  Whatever
     estimate and escape query comes on top.
     """
+    keep = keeps_iterates(record)
     x = np.asarray(x0, dtype=float).copy()
     records = trace.records
     value_and_gradient = recorder.value_and_gradient
 
-    def record(t: int, x: Array, tag: str) -> Array:
+    def score(t: int, x: Array, tag: str) -> Array:
         f, g = value_and_gradient(x)
-        records.append(TraceRecord(t, f, _norm(g), tag, x))
+        records.append(TraceRecord(t, f, _norm(g), tag, x if keep else None))
         return g
 
-    g_x = record(0, x, event)
+    g_x = score(0, x, event)
     t = 0
     # No cooldown lets any later iteration start the next episode.
     last, cooldown = -math.inf, params.cooldown or 0
@@ -272,19 +275,21 @@ def descend(
         if episode is None:
             x = x - eta * g
             t += 1
-            g_x = record(t, x, event)
+            g_x = score(t, x, event)
         else:
             last = t
-            anchor, anchor_f = x, records[-1].f
+            anchor, anchor_f = x if keep else None, records[-1].f
             x, tag, held, stop = episode
             for _ in range(held):
                 t += 1
                 records.append(TraceRecord(t, anchor_f, g_norm, EVENT_NCF_STEP, anchor))
             t += 1
-            g_x = record(t, x, tag)
+            g_x = score(t, x, tag)
             if stop:
                 break
         check_iterate(x, params.trust_region, trace)
+    if isinstance(recorder, CountingOracle):
+        trace.meta.update(f_evals=recorder.f_evals, grad_evals=recorder.grad_evals)
     return trace
 
 
@@ -314,24 +319,3 @@ def curvature_escape(
         return x, EVENT_NCF_EXPLOIT, outcome.steps_used, stop
 
     return escape
-
-
-def perturb_along_nc(
-    oracle: GradientOracle,
-    x0: Array,
-    e_hat: Array,
-    eps: float,
-    rho: float,
-    step: float | None = None,
-) -> Array:
-    """Step distance sqrt(eps/rho)/4 (or step) both ways along the curvature
-    direction and keep the lower candidate, falling back to x0 when neither
-    decreases f."""
-    require_positive(eps=eps, rho=rho, step=step)
-    x0 = _point(oracle, x0)
-    e_hat = _point(oracle, e_hat, "e_hat")
-    norm = _norm(e_hat)
-    if not 0.0 < norm < math.inf:
-        raise ParameterError("e_hat must be nonzero and finite")
-    e_hat = e_hat / norm
-    return exploit(oracle.value, x0, oracle.value(x0), e_hat, eps, rho, step)[0]

@@ -239,6 +239,14 @@ _OUTER_KNOBS = dict(
 )
 
 
+def _local_ell(eta: float, c: float = 1.0) -> float:
+    """Experiment mode's local ell = 1 / (c eta), refused unless positive and finite."""
+    ell = 1.0 / (c * eta)
+    if not 0.0 < ell < math.inf:
+        raise ParameterError(f"eta {eta} is out of range: the local ell it sets is {ell}")
+    return ell
+
+
 def _descent(s: _Setting, noisy: bool = False) -> NCDescentParams:
     """nc, or snc when noisy: a curvature search and its descent loop."""
     k = {"batch": 1, "outer_batch": 10, **s.knobs} if noisy and not s.paper else s.knobs
@@ -246,7 +254,7 @@ def _descent(s: _Setting, noisy: bool = False) -> NCDescentParams:
     outer = _fields(k, outer_batch="outer_batch", **_OUTER_KNOBS)
     ell, rho, eps = s.spec.ell, s.spec.rho, s.eps
     if not s.paper:
-        local = dict(**search, eps=eps, ell=1.0 / k["eta"], rho=s.rho_loc)
+        local = dict(**search, eps=eps, ell=_local_ell(k["eta"]), rho=s.rho_loc)
         noise = dict(log_term=10.0, delta=s.delta, ell_tilde=s.ell_tilde)
         base = SNCParams(**local, **noise) if noisy else NCParams(**local, delta0=s.delta)
         return NCDescentParams(base, **outer)
@@ -271,7 +279,7 @@ def _ancgd(s: _Setting) -> ANCParams:
         params = derive_anc_params(s.spec, s.eps, delta0, s.n, s.delta_f, k.get("steps"))
         return dataclasses.replace(params, **fields)
     return ANCParams(
-        **fields, eps=s.eps, delta0=s.delta, ell=1.0 / (4.0 * k["eta"]), rho=s.rho_loc
+        **fields, eps=s.eps, delta0=s.delta, ell=_local_ell(k["eta"], 4.0), rho=s.rho_loc
     )
 
 

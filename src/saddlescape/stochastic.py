@@ -108,6 +108,7 @@ def sgd_nc_run(
     x0: Array,
     params: NCDescentParams,
     stream: RngStream,
+    *, record: str = "full",
 ) -> Trace:
     """Minibatch SGD that switches to the curvature search at flat points.
 
@@ -137,4 +138,7 @@ def sgd_nc_run(
         return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
 
     escape = curvature_escape(trace, params, oracle.mean.value, search)
-    return descend(x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD, eta, threshold)
+    return descend(
+        x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD, eta, threshold,
+        record=record,
+    )

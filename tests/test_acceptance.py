@@ -24,13 +24,13 @@ from saddlescape import (
     get_landscape,
     lemma_decrease_bound,
     nc_find,
-    perturb_along_nc,
     run_dimension_scaling,
     run_experiment,
     snc_find,
     uniform_ball_sample,
     with_noise,
 )
+from saddlescape.ncfind import exploit
 from saddlescape.verify import _fd_gradient
 
 from conftest import (
@@ -202,8 +202,9 @@ def test_criterion_6_certified_exploits_decrease(capsys, certification_sweep):
             for e, is_certified in zip(dirs, entry["certified"][alg]):
                 if not is_certified:
                     continue
-                x_new = perturb_along_nc(
-                    land.oracle, saddle.point, e, _EPS, saddle.rho_local
+                e_hat = e / np.linalg.norm(e)
+                x_new, _ = exploit(
+                    land.oracle.value, saddle.point, f0, e_hat, _EPS, saddle.rho_local
                 )
                 checked += 1
                 if f0 - land.oracle.value(x_new) < bound:

@@ -85,7 +85,7 @@ class TestDerivedConstants:
         # reaches the loop as given.
         seen = []
 
-        def spy(oracle, x0, params, trace, stream, threshold, cooldown, *rest):
+        def spy(oracle, x0, params, trace, stream, threshold, cooldown, *rest, **kw):
             seen.append((threshold, cooldown))
             return trace
 

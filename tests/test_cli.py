@@ -333,6 +333,20 @@ class TestRunCommand:
         assert code == 1
         assert "bad x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alg, fn, eta",
+        [
+            ("nc", "quartic", "1e-320"), ("snc", "cubic", "1e-320"),
+            ("ancgd", "quartic", "1e-310"), ("ancgd", "quartic", "1e308"),
+        ],
+    )
+    def test_eta_outside_the_local_ell_exits_one_naming_eta(self, alg, fn, eta, capsys):
+        # Experiment mode's local ell = 1/eta (1/(4 eta) for ancgd) is inf
+        # for a tiny eta, and 0 where 4 eta overflows.
+        argv = ["run", "--alg", alg, "--fn", fn, "--eta", eta, "--trials", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: eta {float(eta)} is out of range")
+
 
 class TestVerifyCommand:
     def test_verify_quartic_passes(self, capsys):

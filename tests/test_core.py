@@ -16,6 +16,8 @@ from saddlescape import (
     BaselineParams,
     CountingOracle,
     DivergenceError,
+    GradientOracle,
+    NCDescentParams,
     ParameterError,
     RngStream,
     SmoothnessSpec,
@@ -31,7 +33,10 @@ from saddlescape import (
     lemma_decrease_bound,
     nc_find,
     pagd_run,
-    perturb_along_nc,
+    pgd_nc_run,
+    pgd_run,
+    psgd_run,
+    sgd_nc_run,
     snc_find,
     uniform_ball_sample,
 )
@@ -333,15 +338,6 @@ _BAD_INPUTS = [
      lambda v: uniform_ball_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
     ("gaussian_sample", "variance",
      lambda v: gaussian_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
-    ("perturb_along_nc", "eps",
-     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, v, 1.0), (_NAN, 0.0, -1.0, _INF)),
-    ("perturb_along_nc", "rho",
-     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, 0.1, v), (_NAN, 0.0)),
-    ("perturb_along_nc", "step",
-     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, _AXIS, 0.1, 1.0, v), (_NAN, -1.0, _INF)),
-    ("perturb_along_nc", "e_hat",
-     lambda v: perturb_along_nc(_SADDLE, _ORIGIN, np.array([v, 0.0]), 0.1, 1.0),
-     (_NAN, _INF, 0.0)),
     ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
     ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
     # The momentum reset's radius, checked where the loop takes it from.
@@ -380,10 +376,6 @@ _BAD_INPUTS = [
     ("grad_power_lambda_min", "point",
      lambda v: grad_power_lambda_min(_SADDLE, np.zeros(v), 5, RngStream(0, 0)),
      (1, 3, (2, 1))),
-    ("perturb_along_nc", "point",
-     lambda v: perturb_along_nc(_SADDLE, np.array([v, 0.0]), _AXIS, 0.1, 1.0), (_NAN, _INF)),
-    ("perturb_along_nc", "point",
-     lambda v: perturb_along_nc(_SADDLE, np.zeros(v), _AXIS, 0.1, 1.0), (1, 3, (2, 1))),
     # The momentum loop's start point, through both of its entry points.
     ("ancgd_run", "x0",
      lambda v: ancgd_run(_SADDLE, np.array([v, 0.0]), ANCParams(**_ANC), RngStream(0, 0)),
@@ -395,6 +387,28 @@ _BAD_INPUTS = [
      lambda v: pagd_run(_SADDLE, np.array([v, 0.0]), _PAGD, RngStream(0, 0)), (_NAN, _INF)),
     ("pagd_run", "x0",
      lambda v: pagd_run(_SADDLE, np.zeros(v), _PAGD, RngStream(0, 0)), (1, 3, (2, 1))),
+]
+
+
+def _no_query(x):
+    raise AssertionError("the oracle was queried")
+
+
+# The six run functions refuse a recording level other than "full" and
+# "summary" before their first oracle query: this oracle fails any query.
+_MUTE = GradientOracle(_no_query, _no_query, SmoothnessSpec(2.0, 1.0), 2)
+_MUTE_NOISY = AdditiveNoiseOracle(_MUTE, 0.1)
+_BAD_INPUTS += [
+    (run.__name__, "record", lambda v, run=run, args=args: run(*args, RngStream(0, 0), record=v),
+     ("none", "", None))
+    for run, args in [
+        (pgd_nc_run, (_MUTE, _ORIGIN, NCDescentParams(_NC, 5))),
+        (sgd_nc_run, (_MUTE_NOISY, _ORIGIN, NCDescentParams(_SNC, 5))),
+        (pgd_run, (_MUTE, _ORIGIN, _PAGD)),
+        (psgd_run, (_MUTE_NOISY, _ORIGIN, _PAGD)),
+        (ancgd_run, (_MUTE, _ORIGIN, ANCParams(**_ANC))),
+        (pagd_run, (_MUTE, _ORIGIN, _PAGD)),
+    ]
 ]
 
 

@@ -72,9 +72,9 @@ class TestDerivedSchedule:
         seen = []
         real = drivers.descend
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(args[-2:])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(drivers, "descend", spy)
         land = get_landscape("quartic")
@@ -621,6 +621,23 @@ def _compared(trace):
     return records, exploits
 
 
+def _fields(record):
+    """A record's t, f, grad_norm, v_norm and event; floats by repr."""
+    return record.t, repr(record.f), repr(record.grad_norm), repr(record.v_norm), record.event
+
+
+def _exact(value):
+    """value with each array as its dtype, shape and bytes and each float as
+    its repr, through dicts and lists."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {k: _exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return repr(value) if isinstance(value, float) else value
+
+
 class TestFusedOracleTraces:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -651,6 +668,25 @@ class TestFusedOracleTraces:
                 oracle = with_noise(oracle, 0.01)
             traces.append(_RUNS[alg](oracle, x0, _PLANS[plan], RngStream(seed, 1)))
         assert _compared(traces[0]) == _compared(traces[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=st.sampled_from(sorted(_PLANS)), seed=st.integers(0, 2**16))
+    def test_summary_trace_is_the_full_trace_without_iterates(self, plan, seed):
+        # record="summary" drops every record's x and changes nothing else:
+        # every other field _compared reads, and all of meta.
+        alg, land_id, _ = plan
+        land = get_landscape(land_id)
+        oracle = with_noise(land, 0.01) if alg in ("snc", "psgd") else land.oracle
+        full, summary = (
+            _RUNS[alg](oracle, land.saddles[0].point, _PLANS[plan], RngStream(seed, 1),
+                       record=record)
+            for record in ("full", "summary")
+        )
+        assert [r.x for r in summary.records] == [None] * len(full.records)
+        assert all(isinstance(r.x, np.ndarray) for r in full.records)
+        assert [_fields(r) for r in summary.records] == [_fields(r) for r in full.records]
+        assert list(summary.meta) == list(full.meta)
+        assert _exact(summary.meta) == _exact(full.meta)
 
     def test_reset_plans_move_x(self):
         # The trigger-off plans reach the short-momentum reset they exist

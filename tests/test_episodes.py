@@ -14,6 +14,7 @@ from saddlescape import (
     NCDescentParams,
     NCParams,
     ParameterError,
+    RngStream,
     SNCParams,
     drivers,
     get_landscape,
@@ -21,6 +22,7 @@ from saddlescape import (
     lemma_decrease_bound,
     run_experiment,
     stochastic,
+    with_noise,
 )
 from saddlescape.cli import main
 from saddlescape.core import EVENT_NCF_EXPLOIT
@@ -167,7 +169,8 @@ def test_accelerated_params_reject_nan_eta():
 def test_harness_calls_run_functions_through_module_globals(monkeypatch, alg, mode):
     """The benchmark reads every trial by wrapping the run functions where
     the harness binds them, so the harness must look them up at call time
-    and pass (oracle, x0, params, stream) positionally."""
+    and pass (oracle, x0, params, stream) positionally; the recording level
+    is the one keyword."""
     calls = []
     for name in RUN_FUNCTIONS.values():
         real = getattr(harness, name)
@@ -182,7 +185,7 @@ def test_harness_calls_run_functions_through_module_globals(monkeypatch, alg, mo
     run_experiment(cfg)
     assert [c[0] for c in calls] == [RUN_FUNCTIONS[alg]] * 2
     for _, args, kwargs in calls:
-        assert kwargs == {} and len(args) == 4
+        assert kwargs == {"record": "summary"} and len(args) == 4
         assert args[2].total_steps == 12
 
 
@@ -207,14 +210,18 @@ def test_loops_search_through_module_bindings(monkeypatch, alg, land_id, module,
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_records_score_their_own_iterate(alg):
-    """Records hold the iterate itself, not a copy, so a loop that wrote into
-    an array after recording it would change a recorded point; every record's
-    value must still be the objective at its x."""
+    """At record="full" records hold the iterate itself, not a copy, so a
+    loop that wrote into an array after recording it would change a
+    recorded point; every record's value must still be the objective at its
+    x."""
     land_id = "cubic" if alg in NOISY else "quartic"
-    value = get_landscape(land_id).oracle.value
-    (trace,) = _recipe_traces(alg, land_id, trials=1)
+    land = get_landscape(land_id)
+    payload = build_payload(ExperimentConfig(algorithm=alg, landscape=land_id), land)
+    oracle = with_noise(land, payload["sigma"]) if alg in NOISY else land.oracle
+    run = getattr(harness, RUN_FUNCTIONS[alg])
+    trace = run(oracle, payload["x0"], payload["params"], RngStream(0, 0))
     for rec in trace.records:
-        assert rec.f == value(rec.x)
+        assert rec.f == land.oracle.value(rec.x)
 
 
 # Every (algorithm, flag) pair that reaches a params field, with the field
@@ -275,9 +282,9 @@ def _spy_params(monkeypatch, alg):
     seen = []
     real = getattr(harness, RUN_FUNCTIONS[alg])
 
-    def spy(oracle, x0, params, stream):
+    def spy(oracle, x0, params, stream, **kwargs):
         seen.append(params)
-        return real(oracle, x0, params, stream)
+        return real(oracle, x0, params, stream, **kwargs)
 
     monkeypatch.setattr(harness, RUN_FUNCTIONS[alg], spy)
     return seen

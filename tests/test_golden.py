@@ -1,21 +1,33 @@
-"""Golden outputs: paper-mode params over a fixed grid of experiments,
-pinned bit for bit in tests/golden/.
+"""Golden outputs, pinned bit for bit: paper-mode params over a fixed grid
+of experiments (tests/golden/), and the benchmark's reference outputs of
+the six calibrated recipes and the dimension sweep (perfbench/ref/, read
+only).
 
-Regenerate after an intended change with
+Regenerate the params after an intended change with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in CHANGES.md why the bytes changed.
+and the benchmark references with perfbench/run.py --write-refs, and say
+in CHANGES.md why the bytes changed.
 """
 
 import itertools
+import json
 from pathlib import Path
 
-from saddlescape import ExperimentConfig, ParameterError, get_landscape
+import pytest
+
+from saddlescape import ExperimentConfig, ParameterError, get_landscape, run_dimension_scaling
+from saddlescape.cli import main
 from saddlescape.harness import ALGORITHMS, build_payload
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_PARAMS = GOLDEN / "paper_params.txt"
+REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
+RECIPES = [
+    ("nc", "quartic"), ("pgd", "quartic"), ("ancgd", "quartic"), ("pagd", "quartic"),
+    ("snc", "cubic"), ("psgd", "cubic"),
+]
 
 LANDSCAPES = ("quartic", "cubic", "triangle", "exponential", "highdim-10", "highdim-100-soft")
 EPSILONS = (0.3, 0.01, 0.001)
@@ -49,6 +61,32 @@ def test_paper_params_match_golden():
     assert len(got) == len(want) == 648
     changed = [(w, g) for w, g in zip(want, got) if w != g]
     assert not changed, f"{len(changed)} case(s) differ; first:\n{changed[0][0]}\n{changed[0][1]}"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_recipes_match_benchmark_reference(jobs, tmp_path, monkeypatch, capsys):
+    # The six recipes as the benchmark runs them (100 trials, seed 0, --out
+    # <alg>-<fn> in the working directory, so config.out matches).  Rows do
+    # not depend on the job count; the summary echoes it.
+    monkeypatch.chdir(tmp_path)
+    for alg, fn in RECIPES:
+        label = f"{alg}-{fn}"
+        argv = ["run", "--alg", alg, "--fn", fn, "--trials", "100", "--seed", "0"]
+        assert main(argv + ["--jobs", str(jobs), "--out", label]) == 0
+        csv = (tmp_path / f"{label}.csv").read_bytes()
+        assert csv == (REF / "recipes-2d" / f"{label}.csv").read_bytes(), label
+        summary = (tmp_path / f"{label}.summary.json").read_text()
+        echo = f'    "jobs": {jobs},\n'
+        assert summary.count(echo) == 1, label
+        want = (REF / "recipes-2d" / f"{label}.summary.json").read_text()
+        assert summary.replace(echo, '    "jobs": 1,\n') == want, label
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_dimension_sweep_matches_benchmark_reference(jobs):
+    rows = run_dimension_scaling([1, 2, 3], trials=20, seed=0, jobs=jobs)
+    want = json.loads((REF / "dimscale" / "rows.json").read_text())
+    assert {f"p={row['p']}": row for row in rows} == want
 
 
 if __name__ == "__main__":

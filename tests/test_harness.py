@@ -251,7 +251,8 @@ class TestRunExperiment:
         seen = []
         real = harness.pgd_nc_run
         monkeypatch.setattr(
-            harness, "pgd_nc_run", lambda *args: seen.append(args[1]) or real(*args)
+            harness, "pgd_nc_run",
+            lambda *args, **kwargs: seen.append(args[1]) or real(*args, **kwargs),
         )
         run_experiment(ExperimentConfig(algorithm="nc", landscape="quartic", trials=3))
         assert seen[0] is seen[1] is seen[2]

@@ -19,12 +19,11 @@ from saddlescape import (
     grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
-    perturb_along_nc,
     snc_find,
     uniform_ball_sample,
 )
 from saddlescape import ncfind, stochastic, verify
-from saddlescape.ncfind import _MAX_RESTARTS, NCParams
+from saddlescape.ncfind import _MAX_RESTARTS, NCParams, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import VERIFY_IDS
 from saddlescape.verify import fd_quadform
@@ -230,63 +229,40 @@ class TestExploit:
         land = get_landscape("quartic")
         sad = land.saddles[0]
         eps, rho = 0.04, sad.rho_local
-        x = perturb_along_nc(land.oracle, sad.point, sad.direction, eps, rho)
         f0 = land.oracle.value(sad.point)
-        decrease = f0 - land.oracle.value(x)
-        assert decrease >= lemma_decrease_bound(eps, rho)
+        x, stop = exploit(land.oracle.value, sad.point, f0, sad.direction, eps, rho)
+        assert not stop
+        assert f0 - land.oracle.value(x) >= lemma_decrease_bound(eps, rho)
         assert np.linalg.norm(x - sad.point) == pytest.approx(
             0.25 * math.sqrt(eps / rho)
         )
 
     def test_two_candidate_picks_better_sign(self):
         # f = x^3 - x on [direction e0]: stepping +d from 0 decreases f.
-        oracle = GradientOracle(
-            f=lambda x: float(x[0] ** 3 - x[0]),
-            grad=lambda x: np.array([3 * x[0] ** 2 - 1, 0.0]),
-            spec=SmoothnessSpec(10.0, 10.0),
-            dim=2,
-        )
-        x = perturb_along_nc(oracle, np.zeros(2), np.array([1.0, 0.0]), 0.1, 10.0)
+        f = lambda x: float(x[0] ** 3 - x[0])
+        x, _ = exploit(f, np.zeros(2), 0.0, np.array([1.0, 0.0]), 0.1, 10.0)
         assert x[0] > 0
 
     def test_fallback_at_minimum(self):
         land = get_landscape("quartic")
         x0 = np.array([2.0, 0.0])
-        x = perturb_along_nc(land.oracle, x0, np.array([1.0, 0.0]), 0.04, 1.0)
-        assert np.array_equal(x, x0)
+        f0 = land.oracle.value(x0)
+        x, _ = exploit(land.oracle.value, x0, f0, np.array([1.0, 0.0]), 0.04, 1.0)
+        assert np.array_equal(x, x0) and x is not x0
 
     def test_tie_keeps_positive_side(self):
-        oracle = GradientOracle(
-            f=lambda x: float(x[0] ** 4) - 1.0,
-            grad=lambda x: np.array([4 * x[0] ** 3]),
-            spec=SmoothnessSpec(1.0, 1.0),
-            dim=1,
-        )
-        # Both signs give identical values below f(0)? No: x^4 increases both
-        # ways, so this falls back; use -x^2 for a symmetric decrease instead.
-        sym = GradientOracle(
-            f=lambda x: -float(x[0] ** 2),
-            grad=lambda x: np.array([-2 * x[0]]),
-            spec=SmoothnessSpec(2.0, 1.0),
-            dim=1,
-        )
-        x = perturb_along_nc(sym, np.zeros(1), np.array([1.0]), 0.1, 1.0)
+        # -x^2 decreases equally both ways, so the tie keeps +d; x^4 - 1
+        # rises both ways, so the anchor stays.
+        x, _ = exploit(lambda x: -float(x[0] ** 2), np.zeros(1), 0.0, np.array([1.0]), 0.1, 1.0)
         assert x[0] > 0
-        y = perturb_along_nc(oracle, np.zeros(1), np.array([1.0]), 0.1, 1.0)
+        y, _ = exploit(
+            lambda x: float(x[0] ** 4) - 1.0, np.zeros(1), -1.0, np.array([1.0]), 0.1, 1.0
+        )
         assert y[0] == 0.0
-
-    def test_direction_is_normalized_and_validated(self):
-        land = get_landscape("quartic")
-        big = np.array([10.0, 0.0])
-        a = perturb_along_nc(land.oracle, np.zeros(2), big, 0.04, 1.0)
-        b = perturb_along_nc(land.oracle, np.zeros(2), np.array([1.0, 0.0]), 0.04, 1.0)
-        assert np.allclose(a, b)
-        with pytest.raises(ParameterError):
-            perturb_along_nc(land.oracle, np.zeros(2), np.zeros(2), 0.04, 1.0)
 
     def test_explicit_step_override(self):
         land = get_landscape("quartic")
-        x = perturb_along_nc(
-            land.oracle, np.zeros(2), np.array([1.0, 0.0]), 0.04, 1.0, step=1.5
+        x, _ = exploit(
+            land.oracle.value, np.zeros(2), 0.0, np.array([1.0, 0.0]), 0.04, 1.0, step=1.5
         )
         assert abs(x[0]) == pytest.approx(1.5)

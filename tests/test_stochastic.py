@@ -157,9 +157,9 @@ class TestOuterLoopSchedule:
         seen = []
         real = stochastic.descend
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(args[-2:])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(stochastic, "descend", spy)
         oracle = with_noise(get_landscape("cubic"), 0.01)

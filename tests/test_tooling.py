@@ -255,3 +255,24 @@ def test_perfbench_certify_runs_one_saddle(monkeypatch):
     assert [(exp.label, exp.error) for exp in exps] == [
         (f"{finder}/{certify.landscapes[0]}", None) for finder in certify.finder_seeds
     ]
+
+
+def test_perfbench_capture_reads_summary_traces(monkeypatch, tmp_path, capsys):
+    # The benchmark's quality metrics (escape_iter_p50, certified_rate) come
+    # from its capture tracer, which reads each harness trial's records and
+    # meta; harness trials keep no iterates, and the tracer must not need
+    # them.
+    spans = _perfbench_module("spans", monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    from saddlescape import harness
+    from saddlescape.cli import main
+
+    tracer = spans.Tracer()
+    tracer.install({"harness": harness}, full=False)
+    try:
+        assert main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "5"]) == 0
+    finally:
+        assert tracer.uninstall() == []
+    assert [o.alg for o in tracer.outcomes] == ["nc"] * 5
+    assert all(0 <= o.escape_iter <= 91 and o.records == 91 for o in tracer.outcomes)
+    assert all(o.first_certified for o in tracer.outcomes)
