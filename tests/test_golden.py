@@ -1,9 +1,9 @@
 """Golden outputs, pinned bit for bit: paper-mode params over a fixed grid
-of experiments (tests/golden/), and the benchmark's reference outputs of
-the six calibrated recipes and the dimension sweep (perfbench/ref/, read
-only).
+of experiments, `params` JSON, `verify` stdout and short paper-mode runs
+(tests/golden/), and the benchmark's reference outputs of the six
+calibrated recipes and the dimension sweep (perfbench/ref/, read only).
 
-Regenerate the params after an intended change with
+Regenerate tests/golden/ after an intended change with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,8 +11,11 @@ and the benchmark references with perfbench/run.py --write-refs, and say
 in CHANGES.md why the bytes changed.
 """
 
+import contextlib
+import io
 import itertools
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,9 @@ from saddlescape.harness import ALGORITHMS, build_payload
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_PARAMS = GOLDEN / "paper_params.txt"
+PARAMS_JSON = GOLDEN / "params_json.txt"
+VERIFY_STDOUT = GOLDEN / "verify_stdout.txt"
+PAPER_RUNS = GOLDEN / "paper_runs"
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 RECIPES = [
     ("nc", "quartic"), ("pgd", "quartic"), ("ancgd", "quartic"), ("pagd", "quartic"),
@@ -55,12 +61,68 @@ def paper_params_lines() -> list[str]:
     return lines
 
 
+# `params` at the recipes' quartic constants and at unit constants in ten
+# dimensions, each for ncf and the six algorithms.
+PARAMS_SETTINGS = (("5.75", "4.5", "0.01", "2"), ("1", "1", "0.1", "10"))
+PAPER_RUN_ALGS = ("nc", "pgd", "ancgd", "pagd", "snc", "psgd")
+PAPER_RUN_FNS = ("quartic", "cubic")
+
+
+def _stdout_of(argv: list[str]) -> str:
+    """cli.main's stdout for argv, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def params_json_text() -> str:
+    """Each `params` command line, then the JSON it prints."""
+    chunks = []
+    for (ell, rho, eps, n), alg in itertools.product(PARAMS_SETTINGS, ("ncf",) + ALGORITHMS):
+        argv = ["params", "--alg", alg, "--ell", ell, "--rho", rho, "--eps", eps, "--n", n,
+                "--delta", "0.3"]
+        chunks.append(f"$ {' '.join(argv)}\n{_stdout_of(argv)}")
+    return "".join(chunks)
+
+
+def paper_run_files(alg: str, fn: str, workdir: Path) -> dict[str, bytes]:
+    """The CSV and summary of `run --mode paper --steps 200 --trials 20`,
+    written under workdir as <alg>-<fn>.*."""
+    label = f"{alg}-{fn}"
+    argv = ["run", "--alg", alg, "--fn", fn, "--mode", "paper", "--steps", "200",
+            "--trials", "20", "--out", label]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        _stdout_of(argv)
+    finally:
+        os.chdir(cwd)
+    names = (f"{label}.csv", f"{label}.summary.json")
+    return {name: (workdir / name).read_bytes() for name in names}
+
+
 def test_paper_params_match_golden():
     want = PAPER_PARAMS.read_text().splitlines()
     got = paper_params_lines()
     assert len(got) == len(want) == 648
     changed = [(w, g) for w, g in zip(want, got) if w != g]
     assert not changed, f"{len(changed)} case(s) differ; first:\n{changed[0][0]}\n{changed[0][1]}"
+
+
+def test_params_json_matches_golden():
+    assert params_json_text() == PARAMS_JSON.read_text()
+
+
+def test_verify_stdout_matches_golden():
+    assert _stdout_of(["verify"]) == VERIFY_STDOUT.read_text()
+
+
+@pytest.mark.parametrize("fn", PAPER_RUN_FNS)
+@pytest.mark.parametrize("alg", PAPER_RUN_ALGS)
+def test_paper_run_matches_golden(alg, fn, tmp_path):
+    for name, got in paper_run_files(alg, fn, tmp_path).items():
+        assert got == (PAPER_RUNS / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -90,6 +152,10 @@ def test_dimension_sweep_matches_benchmark_reference(jobs):
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    PAPER_RUNS.mkdir(parents=True, exist_ok=True)
     PAPER_PARAMS.write_text("\n".join(paper_params_lines()) + "\n")
-    print(f"wrote {PAPER_PARAMS}")
+    PARAMS_JSON.write_text(params_json_text())
+    VERIFY_STDOUT.write_text(_stdout_of(["verify"]))
+    for alg, fn in itertools.product(PAPER_RUN_ALGS, PAPER_RUN_FNS):
+        paper_run_files(alg, fn, PAPER_RUNS)
+    print(f"wrote {PAPER_PARAMS}, {PARAMS_JSON}, {VERIFY_STDOUT} and {PAPER_RUNS}/")
