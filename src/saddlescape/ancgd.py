@@ -30,7 +30,7 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _point, exploit
+from .ncfind import _lower_step, _point, exploit
 
 __all__ = [
     "ANCParams",
@@ -79,8 +79,8 @@ def _nce_step(
     """Momentum-reset step taken when the certificate flags negative curvature.
 
     Long momentum (norm >= s) already made progress, so x stays put.  Short
-    momentum is stretched to length s and both signs are tried; ties keep the
-    positive side.  Momentum is zeroed in every branch.  Also returns f at
+    momentum is stretched to length s and the lower side is taken
+    (_lower_step).  Momentum is zeroed in every branch.  Also returns f at
     the point it returns: f_x (f(x), as the caller holds it) where x stays,
     else the winner's value.
     """
@@ -88,13 +88,8 @@ def _nce_step(
     zero = np.zeros(v.shape[0])
     if v_norm >= s or v_norm == 0.0:
         return x, zero, f_x
-    xi = (s / v_norm) * v
-    plus = x + xi
-    minus = x - xi
-    f_plus, f_minus = oracle.value(plus), oracle.value(minus)
-    if f_plus <= f_minus:
-        return plus, zero, f_plus
-    return minus, zero, f_minus
+    x_new, f_new = _lower_step(oracle.value, x, (s / v_norm) * v)
+    return x_new, zero, f_new
 
 
 def accelerate(

@@ -151,6 +151,14 @@ def lemma_decrease_bound(eps: float, rho: float) -> float:
     return math.sqrt(eps**3 / rho) / _K
 
 
+def _lower_step(value: Callable[[Array], float], x: Array, d: Array) -> tuple[Array, float]:
+    """The lower of x + d and x - d, scored in that order (a tie keeps x + d),
+    and its value: the two-candidate step of exploit and ancgd's reset."""
+    plus, minus = x + d, x - d
+    f_plus, f_minus = value(plus), value(minus)
+    return (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
+
+
 def exploit(
     value: Callable[[Array], float],
     anchor: Array,
@@ -175,11 +183,7 @@ def exploit(
     """
     if step is None:
         step = 0.25 * math.sqrt(eps / rho)
-    plus = anchor + step * e_hat
-    minus = anchor - step * e_hat
-    f_plus = value(plus)
-    f_minus = value(minus)
-    cand, f_cand = (plus, f_plus) if f_plus <= f_minus else (minus, f_minus)
+    cand, f_cand = _lower_step(value, anchor, step * e_hat)
     if f_cand < anchor_f:
         x, decrease = cand, anchor_f - f_cand
     else:

@@ -24,11 +24,20 @@ __all__ = ["derive_nc_params", "derive_anc_params", "derive_snc_params", "derive
 _C_A = 8.0
 
 
+def _refusal(name: str, value: float) -> ParameterError:
+    """The error for an input that takes a derived quantity out of the floats."""
+    return ParameterError(
+        f"{name} {value} is too {'small' if value < 1 else 'large'}: a paper-mode "
+        "quantity derived from it is zero or not finite"
+    )
+
+
 def _checked(formula):
     """The one checked path of every formula here.  An OverflowError,
     ZeroDivisionError or math ValueError raised while formula runs, and the
-    ArithmeticError of a zero or non-finite quantity passed to _q, become a
-    ParameterError naming the eps that formula was called with."""
+    ArithmeticError of a zero or non-finite quantity passed to _q with no
+    input to blame, become a ParameterError naming the eps that formula was
+    called with."""
     signature = inspect.signature(formula)
 
     @functools.wraps(formula)
@@ -38,19 +47,16 @@ def _checked(formula):
         except ParameterError:
             raise
         except (ArithmeticError, ValueError):
-            eps = signature.bind(*args, **kwargs).arguments["eps"]
-            raise ParameterError(
-                f"eps {eps} is too {'small' if eps < 1 else 'large'}: a paper-mode "
-                "quantity derived from it is zero or not finite"
-            ) from None
+            raise _refusal("eps", signature.bind(*args, **kwargs).arguments["eps"]) from None
 
     return checked
 
 
-def _q(value: float) -> float:
-    """A derived quantity, which must be nonzero and finite."""
+def _q(value: float, **blame: float) -> float:
+    """A derived quantity, which must be nonzero and finite.  A failure names
+    the one input given as blame, if any, or else (through _checked) eps."""
     if value == 0.0 or not math.isfinite(value):
-        raise ArithmeticError(value)
+        raise _refusal(*blame.popitem()) if blame else ArithmeticError(value)
     return value
 
 
@@ -177,7 +183,7 @@ def _momentum(ell: float, rho: float, eps: float, eta: float, **given: float) ->
     0.999; certificate curvature gamma = theta^2 / eta; momentum-reset step
     nce_radius = gamma / (4 rho)."""
     theta = given.get("theta") or _q(min(0.999, (rho * eps) ** 0.25 / (4.0 * math.sqrt(ell))))
-    gamma = given.get("gamma") or _q(theta**2 / eta)
+    gamma = given.get("gamma") or _q(_q(theta**2, theta=theta) / eta, eta=eta)
     nce_radius = given.get("nce_radius") or _q(gamma / (4.0 * rho))
     return dict(theta=theta, gamma=gamma, nce_radius=nce_radius)
 
@@ -336,6 +342,8 @@ def derive_params_for(
     if ignored:
         raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
     if alg == "ncf":
+        if not 0 < delta <= 1:  # derive_nc_params would name its delta0
+            raise ParameterError(f"delta must be in (0, 1], got {delta}")
         return derive_nc_params(spec, eps, delta, n)
     delta_f = 1.0 if delta_f is None else delta_f
     ell_tilde = ell if ell_tilde is None else ell_tilde

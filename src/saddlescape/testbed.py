@@ -86,27 +86,27 @@ def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], o
     return evaluate
 
 
-def _planar_oracle(
-    f: Callable[[float, float], float], grad: Callable[[float, float], Array],
-    spec: SmoothnessSpec, name: str,
-) -> GradientOracle:
-    """The oracle of a 2-d landscape: f and grad evaluated by _on_floats, and
-    a fused f_and_grad that unpacks the point once for both, each formula
-    keeping its own overflow fallback, so the pair is bit for bit the two
-    separate calls."""
+def _planar(
+    land_id: str, f: Callable[[float, float], float], grad: Callable[[float, float], Array],
+    hess: Callable[[float, float], Array], spec: SmoothnessSpec, box: tuple[float, float],
+    saddle: dict, minima: list[tuple[Array, float]], notes: str,
+) -> Landscape:
+    """A 2-d landscape from its formulas on Python floats and its declared
+    structure: one saddle at the origin (the SaddleInfo fields other than
+    point), the minima and the box.  f, grad, hess and the fused pair
+    f_and_grad, which unpacks the point once for both, each run through
+    _on_floats, so the pair is bit for bit the two separate calls."""
 
-    def f_and_grad(x: Array) -> tuple:
-        x1, x2 = x.tolist()
-        try:
-            fx = f(x1, x2)
-        except OverflowError:
-            fx = f(x[0], x[1])
-        try:
-            return fx, grad(x1, x2)
-        except OverflowError:
-            return fx, grad(x[0], x[1])
+    def f_and_grad(x1: float, x2: float) -> tuple:
+        return f(x1, x2), grad(x1, x2)
 
-    return GradientOracle(_on_floats(f), _on_floats(grad), spec, 2, name, f_and_grad)
+    oracle = GradientOracle(
+        _on_floats(f), _on_floats(grad), spec, 2, land_id, _on_floats(f_and_grad)
+    )
+    return Landscape(
+        id=land_id, oracle=oracle, box=box, saddles=[SaddleInfo(point=np.zeros(2), **saddle)],
+        minima=minima, hessian=_on_floats(hess), notes=notes,
+    )
 
 
 def make_quartic() -> Landscape:
@@ -118,26 +118,13 @@ def make_quartic() -> Landscape:
     def grad(x1: float, x2: float) -> Array:
         return np.array([x1**3 / 4 - x1, 9 / 4 * x2])
 
-    @_on_floats
     def hess(x1: float, x2: float) -> Array:
         return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
 
-    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=5.75, rho=4.5), "quartic")
-    return Landscape(
-        id="quartic",
-        oracle=oracle,
-        box=(-3.0, 3.0),
-        saddles=[
-            SaddleInfo(
-                point=np.zeros(2),
-                lambda_min=-1.0,
-                direction=np.array([1.0, 0.0]),
-                ell_local=3.0,
-                rho_local=1.0,
-            )
-        ],
+    return _planar(
+        "quartic", f, grad, hess, SmoothnessSpec(ell=5.75, rho=4.5), box=(-3.0, 3.0),
+        saddle=dict(lambda_min=-1.0, direction=np.array([1.0, 0.0]), ell_local=3.0, rho_local=1.0),
         minima=[(np.array([2.0, 0.0]), -1.0), (np.array([-2.0, 0.0]), -1.0)],
-        hessian=hess,
         notes="ell/rho hold on the box; local constants hold within 0.5 of the saddle",
     )
 
@@ -161,7 +148,6 @@ def make_cubic_stochastic() -> Landscape:
             [1.5 * x1**2 - 3 * x2 + 2 * x1 * sq, -1.5 * x2**2 - 3 * x1 + 2 * x2 * sq]
         )
 
-    @_on_floats
     def hess(x1: float, x2: float) -> Array:
         return np.array(
             [
@@ -170,24 +156,13 @@ def make_cubic_stochastic() -> Landscape:
             ]
         )
 
-    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=35.0, rho=30.0), "cubic")
     inv2 = 1.0 / math.sqrt(2.0)
     mirror = np.array([-_CUBIC_MIN[1], -_CUBIC_MIN[0]])
-    return Landscape(
-        id="cubic",
-        oracle=oracle,
-        box=(-1.5, 1.5),
-        saddles=[
-            SaddleInfo(
-                point=np.zeros(2),
-                lambda_min=-3.0,
-                direction=np.array([inv2, inv2]),
-                ell_local=4.0,
-                rho_local=5.0,
-            )
-        ],
+    return _planar(
+        "cubic", f, grad, hess, SmoothnessSpec(ell=35.0, rho=30.0), box=(-1.5, 1.5),
+        saddle=dict(lambda_min=-3.0, direction=np.array([inv2, inv2]), ell_local=4.0,
+                    rho_local=5.0),
         minima=[(_CUBIC_MIN.copy(), _CUBIC_MIN_F), (mirror, _CUBIC_MIN_F)],
-        hessian=hess,
         notes="local constants hold within 0.1 of the saddle",
     )
 
@@ -209,7 +184,6 @@ def make_triangle() -> Landscape:
             [-0.5 * pi * math.sin(pi * x1) - w * pi * math.sin(2 * pi * x1), w]
         )
 
-    @_on_floats
     def hess(x1: float, x2: float) -> Array:
         w = _w(x1, x2)
         s2 = math.sin(2 * pi * x1)
@@ -218,22 +192,11 @@ def make_triangle() -> Landscape:
         h12 = -pi * s2
         return np.array([[h11, h12], [h12, 1.0]])
 
-    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=55.0, rho=380.0), "triangle")
-    return Landscape(
-        id="triangle",
-        oracle=oracle,
-        box=(-1.5, 1.5),
-        saddles=[
-            SaddleInfo(
-                point=np.zeros(2),
-                lambda_min=-pi**2 / 2,
-                direction=np.array([1.0, 0.0]),
-                ell_local=7.0,
-                rho_local=40.0,
-            )
-        ],
+    return _planar(
+        "triangle", f, grad, hess, SmoothnessSpec(ell=55.0, rho=380.0), box=(-1.5, 1.5),
+        saddle=dict(lambda_min=-pi**2 / 2, direction=np.array([1.0, 0.0]), ell_local=7.0,
+                    rho_local=40.0),
         minima=[(np.array([1.0, 0.0]), -1.0), (np.array([-1.0, 0.0]), -1.0)],
-        hessian=hess,
         notes="local constants hold within 0.01 of the saddle",
     )
 
@@ -264,7 +227,6 @@ def make_exponential() -> Landscape:
         dp = 2 * x1 * emu * (1 - u)
         return np.array([-2 * x1 * eu * s2 - w * dp, w])
 
-    @_on_floats
     def hess(x1: float, x2: float) -> Array:
         u, s, eu, s2, emu, p = _parts(x1)
         w = x2 - p
@@ -278,22 +240,10 @@ def make_exponential() -> Landscape:
         h12 = -2 * x1 * emu * (1 - u)
         return np.array([[h11, h12], [h12, 1.0]])
 
-    oracle = _planar_oracle(f, grad, SmoothnessSpec(ell=8.0, rho=16.0), "exponential")
-    return Landscape(
-        id="exponential",
-        oracle=oracle,
-        box=(-2.0, 2.0),
-        saddles=[
-            SaddleInfo(
-                point=np.zeros(2),
-                lambda_min=-0.5,
-                direction=np.array([1.0, 0.0]),
-                ell_local=2.0,
-                rho_local=4.0,
-            )
-        ],
+    return _planar(
+        "exponential", f, grad, hess, SmoothnessSpec(ell=8.0, rho=16.0), box=(-2.0, 2.0),
+        saddle=dict(lambda_min=-0.5, direction=np.array([1.0, 0.0]), ell_local=2.0, rho_local=4.0),
         minima=[],
-        hessian=hess,
         notes="infimum -1 approached as |x1| grows along the ridge x2 = x1^2 exp(-x1^2)",
     )
 

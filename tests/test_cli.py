@@ -347,6 +347,15 @@ class TestRunCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: eta {float(eta)} is out of range")
 
+    @pytest.mark.parametrize("flag, value", [("--eta", "1e-320"), ("--theta", "1e-200")])
+    def test_paper_pagd_momentum_out_of_the_floats_names_its_input(self, flag, value, capsys):
+        # gamma = theta^2 / eta overflows for a tiny eta; theta^2 underflows
+        # to 0 for a tiny theta.  Neither is eps's doing.
+        argv = ["run", "--alg", "pagd", "--fn", "quartic", "--mode", "paper", "--steps", "5"]
+        assert main(argv + ["--trials", "1", flag, value]) == 1
+        name = flag[2:]
+        assert capsys.readouterr().err.startswith(f"error: {name} {float(value)} is too small")
+
 
 class TestVerifyCommand:
     def test_verify_quartic_passes(self, capsys):
@@ -460,6 +469,12 @@ class TestParamsCommand:
         assert main(argv) == 1
         eps = argv[argv.index("--eps") + 1]
         assert capsys.readouterr().err.startswith(f"error: eps {float(eps)} is too small")
+
+    def test_ncf_delta_out_of_range_names_the_flag(self, capsys):
+        # ncf's delta is the search's delta0; the error names the flag given.
+        argv = ["params", "--alg", "ncf", "--ell", "1", "--rho", "1", "--eps", "0.1", "--n", "2"]
+        assert main(argv + ["--delta", "1.5"]) == 1
+        assert capsys.readouterr().err == "error: delta must be in (0, 1], got 1.5\n"
 
     def test_unknown_alg_exits_one(self, capsys):
         code = main([

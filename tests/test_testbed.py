@@ -482,6 +482,25 @@ class TestFusedPath:
         assert _same_bits(f, oracle.value(x))
         assert _same_bits(g, oracle.gradient(x))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, point", [
+        ("quartic", [1e80, 0.5]), ("cubic", [1e80, 0.5]),
+        ("triangle", [0.5, 1e200]), ("exponential", [0.5, 1e200]),
+    ])
+    def test_pair_falls_back_where_only_f_overflows(self, name, point):
+        # On Python floats f's ** overflows here and grad's does not, so the
+        # fused pair runs again on numpy scalars, grad included.
+        ref_f, ref_grad, _ = _REFERENCE[name]
+        with pytest.raises(OverflowError):
+            ref_f(point)
+        ref_grad(point)
+        oracle = _LANDS[name].oracle
+        x = np.array(point)
+        f, g = oracle.value_and_gradient(x)
+        assert _same_bits(f, oracle.value(x)) and _same_bits(g, oracle.gradient(x))
+        assert _same_bits(f, ref_f(x)) and _same_bits(g, ref_grad(x))
+        assert not math.isfinite(f)
+
     def test_plain_oracle_and_counting_oracle(self):
         land = get_landscape("quartic")
         o = land.oracle

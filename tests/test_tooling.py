@@ -231,6 +231,17 @@ def test_schedule_constants_are_written_once():
     assert [numbers.count(c) for c in (384, 768, 2304)] == [1, 0, 0]
 
 
+def test_testbed_catches_overflow_in_two_places():
+    # _on_floats is the one fallback of every 2-d formula; exponential's
+    # math.exp guard is the other handler.
+    tree = ast.parse((Path(saddlescape.__file__).parent / "testbed.py").read_text())
+    caught = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.unparse(node.type)
+    ]
+    assert len(caught) == 2
+
+
 def _perfbench_module(name: str, monkeypatch):
     """perfbench/<name>.py imported under its own name, read-only (no cache
     file), and forgotten after the test."""
