@@ -64,7 +64,6 @@ def paper_params_lines() -> list[str]:
 # `params` at the recipes' quartic constants and at unit constants in ten
 # dimensions, each for ncf and the six algorithms.
 PARAMS_SETTINGS = (("5.75", "4.5", "0.01", "2"), ("1", "1", "0.1", "10"))
-PAPER_RUN_ALGS = ("nc", "pgd", "ancgd", "pagd", "snc", "psgd")
 PAPER_RUN_FNS = ("quartic", "cubic")
 
 
@@ -119,7 +118,7 @@ def test_verify_stdout_matches_golden():
 
 
 @pytest.mark.parametrize("fn", PAPER_RUN_FNS)
-@pytest.mark.parametrize("alg", PAPER_RUN_ALGS)
+@pytest.mark.parametrize("alg", ALGORITHMS)
 def test_paper_run_matches_golden(alg, fn, tmp_path):
     for name, got in paper_run_files(alg, fn, tmp_path).items():
         assert got == (PAPER_RUNS / name).read_bytes(), name
@@ -156,6 +155,6 @@ if __name__ == "__main__":
     PAPER_PARAMS.write_text("\n".join(paper_params_lines()) + "\n")
     PARAMS_JSON.write_text(params_json_text())
     VERIFY_STDOUT.write_text(_stdout_of(["verify"]))
-    for alg, fn in itertools.product(PAPER_RUN_ALGS, PAPER_RUN_FNS):
+    for alg, fn in itertools.product(ALGORITHMS, PAPER_RUN_FNS):
         paper_run_files(alg, fn, PAPER_RUNS)
     print(f"wrote {PAPER_PARAMS}, {PARAMS_JSON}, {VERIFY_STDOUT} and {PAPER_RUNS}/")
