@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -95,7 +94,6 @@ def _nce_step(
 def accelerate(
     oracle: CountingOracle, x0: Array, params, trace: Trace, stream: RngStream,
     threshold: float, cooldown: int, radius: float, window: int,
-    close: Callable[[Array, float, Array, int], tuple[Array, bool]] | None = None,
     *, record: str = "full",
 ) -> Trace:
     """The momentum loop of ancgd and pagd.
@@ -107,17 +105,18 @@ def accelerate(
     With window > 0 the draw opens a search window: the anchor gradient zeta
     is subtracted from every step, for the next window iterations the
     momentum pair is pinned to the probe sphere around the anchor, and at
-    its end close(anchor, anchor_f, direction, t) takes the unit direction
-    the pair drifted toward and returns the point of record t, where the
-    loop restarts, and whether the loop stops there.  It is not
+    its end ncfind.exploit steps from the anchor along the unit direction
+    the pair drifted toward; the loop restarts from the point it returns,
+    the next record, and stops there if exploit says so.  It is not
     ncfind._power_search: it pins the pair, its steps are scored records of
     this loop, and this loop's trigger opens it.  With window = 0 the draw
     only re-seeds the iterate.  Outside windows a per-step certificate
     compares f(x) against the gamma-strongly-convex lower model at z and
     reroutes through the momentum reset when violated.  params supplies
-    eta, theta, gamma, nce_radius, total_steps and trust_region; trace.meta
-    gets the oracle's call counts.  x0 must be a finite (dim,) vector.  At
-    record="summary" no record keeps its iterate (TraceRecord).
+    eta, theta, gamma, nce_radius, total_steps and trust_region, and with
+    window > 0 exploit's eps, rho, exploit_step and stop_at_candidate;
+    trace.meta gets the oracle's call counts.  x0 must be a finite (dim,)
+    vector.  At record="summary" no record keeps its iterate (TraceRecord).
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
@@ -167,11 +166,18 @@ def accelerate(
                 event = EVENT_PERTURB
                 meta["perturbs"].append({"t": t, "x": x})
         elif t - last == window:
-            # End of the search window: close maps the direction the
-            # momentum pair drifted toward to the next record's point.
+            # End of the search window: exploit along the direction the
+            # momentum pair drifted toward gives the next record's point.
             diff = x - anchor
             dn = _norm(diff)
-            x, stop = close(anchor, anchor_f, diff / dn, t + 1) if dn > 0.0 else (anchor, False)
+            if dn > 0.0:
+                x, stop = exploit(
+                    oracle.value, anchor, anchor_f, diff / dn, params.eps, params.rho,
+                    params.exploit_step, meta=meta, t=t + 1,
+                    stop_at_candidate=params.stop_at_candidate,
+                )
+            else:
+                x = anchor
             z = x
             v = zeta = np.zeros_like(x)
             event = EVENT_NCF_EXPLOIT
@@ -239,21 +245,12 @@ def ancgd_run(
     momentum pair drifted toward (see accelerate).  The trigger defaults
     to eps and the cooldown to ncf_steps.
     """
-    counted = CountingOracle(oracle)
     trace = Trace.start(
         "ancgd", stream, eta=params.eta, perturbs=[], exploits=[], candidates=[]
     )
-
-    def close(anchor: Array, anchor_f: float, direction: Array, t: int):
-        return exploit(
-            counted.value, anchor, anchor_f, direction, params.eps, params.rho,
-            params.exploit_step, meta=trace.meta, t=t,
-            stop_at_candidate=params.stop_at_candidate,
-        )
-
     threshold = params.eps if params.grad_threshold is None else params.grad_threshold
     cooldown = params.ncf_steps if params.cooldown is None else params.cooldown
     return accelerate(
-        counted, x0, params, trace, stream, threshold, cooldown,
-        params.perturb_radius, params.ncf_steps, close, record=record,
+        CountingOracle(oracle), x0, params, trace, stream, threshold, cooldown,
+        params.perturb_radius, params.ncf_steps, record=record,
     )

@@ -3,7 +3,6 @@ perturbation-based baselines it is compared against."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,13 +55,11 @@ def pgd_nc_run(
     nc = params.search
     eta = 1.0 / nc.ell if params.eta is None else params.eta
     threshold = nc.eps if params.grad_threshold is None else params.grad_threshold
-
-    def search(anchor: Array, budget: int, episode: int):
-        inner = nc if nc.steps <= budget else dataclasses.replace(nc, steps=budget)
-        return nc_find(counted, anchor, inner, stream.substream(("ncf", episode)))
-
     trace = Trace.start("pgd-nc", stream)
-    escape = curvature_escape(trace, params, counted.value, search)
+    escape = curvature_escape(
+        trace, params, counted.value,
+        lambda anchor, search, sub: nc_find(counted, anchor, search, sub), stream, "ncf",
+    )
     return descend(
         x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD, eta, threshold,
         record=record,
@@ -162,7 +159,7 @@ def psgd_run(
     the true landscape.
     """
     trace = Trace.start("psgd", stream, perturbs=[], samples=0)
-    variance = params.radius**2 / len(x0)
+    variance = params.radius**2 / oracle.dim
     sample = oracle.mean_sampler(params.batch, stream.substream("theta"), params.total_steps)
 
     def estimate(x: Array, g: Array) -> Array:

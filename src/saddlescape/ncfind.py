@@ -5,7 +5,7 @@ share."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -250,6 +250,7 @@ def descend(
     estimate and the record is tagged event.  params supplies total_steps,
     cooldown and trust_region.  A CountingOracle recorder's call counts go
     into trace.meta, and at record="summary" no record keeps its iterate.
+    x0 must be a finite (dim,) vector of the recorder's domain.
 
     Queries: each record scores its point with one
     recorder.value_and_gradient call (one value and one gradient); a held
@@ -257,7 +258,7 @@ def descend(
     estimate and escape query comes on top.
     """
     keep = keeps_iterates(record)
-    x = np.asarray(x0, dtype=float).copy()
+    x = _point(recorder, x0, "x0").copy()
     records = trace.records
     value_and_gradient = recorder.value_and_gradient
 
@@ -299,24 +300,28 @@ def descend(
 
 def curvature_escape(
     trace: Trace, params: NCDescentParams, value: Callable[[Array], float],
-    search: Callable[[Array, int, int], NCOutcome],
+    find: Callable[[Array, NCParams | SNCParams, RngStream], NCOutcome],
+    stream: RngStream, tag: str,
 ) -> Callable[[Array, int, int], tuple | None]:
-    """Episode hook for descend: search(anchor, budget, episode) returns a
-    direction from at most budget steps, one held iteration each, and the
-    exploit from the anchor (scored by value, its f read from the anchor's
-    record) takes the closing record.  Declines when fewer than two
+    """Episode hook for descend.  The k-th episode runs find(anchor, search,
+    substream) with params.search cut to at most budget - 1 steps (the
+    closing record takes the last iteration) and the substream (tag, k) of
+    stream; each search step is one held iteration.  The exploit from the
+    anchor along the direction found (scored by value, its f read from the
+    anchor's record) takes the closing record.  Declines when fewer than two
     iterations remain.
     """
     meta = trace.meta
     meta["exploits"], meta["candidates"] = [], []
-    eps, rho = params.search.eps, params.search.rho
+    search = params.search
 
     def escape(anchor: Array, t: int, budget: int):
         if budget < 2:
             return None
-        outcome = search(anchor, budget - 1, len(meta["exploits"]))
+        inner = search if search.steps < budget else replace(search, steps=budget - 1)
+        outcome = find(anchor, inner, stream.substream((tag, len(meta["exploits"]))))
         x, stop = exploit(
-            value, anchor, trace.records[-1].f, outcome.e_hat, eps, rho,
+            value, anchor, trace.records[-1].f, outcome.e_hat, search.eps, search.rho,
             params.exploit_step, meta=meta, t=t + outcome.steps_used + 1,
             stop_at_candidate=params.stop_at_candidate,
         )

@@ -27,8 +27,8 @@ _C_A = 8.0
 def _refusal(name: str, value: float) -> ParameterError:
     """The error for an input that takes a derived quantity out of the floats."""
     return ParameterError(
-        f"{name} {value} is too {'small' if value < 1 else 'large'}: a paper-mode "
-        "quantity derived from it is zero or not finite"
+        f"{name} {value} is too {'small' if value < 1 else 'large'}: a quantity "
+        "derived from it is zero or not finite"
     )
 
 

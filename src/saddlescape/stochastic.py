@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,8 +77,9 @@ def snc_find(
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
     curvature probes.  Under additive noise a search queries grad f at
-    x_tilde once and then once per step (steps + 1 in all), while each step
-    still bills 2 * batch samples; the injected noise is drawn in blocks of
+    x_tilde once and then once per step but an attempt's first, whose
+    difference at offset zero is zero (steps in all), while each step still
+    bills 2 * batch samples; the injected noise is drawn in blocks of
     rows, the same bits as one draw per step.
     """
     x_tilde = _point(oracle, x_tilde)
@@ -95,9 +95,11 @@ def snc_find(
 
     def step(y: Array, norm: float) -> Array:
         nonlocal scale
-        # Only an attempt's first step, from zero, sees norm 0: scale restarts.
+        # Only an attempt's first step, from zero, sees norm 0: scale
+        # restarts, and the shared-sample difference at x_tilde + 0 is 0.
         scale = scale * (norm / r_s) if norm else r_s
-        return y - (1.0 / params.ell) * (diff(x_tilde + y) + next(xi_rows) / (scale / r_s))
+        probe = diff(x_tilde + y) if norm else 0.0
+        return y - (1.0 / params.ell) * (probe + next(xi_rows) / (scale / r_s))
 
     y = _power_search(lambda: np.zeros(n), step, r_s, params.steps)
     return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
@@ -132,12 +134,11 @@ def sgd_nc_run(
         trace.meta["samples"] += params.outer_batch
         return sample(x, g)
 
-    def search(anchor: Array, budget: int, episode: int) -> NCOutcome:
-        inner = snc if snc.steps <= budget else dataclasses.replace(snc, steps=budget)
-        trace.meta["samples"] += inner.steps * inner.batch * 2
-        return snc_find(oracle, anchor, inner, stream.substream(("snc", episode)))
+    def find(anchor: Array, search: SNCParams, sub: RngStream) -> NCOutcome:
+        trace.meta["samples"] += search.steps * search.batch * 2
+        return snc_find(oracle, anchor, search, sub)
 
-    escape = curvature_escape(trace, params, oracle.mean.value, search)
+    escape = curvature_escape(trace, params, oracle.mean.value, find, stream, "snc")
     return descend(
         x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD, eta, threshold,
         record=record,

@@ -334,9 +334,12 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
     variance sigma_a^2 and off-diagonal entries of variance sigma_a^2 / 2, and
     each realized sample is the gradient of a random quadratic perturbation
     of f.  Unlike the additive model, batch size genuinely matters here.
-    Each sampler call draws m fresh (b, A) pairs, m (n + n^2) floats; the
-    mean sampler adds them to the g its caller holds and the difference
-    sampler queries grad f(x0) once.
+    The samplers draw the mean of m thetas in closed form, which is exact in
+    distribution: b_bar ~ N(0, sigma_b^2 / m I), and A_bar = (R + R^T) / 2
+    for R with i.i.d. N(0, sigma_a^2 / m) entries.  The mean sampler adds
+    b_bar + A_bar x to the g its caller holds (n + n^2 floats per call); the
+    difference sampler queries grad f(x0) once and adds A_bar (x1 - x0),
+    since b_bar cancels (n^2 floats and one gradient query per call).
     """
 
     def __init__(self, mean: GradientOracle, sigma_b: float, sigma_a: float):
@@ -345,29 +348,23 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
         self.sigma_b = float(sigma_b)
         self.sigma_a = float(sigma_a)
 
-    def _draw(self, stream, m: int) -> tuple[Array, Array]:
-        """m draws of theta = (b, A): the b rows first, then the symmetrised A."""
-        n = self.dim
-        b = self.sigma_b * stream.gen.standard_normal((m, n))
-        raw = self.sigma_a * stream.gen.standard_normal((m, n, n))
-        return b, (raw + np.swapaxes(raw, 1, 2)) / 2
+    def _mean_a(self, stream, m: int) -> Array:
+        """A_bar, the mean of m draws of A."""
+        raw = self.sigma_a / math.sqrt(m) * stream.gen.standard_normal((self.dim, self.dim))
+        return (raw + raw.T) / 2
 
     def mean_sampler(self, m: int, stream, calls: int) -> Callable:
+        scale_b = self.sigma_b / math.sqrt(m)
+
         def sample(x: Array, g: Array) -> Array:
-            b, a = self._draw(stream, m)
-            return (g[None, :] + b + a @ x).mean(axis=0)
+            b = scale_b * stream.gen.standard_normal(self.dim)
+            return g + b + self._mean_a(stream, m) @ x
 
         return sample
 
     def diff_sampler(self, x0: Array, m: int, stream) -> Callable:
         g0 = self.mean.gradient(x0)
-
-        def diff(x1: Array) -> Array:
-            b, a = self._draw(stream, m)
-            g1 = self.mean.gradient(x1)
-            return ((g1[None, :] + b + a @ x1) - (g0[None, :] + b + a @ x0)).mean(axis=0)
-
-        return diff
+        return lambda x1: self.mean.gradient(x1) - g0 + self._mean_a(stream, m) @ (x1 - x0)
 
 
 _FACTORIES: dict[str, Callable[[], Landscape]] = {

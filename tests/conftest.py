@@ -1,5 +1,5 @@
-"""Shared builders and fixtures for the test suite, and reference
-implementations.
+"""Shared builders and fixtures for the test suite, reference
+implementations, and a detector of repeated oracle queries.
 
 The library's curvature searches keep their iterates on the probe sphere.
 The free-running references below run the same recursions with the
@@ -27,6 +27,7 @@ from saddlescape import (
     RandomQuadraticNoiseOracle,
     SmoothnessSpec,
     StochasticOracle,
+    get_landscape,
     uniform_ball_sample,
 )
 from saddlescape import harness
@@ -132,13 +133,9 @@ def free_snc_direction(oracle, x_tilde, params, stream):
     z = np.zeros(n)
     for _ in range(params.steps):
         zn = _norm(z)
-        if zn > 0.0:
-            g_est = (zn / r_s) * diff(x_tilde + (r_s / zn) * z)
-        else:
-            # Consume the same sample draws as snc_find so the two runs stay
-            # aligned stream for stream.
-            diff(x_tilde)
-            g_est = np.zeros(n)
+        # From zero the shared-sample difference is zero, and neither
+        # search queries it.
+        g_est = (zn / r_s) * diff(x_tilde + (r_s / zn) * z) if zn > 0.0 else np.zeros(n)
         xi = xi_stream.gen.standard_normal(n) * (r_s / math.sqrt(n))
         z = z - (1.0 / ell) * (g_est + xi)
         assert np.isfinite(z).all(), "free search degenerated"
@@ -219,7 +216,7 @@ LITERAL_LAWS = {
     ),
     RandomQuadraticNoiseOracle: NoiseLaw(
         lambda mean: RandomQuadraticNoiseOracle(mean, 0.3, 0.2), _quadratic_draw,
-        _quadratic_grad_at, exact=True,
+        _quadratic_grad_at, exact=False,
     ),
 }
 
@@ -243,6 +240,42 @@ class LiteralNoise(StochasticOracle):
             return (self.grad_at(x1, thetas) - self.grad_at(x0, thetas)).mean(axis=0)
 
         return diff
+
+
+def repeated_queries(algorithm, landscape, trials, seed=0):
+    """The oracle queries of a recipe's trials, and how many of them are at
+    an x that the same trial already queried the same way (value or
+    gradient), byte for byte.  Each trial runs as the harness runs it
+    (harness._trial_trace), over a wrapped landscape oracle; a fused
+    value_and_gradient call is one query of each kind.  Returns
+    {"gradient": (repeated, total), "value": (repeated, total)}."""
+    land = get_landscape(landscape)
+    cfg = harness.ExperimentConfig(algorithm, landscape, trials=trials, seed=seed)
+    payload = harness.build_payload(cfg, land)
+    oracle = land.oracle
+    counts = {"gradient": [0, 0], "value": [0, 0]}
+    seen = {kind: set() for kind in counts}
+
+    def logged(fn, *kinds):
+        def query(x):
+            key = np.asarray(x, dtype=float).tobytes()
+            for kind in kinds:
+                counts[kind][0] += key in seen[kind]
+                counts[kind][1] += 1
+                seen[kind].add(key)
+            return fn(x)
+
+        return query
+
+    logged_land = dataclasses.replace(land, oracle=dataclasses.replace(
+        oracle, f=logged(oracle.f, "value"), grad=logged(oracle.grad, "gradient"),
+        f_and_grad=oracle.f_and_grad and logged(oracle.f_and_grad, "value", "gradient"),
+    ))
+    for trial in range(trials):
+        for points in seen.values():
+            points.clear()
+        harness._trial_trace(payload, logged_land, trial)
+    return {kind: tuple(c) for kind, c in counts.items()}
 
 
 def angular_gap(a, b):

@@ -356,6 +356,18 @@ class TestRunCommand:
         name = flag[2:]
         assert capsys.readouterr().err.startswith(f"error: {name} {float(value)} is too small")
 
+    def test_experiment_pagd_momentum_refusal_names_no_mode(self, capsys):
+        # Experiment mode derives pagd's gamma from an explicit eta too, so
+        # the refusal must not call the quantity a paper-mode one.
+        argv = [
+            "run", "--alg", "pagd", "--fn", "triangle", "--eta", "1e-320", "--r", "0.1",
+            "--g-thresh", "0.1", "--steps", "5", "--trials", "1",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta 1e-320 is too small")
+        assert "paper-mode" not in err
+
 
 class TestVerifyCommand:
     def test_verify_quartic_passes(self, capsys):

@@ -410,6 +410,20 @@ _BAD_INPUTS += [
         (pagd_run, (_MUTE, _ORIGIN, _PAGD)),
     ]
 ]
+# The descent loop's start point, through its four entry points, also
+# refused before the first query.
+_BAD_INPUTS += [
+    (run.__name__, "x0", lambda v, run=run, oracle=oracle, params=params: run(
+        oracle, np.array([v, 0.0]) if isinstance(v, float) else np.zeros(v), params,
+        RngStream(0, 0),
+    ), (_NAN, _INF, 1, 3, (2, 1)))
+    for run, oracle, params in [
+        (pgd_nc_run, _MUTE, NCDescentParams(_NC, 5)),
+        (sgd_nc_run, _MUTE_NOISY, NCDescentParams(_SNC, 5)),
+        (pgd_run, _MUTE, _PAGD),
+        (psgd_run, _MUTE_NOISY, _PAGD),
+    ]
+]
 
 
 @pytest.mark.parametrize(

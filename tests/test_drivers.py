@@ -45,7 +45,7 @@ from saddlescape.core import (
 from saddlescape.harness import build_payload
 from saddlescape.ncfind import NCParams
 
-from conftest import make_quadratic, trace_decrease, trace_events
+from conftest import make_quadratic, repeated_queries, trace_decrease, trace_events
 
 
 def _nc_run_params(**overrides):
@@ -512,6 +512,31 @@ class TestOracleCounts:
         assert trace_events(trace) == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
         assert trace.meta["grad_evals"] == (T + 1) + T == 41
         assert trace.meta["f_evals"] == T + 1 == 21
+
+
+@pytest.mark.parametrize(
+    "alg, land_id, gradients, values",
+    [
+        # Per episode, the anchor gradient that the search takes again, and
+        # the closing record's value, which exploit scored or, where the
+        # exploit fell back to the anchor, the anchor's record did; such a
+        # closing record repeats the anchor's gradient too.
+        ("nc", "quartic", (60, 1860), (40, 1080)),
+        ("nc", "highdim-100", (20, 640), (20, 100)),
+        ("snc", "cubic", (22, 1220), (21, 349)),
+        # 3 gradients and 2 values repeat in 100 trials, none in these 20.
+        ("ancgd", "quartic", (0, 1640), (0, 1260)),
+        ("pgd", "quartic", (0, 1820), (0, 1820)),
+        ("psgd", "cubic", (0, 1220), (0, 1220)),
+        ("pagd", "quartic", (0, 1640), (0, 1974)),
+    ],
+)
+def test_recipe_queries_repeated_at_one_point(alg, land_id, gradients, values):
+    """(repeated, total) oracle queries of 20 harness trials at seed 0; a
+    repeat is a query at an x that its trial already queried the same way,
+    byte for byte.  A change that removes a repeat lowers these counts."""
+    counts = repeated_queries(alg, land_id, trials=20)
+    assert counts == {"gradient": gradients, "value": values}
 
 
 class TestPsgdBaseline:

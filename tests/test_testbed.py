@@ -1,6 +1,7 @@
 """Analytic landscapes: declared structure versus independent numerics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,24 @@ class TestNoiseWrappers:
         diff = oracle.diff_sampler(x0, 1, RngStream(3, 0))
         column = np.array([diff(x1) - exact for _ in range(20000)])
         assert column.var(axis=0) == pytest.approx([1.0, 0.5], rel=0.05)
+
+    def test_random_quadratic_noise_memory_does_not_grow_with_m(self):
+        # The mean of m thetas is drawn in closed form, n + n^2 floats per
+        # call, not as m thetas (m (n + n^2) floats: about 24 MB here).
+        oracle = RandomQuadraticNoiseOracle(get_landscape("highdim-5").oracle, 0.3, 0.2)
+        x0, x1 = np.zeros(5), np.full(5, 0.1)
+        g1 = oracle.mean.gradient(x1)
+        m = 10**5
+        # numpy allocates about 1 MB the first time a Philox generator draws.
+        RngStream(0, 2).gen.standard_normal(1)
+        tracemalloc.start()
+        try:
+            oracle.diff_sampler(x0, m, RngStream(0, 0))(x1)
+            oracle.mean_sampler(m, RngStream(0, 1), 1)(x1, g1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("name", ["sigma_b", "sigma_a"])
     @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
