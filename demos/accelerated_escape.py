@@ -1,11 +1,14 @@
 """The accelerated loop: momentum descent with curvature-search windows.
 
 One trace from the quartic saddle shows the anatomy: a perturbation anchors
-a pinned search window, the window steps stay on a sphere around the anchor,
-and the exploit step converts the found direction into function decrease.
-Between windows an exact certificate check occasionally resets momentum
-(the "nce" event). The energy f(x) + |v|^2 / (2 eta) is monotone outside
-windows, which is the mechanism behind the accelerated rate.
+a pinned search window, the window's momentum pair stays on a sphere around
+the anchor, and the exploit step converts the found direction into function
+decrease. Between windows an exact certificate check occasionally resets
+momentum (the "nce" event). The energy f(x) + |v|^2 / (2 eta) is monotone
+outside windows, which is the mechanism behind the accelerated rate.
+A window's records hold the anchor (its f, no query) with the pinned pair's
+|v|, so the energy shown inside windows is f(anchor) + |v|^2 / (2 eta): it
+moves with the search's momentum alone.
 """
 
 from collections import Counter
@@ -46,7 +49,8 @@ def anatomy():
         if rec.event not in ("agd", "nce")
     ]
     print(f"  energy {energies[0]:.4f} -> {energies[-1]:.4f}; largest rise on "
-          f"plain steps {max(plain):.2e}, inside windows {max(window):.2e}")
+          f"plain steps {max(plain):.2e}, inside windows (f held at the anchor) "
+          f"{max(window):.2e}")
 
 
 def comparison():

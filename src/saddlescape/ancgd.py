@@ -108,9 +108,11 @@ def accelerate(
     its end ncfind.exploit steps from the anchor along the unit direction
     the pair drifted toward; the loop restarts from the point it returns,
     the next record, and stops there if exploit says so.  It is not
-    ncfind._power_search: it pins the pair, its steps are scored records of
-    this loop, and this loop's trigger opens it.  With window = 0 the draw
-    only re-seeds the iterate.  Outside windows a per-step certificate
+    ncfind._power_search: it pins the pair, its steps are records of this
+    loop held at the anchor (as descend holds a search step), and this
+    loop's trigger opens it.  The trigger is not tested inside a window, so
+    every window reaches its exploit.  With window = 0 the draw only
+    re-seeds the iterate.  Outside windows a per-step certificate
     compares f(x) against the gamma-strongly-convex lower model at z and
     reroutes through the momentum reset when violated.  params supplies
     eta, theta, gamma, nce_radius, total_steps and trust_region, and with
@@ -120,13 +122,17 @@ def accelerate(
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
-    reset already scored that very array.  The step takes grad f(z) unless
-    z is the certificate's z_next, or z is the start point at t = 0, or z
-    follows a reset and equals the recorded x bit for bit (z = x + (1 -
-    theta) * 0 differs from x only where x holds -0.0), when it reuses that
-    gradient.  Outside windows the certificate takes f(x_next) and, in one
-    value_and_gradient call, f(z_next) and grad f(z_next); a reset of short
-    momentum adds the values of its two candidates.
+    reset already scored that very array.  A search step's record queries
+    nothing: it holds the anchor's f, gradient norm and x, with the pinned
+    pair's momentum; only a budget that ends inside a window scores its
+    last record's point.  A window step thus takes grad f(z) alone.  The
+    step takes grad f(z) unless z is the certificate's z_next, or z is the
+    start point at t = 0, or z follows a reset and equals the recorded x
+    bit for bit (z = x + (1 - theta) * 0 differs from x only where x holds
+    -0.0), when it reuses that gradient.  Outside windows the certificate
+    takes f(x_next) and, in one value_and_gradient call, f(z_next) and
+    grad f(z_next); a reset of short momentum adds the values of its two
+    candidates.
     """
     keep = keeps_iterates(record)
     # z is x at t = 0, so the first step reuses the first record's gradient.
@@ -134,22 +140,31 @@ def accelerate(
     v = zeta = np.zeros_like(x)
     eta, theta = params.eta, params.theta
     records, meta = trace.records, trace.meta
-    # The first small gradient triggers, whatever the cooldown.
-    last = -math.inf
+    # The first small gradient triggers, whatever the cooldown.  The
+    # trigger is not tested inside a window, which always reaches its
+    # exploit.
+    last, cooldown = -math.inf, max(cooldown, window)
     x_scored = z_scored = g_z_next = None
     f_x_next = 0.0
     event = EVENT_AGD
     stop = False
 
     for t in range(params.total_steps + 1):
-        if x is x_scored:
-            f, g_x = f_x_next, oracle.gradient(x)
+        if 0 < t - last <= window and t < params.total_steps:
+            # A search step is held at the anchor, as descend holds one; a
+            # budget that ends inside the window scores its last point.
+            records.append(TraceRecord(
+                t, anchor_f, g_norm, event, anchor if keep else None, _norm(v)
+            ))
         else:
-            f, g_x = oracle.value_and_gradient(x)
-        g_norm = _norm(g_x)
-        records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
-        if t == params.total_steps or stop:
-            break
+            if x is x_scored:
+                f, g_x = f_x_next, oracle.gradient(x)
+            else:
+                f, g_x = oracle.value_and_gradient(x)
+            g_norm = _norm(g_x)
+            records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
+            if t == params.total_steps or stop:
+                break
         event = EVENT_AGD
 
         if g_norm <= threshold and t - last > cooldown:

@@ -254,8 +254,9 @@ def descend(
 
     Queries: each record scores its point with one
     recorder.value_and_gradient call (one value and one gradient); a held
-    search step reuses the anchor's record and queries nothing.  Whatever
-    estimate and escape query comes on top.
+    search step, and a closing record at the anchor's very bytes, reuse the
+    anchor's record and query nothing.  Whatever estimate and escape query
+    comes on top.
     """
     keep = keeps_iterates(record)
     x = _point(recorder, x0, "x0").copy()
@@ -283,13 +284,17 @@ def descend(
             g_x = score(t, x, event)
         else:
             last = t
-            anchor, anchor_f = x if keep else None, records[-1].f
+            anchor, anchor_x = records[-1], x
             x, tag, held, stop = episode
             for _ in range(held):
                 t += 1
-                records.append(TraceRecord(t, anchor_f, g_norm, EVENT_NCF_STEP, anchor))
+                records.append(TraceRecord(t, anchor.f, g_norm, EVENT_NCF_STEP, anchor.x))
             t += 1
-            g_x = score(t, x, tag)
+            if x.tobytes() == anchor_x.tobytes():
+                # The exploit fell back to the anchor: g_x is still its gradient.
+                records.append(TraceRecord(t, anchor.f, anchor.grad_norm, tag, x if keep else None))
+            else:
+                g_x = score(t, x, tag)
             if stop:
                 break
         check_iterate(x, params.trust_region, trace)

@@ -78,9 +78,10 @@ def snc_find(
     the sample draw across both query points, which is what turns them into
     curvature probes.  Under additive noise a search queries grad f at
     x_tilde once and then once per step but an attempt's first, whose
-    difference at offset zero is zero (steps in all), while each step still
-    bills 2 * batch samples; the injected noise is drawn in blocks of
-    rows, the same bits as one draw per step.
+    difference at offset zero is zero (steps in all); sgd_nc_run bills
+    2 * batch samples per step but that first, which draws none.  The
+    injected noise is drawn in blocks of rows, the same bits as one draw
+    per step.
     """
     x_tilde = _point(oracle, x_tilde)
     n = x_tilde.shape[0]
@@ -135,7 +136,8 @@ def sgd_nc_run(
         return sample(x, g)
 
     def find(anchor: Array, search: SNCParams, sub: RngStream) -> NCOutcome:
-        trace.meta["samples"] += search.steps * search.batch * 2
+        # An attempt's first step, from zero, draws no sample.
+        trace.meta["samples"] += (search.steps - 1) * search.batch * 2
         return snc_find(oracle, anchor, search, sub)
 
     escape = curvature_escape(trace, params, oracle.mean.value, find, stream, "snc")

@@ -148,14 +148,16 @@ def free_anc_window(oracle, x_tilde, params, x_off):
     """Free-space twin of ancgd_run's pinned search window from the initial
     offset x_off: the momentum iterate runs unconstrained while every
     gradient is taken on the probe sphere and scaled by the offset norm over
-    the probe radius.  Returns (unit direction, offsets after each step)."""
+    the probe radius.  Returns (unit direction, the z offset of each step,
+    where the pinned window queries its gradient)."""
     x_tilde = np.asarray(x_tilde, dtype=float)
     r = params.perturb_radius
     x_off = np.asarray(x_off, dtype=float).copy()
     g_anchor = oracle.gradient(x_tilde)
     z_off = x_off.copy()
-    path = [x_off.copy()]
+    path = []
     for _ in range(params.ncf_steps):
+        path.append(z_off.copy())
         zn = _norm(z_off)
         if zn > 0.0:
             g_scaled = (zn / r) * oracle.gradient(x_tilde + (r / zn) * z_off)
@@ -165,7 +167,6 @@ def free_anc_window(oracle, x_tilde, params, x_off):
         v = x_next - x_off
         z_off = x_next + (1.0 - params.theta) * v
         x_off = x_next
-        path.append(x_off.copy())
     norm = _norm(x_off)
     assert norm > 0.0, "search collapsed to the anchor"
     return x_off / norm, path

@@ -127,6 +127,21 @@ class TestNceStep:
         assert x2[0] == pytest.approx(0.5)
 
 
+def _gradient_spy(oracle):
+    """oracle, logging a copy of each point queried by a plain gradient call
+    (records query through value_and_gradient, which is not logged)."""
+    points = []
+
+    def grad(x):
+        points.append(np.array(x, dtype=float))
+        return oracle.grad(x)
+
+    spy = dataclasses.replace(
+        oracle, grad=grad, f_and_grad=lambda x: (oracle.f(x), oracle.grad(x))
+    )
+    return spy, points
+
+
 class TestWindowEquivalence:
     def test_pinned_matches_free_twin_on_quadratic(self):
         saddle_quad = make_quadratic([-1.0, 2.0])
@@ -134,17 +149,17 @@ class TestWindowEquivalence:
             eta=0.1, theta=0.05, ncf_steps=25, total_steps=27,
             perturb_radius=0.05, ell=2.5, cooldown=10**6,
         )
-        stream = RngStream(0, 0)
-        trace = ancgd_run(saddle_quad, np.zeros(2), params, stream)
+        spy, queried = _gradient_spy(saddle_quad)
+        trace = ancgd_run(spy, np.zeros(2), params, RngStream(0, 0))
         perturb = trace.meta["perturbs"][0]
         exploit = trace.meta["exploits"][0]
         free_dir, path = free_anc_window(saddle_quad, np.zeros(2), params, perturb["offset"])
         assert angular_gap(exploit["e_hat"], free_dir) <= 1e-10
-        # Pinned per-step states are a rigid rescaling of the free states.
+        # The first ncf_steps plain gradient queries are the window's z, a
+        # rigid rescaling of the free z.
         anchor = perturb["anchor"]
-        for k in range(1, params.ncf_steps + 1):
-            pinned_off = trace.records[k].x - anchor
-            assert angular_gap(pinned_off, path[k]) <= 1e-10
+        for z, free_off in zip(queried[: params.ncf_steps], path, strict=True):
+            assert angular_gap(z - anchor, free_off) <= 1e-10
 
     def test_pinned_matches_free_twin_on_quartic_saddle(self):
         # Off-quadratic the first update differs at cubic order in the probe
@@ -199,13 +214,45 @@ class TestRunMechanics:
     def test_window_states_pinned_to_probe_sphere(self):
         land = get_landscape("quartic")
         params = _window_params(cooldown=10**6, total_steps=22)
-        trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(6, 0))
+        spy, queried = _gradient_spy(land.oracle)
+        trace = ancgd_run(spy, np.zeros(2), params, RngStream(6, 0))
         anchor = trace.meta["perturbs"][0]["anchor"]
-        # After the first pinned update every window x sits near the sphere
-        # (x shares z's rescale factor, so it stays within the probe scale).
-        for k in range(2, params.ncf_steps + 1):
-            off = np.linalg.norm(trace.records[k].x - anchor)
-            assert off <= 2.0 * params.perturb_radius
+        # The window queries grad f(z) at the draw, inside the ball, then at
+        # each pinned z, on the probe sphere.
+        window = queried[: params.ncf_steps]
+        assert np.linalg.norm(window[0] - anchor) <= params.perturb_radius
+        for z in window[1:]:
+            assert np.linalg.norm(z - anchor) == pytest.approx(params.perturb_radius, rel=1e-12)
+
+    def test_window_records_hold_the_anchor(self):
+        # Each search step is recorded at the anchor with the anchor's f and
+        # gradient norm, and the pinned pair's momentum.
+        land = get_landscape("quartic")
+        params = _window_params(cooldown=10**6, total_steps=30)
+        trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(6, 0))
+        anchor = trace.records[0]
+        held = trace.records[1 : params.ncf_steps + 1]
+        assert {rec.event for rec in held} == {EVENT_NCF_STEP}
+        for rec in held:
+            assert (rec.f, rec.grad_norm) == (anchor.f, anchor.grad_norm)
+            assert rec.x is anchor.x
+            assert rec.v_norm > 0.0
+
+    def test_short_cooldown_does_not_abort_the_window(self):
+        # The trigger is not tested inside a window: a zero cooldown and a
+        # probe radius too small to leave the flat region still let every
+        # window reach its exploit.
+        land = get_landscape("quartic")
+        k = 6
+        params = _window_params(
+            ncf_steps=k, total_steps=k + 4, cooldown=0, perturb_radius=1e-4
+        )
+        trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(3, 0))
+        assert [p["t"] for p in trace.meta["perturbs"]] == [0]
+        assert [e["t"] for e in trace.meta["exploits"]] == [k + 1]
+        assert trace_events(trace)[: k + 2] == (
+            [EVENT_PERTURB] + [EVENT_NCF_STEP] * k + [EVENT_NCF_EXPLOIT]
+        )
 
     def test_exploit_decrease_and_certificate_meta(self):
         land = get_landscape("quartic")

@@ -334,13 +334,17 @@ class TestOracleCounts:
         records = len(events)
         search_steps = events.count(EVENT_NCF_STEP)
         episodes = len(trace.meta["exploits"])
-        assert (records, search_steps, episodes) == (91, 41, 2)
-        # Gradients: one per record that is not a search step, plus per
-        # episode the anchor gradient and one probe per search step.
-        assert trace.meta["grad_evals"] == (records - search_steps) + episodes + search_steps == 93
-        # Values: one per record that is not a search step, plus the two
-        # exploit candidates per episode.
-        assert trace.meta["f_evals"] == (records - search_steps) + 2 * episodes == 54
+        # The second exploit falls back to its anchor.
+        fallbacks = sum(e["decrease"] == 0.0 for e in trace.meta["exploits"])
+        assert (records, search_steps, episodes, fallbacks) == (91, 41, 2, 1)
+        scored = records - search_steps - fallbacks
+        # Gradients: one per record that is neither a search step nor a
+        # closing record at the anchor, plus per episode the anchor gradient
+        # and one probe per search step.
+        assert trace.meta["grad_evals"] == scored + episodes + search_steps == 92
+        # Values: one per such record, plus the two exploit candidates per
+        # episode.
+        assert trace.meta["f_evals"] == scored + 2 * episodes == 53
 
     @pytest.mark.parametrize(
         "x0, perturbs", [((1.5, 0.5), 0), ((0.0, 0.0), 1)], ids=["descent", "perturbed"]
@@ -504,28 +508,44 @@ class TestOracleCounts:
     def test_ancgd_run_window(self):
         # At the saddle the first record triggers a window of ncf_steps
         # pinned steps and the budget ends with it: the anchor's f comes from
-        # its record, each pinned step takes one grad f(z), no certificate
-        # runs, and every record scores its (pinned, unscored) iterate.
+        # its record, each pinned step takes one grad f(z) and nothing else,
+        # no certificate runs, the search records hold the anchor and query
+        # nothing, and the last record scores its pinned, unscored iterate.
         land = get_landscape("quartic")
         T = 20
         trace = ancgd_run(land.oracle, np.zeros(2), self._anc(total_steps=T), RngStream(0, 0))
         assert trace_events(trace) == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
-        assert trace.meta["grad_evals"] == (T + 1) + T == 41
-        assert trace.meta["f_evals"] == T + 1 == 21
+        assert trace.meta["grad_evals"] == 1 + T + 1 == 22
+        assert trace.meta["f_evals"] == 2
+
+    def test_ancgd_run_budget_ends_mid_window(self):
+        # As above with the budget ending halfway through the window: the
+        # last record, and only it, scores its pinned point.
+        land = get_landscape("quartic")
+        T = 10
+        params = self._anc(total_steps=T)
+        trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(0, 0))
+        assert trace_events(trace) == [EVENT_PERTURB] + [EVENT_NCF_STEP] * T
+        assert trace.meta["grad_evals"] == 1 + T + 1 == 12
+        assert trace.meta["f_evals"] == 2
+        anchor, last = trace.records[0], trace.records[-1]
+        assert all(rec.x is anchor.x for rec in trace.records[1:T])
+        assert 0.0 < np.linalg.norm(last.x - anchor.x) <= 2 * params.perturb_radius
+        assert last.f == land.oracle.value(last.x)
+        assert last.grad_norm == np.linalg.norm(land.oracle.gradient(last.x))
 
 
 @pytest.mark.parametrize(
     "alg, land_id, gradients, values",
     [
-        # Per episode, the anchor gradient that the search takes again, and
-        # the closing record's value, which exploit scored or, where the
-        # exploit fell back to the anchor, the anchor's record did; such a
-        # closing record repeats the anchor's gradient too.
-        ("nc", "quartic", (60, 1860), (40, 1080)),
+        # Per episode, the anchor gradient that the search takes again, and,
+        # where the exploit moved, the closing record's value, which exploit
+        # scored; a closing record at the anchor reuses the anchor's record.
+        ("nc", "quartic", (40, 1840), (20, 1060)),
         ("nc", "highdim-100", (20, 640), (20, 100)),
-        ("snc", "cubic", (22, 1220), (21, 349)),
+        ("snc", "cubic", (21, 1219), (20, 348)),
         # 3 gradients and 2 values repeat in 100 trials, none in these 20.
-        ("ancgd", "quartic", (0, 1640), (0, 1260)),
+        ("ancgd", "quartic", (0, 1240), (0, 860)),
         ("pgd", "quartic", (0, 1820), (0, 1820)),
         ("psgd", "cubic", (0, 1220), (0, 1220)),
         ("pagd", "quartic", (0, 1640), (0, 1974)),

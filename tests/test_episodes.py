@@ -29,6 +29,8 @@ from saddlescape.core import EVENT_NCF_EXPLOIT
 from saddlescape.harness import ALGORITHMS, _trial_trace, build_payload
 from saddlescape.ncfind import exploit
 
+from conftest import make_quadratic
+
 RUN_FUNCTIONS = {
     "nc": "pgd_nc_run",
     "pgd": "pgd_run",
@@ -74,6 +76,32 @@ class TestExploit:
         assert meta["exploits"][0]["decrease"] == 0.0
         assert meta["candidates"] == [anchor]
         assert meta["stopped_at_candidate"] is anchor
+
+
+@pytest.mark.parametrize("record", ["full", "summary"])
+def test_fallback_closing_record_reuses_the_anchor(record):
+    # At a bowl's minimum every exploit falls back to a copy of its anchor,
+    # whose closing record repeats the anchor's f and gradient norm without
+    # a query: only the first record scores its point.
+    bowl = make_quadratic([1.0, 2.0])
+    params = NCDescentParams(NCParams(**_NC), total_steps=10)
+    trace = drivers.pgd_nc_run(bowl, np.zeros(2), params, RngStream(0, 0), record=record)
+    exploits = trace.meta["exploits"]
+    assert [e["t"] for e in exploits] == [6, 10]
+    assert all(e["decrease"] == 0.0 for e in exploits)
+    # The second episode anchors at the first one's closing record.
+    for anchor_t, e in zip([0, 6], exploits):
+        anchor, closing = trace.records[anchor_t], trace.records[e["t"]]
+        assert closing.event == EVENT_NCF_EXPLOIT
+        assert (closing.f, closing.grad_norm) == (anchor.f, anchor.grad_norm)
+        if record == "full":
+            assert np.array_equal(closing.x, anchor.x) and closing.x is not anchor.x
+        else:
+            assert closing.x is None
+    # Per episode the anchor gradient, one probe per search step and the
+    # two exploit candidates.
+    assert trace.meta["grad_evals"] == 1 + (1 + 5) + (1 + 3)
+    assert trace.meta["f_evals"] == 1 + 2 * len(exploits)
 
 
 @pytest.mark.parametrize(

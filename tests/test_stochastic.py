@@ -324,8 +324,9 @@ class TestSgdNcRun:
             ),
             RngStream(5, 0),
         )
-        # One outer estimate plus one 5-step batch-2 shared-draw search.
-        assert trace.meta["samples"] == 3 + 5 * 2 * 2
+        # One outer estimate plus one 5-step batch-2 shared-draw search,
+        # whose first step draws nothing.
+        assert trace.meta["samples"] == 3 + (5 - 1) * 2 * 2
 
     def test_escapes_cubic_saddle(self):
         land = get_landscape("cubic")
@@ -364,17 +365,21 @@ class TestAdditiveQueryCounts:
         events = trace_events(trace)
         records, search_steps = len(events), events.count(EVENT_NCF_STEP)
         episodes = len(trace.meta["exploits"])
-        assert (records, search_steps, episodes) == (29, 23, 5)
-        # Gradients: one per record that is not a search step; per search
-        # the anchor and one probe per step but the first.  The estimates
-        # query nothing.
+        # At the bowl's minimum every exploit falls back to its anchor.
+        fallbacks = sum(e["decrease"] == 0.0 for e in trace.meta["exploits"])
+        assert (records, search_steps, episodes, fallbacks) == (29, 23, 5, 5)
+        # Gradients: one per record that is neither a search step nor a
+        # closing record at the anchor; per search the anchor and one probe
+        # per step but the first.  The estimates query nothing.
+        scored = records - search_steps - fallbacks
         anchors, probes = episodes, search_steps - episodes
-        assert counted.grad_evals == (records - search_steps) + anchors + probes
-        # Values: one per record that is not a search step, two per exploit.
-        assert counted.f_evals == (records - search_steps) + 2 * episodes
-        # Samples: outer_batch per loop iteration, 2 * batch per search step.
+        assert counted.grad_evals == scored + anchors + probes == 24
+        # Values: one per such record, two per exploit.
+        assert counted.f_evals == scored + 2 * episodes
+        # Samples: outer_batch per loop iteration, 2 * batch per search step
+        # that draws (all but each search's first).
         estimates = records - 1 - search_steps
-        expected = params.outer_batch * estimates + 2 * params.search.batch * search_steps
+        expected = params.outer_batch * estimates + 2 * params.search.batch * probes
         assert trace.meta["samples"] == expected
 
 
