@@ -102,23 +102,23 @@ def accelerate(
     the gradient norm is at most threshold and more than cooldown iterations
     have passed since the last trigger, x (the anchor) is replaced by a
     uniform draw from the radius ball around it and the momentum restarts.
-    With window > 0 the draw opens a search window: the anchor gradient zeta
-    is subtracted from every step, for the next window iterations the
-    momentum pair is pinned to the probe sphere around the anchor, and at
-    its end ncfind.exploit steps from the anchor along the unit direction
-    the pair drifted toward; the loop restarts from the point it returns,
-    the next record, and stops there if exploit says so.  It is not
-    ncfind._power_search: it pins the pair, its steps are records of this
-    loop held at the anchor (as descend holds a search step), and this
-    loop's trigger opens it.  The trigger is not tested inside a window, so
-    every window reaches its exploit.  With window = 0 the draw only
-    re-seeds the iterate.  Outside windows a per-step certificate
-    compares f(x) against the gamma-strongly-convex lower model at z and
-    reroutes through the momentum reset when violated.  params supplies
-    eta, theta, gamma, nce_radius, total_steps and trust_region, and with
-    window > 0 exploit's eps, rho, exploit_step and stop_at_candidate;
-    trace.meta gets the oracle's call counts.  x0 must be a finite (dim,)
-    vector.  At record="summary" no record keeps its iterate (TraceRecord).
+    With window = 0 the draw only re-seeds the iterate.  With window > 0
+    the trigger runs a search window as one block: window steps of the
+    momentum pair from the draw, each with the anchor gradient subtracted
+    and pinned to the probe sphere around the anchor, then ncfind.exploit
+    steps from the anchor along the unit direction the pair drifted toward;
+    the loop restarts from the point it returns, the next record, and stops
+    there if exploit says so.  It is not ncfind._power_search: it pins the
+    pair, and its steps are records of this loop held at the anchor (as
+    descend holds a search step).  The trigger is never tested inside a
+    window, so every window reaches its exploit unless the budget ends
+    first.  Outside windows a per-step certificate compares f(x) against
+    the gamma-strongly-convex lower model at z and reroutes through the
+    momentum reset when violated.  params supplies eta, theta, gamma,
+    nce_radius, total_steps and trust_region, and with window > 0
+    exploit's eps, rho, exploit_step and stop_at_candidate; trace.meta gets
+    the oracle's call counts.  x0 must be a finite (dim,) vector.  At
+    record="summary" no record keeps its iterate (TraceRecord).
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
@@ -129,73 +129,84 @@ def accelerate(
     step takes grad f(z) unless z is the certificate's z_next, or z is the
     start point at t = 0, or z follows a reset and equals the recorded x
     bit for bit (z = x + (1 - theta) * 0 differs from x only where x holds
-    -0.0), when it reuses that gradient.  Outside windows the certificate
-    takes f(x_next) and, in one value_and_gradient call, f(z_next) and
-    grad f(z_next); a reset of short momentum adds the values of its two
-    candidates.
+    -0.0), when it reuses that gradient.  The certificate takes f(x_next)
+    and, in one value_and_gradient call, f(z_next) and grad f(z_next); a
+    reset of short momentum adds the values of its two candidates.
     """
     keep = keeps_iterates(record)
     # z is x at t = 0, so the first step reuses the first record's gradient.
     x = z = z_reset = _point(oracle, x0, "x0").copy()
-    v = zeta = np.zeros_like(x)
-    eta, theta = params.eta, params.theta
+    v = np.zeros_like(x)
+    eta, theta, total = params.eta, params.theta, params.total_steps
     records, meta = trace.records, trace.meta
-    # The first small gradient triggers, whatever the cooldown.  The
-    # trigger is not tested inside a window, which always reaches its
-    # exploit.
-    last, cooldown = -math.inf, max(cooldown, window)
+    # The first small gradient triggers, whatever the cooldown.
+    last = -math.inf
     x_scored = z_scored = g_z_next = None
     f_x_next = 0.0
     event = EVENT_AGD
     stop = False
+    t = 0
 
-    for t in range(params.total_steps + 1):
-        if 0 < t - last <= window and t < params.total_steps:
-            # A search step is held at the anchor, as descend holds one; a
-            # budget that ends inside the window scores its last point.
-            records.append(TraceRecord(
-                t, anchor_f, g_norm, event, anchor if keep else None, _norm(v)
-            ))
+    while True:
+        if x is x_scored:
+            f, g_x = f_x_next, oracle.gradient(x)
         else:
-            if x is x_scored:
-                f, g_x = f_x_next, oracle.gradient(x)
-            else:
-                f, g_x = oracle.value_and_gradient(x)
-            g_norm = _norm(g_x)
-            records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
-            if t == params.total_steps or stop:
-                break
+            f, g_x = oracle.value_and_gradient(x)
+        g_norm = _norm(g_x)
+        records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
+        if t == total or stop:
+            break
         event = EVENT_AGD
 
         if g_norm <= threshold and t - last > cooldown:
-            anchor, anchor_f, last = x, f, t
+            anchor, last = x, t
             x = z = uniform_ball_sample(anchor, radius, stream)
-            v = np.zeros_like(x)
-            if window > 0:
-                # The anchor's record marks the draw; the window's records
-                # are search steps.
-                zeta = g_x
-                records[-1].event = EVENT_PERTURB
-                meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
-            else:
+            if window == 0:
                 event = EVENT_PERTURB
                 meta["perturbs"].append({"t": t, "x": x})
-        elif t - last == window:
-            # End of the search window: exploit along the direction the
-            # momentum pair drifted toward gives the next record's point.
-            diff = x - anchor
-            dn = _norm(diff)
-            if dn > 0.0:
-                x, stop = exploit(
-                    oracle.value, anchor, anchor_f, diff / dn, params.eps, params.rho,
-                    params.exploit_step, meta=meta, t=t + 1,
-                    stop_at_candidate=params.stop_at_candidate,
-                )
             else:
-                x = anchor
-            z = x
-            v = zeta = np.zeros_like(x)
-            event = EVENT_NCF_EXPLOIT
+                # The anchor's record marks the draw; the window's records
+                # are search steps held at the anchor, as descend holds one.
+                records[-1].event = EVENT_PERTURB
+                meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
+                for _ in range(min(window, total - t)):
+                    x_next = z - eta * (oracle.gradient(z) - g_x)
+                    z_next = x_next + (1.0 - theta) * (x_next - x)
+                    z_off = z_next - anchor
+                    zn = _norm(z_off)
+                    if zn > 0.0:
+                        # Both offsets shrink by the z factor, not their own
+                        # norms: the pair stays a rigid rescaling of the
+                        # free-space iterates.
+                        scale = radius / zn
+                        z_next = anchor + scale * z_off
+                        x_next = anchor + scale * (x_next - anchor)
+                    v = x_next - x
+                    x, z = x_next, z_next
+                    check_iterate(x, params.trust_region, trace)
+                    t += 1
+                    if t < total:
+                        records.append(TraceRecord(
+                            t, f, g_norm, EVENT_NCF_STEP, anchor if keep else None, _norm(v)
+                        ))
+                if t == total:
+                    # A budget that ends inside the window scores its last point.
+                    event = EVENT_NCF_STEP
+                    continue
+                # Exploit along the direction the pair drifted toward gives
+                # the next record's point.
+                diff = x - anchor
+                dn = _norm(diff)
+                if dn > 0.0:
+                    x, stop = exploit(
+                        oracle.value, anchor, f, diff / dn, params.eps, params.rho,
+                        params.exploit_step, meta=meta, t=t + 1,
+                        stop_at_candidate=params.stop_at_candidate,
+                    )
+                else:
+                    x = anchor
+                z = x
+                event = EVENT_NCF_EXPLOIT
 
         if z is z_scored:
             g_z = g_z_next
@@ -204,42 +215,30 @@ def accelerate(
             g_z = g_x
         else:
             g_z = oracle.gradient(z)
-        x_next = z - eta * (g_z - zeta)
+        x_next = z - eta * g_z
         v_next = x_next - x
         z_next = x_next + (1.0 - theta) * v_next
-
-        if t - last < window:
-            z_off = z_next - anchor
-            zn = _norm(z_off)
-            if zn > 0.0:
-                scale = radius / zn
-                # Both offsets shrink by the z factor, not their own norms:
-                # the pair stays a rigid rescaling of the free-space iterates.
-                z_next = anchor + scale * z_off
-                x_next = anchor + scale * (x_next - anchor)
-                v_next = x_next - x
-            event = EVENT_NCF_STEP
-        else:
-            f_x_next = oracle.value(x_next)
-            f_z_next, g_z_next = oracle.value_and_gradient(z_next)
-            x_scored, z_scored = x_next, z_next
-            gap = x_next - z_next
-            model = (
-                f_z_next
-                + float(np.dot(g_z_next, gap))
-                - 0.5 * params.gamma * float(np.dot(gap, gap))
+        f_x_next = oracle.value(x_next)
+        f_z_next, g_z_next = oracle.value_and_gradient(z_next)
+        x_scored, z_scored = x_next, z_next
+        gap = x_next - z_next
+        model = (
+            f_z_next
+            + float(np.dot(g_z_next, gap))
+            - 0.5 * params.gamma * float(np.dot(gap, gap))
+        )
+        if f_x_next <= model:
+            x_next, v_next, f_x_next = _nce_step(
+                oracle, x_next, v_next, params.nce_radius, f_x_next
             )
-            if f_x_next <= model:
-                x_next, v_next, f_x_next = _nce_step(
-                    oracle, x_next, v_next, params.nce_radius, f_x_next
-                )
-                x_scored = x_next
-                z_next = z_reset = x_next + (1.0 - theta) * v_next
-                if event == EVENT_AGD:
-                    event = EVENT_NCE
+            x_scored = x_next
+            z_next = z_reset = x_next + (1.0 - theta) * v_next
+            if event == EVENT_AGD:
+                event = EVENT_NCE
 
         x, z, v = x_next, z_next, v_next
         check_iterate(x, params.trust_region, trace)
+        t += 1
 
     meta["f_evals"] = oracle.f_evals
     meta["grad_evals"] = oracle.grad_evals
@@ -255,10 +254,11 @@ def ancgd_run(
 ) -> Trace:
     """Run the accelerated escape loop from x0 for the configured budget.
 
-    Each trigger opens a window of ncf_steps pinned search steps, closed by
-    a certified exploit step from the anchor along the direction the
-    momentum pair drifted toward (see accelerate).  The trigger defaults
-    to eps and the cooldown to ncf_steps.
+    Each trigger runs a window of ncf_steps pinned search steps as one
+    block, closed by a certified exploit step from the anchor along the
+    direction the momentum pair drifted toward (see accelerate); the
+    trigger is not tested inside the window.  The trigger defaults to eps
+    and the cooldown to ncf_steps.
     """
     trace = Trace.start(
         "ancgd", stream, eta=params.eta, perturbs=[], exploits=[], candidates=[]

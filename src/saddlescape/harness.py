@@ -557,14 +557,18 @@ def _out_paths(out: str) -> tuple[str, str]:
     return csv_path, base + ".summary.json"
 
 
-def write_csv(rows: list[TrialResult], path: str) -> None:
+def _write_table(path: str, columns, rows) -> None:
+    """A CSV of the column names, then one line per row with each int or
+    float cell written by str() (a float's repr)."""
     with open(path, "w") as fh:
-        fh.write("trial,seed,t,f0,f_final,decrease,escaped\n")
-        for r in rows:
-            fh.write(
-                f"{r.trial},{r.seed},{r.t},{r.f0!r},{r.f_final!r},"
-                f"{r.decrease!r},{int(r.escaped)}\n"
-            )
+        for row in [columns, *rows]:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_csv(rows: list[TrialResult], path: str) -> None:
+    _write_table(path, ("trial", "seed", "t", "f0", "f_final", "decrease", "escaped"), (
+        (r.trial, r.seed, r.t, r.f0, r.f_final, r.decrease, int(r.escaped)) for r in rows
+    ))
 
 
 def run_dimension_scaling(
@@ -604,12 +608,7 @@ def run_dimension_scaling(
         row["nc_escape_rate"] = nc_res.escape_rate
         row["pgd_escape_rate"] = pgd_res.escape_rate
     if out:
-        with open(out, "w") as fh:
-            fh.write("p,n,trials,nc_steps,pgd_steps,nc_escape_rate,pgd_escape_rate\n")
-            for r in rows:
-                fh.write(
-                    f"{r['p']},{r['n']},{r['trials']},{r['nc_steps']},"
-                    f"{r['pgd_steps']},{r['nc_escape_rate']!r},{r['pgd_escape_rate']!r}\n"
-                )
+        cols = ("p", "n", "trials", "nc_steps", "pgd_steps", "nc_escape_rate", "pgd_escape_rate")
+        _write_table(out, cols, ([r[c] for c in cols] for r in rows))
     return rows
 

@@ -1,12 +1,16 @@
 """Acceptance gate: the seven headline claims, one printed verdict each.
 
 Each test prints a single [PASS]/[FAIL] line (outside pytest capture) so the
-gate can be read off the run log, then asserts the same condition.
+gate can be read off the run log, checks it, with its wall-time figure
+masked, against tests/golden/acceptance_lines.txt, then asserts the same
+condition.  Running tests/test_golden.py as a script regenerates that file.
 """
 
 import dataclasses
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from saddlescape import (
     uniform_ball_sample,
     with_noise,
 )
+from saddlescape import harness
 from saddlescape.ncfind import exploit
 from saddlescape.verify import _fd_gradient
 
@@ -44,9 +49,17 @@ _EPS = 0.04
 _TRIALS = 200
 
 
+ACCEPTANCE_LINES = Path(__file__).resolve().parent / "golden" / "acceptance_lines.txt"
+# The verdict lines of this run, wall times masked, by criterion name.
+VERDICTS: dict[str, str] = {}
+
+
 def _verdict(capsys, name: str, ok: bool, detail: str) -> None:
+    line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
     with capsys.disabled():
-        print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"\n{line}")
+    VERDICTS[name] = masked = re.sub(r"\b\d+\.\ds < ", "*s < ", line)
+    assert masked in ACCEPTANCE_LINES.read_text().splitlines(), masked
 
 
 def test_criterion_1_quartic_escape_fractions(capsys):
@@ -123,50 +136,63 @@ def test_criterion_4_dimension_scaling(capsys):
         assert r["nc_escape_rate"] >= r["pgd_escape_rate"] - 0.05
 
 
+def _certification_cell(land, alg: str) -> tuple[list, list]:
+    """200 searches of one finder at land's first saddle, each direction
+    certified with the independent finite-difference quadratic form against
+    the noiseless oracle: <e, H e> <= -sqrt(rho * eps) / 4."""
+    saddle = land.saddles[0]
+    spec = SmoothnessSpec(saddle.ell_local, saddle.rho_local)
+    if alg == "nc":
+        params = derive_nc_params(spec, _EPS, 0.1, land.dim)
+        directions = [
+            nc_find(land.oracle, saddle.point, params, RngStream(101, trial)).e_hat
+            for trial in range(_TRIALS)
+        ]
+    elif alg == "ancgd":
+        base = derive_anc_params(spec, _EPS, 0.1, land.dim, 1.0, total_steps=1)
+        params = dataclasses.replace(base, total_steps=base.ncf_steps + 1)
+        directions = [
+            np.asarray(ancgd_run(
+                land.oracle, saddle.point, params, RngStream(103, trial)
+            ).meta["exploits"][0]["e_hat"])
+            for trial in range(_TRIALS)
+        ]
+    else:
+        noisy = with_noise(land, 0.01)
+        params = derive_snc_params(spec, spec.ell, _EPS, 0.1, land.dim)
+        directions = [
+            snc_find(noisy, saddle.point, params, RngStream(107, trial)).e_hat
+            for trial in range(_TRIALS)
+        ]
+    gate = -math.sqrt(saddle.rho_local * _EPS) / 4.0
+    return directions, [fd_quadform(land.oracle, saddle.point, e) <= gate for e in directions]
+
+
 @pytest.fixture(scope="module")
 def certification_sweep():
     """200 curvature searches per finder per catalog saddle at eps = 0.04.
 
-    Directions are certified with the independent finite-difference quadratic
-    form against the noiseless oracle: <e, H e> <= -sqrt(rho * eps) / 4.
+    The (saddle, finder) cells are dealt round-robin to fork-join workers,
+    as the harness deals trials; each cell draws from its own streams, so
+    the sweep does not depend on the worker count.
     """
-    sweep = {}
-    for land_id in VERIFY_IDS:
-        land = get_landscape(land_id)
-        saddle = land.saddles[0]
-        spec = SmoothnessSpec(saddle.ell_local, saddle.rho_local)
-        gate = -math.sqrt(saddle.rho_local * _EPS) / 4.0
-
-        directions: dict[str, list] = {"nc": [], "ancgd": [], "snc": []}
-
-        nc_params = derive_nc_params(spec, _EPS, 0.1, land.dim)
-        for trial in range(_TRIALS):
-            out = nc_find(land.oracle, saddle.point, nc_params, RngStream(101, trial))
-            directions["nc"].append(out.e_hat)
-
-        base = derive_anc_params(spec, _EPS, 0.1, land.dim, 1.0, total_steps=1)
-        anc_params = dataclasses.replace(base, total_steps=base.ncf_steps + 1)
-        for trial in range(_TRIALS):
-            trace = ancgd_run(land.oracle, saddle.point, anc_params, RngStream(103, trial))
-            directions["ancgd"].append(np.asarray(trace.meta["exploits"][0]["e_hat"]))
-
-        noisy = with_noise(land, 0.01)
-        snc_params = derive_snc_params(spec, spec.ell, _EPS, 0.1, land.dim)
-        for trial in range(_TRIALS):
-            out = snc_find(noisy, saddle.point, snc_params, RngStream(107, trial))
-            directions["snc"].append(out.e_hat)
-
-        certified = {
-            alg: [
-                fd_quadform(land.oracle, saddle.point, e) <= gate for e in dirs
-            ]
-            for alg, dirs in directions.items()
-        }
-        sweep[land_id] = {
-            "saddle": saddle,
-            "directions": directions,
-            "certified": certified,
-        }
+    lands = {land_id: get_landscape(land_id) for land_id in VERIFY_IDS}
+    cells = [(land_id, alg) for land_id in VERIFY_IDS for alg in ("nc", "ancgd", "snc")]
+    workers = harness._resolve_jobs(len(cells))
+    shares = harness._fork_map(
+        lambda w: [_certification_cell(lands[land_id], alg) for land_id, alg in cells[w::workers]],
+        range(workers),
+    )
+    out: list = [None] * len(cells)
+    for w, share in enumerate(shares):
+        out[w::workers] = share
+    sweep = {
+        land_id: {"saddle": land.saddles[0], "directions": {}, "certified": {}}
+        for land_id, land in lands.items()
+    }
+    for (land_id, alg), (directions, certified) in zip(cells, out):
+        sweep[land_id]["directions"][alg] = directions
+        sweep[land_id]["certified"][alg] = certified
     return sweep
 
 

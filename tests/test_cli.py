@@ -543,3 +543,7 @@ class TestDimscaleCommand:
     def test_bad_p_list(self, capsys):
         code = main(["dimscale", "--p", "x"])
         assert code == 1
+
+    def test_empty_p_list_exits_one(self, capsys):
+        assert main(["dimscale", "--p", ","]) == 1
+        assert "error: --p must list at least one exponent" in capsys.readouterr().err

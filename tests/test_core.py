@@ -1,5 +1,6 @@
 """Streams, samplers, oracles, and trace plumbing."""
 
+import dataclasses
 import math
 import struct
 
@@ -16,6 +17,7 @@ from saddlescape import (
     BaselineParams,
     CountingOracle,
     DivergenceError,
+    ExperimentConfig,
     GradientOracle,
     NCDescentParams,
     ParameterError,
@@ -27,8 +29,10 @@ from saddlescape import (
     ancgd_run,
     classify,
     dense_hessian,
+    derive_anc_params,
     fd_quadform,
     gaussian_sample,
+    get_landscape,
     grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
@@ -49,8 +53,10 @@ from saddlescape.core import (
     _normal_rows,
     check_iterate,
 )
+from saddlescape.harness import build_payload
 from saddlescape.ncfind import NCParams
 from saddlescape.stochastic import SNCParams
+from saddlescape.testbed import make_highdim
 
 from conftest import LiteralNoise, make_quadratic, relabel, trace_decrease, trace_events
 
@@ -439,6 +445,45 @@ def test_public_helpers_reject_bad_inputs(call, name, value):
     instead of returning NaN or a bare ValueError or ZeroDivisionError."""
     with pytest.raises(ParameterError, match=name):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ExperimentConfig("nc", "quartic", seed=1.5),
+            "seed must be an integer, got 1.5", id="ExperimentConfig-seed",
+        ),
+        pytest.param(
+            lambda: build_payload(
+                ExperimentConfig("nc", "quartic"),
+                dataclasses.replace(get_landscape("quartic"), saddles=[]),
+            ),
+            "landscape quartic declares no saddle to start from", id="build_payload-no-saddle",
+        ),
+        pytest.param(
+            lambda: dataclasses.replace(_NC, delta0=0.0),
+            r"delta0 must be in \(0, 1\], got 0.0", id="NCParams-delta0",
+        ),
+        pytest.param(
+            lambda: derive_anc_params(SmoothnessSpec(5.75, 4.5), 0.04, 0.0, 2, 1.0),
+            r"delta0 must be in \(0, 1\], got 0.0", id="derive_anc_params-delta0",
+        ),
+        pytest.param(
+            lambda: make_highdim(10, eps_h=0.0),
+            "eps_h must be positive, got 0.0", id="make_highdim-eps_h",
+        ),
+        pytest.param(
+            lambda: get_landscape("highdim-abc"),
+            "bad highdim landscape id: 'highdim-abc'", id="get_landscape-highdim-id",
+        ),
+    ],
+)
+def test_refusals_no_run_reaches(call, message):
+    """Refusals that no run through the harness or the CLI reaches, each
+    with its own message."""
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
 
 
 _EDGE_FLOATS = st.sampled_from(

@@ -2,6 +2,8 @@
 of experiments, `params` JSON, `verify` stdout and short paper-mode runs
 (tests/golden/), and the benchmark's reference outputs of the six
 calibrated recipes and the dimension sweep (perfbench/ref/, read only).
+The acceptance tests check their own verdict lines against
+tests/golden/acceptance_lines.txt.
 
 Regenerate tests/golden/ after an intended change with
 
@@ -16,6 +18,7 @@ import io
 import itertools
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_PARAMS = GOLDEN / "paper_params.txt"
 PARAMS_JSON = GOLDEN / "params_json.txt"
 VERIFY_STDOUT = GOLDEN / "verify_stdout.txt"
+ACCEPTANCE_LINES = GOLDEN / "acceptance_lines.txt"
 PAPER_RUNS = GOLDEN / "paper_runs"
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 RECIPES = [
@@ -101,6 +105,15 @@ def paper_run_files(alg: str, fn: str, workdir: Path) -> dict[str, bytes]:
     return {name: (workdir / name).read_bytes() for name in names}
 
 
+def acceptance_lines() -> list[str]:
+    """Run tests/test_acceptance.py and return its seven verdict lines,
+    wall times masked, in criterion order."""
+    pytest.main(["-q", "-p", "no:cacheprovider", str(Path(__file__).with_name("test_acceptance.py"))])
+    lines = list(sys.modules["test_acceptance"].VERDICTS.values())
+    assert len(lines) == 7, lines
+    return lines
+
+
 def test_paper_params_match_golden():
     want = PAPER_PARAMS.read_text().splitlines()
     got = paper_params_lines()
@@ -157,4 +170,6 @@ if __name__ == "__main__":
     VERIFY_STDOUT.write_text(_stdout_of(["verify"]))
     for alg, fn in itertools.product(ALGORITHMS, PAPER_RUN_FNS):
         paper_run_files(alg, fn, PAPER_RUNS)
-    print(f"wrote {PAPER_PARAMS}, {PARAMS_JSON}, {VERIFY_STDOUT} and {PAPER_RUNS}/")
+    ACCEPTANCE_LINES.write_text("\n".join(acceptance_lines()) + "\n")
+    print(f"wrote {PAPER_PARAMS}, {PARAMS_JSON}, {VERIFY_STDOUT}, {ACCEPTANCE_LINES} and "
+          f"{PAPER_RUNS}/")
