@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -92,53 +93,45 @@ def _nce_step(
 
 
 def accelerate(
-    oracle: CountingOracle, x0: Array, params, trace: Trace, stream: RngStream,
-    threshold: float, cooldown: int, radius: float, window: int,
+    oracle: CountingOracle, x0: Array, params, trace: Trace,
+    escape: Callable[[Array, Array, int, int], tuple], threshold: float, cooldown: int,
     *, record: str = "full",
 ) -> Trace:
-    """The momentum loop of ancgd and pagd.
+    """The momentum loop of ancgd and pagd, with descend's episode hooks.
 
-    Each iteration records x and takes one accelerated step from z.  When
-    the gradient norm is at most threshold and more than cooldown iterations
-    have passed since the last trigger, x (the anchor) is replaced by a
-    uniform draw from the radius ball around it and the momentum restarts.
-    With window = 0 the draw only re-seeds the iterate.  With window > 0
-    the trigger runs a search window as one block: window steps of the
-    momentum pair from the draw, each with the anchor gradient subtracted
-    and pinned to the probe sphere around the anchor, then ncfind.exploit
-    steps from the anchor along the unit direction the pair drifted toward;
-    the loop restarts from the point it returns, the next record, and stops
-    there if exploit says so.  It is not ncfind._power_search: it pins the
-    pair, and its steps are records of this loop held at the anchor (as
-    descend holds a search step).  The trigger is never tested inside a
-    window, so every window reaches its exploit unless the budget ends
-    first.  Outside windows a per-step certificate compares f(x) against
-    the gamma-strongly-convex lower model at z and reroutes through the
-    momentum reset when violated.  params supplies eta, theta, gamma,
-    nce_radius, total_steps and trust_region, and with window > 0
-    exploit's eps, rho, exploit_step and stop_at_candidate; trace.meta gets
-    the oracle's call counts.  x0 must be a finite (dim,) vector.  At
-    record="summary" no record keeps its iterate (TraceRecord).
+    Each iteration records x and takes one accelerated step from z.  At a
+    flat x (gradient norm at most threshold, more than cooldown iterations
+    since the last episode) the loop calls escape(x, g, t, budget) as
+    descend does, g being the gradient x's record took; the hook returns
+    (new x, tag, held, stop) and may not decline.  Held iterations are
+    ncf-step records of the anchor's f, gradient norm and x, with v_norm
+    None.  If they use up the budget, the new x is scored as the last
+    record; otherwise momentum restarts there and the step from it is taken
+    in the same iteration, tagged tag, and the loop stops after that record
+    if stop is set.  A per-step certificate compares f(x) against the
+    gamma-strongly-convex lower model at z and reroutes through the momentum
+    reset when violated.  params supplies eta, theta, gamma, nce_radius,
+    total_steps and trust_region; trace.meta gets the oracle's call counts.
+    x0 must be a finite (dim,) vector.  At record="summary" no record keeps
+    its iterate.
 
     Queries per iteration: the record takes grad f(x), and f(x) with it in
     one value_and_gradient call unless the last certificate or momentum
-    reset already scored that very array.  A search step's record queries
-    nothing: it holds the anchor's f, gradient norm and x, with the pinned
-    pair's momentum; only a budget that ends inside a window scores its
-    last record's point.  A window step thus takes grad f(z) alone.  The
-    step takes grad f(z) unless z is the certificate's z_next, or z is the
-    start point at t = 0, or z follows a reset and equals the recorded x
+    reset already scored that very array; a held record queries nothing.
+    The step takes grad f(z) unless z is the certificate's z_next, or z is
+    the start point at t = 0, or z follows a reset and equals the recorded x
     bit for bit (z = x + (1 - theta) * 0 differs from x only where x holds
     -0.0), when it reuses that gradient.  The certificate takes f(x_next)
     and, in one value_and_gradient call, f(z_next) and grad f(z_next); a
-    reset of short momentum adds the values of its two candidates.
+    reset of short momentum adds the values of its two candidates.  Whatever
+    escape queries comes on top.
     """
     keep = keeps_iterates(record)
     # z is x at t = 0, so the first step reuses the first record's gradient.
     x = z = z_reset = _point(oracle, x0, "x0").copy()
     v = np.zeros_like(x)
     eta, theta, total = params.eta, params.theta, params.total_steps
-    records, meta = trace.records, trace.meta
+    records = trace.records
     # The first small gradient triggers, whatever the cooldown.
     last = -math.inf
     x_scored = z_scored = g_z_next = None
@@ -159,54 +152,17 @@ def accelerate(
         event = EVENT_AGD
 
         if g_norm <= threshold and t - last > cooldown:
-            anchor, last = x, t
-            x = z = uniform_ball_sample(anchor, radius, stream)
-            if window == 0:
-                event = EVENT_PERTURB
-                meta["perturbs"].append({"t": t, "x": x})
-            else:
-                # The anchor's record marks the draw; the window's records
-                # are search steps held at the anchor, as descend holds one.
-                records[-1].event = EVENT_PERTURB
-                meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
-                for _ in range(min(window, total - t)):
-                    x_next = z - eta * (oracle.gradient(z) - g_x)
-                    z_next = x_next + (1.0 - theta) * (x_next - x)
-                    z_off = z_next - anchor
-                    zn = _norm(z_off)
-                    if zn > 0.0:
-                        # Both offsets shrink by the z factor, not their own
-                        # norms: the pair stays a rigid rescaling of the
-                        # free-space iterates.
-                        scale = radius / zn
-                        z_next = anchor + scale * z_off
-                        x_next = anchor + scale * (x_next - anchor)
-                    v = x_next - x
-                    x, z = x_next, z_next
-                    check_iterate(x, params.trust_region, trace)
-                    t += 1
-                    if t < total:
-                        records.append(TraceRecord(
-                            t, f, g_norm, EVENT_NCF_STEP, anchor if keep else None, _norm(v)
-                        ))
-                if t == total:
-                    # A budget that ends inside the window scores its last point.
-                    event = EVENT_NCF_STEP
-                    continue
-                # Exploit along the direction the pair drifted toward gives
-                # the next record's point.
-                diff = x - anchor
-                dn = _norm(diff)
-                if dn > 0.0:
-                    x, stop = exploit(
-                        oracle.value, anchor, f, diff / dn, params.eps, params.rho,
-                        params.exploit_step, meta=meta, t=t + 1,
-                        stop_at_candidate=params.stop_at_candidate,
-                    )
-                else:
-                    x = anchor
-                z = x
-                event = EVENT_NCF_EXPLOIT
+            last, anchor = t, records[-1].x
+            x, event, held, stop = escape(x, g_x, t, total - t)
+            for _ in range(min(held, total - t)):
+                t += 1
+                if t < total:
+                    records.append(TraceRecord(t, f, g_norm, EVENT_NCF_STEP, anchor))
+            z = x
+            if t == total:
+                # The episode used up the budget: its point is the last record.
+                v = np.zeros_like(x)
+                continue
 
         if z is z_scored:
             g_z = g_z_next
@@ -240,9 +196,56 @@ def accelerate(
         check_iterate(x, params.trust_region, trace)
         t += 1
 
-    meta["f_evals"] = oracle.f_evals
-    meta["grad_evals"] = oracle.grad_evals
+    trace.meta.update(f_evals=oracle.f_evals, grad_evals=oracle.grad_evals)
     return trace
+
+
+def _window(oracle: CountingOracle, params: ANCParams, trace: Trace, stream: RngStream):
+    """ancgd's episode hook: a momentum search window pinned to the probe
+    sphere around the anchor, then an exploit.  A uniform draw from the
+    perturb_radius ball starts the pair; it re-tags the anchor's record
+    perturb-uniform and is logged as {"t", "anchor", "offset"}.  Each of
+    min(ncf_steps, budget) held steps queries grad f(z) alone, subtracts g
+    and pins the pair to the sphere.  A window that uses up the budget
+    returns its last point, tagged ncf-step; otherwise ncfind.exploit from
+    the anchor along the direction the pair drifted (the anchor, if none)
+    closes it, tagged ncf-exploit.  It is not ncfind._power_search, which
+    has no momentum.
+    """
+    eta, theta, radius = params.eta, params.theta, params.perturb_radius
+
+    def escape(anchor: Array, g: Array, t: int, budget: int):
+        x = z = uniform_ball_sample(anchor, radius, stream)
+        trace.records[-1].event = EVENT_PERTURB
+        trace.meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
+        steps = min(params.ncf_steps, budget)
+        for _ in range(steps):
+            x_next = z - eta * (oracle.gradient(z) - g)
+            z_next = x_next + (1.0 - theta) * (x_next - x)
+            z_off = z_next - anchor
+            zn = _norm(z_off)
+            if zn > 0.0:
+                # Both offsets shrink by the z factor, not their own norms:
+                # the pair stays a rigid rescaling of the free-space iterates.
+                scale = radius / zn
+                z_next = anchor + scale * z_off
+                x_next = anchor + scale * (x_next - anchor)
+            x, z = x_next, z_next
+            check_iterate(x, params.trust_region, trace)
+        if steps == budget:
+            return x, EVENT_NCF_STEP, steps, False
+        diff = x - anchor
+        dn = _norm(diff)
+        if dn == 0.0:
+            return anchor, EVENT_NCF_EXPLOIT, steps, False
+        x, stop = exploit(
+            oracle.value, anchor, trace.records[-1].f, diff / dn, params.eps, params.rho,
+            params.exploit_step, meta=trace.meta, t=t + steps + 1,
+            stop_at_candidate=params.stop_at_candidate,
+        )
+        return x, EVENT_NCF_EXPLOIT, steps, stop
+
+    return escape
 
 
 def ancgd_run(
@@ -252,20 +255,17 @@ def ancgd_run(
     stream: RngStream,
     *, record: str = "full",
 ) -> Trace:
-    """Run the accelerated escape loop from x0 for the configured budget.
-
-    Each trigger runs a window of ncf_steps pinned search steps as one
-    block, closed by a certified exploit step from the anchor along the
-    direction the momentum pair drifted toward (see accelerate); the
-    trigger is not tested inside the window.  The trigger defaults to eps
+    """Run the accelerated escape loop from x0 for the configured budget,
+    with _window as accelerate's episode hook.  The trigger defaults to eps
     and the cooldown to ncf_steps.
     """
     trace = Trace.start(
         "ancgd", stream, eta=params.eta, perturbs=[], exploits=[], candidates=[]
     )
+    counted = CountingOracle(oracle)
     threshold = params.eps if params.grad_threshold is None else params.grad_threshold
     cooldown = params.ncf_steps if params.cooldown is None else params.cooldown
     return accelerate(
-        CountingOracle(oracle), x0, params, trace, stream, threshold, cooldown,
-        params.perturb_radius, params.ncf_steps, record=record,
+        counted, x0, params, trace, _window(counted, params, trace, stream), threshold,
+        cooldown, record=record,
     )

@@ -99,7 +99,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(cfg)
     print(
         f"alg={cfg.algorithm} fn={cfg.landscape} mode={cfg.mode} "
-        f"trials={len(result.rows)} threshold={result.threshold:g} "
+        f"trials={len(result.rows)} steps={result.total_steps} threshold={result.threshold:g} "
         f"escape_rate={result.escape_rate:.4f} "
         f"fraction_below={result.fail_rate:.4f} "
         f"mean_decrease={sum(r.decrease for r in result.rows) / len(result.rows):.6f}"

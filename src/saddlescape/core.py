@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -258,6 +259,22 @@ def _label_to_int(label) -> int:
     return int.from_bytes(digest, "little")
 
 
+@functools.cache
+def _key_seed() -> type:
+    """Seed-sequence class that hands Philox its key as it is, without the
+    OS-entropy SeedSequence that Philox(key=...) builds and drops; made on
+    first use, so importing the package does not import numpy.random."""
+
+    class KeySeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: Array):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySeed
+
+
 @dataclass(eq=False)
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
@@ -277,7 +294,7 @@ class RngStream:
                 [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF],
                 dtype=np.uint64,
             )
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            self._gen = np.random.Generator(np.random.Philox(_key_seed()(key)))
         return self._gen
 
     def substream(self, label) -> "RngStream":

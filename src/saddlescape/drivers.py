@@ -98,10 +98,10 @@ class BaselineParams:
 
 
 def _perturbation(trace: Trace, draw: Callable[[Array], Array]):
-    """Episode hook for descend: replace x by draw(x), holding no iterations,
-    and log the draw in meta["perturbs"]."""
+    """Episode hook for descend and accelerate: x becomes draw(x), tagged
+    perturb-uniform and holding no iterations; meta["perturbs"] logs {"t", "x"}."""
 
-    def escape(x: Array, t: int, budget: int):
+    def escape(x: Array, g: Array, t: int, budget: int):
         x = draw(x)
         trace.meta["perturbs"].append({"t": t, "x": x})
         return x, EVENT_PERTURB, 0, False
@@ -133,16 +133,15 @@ def pagd_run(
     *, record: str = "full",
 ) -> Trace:
     """Accelerated descent with ball perturbations and the momentum reset:
-    the momentum loop of the accelerated escape algorithm with an empty
-    search window, so a draw only re-seeds the iterate (no anchor gradient,
-    no pinned steps, no exploit step) while the per-step certificate and
-    momentum reset still run every iteration."""
+    accelerate with _perturbation as its episode hook, so a draw only
+    re-seeds the iterate, and the certificate and reset run every step."""
     if params.theta is None or params.gamma is None or params.nce_radius is None:
         raise ParameterError("pagd_run needs theta, gamma, and nce_radius")
     trace = Trace.start("pagd", stream, perturbs=[])
+    escape = _perturbation(trace, lambda x: uniform_ball_sample(x, params.radius, stream))
     return accelerate(
-        CountingOracle(oracle), x0, params, trace, stream, params.grad_threshold,
-        params.cooldown or 0, params.radius, 0, record=record,
+        CountingOracle(oracle), x0, params, trace, escape, params.grad_threshold,
+        params.cooldown or 0, record=record,
     )
 
 

@@ -219,10 +219,14 @@ class HistogramSummary:
 
 @dataclass
 class ExperimentResult:
+    """One experiment's rows; total_steps is the budget each trial ran
+    (derived in paper mode), which summary() does not echo."""
+
     config: ExperimentConfig
     rows: list[TrialResult]
     histogram: HistogramSummary
     threshold: float
+    total_steps: int
 
     @property
     def escape_rate(self) -> float:
@@ -532,7 +536,8 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
         own, rows = rows[: cfg.trials], rows[cfg.trials :]
         hist = HistogramSummary.from_decreases([r.decrease for r in own])
         result = ExperimentResult(
-            config=cfg, rows=own, histogram=hist, threshold=payload["threshold"]
+            config=cfg, rows=own, histogram=hist, threshold=payload["threshold"],
+            total_steps=payload["params"].total_steps,
         )
         if cfg.out:
             csv_path, summary_path = _out_paths(cfg.out)

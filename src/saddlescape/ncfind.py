@@ -234,7 +234,7 @@ class NCDescentParams:
 
 def descend(
     x0: Array, params, trace: Trace, estimate: Callable[[Array, Array], Array], recorder,
-    escape: Callable[[Array, int, int], tuple | None], event: str, eta: float,
+    escape: Callable[[Array, Array, int, int], tuple | None], event: str, eta: float,
     threshold: float, *, record: str = "full",
 ) -> Trace:
     """The descent loop of nc, snc, pgd and psgd, with escape episodes.
@@ -242,7 +242,7 @@ def descend(
     Each iteration takes a gradient estimate(x, g), where g is the exact
     gradient that x's record took.  When the estimate's norm is at most
     threshold and the cooldown since the last episode has passed, x is
-    offered to the episode hook escape(x, t, budget), budget being the
+    offered to the episode hook escape(x, g, t, budget), budget being the
     iterations left.  The hook returns (new x, record tag, held iterations,
     stop), or None to decline.  An episode bills each held iteration as one
     ncf-step record at x and gives the new point one more record under the
@@ -277,7 +277,7 @@ def descend(
         g_norm = records[-1].grad_norm if g is g_x else _norm(g)
         episode = None
         if g_norm <= threshold and t - last > cooldown:
-            episode = escape(x, t, params.total_steps - t)
+            episode = escape(x, g_x, t, params.total_steps - t)
         if episode is None:
             x = x - eta * g
             t += 1
@@ -307,20 +307,20 @@ def curvature_escape(
     trace: Trace, params: NCDescentParams, value: Callable[[Array], float],
     find: Callable[[Array, NCParams | SNCParams, RngStream], NCOutcome],
     stream: RngStream, tag: str,
-) -> Callable[[Array, int, int], tuple | None]:
+) -> Callable[[Array, Array, int, int], tuple | None]:
     """Episode hook for descend.  The k-th episode runs find(anchor, search,
     substream) with params.search cut to at most budget - 1 steps (the
     closing record takes the last iteration) and the substream (tag, k) of
-    stream; each search step is one held iteration.  The exploit from the
-    anchor along the direction found (scored by value, its f read from the
-    anchor's record) takes the closing record.  Declines when fewer than two
-    iterations remain.
+    stream; each search step is one held iteration, and g goes unread (find
+    queries the anchor's gradient).  The exploit from the anchor along the
+    direction found (scored by value, its f from the anchor's record) takes
+    the closing record.  Declines when fewer than two iterations remain.
     """
     meta = trace.meta
     meta["exploits"], meta["candidates"] = [], []
     search = params.search
 
-    def escape(anchor: Array, t: int, budget: int):
+    def escape(anchor: Array, g: Array, t: int, budget: int):
         if budget < 2:
             return None
         inner = search if search.steps < budget else replace(search, steps=budget - 1)

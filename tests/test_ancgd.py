@@ -1,4 +1,5 @@
-"""Accelerated escape loop: derived constants, window mechanics, certificates."""
+"""Accelerated escape loop: derived constants, window mechanics, certificates,
+and the episode-hook contract it shares with descend."""
 
 import dataclasses
 import math
@@ -9,6 +10,7 @@ import pytest
 from saddlescape import ancgd
 from saddlescape import (
     ANCParams,
+    BaselineParams,
     ParameterError,
     RngStream,
     SmoothnessSpec,
@@ -19,11 +21,15 @@ from saddlescape import (
 )
 from saddlescape.core import (
     EVENT_AGD,
+    EVENT_GD,
     EVENT_NCE,
     EVENT_NCF_EXPLOIT,
     EVENT_NCF_STEP,
     EVENT_PERTURB,
+    CountingOracle,
+    Trace,
 )
+from saddlescape.ncfind import descend
 
 from conftest import (
     angular_gap,
@@ -85,7 +91,7 @@ class TestDerivedConstants:
         # reaches the loop as given.
         seen = []
 
-        def spy(oracle, x0, params, trace, stream, threshold, cooldown, *rest, **kw):
+        def spy(oracle, x0, params, trace, escape, threshold, cooldown, **kw):
             seen.append((threshold, cooldown))
             return trace
 
@@ -226,7 +232,7 @@ class TestRunMechanics:
 
     def test_window_records_hold_the_anchor(self):
         # Each search step is recorded at the anchor with the anchor's f and
-        # gradient norm, and the pinned pair's momentum.
+        # gradient norm and no momentum, as descend holds a search step.
         land = get_landscape("quartic")
         params = _window_params(cooldown=10**6, total_steps=30)
         trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(6, 0))
@@ -236,7 +242,7 @@ class TestRunMechanics:
         for rec in held:
             assert (rec.f, rec.grad_norm) == (anchor.f, anchor.grad_norm)
             assert rec.x is anchor.x
-            assert rec.v_norm > 0.0
+            assert rec.v_norm is None
 
     def test_short_cooldown_does_not_abort_the_window(self):
         # The trigger is not tested inside a window: a zero cooldown and a
@@ -311,6 +317,75 @@ class TestRunMechanics:
         b = ancgd_run(land.oracle, np.zeros(2), _window_params(), RngStream(11, 5))
         assert a.final_f() == b.final_f()
         assert trace_events(a) == trace_events(b)
+
+
+def _hooked(hook, total_steps, cooldown, loop="accelerate"):
+    """accelerate (or descend) on a bowl with every iterate flat, so an
+    episode starts whenever the cooldown allows; hook is its episode hook."""
+    oracle, x0 = CountingOracle(make_quadratic([1.0, 2.0])), np.array([0.5, -0.3])
+    if loop == "descend":
+        params = BaselineParams(
+            eta=0.05, radius=0.1, grad_threshold=0.0, total_steps=total_steps, cooldown=cooldown
+        )
+        return descend(x0, params, Trace(), lambda x, g: g, oracle, hook, EVENT_GD, 0.05, math.inf)
+    params = _window_params(total_steps=total_steps)
+    return ancgd.accelerate(oracle, x0, params, Trace(), hook, math.inf, cooldown)
+
+
+class TestEpisodeHook:
+    # On a bowl the certificate holds after an episode (the step from the
+    # restart has momentum), so the step is plain: x = p - eta * grad f(p).
+
+    @pytest.mark.parametrize("loop", ["accelerate", "descend"])
+    def test_hook_gets_anchor_gradient_t_and_budget(self, loop):
+        # Both loops call their hooks the same way.
+        calls = []
+
+        def hook(x, g, t, budget):
+            calls.append((x, g, t, budget))
+            return x + 0.01, EVENT_PERTURB, 0, False
+
+        trace = _hooked(hook, total_steps=10, cooldown=3, loop=loop)
+        bowl = make_quadratic([1.0, 2.0])
+        assert [(t, budget) for _, _, t, budget in calls] == [(0, 10), (4, 6), (8, 2)]
+        for x, g, t, _ in calls:
+            rec = trace.records[t]
+            assert x is rec.x
+            assert g.tobytes() == bowl.gradient(rec.x).tobytes()
+            assert math.sqrt(g.dot(g)) == rec.grad_norm
+
+    def test_zero_held_steps_from_the_new_point_in_the_same_iteration(self):
+        p = np.array([0.2, 0.1])
+        trace = _hooked(lambda x, g, t, budget: (p, EVENT_PERTURB, 0, False), 5, 10**6)
+        bowl = make_quadratic([1.0, 2.0])
+        rec = trace.records[1]
+        assert (rec.t, rec.event) == (1, EVENT_PERTURB)
+        assert rec.x.tobytes() == (p - 0.05 * bowl.gradient(p)).tobytes()
+        assert trace_events(trace)[2:] == [EVENT_AGD] * 4
+
+    def test_held_iterations_are_records_at_the_anchor(self):
+        p, k = np.array([0.2, 0.1]), 3
+        trace = _hooked(lambda x, g, t, budget: (p, EVENT_NCF_EXPLOIT, k, False), 10, 10**6)
+        anchor = trace.records[0]
+        held = trace.records[1 : k + 1]
+        assert [rec.t for rec in held] == [1, 2, 3]
+        for rec in held:
+            assert rec.event == EVENT_NCF_STEP and rec.x is anchor.x
+            assert (rec.f, rec.grad_norm, rec.v_norm) == (anchor.f, anchor.grad_norm, None)
+        bowl = make_quadratic([1.0, 2.0])
+        after = trace.records[k + 1]
+        assert (after.t, after.event) == (k + 1, EVENT_NCF_EXPLOIT)
+        assert after.x.tobytes() == (p - 0.05 * bowl.gradient(p)).tobytes()
+
+    @pytest.mark.parametrize("held", [5, 7])
+    def test_episode_that_uses_up_the_budget_scores_its_point_last(self, held):
+        p = np.array([0.2, 0.1])
+        trace = _hooked(lambda x, g, t, budget: (p, EVENT_NCF_STEP, held, False), 5, 10**6)
+        bowl = make_quadratic([1.0, 2.0])
+        assert trace_events(trace) == [EVENT_AGD] + [EVENT_NCF_STEP] * 5
+        last = trace.records[-1]
+        assert last.t == 5 and last.x is p
+        assert (last.f, last.grad_norm) == (bowl.value(p), np.linalg.norm(bowl.gradient(p)))
 
 
 class TestHamiltonian:

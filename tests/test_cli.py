@@ -34,6 +34,14 @@ class TestRunCommand:
         assert "escape_rate=" in stdout
         assert "wrote" in stdout
 
+    def test_paper_run_prints_its_derived_budget(self, capsys):
+        # The budget is derived, not given, so the run line is where it shows;
+        # the CSV and summary do not echo it.
+        argv = ["run", "--alg", "pgd", "--fn", "quartic", "--mode", "paper", "--eps", "0.3",
+                "--trials", "2"]
+        assert main(argv) == 0
+        assert " trials=2 steps=512 " in capsys.readouterr().out
+
     def test_derived_budget_too_large_needs_steps(self, tmp_path, capsys, monkeypatch):
         # Paper-mode ancgd on the quartic derives 58 734 828 411 955 steps;
         # a trial that started would not end, so one fails the test at once.

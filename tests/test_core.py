@@ -115,6 +115,25 @@ class TestRngStream:
         b = RngStream(1, 5).gen.standard_normal(16)
         assert not np.array_equal(a, b)
 
+    def test_generator_draws_no_os_entropy(self, monkeypatch):
+        # The stream is Philox keyed by (seed, stream_id), built without the
+        # entropy-drawn SeedSequence that Philox(key=...) makes and drops.
+        cases = [(0, 0), (7, 3), (2**64 - 1, 5), (-1, 2**63), (-12345, 9)]
+        keys = [np.array([s & (2**64 - 1), i & (2**64 - 1)], dtype=np.uint64) for s, i in cases]
+        refs = [np.random.Philox(key=key) for key in keys]
+
+        def no_entropy(*args, **kwargs):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        for (seed, stream_id), ref in zip(cases, refs):
+            gen = RngStream(seed, stream_id).gen
+            state, want = gen.bit_generator.state, ref.state
+            assert state["state"]["key"].tobytes() == want["state"]["key"].tobytes()
+            assert state["state"]["counter"].tobytes() == want["state"]["counter"].tobytes()
+            draws = gen.standard_normal(8)
+            assert draws.tobytes() == np.random.Generator(ref).standard_normal(8).tobytes()
+
     def test_substream_deterministic(self):
         a = RngStream(11, 2).substream("theta").gen.standard_normal(8)
         b = RngStream(11, 2).substream("theta").gen.standard_normal(8)

@@ -297,6 +297,26 @@ class TestPagdBaseline:
         draw = trace.meta["perturbs"][0]["x"]
         assert np.linalg.norm(draw) <= 0.08 + 1e-12
 
+    def test_draws_go_through_the_perturbation_hook(self, monkeypatch):
+        # pagd takes its episodes from the hook pgd and psgd use.
+        calls = []
+        real = drivers._perturbation
+
+        def spy(trace, draw):
+            hook = real(trace, draw)
+
+            def escape(x, g, t, budget):
+                calls.append(t)
+                return hook(x, g, t, budget)
+
+            return escape
+
+        monkeypatch.setattr(drivers, "_perturbation", spy)
+        land = get_landscape("quartic")
+        params = self._params(cooldown=5)
+        trace = pagd_run(land.oracle, np.zeros(2), params, RngStream(1, 0))
+        assert calls and calls == [p["t"] for p in trace.meta["perturbs"]]
+
     def test_mostly_fails_at_tight_budget(self):
         land = get_landscape("quartic")
         stuck = 0
