@@ -8,8 +8,9 @@ import json
 import sys
 
 from .core import AlgorithmError, DivergenceError, ParameterError
-from .harness import ExperimentConfig, run_dimension_scaling, run_experiment
-from .schedules import derive_params_for
+from .harness import (
+    ALGORITHMS, ExperimentConfig, derive_params_for, run_dimension_scaling, run_experiment,
+)
 from .testbed import registry_ids
 from .verify import run_verify
 
@@ -35,29 +36,10 @@ def _parse_x0(text: str) -> tuple:
         raise ParameterError(f"bad x0 {text!r}: {exc}") from None
 
 
-# Flags named differently from their ExperimentConfig field; every other
-# field is its own flag.
-_RENAMED = {
-    "alg": "algorithm", "fn": "landscape", "r": "radius", "m": "batch",
-    "M": "outer_batch", "pert": "exploit_step", "g_thresh": "grad_threshold",
-    "t_thresh": "cooldown",
-}
-_RUN_FIELDS = {
-    **_RENAMED,
-    **{
-        f.name: f.name
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in _RENAMED.values()
-    },
-}
-
-
 def _build_run_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {
-        field: getattr(args, flag)
-        for flag, field in _RUN_FIELDS.items()
-        if getattr(args, flag) is not None
-    }
+    # Each run flag's dest is the ExperimentConfig field it sets.
+    fields = (f.name for f in dataclasses.fields(ExperimentConfig))
+    values = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     if "x0" in values:
         values["x0"] = _parse_x0(values["x0"])
     if "algorithm" not in values or "landscape" not in values:
@@ -66,8 +48,8 @@ def _build_run_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alg", help="algorithm id: nc, ancgd, snc, pgd, pagd, psgd")
-    p.add_argument("--fn", help="landscape id, e.g. quartic, cubic, highdim-10")
+    p.add_argument("--alg", dest="algorithm", help=f"algorithm id: {', '.join(ALGORITHMS)}")
+    p.add_argument("--fn", dest="landscape", help="landscape id, e.g. quartic, cubic, highdim-10")
     p.add_argument("--mode", choices=["paper", "experiment"], help="parameter source")
     p.add_argument("--trials", type=int, help="number of seeded trials (default 100)")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
@@ -75,17 +57,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path; writes .csv and .summary.json")
     p.add_argument("--jobs", type=int, help="workers, at most the CPUs")
     p.add_argument("--eta", type=float, help="step size")
-    p.add_argument("--r", type=float, help="perturbation/probe radius")
+    p.add_argument("--r", dest="radius", type=float, help="perturbation/probe radius")
     p.add_argument("--sigma", type=float, help="gradient noise level")
-    p.add_argument("--m", type=int, help="curvature-search minibatch size")
-    p.add_argument("--M", type=int, help="outer SGD minibatch size")
+    p.add_argument("--m", dest="batch", type=int, help="curvature-search minibatch size")
+    p.add_argument("--M", dest="outer_batch", type=int, help="outer SGD minibatch size")
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--delta", type=float, help="failure probability")
     p.add_argument("--delta-f", dest="delta_f", type=float, help="initial gap bound")
     p.add_argument("--ncf-steps", dest="ncf_steps", type=int, help="curvature-search length")
-    p.add_argument("--pert", type=float, help="exploit step length")
-    p.add_argument("--g-thresh", dest="g_thresh", type=float, help="gradient trigger")
-    p.add_argument("--t-thresh", dest="t_thresh", type=int, help="trigger cooldown steps")
+    p.add_argument("--pert", dest="exploit_step", type=float, help="exploit step length")
+    p.add_argument("--g-thresh", dest="grad_threshold", type=float, help="gradient trigger")
+    p.add_argument("--t-thresh", dest="cooldown", type=int, help="trigger cooldown steps")
     p.add_argument("--threshold", type=float, help="escape decrease threshold")
     p.add_argument("--theta", type=float, help="momentum parameter")
     p.add_argument("--gamma", type=float, help="certificate curvature parameter")

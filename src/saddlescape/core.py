@@ -169,10 +169,6 @@ class CountingOracle:
     def dim(self) -> int:
         return self.inner.dim
 
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
     def value(self, x: Array) -> float:
         self.f_evals += 1
         return self.inner.value(x)
@@ -286,6 +282,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
 
     @property
     def gen(self) -> np.random.Generator:

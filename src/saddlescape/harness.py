@@ -11,27 +11,30 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 # The six run functions are module globals that _trial_trace looks up by
 # name at call time, so a wrapper installed on this module sees every trial.
-from .ancgd import ancgd_run
+from .ancgd import ANCParams, ancgd_run
 from .core import (
     AlgorithmError,
     Array,
     DivergenceError,
     ParameterError,
     RngStream,
+    SmoothnessSpec,
     _is_number,
     require_bound,
     require_count,
     require_nonnegative,
     require_positive,
 )
-from .drivers import pagd_run, pgd_nc_run, pgd_run, psgd_run
-from .schedules import build_params
+from .drivers import BaselineParams, pagd_run, pgd_nc_run, pgd_run, psgd_run
+from .ncfind import NCDescentParams, NCParams
+from .schedules import _ancgd, _baseline, _descent, _Setting, derive_nc_params
 from .stochastic import sgd_nc_run
 from .testbed import Landscape, get_landscape, with_noise
 
@@ -43,6 +46,7 @@ __all__ = [
     "HistogramSummary",
     "run_experiment",
     "run_dimension_scaling",
+    "derive_params_for",
     "write_csv",
 ]
 
@@ -339,35 +343,40 @@ _BASELINE_PAPER_ONLY = _PAPER_ONLY + ("eps",)
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """How the harness runs one algorithm: the name of its run function
-    (a module global, looked up at call time), the knobs experiment mode
+    """What one algorithm is to the harness: the name of its run function
+    (a module global, looked up at call time), its params builder (one of
+    schedules' builders, called with a _Setting), the knobs experiment mode
     needs, the knobs it reads in either mode (a config that sets any other
     knob is refused), those of them that it reads in paper mode only
     (refused in experiment mode), and whether it sees the noisy oracle."""
 
     run: str
+    build: Callable
     needs: tuple[str, ...]
     reads: tuple[str, ...]
     paper_only: tuple[str, ...]
     noisy: bool = False
 
 
+# The one table of algorithms: ALGORITHMS, the CLI's --alg and
+# derive_params_for all read it.
 _ALGORITHMS = {
-    "nc": _Algorithm("pgd_nc_run", _SEARCH_NEEDS, _SEARCH_READS, _PAPER_ONLY),
+    "nc": _Algorithm("pgd_nc_run", _descent, _SEARCH_NEEDS, _SEARCH_READS, _PAPER_ONLY),
     "ancgd": _Algorithm(
-        "ancgd_run", _SEARCH_NEEDS + _MOMENTUM_READS, _SEARCH_READS + _MOMENTUM_READS,
-        _PAPER_ONLY,
+        "ancgd_run", _ancgd, _SEARCH_NEEDS + _MOMENTUM_READS,
+        _SEARCH_READS + _MOMENTUM_READS, _PAPER_ONLY,
     ),
     "snc": _Algorithm(
-        "sgd_nc_run", _SEARCH_NEEDS, _SEARCH_READS + _NOISE_READS + ("outer_batch",),
-        _PAPER_ONLY, noisy=True,
+        "sgd_nc_run", partial(_descent, noisy=True), _SEARCH_NEEDS,
+        _SEARCH_READS + _NOISE_READS + ("outer_batch",), _PAPER_ONLY, noisy=True,
     ),
-    "pgd": _Algorithm("pgd_run", _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
+    "pgd": _Algorithm("pgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS, _BASELINE_PAPER_ONLY),
     "pagd": _Algorithm(
-        "pagd_run", _BASELINE_NEEDS, _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY
+        "pagd_run", partial(_baseline, momentum=True), _BASELINE_NEEDS,
+        _COMMON_READS + _MOMENTUM_READS, _PAPER_ONLY,
     ),
     "psgd": _Algorithm(
-        "psgd_run", _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
+        "psgd_run", _baseline, _BASELINE_NEEDS, _COMMON_READS + _NOISE_READS,
         _BASELINE_PAPER_ONLY, noisy=True,
     ),
 }
@@ -486,12 +495,12 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         delta_f = gap if delta_f is None else delta_f
     spec = land.oracle.spec
     sigma = knobs.get("sigma", 0.01)
-    params = build_params(
-        cfg.algorithm, paper=paper, spec=spec, n=land.dim, knobs=knobs,
+    params = alg.build(_Setting(
+        paper=paper, spec=spec, n=land.dim, knobs=knobs,
         eps=knobs.get("eps", 0.01), delta=knobs.get("delta", 0.1), delta_f=delta_f,
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=with_noise(land, sigma).ell_tilde if alg.noisy else spec.ell,
-    )
+    ))
     if "steps" not in knobs and params.total_steps > MAX_DERIVED_STEPS:
         raise ParameterError(
             f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
@@ -506,6 +515,38 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         "threshold": float(threshold),
         "params": params,
     }
+
+
+def derive_params_for(
+    alg: str, ell: float, rho: float, eps: float, delta: float, n: int,
+    delta_f: float | None = None, ell_tilde: float | None = None,
+) -> NCParams | NCDescentParams | ANCParams | BaselineParams:
+    """The paper-mode params of ncf (the curvature search alone, an NCParams)
+    or of one of the six algorithms (what `run --mode paper` builds at these
+    constants): the one path to them, and CLI `params`.  delta_f, the gap
+    bound, defaults to 1 and ell_tilde to ell; ncf reads neither, and only
+    snc reads ell_tilde."""
+    spec = SmoothnessSpec(ell, rho)
+    if alg != "ncf" and alg not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {alg!r}; choose ncf or one of {ALGORITHMS}")
+    reads = {"ncf": (), "snc": ("delta_f", "ell_tilde")}.get(alg, ("delta_f",))
+    given = {"delta_f": delta_f, "ell_tilde": ell_tilde}
+    ignored = [name for name, v in given.items() if v is not None and name not in reads]
+    if ignored:
+        raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
+    if alg == "ncf":
+        if not 0 < delta <= 1:  # derive_nc_params would name its delta0
+            raise ParameterError(f"delta must be in (0, 1], got {delta}")
+        return derive_nc_params(spec, eps, delta, n)
+    delta_f = 1.0 if delta_f is None else delta_f
+    ell_tilde = ell if ell_tilde is None else ell_tilde
+    require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    return _ALGORITHMS[alg].build(_Setting(
+        paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
+        rho_loc=rho, ell_tilde=ell_tilde,
+    ))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

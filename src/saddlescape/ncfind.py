@@ -181,6 +181,7 @@ def exploit(
     second-order candidate.  Returns the new point and whether the loop stops
     there (stop_at_candidate and the anchor became a candidate).
     """
+    require_positive(eps=eps, rho=rho, step=step)
     if step is None:
         step = 0.25 * math.sqrt(eps / rho)
     cand, f_cand = _lower_step(value, anchor, step * e_hat)
@@ -245,8 +246,9 @@ def descend(
     offered to the episode hook escape(x, g, t, budget), budget being the
     iterations left.  The hook returns (new x, record tag, held iterations,
     stop), or None to decline.  An episode bills each held iteration as one
-    ncf-step record at x and gives the new point one more record under the
-    tag; the loop ends there if stop is set.  Otherwise x steps against the
+    ncf-step record at x, which repeats the f and gradient norm of x's
+    record, and gives the new point one more record under the tag; the loop
+    ends there if stop is set.  Otherwise x steps against the
     estimate and the record is tagged event.  params supplies total_steps,
     cooldown and trust_region.  A CountingOracle recorder's call counts go
     into trace.meta, and at record="summary" no record keeps its iterate.
@@ -288,7 +290,7 @@ def descend(
             x, tag, held, stop = episode
             for _ in range(held):
                 t += 1
-                records.append(TraceRecord(t, anchor.f, g_norm, EVENT_NCF_STEP, anchor.x))
+                records.append(TraceRecord(t, anchor.f, anchor.grad_norm, EVENT_NCF_STEP, anchor.x))
             t += 1
             if x.tobytes() == anchor_x.tobytes():
                 # The exploit fell back to the anchor: g_x is still its gradient.

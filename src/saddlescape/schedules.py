@@ -16,8 +16,7 @@ from .drivers import BaselineParams
 from .ncfind import _K, NCDescentParams, NCParams
 from .stochastic import SNCParams
 
-__all__ = ["derive_nc_params", "derive_anc_params", "derive_snc_params", "derive_params_for",
-           "build_params"]
+__all__ = ["derive_nc_params", "derive_anc_params", "derive_snc_params"]
 
 # The free constant in ancgd's episode length.  c_a**7 >= K keeps the
 # per-episode decrease target below the certified decrease.
@@ -310,47 +309,3 @@ def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
         total_steps="steps", cooldown="cooldown", theta="theta", gamma="gamma",
         nce_radius="nce_radius", batch="batch", trust_region="trust_region",
     ))
-
-
-# Each algorithm's parameter builder, in harness.ALGORITHMS order.
-_BUILDERS = {
-    "nc": _descent, "ancgd": _ancgd, "snc": functools.partial(_descent, noisy=True),
-    "pgd": _baseline, "pagd": functools.partial(_baseline, momentum=True), "psgd": _baseline,
-}
-
-
-def build_params(alg: str, **setting):
-    """The params of alg, one of harness.ALGORITHMS, built from _Setting(**setting)."""
-    return _BUILDERS[alg](_Setting(**setting))
-
-
-def derive_params_for(
-    alg: str, ell: float, rho: float, eps: float, delta: float, n: int,
-    delta_f: float | None = None, ell_tilde: float | None = None,
-) -> NCParams | NCDescentParams | ANCParams | BaselineParams:
-    """The paper-mode params of ncf (the curvature search alone, an NCParams)
-    or of one of the six algorithms (what `run --mode paper` builds at these
-    constants): the one path to them, and CLI `params`.  delta_f, the gap
-    bound, defaults to 1 and ell_tilde to ell; ncf reads neither, and only
-    snc reads ell_tilde."""
-    spec = SmoothnessSpec(ell, rho)
-    if alg != "ncf" and alg not in _BUILDERS:
-        raise ParameterError(f"unknown algorithm {alg!r}; choose ncf or one of {tuple(_BUILDERS)}")
-    reads = {"ncf": (), "snc": ("delta_f", "ell_tilde")}.get(alg, ("delta_f",))
-    given = {"delta_f": delta_f, "ell_tilde": ell_tilde}
-    ignored = [name for name, v in given.items() if v is not None and name not in reads]
-    if ignored:
-        raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
-    if alg == "ncf":
-        if not 0 < delta <= 1:  # derive_nc_params would name its delta0
-            raise ParameterError(f"delta must be in (0, 1], got {delta}")
-        return derive_nc_params(spec, eps, delta, n)
-    delta_f = 1.0 if delta_f is None else delta_f
-    ell_tilde = ell if ell_tilde is None else ell_tilde
-    require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    return build_params(
-        alg, paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
-        rho_loc=rho, ell_tilde=ell_tilde,
-    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,7 +16,9 @@ from .core import (
     ParameterError,
     SmoothnessSpec,
     StochasticOracle,
+    _is_number,
     require_nonnegative,
+    require_positive,
 )
 
 __all__ = [
@@ -59,7 +62,6 @@ class Landscape:
     saddles: list[SaddleInfo]
     minima: list[tuple[Array, float]]
     hessian: Callable[[Array], Array] | None = None
-    notes: str = ""
 
     @property
     def dim(self) -> int:
@@ -89,7 +91,7 @@ def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], o
 def _planar(
     land_id: str, f: Callable[[float, float], float], grad: Callable[[float, float], Array],
     hess: Callable[[float, float], Array], spec: SmoothnessSpec, box: tuple[float, float],
-    saddle: dict, minima: list[tuple[Array, float]], notes: str,
+    saddle: dict, minima: list[tuple[Array, float]],
 ) -> Landscape:
     """A 2-d landscape from its formulas on Python floats and its declared
     structure: one saddle at the origin (the SaddleInfo fields other than
@@ -105,12 +107,13 @@ def _planar(
     )
     return Landscape(
         id=land_id, oracle=oracle, box=box, saddles=[SaddleInfo(point=np.zeros(2), **saddle)],
-        minima=minima, hessian=_on_floats(hess), notes=notes,
+        minima=minima, hessian=_on_floats(hess),
     )
 
 
 def make_quartic() -> Landscape:
-    """Even 2-d quartic: saddle at the origin, minima at (+-2, 0)."""
+    """Even 2-d quartic: saddle at the origin, minima at (+-2, 0).  ell and
+    rho hold on the box; the local constants hold within 0.5 of the saddle."""
 
     def f(x1: float, x2: float) -> float:
         return x1**4 / 16 - x1**2 / 2 + 9 / 8 * x2**2
@@ -125,7 +128,6 @@ def make_quartic() -> Landscape:
         "quartic", f, grad, hess, SmoothnessSpec(ell=5.75, rho=4.5), box=(-3.0, 3.0),
         saddle=dict(lambda_min=-1.0, direction=np.array([1.0, 0.0]), ell_local=3.0, rho_local=1.0),
         minima=[(np.array([2.0, 0.0]), -1.0), (np.array([-2.0, 0.0]), -1.0)],
-        notes="ell/rho hold on the box; local constants hold within 0.5 of the saddle",
     )
 
 
@@ -137,7 +139,8 @@ _CUBIC_MIN_F = -1.3641479081703338
 
 
 def make_cubic_stochastic() -> Landscape:
-    """Cubic-plus-quartic 2-d landscape whose saddle has off-axis curvature."""
+    """Cubic-plus-quartic 2-d landscape whose saddle has off-axis curvature;
+    the local constants hold within 0.1 of the saddle."""
 
     def f(x1: float, x2: float) -> float:
         return (x1**3 - x2**3) / 2 - 3 * x1 * x2 + (x1**2 + x2**2) ** 2 / 2
@@ -163,12 +166,12 @@ def make_cubic_stochastic() -> Landscape:
         saddle=dict(lambda_min=-3.0, direction=np.array([inv2, inv2]), ell_local=4.0,
                     rho_local=5.0),
         minima=[(_CUBIC_MIN.copy(), _CUBIC_MIN_F), (mirror, _CUBIC_MIN_F)],
-        notes="local constants hold within 0.1 of the saddle",
     )
 
 
 def make_triangle() -> Landscape:
-    """Cosine ridge landscape: deep negative curvature at the origin saddle."""
+    """Cosine ridge landscape: deep negative curvature at the origin saddle;
+    the local constants hold within 0.01 of the saddle."""
 
     pi = math.pi
 
@@ -197,12 +200,12 @@ def make_triangle() -> Landscape:
         saddle=dict(lambda_min=-pi**2 / 2, direction=np.array([1.0, 0.0]), ell_local=7.0,
                     rho_local=40.0),
         minima=[(np.array([1.0, 0.0]), -1.0), (np.array([-1.0, 0.0]), -1.0)],
-        notes="local constants hold within 0.01 of the saddle",
     )
 
 
 def make_exponential() -> Landscape:
-    """Sigmoid-plus-ridge landscape: weak curvature, no finite minimum."""
+    """Sigmoid-plus-ridge landscape: weak curvature, no finite minimum.  The
+    infimum -1 is approached as |x1| grows along the ridge x2 = x1^2 exp(-x1^2)."""
 
     def _parts(x1: float):
         """u = x1^2, s = 1/(1 + e^u), a pair (eu, s2) whose product is
@@ -244,7 +247,6 @@ def make_exponential() -> Landscape:
         "exponential", f, grad, hess, SmoothnessSpec(ell=8.0, rho=16.0), box=(-2.0, 2.0),
         saddle=dict(lambda_min=-0.5, direction=np.array([1.0, 0.0]), ell_local=2.0, rho_local=4.0),
         minima=[],
-        notes="infimum -1 approached as |x1| grows along the ridge x2 = x1^2 exp(-x1^2)",
     )
 
 
@@ -258,13 +260,13 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
     eps_h is the magnitude of the single negative eigenvalue.  The reference
     setting uses eps_h = 1.0; a nearly flat variant (eps_h = 0.01) is exposed
     as the '-soft' preset because both settings appear in accounts of this
-    family.
+    family.  The analytic Hessian serves dimensions beyond the dense
+    verification cap.
     """
 
-    if not 2 <= n <= MAX_HIGHDIM:
+    if not (_is_number(n, numbers.Integral) and 2 <= n <= MAX_HIGHDIM):
         raise ParameterError(f"highdim landscape needs 2 <= n <= {MAX_HIGHDIM}, got {n}")
-    if eps_h <= 0:
-        raise ParameterError(f"eps_h must be positive, got {eps_h}")
+    require_positive(eps_h=eps_h)
 
     diag = np.ones(n)
     diag[0] = -eps_h
@@ -316,7 +318,6 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
             (-x_min * e1, -eps_h**2),
         ],
         hessian=hess,
-        notes="analytic Hessian supplied for dimensions beyond the dense verification cap",
     )
 
 
@@ -380,6 +381,8 @@ VERIFY_IDS = ["quartic", "cubic", "triangle", "exponential", "highdim-10"]
 
 def get_landscape(land_id: str) -> Landscape:
     """Look up a landscape by id; highdim ids encode the dimension."""
+    if not isinstance(land_id, str):
+        raise ParameterError(f"unknown landscape id: {land_id!r}")
     if land_id in _FACTORIES:
         return _FACTORIES[land_id]()
     if land_id.startswith("highdim-"):

@@ -227,8 +227,7 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
     minimum is stationary, has the declared value and is second-order
     stationary; the sampled Hessian spectrum respects the declared ell.
     """
-    if points_per_landscape < 1:
-        raise ParameterError(f"points_per_landscape must be >= 1, got {points_per_landscape}")
+    require_count(points_per_landscape=points_per_landscape)
     report = VerifyReport()
     if landscapes is None:
         landscapes = [get_landscape(i) for i in (ids or VERIFY_IDS)]

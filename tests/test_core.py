@@ -42,6 +42,7 @@ from saddlescape import (
     psgd_run,
     sgd_nc_run,
     snc_find,
+    run_verify,
     uniform_ball_sample,
 )
 from saddlescape.core import (
@@ -54,7 +55,7 @@ from saddlescape.core import (
     check_iterate,
 )
 from saddlescape.harness import build_payload
-from saddlescape.ncfind import NCParams
+from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import make_highdim
 
@@ -412,6 +413,19 @@ _BAD_INPUTS = [
      lambda v: pagd_run(_SADDLE, np.array([v, 0.0]), _PAGD, RngStream(0, 0)), (_NAN, _INF)),
     ("pagd_run", "x0",
      lambda v: pagd_run(_SADDLE, np.zeros(v), _PAGD, RngStream(0, 0)), (1, 3, (2, 1))),
+    # A stream's key, refused where the stream is made, not at its first draw.
+    ("RngStream", "seed", lambda v: RngStream(v), (1.5, "a")),
+    ("RngStream", "stream_id", lambda v: RngStream(0, v), (1.5,)),
+    ("run_verify", "points_per_landscape",
+     lambda v: run_verify(ids=["quartic"], points_per_landscape=v), (1.5, _NAN)),
+    ("run_verify", "unknown landscape id", lambda v: run_verify(ids=[v]), (5,)),
+    ("make_highdim", "n <=", lambda v: make_highdim(v), (10.5,)),
+    ("make_highdim", "eps_h", lambda v: make_highdim(10, eps_h=v), (_NAN, _INF)),
+    # The README's exploit call, with meta=None.
+    ("exploit", "eps", lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, _AXIS, v, 1.0), (_NAN, -1.0)),
+    ("exploit", "rho", lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, _AXIS, 0.1, v), (_NAN, 0.0)),
+    ("exploit", "step",
+     lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, _AXIS, 0.1, 1.0, v), (0.0, -1.0, _NAN)),
 ]
 
 
@@ -490,7 +504,7 @@ def test_public_helpers_reject_bad_inputs(call, name, value):
         ),
         pytest.param(
             lambda: make_highdim(10, eps_h=0.0),
-            "eps_h must be positive, got 0.0", id="make_highdim-eps_h",
+            "eps_h must be positive and finite, got 0.0", id="make_highdim-eps_h",
         ),
         pytest.param(
             lambda: get_landscape("highdim-abc"),

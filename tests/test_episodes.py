@@ -25,7 +25,7 @@ from saddlescape import (
     with_noise,
 )
 from saddlescape.cli import main
-from saddlescape.core import EVENT_NCF_EXPLOIT
+from saddlescape.core import EVENT_NCF_EXPLOIT, EVENT_NCF_STEP
 from saddlescape.harness import ALGORITHMS, _trial_trace, build_payload
 from saddlescape.ncfind import exploit
 
@@ -113,6 +113,21 @@ def test_exploit_logged_at_its_record(alg, land_id):
         for entry in trace.meta["exploits"]:
             assert trace.records[entry["t"]].event == EVENT_NCF_EXPLOIT
             assert trace.records[entry["t"]].t == entry["t"]
+
+
+@pytest.mark.parametrize("alg, land_id", [("nc", "quartic"), ("snc", "cubic")])
+def test_held_records_repeat_the_anchor_record(alg, land_id):
+    # A held search step repeats its anchor's f and gradient norm, also where
+    # the loop's gradient estimate is a minibatch mean (snc), not grad f.
+    for trace in _recipe_traces(alg, land_id):
+        held = 0
+        for rec in trace.records:
+            if rec.event != EVENT_NCF_STEP:
+                anchor = rec
+                continue
+            held += 1
+            assert (rec.f, rec.grad_norm) == (anchor.f, anchor.grad_norm)
+        assert held
 
 
 _NC = dict(steps=5, radius=0.1, eps=0.05, delta0=0.1, ell=1.0, rho=1.0)

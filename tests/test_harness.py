@@ -27,7 +27,7 @@ from saddlescape import (
     run_verify,
     with_noise,
 )
-from saddlescape import harness, schedules
+from saddlescape import harness
 from saddlescape.cli import main
 from saddlescape.harness import _resolve_knobs, build_payload
 
@@ -235,13 +235,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("alg", harness.ALGORITHMS)
     def test_params_built_once_per_experiment(self, monkeypatch, alg, mode):
         calls = []
-        build = schedules._BUILDERS[alg]
+        row = harness._ALGORITHMS[alg]
 
         def spy(setting):
             calls.append(setting)
-            return build(setting)
+            return row.build(setting)
 
-        monkeypatch.setitem(schedules._BUILDERS, alg, spy)
+        monkeypatch.setitem(harness._ALGORITHMS, alg, dataclasses.replace(row, build=spy))
         land_id = "cubic" if alg in ("snc", "psgd") else "quartic"
         cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode=mode, steps=12)
         assert len(run_experiment(cfg).rows) == 100
@@ -513,7 +513,7 @@ class TestDeriveParamsFor:
             out = dataclasses.replace(out, total_steps=200)
         assert build_payload(cfg, land)["params"] == out
 
-    @pytest.mark.parametrize("alg", ["pgd-nc", "sgd-nc", "adam"])
+    @pytest.mark.parametrize("alg", ["pgd-nc", "sgd-nc", "adam", ["nc"]])
     def test_unknown_algorithm(self, alg):
         with pytest.raises(ParameterError, match="unknown algorithm"):
             derive_params_for(alg, 1.0, 1.0, 0.1, 0.1, 2, 1.0)

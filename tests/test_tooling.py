@@ -231,6 +231,26 @@ def test_schedule_constants_are_written_once():
     assert [numbers.count(c) for c in (384, 768, 2304)] == [1, 0, 0]
 
 
+def test_algorithm_table_is_written_once():
+    # harness._ALGORITHMS is the one dict keyed by every algorithm id: its
+    # rows carry the run function, the params builder and the knob contract,
+    # and the CLI's --alg help reads ALGORITHMS.
+    from saddlescape.cli import build_parser
+    from saddlescape.harness import ALGORITHMS
+
+    tables = [
+        path.name
+        for path in sorted(Path(saddlescape.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Dict)
+        and set(ALGORITHMS) <= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    ]
+    assert tables == ["harness.py"]
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    run_help = sub.choices["run"].format_help()
+    assert [alg for alg in ALGORITHMS if not re.search(rf"\b{alg}\b", run_help)] == []
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
