@@ -16,13 +16,13 @@ TRIALS = 200
 def show(result, label):
     print(f"\n{label}: escape rate {result.escape_rate:.3f} "
           f"(bar: decrease >= {result.threshold:g})")
-    hist = result.histogram
-    peak = max(hist.counts) or 1
-    for left, count in zip(hist.bin_edges[:-1], hist.counts):
+    hist = result.summary()
+    peak = max(hist["counts"]) or 1
+    for left, count in zip(hist["bin_edges"][:-1], hist["counts"]):
         if count == 0:
             continue
         bar = "#" * max(1, int(round(40 * count / peak)))
-        print(f"  decrease {left:5.2f}-{left + hist.bin_width:.2f}  {bar}{count:>5d}")
+        print(f"  decrease {left:5.2f}-{left + hist['bin_width']:.2f}  {bar}{count:>5d}")
 
 
 def main():

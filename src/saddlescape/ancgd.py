@@ -75,21 +75,19 @@ class ANCParams:
 
 def _nce_step(
     oracle: GradientOracle, x: Array, v: Array, s: float, f_x: float | None
-) -> tuple[Array, Array, float | None]:
+) -> tuple[Array, float | None]:
     """Momentum-reset step taken when the certificate flags negative curvature.
 
     Long momentum (norm >= s) already made progress, so x stays put.  Short
     momentum is stretched to length s and the lower side is taken
-    (_lower_step).  Momentum is zeroed in every branch.  Also returns f at
-    the point it returns: f_x (f(x), as the caller holds it) where x stays,
-    else the winner's value.
+    (_lower_step).  Returns the point and f there: f_x (f(x), as the caller
+    holds it) where x stays, else the winner's value.  The caller zeroes the
+    momentum.
     """
     v_norm = _norm(v)
-    zero = np.zeros(v.shape[0])
     if v_norm >= s or v_norm == 0.0:
-        return x, zero, f_x
-    x_new, f_new = _lower_step(oracle.value, x, (s / v_norm) * v)
-    return x_new, zero, f_new
+        return x, f_x
+    return _lower_step(oracle.value, x, (s / v_norm) * v)
 
 
 def accelerate(
@@ -184,9 +182,8 @@ def accelerate(
             - 0.5 * params.gamma * float(np.dot(gap, gap))
         )
         if f_x_next <= model:
-            x_next, v_next, f_x_next = _nce_step(
-                oracle, x_next, v_next, params.nce_radius, f_x_next
-            )
+            x_next, f_x_next = _nce_step(oracle, x_next, v_next, params.nce_radius, f_x_next)
+            v_next = np.zeros_like(x_next)
             x_scored = x_next
             z_next = z_reset = x_next + (1.0 - theta) * v_next
             if event == EVENT_AGD:

@@ -39,7 +39,6 @@ __all__ = [
     "EVENT_NCF_EXPLOIT",
     "EVENT_NCE",
     "EVENT_SGD",
-    "EVENTS",
 ]
 
 # Event vocabulary for trace records.
@@ -50,9 +49,6 @@ EVENT_NCF_STEP = "ncf-step"
 EVENT_NCF_EXPLOIT = "ncf-exploit"
 EVENT_NCE = "nce"
 EVENT_SGD = "sgd"
-EVENTS = frozenset(
-    {EVENT_GD, EVENT_AGD, EVENT_PERTURB, EVENT_NCF_STEP, EVENT_NCF_EXPLOIT, EVENT_NCE, EVENT_SGD}
-)
 
 
 class ParameterError(ValueError):
@@ -65,6 +61,8 @@ class AlgorithmError(RuntimeError):
 
 def _is_number(value, kind=numbers.Real) -> bool:
     """True for an instance of the numeric kind that is not a bool."""
+    if type(value) is int or (type(value) is float and kind is numbers.Real):
+        return True  # the common case, without the ABC check
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
@@ -134,7 +132,6 @@ class GradientOracle:
     grad: Callable[[Array], Array]
     spec: SmoothnessSpec
     dim: int
-    name: str = ""
     f_and_grad: Callable[[Array], tuple] | None = None
 
     def value(self, x: Array) -> float:
@@ -206,9 +203,10 @@ class StochasticOracle:
         for at most calls calls; g is the caller's exact grad f(x)."""
         raise NotImplementedError
 
-    def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
+    def diff_sampler(self, x0: Array, g0: Array, m: int, stream: "RngStream") -> Callable:
         """diff(x1): the mean over m fresh draws of theta, shared by both
-        points, of g(x1; theta) - g(x0; theta), for many x1 around one x0."""
+        points, of g(x1; theta) - g(x0; theta), for many x1 around one x0;
+        g0 is the caller's exact grad f(x0)."""
         raise NotImplementedError
 
 
@@ -218,11 +216,11 @@ class AdditiveNoiseOracle(StochasticOracle):
     The noise does not depend on x, so shared-theta differences cancel it
     exactly and an m-sample mean collapses to a single scaled draw.  The
     closed forms below are distributionally exact for every m and keep
-    theoretically derived batch sizes affordable.  Both reuse the exact
+    theoretically derived batch sizes affordable.  Both take the exact
     gradients their caller holds: a mean sampler adds its noise to the g
     passed in (no gradient query) and draws that noise in blocks, and a
-    difference sampler queries grad f(x0) once, so each difference costs
-    one gradient query.
+    difference sampler subtracts the g0 passed in, so each difference costs
+    one gradient query, at x1.
     """
 
     def __init__(self, mean: GradientOracle, sigma: float):
@@ -234,9 +232,8 @@ class AdditiveNoiseOracle(StochasticOracle):
         noise = _normal_rows(stream, self.dim, self.sigma / math.sqrt(m), calls)
         return lambda x, g: g + next(noise)
 
-    def diff_sampler(self, x0: Array, m: int, stream: "RngStream") -> Callable:
+    def diff_sampler(self, x0: Array, g0: Array, m: int, stream: "RngStream") -> Callable:
         # theta is x-independent, so it cancels for any batch size.
-        g0 = self.mean.gradient(x0)
         return lambda x1: self.mean.gradient(x1) - g0
 
 
@@ -334,6 +331,8 @@ def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Arra
     """Uniform draw from the closed ball of given radius around center."""
     require_nonnegative(radius=radius)
     center = np.asarray(center, dtype=float)
+    if not np.isfinite(center).all():
+        raise ParameterError(f"center must be finite, got {center}")
     n = center.shape[0]
     direction = stream.gen.standard_normal(n)
     norm = _norm(direction)
@@ -349,6 +348,8 @@ def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream)
     """Isotropic Gaussian draw N(center, variance_per_coord * I)."""
     require_nonnegative(variance=variance_per_coord)
     center = np.asarray(center, dtype=float)
+    if not np.isfinite(center).all():
+        raise ParameterError(f"center must be finite, got {center}")
     return center + math.sqrt(variance_per_coord) * stream.gen.standard_normal(center.shape[0])
 
 

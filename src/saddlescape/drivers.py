@@ -58,7 +58,7 @@ def pgd_nc_run(
     trace = Trace.start("pgd-nc", stream)
     escape = curvature_escape(
         trace, params, counted.value,
-        lambda anchor, search, sub: nc_find(counted, anchor, search, sub), stream, "ncf",
+        lambda anchor, g, search, sub: nc_find(counted, anchor, search, sub, g=g), stream, "ncf",
     )
     return descend(
         x0, params, trace, lambda x, g: g, counted, escape, EVENT_GD, eta, threshold,

@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialResult",
     "ExperimentResult",
-    "HistogramSummary",
     "run_experiment",
     "run_dimension_scaling",
     "derive_params_for",
@@ -197,28 +196,15 @@ class TrialResult:
     escaped: bool
 
 
-@dataclass
-class HistogramSummary:
-    """Fixed-width histogram of per-trial decreases."""
-
-    bin_width: float
-    bin_edges: list[float]
-    counts: list[int]
-    total: int
-
-    @classmethod
-    def from_decreases(cls, decreases, bin_width: float = BIN_WIDTH) -> "HistogramSummary":
-        vals = np.asarray(list(decreases), dtype=float)
-        lo_bin = min(0, math.floor(float(vals.min()) / bin_width)) if vals.size else 0
-        hi_bin = max(1, math.ceil(float(vals.max()) / bin_width)) if vals.size else 1
-        edges = [round(i * bin_width, 10) for i in range(lo_bin, hi_bin + 1)]
-        counts, _ = np.histogram(vals, bins=edges)
-        return cls(
-            bin_width=bin_width,
-            bin_edges=edges,
-            counts=[int(c) for c in counts],
-            total=int(vals.size),
-        )
+def _histogram(decreases: list[float]) -> tuple[list[float], list[int]]:
+    """Bin edges, multiples of BIN_WIDTH covering [0, BIN_WIDTH] and every
+    decrease, and the count of decreases in each bin."""
+    vals = np.asarray(decreases, dtype=float)
+    lo_bin = min(0, math.floor(float(vals.min()) / BIN_WIDTH)) if vals.size else 0
+    hi_bin = max(1, math.ceil(float(vals.max()) / BIN_WIDTH)) if vals.size else 1
+    edges = [round(i * BIN_WIDTH, 10) for i in range(lo_bin, hi_bin + 1)]
+    counts, _ = np.histogram(vals, bins=edges)
+    return edges, [int(c) for c in counts]
 
 
 @dataclass
@@ -228,7 +214,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     rows: list[TrialResult]
-    histogram: HistogramSummary
     threshold: float
     total_steps: int
 
@@ -242,6 +227,7 @@ class ExperimentResult:
 
     def summary(self) -> dict:
         decreases = [r.decrease for r in self.rows]
+        edges, counts = _histogram(decreases)
         return {
             "algorithm": self.config.algorithm,
             "landscape": self.config.landscape,
@@ -254,9 +240,9 @@ class ExperimentResult:
             "mean_decrease": float(np.mean(decreases)),
             "min_decrease": float(np.min(decreases)),
             "max_decrease": float(np.max(decreases)),
-            "bin_width": self.histogram.bin_width,
-            "bin_edges": self.histogram.bin_edges,
-            "counts": self.histogram.counts,
+            "bin_width": BIN_WIDTH,
+            "bin_edges": edges,
+            "counts": counts,
             "config": _config_echo(self.config),
         }
 
@@ -575,11 +561,7 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     results = []
     for cfg, payload in zip(cfgs, payloads):
         own, rows = rows[: cfg.trials], rows[cfg.trials :]
-        hist = HistogramSummary.from_decreases([r.decrease for r in own])
-        result = ExperimentResult(
-            config=cfg, rows=own, histogram=hist, threshold=payload["threshold"],
-            total_steps=payload["params"].total_steps,
-        )
+        result = ExperimentResult(cfg, own, payload["threshold"], payload["params"].total_steps)
         if cfg.out:
             csv_path, summary_path = _out_paths(cfg.out)
             write_csv(own, csv_path)

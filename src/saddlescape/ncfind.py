@@ -98,10 +98,11 @@ def _power_search(start: Callable[[], Array], step: Callable, radius: float, ste
     raise AlgorithmError("curvature search degenerated repeatedly")
 
 
-def _difference_step(oracle: GradientOracle, x: Array, r: float, ell: float) -> Callable:
-    """Power step on exact gradient differences at x, probed at the offset y
-    rescaled to radius r; 1-homogeneous in y.  Queries grad f(x) once, now."""
-    g0 = oracle.gradient(x)
+def _difference_step(
+    oracle: GradientOracle, x: Array, g0: Array, r: float, ell: float
+) -> Callable:
+    """Power step on exact gradient differences at x, whose gradient is g0,
+    probed at the offset y rescaled to radius r; 1-homogeneous in y."""
 
     def step(y: Array, _) -> Array:
         norm = _norm(y)
@@ -126,16 +127,20 @@ def nc_find(
     x_tilde: Array,
     params: NCParams,
     stream: RngStream,
+    *,
+    g: Array | None = None,
 ) -> NCOutcome:
     """Estimate the most-negative-curvature direction at x_tilde.
 
     Gradient differences at a fixed probe radius act as Hessian-vector
     products, so _power_search converges to the bottom eigenvector.  Each
-    attempt starts from a uniform draw in the probe ball.
+    attempt starts from a uniform draw in the probe ball.  g is grad f at
+    x_tilde, queried here when absent; each step queries one gradient.
     """
     x_tilde = _point(oracle, x_tilde)
+    g = oracle.gradient(x_tilde) if g is None else _point(oracle, g, "g")
     n, r = x_tilde.shape[0], params.radius
-    step = _difference_step(oracle, x_tilde, r, params.ell)
+    step = _difference_step(oracle, x_tilde, g, r, params.ell)
     y = _power_search(lambda: uniform_ball_sample(np.zeros(n), r, stream), step, r, params.steps)
     return NCOutcome(e_hat=y / _norm(y), steps_used=params.steps)
 
@@ -174,7 +179,7 @@ def exploit(
 ) -> tuple[Array, bool]:
     """Two-candidate exploit: step `step` (default sqrt(eps/rho)/4) both ways
     along e_hat from the anchor, keep the lower candidate, and fall back to
-    the anchor when neither decreases f.
+    the anchor when neither decreases f.  e_hat and anchor_f must be finite.
 
     With meta, the episode is logged in meta["exploits"] as ending at record
     t and certified against lemma_decrease_bound; an uncertified anchor is a
@@ -182,6 +187,9 @@ def exploit(
     there (stop_at_candidate and the anchor became a candidate).
     """
     require_positive(eps=eps, rho=rho, step=step)
+    for name, v in (("e_hat", e_hat), ("anchor_f", anchor_f)):
+        if not np.isfinite(v).all():
+            raise ParameterError(f"{name} must be finite, got {v}")
     if step is None:
         step = 0.25 * math.sqrt(eps / rho)
     cand, f_cand = _lower_step(value, anchor, step * e_hat)
@@ -307,14 +315,14 @@ def descend(
 
 def curvature_escape(
     trace: Trace, params: NCDescentParams, value: Callable[[Array], float],
-    find: Callable[[Array, NCParams | SNCParams, RngStream], NCOutcome],
+    find: Callable[[Array, Array, NCParams | SNCParams, RngStream], NCOutcome],
     stream: RngStream, tag: str,
 ) -> Callable[[Array, Array, int, int], tuple | None]:
-    """Episode hook for descend.  The k-th episode runs find(anchor, search,
-    substream) with params.search cut to at most budget - 1 steps (the
-    closing record takes the last iteration) and the substream (tag, k) of
-    stream; each search step is one held iteration, and g goes unread (find
-    queries the anchor's gradient).  The exploit from the anchor along the
+    """Episode hook for descend.  The k-th episode runs find(anchor, g,
+    search, substream), g being the gradient the anchor's record took, with
+    params.search cut to at most budget - 1 steps (the closing record takes
+    the last iteration) and the substream (tag, k) of stream; each search
+    step is one held iteration.  The exploit from the anchor along the
     direction found (scored by value, its f from the anchor's record) takes
     the closing record.  Declines when fewer than two iterations remain.
     """
@@ -326,7 +334,7 @@ def curvature_escape(
         if budget < 2:
             return None
         inner = search if search.steps < budget else replace(search, steps=budget - 1)
-        outcome = find(anchor, inner, stream.substream((tag, len(meta["exploits"]))))
+        outcome = find(anchor, g, inner, stream.substream((tag, len(meta["exploits"]))))
         x, stop = exploit(
             value, anchor, trace.records[-1].f, outcome.e_hat, search.eps, search.rho,
             params.exploit_step, meta=meta, t=t + outcome.steps_used + 1,

@@ -67,6 +67,8 @@ def snc_find(
     x_tilde: Array,
     params: SNCParams,
     stream: RngStream,
+    *,
+    g: Array | None = None,
 ) -> NCOutcome:
     """Stochastic curvature search with per-step renormalization.
 
@@ -76,17 +78,18 @@ def snc_find(
     reached: dividing the injected noise by scale / radius keeps the
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
-    curvature probes.  Under additive noise a search queries grad f at
-    x_tilde once and then once per step but an attempt's first, whose
-    difference at offset zero is zero (steps in all); sgd_nc_run bills
+    curvature probes.  g is grad f at x_tilde, queried here when absent.
+    Under additive noise a search then queries grad f once per step but an
+    attempt's first, whose difference at offset zero is zero; sgd_nc_run bills
     2 * batch samples per step but that first, which draws none.  The
     injected noise is drawn in blocks of rows, the same bits as one draw
     per step.
     """
     x_tilde = _point(oracle, x_tilde)
+    g = oracle.mean.gradient(x_tilde) if g is None else _point(oracle, g, "g")
     n = x_tilde.shape[0]
     r_s = scale = params.radius
-    diff = oracle.diff_sampler(x_tilde, params.batch, stream.substream("theta"))
+    diff = oracle.diff_sampler(x_tilde, g, params.batch, stream.substream("theta"))
     # A restart takes up to steps more rows from the same stream.
     xi_stream = stream.substream("xi")
     xi_rows = itertools.chain.from_iterable(
@@ -135,10 +138,10 @@ def sgd_nc_run(
         trace.meta["samples"] += params.outer_batch
         return sample(x, g)
 
-    def find(anchor: Array, search: SNCParams, sub: RngStream) -> NCOutcome:
+    def find(anchor: Array, g: Array, search: SNCParams, sub: RngStream) -> NCOutcome:
         # An attempt's first step, from zero, draws no sample.
         trace.meta["samples"] += (search.steps - 1) * search.batch * 2
-        return snc_find(oracle, anchor, search, sub)
+        return snc_find(oracle, anchor, search, sub, g=g)
 
     escape = curvature_escape(trace, params, oracle.mean.value, find, stream, "snc")
     return descend(

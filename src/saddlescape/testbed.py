@@ -102,9 +102,7 @@ def _planar(
     def f_and_grad(x1: float, x2: float) -> tuple:
         return f(x1, x2), grad(x1, x2)
 
-    oracle = GradientOracle(
-        _on_floats(f), _on_floats(grad), spec, 2, land_id, _on_floats(f_and_grad)
-    )
+    oracle = GradientOracle(_on_floats(f), _on_floats(grad), spec, 2, _on_floats(f_and_grad))
     return Landscape(
         id=land_id, oracle=oracle, box=box, saddles=[SaddleInfo(point=np.zeros(2), **saddle)],
         minima=minima, hessian=_on_floats(hess),
@@ -294,10 +292,7 @@ def make_highdim(n: int, eps_h: float = 1.0) -> Landscape:
 
     ell = max(1.0, 6.75 - eps_h)
     x_min = 2 * math.sqrt(eps_h)
-    oracle = GradientOracle(
-        f, grad, SmoothnessSpec(ell=ell, rho=4.5), dim=n, name=f"highdim-{n}",
-        f_and_grad=f_and_grad,
-    )
+    oracle = GradientOracle(f, grad, SmoothnessSpec(ell=ell, rho=4.5), n, f_and_grad)
     e1 = np.zeros(n)
     e1[0] = 1.0
     return Landscape(
@@ -339,8 +334,9 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
     distribution: b_bar ~ N(0, sigma_b^2 / m I), and A_bar = (R + R^T) / 2
     for R with i.i.d. N(0, sigma_a^2 / m) entries.  The mean sampler adds
     b_bar + A_bar x to the g its caller holds (n + n^2 floats per call); the
-    difference sampler queries grad f(x0) once and adds A_bar (x1 - x0),
-    since b_bar cancels (n^2 floats and one gradient query per call).
+    difference sampler subtracts the g0 its caller holds and adds
+    A_bar (x1 - x0), since b_bar cancels (n^2 floats and one gradient query
+    per call).
     """
 
     def __init__(self, mean: GradientOracle, sigma_b: float, sigma_a: float):
@@ -363,8 +359,7 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
 
         return sample
 
-    def diff_sampler(self, x0: Array, m: int, stream) -> Callable:
-        g0 = self.mean.gradient(x0)
+    def diff_sampler(self, x0: Array, g0: Array, m: int, stream) -> Callable:
         return lambda x1: self.mean.gradient(x1) - g0 + self._mean_a(stream, m) @ (x1 - x0)
 
 

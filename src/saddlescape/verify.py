@@ -170,7 +170,7 @@ def grad_power_lambda_min(
     require_positive(radius=radius)
     if radius is None:
         radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    step = _difference_step(oracle, x, radius, oracle.spec.ell)
+    step = _difference_step(oracle, x, oracle.gradient(x), radius, oracle.spec.ell)
     y = _power_search(lambda: stream.gen.standard_normal(x.shape), step, radius, iters)
     y = y / np.linalg.norm(y)
     h = default_step(x)

@@ -86,9 +86,7 @@ def make_quadratic(diag, rho=1.0, ell=None):
     def grad(x):
         return d * x
 
-    return GradientOracle(
-        f=f, grad=grad, spec=SmoothnessSpec(ell, rho), dim=d.shape[0], name="quadratic"
-    )
+    return GradientOracle(f=f, grad=grad, spec=SmoothnessSpec(ell, rho), dim=d.shape[0])
 
 
 def trace_events(trace):
@@ -128,7 +126,8 @@ def free_snc_direction(oracle, x_tilde, params, stream):
     x_tilde = np.asarray(x_tilde, dtype=float)
     n = x_tilde.shape[0]
     r_s, ell = params.radius, params.ell
-    diff = oracle.diff_sampler(x_tilde, params.batch, stream.substream("theta"))
+    g0 = oracle.mean.gradient(x_tilde)
+    diff = oracle.diff_sampler(x_tilde, g0, params.batch, stream.substream("theta"))
     xi_stream = stream.substream("xi")
     z = np.zeros(n)
     for _ in range(params.steps):
@@ -235,7 +234,7 @@ class LiteralNoise(StochasticOracle):
     def mean_sampler(self, m, stream, calls):
         return lambda x, g: self.grad_at(x, self.draw_theta(stream, m)).mean(axis=0)
 
-    def diff_sampler(self, x0, m, stream):
+    def diff_sampler(self, x0, g0, m, stream):
         def diff(x1):
             thetas = self.draw_theta(stream, m)
             return (self.grad_at(x1, thetas) - self.grad_at(x0, thetas)).mean(axis=0)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import numbers
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,9 +49,14 @@ from saddlescape import (
 )
 from saddlescape.core import (
     _BLOCK_FLOATS,
-    EVENTS,
+    EVENT_AGD,
     EVENT_GD,
     EVENT_NCE,
+    EVENT_NCF_EXPLOIT,
+    EVENT_NCF_STEP,
+    EVENT_PERTURB,
+    EVENT_SGD,
+    _is_number,
     _norm,
     _normal_rows,
     check_iterate,
@@ -245,7 +252,7 @@ class TestOracles:
         oracle = AdditiveNoiseOracle(quad2, sigma=3.0)
         x0 = np.array([0.2, 0.1])
         x1 = np.array([-0.4, 0.5])
-        diff = oracle.diff_sampler(x0, 7, RngStream(1, 4))(x1)
+        diff = oracle.diff_sampler(x0, quad2.gradient(x0), 7, RngStream(1, 4))(x1)
         assert np.allclose(diff, quad2.gradient(x1) - quad2.gradient(x0), atol=1e-14)
 
     def test_additive_exact_batches_matches_literal_sampling_law(self, quad2):
@@ -277,7 +284,7 @@ class TestOracles:
         with pytest.raises(NotImplementedError):
             oracle.mean_sampler(1, RngStream(0, 0), 1)
         with pytest.raises(NotImplementedError):
-            oracle.diff_sampler(np.zeros(2), 1, RngStream(0, 0))
+            oracle.diff_sampler(np.zeros(2), np.zeros(2), 1, RngStream(0, 0))
 
 
 class TestTrace:
@@ -296,9 +303,26 @@ class TestTrace:
         assert trace.final_f() == 2.0
 
     def test_event_vocabulary(self):
-        assert {
-            "gd", "agd", "perturb-uniform", "ncf-step", "ncf-exploit", "nce", "sgd"
-        } <= set(EVENTS)
+        assert (EVENT_GD, EVENT_AGD, EVENT_PERTURB, EVENT_NCF_STEP) == (
+            "gd", "agd", "perturb-uniform", "ncf-step"
+        )
+        assert (EVENT_NCF_EXPLOIT, EVENT_NCE, EVENT_SGD) == ("ncf-exploit", "nce", "sgd")
+
+
+@pytest.mark.parametrize(
+    "value, real, integral",
+    [
+        (1, True, True), (1.0, True, False), (True, False, False),
+        (np.float64(1), True, False), (np.int64(1), True, True),
+        (Fraction(1, 2), True, False), ("1", False, False),
+    ],
+    ids=repr,
+)
+def test_is_number_verdicts(value, real, integral):
+    """Plain ints and floats skip the ABC check; bools, numpy scalars and
+    other numbers get the isinstance test's verdict."""
+    assert _is_number(value) is real
+    assert _is_number(value, numbers.Integral) is integral
 
 
 class TestGuards:
@@ -364,6 +388,11 @@ _BAD_INPUTS = [
      lambda v: uniform_ball_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
     ("gaussian_sample", "variance",
      lambda v: gaussian_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
+    # A non-finite center would return a non-finite draw.
+    ("uniform_ball_sample", "center",
+     lambda v: uniform_ball_sample(np.array([v, 0.0]), 0.1, RngStream(0, 0)), (_NAN, _INF)),
+    ("gaussian_sample", "center",
+     lambda v: gaussian_sample(np.array([v, 0.0]), 0.1, RngStream(0, 0)), (_NAN, _INF)),
     ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
     ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
     # The momentum reset's radius, checked where the loop takes it from.
@@ -396,6 +425,17 @@ _BAD_INPUTS = [
      lambda v: snc_find(_NOISY, np.array([v, 0.0]), _SNC, RngStream(0, 0)), (_NAN, _INF)),
     ("snc_find", "point",
      lambda v: snc_find(_NOISY, np.zeros(v), _SNC, RngStream(0, 0)), (1, 3, (2, 1))),
+    # The anchor gradient a caller hands the finders, checked like the anchor.
+    ("nc_find", "^g must",
+     lambda v: nc_find(_SADDLE, _ORIGIN, _NC, RngStream(0, 0), g=np.array([v, 0.0])),
+     (_NAN, _INF)),
+    ("nc_find", "^g must",
+     lambda v: nc_find(_SADDLE, _ORIGIN, _NC, RngStream(0, 0), g=np.zeros(v)), (1, 3, (2, 1))),
+    ("snc_find", "^g must",
+     lambda v: snc_find(_NOISY, _ORIGIN, _SNC, RngStream(0, 0), g=np.array([v, 0.0])),
+     (_NAN, _INF)),
+    ("snc_find", "^g must",
+     lambda v: snc_find(_NOISY, _ORIGIN, _SNC, RngStream(0, 0), g=np.zeros(v)), (1, 3, (2, 1))),
     ("grad_power_lambda_min", "point",
      lambda v: grad_power_lambda_min(_SADDLE, np.array([v, 0.0]), 5, RngStream(0, 0)),
      (_NAN, _INF)),
@@ -426,6 +466,11 @@ _BAD_INPUTS = [
     ("exploit", "rho", lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, _AXIS, 0.1, v), (_NAN, 0.0)),
     ("exploit", "step",
      lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, _AXIS, 0.1, 1.0, v), (0.0, -1.0, _NAN)),
+    # Either would make the anchor look like a candidate that nothing lowers.
+    ("exploit", "e_hat",
+     lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, np.array([v, 0.0]), 0.1, 1.0), (_NAN, _INF)),
+    ("exploit", "anchor_f",
+     lambda v: exploit(_SADDLE.value, _ORIGIN, v, _AXIS, 0.1, 1.0), (_NAN, _INF, -_INF)),
 ]
 
 

@@ -162,9 +162,9 @@ class TestPgdNcRun:
         seen = []
         real = drivers.nc_find
 
-        def spy(oracle, x, params, stream):
+        def spy(oracle, x, params, stream, *, g):
             seen.append(params)
-            return real(oracle, x, params, stream)
+            return real(oracle, x, params, stream, g=g)
 
         monkeypatch.setattr(drivers, "nc_find", spy)
         outer = _nc_run_params(total_steps=80)
@@ -194,7 +194,7 @@ class TestPgdNcRun:
     def test_counts_oracle_calls(self):
         land = get_landscape("quartic")
         trace = pgd_nc_run(land.oracle, np.zeros(2), _nc_run_params(), RngStream(7, 0))
-        assert trace.meta["grad_evals"] > 90
+        assert trace.meta["grad_evals"] > 88
         assert trace.meta["f_evals"] > 0
 
 
@@ -359,9 +359,9 @@ class TestOracleCounts:
         assert (records, search_steps, episodes, fallbacks) == (91, 41, 2, 1)
         scored = records - search_steps - fallbacks
         # Gradients: one per record that is neither a search step nor a
-        # closing record at the anchor, plus per episode the anchor gradient
-        # and one probe per search step.
-        assert trace.meta["grad_evals"] == scored + episodes + search_steps == 92
+        # closing record at the anchor, plus one probe per search step; the
+        # search takes the anchor's gradient from its record.
+        assert trace.meta["grad_evals"] == scored + search_steps == 90
         # Values: one per such record, plus the two exploit candidates per
         # episode.
         assert trace.meta["f_evals"] == scored + 2 * episodes == 53
@@ -558,12 +558,12 @@ class TestOracleCounts:
 @pytest.mark.parametrize(
     "alg, land_id, gradients, values",
     [
-        # Per episode, the anchor gradient that the search takes again, and,
-        # where the exploit moved, the closing record's value, which exploit
-        # scored; a closing record at the anchor reuses the anchor's record.
-        ("nc", "quartic", (40, 1840), (20, 1060)),
-        ("nc", "highdim-100", (20, 640), (20, 100)),
-        ("snc", "cubic", (21, 1219), (20, 348)),
+        # Per episode where the exploit moved, the closing record's value,
+        # which exploit scored; a closing record at the anchor reuses the
+        # anchor's record, and the search takes the anchor's gradient.
+        ("nc", "quartic", (0, 1800), (20, 1060)),
+        ("nc", "highdim-100", (0, 620), (20, 100)),
+        ("snc", "cubic", (0, 1198), (20, 348)),
         # 3 gradients and 2 values repeat in 100 trials, none in these 20.
         ("ancgd", "quartic", (0, 1240), (0, 860)),
         ("pgd", "quartic", (0, 1820), (0, 1820)),

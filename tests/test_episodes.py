@@ -11,16 +11,23 @@ from saddlescape import (
     ANCParams,
     BaselineParams,
     ExperimentConfig,
+    GradientOracle,
     NCDescentParams,
     NCParams,
     ParameterError,
     RngStream,
+    SmoothnessSpec,
     SNCParams,
+    VERIFY_IDS,
+    derive_nc_params,
+    derive_snc_params,
     drivers,
     get_landscape,
     harness,
     lemma_decrease_bound,
+    nc_find,
     run_experiment,
+    snc_find,
     stochastic,
     with_noise,
 )
@@ -98,9 +105,9 @@ def test_fallback_closing_record_reuses_the_anchor(record):
             assert np.array_equal(closing.x, anchor.x) and closing.x is not anchor.x
         else:
             assert closing.x is None
-    # Per episode the anchor gradient, one probe per search step and the
-    # two exploit candidates.
-    assert trace.meta["grad_evals"] == 1 + (1 + 5) + (1 + 3)
+    # Per episode one probe per search step and the two exploit candidates;
+    # the search takes the anchor's gradient from the anchor's record.
+    assert trace.meta["grad_evals"] == 1 + 5 + 3
     assert trace.meta["f_evals"] == 1 + 2 * len(exploits)
 
 
@@ -249,6 +256,51 @@ def test_loops_search_through_module_bindings(monkeypatch, alg, land_id, module,
     episodes = sum(len(trace.meta["exploits"]) for trace in traces)
     assert episodes > 0
     assert len(calls) == episodes
+
+
+@pytest.mark.parametrize(
+    "alg, land_id, module, name",
+    [("nc", "quartic", drivers, "nc_find"), ("snc", "cubic", stochastic, "snc_find")],
+)
+def test_search_takes_the_anchor_records_gradient(monkeypatch, alg, land_id, module, name):
+    """Each search is handed the very gradient array that its anchor's
+    record took (the last record scored, whose x has the anchor's bytes)."""
+    scored, handed = [], []
+    real_score, real_find = GradientOracle.value_and_gradient, getattr(module, name)
+
+    def score(self, x):
+        f, g = real_score(self, x)
+        scored.append((x.tobytes(), g))
+        return f, g
+
+    def find(oracle, x, params, stream, *, g):
+        handed.append((x.tobytes(), g, scored[-1]))
+        return real_find(oracle, x, params, stream, g=g)
+
+    monkeypatch.setattr(GradientOracle, "value_and_gradient", score)
+    monkeypatch.setattr(module, name, find)
+    _recipe_traces(alg, land_id)
+    assert handed
+    for x, g, (record_x, record_g) in handed:
+        assert g is record_g and x == record_x
+
+
+@pytest.mark.parametrize("land_id", VERIFY_IDS)
+def test_finders_handed_the_anchor_gradient_find_the_same_direction(land_id):
+    """Handed grad f(x_tilde), both finders return the bytes they return
+    when they query it themselves."""
+    land = get_landscape(land_id)
+    saddle = land.saddles[0]
+    x, spec = saddle.point, SmoothnessSpec(saddle.ell_local, saddle.rho_local)
+    nc_params = derive_nc_params(spec, 0.04, 0.1, land.dim)
+    snc_params = derive_snc_params(spec, spec.ell, 0.04, 0.1, land.dim)
+    noisy = with_noise(land, 0.01)
+    g = land.oracle.gradient(x)
+    for find, oracle, params in [(nc_find, land.oracle, nc_params), (snc_find, noisy, snc_params)]:
+        for k in range(3):
+            plain = find(oracle, x, params, RngStream(101, k)).e_hat
+            handed = find(oracle, x, params, RngStream(101, k), g=g).e_hat
+            assert handed.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)

@@ -13,7 +13,6 @@ from saddlescape import (
     DivergenceError,
     ExperimentConfig,
     GradientOracle,
-    HistogramSummary,
     Landscape,
     ParameterError,
     SaddleInfo,
@@ -146,20 +145,28 @@ class TestExperimentConfig:
             ExperimentConfig(algorithm="pgd", landscape="quartic", trials=1, x0=x0)
 
 
+def _summary_of(decreases) -> dict:
+    """summary() of an experiment whose trials decreased f by decreases."""
+    cfg = ExperimentConfig(algorithm="nc", landscape="quartic", trials=len(decreases))
+    rows = [harness.TrialResult(k, 0, 1, 0.0, -d, d, d > 0.1) for k, d in enumerate(decreases)]
+    return harness.ExperimentResult(cfg, rows, 0.1, 1).summary()
+
+
 class TestHistogramSummary:
-    def test_from_decreases_bins(self):
-        hist = HistogramSummary.from_decreases([0.01, 0.06, 0.99, 1.0], bin_width=0.05)
-        assert hist.bin_edges[0] == 0.0
-        assert hist.bin_edges[-1] == pytest.approx(1.0)
-        assert hist.total == 4
-        assert sum(hist.counts) == 4
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 1
+    def test_summary_bins(self):
+        summary = _summary_of([0.01, 0.06, 0.99, 1.0])
+        assert summary["bin_width"] == 0.05
+        assert summary["bin_edges"][0] == 0.0
+        assert summary["bin_edges"][-1] == pytest.approx(1.0)
+        assert len(summary["bin_edges"]) == len(summary["counts"]) + 1
+        assert sum(summary["counts"]) == 4
+        assert summary["counts"][0] == 1
+        assert summary["counts"][1] == 1
 
     def test_negative_decreases_extend_left(self):
-        hist = HistogramSummary.from_decreases([-0.12, 0.3], bin_width=0.05)
-        assert hist.bin_edges[0] == pytest.approx(-0.15)
-        assert hist.total == 2
+        summary = _summary_of([-0.12, 0.3])
+        assert summary["bin_edges"][0] == pytest.approx(-0.15)
+        assert sum(summary["counts"]) == 2
 
 
 class TestRunExperiment:
@@ -229,7 +236,7 @@ class TestRunExperiment:
         assert float(first[5]) == res.rows[0].decrease
         summary = json.loads((tmp_path / "res.summary.json").read_text())
         assert summary["algorithm"] == "nc"
-        assert summary["counts"] == res.histogram.counts
+        assert summary["counts"] == res.summary()["counts"]
 
     @pytest.mark.parametrize("mode", ["experiment", "paper"])
     @pytest.mark.parametrize("alg", harness.ALGORITHMS)
@@ -418,7 +425,6 @@ def _broken_landscape() -> Landscape:
         grad=lambda x: np.asarray(x, dtype=float),
         spec=SmoothnessSpec(0.5, 1.0),
         dim=2,
-        name="broken",
     )
     saddle = SaddleInfo(
         point=np.zeros(2),

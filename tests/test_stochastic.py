@@ -232,9 +232,9 @@ class TestSgdNcRun:
         seen = []
         real = stochastic.snc_find
 
-        def spy(oracle, x, params, stream):
+        def spy(oracle, x, params, stream, *, g):
             seen.append(params)
-            return real(oracle, x, params, stream)
+            return real(oracle, x, params, stream, g=g)
 
         monkeypatch.setattr(stochastic, "snc_find", spy)
         outer = _bowl_run_params(total_steps=28)
@@ -355,6 +355,10 @@ class TestAdditiveQueryCounts:
         # grad f(x_tilde) once, then one probe per step but the first, which
         # starts from zero, where the shared-sample difference is zero.
         assert counted.grad_evals == params.steps == 45
+        # Handed grad f(x_tilde), the search queries only its probes.
+        g = land.oracle.gradient(sad.point)
+        snc_find(oracle, sad.point, params, RngStream(0, 0), g=g)
+        assert counted.grad_evals - 45 == params.steps - 1 == 44
         assert counted.f_evals == 0
 
     def test_sgd_nc_run_one_gradient_per_record(self):
@@ -369,11 +373,11 @@ class TestAdditiveQueryCounts:
         fallbacks = sum(e["decrease"] == 0.0 for e in trace.meta["exploits"])
         assert (records, search_steps, episodes, fallbacks) == (29, 23, 5, 5)
         # Gradients: one per record that is neither a search step nor a
-        # closing record at the anchor; per search the anchor and one probe
-        # per step but the first.  The estimates query nothing.
+        # closing record at the anchor, and per search one probe per step
+        # but the first.  The estimates and the anchors query nothing.
         scored = records - search_steps - fallbacks
-        anchors, probes = episodes, search_steps - episodes
-        assert counted.grad_evals == scored + anchors + probes == 24
+        probes = search_steps - episodes
+        assert counted.grad_evals == scored + probes == 19
         # Values: one per such record, two per exploit.
         assert counted.f_evals == scored + 2 * episodes
         # Samples: outer_batch per loop iteration, 2 * batch per search step
@@ -394,7 +398,7 @@ class _RowByRowNoise(AdditiveNoiseOracle):
 
         return sample
 
-    def diff_sampler(self, x0, m, stream):
+    def diff_sampler(self, x0, g0, m, stream):
         return lambda x1: self.mean.gradient(x1) - self.mean.gradient(x0)
 
 
@@ -484,7 +488,7 @@ def test_samplers_follow_the_literal_law(model_cls):
 
     def draws(noise, seed):
         sample = noise.mean_sampler(m, RngStream(seed, 0), calls)
-        diff = noise.diff_sampler(x0, m, RngStream(seed, 1))
+        diff = noise.diff_sampler(x0, mean.gradient(x0), m, RngStream(seed, 1))
         means = np.array([sample(x1, mean.gradient(x1)) for _ in range(calls)])
         return means, np.array([diff(x1) for _ in range(calls)])
 

@@ -245,8 +245,9 @@ class TestNoiseWrappers:
         oracle = RandomQuadraticNoiseOracle(land.oracle, sigma_b=0.0, sigma_a=1.0)
         x0 = np.zeros(2)
         x1 = np.array([0.5, 0.0])
-        diff = oracle.diff_sampler(x0, 1, RngStream(1, 1))(x1)
-        exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
+        g0 = oracle.mean.gradient(x0)
+        diff = oracle.diff_sampler(x0, g0, 1, RngStream(1, 1))(x1)
+        exact = oracle.mean.gradient(x1) - g0
         assert not np.allclose(diff, exact, atol=1e-6)
 
     def test_random_quadratic_noise_entry_variances(self):
@@ -256,7 +257,7 @@ class TestNoiseWrappers:
         oracle = RandomQuadraticNoiseOracle(get_landscape("cubic").oracle, 0.0, 1.0)
         x0, x1 = np.zeros(2), np.array([1.0, 0.0])
         exact = oracle.mean.gradient(x1) - oracle.mean.gradient(x0)
-        diff = oracle.diff_sampler(x0, 1, RngStream(3, 0))
+        diff = oracle.diff_sampler(x0, oracle.mean.gradient(x0), 1, RngStream(3, 0))
         column = np.array([diff(x1) - exact for _ in range(20000)])
         assert column.var(axis=0) == pytest.approx([1.0, 0.5], rel=0.05)
 
@@ -265,13 +266,13 @@ class TestNoiseWrappers:
         # call, not as m thetas (m (n + n^2) floats: about 24 MB here).
         oracle = RandomQuadraticNoiseOracle(get_landscape("highdim-5").oracle, 0.3, 0.2)
         x0, x1 = np.zeros(5), np.full(5, 0.1)
-        g1 = oracle.mean.gradient(x1)
+        g0, g1 = oracle.mean.gradient(x0), oracle.mean.gradient(x1)
         m = 10**5
         # numpy allocates about 1 MB the first time a Philox generator draws.
         RngStream(0, 2).gen.standard_normal(1)
         tracemalloc.start()
         try:
-            oracle.diff_sampler(x0, m, RngStream(0, 0))(x1)
+            oracle.diff_sampler(x0, g0, m, RngStream(0, 0))(x1)
             oracle.mean_sampler(m, RngStream(0, 1), 1)(x1, g1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
