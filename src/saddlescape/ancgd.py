@@ -17,7 +17,6 @@ from .core import (
     EVENT_PERTURB,
     CountingOracle,
     GradientOracle,
-    ParameterError,
     RngStream,
     Trace,
     TraceRecord,
@@ -25,6 +24,7 @@ from .core import (
     keeps_iterates,
     require_bound,
     require_count,
+    require_fraction,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
@@ -66,10 +66,10 @@ class ANCParams:
             nce_radius=self.nce_radius, perturb_radius=self.perturb_radius,
             eps=self.eps, exploit_step=self.exploit_step,
         )
-        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
-        if not (0 < self.theta < 1):
-            raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
+        require_nonnegative(grad_threshold=self.grad_threshold)
+        require_fraction(theta=self.theta)
         require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
+        require_count(least=0, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)
 
 
@@ -113,41 +113,36 @@ def accelerate(
     x0 must be a finite (dim,) vector.  At record="summary" no record keeps
     its iterate.
 
-    Queries per iteration: the record takes grad f(x), and f(x) with it in
-    one value_and_gradient call unless the last certificate or momentum
-    reset already scored that very array; a held record queries nothing.
-    The step takes grad f(z) unless z is the certificate's z_next, or z is
-    the start point at t = 0, or z follows a reset and equals the recorded x
-    bit for bit (z = x + (1 - theta) * 0 differs from x only where x holds
-    -0.0), when it reuses that gradient.  The certificate takes f(x_next)
-    and, in one value_and_gradient call, f(z_next) and grad f(z_next); a
-    reset of short momentum adds the values of its two candidates.  Whatever
-    escape queries comes on top.
+    Queries per iteration: the record takes f(x) and grad f(x) in one
+    value_and_gradient call, or grad f(x) alone while f_x holds f(x); a held
+    record queries nothing.  The step takes grad f(z) unless g_z holds it or
+    z holds the recorded point's bytes, whose gradient it then reuses.  The
+    certificate takes f(x_next) and, in one value_and_gradient call, f(z_next)
+    and grad f(z_next), which become f_x and g_z; a reset of short momentum
+    adds its two candidates' values and keeps the winner's as f_x.  An
+    episode clears both.  Whatever escape queries comes on top.
     """
     keep = keeps_iterates(record)
-    # z is x at t = 0, so the first step reuses the first record's gradient.
-    x = z = z_reset = _point(oracle, x0, "x0").copy()
+    x = z = _point(oracle, x0, "x0").copy()
     v = np.zeros_like(x)
-    eta, theta, total = params.eta, params.theta, params.total_steps
+    eta, theta, gamma, total = params.eta, params.theta, params.gamma, params.total_steps
     records = trace.records
     # The first small gradient triggers, whatever the cooldown.
     last = -math.inf
-    x_scored = z_scored = g_z_next = None
-    f_x_next = 0.0
-    event = EVENT_AGD
-    stop = False
-    t = 0
+    f_x = g_z = None
+    event, stop, t = EVENT_AGD, False, 0
 
     while True:
-        if x is x_scored:
-            f, g_x = f_x_next, oracle.gradient(x)
-        else:
+        if f_x is None:
             f, g_x = oracle.value_and_gradient(x)
+        else:
+            f, g_x = f_x, oracle.gradient(x)
         g_norm = _norm(g_x)
         records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
         if t == total or stop:
             break
         event = EVENT_AGD
+        scored = x  # the point g_x belongs to, whatever an episode makes of x
 
         if g_norm <= threshold and t - last > cooldown:
             last, anchor = t, records[-1].x
@@ -156,36 +151,26 @@ def accelerate(
                 t += 1
                 if t < total:
                     records.append(TraceRecord(t, f, g_norm, EVENT_NCF_STEP, anchor))
-            z = x
+            z, f_x, g_z = x, None, None
             if t == total:
                 # The episode used up the budget: its point is the last record.
                 v = np.zeros_like(x)
                 continue
 
-        if z is z_scored:
-            g_z = g_z_next
-        elif z is z_reset and z.tobytes() == x.tobytes():
-            # z = x + (1 - theta) * 0: the bits of x unless x holds -0.0.
-            g_z = g_x
-        else:
-            g_z = oracle.gradient(z)
+        if g_z is None:
+            # t = 0, a reset (z = x + (1 - theta) * 0, the bits of x unless x
+            # holds -0.0) or an episode whose exploit fell back to the anchor.
+            g_z = g_x if z.tobytes() == scored.tobytes() else oracle.gradient(z)
         x_next = z - eta * g_z
         v_next = x_next - x
         z_next = x_next + (1.0 - theta) * v_next
-        f_x_next = oracle.value(x_next)
-        f_z_next, g_z_next = oracle.value_and_gradient(z_next)
-        x_scored, z_scored = x_next, z_next
+        f_x = oracle.value(x_next)
+        f_z_next, g_z = oracle.value_and_gradient(z_next)
         gap = x_next - z_next
-        model = (
-            f_z_next
-            + float(np.dot(g_z_next, gap))
-            - 0.5 * params.gamma * float(np.dot(gap, gap))
-        )
-        if f_x_next <= model:
-            x_next, f_x_next = _nce_step(oracle, x_next, v_next, params.nce_radius, f_x_next)
+        if f_x <= f_z_next + float(np.dot(g_z, gap)) - 0.5 * gamma * float(np.dot(gap, gap)):
+            x_next, f_x = _nce_step(oracle, x_next, v_next, params.nce_radius, f_x)
             v_next = np.zeros_like(x_next)
-            x_scored = x_next
-            z_next = z_reset = x_next + (1.0 - theta) * v_next
+            z_next, g_z = x_next + (1.0 - theta) * v_next, None
             if event == EVENT_AGD:
                 event = EVENT_NCE
 

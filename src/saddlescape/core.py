@@ -31,6 +31,7 @@ __all__ = [
     "require_positive",
     "require_nonnegative",
     "require_count",
+    "require_fraction",
     "require_bound",
     "EVENT_GD",
     "EVENT_AGD",
@@ -80,11 +81,19 @@ def require_nonnegative(**values) -> None:
             raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def require_count(**values) -> None:
-    """Reject any given value that is not an integer >= 1; None is skipped."""
+def require_count(least: int = 1, **values) -> None:
+    """Reject any given value that is not an integer >= least; None is skipped."""
     for name, value in values.items():
-        if value is not None and not (_is_number(value, numbers.Integral) and value >= 1):
-            raise ParameterError(f"{name} must be an integer >= 1, got {value}")
+        if value is not None and not (_is_number(value, numbers.Integral) and value >= least):
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def require_fraction(closed: bool = False, **values) -> None:
+    """Reject any given value outside (0, 1), or (0, 1] when closed; None is skipped."""
+    for name, value in values.items():
+        inside = _is_number(value) and (0 < value < 1 or closed and value == 1)
+        if value is not None and not inside:
+            raise ParameterError(f"{name} must be in (0, 1{']' if closed else ')'}, got {value}")
 
 
 def keeps_iterates(record) -> bool:

@@ -20,6 +20,7 @@ from .core import (
     gaussian_sample,
     require_bound,
     require_count,
+    require_fraction,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
@@ -90,11 +91,11 @@ class BaselineParams:
         require_positive(
             eta=self.eta, radius=self.radius, gamma=self.gamma, nce_radius=self.nce_radius
         )
-        if self.theta is not None and not (0 < self.theta < 1):
-            raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
+        require_fraction(theta=self.theta)
         require_bound(trust_region=self.trust_region)
-        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
+        require_nonnegative(grad_threshold=self.grad_threshold)
         require_count(total_steps=self.total_steps, batch=self.batch)
+        require_count(least=0, cooldown=self.cooldown)
 
 
 def _perturbation(trace: Trace, draw: Callable[[Array], Array]):

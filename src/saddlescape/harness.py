@@ -29,6 +29,7 @@ from .core import (
     _is_number,
     require_bound,
     require_count,
+    require_fraction,
     require_nonnegative,
     require_positive,
 )
@@ -53,6 +54,10 @@ BIN_WIDTH = 0.05
 _NEVER = 10**9
 # The largest budget a run takes from a derivation; a larger one needs steps.
 MAX_DERIVED_STEPS = 10**7
+# The most work an experiment may take, as trials * (steps + 1) * (n + _STEP_COORDS),
+# a step costing about _STEP_COORDS coordinates: an hour or so at n = 2 and n = 1000.
+MAX_WORK = 10**12
+_STEP_COORDS = 1500
 
 # Calibrated equal-budget settings for the desk-scale comparisons.  Keyed by
 # (algorithm, landscape family); missing knobs fall back to derived values
@@ -153,17 +158,13 @@ class ExperimentConfig:
             eta=self.eta, radius=self.radius, eps=self.eps, delta_f=self.delta_f,
             exploit_step=self.exploit_step, gamma=self.gamma, nce_radius=self.nce_radius,
         )
-        require_nonnegative(
-            sigma=self.sigma, grad_threshold=self.grad_threshold, cooldown=self.cooldown
-        )
+        require_nonnegative(sigma=self.sigma, grad_threshold=self.grad_threshold)
         require_count(
             trials=self.trials, steps=self.steps, batch=self.batch,
             outer_batch=self.outer_batch, ncf_steps=self.ncf_steps, jobs=self.jobs,
         )
-        if self.delta is not None and not (_is_number(self.delta) and 0 < self.delta < 1):
-            raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        if self.theta is not None and not (_is_number(self.theta) and 0 < self.theta < 1):
-            raise ParameterError(f"theta must be in (0, 1), got {self.theta}")
+        require_count(least=0, cooldown=self.cooldown)
+        require_fraction(delta=self.delta, theta=self.theta)
         if self.x0 is not None and not (
             isinstance(self.x0, (tuple, list))
             and all(_is_number(v) and math.isfinite(v) for v in self.x0)
@@ -369,18 +370,16 @@ _ALGORITHMS = {
 ALGORITHMS = tuple(_ALGORITHMS)
 
 
-def _trial_trace(payload: dict, land: Landscape, trial: int):
-    """Run one seeded trial of the payload's algorithm on land, keeping no iterates."""
-    alg = _ALGORITHMS[payload["algorithm"]]
-    oracle = with_noise(land, payload["sigma"]) if alg.noisy else land.oracle
-    run = globals()[alg.run]
+def _trial_trace(payload: dict, trial: int):
+    """Run one seeded trial of the payload's algorithm on its oracle, keeping no iterates."""
+    run = globals()[_ALGORITHMS[payload["algorithm"]].run]
     # x0 and params stay positional: perfbench's wrappers read args[1] and args[2].
     stream = RngStream(payload["seed"], trial)
-    return run(oracle, payload["x0"], payload["params"], stream, record="summary")
+    return run(payload["oracle"], payload["x0"], payload["params"], stream, record="summary")
 
 
-def _run_trial(payload: dict, land: Landscape, trial: int) -> TrialResult:
-    trace = _trial_trace(payload, land, trial)
+def _run_trial(payload: dict, trial: int) -> TrialResult:
+    trace = _trial_trace(payload, trial)
     f0, f_final = trace.initial_f(), trace.final_f()
     decrease = f0 - f_final
     return TrialResult(
@@ -465,7 +464,8 @@ def _send(fd: int, fn: Callable, task) -> None:
 
 def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
     """Resolve recipes and defaults into the work every trial shares: the
-    params, the read-only start point and the escape threshold; land is
+    params, the oracle the trials query (land's, or the noisy one over it),
+    the read-only start point and the escape threshold; land is
     cfg.landscape, already built by the caller."""
     knobs = _resolve_knobs(cfg)
     alg = _ALGORITHMS[cfg.algorithm]
@@ -480,24 +480,29 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         threshold = 0.9 * gap if threshold is None else threshold
         delta_f = gap if delta_f is None else delta_f
     spec = land.oracle.spec
-    sigma = knobs.get("sigma", 0.01)
+    oracle = with_noise(land, knobs.get("sigma", 0.01)) if alg.noisy else land.oracle
     params = alg.build(_Setting(
         paper=paper, spec=spec, n=land.dim, knobs=knobs,
         eps=knobs.get("eps", 0.01), delta=knobs.get("delta", 0.1), delta_f=delta_f,
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
-        ell_tilde=with_noise(land, sigma).ell_tilde if alg.noisy else spec.ell,
+        ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
     ))
     if "steps" not in knobs and params.total_steps > MAX_DERIVED_STEPS:
         raise ParameterError(
             f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
             "pass --steps"
         )
+    if cfg.trials * (params.total_steps + 1) * (land.dim + _STEP_COORDS) > MAX_WORK:
+        raise ParameterError(
+            f"{cfg.trials} trials of {params.total_steps} steps at n={land.dim} exceed the "
+            f"work cap of {MAX_WORK:.0e}; run fewer trials or steps"
+        )
     return {
         "algorithm": cfg.algorithm,
         "landscape": cfg.landscape,
         "seed": cfg.seed,
         "x0": x0,
-        "sigma": sigma,
+        "oracle": oracle,
         "threshold": float(threshold),
         "params": params,
     }
@@ -521,14 +526,12 @@ def derive_params_for(
     if ignored:
         raise ParameterError(f"{alg!r} never reads {', '.join(ignored)}; leave it unset")
     if alg == "ncf":
-        if not 0 < delta <= 1:  # derive_nc_params would name its delta0
-            raise ParameterError(f"delta must be in (0, 1], got {delta}")
+        require_fraction(closed=True, delta=delta)  # derive_nc_params would name its delta0
         return derive_nc_params(spec, eps, delta, n)
     delta_f = 1.0 if delta_f is None else delta_f
     ell_tilde = ell if ell_tilde is None else ell_tilde
     require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    require_fraction(delta=delta)
     return _ALGORITHMS[alg].build(_Setting(
         paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
         rho_loc=rho, ell_tilde=ell_tilde,
@@ -550,9 +553,8 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     payloads, trials = [], []
     for cfg in cfgs:
         _check_out_dir(cfg.out)
-        land = get_landscape(cfg.landscape)
-        payloads.append(build_payload(cfg, land))
-        trials += [(payloads[-1], land, trial) for trial in range(cfg.trials)]
+        payloads.append(build_payload(cfg, get_landscape(cfg.landscape)))
+        trials += [(payloads[-1], trial) for trial in range(cfg.trials)]
     workers = max(1, min(_resolve_jobs(jobs), len(trials)))
     shares = _fork_map(lambda w: [_run_trial(*t) for t in trials[w::workers]], range(workers))
     rows: list = [None] * len(trials)

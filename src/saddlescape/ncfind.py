@@ -25,6 +25,7 @@ from .core import (
     keeps_iterates,
     require_bound,
     require_count,
+    require_fraction,
     require_nonnegative,
     require_positive,
     uniform_ball_sample,
@@ -61,8 +62,7 @@ class NCParams:
 
     def __post_init__(self):
         require_count(steps=self.steps)
-        if not (0 < self.delta0 <= 1):
-            raise ParameterError(f"delta0 must be in (0, 1], got {self.delta0}")
+        require_fraction(closed=True, delta0=self.delta0)
         require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
 
 
@@ -235,7 +235,8 @@ class NCDescentParams:
     def __post_init__(self):
         require_count(total_steps=self.total_steps, outer_batch=self.outer_batch)
         require_positive(eta=self.eta, exploit_step=self.exploit_step)
-        require_nonnegative(grad_threshold=self.grad_threshold, cooldown=self.cooldown)
+        require_nonnegative(grad_threshold=self.grad_threshold)
+        require_count(least=0, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)
         if isinstance(self.search, NCParams) and self.outer_batch != 1:
             raise ParameterError(f"outer_batch applies to snc only, got {self.outer_batch} for nc")

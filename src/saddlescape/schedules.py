@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .ancgd import ANCParams
-from .core import ParameterError, SmoothnessSpec, require_count, require_positive
+from .core import ParameterError, SmoothnessSpec, require_count, require_fraction, require_positive
 from .drivers import BaselineParams
 from .ncfind import _K, NCDescentParams, NCParams
 from .stochastic import SNCParams
@@ -81,8 +81,7 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     at probe radius eps / (8 ell) * sqrt(pi / n) * delta0.  Requires
     sqrt(rho eps) <= ell (_curvature_threshold)."""
     require_positive(eps=eps)
-    if not (0 < delta0 <= 1):
-        raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
+    require_fraction(closed=True, delta0=delta0)
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = _curvature_threshold(ell, rho, eps)
@@ -104,8 +103,7 @@ def derive_anc_params(
     total_steps is given, the budget that would use up the gap
     delta_f_bound >= f(x0) - inf f."""
     require_positive(eps=eps, delta_f_bound=delta_f_bound)
-    if not (0 < delta0 <= 1):
-        raise ParameterError(f"delta0 must be in (0, 1], got {delta0}")
+    require_fraction(closed=True, delta0=delta0)
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = _curvature_threshold(ell, rho, eps)
@@ -141,8 +139,7 @@ def derive_snc_params(
     a log), so it is resolved by fixed-point iteration from iota = 10.
     """
     require_positive(eps=eps, ell_tilde=ell_tilde)
-    if not (0 < delta < 1):
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    require_fraction(delta=delta)
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = _curvature_threshold(ell, rho, eps)

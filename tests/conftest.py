@@ -66,9 +66,9 @@ def trials_run(monkeypatch):
     ran = []
     real = harness._run_trial
 
-    def run_trial(payload, land, trial):
+    def run_trial(payload, trial):
         ran.append(trial)
-        return real(payload, land, trial)
+        return real(payload, trial)
 
     monkeypatch.setattr(harness, "_run_trial", run_trial)
     return ran
@@ -246,12 +246,11 @@ def repeated_queries(algorithm, landscape, trials, seed=0):
     """The oracle queries of a recipe's trials, and how many of them are at
     an x that the same trial already queried the same way (value or
     gradient), byte for byte.  Each trial runs as the harness runs it
-    (harness._trial_trace), over a wrapped landscape oracle; a fused
-    value_and_gradient call is one query of each kind.  Returns
+    (harness._trial_trace), on a payload built over a wrapped landscape
+    oracle, whose queries while the payload is built are not counted; a
+    fused value_and_gradient call is one query of each kind.  Returns
     {"gradient": (repeated, total), "value": (repeated, total)}."""
     land = get_landscape(landscape)
-    cfg = harness.ExperimentConfig(algorithm, landscape, trials=trials, seed=seed)
-    payload = harness.build_payload(cfg, land)
     oracle = land.oracle
     counts = {"gradient": [0, 0], "value": [0, 0]}
     seen = {kind: set() for kind in counts}
@@ -271,10 +270,14 @@ def repeated_queries(algorithm, landscape, trials, seed=0):
         oracle, f=logged(oracle.f, "value"), grad=logged(oracle.grad, "gradient"),
         f_and_grad=oracle.f_and_grad and logged(oracle.f_and_grad, "value", "gradient"),
     ))
+    cfg = harness.ExperimentConfig(algorithm, landscape, trials=trials, seed=seed)
+    payload = harness.build_payload(cfg, logged_land)
+    for count in counts.values():
+        count[:] = [0, 0]
     for trial in range(trials):
         for points in seen.values():
             points.clear()
-        harness._trial_trace(payload, logged_land, trial)
+        harness._trial_trace(payload, trial)
     return {kind: tuple(c) for kind, c in counts.items()}
 
 

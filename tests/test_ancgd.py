@@ -291,6 +291,20 @@ class TestRunMechanics:
         trace = ancgd_run(bowl, np.zeros(2), params, RngStream(9, 0))
         assert len(trace.meta["perturbs"]) >= 2
 
+    def test_step_after_a_fallback_reuses_the_anchor_gradient(self):
+        # From the bowl's minimum, four of the five windows fall back to the
+        # anchor, and the last uses up the budget.  The step from a fallen-back
+        # window reuses the gradient the anchor's record took: one query fewer
+        # per window, with the same iterates.
+        bowl = make_quadratic([1.0, 2.0], ell=2.0)
+        params = _window_params(ncf_steps=4, total_steps=30, cooldown=6)
+        trace = ancgd_run(bowl, np.zeros(2), params, RngStream(0, 0))
+        after = [rec for rec in trace.records if rec.event == EVENT_NCF_EXPLOIT]
+        assert len(trace.meta["perturbs"]) == 5
+        assert [rec.x.tobytes() for rec in after] == [np.zeros(2).tobytes()] * 4
+        assert (trace.meta["grad_evals"], trace.meta["f_evals"]) == (44, 34)
+        assert trace.final_f() == 0.0040146111501148584
+
     def test_escapes_quartic_saddle(self):
         land = get_landscape("quartic")
         escaped = 0

@@ -305,6 +305,17 @@ class TestRunCommand:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        "--fn quartic --steps 2000000000 --trials 1000000",
+        "--fn highdim-1000000 --trials 100000",
+    ])
+    def test_runaway_run_fails_before_first_trial(self, flags, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))
+        assert main(["run", "--alg", "nc", *flags.split()]) == 1
+        assert "exceed the work cap" in capsys.readouterr().err
+        assert ran == []
+
     def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))

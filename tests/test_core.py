@@ -32,6 +32,9 @@ from saddlescape import (
     classify,
     dense_hessian,
     derive_anc_params,
+    derive_nc_params,
+    derive_params_for,
+    derive_snc_params,
     fd_quadform,
     gaussian_sample,
     get_landscape,
@@ -471,6 +474,28 @@ _BAD_INPUTS = [
      lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, np.array([v, 0.0]), 0.1, 1.0), (_NAN, _INF)),
     ("exploit", "anchor_f",
      lambda v: exploit(_SADDLE.value, _ORIGIN, v, _AXIS, 0.1, 1.0), (_NAN, _INF, -_INF)),
+    # Every fraction goes through one check, so a non-number is named too.
+    ("ANCParams", "theta", lambda v: ANCParams(**{**_ANC, "theta": v}), ("a", _NAN, 1.0)),
+    ("BaselineParams", "theta",
+     lambda v: dataclasses.replace(_PAGD, theta=v), ("a", _NAN, 1.0)),
+    ("NCParams", "delta0", lambda v: dataclasses.replace(_NC, delta0=v), ("a", _NAN, 1.5)),
+    ("derive_nc_params", "delta0",
+     lambda v: derive_nc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2), ("a", 0.0, 1.5)),
+    ("derive_anc_params", "delta0",
+     lambda v: derive_anc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2, 1.0), ("a", 0.0, 1.5)),
+    ("derive_snc_params", "delta",
+     lambda v: derive_snc_params(SmoothnessSpec(2.0, 1.0), 2.0, 0.1, v, 2), ("a", 0.0, 1.0)),
+    ("derive_params_for", "delta",
+     lambda v: derive_params_for("ncf", 2.0, 1.0, 0.1, v, 2), ("a", 0.0, 1.5)),
+    ("derive_params_for", "delta",
+     lambda v: derive_params_for("nc", 2.0, 1.0, 0.1, v, 2), ("a", 0.0, 1.0)),
+    # The cooldown counts iterations.
+    ("ExperimentConfig", "cooldown",
+     lambda v: ExperimentConfig("nc", "quartic", cooldown=v), (1.5, -1)),
+    ("NCDescentParams", "cooldown", lambda v: NCDescentParams(_NC, 5, cooldown=v), (1.5, -1)),
+    ("ANCParams", "cooldown", lambda v: ANCParams(**_ANC, cooldown=v), (1.5, -1)),
+    ("BaselineParams", "cooldown",
+     lambda v: dataclasses.replace(_PAGD, cooldown=v), (1.5, -1)),
 ]
 
 

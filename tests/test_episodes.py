@@ -52,7 +52,7 @@ NOISY = ("snc", "psgd")
 def _recipe_traces(alg, land_id, trials=3):
     land = get_landscape(land_id)
     payload = build_payload(ExperimentConfig(algorithm=alg, landscape=land_id), land)
-    return [_trial_trace(payload, land, trial) for trial in range(trials)]
+    return [_trial_trace(payload, trial) for trial in range(trials)]
 
 
 class TestExploit:
@@ -312,9 +312,8 @@ def test_records_score_their_own_iterate(alg):
     land_id = "cubic" if alg in NOISY else "quartic"
     land = get_landscape(land_id)
     payload = build_payload(ExperimentConfig(algorithm=alg, landscape=land_id), land)
-    oracle = with_noise(land, payload["sigma"]) if alg in NOISY else land.oracle
     run = getattr(harness, RUN_FUNCTIONS[alg])
-    trace = run(oracle, payload["x0"], payload["params"], RngStream(0, 0))
+    trace = run(payload["oracle"], payload["x0"], payload["params"], RngStream(0, 0))
     for rec in trace.records:
         assert rec.f == land.oracle.value(rec.x)
 

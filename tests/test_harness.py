@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from saddlescape import (
+    AdditiveNoiseOracle,
     AlgorithmError,
     DivergenceError,
     ExperimentConfig,
@@ -130,6 +131,15 @@ class TestExperimentConfig:
         capped = dataclasses.replace(cfg, steps=200)
         assert build_payload(capped, land)["params"].total_steps == 200
 
+    def test_work_cap(self):
+        # trials * (steps + 1) * (n + _STEP_COORDS) may reach MAX_WORK, not pass it.
+        land = get_landscape("quartic")
+        most = harness.MAX_WORK // (1000 * (land.dim + harness._STEP_COORDS))
+        cfg = ExperimentConfig(algorithm="nc", landscape="quartic", trials=most, steps=999)
+        assert build_payload(cfg, land)["params"].total_steps == 999
+        with pytest.raises(ParameterError, match=f"^{most + 1} trials of 999 steps at n=2 "):
+            build_payload(dataclasses.replace(cfg, trials=most + 1), land)
+
     def test_x0_dimension_checked(self):
         cfg = ExperimentConfig(
             algorithm="nc", landscape="quartic", trials=1, x0=(0.0, 0.0, 0.0)
@@ -193,6 +203,19 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "get_landscape", counting)
         run_experiment(ExperimentConfig(algorithm="nc", landscape="quartic", trials=8, jobs=1))
         assert calls == ["quartic"]
+
+    def test_noisy_oracle_built_once_per_experiment(self, monkeypatch):
+        # The payload carries the oracle every trial queries.
+        built = []
+        real = AdditiveNoiseOracle.__init__
+        monkeypatch.setattr(
+            AdditiveNoiseOracle, "__init__", lambda self, *a: built.append(a) or real(self, *a)
+        )
+        run_experiment(ExperimentConfig(algorithm="snc", landscape="cubic", trials=5))
+        assert len(built) == 1
+        land = get_landscape("quartic")
+        payload = build_payload(ExperimentConfig(algorithm="nc", landscape="quartic"), land)
+        assert payload["oracle"] is land.oracle and "sigma" not in payload
 
     @pytest.mark.parametrize(
         "algorithm, landscape, trials",
@@ -343,10 +366,10 @@ class TestProcessPool:
     def test_child_error_reaches_the_caller(self, forks, monkeypatch, capsys):
         parent, real = os.getpid(), harness._run_trial
 
-        def run_trial(payload, land, trial):
+        def run_trial(payload, trial):
             if os.getpid() != parent:
                 raise DivergenceError(f"trial {trial} left the trust region")
-            return real(payload, land, trial)
+            return real(payload, trial)
 
         monkeypatch.setattr(harness, "_run_trial", run_trial)
         with pytest.raises(DivergenceError, match="^trial 1 left the trust region$"):
@@ -359,7 +382,7 @@ class TestProcessPool:
     def test_parent_error_kills_a_blocked_child(self, forks, monkeypatch):
         parent = os.getpid()
 
-        def run_trial(payload, land, trial):
+        def run_trial(payload, trial):
             if os.getpid() != parent:
                 time.sleep(60)
             raise DivergenceError("failed in the parent's share")
