@@ -27,10 +27,11 @@ from .core import (
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_vector,
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _lower_step, _point, exploit
+from .ncfind import _lower_step, exploit
 
 __all__ = [
     "ANCParams",
@@ -68,6 +69,7 @@ class ANCParams:
         )
         require_nonnegative(grad_threshold=self.grad_threshold)
         require_fraction(theta=self.theta)
+        require_fraction(closed=True, delta0=self.delta0)
         require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
         require_count(least=0, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)
@@ -123,7 +125,7 @@ def accelerate(
     episode clears both.  Whatever escape queries comes on top.
     """
     keep = keeps_iterates(record)
-    x = z = _point(oracle, x0, "x0").copy()
+    x = z = require_vector(x0, "x0", oracle.dim).copy()
     v = np.zeros_like(x)
     eta, theta, gamma, total = params.eta, params.theta, params.gamma, params.total_steps
     records = trace.records

@@ -7,6 +7,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .core import AlgorithmError, DivergenceError, ParameterError
 from .harness import (
     ALGORITHMS, ExperimentConfig, derive_params_for, run_dimension_scaling, run_experiment,
@@ -175,7 +177,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A diverging iterate is reported once, as exit 3, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

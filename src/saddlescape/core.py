@@ -33,6 +33,8 @@ __all__ = [
     "require_count",
     "require_fraction",
     "require_bound",
+    "require_finite",
+    "require_vector",
     "EVENT_GD",
     "EVENT_AGD",
     "EVENT_PERTURB",
@@ -108,6 +110,28 @@ def require_bound(**values) -> None:
     for name, value in values.items():
         if not (_is_number(value) and value > 0):
             raise ParameterError(f"{name} must be positive (inf for no bound), got {value}")
+
+
+def require_finite(**values) -> None:
+    """Reject any given value that is not a finite number; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not (_is_number(value) and math.isfinite(value)):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_vector(x, name: str, dim: int | None = None) -> Array:
+    """x as a float array: the one check of a caller's vector.  Anything but a
+    finite, numeric (not bool) 1-d vector, of length dim if given, is refused."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind in "iuf" and a.ndim == 1 and (dim is None or a.shape[0] == dim):
+        a = a.astype(float, copy=False)
+        if np.isfinite(a).all():
+            return a
+    of_dim = "" if dim is None else f" of length {dim}"
+    raise ParameterError(f"{name} must be a finite numeric vector{of_dim}")
 
 
 class DivergenceError(RuntimeError):
@@ -339,9 +363,7 @@ def _normal_rows(stream: RngStream, n: int, scale: float, rows: int) -> Iterator
 def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Array:
     """Uniform draw from the closed ball of given radius around center."""
     require_nonnegative(radius=radius)
-    center = np.asarray(center, dtype=float)
-    if not np.isfinite(center).all():
-        raise ParameterError(f"center must be finite, got {center}")
+    center = require_vector(center, "center")
     n = center.shape[0]
     direction = stream.gen.standard_normal(n)
     norm = _norm(direction)
@@ -356,9 +378,7 @@ def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Arra
 def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream) -> Array:
     """Isotropic Gaussian draw N(center, variance_per_coord * I)."""
     require_nonnegative(variance=variance_per_coord)
-    center = np.asarray(center, dtype=float)
-    if not np.isfinite(center).all():
-        raise ParameterError(f"center must be finite, got {center}")
+    center = require_vector(center, "center")
     return center + math.sqrt(variance_per_coord) * stream.gen.standard_normal(center.shape[0])
 
 

@@ -29,9 +29,11 @@ from .core import (
     _is_number,
     require_bound,
     require_count,
+    require_finite,
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_vector,
 )
 from .drivers import BaselineParams, pagd_run, pgd_nc_run, pgd_run, psgd_run
 from .ncfind import NCDescentParams, NCParams
@@ -54,8 +56,9 @@ BIN_WIDTH = 0.05
 _NEVER = 10**9
 # The largest budget a run takes from a derivation; a larger one needs steps.
 MAX_DERIVED_STEPS = 10**7
-# The most work an experiment may take, as trials * (steps + 1) * (n + _STEP_COORDS),
-# a step costing about _STEP_COORDS coordinates: an hour or so at n = 2 and n = 1000.
+# The most work an experiment may take, as trials * (steps + 1) * (step cost): a step
+# costs _STEP_COORDS coordinates plus n, or 6 n past 2**14 floats (128 KiB), where nc's
+# time per coordinate about quadruples.  An hour or so of nc at each n from 2 to 10**6.
 MAX_WORK = 10**12
 _STEP_COORDS = 1500
 
@@ -148,10 +151,7 @@ class ExperimentConfig:
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if not _is_number(self.seed, numbers.Integral):
             raise ParameterError(f"seed must be an integer, got {self.seed}")
-        if self.threshold is not None and not (
-            _is_number(self.threshold) and math.isfinite(self.threshold)
-        ):
-            raise ParameterError(f"threshold must be finite, got {self.threshold}")
+        require_finite(threshold=self.threshold)
         if self.trust_region is not None:
             require_bound(trust_region=self.trust_region)
         require_positive(
@@ -291,10 +291,7 @@ def _resolve_knobs(cfg: ExperimentConfig) -> dict:
 
 def _start_point(x0, land: Landscape) -> Array:
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape[0] != land.dim:
-            raise ParameterError(f"x0 has dimension {x0.shape[0]}, expected {land.dim}")
-        return x0
+        return require_vector(x0, "x0", land.dim)
     if not land.saddles:
         raise ParameterError(f"landscape {land.id} declares no saddle to start from")
     return land.saddles[0].point.copy()
@@ -492,7 +489,8 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
             f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
             "pass --steps"
         )
-    if cfg.trials * (params.total_steps + 1) * (land.dim + _STEP_COORDS) > MAX_WORK:
+    step_cost = _STEP_COORDS + (land.dim if land.dim <= 2**14 else 6 * land.dim)
+    if cfg.trials * (params.total_steps + 1) * step_cost > MAX_WORK:
         raise ParameterError(
             f"{cfg.trials} trials of {params.total_steps} steps at n={land.dim} exceed the "
             f"work cap of {MAX_WORK:.0e}; run fewer trials or steps"

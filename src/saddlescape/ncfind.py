@@ -25,9 +25,11 @@ from .core import (
     keeps_iterates,
     require_bound,
     require_count,
+    require_finite,
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_vector,
     uniform_ball_sample,
     _norm,
 )
@@ -114,14 +116,6 @@ def _difference_step(
     return step
 
 
-def _point(oracle, x: Array, name: str = "point") -> Array:
-    """x as a float array, checked to be a finite vector of oracle's domain."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (oracle.dim,) or not np.isfinite(x).all():
-        raise ParameterError(f"{name} must be finite with shape ({oracle.dim},), got {x.shape}")
-    return x
-
-
 def nc_find(
     oracle: GradientOracle,
     x_tilde: Array,
@@ -137,8 +131,8 @@ def nc_find(
     attempt starts from a uniform draw in the probe ball.  g is grad f at
     x_tilde, queried here when absent; each step queries one gradient.
     """
-    x_tilde = _point(oracle, x_tilde)
-    g = oracle.gradient(x_tilde) if g is None else _point(oracle, g, "g")
+    x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
+    g = oracle.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
     n, r = x_tilde.shape[0], params.radius
     step = _difference_step(oracle, x_tilde, g, r, params.ell)
     y = _power_search(lambda: uniform_ball_sample(np.zeros(n), r, stream), step, r, params.steps)
@@ -179,7 +173,8 @@ def exploit(
 ) -> tuple[Array, bool]:
     """Two-candidate exploit: step `step` (default sqrt(eps/rho)/4) both ways
     along e_hat from the anchor, keep the lower candidate, and fall back to
-    the anchor when neither decreases f.  e_hat and anchor_f must be finite.
+    the anchor when neither decreases f.  anchor, e_hat (of its shape) and
+    anchor_f must be finite.
 
     With meta, the episode is logged in meta["exploits"] as ending at record
     t and certified against lemma_decrease_bound; an uncertified anchor is a
@@ -187,9 +182,9 @@ def exploit(
     there (stop_at_candidate and the anchor became a candidate).
     """
     require_positive(eps=eps, rho=rho, step=step)
-    for name, v in (("e_hat", e_hat), ("anchor_f", anchor_f)):
-        if not np.isfinite(v).all():
-            raise ParameterError(f"{name} must be finite, got {v}")
+    require_finite(anchor_f=anchor_f)
+    anchor = require_vector(anchor, "anchor")
+    e_hat = require_vector(e_hat, "e_hat", anchor.shape[0])
     if step is None:
         step = 0.25 * math.sqrt(eps / rho)
     cand, f_cand = _lower_step(value, anchor, step * e_hat)
@@ -270,7 +265,7 @@ def descend(
     comes on top.
     """
     keep = keeps_iterates(record)
-    x = _point(recorder, x0, "x0").copy()
+    x = require_vector(x0, "x0", recorder.dim).copy()
     records = trace.records
     value_and_gradient = recorder.value_and_gradient
 

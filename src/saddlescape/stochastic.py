@@ -16,13 +16,15 @@ from .core import (
     Trace,
     _normal_rows,
     require_count,
+    require_fraction,
+    require_nonnegative,
     require_positive,
+    require_vector,
 )
 from .ncfind import (
     _MAX_RESTARTS,
     NCDescentParams,
     NCOutcome,
-    _point,
     _power_search,
     curvature_escape,
     descend,
@@ -58,8 +60,10 @@ class SNCParams:
         require_count(steps=self.steps, batch=self.batch)
         require_positive(
             eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
-            ell_tilde=self.ell_tilde,
+            ell_tilde=self.ell_tilde, log_term=self.log_term,
         )
+        require_fraction(delta=self.delta)
+        require_nonnegative(batch_raw=self.batch_raw)
 
 
 def snc_find(
@@ -85,8 +89,8 @@ def snc_find(
     injected noise is drawn in blocks of rows, the same bits as one draw
     per step.
     """
-    x_tilde = _point(oracle, x_tilde)
-    g = oracle.mean.gradient(x_tilde) if g is None else _point(oracle, g, "g")
+    x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
+    g = oracle.mean.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
     n = x_tilde.shape[0]
     r_s = scale = params.radius
     diff = oracle.diff_sampler(x_tilde, g, params.batch, stream.substream("theta"))

@@ -10,8 +10,9 @@ import numpy as np
 
 from .core import (
     Array, GradientOracle, ParameterError, RngStream, require_count, require_positive,
+    require_vector,
 )
-from .ncfind import _difference_step, _point, _power_search
+from .ncfind import _difference_step, _power_search
 from .testbed import VERIFY_IDS, Landscape, get_landscape
 
 __all__ = [
@@ -67,12 +68,12 @@ def fd_quadform(oracle: GradientOracle, x: Array, e: Array, h: float | None = No
     For a unit direction the error is bounded by rho * h on a declared
     Hessian-Lipschitz domain.
     """
-    x = _point(oracle, x)
-    e = np.asarray(e, dtype=float)
+    x = require_vector(x, "x", oracle.dim)
+    e = require_vector(e, "direction", oracle.dim)
     require_positive(h=h)
     norm = float(np.linalg.norm(e))
-    if e.shape != x.shape or not 0.0 < norm < math.inf:
-        raise ParameterError(f"direction must be nonzero and finite with shape {x.shape}")
+    if not 0.0 < norm < math.inf:
+        raise ParameterError(f"direction must be nonzero with a finite norm, got {norm}")
     e = e / norm
     if h is None:
         h = default_step(x)
@@ -90,7 +91,7 @@ def _central_differences(fn, x: Array, h: float) -> Array:
 
 def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> Array:
     """Symmetrized central-difference Hessian, one gradient pair per column."""
-    x = _point(oracle, x)
+    x = require_vector(x, "x", oracle.dim)
     if x.shape[0] > DENSE_CAP:
         raise ParameterError(
             f"dense Hessian capped at n={DENSE_CAP}; use fd_quadform or analytic structure"
@@ -105,7 +106,7 @@ def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> A
 def dense_hessian_eig(oracle: GradientOracle, x: Array, h: float | None = None) -> CurvatureReport:
     """Most-negative eigenpair of the finite-difference Hessian (numpy's
     symmetric eigensolver), with the direction rescored by fd_quadform."""
-    x = np.asarray(x, dtype=float)
+    x = require_vector(x, "x", oracle.dim)
     if h is None:
         h = default_step(x)
     vals, vecs = np.linalg.eigh(dense_hessian(oracle, x, h))
@@ -145,7 +146,7 @@ def classify(
     """Second-order stationarity test at tolerances (eps, rho) on the
     finite-difference Hessian."""
     require_positive(eps=eps, rho=rho)
-    x = _point(oracle, x)
+    x = require_vector(x, "x", oracle.dim)
     rho = oracle.spec.rho if rho is None else rho
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))
     report = dense_hessian_eig(oracle, x, h)
@@ -165,7 +166,7 @@ def grad_power_lambda_min(
     radius from a Gaussian start, then scores the direction with fd_quadform.
     Useful as a cross-check that needs no Hessian assembly.
     """
-    x = _point(oracle, x)
+    x = require_vector(x, "x", oracle.dim)
     require_count(iters=iters)
     require_positive(radius=radius)
     if radius is None:

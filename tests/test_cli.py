@@ -118,6 +118,19 @@ class TestRunCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("diverged:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alg, fn, x0", [
+        ("nc", "quartic", "1e300,0"),
+        ("ancgd", "quartic", "1e300,0"),
+        ("nc", "highdim-10", "1e300" + ",0" * 9),
+    ])
+    def test_divergence_prints_no_numpy_warning(self, alg, fn, x0, capsys):
+        # Overflow and invalid-value warnings are turned into errors here, so
+        # one that escapes cli.main fails the run instead of printing.
+        code = main(["run", "--alg", alg, "--fn", fn, "--trials", "5", "--x0", x0])
+        assert code == 3
+        assert capsys.readouterr() == ("", "diverged: non-finite iterate encountered\n")
+
     def test_exponential_far_from_saddle_runs(self):
         # e^(x1^2) overflows at x1 = 30 while f is finite.
         code = main([
@@ -308,6 +321,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("flags", [
         "--fn quartic --steps 2000000000 --trials 1000000",
         "--fn highdim-1000000 --trials 100000",
+        # Billed at n coordinates a step, this run would take about 5 h.
+        "--fn highdim-100000 --trials 9 --steps 1000000",
     ])
     def test_runaway_run_fails_before_first_trial(self, flags, capsys, monkeypatch):
         ran = []

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import numbers
+import re
 import struct
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from saddlescape import (
     ancgd_run,
     classify,
     dense_hessian,
+    dense_hessian_eig,
     derive_anc_params,
     derive_nc_params,
     derive_params_for,
@@ -64,7 +66,7 @@ from saddlescape.core import (
     _normal_rows,
     check_iterate,
 )
-from saddlescape.harness import build_payload
+from saddlescape.harness import ALGORITHMS, RECIPES, build_payload
 from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import make_highdim
@@ -396,6 +398,11 @@ _BAD_INPUTS = [
      lambda v: uniform_ball_sample(np.array([v, 0.0]), 0.1, RngStream(0, 0)), (_NAN, _INF)),
     ("gaussian_sample", "center",
      lambda v: gaussian_sample(np.array([v, 0.0]), 0.1, RngStream(0, 0)), (_NAN, _INF)),
+    # A center that is no vector: a 0-d one, or a column that would draw a matrix.
+    ("uniform_ball_sample", "^center must",
+     lambda v: uniform_ball_sample(np.zeros(v), 0.1, RngStream(0, 0)), ((), (2, 1))),
+    ("gaussian_sample", "^center must",
+     lambda v: gaussian_sample(np.zeros(v), 0.1, RngStream(0, 0)), ((), (2, 1))),
     ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
     ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
     # The momentum reset's radius, checked where the loop takes it from.
@@ -410,23 +417,27 @@ _BAD_INPUTS = [
      lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, 5, RngStream(0, 0), v),
      (0.0, -1e-4, _NAN, _INF)),
     ("fd_quadform", "direction",
-     lambda v: fd_quadform(_SADDLE, _ORIGIN, np.array([v, 0.0])), (_NAN, _INF)),
-    ("fd_quadform", "point",
+     lambda v: fd_quadform(_SADDLE, _ORIGIN, np.array([v, 0.0])), (_NAN, _INF, "a")),
+    ("fd_quadform", "^x must",
      lambda v: fd_quadform(_SADDLE, np.array([v, 0.0]), _AXIS), (_NAN, _INF)),
     ("fd_quadform", "direction",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, np.ones(v)), (1, 3, (2, 1))),
-    ("dense_hessian", "point",
+    ("dense_hessian", "^x must",
      lambda v: dense_hessian(_SADDLE, np.array([v, 0.0])), (_NAN, _INF)),
+    # Checked before its difference step is taken from x.
+    ("dense_hessian_eig", "^x must",
+     lambda v: dense_hessian_eig(_SADDLE, np.array([v, 0.0])), (_NAN,)),
     ("classify", "rho", lambda v: classify(_SADDLE, _ORIGIN, 0.1, v), (_NAN, -1.0)),
-    ("classify", "point", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
-    # The finders' anchor: a non-finite entry, or a shape other than (dim,).
-    ("nc_find", "point",
-     lambda v: nc_find(_SADDLE, np.array([v, 0.0]), _NC, RngStream(0, 0)), (_NAN, _INF)),
-    ("nc_find", "point",
+    ("classify", "^x must", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
+    # The finders' anchor: a non-finite or non-number entry (the latter once
+    # numpy's bare ValueError), or a shape other than (dim,).
+    ("nc_find", "^x_tilde must",
+     lambda v: nc_find(_SADDLE, np.array([v, 0.0]), _NC, RngStream(0, 0)), (_NAN, _INF, "a")),
+    ("nc_find", "^x_tilde must",
      lambda v: nc_find(_SADDLE, np.zeros(v), _NC, RngStream(0, 0)), (1, 3, (2, 1))),
-    ("snc_find", "point",
+    ("snc_find", "^x_tilde must",
      lambda v: snc_find(_NOISY, np.array([v, 0.0]), _SNC, RngStream(0, 0)), (_NAN, _INF)),
-    ("snc_find", "point",
+    ("snc_find", "^x_tilde must",
      lambda v: snc_find(_NOISY, np.zeros(v), _SNC, RngStream(0, 0)), (1, 3, (2, 1))),
     # The anchor gradient a caller hands the finders, checked like the anchor.
     ("nc_find", "^g must",
@@ -439,10 +450,10 @@ _BAD_INPUTS = [
      (_NAN, _INF)),
     ("snc_find", "^g must",
      lambda v: snc_find(_NOISY, _ORIGIN, _SNC, RngStream(0, 0), g=np.zeros(v)), (1, 3, (2, 1))),
-    ("grad_power_lambda_min", "point",
+    ("grad_power_lambda_min", "^x must",
      lambda v: grad_power_lambda_min(_SADDLE, np.array([v, 0.0]), 5, RngStream(0, 0)),
      (_NAN, _INF)),
-    ("grad_power_lambda_min", "point",
+    ("grad_power_lambda_min", "^x must",
      lambda v: grad_power_lambda_min(_SADDLE, np.zeros(v), 5, RngStream(0, 0)),
      (1, 3, (2, 1))),
     # The momentum loop's start point, through both of its entry points.
@@ -474,6 +485,13 @@ _BAD_INPUTS = [
      lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, np.array([v, 0.0]), 0.1, 1.0), (_NAN, _INF)),
     ("exploit", "anchor_f",
      lambda v: exploit(_SADDLE.value, _ORIGIN, v, _AXIS, 0.1, 1.0), (_NAN, _INF, -_INF)),
+    ("exploit", "^anchor must",
+     lambda v: exploit(_SADDLE.value, np.array([v, 0.0]), 0.0, _AXIS, 0.1, 1.0), (_NAN,)),
+    ("exploit", "^anchor must",
+     lambda v: exploit(_SADDLE.value, np.zeros(v), 0.0, _AXIS, 0.1, 1.0), ((2, 1),)),
+    # A direction of another shape than the anchor's, against a (2,) anchor.
+    ("exploit", "^e_hat must",
+     lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, np.ones(v), 0.1, 1.0), (3, (2, 1))),
     # Every fraction goes through one check, so a non-number is named too.
     ("ANCParams", "theta", lambda v: ANCParams(**{**_ANC, "theta": v}), ("a", _NAN, 1.0)),
     ("BaselineParams", "theta",
@@ -548,6 +566,72 @@ def test_public_helpers_reject_bad_inputs(call, name, value):
     instead of returning NaN or a bare ValueError or ZeroDivisionError."""
     with pytest.raises(ParameterError, match=name):
         call(value)
+
+
+# The census: every numeric field of the params dataclasses (int or float,
+# alone or with None, by annotation) is set to each of these values.
+_CENSUS_VALUES = (_NAN, _INF, -_INF, -1, 0, "a")
+# The values a field takes on purpose, each with its reason; every other
+# census value must be refused with a ParameterError naming the field.
+_CENSUS_EXEMPT = {
+    ("trust_region", _INF): "inf means no trust region",
+    ("grad_threshold", 0): "a zero trigger starts episodes at exact stationary points only",
+    ("cooldown", 0): "no cooldown lets any flat iteration start an episode",
+    ("batch_raw", 0): "experiment mode, which derives no batch, carries 0.0",
+    ("sigma", 0): "sigma = 0 is the noiseless oracle",
+    ("seed", -1): "any integer keys a stream",
+    ("seed", 0): "any integer keys a stream",
+    ("threshold", -1): "any finite escape bar is valid",
+    ("threshold", 0): "any finite escape bar is valid",
+}
+_MOMENTUM_KNOBS = ("theta", "gamma", "nce_radius")
+
+
+def _census_subjects(kind: str, alg: str, land_id: str) -> list:
+    """The dataclass instances one census case probes."""
+    if kind == "spec":
+        return [SmoothnessSpec(2.0, 1.0)]
+    if kind == "config":
+        # Paper mode reads every knob the algorithm reads; ancgd reads the
+        # momentum knobs, snc every other one.
+        return [ExperimentConfig(alg, land_id, mode="paper")]
+    # Paper mode's derived budgets can exceed what a run takes unasked.
+    steps = 200 if kind == "paper" else None
+    cfg = ExperimentConfig(alg, land_id, mode=kind, trials=1, steps=steps)
+    params = build_payload(cfg, get_landscape(land_id))["params"]
+    return [params, params.search] if isinstance(params, NCDescentParams) else [params]
+
+
+@pytest.mark.parametrize(
+    "kind, alg, land_id",
+    [("experiment", alg, fam if fam != "highdim" else "highdim-10") for alg, fam in RECIPES]
+    + [("paper", alg, "quartic") for alg in ALGORITHMS]
+    + [("spec", "", ""), ("config", "snc", "cubic"), ("config", "ancgd", "quartic")],
+)
+def test_params_census(kind, alg, land_id):
+    """Each census value is refused with a ParameterError naming the field,
+    or is in _CENSUS_EXEMPT and accepted."""
+    wrong = []
+    for subject in _census_subjects(kind, alg, land_id):
+        for f in dataclasses.fields(subject):
+            annotation = f.type.removesuffix(" | None")
+            if annotation not in ("int", "float"):
+                continue
+            if kind == "config" and (f.name in _MOMENTUM_KNOBS) != (alg == "ancgd"):
+                continue
+            for v in _CENSUS_VALUES + ((1.5,) if annotation == "int" else ()):
+                probe = f"{type(subject).__name__}.{f.name}={v!r}"
+                try:
+                    dataclasses.replace(subject, **{f.name: v})
+                except ParameterError as exc:
+                    if (f.name, v) in _CENSUS_EXEMPT:
+                        wrong.append(f"{probe} refused though exempt: {exc}")
+                    elif not re.search(rf"\b{f.name}\b", str(exc)):
+                        wrong.append(f"{probe} refused under another name: {exc}")
+                else:
+                    if (f.name, v) not in _CENSUS_EXEMPT:
+                        wrong.append(f"{probe} accepted")
+    assert wrong == []
 
 
 @pytest.mark.parametrize(

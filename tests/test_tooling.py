@@ -251,6 +251,18 @@ def test_algorithm_table_is_written_once():
     assert [alg for alg in ALGORITHMS if not re.search(rf"\b{alg}\b", run_help)] == []
 
 
+def test_vectors_are_checked_in_one_place():
+    # core.require_vector is the one check of a vector a caller hands the
+    # library, and only core calls np.isfinite: an inline copy fails here.
+    modules = {
+        path.name
+        for path in Path(saddlescape.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite"
+    }
+    assert modules == {"core.py"}
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
