@@ -31,7 +31,7 @@ from .core import (
     uniform_ball_sample,
     _norm,
 )
-from .ncfind import _lower_step, exploit
+from .ncfind import _episode, _lower_step, exploit
 
 __all__ = [
     "ANCParams",
@@ -94,21 +94,19 @@ def _nce_step(
 
 def accelerate(
     oracle: CountingOracle, x0: Array, params, trace: Trace,
-    escape: Callable[[Array, Array, int, int], tuple], threshold: float, cooldown: int,
+    escape: Callable[[Array, Array, int, int], tuple | None], threshold: float, cooldown: int,
     *, record: str = "full",
 ) -> Trace:
     """The momentum loop of ancgd and pagd, with descend's episode hooks.
 
     Each iteration records x and takes one accelerated step from z.  At a
     flat x (gradient norm at most threshold, more than cooldown iterations
-    since the last episode) the loop calls escape(x, g, t, budget) as
-    descend does, g being the gradient x's record took; the hook returns
-    (new x, tag, held, stop) and may not decline.  Held iterations are
-    ncf-step records of the anchor's f, gradient norm and x, with v_norm
-    None.  If they use up the budget, the new x is scored as the last
-    record; otherwise momentum restarts there and the step from it is taken
-    in the same iteration, tagged tag, and the loop stops after that record
-    if stop is set.  A per-step certificate compares f(x) against the
+    since the last episode) x is offered to the episode hook as descend
+    does (see ncfind._episode); held records have v_norm None.  A hook that
+    holds the whole budget has its point scored as the last record;
+    otherwise momentum restarts there and the step from it is taken in the
+    same iteration, tagged as the hook says, and the loop stops after that
+    record if the hook says so.  A per-step certificate compares f(x) against the
     gamma-strongly-convex lower model at z and reroutes through the momentum
     reset when violated.  params supplies eta, theta, gamma, nce_radius,
     total_steps and trust_region; trace.meta gets the oracle's call counts.
@@ -146,18 +144,16 @@ def accelerate(
         event = EVENT_AGD
         scored = x  # the point g_x belongs to, whatever an episode makes of x
 
-        if g_norm <= threshold and t - last > cooldown:
-            last, anchor = t, records[-1].x
-            x, event, held, stop = escape(x, g_x, t, total - t)
-            for _ in range(min(held, total - t)):
-                t += 1
-                if t < total:
-                    records.append(TraceRecord(t, f, g_norm, EVENT_NCF_STEP, anchor))
+        flat = g_norm <= threshold and t - last > cooldown
+        episode = _episode(escape, records, x, g_x, t, total) if flat else None
+        if episode is not None:
+            last, (x, event, held, stop) = t, episode
             z, f_x, g_z = x, None, None
-            if t == total:
+            if held >= total - t:
                 # The episode used up the budget: its point is the last record.
-                v = np.zeros_like(x)
+                t, v = total, np.zeros_like(x)
                 continue
+            t += held
 
         if g_z is None:
             # t = 0, a reset (z = x + (1 - theta) * 0, the bits of x unless x

@@ -189,6 +189,9 @@ def main(argv=None) -> int:
     except AlgorithmError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIVERGED
+    except OSError as exc:  # say, an output that could not be written
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -167,6 +167,9 @@ class GradientOracle:
     dim: int
     f_and_grad: Callable[[Array], tuple] | None = None
 
+    def __post_init__(self):
+        require_count(dim=self.dim)
+
     def value(self, x: Array) -> float:
         return float(self.f(x))
 
@@ -262,11 +265,13 @@ class AdditiveNoiseOracle(StochasticOracle):
         self.sigma = float(sigma)
 
     def mean_sampler(self, m: int, stream: "RngStream", calls: int) -> Callable:
+        require_count(m=m, calls=calls)
         noise = _normal_rows(stream, self.dim, self.sigma / math.sqrt(m), calls)
         return lambda x, g: g + next(noise)
 
     def diff_sampler(self, x0: Array, g0: Array, m: int, stream: "RngStream") -> Callable:
         # theta is x-independent, so it cancels for any batch size.
+        require_count(m=m)
         return lambda x1: self.mean.gradient(x1) - g0
 
 
@@ -377,7 +382,7 @@ def uniform_ball_sample(center: Array, radius: float, stream: RngStream) -> Arra
 
 def gaussian_sample(center: Array, variance_per_coord: float, stream: RngStream) -> Array:
     """Isotropic Gaussian draw N(center, variance_per_coord * I)."""
-    require_nonnegative(variance=variance_per_coord)
+    require_nonnegative(variance_per_coord=variance_per_coord)
     center = require_vector(center, "center")
     return center + math.sqrt(variance_per_coord) * stream.gen.standard_normal(center.shape[0])
 

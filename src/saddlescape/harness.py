@@ -550,7 +550,8 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     order, so outputs are byte-identical for any job count."""
     payloads, trials = [], []
     for cfg in cfgs:
-        _check_out_dir(cfg.out)
+        if cfg.out:
+            _check_out_dir(*_out_paths(cfg.out))
         payloads.append(build_payload(cfg, get_landscape(cfg.landscape)))
         trials += [(payloads[-1], trial) for trial in range(cfg.trials)]
     workers = max(1, min(_resolve_jobs(jobs), len(trials)))
@@ -572,11 +573,15 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     return results
 
 
-def _check_out_dir(out: str | None) -> None:
-    """Fail before the first trial when the output directory is missing."""
-    parent = os.path.dirname(out or "")
-    if parent and not os.path.isdir(parent):
-        raise ParameterError(f"output directory {parent!r} does not exist")
+def _check_out_dir(*paths: str | None) -> None:
+    """Fail before the first trial when an output path's directory is
+    missing or the path is itself a directory."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise ParameterError(f"output directory {parent!r} does not exist")
+        if os.path.isdir(path):
+            raise ParameterError(f"output path {path!r} is a directory")
 
 
 def _out_paths(out: str) -> tuple[str, str]:

@@ -237,6 +237,20 @@ class NCDescentParams:
             raise ParameterError(f"outer_batch applies to snc only, got {self.outer_batch} for nc")
 
 
+def _episode(escape, records: list, x: Array, g: Array, t: int, total: int) -> tuple | None:
+    """Offer x, whose record (the last) took gradient g, to the episode hook
+    escape(x, g, t, total - t) of descend or accelerate.  The hook returns
+    None to decline, else (new x, tag, held, stop); each held iteration,
+    up to total - t - 1 of them, is billed as an ncf-step record that repeats
+    x's f, gradient norm and x.  Returns the hook's result."""
+    episode = escape(x, g, t, total - t)
+    if episode is not None:
+        anchor = records[-1]
+        for k in range(1, min(episode[2], total - t - 1) + 1):
+            records.append(TraceRecord(t + k, anchor.f, anchor.grad_norm, EVENT_NCF_STEP, anchor.x))
+    return episode
+
+
 def descend(
     x0: Array, params, trace: Trace, estimate: Callable[[Array, Array], Array], recorder,
     escape: Callable[[Array, Array, int, int], tuple | None], event: str, eta: float,
@@ -247,13 +261,10 @@ def descend(
     Each iteration takes a gradient estimate(x, g), where g is the exact
     gradient that x's record took.  When the estimate's norm is at most
     threshold and the cooldown since the last episode has passed, x is
-    offered to the episode hook escape(x, g, t, budget), budget being the
-    iterations left.  The hook returns (new x, record tag, held iterations,
-    stop), or None to decline.  An episode bills each held iteration as one
-    ncf-step record at x, which repeats the f and gradient norm of x's
-    record, and gives the new point one more record under the tag; the loop
-    ends there if stop is set.  Otherwise x steps against the
-    estimate and the record is tagged event.  params supplies total_steps,
+    offered to the episode hook (see _episode).  An episode's new point
+    takes the record after its held ones, under the hook's tag, and the loop
+    ends there if stop is set.  Otherwise x steps against the estimate and
+    the record is tagged event.  params supplies total_steps,
     cooldown and trust_region.  A CountingOracle recorder's call counts go
     into trace.meta, and at record="summary" no record keeps its iterate.
     x0 must be a finite (dim,) vector of the recorder's domain.
@@ -281,21 +292,17 @@ def descend(
     while t < params.total_steps:
         g = estimate(x, g_x)
         g_norm = records[-1].grad_norm if g is g_x else _norm(g)
-        episode = None
-        if g_norm <= threshold and t - last > cooldown:
-            episode = escape(x, g_x, t, params.total_steps - t)
+        flat = g_norm <= threshold and t - last > cooldown
+        episode = _episode(escape, records, x, g_x, t, params.total_steps) if flat else None
         if episode is None:
             x = x - eta * g
             t += 1
             g_x = score(t, x, event)
         else:
-            last = t
-            anchor, anchor_x = records[-1], x
-            x, tag, held, stop = episode
-            for _ in range(held):
-                t += 1
-                records.append(TraceRecord(t, anchor.f, anchor.grad_norm, EVENT_NCF_STEP, anchor.x))
-            t += 1
+            # The last record is x's, or a held one that repeats it.
+            last, anchor, anchor_x = t, records[-1], x
+            x, tag, _, stop = episode
+            t = anchor.t + 1
             if x.tobytes() == anchor_x.tobytes():
                 # The exploit fell back to the anchor: g_x is still its gradient.
                 records.append(TraceRecord(t, anchor.f, anchor.grad_norm, tag, x if keep else None))

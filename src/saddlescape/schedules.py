@@ -143,10 +143,8 @@ def derive_snc_params(
     require_count(n=n)
     ell, rho = spec.ell, spec.rho
     threshold = _curvature_threshold(ell, rho, eps)
-    steps_arg = ell * n / (delta * threshold)
-    if steps_arg <= 1.0:
-        raise ParameterError("step-count log argument must exceed 1")
-    steps = _count(8 * ell / threshold * math.log(steps_arg))
+    # threshold <= ell, n >= 1 and delta < 1 make the log argument exceed 1.
+    steps = _count(8 * ell / threshold * math.log(ell * n / (delta * threshold)))
     eta = 1.0 / ell
 
     def radius_of(iota: float) -> float:
@@ -154,12 +152,12 @@ def derive_snc_params(
 
     iota = 10.0
     for _ in range(100):
-        inner = math.sqrt(n) / (eta * radius_of(iota))
-        if inner <= 1.0:
-            raise ParameterError("concentration log argument must exceed 1")
-        outer = (n * steps**2 / delta) * math.log(inner)
+        outer = (n * steps**2 / delta) * math.log(math.sqrt(n) / (eta * radius_of(iota)))
         if outer <= 1.0:
-            raise ParameterError("concentration log argument must exceed 1")
+            raise ParameterError(
+                "concentration log argument must exceed 1 at "
+                f"ell={ell}, rho={rho}, eps={eps}, delta={delta}, n={n}"
+            )
         iota, last = 10.0 * math.log(outer), iota
         if abs(iota - last) <= 1e-12 * max(1.0, abs(last)):
             break

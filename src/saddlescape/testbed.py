@@ -17,6 +17,7 @@ from .core import (
     SmoothnessSpec,
     StochasticOracle,
     _is_number,
+    require_count,
     require_nonnegative,
     require_positive,
 )
@@ -351,6 +352,7 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
         return (raw + raw.T) / 2
 
     def mean_sampler(self, m: int, stream, calls: int) -> Callable:
+        require_count(m=m, calls=calls)
         scale_b = self.sigma_b / math.sqrt(m)
 
         def sample(x: Array, g: Array) -> Array:
@@ -360,6 +362,7 @@ class RandomQuadraticNoiseOracle(StochasticOracle):
         return sample
 
     def diff_sampler(self, x0: Array, g0: Array, m: int, stream) -> Callable:
+        require_count(m=m)
         return lambda x1: self.mean.gradient(x1) - g0 + self._mean_a(stream, m) @ (x1 - x0)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "classify",
     "grad_power_lambda_min",
     "DENSE_CAP",
+    "MAX_VERIFY_DIM",
     "VerifyReport",
     "run_verify",
 ]
@@ -32,6 +33,10 @@ __all__ = [
 # Above this dimension a dense finite-difference Hessian is refused; callers
 # with analytic structure should verify it directly.
 DENSE_CAP = 200
+# run_verify's largest dimension.  Its audit builds n x n arrays (a difference
+# stencil per sampled point, and 25 Hessians for the spectrum); at this n it
+# ran for 56 s on a 2-core VM, and at 10**5 one stencil alone is 80 GB.
+MAX_VERIFY_DIM = 3000
 
 
 @dataclass(frozen=True)
@@ -227,11 +232,16 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
     bottom eigenvalue and is not second-order stationary; every declared
     minimum is stationary, has the declared value and is second-order
     stationary; the sampled Hessian spectrum respects the declared ell.
+    A landscape of n > MAX_VERIFY_DIM is refused before any is audited.
     """
     require_count(points_per_landscape=points_per_landscape)
     report = VerifyReport()
     if landscapes is None:
         landscapes = [get_landscape(i) for i in (ids or VERIFY_IDS)]
+    landscapes = list(landscapes)
+    for land in landscapes:
+        if land.dim > MAX_VERIFY_DIM:
+            raise ParameterError(f"verify caps n at {MAX_VERIFY_DIM}; {land.id} has n={land.dim}")
     for land in landscapes:
         entry = {"landscape": land.id, "checks": []}
         report.entries.append(entry)

@@ -331,17 +331,26 @@ class TestRunMechanics:
         assert trace_events(a) == trace_events(b)
 
 
-def _hooked(hook, total_steps, cooldown, loop="accelerate"):
+def _hooked(hook, total_steps, cooldown, loop="accelerate", threshold=math.inf):
     """accelerate (or descend) on a bowl with every iterate flat, so an
-    episode starts whenever the cooldown allows; hook is its episode hook."""
+    episode starts whenever the cooldown allows; hook is its episode hook.
+    A threshold of -inf keeps every iterate from triggering."""
     oracle, x0 = CountingOracle(make_quadratic([1.0, 2.0])), np.array([0.5, -0.3])
     if loop == "descend":
         params = BaselineParams(
             eta=0.05, radius=0.1, grad_threshold=0.0, total_steps=total_steps, cooldown=cooldown
         )
-        return descend(x0, params, Trace(), lambda x, g: g, oracle, hook, EVENT_GD, 0.05, math.inf)
+        return descend(x0, params, Trace(), lambda x, g: g, oracle, hook, EVENT_GD, 0.05, threshold)
     params = _window_params(total_steps=total_steps)
-    return ancgd.accelerate(oracle, x0, params, Trace(), hook, math.inf, cooldown)
+    return ancgd.accelerate(oracle, x0, params, Trace(), hook, threshold, cooldown)
+
+
+def _rows(trace):
+    """Each record as a tuple of its fields, the iterate by its bytes."""
+    return [
+        (r.t, r.f, r.grad_norm, r.event, None if r.x is None else r.x.tobytes(), r.v_norm)
+        for r in trace.records
+    ]
 
 
 class TestEpisodeHook:
@@ -389,15 +398,34 @@ class TestEpisodeHook:
         assert (after.t, after.event) == (k + 1, EVENT_NCF_EXPLOIT)
         assert after.x.tobytes() == (p - 0.05 * bowl.gradient(p)).tobytes()
 
+    @pytest.mark.parametrize("loop", ["accelerate", "descend"])
     @pytest.mark.parametrize("held", [5, 7])
-    def test_episode_that_uses_up_the_budget_scores_its_point_last(self, held):
+    def test_episode_that_uses_up_the_budget_scores_its_point_last(self, held, loop):
+        # Both loops hold at most budget - 1 records, so the hook's point
+        # takes the record at total_steps.
         p = np.array([0.2, 0.1])
-        trace = _hooked(lambda x, g, t, budget: (p, EVENT_NCF_STEP, held, False), 5, 10**6)
+        trace = _hooked(lambda x, g, t, budget: (p, EVENT_NCF_STEP, held, False), 5, 10**6, loop)
         bowl = make_quadratic([1.0, 2.0])
-        assert trace_events(trace) == [EVENT_AGD] + [EVENT_NCF_STEP] * 5
+        first = EVENT_AGD if loop == "accelerate" else EVENT_GD
+        assert trace_events(trace) == [first] + [EVENT_NCF_STEP] * 5
         last = trace.records[-1]
         assert last.t == 5 and last.x is p
         assert (last.f, last.grad_norm) == (bowl.value(p), np.linalg.norm(bowl.gradient(p)))
+
+
+    @pytest.mark.parametrize("loop", ["accelerate", "descend"])
+    def test_declining_hook_runs_as_if_the_trigger_never_fired(self, loop):
+        # A decline starts no cooldown: the hook is offered every flat x.
+        calls = []
+
+        def hook(x, g, t, budget):
+            calls.append(t)
+
+        declined = _hooked(hook, total_steps=10, cooldown=3, loop=loop)
+        assert calls == list(range(10))
+        never = _hooked(hook, total_steps=10, cooldown=3, loop=loop, threshold=-math.inf)
+        assert calls == list(range(10))
+        assert _rows(declined) == _rows(never)
 
 
 class TestHamiltonian:

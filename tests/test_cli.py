@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from saddlescape import (
     harness,
 )
 from saddlescape.cli import build_parser, main
+from saddlescape.verify import MAX_VERIFY_DIM
 
 
 _RUN_FUNCTIONS = ("pgd_nc_run", "ancgd_run", "sgd_nc_run", "pgd_run", "pagd_run", "psgd_run")
@@ -331,6 +333,29 @@ class TestRunCommand:
         assert "exceed the work cap" in capsys.readouterr().err
         assert ran == []
 
+    @pytest.mark.parametrize("argv, taken", [
+        ("run --alg nc --fn quartic --trials 3 --out r", "r.csv"),
+        ("run --alg nc --fn quartic --trials 3 --out r", "r.summary.json"),
+        ("dimscale --p 1 --trials 1 --out r.csv", "r.csv"),
+    ])
+    def test_output_that_is_a_directory_fails_before_first_trial(
+        self, argv, taken, tmp_path, monkeypatch, trials_run, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / taken).mkdir()
+        assert main(argv.split()) == 1
+        assert capsys.readouterr().err == f"error: output path '{taken}' is a directory\n"
+        assert trials_run == []
+
+    def test_write_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness, "_write_table", full)
+        out = str(tmp_path / "r")
+        assert main(["run", "--alg", "nc", "--fn", "quartic", "--trials", "2", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
     def test_missing_out_dir_fails_before_first_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "_run_trial", lambda *a: ran.append(a))
@@ -409,6 +434,15 @@ class TestVerifyCommand:
         assert "verification passed" in stdout
         assert "quartic: gradient-consistency" in stdout
 
+    def test_verify_above_the_cap_exits_one_at_once(self, capsys):
+        n = MAX_VERIFY_DIM + 1
+        start = time.perf_counter()
+        assert main(["verify", "--fn", f"highdim-{n}"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: verify caps n at {MAX_VERIFY_DIM}; highdim-{n} has n={n}\n"
+        )
+
     def test_verify_failure_exits_two(self, capsys, monkeypatch):
         import saddlescape.cli as cli_mod
 
@@ -422,6 +456,17 @@ class TestVerifyCommand:
 
 
 class TestParamsCommand:
+    def test_snc_search_outside_its_log_domain_names_its_inputs(self, capsys):
+        code = main([
+            "params", "--alg", "snc", "--ell", "0.001", "--rho", "1e-6", "--eps", "1",
+            "--n", "1", "--delta", "0.99",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: concentration log argument must exceed 1 at "
+            "ell=0.001, rho=1e-06, eps=1.0, delta=0.4296875, n=1\n"
+        )
+
     def test_ncf_json_matches_derivation(self, capsys):
         code = main([
             "params", "--alg", "ncf", "--ell", "1", "--rho", "1",

@@ -1,6 +1,8 @@
 """Streams, samplers, oracles, and trace plumbing."""
 
+import argparse
 import dataclasses
+import inspect
 import math
 import numbers
 import re
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import saddlescape
 from saddlescape import (
     ANCParams,
     AdditiveNoiseOracle,
@@ -66,6 +69,8 @@ from saddlescape.core import (
     _normal_rows,
     check_iterate,
 )
+from saddlescape import harness
+from saddlescape.cli import build_parser, main
 from saddlescape.harness import ALGORITHMS, RECIPES, build_payload
 from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
@@ -389,10 +394,6 @@ _PAGD = BaselineParams(
 )
 # (helper, argument, call with the argument set to v, bad values of v)
 _BAD_INPUTS = [
-    ("uniform_ball_sample", "radius",
-     lambda v: uniform_ball_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
-    ("gaussian_sample", "variance",
-     lambda v: gaussian_sample(_ORIGIN, v, RngStream(0, 0)), (_NAN, _INF, -1.0)),
     # A non-finite center would return a non-finite draw.
     ("uniform_ball_sample", "center",
      lambda v: uniform_ball_sample(np.array([v, 0.0]), 0.1, RngStream(0, 0)), (_NAN, _INF)),
@@ -403,19 +404,9 @@ _BAD_INPUTS = [
      lambda v: uniform_ball_sample(np.zeros(v), 0.1, RngStream(0, 0)), ((), (2, 1))),
     ("gaussian_sample", "^center must",
      lambda v: gaussian_sample(np.zeros(v), 0.1, RngStream(0, 0)), ((), (2, 1))),
-    ("lemma_decrease_bound", "eps", lambda v: lemma_decrease_bound(v, 1.0), (_NAN, -1.0)),
-    ("lemma_decrease_bound", "rho", lambda v: lemma_decrease_bound(0.1, v), (0.0, _INF)),
-    # The momentum reset's radius, checked where the loop takes it from.
-    ("ANCParams", "nce_radius",
-     lambda v: ANCParams(**{**_ANC, "nce_radius": v}), (_NAN, _INF, 0.0, -1.0)),
-    ("fd_quadform", "h",
-     lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (0.0, -1e-4, _NAN, _INF)),
-    ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (0.0, _NAN)),
-    ("grad_power_lambda_min", "iters",
-     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, v, RngStream(0, 0)), (0, -1)),
+    ("fd_quadform", "h", lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (-1e-4,)),
     ("grad_power_lambda_min", "radius",
-     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, 5, RngStream(0, 0), v),
-     (0.0, -1e-4, _NAN, _INF)),
+     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, 5, RngStream(0, 0), v), (-1e-4,)),
     ("fd_quadform", "direction",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, np.array([v, 0.0])), (_NAN, _INF, "a")),
     ("fd_quadform", "^x must",
@@ -427,7 +418,6 @@ _BAD_INPUTS = [
     # Checked before its difference step is taken from x.
     ("dense_hessian_eig", "^x must",
      lambda v: dense_hessian_eig(_SADDLE, np.array([v, 0.0])), (_NAN,)),
-    ("classify", "rho", lambda v: classify(_SADDLE, _ORIGIN, 0.1, v), (_NAN, -1.0)),
     ("classify", "^x must", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
     # The finders' anchor: a non-finite or non-number entry (the latter once
     # numpy's bare ValueError), or a shape other than (dim,).
@@ -435,6 +425,9 @@ _BAD_INPUTS = [
      lambda v: nc_find(_SADDLE, np.array([v, 0.0]), _NC, RngStream(0, 0)), (_NAN, _INF, "a")),
     ("nc_find", "^x_tilde must",
      lambda v: nc_find(_SADDLE, np.zeros(v), _NC, RngStream(0, 0)), (1, 3, (2, 1))),
+    # A ragged nesting, which numpy refuses to make an array of.
+    ("nc_find", "^x_tilde must",
+     lambda v: nc_find(_SADDLE, v, _NC, RngStream(0, 0)), ([[1.0], [2.0, 3.0]],)),
     ("snc_find", "^x_tilde must",
      lambda v: snc_find(_NOISY, np.array([v, 0.0]), _SNC, RngStream(0, 0)), (_NAN, _INF)),
     ("snc_find", "^x_tilde must",
@@ -467,11 +460,6 @@ _BAD_INPUTS = [
      lambda v: pagd_run(_SADDLE, np.array([v, 0.0]), _PAGD, RngStream(0, 0)), (_NAN, _INF)),
     ("pagd_run", "x0",
      lambda v: pagd_run(_SADDLE, np.zeros(v), _PAGD, RngStream(0, 0)), (1, 3, (2, 1))),
-    # A stream's key, refused where the stream is made, not at its first draw.
-    ("RngStream", "seed", lambda v: RngStream(v), (1.5, "a")),
-    ("RngStream", "stream_id", lambda v: RngStream(0, v), (1.5,)),
-    ("run_verify", "points_per_landscape",
-     lambda v: run_verify(ids=["quartic"], points_per_landscape=v), (1.5, _NAN)),
     ("run_verify", "unknown landscape id", lambda v: run_verify(ids=[v]), (5,)),
     ("make_highdim", "n <=", lambda v: make_highdim(v), (10.5,)),
     ("make_highdim", "eps_h", lambda v: make_highdim(10, eps_h=v), (_NAN, _INF)),
@@ -492,28 +480,21 @@ _BAD_INPUTS = [
     # A direction of another shape than the anchor's, against a (2,) anchor.
     ("exploit", "^e_hat must",
      lambda v: exploit(_SADDLE.value, _ORIGIN, 0.0, np.ones(v), 0.1, 1.0), (3, (2, 1))),
-    # Every fraction goes through one check, so a non-number is named too.
-    ("ANCParams", "theta", lambda v: ANCParams(**{**_ANC, "theta": v}), ("a", _NAN, 1.0)),
-    ("BaselineParams", "theta",
-     lambda v: dataclasses.replace(_PAGD, theta=v), ("a", _NAN, 1.0)),
-    ("NCParams", "delta0", lambda v: dataclasses.replace(_NC, delta0=v), ("a", _NAN, 1.5)),
+    # Every fraction goes through one check, so a non-number is named too;
+    # the census feeds each fraction below its range, these feed it above.
+    ("ANCParams", "theta", lambda v: ANCParams(**{**_ANC, "theta": v}), (1.0,)),
+    ("BaselineParams", "theta", lambda v: dataclasses.replace(_PAGD, theta=v), (1.0,)),
+    ("NCParams", "delta0", lambda v: dataclasses.replace(_NC, delta0=v), (1.5,)),
     ("derive_nc_params", "delta0",
-     lambda v: derive_nc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2), ("a", 0.0, 1.5)),
+     lambda v: derive_nc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2), (1.5,)),
     ("derive_anc_params", "delta0",
-     lambda v: derive_anc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2, 1.0), ("a", 0.0, 1.5)),
+     lambda v: derive_anc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2, 1.0), (1.5,)),
     ("derive_snc_params", "delta",
-     lambda v: derive_snc_params(SmoothnessSpec(2.0, 1.0), 2.0, 0.1, v, 2), ("a", 0.0, 1.0)),
+     lambda v: derive_snc_params(SmoothnessSpec(2.0, 1.0), 2.0, 0.1, v, 2), (1.0,)),
     ("derive_params_for", "delta",
      lambda v: derive_params_for("ncf", 2.0, 1.0, 0.1, v, 2), ("a", 0.0, 1.5)),
     ("derive_params_for", "delta",
-     lambda v: derive_params_for("nc", 2.0, 1.0, 0.1, v, 2), ("a", 0.0, 1.0)),
-    # The cooldown counts iterations.
-    ("ExperimentConfig", "cooldown",
-     lambda v: ExperimentConfig("nc", "quartic", cooldown=v), (1.5, -1)),
-    ("NCDescentParams", "cooldown", lambda v: NCDescentParams(_NC, 5, cooldown=v), (1.5, -1)),
-    ("ANCParams", "cooldown", lambda v: ANCParams(**_ANC, cooldown=v), (1.5, -1)),
-    ("BaselineParams", "cooldown",
-     lambda v: dataclasses.replace(_PAGD, cooldown=v), (1.5, -1)),
+     lambda v: derive_params_for("nc", 2.0, 1.0, 0.1, v, 2), (1.0,)),
 ]
 
 
@@ -631,6 +612,173 @@ def test_params_census(kind, alg, land_id):
                 else:
                     if (f.name, v) not in _CENSUS_EXEMPT:
                         wrong.append(f"{probe} accepted")
+    assert wrong == []
+
+
+# Valid keyword arguments for each public callable of saddlescape.__all__
+# that takes a numeric parameter, and for each public method, keyed
+# "Class.method", that does (its instance is built from the class's row).
+_CENSUS_CALLS = {
+    "AdditiveNoiseOracle": dict(mean=_SADDLE, sigma=0.1),
+    "AdditiveNoiseOracle.mean_sampler": dict(m=1, stream=RngStream(0, 0), calls=1),
+    "AdditiveNoiseOracle.diff_sampler": dict(x0=_ORIGIN, g0=_ORIGIN, m=1, stream=RngStream(0, 0)),
+    "ANCParams": _ANC,
+    "BaselineParams": dataclasses.asdict(_PAGD),
+    "ExperimentConfig": dict(algorithm="snc", landscape="cubic", mode="paper"),
+    "GradientOracle": dict(f=_SADDLE.f, grad=_SADDLE.grad, spec=_SADDLE.spec, dim=2),
+    "NCDescentParams": dict(search=_NC, total_steps=5),
+    "NCParams": dataclasses.asdict(_NC),
+    "RandomQuadraticNoiseOracle": dict(mean=_SADDLE, sigma_b=0.1, sigma_a=0.1),
+    "RandomQuadraticNoiseOracle.mean_sampler": dict(m=1, stream=RngStream(0, 0), calls=1),
+    "RandomQuadraticNoiseOracle.diff_sampler":
+        dict(x0=_ORIGIN, g0=_ORIGIN, m=1, stream=RngStream(0, 0)),
+    "RngStream": dict(seed=0),
+    "SmoothnessSpec": dict(ell=2.0, rho=1.0),
+    "SNCParams": dataclasses.asdict(_SNC),
+    "StochasticOracle": dict(mean=_SADDLE, ell_tilde=2.0),
+    "classify": dict(oracle=_SADDLE, x=_ORIGIN, eps=0.1),
+    "dense_hessian": dict(oracle=_SADDLE, x=_ORIGIN),
+    "dense_hessian_eig": dict(oracle=_SADDLE, x=_ORIGIN),
+    "derive_anc_params":
+        dict(spec=_SADDLE.spec, eps=0.1, delta0=0.1, n=2, delta_f_bound=1.0),
+    "derive_nc_params": dict(spec=_SADDLE.spec, eps=0.1, delta0=0.1, n=2),
+    "derive_snc_params": dict(spec=_SADDLE.spec, ell_tilde=2.0, eps=0.1, delta=0.1, n=2),
+    "derive_params_for": dict(alg="snc", ell=2.0, rho=1.0, eps=0.1, delta=0.1, n=2),
+    "fd_quadform": dict(oracle=_SADDLE, x=_ORIGIN, e=_AXIS),
+    "gaussian_sample": dict(center=_ORIGIN, variance_per_coord=0.1, stream=RngStream(0, 0)),
+    "grad_power_lambda_min": dict(oracle=_SADDLE, x=_ORIGIN, iters=5, stream=RngStream(0, 0)),
+    "lemma_decrease_bound": dict(eps=0.1, rho=1.0),
+    "run_dimension_scaling": dict(ps=[1], trials=1),
+    "run_verify": dict(ids=["quartic"], points_per_landscape=1),
+    "uniform_ball_sample": dict(center=_ORIGIN, radius=0.1, stream=RngStream(0, 0)),
+    "with_noise": dict(landscape=_SADDLE, sigma=0.1),
+}
+_RECORD = "a record the library builds and returns, not an input"
+_CENSUS_EXEMPT.update({
+    "CurvatureReport": _RECORD,
+    "ExperimentResult": _RECORD,
+    "NCOutcome": _RECORD,
+    "SaddleInfo": _RECORD,
+    "StationarityVerdict": _RECORD,
+    "TraceRecord": _RECORD,
+    "TrialResult": _RECORD,
+    "StochasticOracle.mean_sampler": "abstract; each noise model's own sampler is probed",
+    "StochasticOracle.diff_sampler": "abstract; each noise model's own sampler is probed",
+    ("stream_id", -1): "any integer keys a stream",
+    ("stream_id", 0): "any integer keys a stream",
+    ("sigma_a", 0): "sigma_a = 0 leaves the additive noise alone",
+    ("sigma_b", 0): "sigma_b = 0 leaves the random quadratic alone",
+    ("variance_per_coord", 0): "zero variance draws the center itself",
+    # A key "callable.parameter" exempts the value for that callable only.
+    ("uniform_ball_sample.radius", 0): "the ball of radius 0 is the center itself",
+})
+
+
+def _numeric(func) -> dict:
+    """The parameters of func annotated int or float (alone or with None),
+    each with its census values."""
+    numeric = {}
+    for name, param in inspect.signature(func).parameters.items():
+        annotation = str(param.annotation).removesuffix(" | None")
+        if annotation in ("int", "float"):
+            numeric[name] = _CENSUS_VALUES + ((1.5,) if annotation == "int" else ())
+    return numeric
+
+
+def _public_callables() -> list[tuple[str, object]]:
+    """Every callable of saddlescape.__all__ but the exceptions, and every
+    public method that a class of it defines, by name."""
+    found = []
+    for name in saddlescape.__all__:
+        obj = getattr(saddlescape, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        found.append((name, obj))
+        if isinstance(obj, type) and obj.__module__.startswith("saddlescape."):
+            found += [
+                (f"{name}.{attr}", func) for attr, func in vars(obj).items()
+                if inspect.isfunction(func) and not attr.startswith("_")
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "label, func",
+    [pytest.param(label, func, id=label) for label, func in _public_callables() if _numeric(func)],
+)
+def test_callable_census(label, func):
+    """Each census value of each numeric parameter is refused with a
+    ParameterError naming the parameter, or is in _CENSUS_EXEMPT and
+    accepted; a callable with no row in _CENSUS_CALLS must be exempt."""
+    if label in _CENSUS_EXEMPT:
+        return
+    base = _CENSUS_CALLS[label]
+    if "." in label:
+        owner, method = label.split(".")
+        func = getattr(getattr(saddlescape, owner)(**_CENSUS_CALLS[owner]), method)
+    wrong = []
+    for name, values in _numeric(func).items():
+        for v in values:
+            probe = f"{label}({name}={v!r})"
+            exempt = (name, v) in _CENSUS_EXEMPT or (f"{label}.{name}", v) in _CENSUS_EXEMPT
+            try:
+                func(**{**base, name: v})
+            except ParameterError as exc:
+                if exempt:
+                    wrong.append(f"{probe} refused though exempt: {exc}")
+                elif not re.search(rf"\b{name}\b", str(exc)):
+                    wrong.append(f"{probe} refused under another name: {exc}")
+            except Exception as exc:
+                wrong.append(f"{probe} raised {type(exc).__name__}: {exc}")
+            else:
+                if not exempt:
+                    wrong.append(f"{probe} accepted")
+    assert wrong == []
+
+
+def _census_argv(command: str, dest: str) -> list[str]:
+    """A cheap valid command line to append one probed flag to.  A run flag
+    is probed on the recipe of an algorithm that reads it, in paper mode
+    where that algorithm reads it in paper mode only."""
+    if command == "dimscale":
+        return ["dimscale", "--p", "1", "--trials", "1"]
+    if command == "params":
+        return ["params", "--alg", "snc", "--ell", "2", "--rho", "1", "--eps", "0.1", "--n", "2"]
+    rows = harness._ALGORITHMS
+    alg, family = next(
+        (alg, family) for alg, family in RECIPES
+        if dest in harness._PLAN_FIELDS or dest in rows[alg].reads
+    )
+    mode = "paper" if dest in rows[alg].paper_only else "experiment"
+    return ["run", "--alg", alg, "--fn", family, "--mode", mode, "--trials", "1", "--steps", "5"]
+
+
+def _numeric_flags() -> list:
+    """(subcommand, action) for each flag of build_parser() typed int or float."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action) for command, parser in sub.choices.items()
+        for action in parser._actions if action.type in (int, float)
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, action",
+    [pytest.param(c, a, id=f"{c}{a.option_strings[0]}") for c, a in _numeric_flags()],
+)
+def test_cli_census(command, action, capsys):
+    """The callable census through the CLI: each census value of each
+    numeric flag exits 1, or is in _CENSUS_EXEMPT (by the flag's dest) and
+    runs (exit 0)."""
+    wrong = []
+    for v in _CENSUS_VALUES + ((1.5,) if action.type is int else ()):
+        argv = [*_census_argv(command, action.dest), f"{action.option_strings[0]}={v}"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        if code != (0 if (action.dest, v) in _CENSUS_EXEMPT else 1):
+            wrong.append(f"{' '.join(argv)} exited {code}")
     assert wrong == []
 
 

@@ -263,6 +263,21 @@ def test_vectors_are_checked_in_one_place():
     assert modules == {"core.py"}
 
 
+def test_episode_holds_are_built_in_one_place():
+    # ncfind._episode bills the held iterations of both escape loops: an
+    # ncf-step TraceRecord built anywhere else fails here.
+    builders = {
+        f"{path.stem}.{func.name}"
+        for path in Path(saddlescape.__file__).parent.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "TraceRecord"
+        and "EVENT_NCF_STEP" in map(ast.unparse, node.args)
+    }
+    assert builders == {"ncfind._episode"}
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.

@@ -16,8 +16,10 @@ from saddlescape import (
     fd_quadform,
     get_landscape,
     grad_power_lambda_min,
+    run_verify,
 )
-from saddlescape.verify import DENSE_CAP, default_step
+from saddlescape import verify
+from saddlescape.verify import DENSE_CAP, MAX_VERIFY_DIM, default_step
 
 from conftest import make_quadratic, relabel
 
@@ -163,3 +165,16 @@ class TestDefaultStep:
         assert base > 0
         assert scaled > base
         assert base == pytest.approx(np.finfo(float).eps ** (1 / 3), rel=1e-12)
+
+
+class TestVerifyCap:
+    @pytest.mark.parametrize("by", ["ids", "landscapes"])
+    def test_dimension_above_the_cap_is_refused_before_any_audit(self, by, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a landscape was audited")
+
+        monkeypatch.setattr(verify, "_fd_gradient", refuse)
+        ids = ["quartic", f"highdim-{MAX_VERIFY_DIM + 1}"]
+        kwargs = {"ids": ids} if by == "ids" else {"landscapes": map(get_landscape, ids)}
+        with pytest.raises(ParameterError, match=rf"\bn={MAX_VERIFY_DIM + 1}\b"):
+            run_verify(**kwargs)
