@@ -75,23 +75,6 @@ class ANCParams:
         require_bound(trust_region=self.trust_region)
 
 
-def _nce_step(
-    oracle: GradientOracle, x: Array, v: Array, s: float, f_x: float | None
-) -> tuple[Array, float | None]:
-    """Momentum-reset step taken when the certificate flags negative curvature.
-
-    Long momentum (norm >= s) already made progress, so x stays put.  Short
-    momentum is stretched to length s and the lower side is taken
-    (_lower_step).  Returns the point and f there: f_x (f(x), as the caller
-    holds it) where x stays, else the winner's value.  The caller zeroes the
-    momentum.
-    """
-    v_norm = _norm(v)
-    if v_norm >= s or v_norm == 0.0:
-        return x, f_x
-    return _lower_step(oracle.value, x, (s / v_norm) * v)
-
-
 def accelerate(
     oracle: CountingOracle, x0: Array, params, trace: Trace,
     escape: Callable[[Array, Array, int, int], tuple | None], threshold: float, cooldown: int,
@@ -102,16 +85,17 @@ def accelerate(
     Each iteration records x and takes one accelerated step from z.  At a
     flat x (gradient norm at most threshold, more than cooldown iterations
     since the last episode) x is offered to the episode hook as descend
-    does (see ncfind._episode); held records have v_norm None.  A hook that
-    holds the whole budget has its point scored as the last record;
-    otherwise momentum restarts there and the step from it is taken in the
-    same iteration, tagged as the hook says, and the loop stops after that
-    record if the hook says so.  A per-step certificate compares f(x) against the
-    gamma-strongly-convex lower model at z and reroutes through the momentum
-    reset when violated.  params supplies eta, theta, gamma, nce_radius,
-    total_steps and trust_region; trace.meta gets the oracle's call counts.
-    x0 must be a finite (dim,) vector.  At record="summary" no record keeps
-    its iterate.
+    does (see ncfind._episode).  A hook that holds the whole budget has its
+    point scored as the last record; otherwise momentum restarts there and
+    the step from it is taken in the same iteration, tagged as the hook
+    says, and the loop stops after that record if the hook says so.  A
+    per-step certificate compares f(x) against the gamma-strongly-convex
+    lower model at z and resets the momentum when violated.  The loop
+    carries the momentum's length v_norm, which each record takes: 0 at the
+    start, after a reset and at a budget-end episode, and None on held
+    records.  params supplies eta, theta, gamma, nce_radius, total_steps and
+    trust_region; trace.meta gets the oracle's call counts.  x0 must be a
+    finite (dim,) vector.  At record="summary" no record keeps its iterate.
 
     Queries per iteration: the record takes f(x) and grad f(x) in one
     value_and_gradient call, or grad f(x) alone while f_x holds f(x); a held
@@ -123,14 +107,15 @@ def accelerate(
     episode clears both.  Whatever escape queries comes on top.
     """
     keep = keeps_iterates(record)
+    require_nonnegative(threshold=threshold)
+    require_count(least=0, cooldown=cooldown)
     x = z = require_vector(x0, "x0", oracle.dim).copy()
-    v = np.zeros_like(x)
     eta, theta, gamma, total = params.eta, params.theta, params.gamma, params.total_steps
     records = trace.records
     # The first small gradient triggers, whatever the cooldown.
     last = -math.inf
     f_x = g_z = None
-    event, stop, t = EVENT_AGD, False, 0
+    v_norm, event, stop, t = 0.0, EVENT_AGD, False, 0
 
     while True:
         if f_x is None:
@@ -138,7 +123,7 @@ def accelerate(
         else:
             f, g_x = f_x, oracle.gradient(x)
         g_norm = _norm(g_x)
-        records.append(TraceRecord(t, f, g_norm, event, x if keep else None, _norm(v)))
+        records.append(TraceRecord(t, f, g_norm, event, x if keep else None, v_norm))
         if t == total or stop:
             break
         event = EVENT_AGD
@@ -151,28 +136,31 @@ def accelerate(
             z, f_x, g_z = x, None, None
             if held >= total - t:
                 # The episode used up the budget: its point is the last record.
-                t, v = total, np.zeros_like(x)
+                t, v_norm = total, 0.0
                 continue
             t += held
 
         if g_z is None:
-            # t = 0, a reset (z = x + (1 - theta) * 0, the bits of x unless x
-            # holds -0.0) or an episode whose exploit fell back to the anchor.
+            # t = 0, a reset (z = x + 0.0, the bits of x unless x holds -0.0)
+            # or an episode whose exploit fell back to the anchor.
             g_z = g_x if z.tobytes() == scored.tobytes() else oracle.gradient(z)
         x_next = z - eta * g_z
         v_next = x_next - x
+        v_norm = _norm(v_next)
         z_next = x_next + (1.0 - theta) * v_next
         f_x = oracle.value(x_next)
         f_z_next, g_z = oracle.value_and_gradient(z_next)
         gap = x_next - z_next
         if f_x <= f_z_next + float(np.dot(g_z, gap)) - 0.5 * gamma * float(np.dot(gap, gap)):
-            x_next, f_x = _nce_step(oracle, x_next, v_next, params.nce_radius, f_x)
-            v_next = np.zeros_like(x_next)
-            z_next, g_z = x_next + (1.0 - theta) * v_next, None
+            if not (v_norm >= params.nce_radius or v_norm == 0.0):
+                x_next, f_x = _lower_step(
+                    oracle.value, x_next, (params.nce_radius / v_norm) * v_next
+                )
+            z_next, g_z, v_norm = x_next + 0.0, None, 0.0
             if event == EVENT_AGD:
                 event = EVENT_NCE
 
-        x, z, v = x_next, z_next, v_next
+        x, z = x_next, z_next
         check_iterate(x, params.trust_region, trace)
         t += 1
 

@@ -276,6 +276,8 @@ def descend(
     comes on top.
     """
     keep = keeps_iterates(record)
+    require_positive(eta=eta)
+    require_nonnegative(threshold=threshold)
     x = require_vector(x0, "x0", recorder.dim).copy()
     records = trace.records
     value_and_gradient = recorder.value_and_gradient

@@ -184,14 +184,22 @@ def _momentum(ell: float, rho: float, eps: float, eta: float, **given: float) ->
 
 @_checked
 def _episode_delta0(
-    delta: float, delta_f_bound: float, eps: float, rho: float, k: float = _K, cap: float = 1.0
+    delta: float, delta_f_bound: float, eps: float, rho: float, k: float, cap: float
 ) -> float:
-    """Per-episode failure probability delta / (k delta_f_bound) * sqrt(eps^3
-    / rho), at most cap: the overall delta split over the episodes that would
-    use up the gap delta_f_bound if each certified a decrease of sqrt(eps^3 /
-    rho) / k.  nc and ancgd take the defaults, snc k = 6 K and no cap."""
+    """Per-episode failure probability delta / (k delta_f_bound) * sqrt(eps^3 /
+    rho), at most cap: the overall delta split over the episodes that would use
+    up the gap delta_f_bound if each certified a decrease of sqrt(eps^3 / rho) /
+    k.  nc and ancgd take k = K and cap 1, snc k = 6 K and no cap."""
     share = delta / (k * delta_f_bound) * math.sqrt(eps**3 / rho)
     return _q(cap if share >= cap else share)
+
+
+def _episode_search(s: _Setting, derive, *head, k: float = _K, cap: float = 1.0, **tail):
+    """derive(*head, delta0, **tail) at _episode_delta0; a refusal also names delta and delta_f."""
+    try:
+        return derive(*head, _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho, k, cap), **tail)
+    except ParameterError as exc:
+        raise ParameterError(f"{exc} (given delta={s.delta}, delta_f={s.delta_f})") from None
 
 
 @_checked
@@ -259,11 +267,12 @@ def _descent(s: _Setting, noisy: bool = False) -> NCDescentParams:
         base = SNCParams(**local, **noise) if noisy else NCParams(**local, delta0=s.delta)
         return NCDescentParams(base, **outer)
     if noisy:
-        delta = _episode_delta0(s.delta, s.delta_f, eps, rho, k=6.0 * _K, cap=math.inf)
-        base = derive_snc_params(s.spec, s.ell_tilde, eps, delta, s.n)
+        base = _episode_search(
+            s, derive_snc_params, s.spec, s.ell_tilde, eps, n=s.n, k=6.0 * _K, cap=math.inf
+        )
         outer = {"outer_batch": _gradient_count(16.0, ell, eps, s.delta_f), **outer}
     else:
-        base = derive_nc_params(s.spec, eps, _episode_delta0(s.delta, s.delta_f, eps, rho), s.n)
+        base = _episode_search(s, derive_nc_params, s.spec, eps, n=s.n)
     budget = _descent_budget(ell, rho, eps, s.delta_f)
     return NCDescentParams(dataclasses.replace(base, **search), **{"total_steps": budget, **outer})
 
@@ -275,8 +284,8 @@ def _ancgd(s: _Setting) -> ANCParams:
         nce_radius="nce_radius", **_OUTER_KNOBS,
     )
     if s.paper:
-        delta0 = _episode_delta0(s.delta, s.delta_f, s.eps, s.spec.rho)
-        params = derive_anc_params(s.spec, s.eps, delta0, s.n, s.delta_f, k.get("steps"))
+        rest = dict(n=s.n, delta_f_bound=s.delta_f, total_steps=k.get("steps"))
+        params = _episode_search(s, derive_anc_params, s.spec, s.eps, **rest)
         return dataclasses.replace(params, **fields)
     return ANCParams(
         **fields, eps=s.eps, delta0=s.delta, ell=_local_ell(k["eta"], 4.0), rho=s.rho_loc

@@ -104,31 +104,64 @@ class TestDerivedConstants:
         assert seen == [(p.eps, p.ncf_steps), (0.25, 77)]
 
 
-class TestNceStep:
-    def test_zero_momentum_is_noop(self, quad2):
-        x = np.array([1.0, 1.0])
-        x2, f2 = ancgd._nce_step(quad2, x, np.zeros(2), 0.5, 1.5)
-        assert x2 is x and f2 == 1.5
+def _reset_run(diag, x0, nce_radius, total_steps=1, eta=0.05, theta=0.042):
+    """accelerate on make_quadratic(diag) from x0 with a hook that declines
+    every episode, so each iteration is a momentum step and its certificate."""
+    params = _window_params(eta=eta, theta=theta, nce_radius=nce_radius, total_steps=total_steps)
+    oracle = CountingOracle(make_quadratic(diag))
+    return ancgd.accelerate(oracle, np.array(x0), params, Trace(), lambda *a: None, 0.0, 0)
 
-    def test_long_momentum_keeps_x(self, quad2):
-        x = np.array([1.0, 1.0])
-        v = np.array([0.8, 0.0])
-        x2, f2 = ancgd._nce_step(quad2, x, v, 0.5, 1.5)
-        assert x2 is x and f2 == 1.5
 
-    def test_short_momentum_steps_downhill(self):
-        # f = -x0^2: from the origin both signs tie, the positive side wins.
+class TestMomentumReset:
+    # On the hump's concave axis the certificate fires at the first step.
+    # A reset that leaves x carries f(x) into x's record, so a one-step run
+    # takes 3 values: x0's record, f(x_next) and f(z_next).
+
+    def test_zero_momentum_leaves_x_and_its_f(self):
+        # At the saddle the gradient, and so the momentum, is zero.
+        trace = _reset_run([-2.0, 1.0], [0.0, 0.0], 0.5)
+        first, reset = trace.records
+        assert reset.event == EVENT_NCE and reset.x.tobytes() == first.x.tobytes()
+        assert (reset.f, reset.v_norm) == (first.f, 0.0)
+        assert trace.meta["f_evals"] == 3
+
+    def test_long_momentum_leaves_x_and_its_f(self):
+        # The step's momentum, 0.05 * 0.2, is longer than nce_radius.
+        hump, x0 = make_quadratic([-2.0, 1.0]), np.array([0.1, 0.0])
+        trace = _reset_run([-2.0, 1.0], x0, 0.001)
+        reset = trace.records[1]
+        x_next = x0 - 0.05 * hump.gradient(x0)
+        assert reset.event == EVENT_NCE and reset.x.tobytes() == x_next.tobytes()
+        assert (reset.f, reset.v_norm) == (hump.value(x_next), 0.0)
+        assert trace.meta["f_evals"] == 3
+
+    def test_short_momentum_moves_nce_radius_to_the_lower_side(self):
+        # Three plain steps, then a reset whose lower side is against the
+        # momentum.  A twin whose momentum is long keeps the step's point.
+        saddle = make_quadratic([-1.0, 1.0])
+        short, long = (
+            _reset_run([-1.0, 1.0], [0.01, 1.0], r, total_steps=4, eta=0.45, theta=0.1)
+            for r in (0.5, 1e-9)
+        )
+        assert trace_events(short) == [EVENT_AGD] * 4 + [EVENT_NCE]
+        assert _rows(short)[:4] == _rows(long)[:4]
+        x_next = long.records[4].x
+        v = x_next - long.records[3].x
+        d = 0.5 * v / np.linalg.norm(v)
+        assert np.linalg.norm(v) < 0.5
+        assert saddle.value(x_next - d) < saddle.value(x_next + d)
+        reset = short.records[4]
+        assert reset.x == pytest.approx(x_next - d, rel=1e-12)
+        assert reset.f == saddle.value(reset.x)
+
+    def test_short_momentum_takes_the_plus_side_on_a_tie(self):
+        # Momentum 1e-21 along the concave axis, stretched to 0.5: the two
+        # sides round to mirror points, whose values tie.
         hump = make_quadratic([-2.0, 1.0])
-        x2, f2 = ancgd._nce_step(hump, np.zeros(2), np.array([0.1, 0.0]), 0.5, None)
-        assert x2[0] == pytest.approx(0.5)
-        assert f2 == hump.value(x2)
-
-    def test_short_momentum_picks_lower_value(self):
-        tilted = make_quadratic([1.0, 1.0])
-        x = np.array([1.0, 0.0])
-        # From x, stepping toward the origin is lower on a bowl.
-        x2, _ = ancgd._nce_step(tilted, x, np.array([0.01, 0.0]), 0.5, None)
-        assert x2[0] == pytest.approx(0.5)
+        reset = _reset_run([-2.0, 1.0], [1e-20, 0.0], 0.5).records[1]
+        assert reset.event == EVENT_NCE
+        assert reset.x == pytest.approx([0.5, 0.0])
+        assert reset.f == hump.value(-reset.x) == hump.value(reset.x)
 
 
 def _gradient_spy(oracle):
@@ -331,10 +364,10 @@ class TestRunMechanics:
         assert trace_events(a) == trace_events(b)
 
 
-def _hooked(hook, total_steps, cooldown, loop="accelerate", threshold=math.inf):
+def _hooked(hook, total_steps, cooldown, loop="accelerate", threshold=1e300):
     """accelerate (or descend) on a bowl with every iterate flat, so an
     episode starts whenever the cooldown allows; hook is its episode hook.
-    A threshold of -inf keeps every iterate from triggering."""
+    A threshold of 0 keeps every iterate from triggering: none is stationary."""
     oracle, x0 = CountingOracle(make_quadratic([1.0, 2.0])), np.array([0.5, -0.3])
     if loop == "descend":
         params = BaselineParams(
@@ -423,7 +456,7 @@ class TestEpisodeHook:
 
         declined = _hooked(hook, total_steps=10, cooldown=3, loop=loop)
         assert calls == list(range(10))
-        never = _hooked(hook, total_steps=10, cooldown=3, loop=loop, threshold=-math.inf)
+        never = _hooked(hook, total_steps=10, cooldown=3, loop=loop, threshold=0.0)
         assert calls == list(range(10))
         assert _rows(declined) == _rows(never)
 

@@ -462,10 +462,23 @@ class TestParamsCommand:
             "--n", "1", "--delta", "0.99",
         ])
         assert code == 1
+        # delta=0.4296875 is the search's own, split from the --delta given.
         assert capsys.readouterr().err == (
             "error: concentration log argument must exceed 1 at "
-            "ell=0.001, rho=1e-06, eps=1.0, delta=0.4296875, n=1\n"
+            "ell=0.001, rho=1e-06, eps=1.0, delta=0.4296875, n=1 "
+            "(given delta=0.99, delta_f=1.0)\n"
         )
+
+    def test_snc_probe_radius_underflow_names_delta_f(self, capsys):
+        # At --delta-f 1 the same eps derives params: delta_f shrinks the
+        # search's delta, and so its probe radius, to 0.
+        argv = ["params", "--alg", "snc", "--ell", "5.75", "--rho", "4.5", "--n", "2"]
+        assert main(argv + ["--eps", "5e-93", "--delta", "0.9", "--delta-f", "1"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--eps", "5e-93", "--delta", "0.9", "--delta-f", "1e116"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps 5e-93 is too small")
+        assert "delta=0.9, delta_f=1e+116" in err
 
     def test_ncf_json_matches_derivation(self, capsys):
         code = main([

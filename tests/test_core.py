@@ -72,7 +72,8 @@ from saddlescape.core import (
 from saddlescape import harness
 from saddlescape.cli import build_parser, main
 from saddlescape.harness import ALGORITHMS, RECIPES, build_payload
-from saddlescape.ncfind import NCParams, exploit
+from saddlescape.ancgd import accelerate
+from saddlescape.ncfind import NCParams, descend, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import make_highdim
 
@@ -553,7 +554,8 @@ def test_public_helpers_reject_bad_inputs(call, name, value):
 # alone or with None, by annotation) is set to each of these values.
 _CENSUS_VALUES = (_NAN, _INF, -_INF, -1, 0, "a")
 # The values a field takes on purpose, each with its reason; every other
-# census value must be refused with a ParameterError naming the field.
+# census value must be refused with a ParameterError naming the field.  A
+# key "owner.field" exempts the value for that class or callable only.
 _CENSUS_EXEMPT = {
     ("trust_region", _INF): "inf means no trust region",
     ("grad_threshold", 0): "a zero trigger starts episodes at exact stationary points only",
@@ -562,10 +564,17 @@ _CENSUS_EXEMPT = {
     ("sigma", 0): "sigma = 0 is the noiseless oracle",
     ("seed", -1): "any integer keys a stream",
     ("seed", 0): "any integer keys a stream",
-    ("threshold", -1): "any finite escape bar is valid",
-    ("threshold", 0): "any finite escape bar is valid",
+    ("ExperimentConfig.threshold", -1): "any finite escape bar is valid",
+    ("ExperimentConfig.threshold", 0): "any finite escape bar is valid",
+    ("accelerate.threshold", 0): "a zero trigger starts episodes at exact stationary points only",
+    ("descend.threshold", 0): "a zero trigger starts episodes at exact stationary points only",
 }
 _MOMENTUM_KNOBS = ("theta", "gamma", "nce_radius")
+
+
+def _exempt(owner: str, name: str, v) -> bool:
+    """Whether census value v of owner's parameter name is in _CENSUS_EXEMPT."""
+    return (name, v) in _CENSUS_EXEMPT or (f"{owner}.{name}", v) in _CENSUS_EXEMPT
 
 
 def _census_subjects(kind: str, alg: str, land_id: str) -> list:
@@ -602,15 +611,16 @@ def test_params_census(kind, alg, land_id):
                 continue
             for v in _CENSUS_VALUES + ((1.5,) if annotation == "int" else ()):
                 probe = f"{type(subject).__name__}.{f.name}={v!r}"
+                exempt = _exempt(type(subject).__name__, f.name, v)
                 try:
                     dataclasses.replace(subject, **{f.name: v})
                 except ParameterError as exc:
-                    if (f.name, v) in _CENSUS_EXEMPT:
+                    if exempt:
                         wrong.append(f"{probe} refused though exempt: {exc}")
                     elif not re.search(rf"\b{f.name}\b", str(exc)):
                         wrong.append(f"{probe} refused under another name: {exc}")
                 else:
-                    if (f.name, v) not in _CENSUS_EXEMPT:
+                    if not exempt:
                         wrong.append(f"{probe} accepted")
     assert wrong == []
 
@@ -636,6 +646,10 @@ _CENSUS_CALLS = {
     "SmoothnessSpec": dict(ell=2.0, rho=1.0),
     "SNCParams": dataclasses.asdict(_SNC),
     "StochasticOracle": dict(mean=_SADDLE, ell_tilde=2.0),
+    "accelerate": dict(
+        oracle=CountingOracle(_SADDLE), x0=_ORIGIN, params=ANCParams(**_ANC), trace=Trace(),
+        escape=lambda *a: None, threshold=0.02, cooldown=0,
+    ),
     "classify": dict(oracle=_SADDLE, x=_ORIGIN, eps=0.1),
     "dense_hessian": dict(oracle=_SADDLE, x=_ORIGIN),
     "dense_hessian_eig": dict(oracle=_SADDLE, x=_ORIGIN),
@@ -644,6 +658,10 @@ _CENSUS_CALLS = {
     "derive_nc_params": dict(spec=_SADDLE.spec, eps=0.1, delta0=0.1, n=2),
     "derive_snc_params": dict(spec=_SADDLE.spec, ell_tilde=2.0, eps=0.1, delta=0.1, n=2),
     "derive_params_for": dict(alg="snc", ell=2.0, rho=1.0, eps=0.1, delta=0.1, n=2),
+    "descend": dict(
+        x0=_ORIGIN, params=_PAGD, trace=Trace(), estimate=lambda x, g: g, recorder=_SADDLE,
+        escape=lambda *a: None, event=EVENT_GD, eta=0.05, threshold=0.02,
+    ),
     "fd_quadform": dict(oracle=_SADDLE, x=_ORIGIN, e=_AXIS),
     "gaussian_sample": dict(center=_ORIGIN, variance_per_coord=0.1, stream=RngStream(0, 0)),
     "grad_power_lambda_min": dict(oracle=_SADDLE, x=_ORIGIN, iters=5, stream=RngStream(0, 0)),
@@ -669,7 +687,6 @@ _CENSUS_EXEMPT.update({
     ("sigma_a", 0): "sigma_a = 0 leaves the additive noise alone",
     ("sigma_b", 0): "sigma_b = 0 leaves the random quadratic alone",
     ("variance_per_coord", 0): "zero variance draws the center itself",
-    # A key "callable.parameter" exempts the value for that callable only.
     ("uniform_ball_sample.radius", 0): "the ball of radius 0 is the center itself",
 })
 
@@ -686,9 +703,9 @@ def _numeric(func) -> dict:
 
 
 def _public_callables() -> list[tuple[str, object]]:
-    """Every callable of saddlescape.__all__ but the exceptions, and every
-    public method that a class of it defines, by name."""
-    found = []
+    """Every callable of saddlescape.__all__ but the exceptions, every public
+    method that a class of it defines, and the two escape loops, by name."""
+    found = [("accelerate", accelerate), ("descend", descend)]
     for name in saddlescape.__all__:
         obj = getattr(saddlescape, name)
         if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
@@ -720,7 +737,7 @@ def test_callable_census(label, func):
     for name, values in _numeric(func).items():
         for v in values:
             probe = f"{label}({name}={v!r})"
-            exempt = (name, v) in _CENSUS_EXEMPT or (f"{label}.{name}", v) in _CENSUS_EXEMPT
+            exempt = _exempt(label, name, v)
             try:
                 func(**{**base, name: v})
             except ParameterError as exc:
@@ -768,8 +785,8 @@ def _numeric_flags() -> list:
 )
 def test_cli_census(command, action, capsys):
     """The callable census through the CLI: each census value of each
-    numeric flag exits 1, or is in _CENSUS_EXEMPT (by the flag's dest) and
-    runs (exit 0)."""
+    numeric flag exits 1, or is in _CENSUS_EXEMPT (by the flag's dest, as an
+    ExperimentConfig field) and runs (exit 0)."""
     wrong = []
     for v in _CENSUS_VALUES + ((1.5,) if action.type is int else ()):
         argv = [*_census_argv(command, action.dest), f"{action.option_strings[0]}={v}"]
@@ -777,7 +794,7 @@ def test_cli_census(command, action, capsys):
             code = main(argv)
         except SystemExit as exc:  # argparse's refusal
             code = exc.code
-        if code != (0 if (action.dest, v) in _CENSUS_EXEMPT else 1):
+        if code != (0 if _exempt("ExperimentConfig", action.dest, v) else 1):
             wrong.append(f"{' '.join(argv)} exited {code}")
     assert wrong == []
 

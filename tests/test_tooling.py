@@ -278,6 +278,24 @@ def test_episode_holds_are_built_in_one_place():
     assert builders == {"ncfind._episode"}
 
 
+def test_momentum_reset_is_written_once():
+    # The reset's step to nce_radius is written once, inline in accelerate,
+    # and the loop carries its momentum's length, so ancgd builds no zero
+    # momentum array.
+    resets = [
+        f"{path.stem}.{func.name}"
+        for path in Path(saddlescape.__file__).parent.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_lower_step"
+        and "nce_radius" in ast.unparse(node)
+    ]
+    assert resets == ["ancgd.accelerate"]
+    ancgd = (Path(saddlescape.__file__).parent / "ancgd.py").read_text()
+    assert "zeros_like" not in ancgd
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
