@@ -17,6 +17,7 @@ from .core import (
     EVENT_PERTURB,
     CountingOracle,
     GradientOracle,
+    ParameterError,
     RngStream,
     Trace,
     TraceRecord,
@@ -93,9 +94,10 @@ def accelerate(
     lower model at z and resets the momentum when violated.  The loop
     carries the momentum's length v_norm, which each record takes: 0 at the
     start, after a reset and at a budget-end episode, and None on held
-    records.  params supplies eta, theta, gamma, nce_radius, total_steps and
-    trust_region; trace.meta gets the oracle's call counts.  x0 must be a
-    finite (dim,) vector.  At record="summary" no record keeps its iterate.
+    records.  params supplies eta, theta, gamma, nce_radius (none of them
+    None), total_steps and trust_region; trace.meta gets the oracle's call
+    counts.  x0 must be a finite (dim,) vector.  At record="summary" no
+    record keeps its iterate.
 
     Queries per iteration: the record takes f(x) and grad f(x) in one
     value_and_gradient call, or grad f(x) alone while f_x holds f(x); a held
@@ -107,6 +109,8 @@ def accelerate(
     episode clears both.  Whatever escape queries comes on top.
     """
     keep = keeps_iterates(record)
+    if params.theta is None or params.gamma is None or params.nce_radius is None:
+        raise ParameterError("accelerate needs theta, gamma, and nce_radius")
     require_nonnegative(threshold=threshold)
     require_count(least=0, cooldown=cooldown)
     x = z = require_vector(x0, "x0", oracle.dim).copy()
@@ -168,38 +172,66 @@ def accelerate(
     return trace
 
 
+def _pinned(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps: int) -> Array:
+    """_window's pinned steps from x = z at anchor, whose gradient is g."""
+    eta, theta, radius = params.eta, params.theta, params.perturb_radius
+    z = x
+    for _ in range(steps):
+        x_next = z - eta * (oracle.gradient(z) - g)
+        z_next = x_next + (1.0 - theta) * (x_next - x)
+        z_off = z_next - anchor
+        zn = _norm(z_off)
+        if zn > 0.0:
+            # Both offsets shrink by the z factor, not their own norms:
+            # the pair stays a rigid rescaling of the free-space iterates.
+            scale = radius / zn
+            z_next = anchor + scale * z_off
+            x_next = anchor + scale * (x_next - anchor)
+        x, z = x_next, z_next
+        check_iterate(x, params.trust_region, trace)
+    return x
+
+
+def _pinned_planar(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps: int) -> Array:
+    """_pinned at a 2-d anchor on the pair's Python floats, bit for bit.
+    Float +, - and * round as numpy's elementwise ops do, but numpy's 2-d dot
+    product is fused, so every length still comes from _norm on an array."""
+    eta, c, radius = params.eta, 1.0 - params.theta, params.perturb_radius
+    (a1, a2), (g1, g2) = anchor.tolist(), g.tolist()
+    x1, x2 = z1, z2 = x.tolist()
+    for _ in range(steps):
+        d1, d2 = oracle.gradient(np.array([z1, z2])).tolist()
+        u1, u2 = z1 - eta * (d1 - g1), z2 - eta * (d2 - g2)
+        x1, x2, z1, z2 = u1, u2, u1 + c * (u1 - x1), u2 + c * (u2 - x2)
+        zn = _norm(np.array([z1 - a1, z2 - a2]))
+        if zn > 0.0:
+            scale = radius / zn
+            z1, z2 = a1 + scale * (z1 - a1), a2 + scale * (z2 - a2)
+            x1, x2 = a1 + scale * (x1 - a1), a2 + scale * (x2 - a2)
+        x = check_iterate(np.array([x1, x2]), params.trust_region, trace)
+    return x
+
+
 def _window(oracle: CountingOracle, params: ANCParams, trace: Trace, stream: RngStream):
     """ancgd's episode hook: a momentum search window pinned to the probe
     sphere around the anchor, then an exploit.  A uniform draw from the
     perturb_radius ball starts the pair; it re-tags the anchor's record
     perturb-uniform and is logged as {"t", "anchor", "offset"}.  Each of
-    min(ncf_steps, budget) held steps queries grad f(z) alone, subtracts g
-    and pins the pair to the sphere.  A window that uses up the budget
-    returns its last point, tagged ncf-step; otherwise ncfind.exploit from
-    the anchor along the direction the pair drifted (the anchor, if none)
-    closes it, tagged ncf-exploit.  It is not ncfind._power_search, which
-    has no momentum.
+    min(ncf_steps, budget) held steps (_pinned; _pinned_planar at n = 2)
+    queries grad f(z) alone, subtracts g and pins the pair to the sphere.  A
+    window that uses up the budget returns its last point, tagged ncf-step;
+    otherwise ncfind.exploit from the anchor along the direction the pair
+    drifted (the anchor, if none) closes it, tagged ncf-exploit.  It is not
+    ncfind._power_search, which has no momentum.
     """
-    eta, theta, radius = params.eta, params.theta, params.perturb_radius
 
     def escape(anchor: Array, g: Array, t: int, budget: int):
-        x = z = uniform_ball_sample(anchor, radius, stream)
+        x = uniform_ball_sample(anchor, params.perturb_radius, stream)
         trace.records[-1].event = EVENT_PERTURB
         trace.meta["perturbs"].append({"t": t, "anchor": anchor, "offset": x - anchor})
         steps = min(params.ncf_steps, budget)
-        for _ in range(steps):
-            x_next = z - eta * (oracle.gradient(z) - g)
-            z_next = x_next + (1.0 - theta) * (x_next - x)
-            z_off = z_next - anchor
-            zn = _norm(z_off)
-            if zn > 0.0:
-                # Both offsets shrink by the z factor, not their own norms:
-                # the pair stays a rigid rescaling of the free-space iterates.
-                scale = radius / zn
-                z_next = anchor + scale * z_off
-                x_next = anchor + scale * (x_next - anchor)
-            x, z = x_next, z_next
-            check_iterate(x, params.trust_region, trace)
+        pinned = _pinned_planar if anchor.size == 2 else _pinned
+        x = pinned(oracle, params, trace, anchor, g, x, steps)
         if steps == budget:
             return x, EVENT_NCF_STEP, steps, False
         diff = x - anchor

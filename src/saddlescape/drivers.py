@@ -13,7 +13,6 @@ from .core import (
     EVENT_SGD,
     CountingOracle,
     GradientOracle,
-    ParameterError,
     RngStream,
     StochasticOracle,
     Trace,
@@ -136,8 +135,6 @@ def pagd_run(
     """Accelerated descent with ball perturbations and the momentum reset:
     accelerate with _perturbation as its episode hook, so a draw only
     re-seeds the iterate, and the certificate and reset run every step."""
-    if params.theta is None or params.gamma is None or params.nce_radius is None:
-        raise ParameterError("pagd_run needs theta, gamma, and nce_radius")
     trace = Trace.start("pagd", stream, perturbs=[])
     escape = _perturbation(trace, lambda x: uniform_ball_sample(x, params.radius, stream))
     return accelerate(

@@ -208,13 +208,16 @@ def make_exponential() -> Landscape:
 
     def _parts(x1: float):
         """u = x1^2, s = 1/(1 + e^u), a pair (eu, s2) whose product is
-        e^u s^2, e^-u and p = u e^-u.  Where e^u overflows, 1 + e^-u rounds
-        to 1, so s is e^-u and the pair is (e^-u, 1)."""
+        e^u s^2, e^-u and p = u e^-u.  Where 4 u e^u, the largest product of
+        e^u in hess, overflows (|x1| > 26.49), 1 + e^-u rounds to 1, so s is
+        e^-u and the pair is (e^-u, 1)."""
         u = x1**2
         emu = math.exp(-u)
         try:
             eu = math.exp(u)
         except OverflowError:
+            eu = math.inf
+        if 4 * u * eu == math.inf:
             return u, emu, emu, 1.0, emu, u * emu
         s = 1.0 / (1.0 + eu)
         return u, s, eu, s**2, emu, u * emu

@@ -3,14 +3,18 @@ and the episode-hook contract it shares with descend."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import ancgd
 from saddlescape import (
     ANCParams,
     BaselineParams,
+    DivergenceError,
     ParameterError,
     RngStream,
     SmoothnessSpec,
@@ -28,6 +32,7 @@ from saddlescape.core import (
     EVENT_PERTURB,
     CountingOracle,
     Trace,
+    TraceRecord,
 )
 from saddlescape.ncfind import descend
 
@@ -85,6 +90,16 @@ class TestDerivedConstants:
             _window_params(eta=-0.1)
         with pytest.raises(ParameterError):
             _window_params(ncf_steps=0)
+
+    def test_accelerate_names_the_momentum_constants_it_lacks(self):
+        # pagd's params leave theta, gamma and nce_radius unset by default.
+        bare = BaselineParams(eta=0.05, radius=0.1, grad_threshold=0.0, total_steps=5)
+        oracle = CountingOracle(make_quadratic([-1.0, 2.0]))
+        with pytest.raises(ParameterError, match="theta, gamma, and nce_radius"):
+            ancgd.accelerate(
+                oracle, np.array([0.1, 0.2]), bare, Trace(), lambda *a: None, 0.0, 0
+            )
+        assert oracle.f_evals == oracle.grad_evals == 0
 
     def test_trigger_defaults_reach_the_loop(self, quad2, monkeypatch):
         # Unset, the trigger is eps and the cooldown ncf_steps; set, each
@@ -218,6 +233,92 @@ class TestWindowEquivalence:
         trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(1, 0))
         e_hat = trace.meta["exploits"][0]["e_hat"]
         assert angular_gap(e_hat, np.array([1.0, 0.0])) <= 1e-3
+
+
+def _bits(obj):
+    """obj with every float and array replaced by its bytes, so == compares bits."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, TraceRecord):
+        return _bits([obj.t, obj.f, obj.grad_norm, obj.event, obj.x, obj.v_norm])
+    return obj
+
+
+def _window_outcome(pinned, oracle, anchor, params, seed):
+    """ancgd_run from anchor with pinned as its 2-d window steps: the bits of
+    the point each window's steps return, the records, the meta, the oracle
+    counts and the divergence message (None if the run finished)."""
+    points = []
+
+    def logged(*args):
+        points.append(pinned(*args))
+        return points[-1]
+
+    counted = CountingOracle(oracle)
+    with mock.patch.object(ancgd, "_pinned_planar", logged):
+        try:
+            trace, error = ancgd_run(counted, anchor, params, RngStream(seed, 0)), None
+        except DivergenceError as exc:
+            trace, error = exc.trace, str(exc)
+    outcome = [points, trace.records, trace.meta, counted.f_evals, counted.grad_evals]
+    return _bits(outcome), error
+
+
+_ANCHORS = [(37.0, -81.0), (0.7, -1.3), (-0.0, 0.25), (0.0, -0.0), (1e-3, 2e-3)]
+
+
+class TestPlanarWindow:
+    """The 2-d window steps on Python floats against the numpy loop they
+    replace at n = 2: the same bytes in every output, the same oracle calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        land_id=st.sampled_from(["quartic", "cubic", "triangle", "exponential"]),
+        anchor=st.sampled_from(_ANCHORS),
+        radius=st.one_of(st.just(2.3e-11), st.floats(2.3e-11, 0.1)),
+        total_steps=st.integers(1, 30),
+        cooldown=st.sampled_from([0, 3, 10**6]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(land_id="quartic", anchor=(-0.0, 0.25), radius=0.1, total_steps=7,
+             cooldown=10**6, seed=0)
+    @example(land_id="cubic", anchor=(37.0, -81.0), radius=2.3e-11, total_steps=30,
+             cooldown=0, seed=1)
+    def test_planar_steps_match_the_numpy_loop(
+        self, land_id, anchor, radius, total_steps, cooldown, seed
+    ):
+        # ncf_steps = 12, so budgets below 13 end inside the first window.
+        params = _window_params(
+            ncf_steps=12, total_steps=total_steps, perturb_radius=radius,
+            grad_threshold=1e300, cooldown=cooldown,
+        )
+        oracle, x0 = get_landscape(land_id).oracle, np.array(anchor)
+        planar = _window_outcome(ancgd._pinned_planar, oracle, x0, params, seed)
+        assert planar[0][0], "no window ran"
+        assert planar == _window_outcome(ancgd._pinned, oracle, x0, params, seed)
+
+    # One record (the anchor's): a window step raised.  21 (the anchor's and
+    # the window's 20): the window came back inside and the step after it raised.
+    @pytest.mark.parametrize("seed, records", [(0, 1), (1, 1), (2, 21), (3, 1)])
+    def test_window_leaving_the_trust_region_fails_at_the_same_step(self, seed, records):
+        # The sphere around (0.7, -1.3) reaches 0.1 past the anchor's norm,
+        # so a bound just above that norm is crossed where the window drifts out.
+        anchor = np.array([0.7, -1.3])
+        params = _window_params(
+            ncf_steps=20, total_steps=40, perturb_radius=0.1, grad_threshold=1e300,
+            cooldown=10**6, trust_region=float(np.linalg.norm(anchor)) + 0.02,
+        )
+        oracle = make_quadratic([-1.0, 2.0])
+        planar, error = _window_outcome(ancgd._pinned_planar, oracle, anchor, params, seed)
+        assert error is not None and "trust region" in error
+        assert len(planar[1]) == records
+        assert (planar, error) == _window_outcome(ancgd._pinned, oracle, anchor, params, seed)
 
 
 class TestRunMechanics:

@@ -133,14 +133,17 @@ class TestRunCommand:
         assert code == 3
         assert capsys.readouterr() == ("", "diverged: non-finite iterate encountered\n")
 
-    def test_exponential_far_from_saddle_runs(self):
-        # e^(x1^2) overflows at x1 = 30 while f is finite.
+    # e^(x1^2) overflows at x1 = 30 while f is finite; at x1 = 26.6 it does
+    # not, but 4 x1^2 e^(x1^2) does.
+    @pytest.mark.parametrize("x0", ["30,0", "26.6,0.3"])
+    def test_exponential_far_from_saddle_runs(self, x0, capsys):
         code = main([
-            "run", "--alg", "nc", "--fn", "exponential", "--trials", "2", "--x0", "30,0",
+            "run", "--alg", "nc", "--fn", "exponential", "--trials", "2", "--x0", x0,
             "--eta", "0.1", "--r", "0.01", "--ncf-steps", "5", "--steps", "10",
             "--threshold", "0.1", "--eps", "0.1",
         ])
         assert code == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "flags, message",

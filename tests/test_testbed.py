@@ -355,7 +355,12 @@ def _ref_triangle_hess(x):
 
 
 def _ref_exp_parts(x1):
+    # These formulas hold only where hess's largest product of e^u, 4 u e^u,
+    # is finite; past it the landscape takes the overflow pair (e^-u, 1).  At
+    # u = inf (numpy scalars past Python's ** overflow) both give NaN.
     u = x1**2
+    if math.isfinite(u) and 4 * u * math.exp(u) == math.inf:
+        raise OverflowError("4 u e^u overflows")
     s = 1.0 / (1.0 + math.exp(u))
     p = u * math.exp(-u)
     return u, s, p
@@ -432,7 +437,8 @@ class TestFloatPath:
             try:
                 expected = ref(x)
             except OverflowError:
-                # math.exp(x1**2) overflowed; only exponential calls it.
+                # e^(x1^2), or 4 x1^2 e^(x1^2), overflowed; only exponential
+                # computes it.
                 assert name == "exponential"
                 continue
             assert _same_bits(new(x), expected)
@@ -460,6 +466,20 @@ class TestFloatPath:
         assert land.hessian(x) == pytest.approx(np.diag([0.0, 1.0]), abs=1e-290)
 
 
+def test_exponential_derivatives_are_finite_wherever_f_is():
+    # Before the overflow pair took over at 4 u e^u, grad was NaN on
+    # [26.568, 26.641] and hess on [26.493, 26.641] (x2 = 0.3).
+    land = _LANDS["exponential"]
+    bad = []
+    for x1 in np.arange(20000, 60001) / 1000.0:
+        x = np.array([x1, 0.3])
+        if math.isfinite(land.oracle.value(x)) and not (
+            np.isfinite(land.oracle.gradient(x)).all() and np.isfinite(land.hessian(x)).all()
+        ):
+            bad.append(x1)
+    assert bad == []
+
+
 _FUSED_IDS = sorted(_FACTORIES) + ["highdim-10", "highdim-1000"]
 _FUSED_LANDS = {land_id: get_landscape(land_id) for land_id in _FUSED_IDS}
 _SIGN = st.sampled_from([-1.0, 1.0])
@@ -468,7 +488,7 @@ _SIGN = st.sampled_from([-1.0, 1.0])
 @st.composite
 def _fused_points(draw):
     """A landscape and a point: x1 in the box, -0.0, in exponential's band
-    where e^(x1^2) overflows and grad turns NaN (|x1| in [26.4, 27]), or
+    where 4 x1^2 e^(x1^2), then e^(x1^2), overflows (|x1| in [26.4, 27]), or
     beyond 30, out to where Python's ** overflows and the formulas fall back
     to numpy; the other entries in the box with some of them -0.0."""
     land_id = draw(st.sampled_from(_FUSED_IDS))

@@ -296,6 +296,21 @@ def test_momentum_reset_is_written_once():
     assert "zeros_like" not in ancgd
 
 
+def test_ancgd_takes_every_length_from_core_norm():
+    # numpy's 2-d dot product is fused, so a hand-written planar length
+    # rounds differently from core._norm and the window would lose its bytes.
+    tree = ast.parse((Path(saddlescape.__file__).parent / "ancgd.py").read_text())
+    lengths = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and ast.unparse(node) in {"math.sqrt", "math.hypot", "np.linalg.norm"}
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and ast.unparse(node.right) == "0.5"
+    ]
+    assert lengths == []
+    assert "_norm(" in ast.unparse(tree)
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
