@@ -1,6 +1,8 @@
 """Gradient-only saddle-point escape: negative-curvature search, accelerated
 and stochastic escape loops, analytic landscapes, and verification tools."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     AdditiveNoiseOracle,
     AlgorithmError,
@@ -59,60 +61,8 @@ from .harness import (
 
 __version__ = "0.1.0"
 
+# The exports: every public name the imports above bind, less the submodules.
 __all__ = [
-    "AdditiveNoiseOracle",
-    "AlgorithmError",
-    "ANCParams",
-    "Array",
-    "BaselineParams",
-    "CountingOracle",
-    "CurvatureReport",
-    "DivergenceError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GradientOracle",
-    "Landscape",
-    "NCDescentParams",
-    "NCOutcome",
-    "NCParams",
-    "ParameterError",
-    "RandomQuadraticNoiseOracle",
-    "RngStream",
-    "SaddleInfo",
-    "VERIFY_IDS",
-    "SmoothnessSpec",
-    "SNCParams",
-    "StationarityVerdict",
-    "StochasticOracle",
-    "Trace",
-    "TraceRecord",
-    "TrialResult",
-    "VerifyReport",
-    "ancgd_run",
-    "classify",
-    "dense_hessian",
-    "dense_hessian_eig",
-    "derive_anc_params",
-    "derive_nc_params",
-    "derive_snc_params",
-    "fd_quadform",
-    "gaussian_sample",
-    "get_landscape",
-    "grad_power_lambda_min",
-    "lemma_decrease_bound",
-    "nc_find",
-    "pagd_run",
-    "pgd_nc_run",
-    "pgd_run",
-    "psgd_run",
-    "registry_ids",
-    "run_dimension_scaling",
-    "run_experiment",
-    "derive_params_for",
-    "run_verify",
-    "sgd_nc_run",
-    "snc_find",
-    "uniform_ball_sample",
-    "with_noise",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

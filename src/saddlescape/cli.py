@@ -11,9 +11,10 @@ import numpy as np
 
 from .core import AlgorithmError, DivergenceError, ParameterError
 from .harness import (
-    ALGORITHMS, ExperimentConfig, derive_params_for, run_dimension_scaling, run_experiment,
+    ALGORITHMS, ExperimentConfig, _out_paths, derive_params_for, run_dimension_scaling,
+    run_experiment,
 )
-from .testbed import registry_ids
+from .testbed import VERIFY_IDS
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -86,10 +87,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"trials={len(result.rows)} steps={result.total_steps} threshold={result.threshold:g} "
         f"escape_rate={result.escape_rate:.4f} "
         f"fraction_below={result.fail_rate:.4f} "
-        f"mean_decrease={sum(r.decrease for r in result.rows) / len(result.rows):.6f}"
+        f"mean_decrease={result.mean_decrease:.6f}"
     )
-    if cfg.out:
-        print(f"wrote {cfg.out if cfg.out.endswith('.csv') else cfg.out + '.csv'}")
+    if cfg.out is not None:
+        print(f"wrote {_out_paths(cfg.out)[0]}")
     return EXIT_OK
 
 
@@ -113,9 +114,7 @@ def _cmd_dimscale(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ids = None
-    if args.fn:
-        ids = [part.strip() for part in args.fn.split(",") if part.strip()]
+    ids = None if args.fn is None else [p.strip() for p in args.fn.split(",") if p.strip()]
     report = run_verify(ids=ids)
     for entry in report.entries:
         for check in entry["checks"]:
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.set_defaults(func=_cmd_dimscale)
 
     p_ver = sub.add_parser("verify", help="audit landscape gradients, saddles, spectra")
-    p_ver.add_argument("--fn", help=f"comma list of ids (default registry: {registry_ids()})")
+    p_ver.add_argument("--fn", help=f"comma list of ids (default VERIFY_IDS: {VERIFY_IDS})")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_par = sub.add_parser("params", help="print derived constants for an algorithm")

@@ -145,8 +145,8 @@ class ExperimentConfig:
             )
         if not isinstance(self.landscape, str):
             raise ParameterError(f"landscape must be a string, got {self.landscape!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ParameterError(f"out must be a string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ParameterError(f"out must be a string naming a file, got {self.out!r}")
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if not _is_number(self.seed, numbers.Integral):
@@ -226,6 +226,10 @@ class ExperimentResult:
     def fail_rate(self) -> float:
         return 1.0 - self.escape_rate
 
+    @property
+    def mean_decrease(self) -> float:
+        return float(np.mean([r.decrease for r in self.rows]))
+
     def summary(self) -> dict:
         decreases = [r.decrease for r in self.rows]
         edges, counts = _histogram(decreases)
@@ -238,7 +242,7 @@ class ExperimentResult:
             "threshold": self.threshold,
             "escape_rate": self.escape_rate,
             "fraction_below_threshold": self.fail_rate,
-            "mean_decrease": float(np.mean(decreases)),
+            "mean_decrease": self.mean_decrease,
             "min_decrease": float(np.min(decreases)),
             "max_decrease": float(np.max(decreases)),
             "bin_width": BIN_WIDTH,
@@ -550,7 +554,7 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     order, so outputs are byte-identical for any job count."""
     payloads, trials = [], []
     for cfg in cfgs:
-        if cfg.out:
+        if cfg.out is not None:
             _check_out_dir(*_out_paths(cfg.out))
         payloads.append(build_payload(cfg, get_landscape(cfg.landscape)))
         trials += [(payloads[-1], trial) for trial in range(cfg.trials)]
@@ -563,7 +567,7 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     for cfg, payload in zip(cfgs, payloads):
         own, rows = rows[: cfg.trials], rows[cfg.trials :]
         result = ExperimentResult(cfg, own, payload["threshold"], payload["params"].total_steps)
-        if cfg.out:
+        if cfg.out is not None:
             csv_path, summary_path = _out_paths(cfg.out)
             write_csv(own, csv_path)
             with open(summary_path, "w") as fh:
@@ -573,10 +577,12 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     return results
 
 
-def _check_out_dir(*paths: str | None) -> None:
-    """Fail before the first trial when an output path's directory is
-    missing or the path is itself a directory."""
-    for path in filter(None, paths):
+def _check_out_dir(*paths: str) -> None:
+    """Fail before the first trial when an output path is empty, its
+    directory is missing or the path is itself a directory."""
+    for path in paths:
+        if not path:
+            raise ParameterError("output path is empty")
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
             raise ParameterError(f"output directory {parent!r} does not exist")
@@ -585,9 +591,8 @@ def _check_out_dir(*paths: str | None) -> None:
 
 
 def _out_paths(out: str) -> tuple[str, str]:
-    base = out[:-4] if out.endswith(".csv") else out
-    csv_path = base + ".csv"
-    return csv_path, base + ".summary.json"
+    base = out.removesuffix(".csv")
+    return base + ".csv", base + ".summary.json"
 
 
 def _write_table(path: str, columns, rows) -> None:
@@ -613,7 +618,8 @@ def run_dimension_scaling(
 ) -> list[dict]:
     """Escape rates across dimensions n = 10**p under the published budgets:
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10."""
-    _check_out_dir(out)
+    if out is not None:
+        _check_out_dir(out)
     require_count(trials=trials)
     rows, cfgs = [], []
     for p in ps:
@@ -640,7 +646,7 @@ def run_dimension_scaling(
     for row, nc_res, pgd_res in zip(rows, results[::2], results[1::2]):
         row["nc_escape_rate"] = nc_res.escape_rate
         row["pgd_escape_rate"] = pgd_res.escape_rate
-    if out:
+    if out is not None:
         cols = ("p", "n", "trials", "nc_steps", "pgd_steps", "nc_escape_rate", "pgd_escape_rate")
         _write_table(out, cols, ([r[c] for c in cols] for r in rows))
     return rows

@@ -377,7 +377,7 @@ _FACTORIES: dict[str, Callable[[], Landscape]] = {
 }
 
 # Landscapes covered by the certification suite (dense Hessian path).
-VERIFY_IDS = ["quartic", "cubic", "triangle", "exponential", "highdim-10"]
+VERIFY_IDS = [*_FACTORIES, "highdim-10"]
 
 
 def get_landscape(land_id: str) -> Landscape:
@@ -393,6 +393,8 @@ def get_landscape(land_id: str) -> Landscape:
             rest = rest[: -len("-soft")]
         try:
             n = int(rest)
+            if rest != str(n):  # 010, 1_0, " 10", +10 or non-ASCII digits
+                raise ValueError(rest)
         except ValueError:
             raise ParameterError(f"bad highdim landscape id: {land_id!r}")
         return make_highdim(n, eps_h=0.01 if soft else 1.0)

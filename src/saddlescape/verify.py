@@ -232,13 +232,16 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
     bottom eigenvalue and is not second-order stationary; every declared
     minimum is stationary, has the declared value and is second-order
     stationary; the sampled Hessian spectrum respects the declared ell.
-    A landscape of n > MAX_VERIFY_DIM is refused before any is audited.
+    ids=None audits VERIFY_IDS; an empty list of ids or landscapes is
+    refused, as is a landscape of n > MAX_VERIFY_DIM, before any is audited.
     """
     require_count(points_per_landscape=points_per_landscape)
     report = VerifyReport()
     if landscapes is None:
-        landscapes = [get_landscape(i) for i in (ids or VERIFY_IDS)]
+        landscapes = [get_landscape(i) for i in (VERIFY_IDS if ids is None else ids)]
     landscapes = list(landscapes)
+    if not landscapes:
+        raise ParameterError("verify needs at least one landscape")
     for land in landscapes:
         if land.dim > MAX_VERIFY_DIM:
             raise ParameterError(f"verify caps n at {MAX_VERIFY_DIM}; {land.id} has n={land.dim}")

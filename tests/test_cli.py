@@ -8,6 +8,7 @@ import time
 import pytest
 
 from saddlescape import (
+    VERIFY_IDS,
     ExperimentConfig,
     SmoothnessSpec,
     VerifyReport,
@@ -31,10 +32,25 @@ class TestRunCommand:
         ])
         assert code == 0
         assert (tmp_path / "res.csv").exists()
-        assert (tmp_path / "res.summary.json").exists()
-        stdout = capsys.readouterr().out
-        assert "escape_rate=" in stdout
-        assert "wrote" in stdout
+        # The run line prints the summary's own numbers and csv path.
+        summary = json.loads((tmp_path / "res.summary.json").read_text())
+        assert capsys.readouterr().out.splitlines() == [
+            f"alg=nc fn=quartic mode=experiment trials=3 steps=90 threshold=0.9 "
+            f"escape_rate={summary['escape_rate']:.4f} "
+            f"fraction_below={summary['fraction_below_threshold']:.4f} "
+            f"mean_decrease={summary['mean_decrease']:.6f}",
+            f"wrote {out}.csv",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        "run --alg nc --fn quartic --trials 2 --out",
+        "dimscale --p 1 --trials 2 --out",
+    ])
+    def test_empty_out_exits_one_before_any_trial(self, argv, trials_run, capsys):
+        # An empty --out would run every trial, exit 0 and write nothing.
+        assert main(argv.split() + [""]) == 1
+        assert capsys.readouterr().err.startswith("error: out")
+        assert trials_run == []
 
     def test_paper_run_prints_its_derived_budget(self, capsys):
         # The budget is derived, not given, so the run line is where it shows;
@@ -445,6 +461,18 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             f"error: verify caps n at {MAX_VERIFY_DIM}; highdim-{n} has n={n}\n"
         )
+
+    @pytest.mark.parametrize("fn", [",", " , ", ""])
+    def test_verify_with_no_id_exits_one(self, fn, capsys):
+        # An --fn that names no id is not the default set.
+        assert main(["verify", "--fn", fn]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: verify needs at least one landscape\n")
+
+    def test_verify_help_names_the_default_set(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        text = " ".join(sub.choices["verify"].format_help().split())
+        assert f"(default VERIFY_IDS: {VERIFY_IDS})" in text
 
     def test_verify_failure_exits_two(self, capsys, monkeypatch):
         import saddlescape.cli as cli_mod

@@ -49,6 +49,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError, match="must be a string"):
             ExperimentConfig(**{"algorithm": "nc", "landscape": "quartic", **field})
 
+    def test_rejects_empty_out(self):
+        # An empty out would run every trial and write nothing.
+        with pytest.raises(ParameterError, match="out must be a string naming a file, got ''"):
+            ExperimentConfig(algorithm="nc", landscape="quartic", out="")
+
     def test_rejects_knob_the_algorithm_never_reads(self):
         with pytest.raises(ParameterError, match="never reads exploit_step"):
             ExperimentConfig(algorithm="pgd", landscape="quartic", exploit_step=0.3)
@@ -433,6 +438,11 @@ class TestDimensionScaling:
         with pytest.raises(ParameterError):
             run_dimension_scaling([0], trials=1)
 
+    def test_rejects_empty_out_before_any_trial(self, trials_run):
+        with pytest.raises(ParameterError, match="^output path is empty$"):
+            run_dimension_scaling([1], trials=2, out="")
+        assert trials_run == []
+
     def test_out_csv(self, tmp_path):
         out = str(tmp_path / "dims.csv")
         run_dimension_scaling([1], trials=5, seed=0, out=out)
@@ -501,6 +511,12 @@ class TestRunVerify:
             land = dataclasses.replace(land, minima=[moved])
         report = run_verify(landscapes=[land], points_per_landscape=1)
         assert f"quartic: {check}" in {f.rsplit(": ", 1)[0] for f in report.failures}
+
+    @pytest.mark.parametrize("kwargs", [{"ids": []}, {"landscapes": []}])
+    def test_rejects_an_empty_list(self, kwargs):
+        # Only ids=None means the VERIFY_IDS default.
+        with pytest.raises(ParameterError, match="^verify needs at least one landscape$"):
+            run_verify(**kwargs)
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_rejects_fewer_than_one_point(self, points):

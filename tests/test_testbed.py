@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from saddlescape import (
     AdditiveNoiseOracle,
     CountingOracle,
+    ExperimentConfig,
     ParameterError,
     RandomQuadraticNoiseOracle,
     RngStream,
     get_landscape,
     registry_ids,
+    run_experiment,
     run_verify,
     with_noise,
 )
@@ -60,6 +62,17 @@ class TestRegistry:
         assert soft.saddles[0].lambda_min == pytest.approx(-0.01)
         with pytest.raises(ParameterError):
             get_landscape("highdim-1")
+
+    @pytest.mark.parametrize(
+        "land_id", ["highdim-010", "highdim-1_0", "highdim- 10", "highdim-+10", "highdim-\u0663"]
+    )
+    def test_highdim_id_names_its_dimension_one_way(self, land_id):
+        # int() reads each of these (the last is an Arabic-Indic 3), and a
+        # run's summary would name the id it was given, not the one that ran.
+        with pytest.raises(ParameterError, match="bad highdim landscape id"):
+            get_landscape(land_id)
+        with pytest.raises(ParameterError, match="bad highdim landscape id"):
+            run_experiment(ExperimentConfig("nc", land_id, trials=2))
 
     def test_highdim_dimension_is_capped_before_any_allocation(self, monkeypatch):
         class Allocated(Exception):
