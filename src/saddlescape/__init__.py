@@ -36,7 +36,6 @@ from .testbed import (
     SaddleInfo,
     VERIFY_IDS,
     get_landscape,
-    registry_ids,
     with_noise,
 )
 from .verify import (

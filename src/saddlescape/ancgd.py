@@ -34,12 +34,6 @@ from .core import (
 )
 from .ncfind import _episode, _lower_step, exploit
 
-__all__ = [
-    "ANCParams",
-    "accelerate",
-    "ancgd_run",
-]
-
 
 @dataclass(frozen=True)
 class ANCParams:

@@ -13,36 +13,6 @@ import numpy as np
 
 Array = np.ndarray
 
-__all__ = [
-    "Array",
-    "SmoothnessSpec",
-    "GradientOracle",
-    "StochasticOracle",
-    "AdditiveNoiseOracle",
-    "CountingOracle",
-    "RngStream",
-    "TraceRecord",
-    "Trace",
-    "ParameterError",
-    "AlgorithmError",
-    "DivergenceError",
-    "uniform_ball_sample",
-    "gaussian_sample",
-    "require_positive",
-    "require_nonnegative",
-    "require_count",
-    "require_fraction",
-    "require_bound",
-    "require_finite",
-    "require_vector",
-    "EVENT_GD",
-    "EVENT_AGD",
-    "EVENT_PERTURB",
-    "EVENT_NCF_STEP",
-    "EVENT_NCF_EXPLOIT",
-    "EVENT_NCE",
-    "EVENT_SGD",
-]
 
 # Event vocabulary for trace records.
 EVENT_GD = "gd"

@@ -27,14 +27,6 @@ from .core import (
 from .ancgd import accelerate
 from .ncfind import NCDescentParams, curvature_escape, descend, nc_find
 
-__all__ = [
-    "pgd_nc_run",
-    "BaselineParams",
-    "pgd_run",
-    "pagd_run",
-    "psgd_run",
-]
-
 
 def pgd_nc_run(
     oracle: GradientOracle,

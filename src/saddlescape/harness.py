@@ -41,16 +41,6 @@ from .schedules import _ancgd, _baseline, _descent, _Setting, derive_nc_params
 from .stochastic import sgd_nc_run
 from .testbed import Landscape, get_landscape, with_noise
 
-__all__ = [
-    "ALGORITHMS",
-    "ExperimentConfig",
-    "TrialResult",
-    "ExperimentResult",
-    "run_experiment",
-    "run_dimension_scaling",
-    "derive_params_for",
-    "write_csv",
-]
 
 BIN_WIDTH = 0.05
 _NEVER = 10**9
@@ -145,7 +135,10 @@ class ExperimentConfig:
             )
         if not isinstance(self.landscape, str):
             raise ParameterError(f"landscape must be a string, got {self.landscape!r}")
-        if self.out is not None and not (isinstance(self.out, str) and self.out):
+        # out less ".csv" must end in a file name, so "r/" and ".csv" are refused.
+        if self.out is not None and not (
+            isinstance(self.out, str) and os.path.basename(self.out.removesuffix(".csv"))
+        ):
             raise ParameterError(f"out must be a string naming a file, got {self.out!r}")
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
@@ -617,7 +610,13 @@ def run_dimension_scaling(
     out: str | None = None,
 ) -> list[dict]:
     """Escape rates across dimensions n = 10**p under the published budgets:
-    the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10."""
+    the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10.
+    ps must list at least one exponent (a string is refused, not read as digits)."""
+    if isinstance(ps, str):
+        raise ParameterError(f"ps must be a list of exponents, got the string {ps!r}")
+    ps = list(ps)
+    if not ps:
+        raise ParameterError("ps must list at least one exponent")
     if out is not None:
         _check_out_dir(out)
     require_count(trials=trials)

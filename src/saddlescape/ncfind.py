@@ -37,16 +37,6 @@ from .core import (
 if TYPE_CHECKING:
     from .stochastic import SNCParams
 
-__all__ = [
-    "NCParams",
-    "NCOutcome",
-    "nc_find",
-    "lemma_decrease_bound",
-    "exploit",
-    "NCDescentParams",
-    "descend",
-    "curvature_escape",
-]
 
 _MAX_RESTARTS = 3
 

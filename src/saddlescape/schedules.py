@@ -16,7 +16,6 @@ from .drivers import BaselineParams
 from .ncfind import _K, NCDescentParams, NCParams
 from .stochastic import SNCParams
 
-__all__ = ["derive_nc_params", "derive_anc_params", "derive_snc_params"]
 
 # The free constant in ancgd's episode length.  c_a**7 >= K keeps the
 # per-episode decrease target below the certified decrease.

@@ -30,12 +30,6 @@ from .ncfind import (
     descend,
 )
 
-__all__ = [
-    "SNCParams",
-    "snc_find",
-    "sgd_nc_run",
-]
-
 
 @dataclass(frozen=True)
 class SNCParams:

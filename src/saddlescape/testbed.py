@@ -22,21 +22,6 @@ from .core import (
     require_positive,
 )
 
-__all__ = [
-    "SaddleInfo",
-    "Landscape",
-    "make_quartic",
-    "make_cubic_stochastic",
-    "make_triangle",
-    "make_exponential",
-    "make_highdim",
-    "with_noise",
-    "RandomQuadraticNoiseOracle",
-    "get_landscape",
-    "registry_ids",
-    "VERIFY_IDS",
-]
-
 
 @dataclass(frozen=True)
 class SaddleInfo:
@@ -399,7 +384,3 @@ def get_landscape(land_id: str) -> Landscape:
             raise ParameterError(f"bad highdim landscape id: {land_id!r}")
         return make_highdim(n, eps_h=0.01 if soft else 1.0)
     raise ParameterError(f"unknown landscape id: {land_id!r}")
-
-
-def registry_ids() -> list[str]:
-    return sorted(_FACTORIES) + ["highdim-<n>", "highdim-<n>-soft"]

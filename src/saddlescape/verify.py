@@ -15,20 +15,6 @@ from .core import (
 from .ncfind import _difference_step, _power_search
 from .testbed import VERIFY_IDS, Landscape, get_landscape
 
-__all__ = [
-    "CurvatureReport",
-    "StationarityVerdict",
-    "default_step",
-    "fd_quadform",
-    "dense_hessian",
-    "dense_hessian_eig",
-    "classify",
-    "grad_power_lambda_min",
-    "DENSE_CAP",
-    "MAX_VERIFY_DIM",
-    "VerifyReport",
-    "run_verify",
-]
 
 # Above this dimension a dense finite-difference Hessian is refused; callers
 # with analytic structure should verify it directly.
@@ -232,10 +218,15 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
     bottom eigenvalue and is not second-order stationary; every declared
     minimum is stationary, has the declared value and is second-order
     stationary; the sampled Hessian spectrum respects the declared ell.
-    ids=None audits VERIFY_IDS; an empty list of ids or landscapes is
-    refused, as is a landscape of n > MAX_VERIFY_DIM, before any is audited.
+    ids=None audits VERIFY_IDS.  A string for ids, ids given with
+    landscapes, an empty list of either and a landscape of n > MAX_VERIFY_DIM
+    are refused before any landscape is audited.
     """
     require_count(points_per_landscape=points_per_landscape)
+    if isinstance(ids, str):
+        raise ParameterError(f"ids must be a list of landscape ids, got the string {ids!r}")
+    if ids is not None and landscapes is not None:
+        raise ParameterError("give ids or landscapes, not both")
     report = VerifyReport()
     if landscapes is None:
         landscapes = [get_landscape(i) for i in (VERIFY_IDS if ids is None else ids)]

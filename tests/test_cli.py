@@ -366,6 +366,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: output path '{taken}' is a directory\n"
         assert trials_run == []
 
+    @pytest.mark.parametrize("out", ["results/", ".csv", "results/.csv"])
+    def test_out_with_no_file_name_fails_before_first_trial(
+        self, out, tmp_path, monkeypatch, trials_run, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        argv = ["run", "--alg", "nc", "--fn", "quartic", "--trials", "2", "--out", out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out must be a string naming a file, got {out!r}\n"
+        assert captured.out == ""
+        assert trials_run == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results"]
+
     def test_write_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def full(*args):
             raise OSError(28, "No space left on device")

@@ -49,10 +49,13 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError, match="must be a string"):
             ExperimentConfig(**{"algorithm": "nc", "landscape": "quartic", **field})
 
-    def test_rejects_empty_out(self):
-        # An empty out would run every trial and write nothing.
-        with pytest.raises(ParameterError, match="out must be a string naming a file, got ''"):
-            ExperimentConfig(algorithm="nc", landscape="quartic", out="")
+    @pytest.mark.parametrize("out", ["", "r/", ".csv", "r/.csv"])
+    def test_rejects_empty_out(self, out):
+        # An empty out would run every trial and write nothing; an empty file
+        # name would write the hidden files .csv and .summary.json.
+        match = f"^out must be a string naming a file, got {out!r}$"
+        with pytest.raises(ParameterError, match=match):
+            ExperimentConfig(algorithm="nc", landscape="quartic", out=out)
 
     def test_rejects_knob_the_algorithm_never_reads(self):
         with pytest.raises(ParameterError, match="never reads exploit_step"):
@@ -443,6 +446,19 @@ class TestDimensionScaling:
             run_dimension_scaling([1], trials=2, out="")
         assert trials_run == []
 
+    @pytest.mark.parametrize("ps, message", [
+        ("12", "ps must be a list of exponents, got the string '12'"),
+        ([], "ps must list at least one exponent"),
+    ], ids=["string", "empty"])
+    def test_rejects_a_string_or_empty_ps_before_any_trial(
+        self, ps, message, tmp_path, trials_run
+    ):
+        out = tmp_path / "dims.csv"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            run_dimension_scaling(ps, trials=2, out=str(out))
+        assert trials_run == []
+        assert not out.exists()
+
     def test_out_csv(self, tmp_path):
         out = str(tmp_path / "dims.csv")
         run_dimension_scaling([1], trials=5, seed=0, out=out)
@@ -517,6 +533,16 @@ class TestRunVerify:
         # Only ids=None means the VERIFY_IDS default.
         with pytest.raises(ParameterError, match="^verify needs at least one landscape$"):
             run_verify(**kwargs)
+
+    def test_rejects_a_string_of_ids(self):
+        # A string would be read one character at a time: "q", "u", ...
+        with pytest.raises(ParameterError, match="^ids must be a list of landscape ids"):
+            run_verify(ids="quartic")
+
+    def test_rejects_ids_with_landscapes(self):
+        # ids was ignored here, and the broken landscape audited alone.
+        with pytest.raises(ParameterError, match="^give ids or landscapes, not both$"):
+            run_verify(ids=["quartic"], landscapes=[_broken_landscape()])
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_rejects_fewer_than_one_point(self, points):
