@@ -7,7 +7,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -102,6 +102,14 @@ def require_vector(x, name: str, dim: int | None = None) -> Array:
             return a
     of_dim = "" if dim is None else f" of length {dim}"
     raise ParameterError(f"{name} must be a finite numeric vector{of_dim}")
+
+
+def require_list(items, name: str, what: str) -> list:
+    """items as a list; a string (read one character at a time) or a non-iterable is refused."""
+    if isinstance(items, str) or not isinstance(items, Iterable):
+        got = f"the string {items!r}" if isinstance(items, str) else repr(items)
+        raise ParameterError(f"{name} must be a list of {what}, got {got}")
+    return list(items)
 
 
 class DivergenceError(RuntimeError):

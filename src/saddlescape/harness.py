@@ -31,6 +31,7 @@ from .core import (
     require_count,
     require_finite,
     require_fraction,
+    require_list,
     require_nonnegative,
     require_positive,
     require_vector,
@@ -571,9 +572,11 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
 
 
 def _check_out_dir(*paths: str) -> None:
-    """Fail before the first trial when an output path is empty, its
-    directory is missing or the path is itself a directory."""
+    """Fail before the first trial when an output path is not a string or is
+    empty, its directory is missing or the path is itself a directory."""
     for path in paths:
+        if not isinstance(path, str):
+            raise ParameterError(f"out must be a string naming a file, got {path!r}")
         if not path:
             raise ParameterError("output path is empty")
         parent = os.path.dirname(path)
@@ -612,9 +615,7 @@ def run_dimension_scaling(
     """Escape rates across dimensions n = 10**p under the published budgets:
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10.
     ps must list at least one exponent (a string is refused, not read as digits)."""
-    if isinstance(ps, str):
-        raise ParameterError(f"ps must be a list of exponents, got the string {ps!r}")
-    ps = list(ps)
+    ps = require_list(ps, "ps", "exponents")
     if not ps:
         raise ParameterError("ps must list at least one exponent")
     if out is not None:

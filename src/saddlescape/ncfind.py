@@ -38,9 +38,6 @@ if TYPE_CHECKING:
     from .stochastic import SNCParams
 
 
-_MAX_RESTARTS = 3
-
-
 @dataclass(frozen=True)
 class NCParams:
     """Step count and probe radius for gradient-based curvature search."""
@@ -71,23 +68,20 @@ def _power_search(start: Callable[[], Array], step: Callable, radius: float, ste
     steps times y <- step(y, norm) ~ y - H y / ell, rescaled to radius after
     each step; norm is y's length before that rescaling (the start's at the
     first step).  A start of non-finite length or an iterate that turns zero
-    or not finite restarts, at most _MAX_RESTARTS times, then AlgorithmError
-    is raised.  Returns the last iterate, whose length is radius.
+    or not finite raises AlgorithmError at once.  Returns the last iterate,
+    whose length is radius.
     """
-    for _ in range(_MAX_RESTARTS + 1):
-        y = start()
+    y = start()
+    norm = _norm(y)
+    if not math.isfinite(norm):
+        raise AlgorithmError("curvature search degenerated: its start is not finite")
+    for _ in range(steps):
+        y = step(y, norm)
         norm = _norm(y)
-        if not math.isfinite(norm):
-            continue
-        for _ in range(steps):
-            y = step(y, norm)
-            norm = _norm(y)
-            if norm == 0.0 or not math.isfinite(norm):
-                break
-            y = (radius / norm) * y
-        else:
-            return y
-    raise AlgorithmError("curvature search degenerated repeatedly")
+        if norm == 0.0 or not math.isfinite(norm):
+            raise AlgorithmError("curvature search degenerated: an iterate is zero or not finite")
+        y = (radius / norm) * y
+    return y
 
 
 def _difference_step(
@@ -98,7 +92,7 @@ def _difference_step(
 
     def step(y: Array, _) -> Array:
         norm = _norm(y)
-        if norm == 0.0:  # a zero start stays zero, so the attempt restarts
+        if norm == 0.0:  # a zero start stays zero, so the search raises
             return y
         probe = oracle.gradient(x + (r / norm) * y) - g0
         return y - (norm / (ell * r)) * probe
@@ -117,8 +111,8 @@ def nc_find(
     """Estimate the most-negative-curvature direction at x_tilde.
 
     Gradient differences at a fixed probe radius act as Hessian-vector
-    products, so _power_search converges to the bottom eigenvector.  Each
-    attempt starts from a uniform draw in the probe ball.  g is grad f at
+    products, so _power_search converges to the bottom eigenvector.  The
+    search starts from a uniform draw in the probe ball.  g is grad f at
     x_tilde, queried here when absent; each step queries one gradient.
     """
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)

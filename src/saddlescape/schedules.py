@@ -244,6 +244,7 @@ _OUTER_KNOBS = dict(
     total_steps="steps", eta="eta", grad_threshold="grad_threshold",
     exploit_step="exploit_step", cooldown="cooldown", trust_region="trust_region",
 )
+_MOMENTUM_KNOBS = dict(theta="theta", gamma="gamma", nce_radius="nce_radius")
 
 
 def _local_ell(eta: float, c: float = 1.0) -> float:
@@ -277,14 +278,16 @@ def _descent(s: _Setting, noisy: bool = False) -> NCDescentParams:
 
 
 def _ancgd(s: _Setting) -> ANCParams:
+    """ancgd; paper mode re-derives the momentum constants no knob sets at the run's eta."""
     k = s.knobs
     fields = _fields(
-        k, perturb_radius="radius", ncf_steps="ncf_steps", theta="theta", gamma="gamma",
-        nce_radius="nce_radius", **_OUTER_KNOBS,
+        k, perturb_radius="radius", ncf_steps="ncf_steps", **_MOMENTUM_KNOBS, **_OUTER_KNOBS
     )
     if s.paper:
         rest = dict(n=s.n, delta_f_bound=s.delta_f, total_steps=k.get("steps"))
         params = _episode_search(s, derive_anc_params, s.spec, s.eps, **rest)
+        eta, given = k.get("eta", params.eta), _fields(k, **_MOMENTUM_KNOBS)
+        fields.update(_momentum(s.spec.ell, s.spec.rho, s.eps, eta, **given))
         return dataclasses.replace(params, **fields)
     return ANCParams(
         **fields, eps=s.eps, delta0=s.delta, ell=_local_ell(k["eta"], 4.0), rho=s.rho_loc
@@ -305,10 +308,9 @@ def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:
             defaults["steps"] = _gradient_count(8.0, s.spec.ell, s.eps, s.delta_f)
         k = {**defaults, **k}
     if momentum:
-        given = _fields(k, theta="theta", gamma="gamma", nce_radius="nce_radius")
+        given = _fields(k, **_MOMENTUM_KNOBS)
         k = {**k, **_momentum(s.spec.ell, s.spec.rho, s.eps, k["eta"], **given)}
     return BaselineParams(**_fields(
-        k, eta="eta", radius="radius", grad_threshold="grad_threshold",
-        total_steps="steps", cooldown="cooldown", theta="theta", gamma="gamma",
-        nce_radius="nce_radius", batch="batch", trust_region="trust_region",
+        k, eta="eta", radius="radius", grad_threshold="grad_threshold", total_steps="steps",
+        cooldown="cooldown", batch="batch", trust_region="trust_region", **_MOMENTUM_KNOBS,
     ))

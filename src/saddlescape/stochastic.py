@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .core import (
     require_vector,
 )
 from .ncfind import (
-    _MAX_RESTARTS,
     NCDescentParams,
     NCOutcome,
     _power_search,
@@ -77,8 +75,8 @@ def snc_find(
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
     curvature probes.  g is grad f at x_tilde, queried here when absent.
-    Under additive noise a search then queries grad f once per step but an
-    attempt's first, whose difference at offset zero is zero; sgd_nc_run bills
+    Under additive noise a search then queries grad f once per step but the
+    first, whose difference at offset zero is zero; sgd_nc_run bills
     2 * batch samples per step but that first, which draws none.  The
     injected noise is drawn in blocks of rows, the same bits as one draw
     per step.
@@ -88,18 +86,13 @@ def snc_find(
     n = x_tilde.shape[0]
     r_s = scale = params.radius
     diff = oracle.diff_sampler(x_tilde, g, params.batch, stream.substream("theta"))
-    # A restart takes up to steps more rows from the same stream.
-    xi_stream = stream.substream("xi")
-    xi_rows = itertools.chain.from_iterable(
-        _normal_rows(xi_stream, n, r_s / math.sqrt(n), params.steps)
-        for _ in range(_MAX_RESTARTS + 1)
-    )
+    xi_rows = _normal_rows(stream.substream("xi"), n, r_s / math.sqrt(n), params.steps)
 
     def step(y: Array, norm: float) -> Array:
         nonlocal scale
-        # Only an attempt's first step, from zero, sees norm 0: scale
-        # restarts, and the shared-sample difference at x_tilde + 0 is 0.
-        scale = scale * (norm / r_s) if norm else r_s
+        # Only the first step, from zero, sees norm 0: scale stays r_s, and
+        # the shared-sample difference at x_tilde + 0 is 0.
+        scale *= norm / r_s if norm else 1.0
         probe = diff(x_tilde + y) if norm else 0.0
         return y - (1.0 / params.ell) * (probe + next(xi_rows) / (scale / r_s))
 
@@ -137,7 +130,7 @@ def sgd_nc_run(
         return sample(x, g)
 
     def find(anchor: Array, g: Array, search: SNCParams, sub: RngStream) -> NCOutcome:
-        # An attempt's first step, from zero, draws no sample.
+        # The search's first step, from zero, draws no sample.
         trace.meta["samples"] += (search.steps - 1) * search.batch * 2
         return snc_find(oracle, anchor, search, sub, g=g)
 

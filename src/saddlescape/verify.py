@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Array, GradientOracle, ParameterError, RngStream, require_count, require_positive,
-    require_vector,
+    Array, GradientOracle, ParameterError, RngStream, require_count, require_list,
+    require_positive, require_vector,
 )
 from .ncfind import _difference_step, _power_search
 from .testbed import VERIFY_IDS, Landscape, get_landscape
@@ -218,22 +218,23 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
     bottom eigenvalue and is not second-order stationary; every declared
     minimum is stationary, has the declared value and is second-order
     stationary; the sampled Hessian spectrum respects the declared ell.
-    ids=None audits VERIFY_IDS.  A string for ids, ids given with
-    landscapes, an empty list of either and a landscape of n > MAX_VERIFY_DIM
-    are refused before any landscape is audited.
+    ids=None audits VERIFY_IDS.  ids given with landscapes, either one not
+    a list (of ids, of Landscape objects) or empty, and a landscape of
+    n > MAX_VERIFY_DIM are refused before any landscape is audited.
     """
     require_count(points_per_landscape=points_per_landscape)
-    if isinstance(ids, str):
-        raise ParameterError(f"ids must be a list of landscape ids, got the string {ids!r}")
     if ids is not None and landscapes is not None:
         raise ParameterError("give ids or landscapes, not both")
     report = VerifyReport()
     if landscapes is None:
-        landscapes = [get_landscape(i) for i in (VERIFY_IDS if ids is None else ids)]
-    landscapes = list(landscapes)
+        ids = VERIFY_IDS if ids is None else require_list(ids, "ids", "landscape ids")
+        landscapes = [get_landscape(i) for i in ids]
+    landscapes = require_list(landscapes, "landscapes", "Landscape objects")
     if not landscapes:
         raise ParameterError("verify needs at least one landscape")
     for land in landscapes:
+        if not isinstance(land, Landscape):
+            raise ParameterError(f"landscapes must hold Landscape objects, got {land!r}")
         if land.dim > MAX_VERIFY_DIM:
             raise ParameterError(f"verify caps n at {MAX_VERIFY_DIM}; {land.id} has n={land.dim}")
     for land in landscapes:

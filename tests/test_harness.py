@@ -296,12 +296,15 @@ class TestRunExperiment:
         assert seen[0] is seen[1] is seen[2]
         assert not seen[0].flags.writeable
 
-    def test_pagd_derives_only_unset_momentum_constants(self):
+    @pytest.mark.parametrize("alg", ["pagd", "ancgd"])
+    def test_derives_only_unset_momentum_constants(self, alg):
+        # In paper mode both momentum loops re-derive each constant no knob
+        # sets, at the run's eta.
         land = get_landscape("quartic")
         rho = land.oracle.spec.rho
 
         def params(**knobs):
-            cfg = ExperimentConfig("pagd", "quartic", mode="paper", steps=12, **knobs)
+            cfg = ExperimentConfig(alg, "quartic", mode="paper", steps=12, **knobs)
             return build_payload(cfg, land)["params"]
 
         p = params(theta=0.3)
@@ -310,6 +313,9 @@ class TestRunExperiment:
         p = params(gamma=0.05)
         assert (p.theta, p.gamma, p.nce_radius) == (params().theta, 0.05, 0.05 / (4.0 * rho))
         assert params(nce_radius=0.01).nce_radius == 0.01
+        p = params(eta=0.01)
+        assert (p.eta, p.theta, p.gamma) == (0.01, params().theta, params().theta**2 / 0.01)
+        assert p.nce_radius == p.gamma / (4.0 * rho)
 
     def test_reruns_are_deterministic(self):
         cfg = ExperimentConfig(algorithm="snc", landscape="cubic", trials=3, seed=1)
@@ -449,8 +455,10 @@ class TestDimensionScaling:
     @pytest.mark.parametrize("ps, message", [
         ("12", "ps must be a list of exponents, got the string '12'"),
         ([], "ps must list at least one exponent"),
-    ], ids=["string", "empty"])
-    def test_rejects_a_string_or_empty_ps_before_any_trial(
+        (None, "ps must be a list of exponents, got None"),
+        (5, "ps must be a list of exponents, got 5"),
+    ], ids=["string", "empty", "none", "int"])
+    def test_rejects_ps_that_is_not_a_list_of_exponents_before_any_trial(
         self, ps, message, tmp_path, trials_run
     ):
         out = tmp_path / "dims.csv"
@@ -458,6 +466,16 @@ class TestDimensionScaling:
             run_dimension_scaling(ps, trials=2, out=str(out))
         assert trials_run == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", [5, b"dims.csv"], ids=["int", "bytes"])
+    def test_rejects_out_that_is_not_a_string(self, out, tmp_path, monkeypatch, trials_run):
+        # As ExperimentConfig does; bytes would otherwise name a file.
+        monkeypatch.chdir(tmp_path)
+        match = f"^out must be a string naming a file, got {out!r}$"
+        with pytest.raises(ParameterError, match=match):
+            run_dimension_scaling([1], trials=2, out=out)
+        assert trials_run == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_csv(self, tmp_path):
         out = str(tmp_path / "dims.csv")
@@ -538,6 +556,18 @@ class TestRunVerify:
         # A string would be read one character at a time: "q", "u", ...
         with pytest.raises(ParameterError, match="^ids must be a list of landscape ids"):
             run_verify(ids="quartic")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"landscapes": "ab"},
+         "landscapes must be a list of Landscape objects, got the string 'ab'"),
+        ({"landscapes": [None]}, "landscapes must hold Landscape objects, got None"),
+        ({"landscapes": [3]}, "landscapes must hold Landscape objects, got 3"),
+        ({"ids": 5}, "ids must be a list of landscape ids, got 5"),
+    ], ids=["string-landscapes", "none-landscape", "int-landscape", "int-ids"])
+    def test_rejects_what_is_not_a_list_by_name(self, kwargs, message):
+        # Unchecked, each fails later with an AttributeError or a TypeError.
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            run_verify(**kwargs)
 
     def test_rejects_ids_with_landscapes(self):
         # ids was ignored here, and the broken landscape audited alone.

@@ -23,7 +23,7 @@ from saddlescape import (
     uniform_ball_sample,
 )
 from saddlescape import ncfind, stochastic, verify
-from saddlescape.ncfind import _MAX_RESTARTS, NCParams, exploit
+from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import VERIFY_IDS
 from saddlescape.verify import fd_quadform
@@ -182,27 +182,27 @@ class TestSearchDynamics:
         b = nc_find(quad5, np.zeros(5), params, RngStream(9, 4))
         assert np.array_equal(a.e_hat, b.e_hat)
 
-    def test_degenerate_oracle_raises_after_restarts(self, monkeypatch):
-        assert _start_draws_before_raise(monkeypatch, "nc_find") == _MAX_RESTARTS + 1
+    def test_degenerate_oracle_raises_at_once(self, monkeypatch):
+        assert _start_draws_before_raise(monkeypatch, "nc_find") == 1
 
     @pytest.mark.parametrize("finder", ["snc_find", "grad_power_lambda_min"])
     def test_degenerate_oracle_raises_in_other_finders(self, monkeypatch, finder):
-        assert _start_draws_before_raise(monkeypatch, finder) == _MAX_RESTARTS + 1
+        assert _start_draws_before_raise(monkeypatch, finder) == 1
 
-    def test_zero_start_restarts(self, quad5, monkeypatch):
+    def test_zero_start_raises(self, quad5, monkeypatch):
         # A uniform-ball draw is exactly zero when its radial draw is 0.0;
-        # that attempt restarts from the next draw.
+        # the search takes one start, so it raises rather than redraw.
         draws = []
 
         def draw(center, radius, stream):
             draws.append(None)
-            return np.zeros(5) if len(draws) == 1 else uniform_ball_sample(center, radius, stream)
+            return np.zeros(5)
 
         monkeypatch.setattr(ncfind, "uniform_ball_sample", draw)
         params = NCParams(steps=80, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
-        out = nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
-        assert len(draws) == 2
-        assert angular_gap(out.e_hat, np.array([1, 0, 0, 0, 0.0])) <= 1e-10
+        with pytest.raises(AlgorithmError, match="degenerated"):
+            nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
+        assert len(draws) == 1
 
     def test_certified_direction_on_every_landscape_saddle(self):
         for land_id in ("quartic", "cubic", "triangle", "exponential"):
