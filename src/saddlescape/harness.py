@@ -143,8 +143,8 @@ class ExperimentConfig:
             raise ParameterError(f"out must be a string naming a file, got {self.out!r}")
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
-        if not _is_number(self.seed, numbers.Integral):
-            raise ParameterError(f"seed must be an integer, got {self.seed}")
+        if not (_is_number(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ParameterError(f"seed must be an integer from 0 to {2**64 - 1}, got {self.seed}")
         require_finite(threshold=self.threshold)
         if self.trust_region is not None:
             require_bound(trust_region=self.trust_region)

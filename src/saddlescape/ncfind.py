@@ -63,32 +63,48 @@ class NCOutcome:
     steps_used: int
 
 
-def _power_search(start: Callable[[], Array], step: Callable, radius: float, steps: int) -> Array:
+def _power_search(
+    start: Callable[[], Array], step: Callable, radius: float, steps: int, planar=None
+) -> Array:
     """The Hessian power method of every curvature search: from y = start(),
     steps times y <- step(y, norm) ~ y - H y / ell, rescaled to radius after
     each step; norm is y's length before that rescaling (the start's at the
     first step).  A start of non-finite length or an iterate that turns zero
     or not finite raises AlgorithmError at once.  Returns the last iterate,
-    whose length is radius.
+    whose length is radius.  At n = 2 a given planar(y1, y2, norm), step on
+    the pair's Python floats, runs in its place with step's bytes: float +,
+    -, * and / round as numpy's elementwise ops do, and every length still
+    takes _norm on an array, since numpy's 2-d dot is fused.
     """
     y = start()
     norm = _norm(y)
     if not math.isfinite(norm):
         raise AlgorithmError("curvature search degenerated: its start is not finite")
+    if planar is None or y.shape != (2,):
+        for _ in range(steps):
+            y = step(y, norm)
+            norm = _norm(y)
+            if norm == 0.0 or not math.isfinite(norm):
+                raise AlgorithmError(
+                    "curvature search degenerated: an iterate is zero or not finite")
+            y = (radius / norm) * y
+        return y
+    y1, y2 = y.tolist()
     for _ in range(steps):
-        y = step(y, norm)
-        norm = _norm(y)
+        y1, y2 = planar(y1, y2, norm)
+        norm = _norm(np.array([y1, y2]))
         if norm == 0.0 or not math.isfinite(norm):
             raise AlgorithmError("curvature search degenerated: an iterate is zero or not finite")
-        y = (radius / norm) * y
-    return y
+        y1, y2 = (radius / norm) * y1, (radius / norm) * y2
+    return np.array([y1, y2])
 
 
 def _difference_step(
     oracle: GradientOracle, x: Array, g0: Array, r: float, ell: float
-) -> Callable:
+) -> tuple[Callable, Callable]:
     """Power step on exact gradient differences at x, whose gradient is g0,
-    probed at the offset y rescaled to radius r; 1-homogeneous in y."""
+    probed at the offset y rescaled to radius r; 1-homogeneous in y.  Returns
+    the step and its planar twin, for _power_search."""
 
     def step(y: Array, _) -> Array:
         norm = _norm(y)
@@ -97,7 +113,17 @@ def _difference_step(
         probe = oracle.gradient(x + (r / norm) * y) - g0
         return y - (norm / (ell * r)) * probe
 
-    return step
+    def planar(y1: float, y2: float, _) -> tuple[float, float]:
+        norm = _norm(np.array([y1, y2]))
+        if norm == 0.0:
+            return y1, y2
+        s = r / norm
+        d1, d2 = oracle.gradient(np.array([x1 + s * y1, x2 + s * y2])).tolist()
+        c = norm / (ell * r)
+        return y1 - c * (d1 - h1), y2 - c * (d2 - h2)
+
+    (x1, x2), (h1, h2) = (x.tolist(), g0.tolist()) if x.shape == (2,) else [(0.0, 0.0)] * 2
+    return step, planar
 
 
 def nc_find(
@@ -118,8 +144,10 @@ def nc_find(
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
     g = oracle.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
     n, r = x_tilde.shape[0], params.radius
-    step = _difference_step(oracle, x_tilde, g, r, params.ell)
-    y = _power_search(lambda: uniform_ball_sample(np.zeros(n), r, stream), step, r, params.steps)
+    step, planar = _difference_step(oracle, x_tilde, g, r, params.ell)
+    y = _power_search(
+        lambda: uniform_ball_sample(np.zeros(n), r, stream), step, r, params.steps, planar
+    )
     return NCOutcome(e_hat=y / _norm(y), steps_used=params.steps)
 
 

@@ -79,7 +79,8 @@ def snc_find(
     first, whose difference at offset zero is zero; sgd_nc_run bills
     2 * batch samples per step but that first, which draws none.  The
     injected noise is drawn in blocks of rows, the same bits as one draw
-    per step.
+    per step.  At n = 2 the step runs as planar, on Python floats, unpacking
+    each noise row and difference with tolist().
     """
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
     g = oracle.mean.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
@@ -96,7 +97,17 @@ def snc_find(
         probe = diff(x_tilde + y) if norm else 0.0
         return y - (1.0 / params.ell) * (probe + next(xi_rows) / (scale / r_s))
 
-    y = _power_search(lambda: np.zeros(n), step, r_s, params.steps)
+    def planar(y1: float, y2: float, norm: float) -> tuple[float, float]:
+        nonlocal scale
+        scale *= norm / r_s if norm else 1.0
+        p1, p2 = diff(np.array([t1 + y1, t2 + y2])).tolist() if norm else (0.0, 0.0)
+        (n1, n2), q = next(xi_rows).tolist(), scale / r_s
+        if q == 0.0:  # step's n / q is inf or NaN: the search raises
+            return math.inf, math.inf
+        return y1 - k * (p1 + n1 / q), y2 - k * (p2 + n2 / q)
+
+    (t1, t2), k = x_tilde.tolist() if n == 2 else (0.0, 0.0), 1.0 / params.ell
+    y = _power_search(lambda: np.zeros(n), step, r_s, params.steps, planar)
     return NCOutcome(e_hat=y / r_s, steps_used=params.steps)
 
 

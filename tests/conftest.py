@@ -31,7 +31,7 @@ from saddlescape import (
     uniform_ball_sample,
 )
 from saddlescape import harness
-from saddlescape.core import _norm
+from saddlescape.core import TraceRecord, _norm
 
 
 @pytest.fixture
@@ -279,6 +279,21 @@ def repeated_queries(algorithm, landscape, trials, seed=0):
             points.clear()
         harness._trial_trace(payload, trial)
     return {kind: tuple(c) for kind, c in counts.items()}
+
+
+def bits(obj):
+    """obj with every float and array replaced by its bytes, so == compares bits."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if isinstance(obj, dict):
+        return {k: bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [bits(v) for v in obj]
+    if isinstance(obj, TraceRecord):
+        return bits([obj.t, obj.f, obj.grad_norm, obj.event, obj.x, obj.v_norm])
+    return obj
 
 
 def angular_gap(a, b):

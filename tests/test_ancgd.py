@@ -32,12 +32,12 @@ from saddlescape.core import (
     EVENT_PERTURB,
     CountingOracle,
     Trace,
-    TraceRecord,
 )
 from saddlescape.ncfind import descend
 
 from conftest import (
     angular_gap,
+    bits,
     free_anc_window,
     make_quadratic,
     trace_decrease,
@@ -235,21 +235,6 @@ class TestWindowEquivalence:
         assert angular_gap(e_hat, np.array([1.0, 0.0])) <= 1e-3
 
 
-def _bits(obj):
-    """obj with every float and array replaced by its bytes, so == compares bits."""
-    if isinstance(obj, np.ndarray):
-        return obj.dtype.str, obj.shape, obj.tobytes()
-    if isinstance(obj, float):
-        return np.float64(obj).tobytes()
-    if isinstance(obj, dict):
-        return {k: _bits(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_bits(v) for v in obj]
-    if isinstance(obj, TraceRecord):
-        return _bits([obj.t, obj.f, obj.grad_norm, obj.event, obj.x, obj.v_norm])
-    return obj
-
-
 def _window_outcome(pinned, oracle, anchor, params, seed):
     """ancgd_run from anchor with pinned as its 2-d window steps: the bits of
     the point each window's steps return, the records, the meta, the oracle
@@ -267,7 +252,7 @@ def _window_outcome(pinned, oracle, anchor, params, seed):
         except DivergenceError as exc:
             trace, error = exc.trace, str(exc)
     outcome = [points, trace.records, trace.meta, counted.f_evals, counted.grad_evals]
-    return _bits(outcome), error
+    return bits(outcome), error
 
 
 _ANCHORS = [(37.0, -81.0), (0.7, -1.3), (-0.0, 0.25), (0.0, -0.0), (1e-3, 2e-3)]

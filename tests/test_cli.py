@@ -459,6 +459,22 @@ class TestRunCommand:
         assert "paper-mode" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("command", [
+    ["run", "--alg", "snc", "--fn", "cubic", "--trials", "3"],
+    ["dimscale", "--p", "1", "--trials", "3"],
+])
+def test_seed_outside_64_bits_exits_one(command, seed, capsys, tmp_path, monkeypatch):
+    # Streams key Philox with the seed modulo 2**64, so -1 would run as
+    # 2**64 - 1 and 2**64 as 0, while the CSV and summary named the seed given.
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seed", seed]) == 1
+    assert capsys.readouterr().err == (
+        f"error: seed must be an integer from 0 to 18446744073709551615, got {seed}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_verify_quartic_passes(self, capsys):
         code = main(["verify", "--fn", "quartic"])

@@ -562,8 +562,8 @@ _CENSUS_EXEMPT = {
     ("cooldown", 0): "no cooldown lets any flat iteration start an episode",
     ("batch_raw", 0): "experiment mode, which derives no batch, carries 0.0",
     ("sigma", 0): "sigma = 0 is the noiseless oracle",
-    ("seed", -1): "any integer keys a stream",
     ("seed", 0): "any integer keys a stream",
+    ("RngStream.seed", -1): "RngStream keys Philox with any integer, modulo 2**64",
     ("ExperimentConfig.threshold", -1): "any finite escape bar is valid",
     ("ExperimentConfig.threshold", 0): "any finite escape bar is valid",
     ("accelerate.threshold", 0): "a zero trigger starts episodes at exact stationary points only",
@@ -804,7 +804,8 @@ def test_cli_census(command, action, capsys):
     [
         pytest.param(
             lambda: ExperimentConfig("nc", "quartic", seed=1.5),
-            "seed must be an integer, got 1.5", id="ExperimentConfig-seed",
+            "seed must be an integer from 0 to 18446744073709551615, got 1.5",
+            id="ExperimentConfig-seed",
         ),
         pytest.param(
             lambda: build_payload(

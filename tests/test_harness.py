@@ -57,6 +57,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError, match=match):
             ExperimentConfig(algorithm="nc", landscape="quartic", out=out)
 
+    def test_runs_the_largest_seed(self):
+        # Seeds from 0 to 2**64 - 1 each key their own streams.
+        cfg = ExperimentConfig(algorithm="snc", landscape="cubic", trials=1, seed=2**64 - 1)
+        assert run_experiment(cfg).rows[0].seed == 2**64 - 1
+
     def test_rejects_knob_the_algorithm_never_reads(self):
         with pytest.raises(ParameterError, match="never reads exploit_step"):
             ExperimentConfig(algorithm="pgd", landscape="quartic", exploit_step=0.3)

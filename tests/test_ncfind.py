@@ -1,15 +1,23 @@
 """Gradient-difference curvature search: schedule, dynamics, exploit step."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlescape import (
     AdditiveNoiseOracle,
     AlgorithmError,
+    CountingOracle,
+    DivergenceError,
     GradientOracle,
+    NCDescentParams,
     ParameterError,
+    RandomQuadraticNoiseOracle,
     RngStream,
     SmoothnessSpec,
     derive_anc_params,
@@ -19,16 +27,19 @@ from saddlescape import (
     grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
+    pgd_nc_run,
+    sgd_nc_run,
     snc_find,
     uniform_ball_sample,
 )
 from saddlescape import ncfind, stochastic, verify
+from saddlescape.cli import main
 from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
 from saddlescape.testbed import VERIFY_IDS
 from saddlescape.verify import fd_quadform
 
-from conftest import angular_gap, free_nc_direction, make_quadratic, relabel
+from conftest import angular_gap, bits, free_nc_direction, make_quadratic, relabel
 
 
 class TestDerivedSchedule:
@@ -214,6 +225,159 @@ class TestSearchDynamics:
             out = nc_find(oracle, sad.point, params, RngStream(17, 0))
             quad = fd_quadform(land.oracle, sad.point, out.e_hat)
             assert quad <= -0.25 * math.sqrt(sad.rho_local * 0.04)
+
+
+_POWER_SEARCH = ncfind._power_search
+
+
+def _searched(runs: dict, planar: bool) -> dict:
+    """Each of runs() with the finders' curvature searches on the planar
+    kernel, as they run at n = 2, or on _power_search's numpy loop (the
+    planar step withheld): the bits of its result, or the message of its
+    AlgorithmError or DivergenceError.  Asserts that every search was
+    offered a planar step, so the planar side does run it."""
+    offered = []
+
+    def search(start, step, radius, steps, planar_step=None):
+        offered.append(planar_step is not None)
+        return _POWER_SEARCH(start, step, radius, steps, planar_step if planar else None)
+
+    outcomes = {}
+    with contextlib.ExitStack() as stack:
+        for module in (ncfind, stochastic, verify):
+            stack.enter_context(mock.patch.object(module, "_power_search", search))
+        for name, run in runs.items():
+            try:
+                outcomes[name] = bits(run())
+            except (AlgorithmError, DivergenceError) as exc:
+                outcomes[name] = str(exc)
+    assert offered and all(offered)
+    return outcomes
+
+
+def _finder_runs(land_id: str, anchor, radius: float, steps: int, seed: int) -> dict:
+    """Every 2-d finder, and the loops around them, from anchor on a counting
+    oracle of the landscape: each returns its direction, or its records and
+    meta, with the oracle's counts."""
+    oracle = get_landscape(land_id).oracle
+    ell, rho, x = oracle.spec.ell, oracle.spec.rho, np.array(anchor)
+    nc = NCParams(steps=steps, radius=radius, eps=0.1, delta0=0.1, ell=ell, rho=rho)
+    snc = SNCParams(
+        steps=steps, radius=radius, batch=2, log_term=10.0, eps=0.1, delta=0.1, ell=ell,
+        rho=rho, ell_tilde=ell,
+    )
+    noises = {
+        "additive": lambda mean: AdditiveNoiseOracle(mean, 0.1),
+        "quadratic": lambda mean: RandomQuadraticNoiseOracle(mean, 0.1, 0.05),
+    }
+
+    def counted(run):
+        def outcome():
+            mean = CountingOracle(oracle)
+            return run(mean), mean.f_evals, mean.grad_evals
+
+        return outcome
+
+    def loop(search):
+        return NCDescentParams(search, total_steps=2 * steps + 3, grad_threshold=1e300)
+
+    def kept(trace):
+        return [trace.records, trace.meta]
+
+    runs = {
+        "nc_find": lambda o: nc_find(o, x, nc, RngStream(seed, 0)).e_hat,
+        "grad_power_lambda_min": lambda o: grad_power_lambda_min(
+            o, x, steps, RngStream(seed, 0), radius).direction,
+        "pgd_nc_run": lambda o: kept(
+            pgd_nc_run(o, x, loop(nc), RngStream(seed, 0), record="full")),
+    }
+    for name, noise in noises.items():
+        runs[f"snc_find/{name}"] = lambda o, noise=noise: snc_find(
+            noise(o), x, snc, RngStream(seed, 0)).e_hat
+        runs[f"sgd_nc_run/{name}"] = lambda o, noise=noise: kept(sgd_nc_run(
+            noise(o), x, loop(snc), RngStream(seed, 0), record="full"))
+    return {name: counted(run) for name, run in runs.items()}
+
+
+class TestPlanarSearch:
+    """The 2-d curvature searches on Python floats against the numpy loop
+    they replace at n = 2: the same bytes in every output, the same oracle
+    calls, for nc_find, snc_find and grad_power_lambda_min and the loops
+    around them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        land_id=st.sampled_from(["quartic", "cubic", "triangle", "exponential"]),
+        anchor=st.sampled_from([(0.0, 0.0), (37.0, -81.0), (0.7, -1.3), (-0.0, 0.25)]),
+        radius=st.one_of(st.just(3.3e-16), st.floats(3.3e-16, 0.1)),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    @example(land_id="quartic", anchor=(-0.0, 0.25), radius=0.1, steps=30, seed=0)
+    @example(land_id="cubic", anchor=(37.0, -81.0), radius=3.3e-16, steps=12, seed=1)
+    def test_planar_searches_match_the_numpy_loop(self, land_id, anchor, radius, steps, seed):
+        runs = _finder_runs(land_id, anchor, radius, steps, seed)
+        assert _searched(runs, planar=True) == _searched(runs, planar=False)
+
+
+def _vanishing_noise(stream, n, scale, rows):
+    """_normal_rows for snc_find with no noise after the first row."""
+    yield np.array([1.0, 0.5])
+    yield from (np.zeros(n) for _ in range(rows - 1))
+
+
+def _underflowing_scale():
+    """snc_find where I - H/ell shrinks each iterate by 2^-52 and the noise
+    vanishes after its first row, so scale underflows to 0: the numpy step's
+    0 / 0 is NaN where a float 0 / 0 would raise ZeroDivisionError."""
+    oracle = AdditiveNoiseOracle(make_quadratic([1.0 - 2.0**-52] * 2), 0.0)
+    params = SNCParams(
+        steps=40, radius=1.0, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=1.0, rho=1.0,
+        ell_tilde=1.0,
+    )
+    with mock.patch.object(stochastic, "_normal_rows", _vanishing_noise):
+        return snc_find(oracle, np.zeros(2), params, RngStream(0, 0))
+
+
+# Library searches that degenerate at n = 2: the finders on an oracle whose
+# gradient turns NaN, a start whose squared length overflows, and a scale
+# that underflows.
+_DEGENERATE_SEARCHES = {
+    **{name: run for name, (_, run) in _DEGENERATE_RUNS.items()},
+    "overflowing start": lambda: nc_find(
+        make_quadratic([-1.0, 2.0]), np.zeros(2),
+        NCParams(steps=5, radius=1e308, eps=0.1, delta0=0.1, ell=2.0, rho=1.0), RngStream(0, 0),
+    ),
+    "underflowing scale": _underflowing_scale,
+}
+
+
+class TestDegenerateSearches:
+    """A degenerate 2-d search raises the same AlgorithmError on the planar
+    kernel as on the numpy loop, never ZeroDivisionError or OverflowError."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE_SEARCHES))
+    def test_library_searches_raise_alike(self, case):
+        runs = {case: _DEGENERATE_SEARCHES[case]}
+        planar = _searched(runs, planar=True)
+        assert planar == _searched(runs, planar=False)
+        assert planar[case].startswith("curvature search degenerated")
+
+    @pytest.mark.parametrize("argv", [
+        ["--alg", "nc", "--fn", "quartic", "--r", "1e-310"],
+        ["--alg", "snc", "--fn", "cubic", "--r", "1e300"],
+    ])
+    def test_runs_exit_three_alike(self, argv, capsys):
+        runs = {"run": lambda: main(["run", *argv, "--trials", "3"])}
+        outputs = []
+        for planar in (True, False):
+            outputs.append((_searched(runs, planar), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["run"] == 3
+        assert outputs[0][1].err == (
+            "error: curvature search degenerated: an iterate is zero or not finite\n"
+        )
 
 
 class TestExploit:

@@ -330,19 +330,29 @@ def test_momentum_reset_is_written_once():
 
 def test_ancgd_takes_every_length_from_core_norm():
     # numpy's 2-d dot product is fused, so a hand-written planar length
-    # rounds differently from core._norm and the window would lose its bytes.
-    # The same holds for ncfind's power search and difference step, where a
-    # planar kernel would go next; the rest of ncfind is not checked, since
-    # lemma_decrease_bound and exploit take scalar square roots.
+    # rounds differently from core._norm and a planar path would lose its
+    # bytes.  The same holds for the power search kernel and the finders'
+    # steps with their planar twins; snc_find's steps take their lengths
+    # from the kernel.  The rest of ncfind and snc_find is not checked,
+    # since lemma_decrease_bound, exploit and the noise scale take scalar
+    # square roots.
     pkg = Path(saddlescape.__file__).parent
-    ncfind = {
-        node.name: node for node in ast.parse((pkg / "ncfind.py").read_text()).body
-        if isinstance(node, ast.FunctionDef)
-    }
+
+    def parse(module):
+        return ast.parse((pkg / f"{module}.py").read_text())
+
+    def defs(name, body):
+        return {f"{name}.{node.name}": node for node in body if isinstance(node, ast.FunctionDef)}
+
+    ncfind = defs("ncfind", parse("ncfind").body)
+    snc_find = defs("stochastic", parse("stochastic").body)["stochastic.snc_find"]
+    snc_steps = defs("stochastic.snc_find", snc_find.body)
+    assert list(snc_steps) == ["stochastic.snc_find.step", "stochastic.snc_find.planar"]
     trees = {
-        "ancgd": ast.parse((pkg / "ancgd.py").read_text()),
-        "ncfind._power_search": ncfind["_power_search"],
-        "ncfind._difference_step": ncfind["_difference_step"],
+        "ancgd": parse("ancgd"),
+        "ncfind._power_search": ncfind["ncfind._power_search"],
+        "ncfind._difference_step": ncfind["ncfind._difference_step"],
+        **snc_steps,
     }
     lengths = [
         (name, ast.unparse(node)) for name, tree in trees.items() for node in ast.walk(tree)
@@ -352,7 +362,8 @@ def test_ancgd_takes_every_length_from_core_norm():
         and ast.unparse(node.right) == "0.5"
     ]
     assert lengths == []
-    assert [name for name, tree in trees.items() if "_norm(" not in ast.unparse(tree)] == []
+    norms = [name for name, tree in trees.items() if "_norm(" in ast.unparse(tree)]
+    assert norms == ["ancgd", "ncfind._power_search", "ncfind._difference_step"]
 
 
 def test_testbed_catches_overflow_in_two_places():
