@@ -62,7 +62,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, help="step size")
     p.add_argument("--r", dest="radius", type=float, help="perturbation/probe radius")
     p.add_argument("--sigma", type=float, help="gradient noise level")
-    p.add_argument("--m", dest="batch", type=int, help="curvature-search minibatch size")
+    p.add_argument(
+        "--m", dest="batch", type=int,
+        help="minibatch size of snc's search differences and of psgd's gradient estimate",
+    )
     p.add_argument("--M", dest="outer_batch", type=int, help="outer SGD minibatch size")
     p.add_argument("--eps", type=float, help="target accuracy")
     p.add_argument("--delta", type=float, help="failure probability")

@@ -55,41 +55,24 @@ _STEP_COORDS = 1500
 
 # Calibrated equal-budget settings for the desk-scale comparisons.  Keyed by
 # (algorithm, landscape family); missing knobs fall back to derived values
-# where a formula exists and otherwise must be supplied explicitly.
+# where a formula exists and otherwise must be supplied explicitly.  Each
+# curvature arm and its baseline extend one dict of the knobs they share.
+_QUARTIC = dict(eta=0.05, radius=0.1, grad_threshold=0.05, steps=90, threshold=0.9)
+_CUBIC = dict(eta=0.02, radius=0.01, sigma=0.01, batch=1, steps=60, threshold=0.6)
+_QUARTIC_MOMENTUM = dict(
+    eta=0.05, radius=0.08, grad_threshold=0.02, steps=40, threshold=0.9,
+    theta=0.042, gamma=0.0355, nce_radius=0.0089,
+)
+_HIGHDIM = dict(eta=0.2, radius=0.1, grad_threshold=0.05, steps=30, threshold=0.9)
 RECIPES: dict[tuple[str, str], dict] = {
-    ("nc", "quartic"): dict(
-        eta=0.05, radius=0.1, ncf_steps=30, exploit_step=1.0, eps=0.05,
-        grad_threshold=0.05, steps=90, threshold=0.9,
-    ),
-    ("pgd", "quartic"): dict(
-        eta=0.05, radius=0.1, grad_threshold=0.05, cooldown=_NEVER,
-        steps=90, threshold=0.9,
-    ),
-    ("snc", "cubic"): dict(
-        eta=0.02, radius=0.01, sigma=0.01, batch=1, outer_batch=10,
-        ncf_steps=45, exploit_step=0.5, eps=0.5, steps=60, threshold=0.6,
-    ),
-    ("psgd", "cubic"): dict(
-        eta=0.02, radius=0.01, sigma=0.01, batch=1, grad_threshold=0.05,
-        cooldown=10, steps=60, threshold=0.6,
-    ),
-    ("ancgd", "quartic"): dict(
-        eta=0.05, radius=0.08, ncf_steps=20, exploit_step=1.2, eps=0.02,
-        grad_threshold=0.02, steps=40, threshold=0.9,
-        theta=0.042, gamma=0.0355, nce_radius=0.0089,
-    ),
-    ("pagd", "quartic"): dict(
-        eta=0.05, radius=0.08, grad_threshold=0.02, cooldown=_NEVER,
-        steps=40, threshold=0.9, theta=0.042, gamma=0.0355, nce_radius=0.0089,
-    ),
-    ("nc", "highdim"): dict(
-        eta=0.2, radius=0.1, ncf_steps=28, exploit_step=2.0, eps=0.05,
-        grad_threshold=0.05, steps=30, threshold=0.9,
-    ),
-    ("pgd", "highdim"): dict(
-        eta=0.2, radius=0.1, grad_threshold=0.05, cooldown=_NEVER,
-        steps=30, threshold=0.9,
-    ),
+    ("nc", "quartic"): dict(_QUARTIC, ncf_steps=30, exploit_step=1.0, eps=0.05),
+    ("pgd", "quartic"): dict(_QUARTIC, cooldown=_NEVER),
+    ("snc", "cubic"): dict(_CUBIC, outer_batch=10, ncf_steps=45, exploit_step=0.5, eps=0.5),
+    ("psgd", "cubic"): dict(_CUBIC, grad_threshold=0.05, cooldown=10),
+    ("ancgd", "quartic"): dict(_QUARTIC_MOMENTUM, ncf_steps=20, exploit_step=1.2, eps=0.02),
+    ("pagd", "quartic"): dict(_QUARTIC_MOMENTUM, cooldown=_NEVER),
+    ("nc", "highdim"): dict(_HIGHDIM, ncf_steps=28, exploit_step=2.0, eps=0.05),
+    ("pgd", "highdim"): dict(_HIGHDIM, cooldown=_NEVER),
 }
 
 

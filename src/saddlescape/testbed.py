@@ -40,14 +40,14 @@ class SaddleInfo:
 
 @dataclass
 class Landscape:
-    """An analytic test function with documented structure on a box."""
+    """An analytic test function, its Hessian and its documented structure on a box."""
 
     id: str
     oracle: GradientOracle
     box: tuple[float, float]
     saddles: list[SaddleInfo]
     minima: list[tuple[Array, float]]
-    hessian: Callable[[Array], Array] | None = None
+    hessian: Callable[[Array], Array]
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ from .core import (
     Array, GradientOracle, ParameterError, RngStream, require_count, require_list,
     require_positive, require_vector,
 )
-from .ncfind import _difference_step, _power_search
+from .ncfind import _difference_step, _power_search, _require_probe_scale
 from .testbed import VERIFY_IDS, Landscape, get_landscape
 
 
@@ -23,6 +23,8 @@ DENSE_CAP = 200
 # stencil per sampled point, and 25 Hessians for the spectrum); at this n it
 # ran for 56 s on a 2-core VM, and at 10**5 one stencil alone is 80 GB.
 MAX_VERIFY_DIM = 3000
+# run_verify's box points per landscape for the gradient check.
+_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,7 @@ def grad_power_lambda_min(
     require_positive(radius=radius)
     if radius is None:
         radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
+    _require_probe_scale(radius, oracle.spec.ell, "oracle.spec.ell")
     step, planar = _difference_step(oracle, x, oracle.gradient(x), radius, oracle.spec.ell)
     y = _power_search(lambda: stream.gen.standard_normal(x.shape), step, radius, iters, planar)
     y = y / np.linalg.norm(y)
@@ -173,70 +176,56 @@ def grad_power_lambda_min(
 @dataclass
 class VerifyReport:
     entries: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[str]:
+        return [
+            f"{entry['landscape']}: {check['name']}: {check['detail']}"
+            for entry in self.entries for check in entry["checks"] if not check["ok"]
+        ]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def _check(report: VerifyReport, entry: dict, name: str, ok: bool, detail: str) -> None:
+def _check(entry: dict, name: str, ok: bool, detail: str) -> None:
     entry["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
-    if not ok:
-        report.failures.append(f"{entry['landscape']}: {name}: {detail}")
 
 
 def _fd_gradient(oracle: GradientOracle, x: Array) -> Array:
     return _central_differences(oracle.value, x, default_step(x))
 
 
-def _hessian_at(land: Landscape, x: Array) -> tuple[Array, float] | None:
-    """The Hessian the audit trusts at x and its difference step: central
-    differences up to DENSE_CAP, else the analytic Hessian (step 0), else None."""
+def _spectrum_at(land: Landscape, x: Array) -> tuple[Array, float]:
+    """Ascending eigenvalues of the Hessian the audit trusts at x, and its
+    difference step: central differences up to DENSE_CAP, else the analytic
+    Hessian (step 0)."""
     if land.dim <= DENSE_CAP:
         h = default_step(x)
-        return dense_hessian(land.oracle, x, h), h
-    if land.hessian is not None:
-        return land.hessian(x), 0.0
-    return None
+        return np.linalg.eigvalsh(dense_hessian(land.oracle, x, h)), h
+    return np.linalg.eigvalsh(land.hessian(x)), 0.0
 
 
-def _curvature_at(land: Landscape, x: Array) -> tuple[float, float]:
-    """Bottom Hessian eigenvalue at x and the difference step behind it."""
-    hess = _hessian_at(land, x)
-    if hess is None:
-        report = grad_power_lambda_min(land.oracle, x, iters=200, stream=RngStream(7, 0))
-        return report.lambda_min, report.h
-    return float(np.linalg.eigvalsh(hess[0])[0]), hess[1]
-
-
-def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> VerifyReport:
-    """Independent numerical audit of every registered landscape.
+def run_verify(ids=None) -> VerifyReport:
+    """Independent numerical audit of the landscapes ids (VERIFY_IDS if None).
 
     Checks per landscape: analytic gradients against central differences at
-    sampled box points; every declared saddle is stationary, has the declared
-    bottom eigenvalue and is not second-order stationary; every declared
-    minimum is stationary, has the declared value and is second-order
-    stationary; the sampled Hessian spectrum respects the declared ell.
-    ids=None audits VERIFY_IDS.  ids given with landscapes, either one not
-    a list (of ids, of Landscape objects) or empty, and a landscape of
-    n > MAX_VERIFY_DIM are refused before any landscape is audited.
+    _POINTS sampled box points; every declared saddle is stationary, has the
+    declared bottom eigenvalue and is not second-order stationary; every
+    declared minimum is stationary, has the declared value and is
+    second-order stationary; the sampled Hessian spectrum respects the
+    declared ell.  ids that is not a list or is empty, and a landscape of
+    n > MAX_VERIFY_DIM, are refused before any landscape is audited.
     """
-    require_count(points_per_landscape=points_per_landscape)
-    if ids is not None and landscapes is not None:
-        raise ParameterError("give ids or landscapes, not both")
-    report = VerifyReport()
-    if landscapes is None:
-        ids = VERIFY_IDS if ids is None else require_list(ids, "ids", "landscape ids")
-        landscapes = [get_landscape(i) for i in ids]
-    landscapes = require_list(landscapes, "landscapes", "Landscape objects")
-    if not landscapes:
+    ids = VERIFY_IDS if ids is None else require_list(ids, "ids", "landscape ids")
+    if not ids:
         raise ParameterError("verify needs at least one landscape")
+    landscapes = [get_landscape(i) for i in ids]
     for land in landscapes:
-        if not isinstance(land, Landscape):
-            raise ParameterError(f"landscapes must hold Landscape objects, got {land!r}")
         if land.dim > MAX_VERIFY_DIM:
             raise ParameterError(f"verify caps n at {MAX_VERIFY_DIM}; {land.id} has n={land.dim}")
+    report = VerifyReport()
     for land in landscapes:
         entry = {"landscape": land.id, "checks": []}
         report.entries.append(entry)
@@ -245,33 +234,33 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
         lo, hi = land.box
 
         worst = 0.0
-        for _ in range(points_per_landscape):
+        for _ in range(_POINTS):
             x = stream.gen.uniform(lo, hi, size=land.dim)
             g = oracle.gradient(x)
-            g_fd = _fd_gradient(oracle, x)
-            rel = float(np.linalg.norm(g - g_fd)) / max(1.0, float(np.linalg.norm(g)))
-            worst = max(worst, rel)
+            err = float(np.linalg.norm(g - _fd_gradient(oracle, x)))
+            worst = max(worst, err / max(1.0, float(np.linalg.norm(g))))
         _check(
-            report, entry, "gradient-consistency", worst <= 1e-5,
-            f"worst relative error {worst:.3e} over {points_per_landscape} points",
+            entry, "gradient-consistency", worst <= 1e-5,
+            f"worst relative error {worst:.3e} over {_POINTS} points",
         )
 
         for idx, sad in enumerate(land.saddles):
             grad_norm = float(np.linalg.norm(oracle.gradient(sad.point)))
             _check(
-                report, entry, f"saddle-{idx}-stationary", grad_norm <= 1e-9,
+                entry, f"saddle-{idx}-stationary", grad_norm <= 1e-9,
                 f"grad {grad_norm:.3e} vs bound 1e-09",
             )
             eps_ref = 0.5 * sad.lambda_min**2 / sad.rho_local
-            lam, h = _curvature_at(land, sad.point)
+            eigs, h = _spectrum_at(land, sad.point)
+            lam = float(eigs[0])
             lam_err = abs(lam - sad.lambda_min) / max(1.0, abs(sad.lambda_min))
             _check(
-                report, entry, f"saddle-{idx}-eigenvalue", lam_err <= 1e-3,
+                entry, f"saddle-{idx}-eigenvalue", lam_err <= 1e-3,
                 f"measured {lam:.6f}, declared {sad.lambda_min:.6f}",
             )
             verdict = _verdict(grad_norm, lam, h, eps_ref, sad.rho_local)
             _check(
-                report, entry, f"saddle-{idx}-not-sosp", not verdict.is_sosp,
+                entry, f"saddle-{idx}-not-sosp", not verdict.is_sosp,
                 f"lambda_min {verdict.lambda_min:.6f} vs threshold {verdict.threshold:.6f}",
             )
 
@@ -280,31 +269,27 @@ def run_verify(ids=None, landscapes=None, points_per_landscape: int = 100) -> Ve
         for idx, (point, value) in enumerate(land.minima):
             fval = oracle.value(point)
             _check(
-                report, entry, f"minimum-{idx}-value", abs(fval - value) <= 1e-9,
+                entry, f"minimum-{idx}-value", abs(fval - value) <= 1e-9,
                 f"f={fval!r}, declared {value!r}",
             )
             grad_norm = float(np.linalg.norm(oracle.gradient(point)))
             _check(
-                report, entry, f"minimum-{idx}-stationary", grad_norm <= 1e-7,
+                entry, f"minimum-{idx}-stationary", grad_norm <= 1e-7,
                 f"grad {grad_norm:.3e} vs bound 1e-07",
             )
-            verdict = _verdict(grad_norm, *_curvature_at(land, point), eps_ref, rho_ref)
+            eigs, h = _spectrum_at(land, point)
+            verdict = _verdict(grad_norm, float(eigs[0]), h, eps_ref, rho_ref)
             _check(
-                report, entry, f"minimum-{idx}-sosp", verdict.is_sosp,
+                entry, f"minimum-{idx}-sosp", verdict.is_sosp,
                 f"grad {verdict.grad_norm:.3e}, lambda_min {verdict.lambda_min:.6f}",
             )
 
         worst_eig = 0.0
         for _ in range(25):
-            hess = _hessian_at(land, stream.gen.uniform(lo, hi, size=land.dim))
-            if hess is None:
-                break
-            worst_eig = max(worst_eig, float(np.max(np.abs(np.linalg.eigvalsh(hess[0])))))
+            eigs = _spectrum_at(land, stream.gen.uniform(lo, hi, size=land.dim))[0]
+            worst_eig = max(worst_eig, float(np.max(np.abs(eigs))))
         _check(
-            report, entry, "spectrum-bound",
-            hess is not None and worst_eig <= oracle.spec.ell * 1.001,
-            f"max |eig| {worst_eig:.4f} vs declared ell {oracle.spec.ell}"
-            if hess is not None
-            else f"unchecked: n={land.dim} > {DENSE_CAP} and no analytic Hessian",
+            entry, "spectrum-bound", worst_eig <= oracle.spec.ell * 1.001,
+            f"max |eig| {worst_eig:.4f} vs declared ell {oracle.spec.ell}",
         )
     return report

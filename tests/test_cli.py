@@ -16,6 +16,7 @@ from saddlescape import (
     derive_params_for,
     harness,
 )
+from saddlescape import verify
 from saddlescape.cli import build_parser, main
 from saddlescape.verify import MAX_VERIFY_DIM
 
@@ -437,6 +438,23 @@ class TestRunCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: eta {float(eta)} is out of range")
 
+    def test_probe_scale_underflow_exits_one_before_any_trial(self, trials_run, capsys):
+        # The local ell = 1/eta = 1e-300 times the radius 1e-30 is 0 in floats,
+        # and the curvature search divided by it: a ZeroDivisionError.
+        argv = "run --alg nc --fn quartic --eta 1e300 --r 1e-30 --trials 1".split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: radius 1e-30 times ell 1e-300 underflows to 0; "
+            "the curvature search divides by it\n"
+        )
+        assert trials_run == []
+
+    def test_batch_help_names_both_readers(self):
+        # psgd reads --m as the minibatch of its gradient estimate, not of a search.
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        text = " ".join(sub.choices["run"].format_help().split())
+        assert "--m BATCH minibatch size of snc's search differences and of psgd's " in text
+
     @pytest.mark.parametrize("flag, value", [("--eta", "1e-320"), ("--theta", "1e-200")])
     def test_paper_pagd_momentum_out_of_the_floats_names_its_input(self, flag, value, capsys):
         # gamma = theta^2 / eta overflows for a tiny eta; theta^2 underflows
@@ -492,6 +510,26 @@ class TestVerifyCommand:
             f"error: verify caps n at {MAX_VERIFY_DIM}; highdim-{n} has n={n}\n"
         )
 
+    def test_verify_above_the_dense_cap_reads_the_analytic_hessian(self, capsys, monkeypatch):
+        # Past DENSE_CAP every curvature the audit reads is land.hessian's:
+        # at the saddle, at both minima and at the 25 spectrum samples.
+        points = []
+        registry = verify.get_landscape
+
+        def spied(land_id):
+            land = registry(land_id)
+            hessian = land.hessian
+            land.hessian = lambda x: points.append(x) or hessian(x)
+            return land
+
+        monkeypatch.setattr(verify, "get_landscape", spied)
+        assert main(["verify", "--fn", "highdim-300"]) == 0
+        assert len(points) == 1 + 2 + 25
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verification passed: 1 landscape(s)"
+        assert all(line.startswith("ok   highdim-300: ") for line in lines[:-1])
+        assert lines[-2].startswith("ok   highdim-300: spectrum-bound: max |eig| ")
+
     @pytest.mark.parametrize("fn", [",", " , ", ""])
     def test_verify_with_no_id_exits_one(self, fn, capsys):
         # An --fn that names no id is not the default set.
@@ -508,7 +546,8 @@ class TestVerifyCommand:
         import saddlescape.cli as cli_mod
 
         def fake_verify(ids=None):
-            return VerifyReport(entries=[], failures=["broken: check: detail"])
+            check = {"name": "check", "ok": False, "detail": "detail"}
+            return VerifyReport(entries=[{"landscape": "broken", "checks": [check]}])
 
         monkeypatch.setattr(cli_mod, "run_verify", fake_verify)
         code = main(["verify"])

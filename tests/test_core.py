@@ -667,7 +667,6 @@ _CENSUS_CALLS = {
     "grad_power_lambda_min": dict(oracle=_SADDLE, x=_ORIGIN, iters=5, stream=RngStream(0, 0)),
     "lemma_decrease_bound": dict(eps=0.1, rho=1.0),
     "run_dimension_scaling": dict(ps=[1], trials=1),
-    "run_verify": dict(ids=["quartic"], points_per_landscape=1),
     "uniform_ball_sample": dict(center=_ORIGIN, radius=0.1, stream=RngStream(0, 0)),
     "with_noise": dict(landscape=_SADDLE, sigma=0.1),
 }

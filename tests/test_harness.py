@@ -1,6 +1,7 @@
 """Experiment harness: configs, histograms, outputs, verification sweep."""
 
 import dataclasses
+import inspect
 import json
 import os
 import time
@@ -27,7 +28,7 @@ from saddlescape import (
     run_verify,
     with_noise,
 )
-from saddlescape import harness
+from saddlescape import harness, verify
 from saddlescape.cli import main
 from saddlescape.harness import _resolve_knobs, build_payload
 
@@ -76,6 +77,17 @@ class TestExperimentConfig:
             assert set(recipe) <= set(harness._ALGORITHMS[alg].reads), alg
         for entry in harness._ALGORITHMS.values():
             assert set(entry.needs) <= set(entry.reads)
+
+    @pytest.mark.parametrize("arm, baseline, family", [
+        ("nc", "pgd", "quartic"), ("snc", "psgd", "cubic"),
+        ("ancgd", "pagd", "quartic"), ("nc", "pgd", "highdim"),
+    ])
+    def test_equal_budget_pair_shares_its_knobs(self, arm, baseline, family):
+        # A curvature arm and its baseline run at one step size, radius and
+        # budget, and are scored against one escape bar.
+        a, b = harness.RECIPES[arm, family], harness.RECIPES[baseline, family]
+        assert {"eta", "radius", "steps", "threshold"} <= a.keys() & b.keys()
+        assert {k: a[k] for k in a.keys() & b.keys()} == {k: b[k] for k in a.keys() & b.keys()}
 
     def test_recipe_overlay_precedence(self):
         cfg = ExperimentConfig(algorithm="nc", landscape="quartic", eta=0.123)
@@ -511,12 +523,20 @@ def _broken_landscape() -> Landscape:
         box=(-2.0, 2.0),
         saddles=[saddle],
         minima=[(np.zeros(2), -1.0)],
+        hessian=lambda x: np.eye(2),
     )
+
+
+def _audit(monkeypatch, land: Landscape):
+    """run_verify's report on land, which the registry hands out as land.id."""
+    registry = verify.get_landscape
+    monkeypatch.setattr(verify, "get_landscape", lambda i: land if i == land.id else registry(i))
+    return run_verify(ids=[land.id])
 
 
 class TestRunVerify:
     def test_catalog_passes(self):
-        report = run_verify(ids=VERIFY_IDS, points_per_landscape=25)
+        report = run_verify(ids=VERIFY_IDS)
         assert report.ok
         assert not report.failures
         assert {e["landscape"] for e in report.entries} == set(VERIFY_IDS)
@@ -524,8 +544,8 @@ class TestRunVerify:
             assert all(c["ok"] for c in entry["checks"])
             assert "saddle-0-stationary" in {c["name"] for c in entry["checks"]}
 
-    def test_broken_landscape_flagged(self):
-        report = run_verify(landscapes=[_broken_landscape()], points_per_landscape=10)
+    def test_broken_landscape_flagged(self, monkeypatch):
+        report = _audit(monkeypatch, _broken_landscape())
         assert not report.ok
         names = {f.split(": ")[1] for f in report.failures}
         # The declared minimum value is wrong (bowl bottom is 0, not -1), the
@@ -533,12 +553,14 @@ class TestRunVerify:
         assert "minimum-0-value" in names
         assert "saddle-0-eigenvalue" in names
         assert "spectrum-bound" in names
+        failed = [c for c in report.entries[0]["checks"] if not c["ok"]]
+        assert report.failures == [f"broken: {c['name']}: {c['detail']}" for c in failed]
 
     @pytest.mark.parametrize(
         "shift, check",
         [("saddles", "saddle-0-stationary"), ("minima", "minimum-0-stationary")],
     )
-    def test_declared_point_off_critical_flagged(self, shift, check):
+    def test_declared_point_off_critical_flagged(self, shift, check, monkeypatch):
         # Move the first declared saddle or minimum of the quartic off its
         # critical point: only the stationarity checks see the gradient.
         land = get_landscape("quartic")
@@ -548,51 +570,26 @@ class TestRunVerify:
         else:
             moved = (np.array([2.0, 1e-3]), land.minima[0][1])
             land = dataclasses.replace(land, minima=[moved])
-        report = run_verify(landscapes=[land], points_per_landscape=1)
+        report = _audit(monkeypatch, land)
         assert f"quartic: {check}" in {f.rsplit(": ", 1)[0] for f in report.failures}
 
-    @pytest.mark.parametrize("kwargs", [{"ids": []}, {"landscapes": []}])
-    def test_rejects_an_empty_list(self, kwargs):
+    def test_rejects_an_empty_list(self):
         # Only ids=None means the VERIFY_IDS default.
         with pytest.raises(ParameterError, match="^verify needs at least one landscape$"):
-            run_verify(**kwargs)
+            run_verify(ids=[])
 
     def test_rejects_a_string_of_ids(self):
         # A string would be read one character at a time: "q", "u", ...
         with pytest.raises(ParameterError, match="^ids must be a list of landscape ids"):
             run_verify(ids="quartic")
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"landscapes": "ab"},
-         "landscapes must be a list of Landscape objects, got the string 'ab'"),
-        ({"landscapes": [None]}, "landscapes must hold Landscape objects, got None"),
-        ({"landscapes": [3]}, "landscapes must hold Landscape objects, got 3"),
-        ({"ids": 5}, "ids must be a list of landscape ids, got 5"),
-    ], ids=["string-landscapes", "none-landscape", "int-landscape", "int-ids"])
-    def test_rejects_what_is_not_a_list_by_name(self, kwargs, message):
-        # Unchecked, each fails later with an AttributeError or a TypeError.
-        with pytest.raises(ParameterError, match=f"^{message}$"):
-            run_verify(**kwargs)
+    def test_rejects_what_is_not_a_list_by_name(self):
+        # Unchecked, an int fails later with a TypeError.
+        with pytest.raises(ParameterError, match="^ids must be a list of landscape ids, got 5$"):
+            run_verify(ids=5)
 
-    def test_rejects_ids_with_landscapes(self):
-        # ids was ignored here, and the broken landscape audited alone.
-        with pytest.raises(ParameterError, match="^give ids or landscapes, not both$"):
-            run_verify(ids=["quartic"], landscapes=[_broken_landscape()])
-
-    @pytest.mark.parametrize("points", [0, -3])
-    def test_rejects_fewer_than_one_point(self, points):
-        with pytest.raises(ParameterError, match="points_per_landscape"):
-            run_verify(ids=["quartic"], points_per_landscape=points)
-
-    def test_spectrum_bound_without_a_hessian_fails(self):
-        # Above DENSE_CAP only an analytic Hessian can be sampled; without
-        # one the bound is unchecked, and an unchecked bound does not pass.
-        land = dataclasses.replace(get_landscape("highdim-300"), hessian=None)
-        report = run_verify(landscapes=[land], points_per_landscape=1)
-        (check,) = [c for c in report.entries[0]["checks"] if c["name"] == "spectrum-bound"]
-        assert not check["ok"]
-        assert "no analytic Hessian" in check["detail"]
-        assert not report.ok
+    def test_takes_only_ids(self):
+        assert list(inspect.signature(run_verify).parameters) == ["ids"]
 
 
 class TestDeriveParamsFor:

@@ -95,6 +95,11 @@ class TestDerivedSchedule:
         with pytest.raises(ParameterError):
             NCParams(steps=5, radius=-0.1, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
 
+    def test_params_refuse_a_probe_scale_that_underflows(self):
+        # The search divides by radius * ell; here that product is 0 in floats.
+        with pytest.raises(ParameterError, match=r"^radius 1e-100 times ell 1e-250 underflows"):
+            NCParams(steps=5, radius=1e-100, eps=0.1, delta0=0.1, ell=1e-250, rho=1.0)
+
 
 def _pinned_vs_free_gap(land_id, steps):
     """Angular gap between nc_find and its free-running reference at the

@@ -12,6 +12,7 @@ from saddlescape import (
     AdditiveNoiseOracle,
     CountingOracle,
     ExperimentConfig,
+    Landscape,
     ParameterError,
     RandomQuadraticNoiseOracle,
     RngStream,
@@ -99,11 +100,17 @@ class TestRegistry:
         b = get_landscape("quartic")
         assert a is not b
 
+    def test_landscape_needs_a_hessian(self):
+        # verify reads it above DENSE_CAP, where no dense difference is taken.
+        land = get_landscape("quartic")
+        with pytest.raises(TypeError, match="hessian"):
+            Landscape(land.id, land.oracle, land.box, land.saddles, land.minima)
+
 
 class TestDeclaredStructure:
     @pytest.mark.parametrize("land_id", ALL_IDS)
     def test_self_check_passes(self, land_id):
-        report = run_verify(landscapes=[get_landscape(land_id)], points_per_landscape=3)
+        report = run_verify(ids=[land_id])
         assert report.ok, report.failures
 
     def test_gradient_matches_fd(self, landscape):
@@ -116,8 +123,6 @@ class TestDeclaredStructure:
             assert np.linalg.norm(g - fd) <= 1e-4 * max(1.0, np.linalg.norm(g))
 
     def test_analytic_hessian_matches_fd(self, landscape):
-        if landscape.hessian is None:
-            pytest.skip("no analytic Hessian declared")
         stream = RngStream(6, 0).substream(landscape.id)
         lo, hi = landscape.box
         for _ in range(5):
@@ -141,11 +146,7 @@ class TestDeclaredStructure:
         for point, value in landscape.minima:
             assert landscape.oracle.value(point) == pytest.approx(value, abs=1e-9)
             assert np.linalg.norm(landscape.oracle.gradient(point)) <= 1e-7
-            H = (
-                landscape.hessian(point)
-                if landscape.hessian is not None
-                else dense_hessian(landscape.oracle, point)
-            )
+            H = landscape.hessian(point)
             assert float(np.linalg.eigvalsh(H)[0]) >= -1e-6
 
     def test_global_smoothness_bound_sampled(self, landscape):
@@ -154,11 +155,7 @@ class TestDeclaredStructure:
         ell = landscape.oracle.spec.ell
         for _ in range(25):
             x = stream.gen.uniform(lo, hi, size=landscape.dim)
-            H = (
-                landscape.hessian(x)
-                if landscape.hessian is not None
-                else dense_hessian(landscape.oracle, x)
-            )
+            H = landscape.hessian(x)
             assert float(np.max(np.abs(np.linalg.eigvalsh(H)))) <= ell * 1.001
 
     def test_hessian_lipschitz_bound_sampled(self, landscape):
@@ -166,8 +163,6 @@ class TestDeclaredStructure:
         lo, hi = landscape.box
         rho = landscape.oracle.spec.rho
         hess = landscape.hessian
-        if hess is None:
-            pytest.skip("no analytic Hessian declared")
         for _ in range(25):
             x = stream.gen.uniform(lo, hi, size=landscape.dim)
             y = stream.gen.uniform(lo, hi, size=landscape.dim)
@@ -186,11 +181,7 @@ class TestDeclaredStructure:
                 off = stream.gen.standard_normal(landscape.dim)
                 off *= 0.005 / np.linalg.norm(off)
                 x = sad.point + off
-                H = (
-                    landscape.hessian(x)
-                    if landscape.hessian is not None
-                    else dense_hessian(landscape.oracle, x)
-                )
+                H = landscape.hessian(x)
                 top = float(np.max(np.abs(np.linalg.eigvalsh(H))))
                 assert top <= sad.ell_local * 1.01
 

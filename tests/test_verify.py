@@ -148,6 +148,14 @@ class TestGradPower:
         )
         assert power.lambda_min == pytest.approx(dense.lambda_min, abs=1e-6)
 
+    def test_refuses_a_probe_scale_that_underflows(self):
+        # The search divides by radius * ell, which is 0 in floats here.
+        oracle = make_quadratic([-1.0, 1.0], ell=1e-10)
+        with pytest.raises(ParameterError, match=r"^radius 1e-320 times oracle.spec.ell 1e-10"):
+            grad_power_lambda_min(
+                oracle, np.zeros(2), iters=3, stream=RngStream(0, 0), radius=1e-320
+            )
+
     def test_works_beyond_dense_cap(self):
         land = get_landscape("highdim-300")
         sad = land.saddles[0]
@@ -168,13 +176,10 @@ class TestDefaultStep:
 
 
 class TestVerifyCap:
-    @pytest.mark.parametrize("by", ["ids", "landscapes"])
-    def test_dimension_above_the_cap_is_refused_before_any_audit(self, by, monkeypatch):
+    def test_dimension_above_the_cap_is_refused_before_any_audit(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a landscape was audited")
 
         monkeypatch.setattr(verify, "_fd_gradient", refuse)
-        ids = ["quartic", f"highdim-{MAX_VERIFY_DIM + 1}"]
-        kwargs = {"ids": ids} if by == "ids" else {"landscapes": map(get_landscape, ids)}
         with pytest.raises(ParameterError, match=rf"\bn={MAX_VERIFY_DIM + 1}\b"):
-            run_verify(**kwargs)
+            run_verify(ids=["quartic", f"highdim-{MAX_VERIFY_DIM + 1}"])
