@@ -39,14 +39,11 @@ from .testbed import (
     with_noise,
 )
 from .verify import (
-    CurvatureReport,
     StationarityVerdict,
     VerifyReport,
     classify,
     dense_hessian,
-    dense_hessian_eig,
     fd_quadform,
-    grad_power_lambda_min,
     run_verify,
 )
 from .harness import (

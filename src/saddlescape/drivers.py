@@ -3,6 +3,7 @@ perturbation-based baselines it is compared against."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -12,6 +13,7 @@ from .core import (
     EVENT_PERTURB,
     EVENT_SGD,
     CountingOracle,
+    DivergenceError,
     GradientOracle,
     RngStream,
     StochasticOracle,
@@ -148,14 +150,22 @@ def psgd_run(
     the true landscape.
     """
     trace = Trace.start("psgd", stream, perturbs=[], samples=0)
-    variance = params.radius**2 / oracle.dim
+    try:
+        variance = params.radius**2 / oracle.dim
+    except OverflowError:  # no draw at this spread is a float: the first one diverges
+        variance = math.inf
     sample = oracle.mean_sampler(params.batch, stream.substream("theta"), params.total_steps)
 
     def estimate(x: Array, g: Array) -> Array:
         trace.meta["samples"] += params.batch
         return sample(x, g)
 
-    escape = _perturbation(trace, lambda x: gaussian_sample(x, variance, stream))
+    def draw(x: Array) -> Array:
+        if variance == math.inf:
+            raise DivergenceError(f"perturbation radius {params.radius!r} squared overflows", trace)
+        return gaussian_sample(x, variance, stream)
+
+    escape = _perturbation(trace, draw)
     return descend(
         x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
         params.eta, params.grad_threshold, record=record,

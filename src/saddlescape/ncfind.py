@@ -38,14 +38,6 @@ if TYPE_CHECKING:
     from .stochastic import SNCParams
 
 
-def _require_probe_scale(radius: float, ell: float, ell_name: str) -> None:
-    """Refuse a radius * ell that underflows to 0: the difference step divides by it."""
-    if radius * ell == 0.0:
-        raise ParameterError(
-            f"radius {radius!r} times {ell_name} {ell!r} underflows to 0; "
-            "the curvature search divides by it")
-
-
 @dataclass(frozen=True)
 class NCParams:
     """Step count and probe radius for gradient-based curvature search."""
@@ -61,7 +53,10 @@ class NCParams:
         require_count(steps=self.steps)
         require_fraction(closed=True, delta0=self.delta0)
         require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
-        _require_probe_scale(self.radius, self.ell, "ell")
+        if self.radius * self.ell == 0.0:
+            raise ParameterError(
+                f"radius {self.radius!r} times ell {self.ell!r} underflows to 0; "
+                "the curvature search divides by it")
 
 
 @dataclass(frozen=True)

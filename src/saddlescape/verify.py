@@ -1,5 +1,5 @@
 """Independent checks of declared structure: finite-difference gradients and
-Hessians, stationarity tests, and the landscape verification report."""
+Hessians, the second-order stationarity test, and the landscape audit."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Array, GradientOracle, ParameterError, RngStream, require_count, require_list,
-    require_positive, require_vector,
+    Array, GradientOracle, ParameterError, RngStream, require_list, require_positive,
+    require_vector,
 )
-from .ncfind import _difference_step, _power_search, _require_probe_scale
 from .testbed import VERIFY_IDS, Landscape, get_landscape
 
 
@@ -25,17 +24,6 @@ DENSE_CAP = 200
 MAX_VERIFY_DIM = 3000
 # run_verify's box points per landscape for the gradient check.
 _POINTS = 100
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Estimated most-negative curvature at a point."""
-
-    lambda_min: float
-    direction: Array
-    quad_form: float
-    method: str
-    h: float
 
 
 @dataclass(frozen=True)
@@ -96,20 +84,6 @@ def dense_hessian(oracle: GradientOracle, x: Array, h: float | None = None) -> A
     return (columns + columns.T) / 2.0
 
 
-def dense_hessian_eig(oracle: GradientOracle, x: Array, h: float | None = None) -> CurvatureReport:
-    """Most-negative eigenpair of the finite-difference Hessian (numpy's
-    symmetric eigensolver), with the direction rescored by fd_quadform."""
-    x = require_vector(x, "x", oracle.dim)
-    if h is None:
-        h = default_step(x)
-    vals, vecs = np.linalg.eigh(dense_hessian(oracle, x, h))
-    v = vecs[:, 0]
-    quad = fd_quadform(oracle, x, v, h)
-    return CurvatureReport(
-        lambda_min=float(vals[0]), direction=v, quad_form=quad, method="dense-fd", h=h
-    )
-
-
 def _verdict(
     grad_norm: float, lambda_min: float, h: float, eps: float, rho: float
 ) -> StationarityVerdict:
@@ -142,35 +116,9 @@ def classify(
     x = require_vector(x, "x", oracle.dim)
     rho = oracle.spec.rho if rho is None else rho
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))
-    report = dense_hessian_eig(oracle, x, h)
-    return _verdict(grad_norm, report.lambda_min, report.h, eps, rho)
-
-
-def grad_power_lambda_min(
-    oracle: GradientOracle,
-    x: Array,
-    iters: int,
-    stream: RngStream,
-    radius: float | None = None,
-) -> CurvatureReport:
-    """Gradient-only bottom-eigenpair estimate via fixed-radius power steps.
-
-    Runs nc_find's gradient-difference power method at a vanishing probe
-    radius from a Gaussian start, then scores the direction with fd_quadform.
-    Useful as a cross-check that needs no Hessian assembly.
-    """
-    x = require_vector(x, "x", oracle.dim)
-    require_count(iters=iters)
-    require_positive(radius=radius)
-    if radius is None:
-        radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
-    _require_probe_scale(radius, oracle.spec.ell, "oracle.spec.ell")
-    step, planar = _difference_step(oracle, x, oracle.gradient(x), radius, oracle.spec.ell)
-    y = _power_search(lambda: stream.gen.standard_normal(x.shape), step, radius, iters, planar)
-    y = y / np.linalg.norm(y)
-    h = default_step(x)
-    quad = fd_quadform(oracle, x, y, h)
-    return CurvatureReport(lambda_min=quad, direction=y, quad_form=quad, method="grad-power", h=h)
+    h = default_step(x) if h is None else h
+    lambda_min = float(np.linalg.eigvalsh(dense_hessian(oracle, x, h))[0])
+    return _verdict(grad_norm, lambda_min, h, eps, rho)
 
 
 @dataclass

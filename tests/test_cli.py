@@ -101,6 +101,20 @@ class TestRunCommand:
         assert code == 3
         assert "diverged:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_psgd_radius_whose_square_overflows_diverges(self, jobs, tmp_path, monkeypatch,
+                                                         capsys):
+        # radius**2 overflows; the perturbation's variance is then infinite,
+        # and the first draw ends the run as a divergence, in a worker too.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "run", "--alg", "psgd", "--fn", "cubic", "--trials", "2", "--r", "1e155",
+            "--jobs", jobs,
+        ])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "diverged: perturbation radius 1e+155 squared overflows\n")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_degenerate_search_exits_three(self, capsys):
         # A finite probe radius passes validation, but its squared norm

@@ -35,7 +35,6 @@ from saddlescape import (
     ancgd_run,
     classify,
     dense_hessian,
-    dense_hessian_eig,
     derive_anc_params,
     derive_nc_params,
     derive_params_for,
@@ -43,7 +42,6 @@ from saddlescape import (
     fd_quadform,
     gaussian_sample,
     get_landscape,
-    grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
     pagd_run,
@@ -406,8 +404,6 @@ _BAD_INPUTS = [
     ("gaussian_sample", "^center must",
      lambda v: gaussian_sample(np.zeros(v), 0.1, RngStream(0, 0)), ((), (2, 1))),
     ("fd_quadform", "h", lambda v: fd_quadform(_SADDLE, _ORIGIN, _AXIS, v), (-1e-4,)),
-    ("grad_power_lambda_min", "radius",
-     lambda v: grad_power_lambda_min(_SADDLE, _ORIGIN, 5, RngStream(0, 0), v), (-1e-4,)),
     ("fd_quadform", "direction",
      lambda v: fd_quadform(_SADDLE, _ORIGIN, np.array([v, 0.0])), (_NAN, _INF, "a")),
     ("fd_quadform", "^x must",
@@ -416,10 +412,10 @@ _BAD_INPUTS = [
      lambda v: fd_quadform(_SADDLE, _ORIGIN, np.ones(v)), (1, 3, (2, 1))),
     ("dense_hessian", "^x must",
      lambda v: dense_hessian(_SADDLE, np.array([v, 0.0])), (_NAN, _INF)),
-    # Checked before its difference step is taken from x.
-    ("dense_hessian_eig", "^x must",
-     lambda v: dense_hessian_eig(_SADDLE, np.array([v, 0.0])), (_NAN,)),
     ("classify", "^x must", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
+    # Checked before its difference step is taken from x.
+    ("classify", "^x must",
+     lambda v: classify(_SADDLE, np.array([v, 0.0]), 0.1), (_NAN, _INF)),
     # The finders' anchor: a non-finite or non-number entry (the latter once
     # numpy's bare ValueError), or a shape other than (dim,).
     ("nc_find", "^x_tilde must",
@@ -444,12 +440,6 @@ _BAD_INPUTS = [
      (_NAN, _INF)),
     ("snc_find", "^g must",
      lambda v: snc_find(_NOISY, _ORIGIN, _SNC, RngStream(0, 0), g=np.zeros(v)), (1, 3, (2, 1))),
-    ("grad_power_lambda_min", "^x must",
-     lambda v: grad_power_lambda_min(_SADDLE, np.array([v, 0.0]), 5, RngStream(0, 0)),
-     (_NAN, _INF)),
-    ("grad_power_lambda_min", "^x must",
-     lambda v: grad_power_lambda_min(_SADDLE, np.zeros(v), 5, RngStream(0, 0)),
-     (1, 3, (2, 1))),
     # The momentum loop's start point, through both of its entry points.
     ("ancgd_run", "x0",
      lambda v: ancgd_run(_SADDLE, np.array([v, 0.0]), ANCParams(**_ANC), RngStream(0, 0)),
@@ -652,7 +642,6 @@ _CENSUS_CALLS = {
     ),
     "classify": dict(oracle=_SADDLE, x=_ORIGIN, eps=0.1),
     "dense_hessian": dict(oracle=_SADDLE, x=_ORIGIN),
-    "dense_hessian_eig": dict(oracle=_SADDLE, x=_ORIGIN),
     "derive_anc_params":
         dict(spec=_SADDLE.spec, eps=0.1, delta0=0.1, n=2, delta_f_bound=1.0),
     "derive_nc_params": dict(spec=_SADDLE.spec, eps=0.1, delta0=0.1, n=2),
@@ -664,7 +653,6 @@ _CENSUS_CALLS = {
     ),
     "fd_quadform": dict(oracle=_SADDLE, x=_ORIGIN, e=_AXIS),
     "gaussian_sample": dict(center=_ORIGIN, variance_per_coord=0.1, stream=RngStream(0, 0)),
-    "grad_power_lambda_min": dict(oracle=_SADDLE, x=_ORIGIN, iters=5, stream=RngStream(0, 0)),
     "lemma_decrease_bound": dict(eps=0.1, rho=1.0),
     "run_dimension_scaling": dict(ps=[1], trials=1),
     "uniform_ball_sample": dict(center=_ORIGIN, radius=0.1, stream=RngStream(0, 0)),
@@ -672,7 +660,6 @@ _CENSUS_CALLS = {
 }
 _RECORD = "a record the library builds and returns, not an input"
 _CENSUS_EXEMPT.update({
-    "CurvatureReport": _RECORD,
     "ExperimentResult": _RECORD,
     "NCOutcome": _RECORD,
     "SaddleInfo": _RECORD,

@@ -24,7 +24,6 @@ from saddlescape import (
     derive_nc_params,
     derive_snc_params,
     get_landscape,
-    grad_power_lambda_min,
     lemma_decrease_bound,
     nc_find,
     pgd_nc_run,
@@ -32,7 +31,7 @@ from saddlescape import (
     snc_find,
     uniform_ball_sample,
 )
-from saddlescape import ncfind, stochastic, verify
+from saddlescape import ncfind, stochastic
 from saddlescape.cli import main
 from saddlescape.ncfind import NCParams, exploit
 from saddlescape.stochastic import SNCParams
@@ -137,8 +136,6 @@ _DEGENERATE_RUNS = {
     "nc_find": (ncfind, lambda: nc_find(_degenerate_oracle(), np.zeros(2), _NC, RngStream(0, 0))),
     "snc_find": (stochastic, lambda: snc_find(
         AdditiveNoiseOracle(_degenerate_oracle(), 0.1), np.zeros(2), _SNC, RngStream(0, 0))),
-    "grad_power_lambda_min": (verify, lambda: grad_power_lambda_min(
-        _degenerate_oracle(), np.zeros(2), 5, RngStream(0, 0))),
 }
 
 
@@ -201,9 +198,8 @@ class TestSearchDynamics:
     def test_degenerate_oracle_raises_at_once(self, monkeypatch):
         assert _start_draws_before_raise(monkeypatch, "nc_find") == 1
 
-    @pytest.mark.parametrize("finder", ["snc_find", "grad_power_lambda_min"])
-    def test_degenerate_oracle_raises_in_other_finders(self, monkeypatch, finder):
-        assert _start_draws_before_raise(monkeypatch, finder) == 1
+    def test_degenerate_oracle_raises_in_snc_find(self, monkeypatch):
+        assert _start_draws_before_raise(monkeypatch, "snc_find") == 1
 
     def test_zero_start_raises(self, quad5, monkeypatch):
         # A uniform-ball draw is exactly zero when its radial draw is 0.0;
@@ -249,7 +245,7 @@ def _searched(runs: dict, planar: bool) -> dict:
 
     outcomes = {}
     with contextlib.ExitStack() as stack:
-        for module in (ncfind, stochastic, verify):
+        for module in (ncfind, stochastic):
             stack.enter_context(mock.patch.object(module, "_power_search", search))
         for name, run in runs.items():
             try:
@@ -291,8 +287,6 @@ def _finder_runs(land_id: str, anchor, radius: float, steps: int, seed: int) -> 
 
     runs = {
         "nc_find": lambda o: nc_find(o, x, nc, RngStream(seed, 0)).e_hat,
-        "grad_power_lambda_min": lambda o: grad_power_lambda_min(
-            o, x, steps, RngStream(seed, 0), radius).direction,
         "pgd_nc_run": lambda o: kept(
             pgd_nc_run(o, x, loop(nc), RngStream(seed, 0), record="full")),
     }
@@ -307,8 +301,7 @@ def _finder_runs(land_id: str, anchor, radius: float, steps: int, seed: int) -> 
 class TestPlanarSearch:
     """The 2-d curvature searches on Python floats against the numpy loop
     they replace at n = 2: the same bytes in every output, the same oracle
-    calls, for nc_find, snc_find and grad_power_lambda_min and the loops
-    around them."""
+    calls, for nc_find and snc_find and the loops around them."""
 
     @settings(max_examples=60, deadline=None)
     @given(

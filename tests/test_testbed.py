@@ -23,7 +23,7 @@ from saddlescape import (
 )
 from saddlescape.core import GradientOracle
 from saddlescape.testbed import _FACTORIES, MAX_HIGHDIM, VERIFY_IDS
-from saddlescape.verify import dense_hessian, dense_hessian_eig
+from saddlescape.verify import dense_hessian
 
 
 def _fd_grad(oracle, x, h=1e-6):
@@ -134,11 +134,10 @@ class TestDeclaredStructure:
     def test_saddle_eigenpair(self, landscape):
         for sad in landscape.saddles:
             assert np.linalg.norm(landscape.oracle.gradient(sad.point)) <= 1e-9
-            report = dense_hessian_eig(landscape.oracle, sad.point)
-            assert report.lambda_min == pytest.approx(sad.lambda_min, rel=1e-3)
+            vals, vecs = np.linalg.eigh(dense_hessian(landscape.oracle, sad.point))
+            assert vals[0] == pytest.approx(sad.lambda_min, rel=1e-3)
             gap = 1.0 - abs(
-                float(np.dot(report.direction, sad.direction))
-                / np.linalg.norm(sad.direction)
+                float(np.dot(vecs[:, 0], sad.direction)) / np.linalg.norm(sad.direction)
             )
             assert gap <= 1e-4
 

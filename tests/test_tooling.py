@@ -81,9 +81,15 @@ def test_demo_imports(path):
 
 
 def test_verification_tour_runs(capsys):
-    # The one demo that calls grad_power_lambda_min, run in full.
+    # The one demo that cross-checks declared bottom eigenvalues, run in full:
+    # nc_find scored by fd_quadform at n = 300, the dense Hessian at n = 10.
     runpy.run_path(str(ROOT / "demos" / "verification_tour.py"), run_name="__main__")
-    assert "method grad-power" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "catalog sweep: OK (49 checks, 0 failures)"
+    assert lines[-2:] == [
+        "  n = 300 nc_find + fd_quadform: lambda_min ~ -1.0000 (declared -1.0000)",
+        "  n = 10 dense Hessian: lambda_min = -1.0000 (declared -1.0000)",
+    ]
 
 
 def test_readme_quick_tour_runs():
@@ -225,6 +231,38 @@ def test_readme_cli_section_names_only_what_exists():
     env_read = r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](SADDLESCAPE_\w+)"""
     read = set(re.findall(env_read, source))
     assert sorted(set(re.findall(r"\bSADDLESCAPE_\w+", section)) - read) == []
+
+
+def test_readme_references_resolve():
+    # Each backticked `module.name` in the README names something that
+    # saddlescape.<module> defines (file names such as `harness.py` are not
+    # references), and each --flag on a `saddlescape <command>` line is one
+    # that the command's parser defines, so a rename or deletion in src/
+    # leaves no stale name in the README.
+    from saddlescape.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text()
+    modules = {name.rsplit(".", 1)[1] for name in MODULES[1:]}
+    refs = [
+        (module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme)
+        if module in modules and name != "py"
+    ]
+    assert refs
+    unresolved = [
+        f"{module}.{name}" for module, name in refs
+        if not hasattr(importlib.import_module(f"saddlescape.{module}"), name)
+    ]
+    assert unresolved == []
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = re.findall(rf"\bsaddlescape ({'|'.join(sub.choices)})\b(.*)", readme)
+    assert commands
+    unknown = [
+        f"{command}: {flag}" for command, rest in commands
+        for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", rest)
+        if flag not in {opt for a in sub.choices[command]._actions for opt in a.option_strings}
+    ]
+    assert unknown == []
 
 
 def _readme_cli_lines() -> list[str]:

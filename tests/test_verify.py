@@ -1,27 +1,30 @@
-"""Independent curvature verification: finite differences and power iteration."""
+"""Independent curvature verification: finite differences, the stationarity
+test, and the gradient-only power method checked against them."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from saddlescape import (
+    CountingOracle,
     GradientOracle,
+    NCParams,
     ParameterError,
     RngStream,
     SmoothnessSpec,
     classify,
     dense_hessian,
-    dense_hessian_eig,
     fd_quadform,
     get_landscape,
-    grad_power_lambda_min,
+    nc_find,
     run_verify,
 )
 from saddlescape import verify
 from saddlescape.verify import DENSE_CAP, MAX_VERIFY_DIM, default_step
 
-from conftest import make_quadratic, relabel
+from conftest import bits, make_quadratic, relabel
 
 
 class TestFdQuadform:
@@ -84,24 +87,23 @@ class TestDenseHessian:
             dense_hessian(big, np.zeros(n))
 
 
-class TestEigpair:
+def _bottom_eigenvalue(oracle, x):
+    return float(np.linalg.eigvalsh(dense_hessian(oracle, x))[0])
+
+
+class TestDenseSpectrum:
     def test_known_spectrum(self, quad5):
-        report = dense_hessian_eig(quad5, np.zeros(5))
-        assert report.lambda_min == pytest.approx(-2.0, abs=1e-6)
-        assert abs(report.direction[0]) == pytest.approx(1.0, abs=1e-5)
-        assert report.quad_form == pytest.approx(-2.0, abs=1e-6)
-        assert report.method == "dense-fd"
+        eigs = np.linalg.eigvalsh(dense_hessian(quad5, np.zeros(5)))
+        assert eigs == pytest.approx([-2.0, -0.5, 0.3, 1.0, 3.0], abs=1e-6)
 
     def test_triangle_saddle(self):
         land = get_landscape("triangle")
-        report = dense_hessian_eig(land.oracle, land.saddles[0].point)
-        assert report.lambda_min == pytest.approx(-math.pi**2 / 2, rel=1e-3)
+        lam = _bottom_eigenvalue(land.oracle, land.saddles[0].point)
+        assert lam == pytest.approx(-math.pi**2 / 2, rel=1e-3)
 
     def test_repeated_bottom_eigenvalue(self):
-        oracle = make_quadratic([-1.0, -1.0, 2.0])
-        report = dense_hessian_eig(oracle, np.zeros(3))
-        assert report.lambda_min == pytest.approx(-1.0, abs=1e-6)
-        assert abs(report.direction[2]) <= 1e-5
+        eigs = np.linalg.eigvalsh(dense_hessian(make_quadratic([-1.0, -1.0, 2.0]), np.zeros(3)))
+        assert eigs == pytest.approx([-1.0, -1.0, 2.0], abs=1e-6)
 
 
 class TestClassify:
@@ -130,40 +132,53 @@ class TestClassify:
         with pytest.raises(ParameterError):
             classify(quad2, np.zeros(2), eps=0.0)
 
+    @pytest.mark.parametrize(
+        "x", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]], ids=["saddle", "minimum", "slope"]
+    )
+    def test_one_gradient_and_one_pair_per_axis(self, x):
+        # The gradient at x and the dense Hessian's 2n differences, and no
+        # more; every field is the bits of the verdict on eigh's spectrum.
+        land = get_landscape("quartic")
+        x, counted = np.array(x), CountingOracle(land.oracle)
+        verdict = classify(counted, x, eps=1e-3)
+        assert (counted.grad_evals, counted.f_evals) == (1 + 2 * land.dim, 0)
+        h = default_step(x)
+        lam = float(np.linalg.eigh(dense_hessian(land.oracle, x, h))[0][0])
+        grad_norm = float(np.linalg.norm(land.oracle.gradient(x)))
+        ref = verify._verdict(grad_norm, lam, h, 1e-3, land.oracle.spec.rho)
+        assert bits(dataclasses.astuple(verdict)) == bits(dataclasses.astuple(ref))
+
+
+def _power_estimate(oracle, x, steps, seed):
+    """nc_find's direction from x at a vanishing probe radius, scored by
+    fd_quadform: the gradient-only estimate of the bottom eigenpair."""
+    radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
+    params = NCParams(
+        steps=steps, radius=radius, eps=0.1, delta0=0.1, ell=oracle.spec.ell,
+        rho=oracle.spec.rho,
+    )
+    e_hat = nc_find(oracle, x, params, RngStream(seed, 0)).e_hat
+    return fd_quadform(oracle, x, e_hat), e_hat
+
 
 class TestGradPower:
     def test_quartic_saddle(self):
         land = get_landscape("quartic")
         oracle = relabel(land.oracle, land.saddles[0].ell_local, land.saddles[0].rho_local)
-        report = grad_power_lambda_min(
-            oracle, land.saddles[0].point, iters=300, stream=RngStream(0, 0)
-        )
-        assert report.lambda_min == pytest.approx(-1.0, abs=0.05)
-        assert abs(report.direction[0]) >= 0.99
+        lam, e_hat = _power_estimate(oracle, land.saddles[0].point, 300, 0)
+        assert lam == pytest.approx(-1.0, abs=0.05)
+        assert abs(e_hat[0]) >= 0.99
 
     def test_agrees_with_dense_on_quadratic(self, quad5):
-        dense = dense_hessian_eig(quad5, np.zeros(5))
-        power = grad_power_lambda_min(
-            quad5, np.zeros(5), iters=400, stream=RngStream(1, 0)
-        )
-        assert power.lambda_min == pytest.approx(dense.lambda_min, abs=1e-6)
-
-    def test_refuses_a_probe_scale_that_underflows(self):
-        # The search divides by radius * ell, which is 0 in floats here.
-        oracle = make_quadratic([-1.0, 1.0], ell=1e-10)
-        with pytest.raises(ParameterError, match=r"^radius 1e-320 times oracle.spec.ell 1e-10"):
-            grad_power_lambda_min(
-                oracle, np.zeros(2), iters=3, stream=RngStream(0, 0), radius=1e-320
-            )
+        lam, _ = _power_estimate(quad5, np.zeros(5), 400, 1)
+        assert lam == pytest.approx(_bottom_eigenvalue(quad5, np.zeros(5)), abs=1e-6)
 
     def test_works_beyond_dense_cap(self):
         land = get_landscape("highdim-300")
         sad = land.saddles[0]
         oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
-        report = grad_power_lambda_min(
-            oracle, sad.point, iters=400, stream=RngStream(2, 0)
-        )
-        assert report.lambda_min == pytest.approx(-1.0, abs=0.05)
+        lam, _ = _power_estimate(oracle, sad.point, 400, 2)
+        assert lam == pytest.approx(-1.0, abs=0.05)
 
 
 class TestDefaultStep:
