@@ -412,7 +412,10 @@ _BAD_INPUTS = [
      lambda v: fd_quadform(_SADDLE, _ORIGIN, np.ones(v)), (1, 3, (2, 1))),
     ("dense_hessian", "^x must",
      lambda v: dense_hessian(_SADDLE, np.array([v, 0.0])), (_NAN, _INF)),
-    ("classify", "^x must", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3)),
+    ("dense_hessian", "^x must",
+     lambda v: dense_hessian(_SADDLE, np.zeros(v)), (1, 3, (2, 1))),
+    ("dense_hessian", "h", lambda v: dense_hessian(_SADDLE, _ORIGIN, v), (-1e-4,)),
+    ("classify", "^x must", lambda v: classify(_SADDLE, np.zeros(v), 0.1), (1, 3, (2, 1))),
     # Checked before its difference step is taken from x.
     ("classify", "^x must",
      lambda v: classify(_SADDLE, np.array([v, 0.0]), 0.1), (_NAN, _INF)),

@@ -198,8 +198,9 @@ class TestSearchDynamics:
     def test_degenerate_oracle_raises_at_once(self, monkeypatch):
         assert _start_draws_before_raise(monkeypatch, "nc_find") == 1
 
-    def test_degenerate_oracle_raises_in_snc_find(self, monkeypatch):
-        assert _start_draws_before_raise(monkeypatch, "snc_find") == 1
+    @pytest.mark.parametrize("finder", ["snc_find"])
+    def test_degenerate_oracle_raises_in_other_finders(self, monkeypatch, finder):
+        assert _start_draws_before_raise(monkeypatch, finder) == 1
 
     def test_zero_start_raises(self, quad5, monkeypatch):
         # A uniform-ball draw is exactly zero when its radial draw is 0.0;

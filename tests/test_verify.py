@@ -91,7 +91,7 @@ def _bottom_eigenvalue(oracle, x):
     return float(np.linalg.eigvalsh(dense_hessian(oracle, x))[0])
 
 
-class TestDenseSpectrum:
+class TestEigpair:
     def test_known_spectrum(self, quad5):
         eigs = np.linalg.eigvalsh(dense_hessian(quad5, np.zeros(5)))
         assert eigs == pytest.approx([-2.0, -0.5, 0.3, 1.0, 3.0], abs=1e-6)
@@ -179,6 +179,17 @@ class TestGradPower:
         oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
         lam, _ = _power_estimate(oracle, sad.point, 400, 2)
         assert lam == pytest.approx(-1.0, abs=0.05)
+
+    def test_refuses_a_probe_scale_that_underflows(self):
+        # The search divides by radius * ell, which is 0 in floats here even
+        # though the subnormal radius itself is positive; the estimate's
+        # params refuse it before any gradient is queried.
+        oracle = make_quadratic([-1.0, 1.0], ell=1e-10)
+        with pytest.raises(ParameterError, match=r"^radius 1e-320 times ell 1e-10 underflows"):
+            NCParams(
+                steps=3, radius=1e-320, eps=0.1, delta0=0.1, ell=oracle.spec.ell,
+                rho=oracle.spec.rho,
+            )
 
 
 class TestDefaultStep:
