@@ -28,9 +28,12 @@ from .core import (
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_square,
     require_vector,
     uniform_ball_sample,
+    _check_planar,
     _norm,
+    _norm2,
 )
 from .ncfind import _episode, _lower_step, exploit
 
@@ -62,6 +65,7 @@ class ANCParams:
             nce_radius=self.nce_radius, perturb_radius=self.perturb_radius,
             eps=self.eps, exploit_step=self.exploit_step,
         )
+        require_square(perturb_radius=self.perturb_radius)
         require_nonnegative(grad_threshold=self.grad_threshold)
         require_fraction(theta=self.theta)
         require_fraction(closed=True, delta0=self.delta0)
@@ -188,8 +192,9 @@ def _pinned(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps: int) -
 
 def _pinned_planar(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps: int) -> Array:
     """_pinned at a 2-d anchor on the pair's Python floats, bit for bit.
-    Float +, - and * round as numpy's elementwise ops do, but numpy's 2-d dot
-    product is fused, so every length still comes from _norm on an array."""
+    Float +, - and * round as numpy's elementwise ops do; lengths come from
+    core._norm2 and the trust-region check from core._check_planar, which
+    keep _norm's and check_iterate's bits.  The one array is the result."""
     eta, c, radius = params.eta, 1.0 - params.theta, params.perturb_radius
     (a1, a2), (g1, g2) = anchor.tolist(), g.tolist()
     x1, x2 = z1, z2 = x.tolist()
@@ -197,13 +202,13 @@ def _pinned_planar(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps:
         d1, d2 = oracle.gradient(np.array([z1, z2])).tolist()
         u1, u2 = z1 - eta * (d1 - g1), z2 - eta * (d2 - g2)
         x1, x2, z1, z2 = u1, u2, u1 + c * (u1 - x1), u2 + c * (u2 - x2)
-        zn = _norm(np.array([z1 - a1, z2 - a2]))
+        zn = _norm2(z1 - a1, z2 - a2)
         if zn > 0.0:
             scale = radius / zn
             z1, z2 = a1 + scale * (z1 - a1), a2 + scale * (z2 - a2)
             x1, x2 = a1 + scale * (x1 - a1), a2 + scale * (x2 - a2)
-        x = check_iterate(np.array([x1, x2]), params.trust_region, trace)
-    return x
+        _check_planar(x1, x2, params.trust_region, trace)
+    return np.array([x1, x2])
 
 
 def _window(oracle: CountingOracle, params: ANCParams, trace: Trace, stream: RngStream):

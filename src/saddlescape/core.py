@@ -89,6 +89,13 @@ def require_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def require_square(**values) -> None:
+    """Reject any given finite value whose square overflows."""
+    for name, value in values.items():
+        if math.isinf(value * value):
+            raise ParameterError(f"{name} must have a finite square, got {value}")
+
+
 def require_vector(x, name: str, dim: int | None = None) -> Array:
     """x as a float array: the one check of a caller's vector.  Anything but a
     finite, numeric (not bool) 1-d vector, of length dim if given, is refused."""
@@ -321,9 +328,48 @@ def _norm(x: Array) -> float:
 
     np.linalg.norm computes exactly sqrt(x.dot(x)) for this case, so the
     result is bit-identical; calling it directly skips the dispatch overhead
-    that dominates on the short vectors of the escape loops.
+    that dominates on the short vectors of the escape loops.  _norm2 gives
+    these bits for a pair of Python floats without an array.
     """
     return math.sqrt(x.dot(x))
+
+
+def _square_sum(a: float, b: float) -> float:
+    """fma(b, b, a*a), numpy's 2-d x.dot(x): Dekker's exact b*b (b split by
+    Veltkamp's 2^27 + 1) plus a*a, rounded once by math.fsum.  Exact for
+    1e-140 < |b| < 1e150 and |a| < 1e150, where no part of b*b overflows or
+    loses bits below the subnormals."""
+    p, t = b * b, 134217729.0 * b
+    h = t - (t - b)
+    low = b - h
+    return math.fsum((a * a, p, ((h * h - p) + 2.0 * h * low) + low * low))
+
+
+def _numpy_square_sum(a: float, b: float) -> float:
+    x = np.array([a, b])
+    return x.dot(x)
+
+
+def _dot_is_fused(dot: Callable[[float, float], float]) -> bool:
+    """True when the reference dot(a, b) for a*a + b*b is _square_sum on pairs
+    that tell it from a*a + b*b, fma(a, a, b*b) and the exact sum rounded once."""
+    return all(dot(a, b) == _square_sum(a, b) for a, b in ((1.5, 2 / 3), (2 / 3, 1.5), (0.1, 0.3)))
+
+
+# _norm2 skips numpy only where this machine's 2-d dot is the fused one.
+_FUSED = _dot_is_fused(_numpy_square_sum)
+
+
+def _norm2(a: float, b: float) -> float:
+    """The length of [a, b], bit for bit as _norm gives it, on Python floats
+    where _square_sum is exact; other pairs (inf, NaN, subnormal or huge
+    values), and every pair where the dot is not fused, take numpy's dot."""
+    if _FUSED:
+        if b == 0.0:
+            return math.sqrt(a * a)
+        if 1e-140 < abs(b) < 1e150 and abs(a) < 1e150:
+            return math.sqrt(_square_sum(a, b))
+    return math.sqrt(_numpy_square_sum(a, b))
 
 
 # The most floats _normal_rows draws from a stream at once (32 KiB).
@@ -402,6 +448,11 @@ class Trace:
         return self.records[0].f
 
 
+# The two messages of check_iterate and _check_planar.
+_NON_FINITE = "non-finite iterate encountered"
+_OUTSIDE = "iterate norm exceeded trust region bound {}"
+
+
 def check_iterate(x: Array, bound: float, trace: Trace | None = None) -> Array:
     """Reject a non-finite iterate, then one outside the trust region.
 
@@ -412,7 +463,17 @@ def check_iterate(x: Array, bound: float, trace: Trace | None = None) -> Array:
     """
     s = x.dot(x)
     if not math.isfinite(s) and not np.isfinite(x).all():
-        raise DivergenceError("non-finite iterate encountered", trace)
+        raise DivergenceError(_NON_FINITE, trace)
     if math.sqrt(s) > bound:
-        raise DivergenceError(f"iterate norm exceeded trust region bound {bound}", trace)
+        raise DivergenceError(_OUTSIDE.format(bound), trace)
     return x
+
+
+def _check_planar(x1: float, x2: float, bound: float, trace: Trace | None = None) -> None:
+    """check_iterate of np.array([x1, x2]) on the pair's Python floats: the
+    same checks in the same order, with the same messages and trace."""
+    length = _norm2(x1, x2)
+    if not math.isfinite(length) and not (math.isfinite(x1) and math.isfinite(x2)):
+        raise DivergenceError(_NON_FINITE, trace)
+    if length > bound:
+        raise DivergenceError(_OUTSIDE.format(bound), trace)

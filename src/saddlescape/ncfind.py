@@ -29,9 +29,11 @@ from .core import (
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_square,
     require_vector,
     uniform_ball_sample,
     _norm,
+    _norm2,
 )
 
 if TYPE_CHECKING:
@@ -53,6 +55,7 @@ class NCParams:
         require_count(steps=self.steps)
         require_fraction(closed=True, delta0=self.delta0)
         require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
+        require_square(radius=self.radius)
         if self.radius * self.ell == 0.0:
             raise ParameterError(
                 f"radius {self.radius!r} times ell {self.ell!r} underflows to 0; "
@@ -77,8 +80,9 @@ def _power_search(
     or not finite raises AlgorithmError at once.  Returns the last iterate,
     whose length is radius.  At n = 2 a given planar(y1, y2, norm), step on
     the pair's Python floats, runs in its place with step's bytes: float +,
-    -, * and / round as numpy's elementwise ops do, and every length still
-    takes _norm on an array, since numpy's 2-d dot is fused.
+    -, * and / round as numpy's elementwise ops do, and every length comes
+    from core._norm2, which gives _norm's bits, fused dot and all, on the
+    floats.
     """
     y = start()
     norm = _norm(y)
@@ -96,7 +100,7 @@ def _power_search(
     y1, y2 = y.tolist()
     for _ in range(steps):
         y1, y2 = planar(y1, y2, norm)
-        norm = _norm(np.array([y1, y2]))
+        norm = _norm2(y1, y2)
         if norm == 0.0 or not math.isfinite(norm):
             raise AlgorithmError("curvature search degenerated: an iterate is zero or not finite")
         y1, y2 = (radius / norm) * y1, (radius / norm) * y2
@@ -118,7 +122,7 @@ def _difference_step(
         return y - (norm / (ell * r)) * probe
 
     def planar(y1: float, y2: float, _) -> tuple[float, float]:
-        norm = _norm(np.array([y1, y2]))
+        norm = _norm2(y1, y2)
         if norm == 0.0:
             return y1, y2
         s = r / norm

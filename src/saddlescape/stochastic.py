@@ -18,6 +18,7 @@ from .core import (
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_square,
     require_vector,
 )
 from .ncfind import (
@@ -54,6 +55,7 @@ class SNCParams:
             eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
             ell_tilde=self.ell_tilde, log_term=self.log_term,
         )
+        require_square(radius=self.radius)
         require_fraction(delta=self.delta)
         require_nonnegative(batch_raw=self.batch_raw)
 
@@ -80,7 +82,8 @@ def snc_find(
     2 * batch samples per step but that first, which draws none.  The
     injected noise is drawn in blocks of rows, the same bits as one draw
     per step.  At n = 2 the step runs as planar, on Python floats, unpacking
-    each noise row and difference with tolist().
+    each noise row and difference with tolist(), and the kernel measures
+    each iterate with core._norm2, on the floats too.
     """
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
     g = oracle.mean.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)

@@ -15,6 +15,7 @@ from saddlescape import (
     ANCParams,
     BaselineParams,
     DivergenceError,
+    GradientOracle,
     ParameterError,
     RngStream,
     SmoothnessSpec,
@@ -90,6 +91,11 @@ class TestDerivedConstants:
             _window_params(eta=-0.1)
         with pytest.raises(ParameterError):
             _window_params(ncf_steps=0)
+
+    def test_params_refuse_a_perturb_radius_whose_square_overflows(self):
+        _window_params(perturb_radius=1.3e154)
+        with pytest.raises(ParameterError, match=r"^perturb_radius must have a finite square"):
+            _window_params(perturb_radius=1e200)
 
     def test_accelerate_names_the_momentum_constants_it_lacks(self):
         # pagd's params leave theta, gamma and nce_radius unset by default.
@@ -275,6 +281,12 @@ class TestPlanarWindow:
              cooldown=10**6, seed=0)
     @example(land_id="cubic", anchor=(37.0, -81.0), radius=2.3e-11, total_steps=30,
              cooldown=0, seed=1)
+    # Offsets and iterates either side of 1e-140, the low edge of
+    # core._norm2's exact range (the trust-region cases below reach the high one).
+    @example(land_id="quartic", anchor=(0.0, -0.0), radius=1.5e-140, total_steps=30,
+             cooldown=0, seed=1)
+    @example(land_id="cubic", anchor=(0.0, -0.0), radius=3e-140, total_steps=13,
+             cooldown=10**6, seed=2)
     def test_planar_steps_match_the_numpy_loop(
         self, land_id, anchor, radius, total_steps, cooldown, seed
     ):
@@ -304,6 +316,40 @@ class TestPlanarWindow:
         assert error is not None and "trust region" in error
         assert len(planar[1]) == records
         assert (planar, error) == _window_outcome(ancgd._pinned, oracle, anchor, params, seed)
+
+    # A bound below the window's first iterate: at an anchor of norm 1.48,
+    # and past 1e150, where core._norm2 hands the length to numpy.
+    @pytest.mark.parametrize("anchor, radius, bound", [
+        ((0.7, -1.3), 0.1, 1.0), ((0.0, 0.0), 1e152, 1e151), ((0.0, 0.0), 1e-139, 1e-141),
+    ])
+    def test_window_below_a_small_trust_region_fails_at_its_first_step(
+        self, anchor, radius, bound
+    ):
+        params = _window_params(
+            ncf_steps=20, total_steps=40, perturb_radius=radius, grad_threshold=1e300,
+            trust_region=bound,
+        )
+        oracle, anchor = make_quadratic([-1.0, 2.0]), np.array(anchor)
+        planar, error = _window_outcome(ancgd._pinned_planar, oracle, anchor, params, 0)
+        assert error == f"iterate norm exceeded trust region bound {bound}"
+        assert len(planar[1]) == 1
+        assert (planar, error) == _window_outcome(ancgd._pinned, oracle, anchor, params, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_window_with_a_non_finite_iterate_fails_at_its_first_step(self, bad):
+        # grad f is 0 at the anchor (the origin), so the window opens there,
+        # and bad anywhere else, so the first step's iterate is not finite.
+        oracle = GradientOracle(
+            lambda x: 0.0, lambda x: np.full(2, 0.0 if not x.any() else bad),
+            SmoothnessSpec(1.0, 1.0), 2,
+        )
+        params = _window_params(grad_threshold=1e300)
+        anchor = np.zeros(2)
+        planar, error = _window_outcome(ancgd._pinned_planar, oracle, anchor, params, 0)
+        assert error == "non-finite iterate encountered"
+        assert len(planar[1]) == 1
+        assert (planar, error) == _window_outcome(ancgd._pinned, oracle, anchor, params, 0)
 
 
 class TestRunMechanics:

@@ -117,10 +117,11 @@ class TestRunCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_degenerate_search_exits_three(self, capsys):
-        # A finite probe radius passes validation, but its squared norm
-        # overflows, which leaves the search nothing finite to iterate on.
+        # A probe radius whose square is finite passes validation, but the
+        # quartic's gradient at that offset overflows, which leaves the
+        # search nothing finite to iterate on.
         code = main([
-            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--r", "1e300",
+            "run", "--alg", "nc", "--fn", "quartic", "--trials", "1", "--r", "1e150",
         ])
         assert code == 3
         err = capsys.readouterr().err
@@ -461,6 +462,22 @@ class TestRunCommand:
             "error: radius 1e-30 times ell 1e-300 underflows to 0; "
             "the curvature search divides by it\n"
         )
+        assert trials_run == []
+
+    @pytest.mark.parametrize("alg, fn, field", [
+        ("nc", "quartic", "radius"), ("snc", "cubic", "radius"),
+        ("ancgd", "quartic", "perturb_radius"),
+    ])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "paper", "--steps", "50"]])
+    def test_radius_whose_square_overflows_exits_one(self, alg, fn, field, mode, trials_run,
+                                                     capsys):
+        # Every length of a curvature search or window squares its radius.
+        # Such a run used to end as a degenerate search or a divergence,
+        # exit 3, rather than being refused.
+        argv = ["run", "--alg", alg, "--fn", fn, "--trials", "2", "--r", "1e200", *mode]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must have a finite square")
         assert trials_run == []
 
     def test_batch_help_names_both_readers(self):

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -63,11 +65,15 @@ from saddlescape.core import (
     EVENT_PERTURB,
     EVENT_SGD,
     _is_number,
+    _check_planar,
+    _dot_is_fused,
     _norm,
+    _norm2,
     _normal_rows,
+    _square_sum,
     check_iterate,
 )
-from saddlescape import harness
+from saddlescape import core, harness
 from saddlescape.cli import build_parser, main
 from saddlescape.harness import ALGORITHMS, RECIPES, build_payload
 from saddlescape.ancgd import accelerate
@@ -833,7 +839,73 @@ _EDGE_FLOATS = st.sampled_from(
 )
 
 
+def _same_float(got: float, want: float) -> bool:
+    """The same bits, or both NaN."""
+    return math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# Pairs either side of each edge of _norm2's exact range, |b| in (1e-140,
+# 1e150) and |a| < 1e150, with operands that make the dot round both ways.
+_EDGES = (1e-140, 1e150)
+_NORM2_EXAMPLES = [
+    pair
+    for edge in _EDGES
+    for e in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+    for other in (2 / 3, 1.5, 1e-141, 1e149)
+    for pair in ((other, e), (e, other), (other, -e), (-e, other))
+]
+_PLANAR_FLOATS = st.floats() | _EDGE_FLOATS
+
+
+def _with_examples(pairs):
+    def decorate(test):
+        for a, b in pairs:
+            test = example(a=a, b=b)(test)
+        return test
+    return decorate
+
+
 class TestNorm:
+    @settings(max_examples=1000, deadline=None)
+    @given(a=_PLANAR_FLOATS, b=_PLANAR_FLOATS)
+    @_with_examples(_NORM2_EXAMPLES)
+    def test_planar_length_bit_identical_to_numpy(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_float(_norm2(a, b), _norm(np.array([a, b])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_PLANAR_FLOATS, b=_PLANAR_FLOATS)
+    @_with_examples(_NORM2_EXAMPLES[::5])
+    def test_planar_length_without_a_fused_dot_takes_numpy(self, a, b):
+        with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(core, "_FUSED", False):
+            assert _same_float(_norm2(a, b), _norm(np.array([a, b])))
+
+    def test_probe_tells_the_fused_dot_from_the_others(self):
+        assert _dot_is_fused(_square_sum)
+        assert not _dot_is_fused(lambda a, b: a * a + b * b)
+        assert not _dot_is_fused(lambda a, b: _square_sum(b, a))  # fma(a, a, b*b)
+        assert not _dot_is_fused(lambda a, b: float(Fraction(a) ** 2 + Fraction(b) ** 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=_PLANAR_FLOATS, b=_PLANAR_FLOATS,
+        bound=st.sampled_from([1e-141, 1.0, 1e6, 1e151, math.inf]),
+    )
+    @example(a=1e200, b=1e200, bound=1e300)
+    @example(a=1e200, b=math.nan, bound=1.0)
+    def test_planar_check_raises_as_check_iterate(self, a, b, bound):
+        def outcome(check):
+            try:
+                check()
+            except DivergenceError as exc:
+                return str(exc), exc.trace
+            return None
+
+        trace = Trace()
+        with np.errstate(over="ignore", invalid="ignore"):
+            planar = outcome(lambda: _check_planar(a, b, bound, trace))
+            assert planar == outcome(lambda: check_iterate(np.array([a, b]), bound, trace))
+
     @settings(max_examples=300, deadline=None)
     @given(arrays(np.float64, st.integers(1, 1000), elements=st.floats() | _EDGE_FLOATS))
     def test_bit_identical_to_numpy(self, x):

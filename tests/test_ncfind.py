@@ -99,6 +99,13 @@ class TestDerivedSchedule:
         with pytest.raises(ParameterError, match=r"^radius 1e-100 times ell 1e-250 underflows"):
             NCParams(steps=5, radius=1e-100, eps=0.1, delta0=0.1, ell=1e-250, rho=1.0)
 
+    def test_params_refuse_a_radius_whose_square_overflows(self):
+        # Every length of the search squares the radius: 1.3e154 squares to
+        # about 1.7e308, 1.4e154 to inf.
+        NCParams(steps=5, radius=1.3e154, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+        with pytest.raises(ParameterError, match=r"^radius must have a finite square.*1\.4e\+154$"):
+            NCParams(steps=5, radius=1.4e154, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+
 
 def _pinned_vs_free_gap(land_id, steps):
     """Angular gap between nc_find and its free-running reference at the
@@ -314,6 +321,13 @@ class TestPlanarSearch:
     )
     @example(land_id="quartic", anchor=(-0.0, 0.25), radius=0.1, steps=30, seed=0)
     @example(land_id="cubic", anchor=(37.0, -81.0), radius=3.3e-16, steps=12, seed=1)
+    # Offsets either side of core._norm2's exact range: an iterate's second
+    # coordinate crosses 1e-140 as it turns, or its lengths pass 1e150 (the
+    # cubic's then overflow, and both paths raise alike).
+    @example(land_id="quartic", anchor=(0.7, -1.3), radius=1.5e-140, steps=30, seed=0)
+    @example(land_id="exponential", anchor=(0.0, 0.0), radius=3e-140, steps=12, seed=1)
+    @example(land_id="triangle", anchor=(0.0, 0.0), radius=1.2e150, steps=12, seed=2)
+    @example(land_id="cubic", anchor=(0.0, 0.0), radius=1.2e150, steps=12, seed=3)
     def test_planar_searches_match_the_numpy_loop(self, land_id, anchor, radius, steps, seed):
         runs = _finder_runs(land_id, anchor, radius, steps, seed)
         assert _searched(runs, planar=True) == _searched(runs, planar=False)
@@ -339,13 +353,15 @@ def _underflowing_scale():
 
 
 # Library searches that degenerate at n = 2: the finders on an oracle whose
-# gradient turns NaN, a start whose squared length overflows, and a scale
-# that underflows.
+# gradient turns NaN, an iterate whose squared length overflows (I - H/ell
+# triples every offset, and the radius is just under the square root of the
+# largest float), and a scale that underflows.
 _DEGENERATE_SEARCHES = {
     **{name: run for name, (_, run) in _DEGENERATE_RUNS.items()},
-    "overflowing start": lambda: nc_find(
+    "overflowing iterate": lambda: nc_find(
         make_quadratic([-1.0, 2.0]), np.zeros(2),
-        NCParams(steps=5, radius=1e308, eps=0.1, delta0=0.1, ell=2.0, rho=1.0), RngStream(0, 0),
+        NCParams(steps=5, radius=1.3e154, eps=0.1, delta0=0.1, ell=0.5, rho=1.0),
+        RngStream(0, 0),
     ),
     "underflowing scale": _underflowing_scale,
 }
@@ -365,7 +381,7 @@ class TestDegenerateSearches:
 
     @pytest.mark.parametrize("argv", [
         ["--alg", "nc", "--fn", "quartic", "--r", "1e-310"],
-        ["--alg", "snc", "--fn", "cubic", "--r", "1e300"],
+        ["--alg", "snc", "--fn", "cubic", "--r", "1e150"],
     ])
     def test_runs_exit_three_alike(self, argv, capsys):
         runs = {"run": lambda: main(["run", *argv, "--trials", "3"])}

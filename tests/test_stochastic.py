@@ -89,6 +89,11 @@ class TestDerivedSchedule:
         with pytest.raises(ParameterError):
             _search_params(batch=0)
 
+    def test_params_refuse_a_radius_whose_square_overflows(self):
+        _search_params(radius=1.3e154)
+        with pytest.raises(ParameterError, match=r"^radius must have a finite square.*1e\+200$"):
+            _search_params(radius=1e200)
+
 
 class TestSearchTwins:
     def test_shared_stream_directions_match(self):

@@ -404,6 +404,19 @@ def test_ancgd_takes_every_length_from_core_norm():
     assert norms == ["ancgd", "ncfind._power_search", "ncfind._difference_step"]
 
 
+def test_no_length_or_check_builds_an_array():
+    # core._norm2 and core._check_planar take a pair's Python floats with
+    # _norm's and check_iterate's bytes, so no path builds a 2-element
+    # array only to measure or check it.
+    built = [
+        f"{path.stem}: {call}"
+        for path in Path(saddlescape.__file__).parent.glob("*.py")
+        for call in ("_norm(np.array(", "check_iterate(np.array(")
+        if call in path.read_text()
+    ]
+    assert built == []
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
