@@ -194,12 +194,13 @@ def _pinned_planar(oracle, params: ANCParams, trace: Trace, anchor, g, x, steps:
     """_pinned at a 2-d anchor on the pair's Python floats, bit for bit.
     Float +, - and * round as numpy's elementwise ops do; lengths come from
     core._norm2 and the trust-region check from core._check_planar, which
-    keep _norm's and check_iterate's bits.  The one array is the result."""
+    keep _norm's and check_iterate's bits; gradients come from
+    oracle._gradient_pair, so with grad's float twin the one array is the result."""
     eta, c, radius = params.eta, 1.0 - params.theta, params.perturb_radius
     (a1, a2), (g1, g2) = anchor.tolist(), g.tolist()
     x1, x2 = z1, z2 = x.tolist()
     for _ in range(steps):
-        d1, d2 = oracle.gradient(np.array([z1, z2])).tolist()
+        d1, d2 = oracle._gradient_pair(z1, z2)
         u1, u2 = z1 - eta * (d1 - g1), z2 - eta * (d2 - g2)
         x1, x2, z1, z2 = u1, u2, u1 + c * (u1 - x1), u2 + c * (u2 - x2)
         zn = _norm2(z1 - a1, z2 - a2)

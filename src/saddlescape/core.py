@@ -143,7 +143,10 @@ class GradientOracle:
     """Deterministic first-order oracle: function value, exact gradient, constants.
 
     f_and_grad, when given, evaluates f and grad at one point in one call and
-    must return exactly (f(x), grad(x)); value_and_gradient uses it.
+    must return exactly (f(x), grad(x)); value_and_gradient uses it.  At
+    dim 2 grad may carry a float twin grad.twin(x1, x2), its two floats at
+    [x1, x2] or OverflowError, for _gradient_pair.  A grad replaced (by a
+    spy, say) has no twin, so every query then reaches it as an array.
     """
 
     f: Callable[[Array], float]
@@ -168,6 +171,23 @@ class GradientOracle:
             return self.value(x), self.gradient(x)
         f, g = self.f_and_grad(x)
         return float(f), np.asarray(g, dtype=float)
+
+    def _gradient_pair(self, x1: float, x2: float):
+        """The gradient at [x1, x2] on two Python floats (see _float_pair)."""
+        return _float_pair(self.grad, x1, x2, self.gradient)
+
+
+def _float_pair(fn: Callable, x1: float, x2: float, call: Callable | None = None):
+    """call(np.array([x1, x2])).tolist() (call is fn by default), bit for bit:
+    fn's float twin fn.twin(x1, x2) answers where fn has one, and the array
+    where it has none or the twin overflows, so numpy's inf or NaN comes back."""
+    twin = getattr(fn, "twin", None)
+    if twin is not None:
+        try:
+            return twin(x1, x2)
+        except OverflowError:
+            pass
+    return (fn if call is None else call)(np.array([x1, x2])).tolist()
 
 
 class CountingOracle:
@@ -200,14 +220,19 @@ class CountingOracle:
         self.grad_evals += 1
         return self.inner.value_and_gradient(x)
 
+    def _gradient_pair(self, x1: float, x2: float):
+        self.grad_evals += 1
+        return self.inner._gradient_pair(x1, x2)
+
 
 class StochasticOracle:
     """Sampled first-order oracle g(x; theta) whose mean over theta is the
     gradient of the mean oracle.
 
-    A noise model is its two samplers; the loops make no other call.  Each
-    draws its thetas from the stream it is given, and the caller bills the
-    samples they stand for (meta["samples"]).
+    A noise model is its two samplers; the loops make no other call (at
+    n = 2 a sampler's float twin may answer in its place).  Each draws its
+    thetas from the stream it is given, and the caller bills the samples
+    they stand for (meta["samples"]).
     """
 
     def __init__(self, mean: GradientOracle, ell_tilde: float):
@@ -241,7 +266,8 @@ class AdditiveNoiseOracle(StochasticOracle):
     gradients their caller holds: a mean sampler adds its noise to the g
     passed in (no gradient query) and draws that noise in blocks, and a
     difference sampler subtracts the g0 passed in, so each difference costs
-    one gradient query, at x1.
+    one gradient query, at x1; over a g0 of two floats its float twin is
+    the mean oracle's _gradient_pair minus g0's floats.
     """
 
     def __init__(self, mean: GradientOracle, sigma: float):
@@ -257,7 +283,19 @@ class AdditiveNoiseOracle(StochasticOracle):
     def diff_sampler(self, x0: Array, g0: Array, m: int, stream: "RngStream") -> Callable:
         # theta is x-independent, so it cancels for any batch size.
         require_count(m=m)
-        return lambda x1: self.mean.gradient(x1) - g0
+
+        def diff(x1: Array) -> Array:
+            return self.mean.gradient(x1) - g0
+
+        if isinstance(g0, np.ndarray) and g0.shape == (2,):
+            h1, h2 = g0.tolist()
+
+            def twin(x1: float, x2: float) -> tuple[float, float]:
+                d1, d2 = self.mean._gradient_pair(x1, x2)
+                return d1 - h1, d2 - h2
+
+            diff.twin = twin
+        return diff
 
 
 def _mix64(a: int, b: int) -> int:

@@ -80,9 +80,9 @@ def _power_search(
     or not finite raises AlgorithmError at once.  Returns the last iterate,
     whose length is radius.  At n = 2 a given planar(y1, y2, norm), step on
     the pair's Python floats, runs in its place with step's bytes: float +,
-    -, * and / round as numpy's elementwise ops do, and every length comes
+    -, * and / round as numpy's elementwise ops do, every length comes
     from core._norm2, which gives _norm's bits, fused dot and all, on the
-    floats.
+    floats, and each query goes to a float twin where the oracle has one.
     """
     y = start()
     norm = _norm(y)
@@ -112,7 +112,8 @@ def _difference_step(
 ) -> tuple[Callable, Callable]:
     """Power step on exact gradient differences at x, whose gradient is g0,
     probed at the offset y rescaled to radius r; 1-homogeneous in y.  Returns
-    the step and its planar twin, for _power_search."""
+    the step and its planar twin, for _power_search; the twin queries
+    oracle._gradient_pair, which builds no array where grad has a float twin."""
 
     def step(y: Array, _) -> Array:
         norm = _norm(y)
@@ -126,7 +127,7 @@ def _difference_step(
         if norm == 0.0:
             return y1, y2
         s = r / norm
-        d1, d2 = oracle.gradient(np.array([x1 + s * y1, x2 + s * y2])).tolist()
+        d1, d2 = oracle._gradient_pair(x1 + s * y1, x2 + s * y2)
         c = norm / (ell * r)
         return y1 - c * (d1 - h1), y2 - c * (d2 - h2)
 

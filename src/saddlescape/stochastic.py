@@ -13,6 +13,7 @@ from .core import (
     RngStream,
     StochasticOracle,
     Trace,
+    _float_pair,
     _normal_rows,
     require_count,
     require_fraction,
@@ -81,9 +82,10 @@ def snc_find(
     first, whose difference at offset zero is zero; sgd_nc_run bills
     2 * batch samples per step but that first, which draws none.  The
     injected noise is drawn in blocks of rows, the same bits as one draw
-    per step.  At n = 2 the step runs as planar, on Python floats, unpacking
-    each noise row and difference with tolist(), and the kernel measures
-    each iterate with core._norm2, on the floats too.
+    per step.  At n = 2 the step runs as planar, on Python floats: noise
+    rows unpack with tolist(), differences come from the sampler's float
+    twin where it has one (core._float_pair), and the kernel measures each
+    iterate with core._norm2.
     """
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
     g = oracle.mean.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
@@ -103,7 +105,7 @@ def snc_find(
     def planar(y1: float, y2: float, norm: float) -> tuple[float, float]:
         nonlocal scale
         scale *= norm / r_s if norm else 1.0
-        p1, p2 = diff(np.array([t1 + y1, t2 + y2])).tolist() if norm else (0.0, 0.0)
+        p1, p2 = _float_pair(diff, t1 + y1, t2 + y2) if norm else (0.0, 0.0)
         (n1, n2), q = next(xi_rows).tolist(), scale / r_s
         if q == 0.0:  # step's n / q is inf or NaN: the search raises
             return math.inf, math.inf

@@ -61,7 +61,8 @@ def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], o
     at a fraction of the cost, but ``**`` raises OverflowError where numpy
     returns inf or nan.  The formula then runs again on numpy scalars, so an
     overflowing point gets the same non-finite result (and warnings) as it
-    would without the float path.
+    would without the float path.  The formula rides along as the callable's
+    float twin (see core.GradientOracle), for callers that hold the floats.
     """
 
     def evaluate(x: Array):
@@ -71,11 +72,12 @@ def _on_floats(formula: Callable[[float, float], object]) -> Callable[[Array], o
         except OverflowError:
             return formula(x[0], x[1])
 
+    evaluate.twin = formula
     return evaluate
 
 
 def _planar(
-    land_id: str, f: Callable[[float, float], float], grad: Callable[[float, float], Array],
+    land_id: str, f: Callable[[float, float], float], grad: Callable[[float, float], tuple],
     hess: Callable[[float, float], Array], spec: SmoothnessSpec, box: tuple[float, float],
     saddle: dict, minima: list[tuple[Array, float]],
 ) -> Landscape:
@@ -102,8 +104,8 @@ def make_quartic() -> Landscape:
     def f(x1: float, x2: float) -> float:
         return x1**4 / 16 - x1**2 / 2 + 9 / 8 * x2**2
 
-    def grad(x1: float, x2: float) -> Array:
-        return np.array([x1**3 / 4 - x1, 9 / 4 * x2])
+    def grad(x1: float, x2: float) -> tuple:
+        return x1**3 / 4 - x1, 9 / 4 * x2
 
     def hess(x1: float, x2: float) -> Array:
         return np.diag([3 * x1**2 / 4 - 1, 9 / 4])
@@ -129,11 +131,9 @@ def make_cubic_stochastic() -> Landscape:
     def f(x1: float, x2: float) -> float:
         return (x1**3 - x2**3) / 2 - 3 * x1 * x2 + (x1**2 + x2**2) ** 2 / 2
 
-    def grad(x1: float, x2: float) -> Array:
+    def grad(x1: float, x2: float) -> tuple:
         sq = x1**2 + x2**2
-        return np.array(
-            [1.5 * x1**2 - 3 * x2 + 2 * x1 * sq, -1.5 * x2**2 - 3 * x1 + 2 * x2 * sq]
-        )
+        return 1.5 * x1**2 - 3 * x2 + 2 * x1 * sq, -1.5 * x2**2 - 3 * x1 + 2 * x2 * sq
 
     def hess(x1: float, x2: float) -> Array:
         return np.array(
@@ -165,11 +165,9 @@ def make_triangle() -> Landscape:
     def f(x1: float, x2: float) -> float:
         return 0.5 * math.cos(pi * x1) + 0.5 * _w(x1, x2) ** 2 - 0.5
 
-    def grad(x1: float, x2: float) -> Array:
+    def grad(x1: float, x2: float) -> tuple:
         w = _w(x1, x2)
-        return np.array(
-            [-0.5 * pi * math.sin(pi * x1) - w * pi * math.sin(2 * pi * x1), w]
-        )
+        return -0.5 * pi * math.sin(pi * x1) - w * pi * math.sin(2 * pi * x1), w
 
     def hess(x1: float, x2: float) -> Array:
         w = _w(x1, x2)
@@ -211,11 +209,11 @@ def make_exponential() -> Landscape:
         u, s, eu, s2, emu, p = _parts(x1)
         return s + 0.5 * (x2 - p) ** 2 - 1.0
 
-    def grad(x1: float, x2: float) -> Array:
+    def grad(x1: float, x2: float) -> tuple:
         u, s, eu, s2, emu, p = _parts(x1)
         w = x2 - p
         dp = 2 * x1 * emu * (1 - u)
-        return np.array([-2 * x1 * eu * s2 - w * dp, w])
+        return -2 * x1 * eu * s2 - w * dp, w
 
     def hess(x1: float, x2: float) -> Array:
         u, s, eu, s2, emu, p = _parts(x1)

@@ -1,6 +1,7 @@
 """Gradient-difference curvature search: schedule, dynamics, exploit step."""
 
 import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddlescape import (
+    ANCParams,
     AdditiveNoiseOracle,
     AlgorithmError,
     CountingOracle,
@@ -20,6 +22,7 @@ from saddlescape import (
     RandomQuadraticNoiseOracle,
     RngStream,
     SmoothnessSpec,
+    ancgd_run,
     derive_anc_params,
     derive_nc_params,
     derive_snc_params,
@@ -30,6 +33,7 @@ from saddlescape import (
     sgd_nc_run,
     snc_find,
     uniform_ball_sample,
+    with_noise,
 )
 from saddlescape import ncfind, stochastic
 from saddlescape.cli import main
@@ -224,6 +228,22 @@ class TestSearchDynamics:
             nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
         assert len(draws) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_start_raises(self, n, bad):
+        # n = 2 offers the planar branch, n = 3 takes the numpy loop; the
+        # start's length (inf at 1e200, whose square overflows) is checked
+        # before either step runs.
+        start = np.full(n, bad)
+        start[0] = 0.5
+
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        with pytest.raises(AlgorithmError, match="its start is not finite"):
+            ncfind._power_search(lambda: start.copy(), step, 1.0, 5, step)
+
     def test_certified_direction_on_every_landscape_saddle(self):
         for land_id in ("quartic", "cubic", "triangle", "exponential"):
             land = get_landscape(land_id)
@@ -331,6 +351,68 @@ class TestPlanarSearch:
     def test_planar_searches_match_the_numpy_loop(self, land_id, anchor, radius, steps, seed):
         runs = _finder_runs(land_id, anchor, radius, steps, seed)
         assert _searched(runs, planar=True) == _searched(runs, planar=False)
+
+
+def _spied(oracle):
+    """oracle with grad replaced by a spy, and no fused pair, so that every
+    gradient query goes through the spy; and the points the spy saw."""
+    points = []
+
+    def grad(x):
+        points.append(np.array(x, dtype=float))
+        return oracle.grad(x)
+
+    return dataclasses.replace(oracle, grad=grad, f_and_grad=None), points
+
+
+def _three_finders(oracle, seed):
+    """nc_find, snc_find under additive noise and one ancgd_run window from
+    (0.7, -1.3) at n = 2: the bits of each output and the gradient queries
+    each billed."""
+    ell, rho, x = oracle.spec.ell, oracle.spec.rho, np.array([0.7, -1.3])
+    nc = NCParams(steps=9, radius=0.01, eps=0.1, delta0=0.1, ell=ell, rho=rho)
+    snc = SNCParams(steps=9, radius=0.01, batch=2, log_term=10.0, eps=0.1, delta=0.1, ell=ell,
+                    rho=rho, ell_tilde=ell)
+    anc = ANCParams(eta=0.05, theta=0.04, gamma=0.04, nce_radius=0.01, ncf_steps=9,
+                    perturb_radius=0.01, total_steps=12, eps=0.1, delta0=0.1, ell=ell, rho=rho,
+                    grad_threshold=1e300, cooldown=10**6)
+    nc_counted, snc_counted = CountingOracle(oracle), CountingOracle(oracle)
+    trace = ancgd_run(oracle, x, anc, RngStream(seed, 0))
+    return bits([
+        nc_find(nc_counted, x, nc, RngStream(seed, 0)).e_hat, nc_counted.grad_evals,
+        snc_find(with_noise(snc_counted, 0.1), x, snc, RngStream(seed, 0)).e_hat,
+        snc_counted.grad_evals, trace.records, trace.meta,
+    ])
+
+
+class TestWrappedGradient:
+    """A spy that replaces grad carries no float twin, so the wrapped oracle
+    takes the array path: the spy sees every gradient query the finders
+    bill, and every output keeps its bytes."""
+
+    @pytest.mark.parametrize("land_id", ["quartic", "cubic", "triangle", "exponential"])
+    def test_spy_sees_every_billed_query(self, land_id):
+        land = get_landscape(land_id)
+        twin, twin_calls = land.oracle.grad.twin, []
+
+        def counted_twin(x1, x2):
+            twin_calls.append(None)
+            return twin(x1, x2)
+
+        land.oracle.grad.twin = counted_twin
+        plain = _three_finders(land.oracle, seed=4)
+        # The twin answered each search step but snc_find's first, and each
+        # window step.
+        assert len(twin_calls) == 9 + 8 + 9
+        spy, points = _spied(land.oracle)
+        wrapped = _three_finders(spy, seed=4)
+        assert wrapped == plain
+        assert len(twin_calls) == 26
+        # nc_find and snc_find each bill g and their steps' queries (snc_find's
+        # first step queries nothing); ancgd_run bills its own in its meta.
+        nc_queries, snc_queries, meta = wrapped[1], wrapped[3], wrapped[5]
+        assert (nc_queries, snc_queries) == (10, 9)
+        assert len(points) == nc_queries + snc_queries + meta["grad_evals"]
 
 
 def _vanishing_noise(stream, n, scale, rows):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddlescape import (
@@ -551,3 +551,71 @@ class TestFusedPath:
         f, g = counted.value_and_gradient(x)
         assert _same_bits(f, o.value(x)) and _same_bits(g, o.gradient(x))
         assert (counted.f_evals, counted.grad_evals) == (1, 1)
+
+
+def _pair_outcome(query, x1, x2):
+    """query(x1, x2) as a float array, or the type and message of the error
+    it raised."""
+    try:
+        return np.asarray(query(x1, x2), dtype=float)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return _same_bits(a, b)
+    return a == b
+
+
+class TestFloatTwins:
+    """Each float twin the planar steps query, against the array path it
+    stands for: the same bits, NaN matching NaN, or the same error."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(_REFERENCE)), x1=st.floats(), x2=st.floats(),
+           h1=st.floats(), h2=st.floats())
+    # quartic's x1**3 overflows on Python floats, so the array path answers
+    # with numpy's inf; exponential's e^(x1^2) overflows inside the formula
+    # (|x1| > 26.5), which answers on floats; math.sin(inf) raises alike.
+    @example(name="quartic", x1=1e103, x2=0.5, h1=0.0, h2=0.0)
+    @example(name="exponential", x1=-27.0, x2=0.3, h1=1.0, h2=-0.0)
+    @example(name="triangle", x1=math.inf, x2=0.0, h1=0.0, h2=0.0)
+    def test_twins_match_the_array_path(self, name, x1, x2, h1, h2):
+        oracle = _LANDS[name].oracle
+        assert hasattr(oracle.grad, "twin")
+        pair = _pair_outcome(oracle._gradient_pair, x1, x2)
+        array = _pair_outcome(lambda a, b: oracle.gradient(np.array([a, b])), x1, x2)
+        assert _same_outcome(pair, array)
+        diff = with_noise(oracle, 0.5).diff_sampler(
+            np.zeros(2), np.array([h1, h2]), 3, RngStream(0, 0))
+        twin = _pair_outcome(diff.twin, x1, x2)
+        assert _same_outcome(twin, _pair_outcome(lambda a, b: diff(np.array([a, b])), x1, x2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_twin_falls_back_to_numpy(self):
+        oracle = _LANDS["quartic"].oracle
+        with pytest.raises(OverflowError):
+            oracle.grad.twin(1e103, 0.5)
+        assert oracle._gradient_pair(1e103, 0.5) == [math.inf, 1.125]
+
+    def test_counting_oracle_bills_one_gradient_per_pair(self):
+        counted = CountingOracle(_LANDS["cubic"].oracle)
+        pair = counted._gradient_pair(0.3, -0.0)
+        assert _same_bits(pair, counted.inner.gradient(np.array([0.3, -0.0])))
+        assert (counted.f_evals, counted.grad_evals) == (0, 1)
+
+    def test_twinless_difference_samplers(self):
+        # Only the additive model's difference, over a g0 of two floats,
+        # carries a twin.
+        oracle = _LANDS["cubic"].oracle
+        x0, g0 = np.zeros(2), oracle.gradient(np.zeros(2))
+        stream = RngStream(0, 0)
+        assert not hasattr(
+            RandomQuadraticNoiseOracle(oracle, 0.1, 0.1).diff_sampler(x0, g0, 1, stream), "twin")
+        assert not hasattr(with_noise(oracle, 0.1).diff_sampler(x0, list(g0), 1, stream), "twin")
+        highdim = get_landscape("highdim-3").oracle
+        assert not hasattr(highdim.grad, "twin")
+        assert not hasattr(
+            with_noise(highdim, 0.1).diff_sampler(np.zeros(3), np.zeros(3), 1, stream), "twin")

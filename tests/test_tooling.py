@@ -417,6 +417,41 @@ def test_no_length_or_check_builds_an_array():
     assert built == []
 
 
+def test_no_planar_query_builds_an_array():
+    # The planar steps query gradients and additive differences through the
+    # callables' float twins (GradientOracle._gradient_pair, core._float_pair),
+    # so no path builds a 2-element array only to query it.  The twin is set
+    # in two places: on every 2-d landscape callable, and on the additive
+    # difference.
+    pkg = Path(saddlescape.__file__).parent
+    built = [
+        f"{path.stem}: {call}"
+        for path in pkg.glob("*.py")
+        for call in ("gradient(np.array(", "diff(np.array(")
+        if call in path.read_text()
+    ]
+    assert built == []
+
+    def setters(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from setters(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(child, "targets", None) or [child.target]
+                if any(isinstance(t, ast.Attribute) and t.attr == "twin" for t in targets):
+                    yield scope
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "setattr":
+                yield scope
+            yield from setters(child, scope)
+
+    found = sorted(
+        name for path in pkg.glob("*.py")
+        for name in setters(ast.parse(path.read_text()), path.stem)
+    )
+    assert found == ["core.AdditiveNoiseOracle.diff_sampler", "testbed._on_floats"]
+
+
 def test_testbed_catches_overflow_in_two_places():
     # _on_floats is the one fallback of every 2-d formula; exponential's
     # math.exp guard is the other handler.
