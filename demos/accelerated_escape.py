@@ -14,21 +14,18 @@ anchor's record straight to the exploit's.
 from collections import Counter
 
 from saddlescape import ExperimentConfig, get_landscape, run_experiment
-from saddlescape.ancgd import ANCParams, ancgd_run
+from saddlescape.ancgd import ancgd_run
 from saddlescape.core import RngStream
+from saddlescape.harness import build_payload
 
 import numpy as np
-
-RECIPE = dict(
-    eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=20,
-    perturb_radius=0.08, total_steps=40, eps=0.02, delta0=0.1, ell=5.0,
-    rho=1.0, grad_threshold=0.02, exploit_step=1.2, cooldown=10**6,
-)
 
 
 def anatomy():
     land = get_landscape("quartic")
-    trace = ancgd_run(land.oracle, np.zeros(2), ANCParams(**RECIPE), RngStream(0, 3))
+    # The experiment recipe, with a cooldown that lets only one window open.
+    params = build_payload(ExperimentConfig("ancgd", "quartic", cooldown=10**6), land)["params"]
+    trace = ancgd_run(land.oracle, np.zeros(2), params, RngStream(0, 3))
     print("one trace, event timeline:")
     print("  " + " ".join(r.event for r in trace.records))
     print(f"  final f = {trace.final_f():.4f} (saddle f = 0, minima f = -1)")
@@ -38,7 +35,7 @@ def anatomy():
           f"certified = {exploit['certified']}")
 
     scored = [r for r in trace.records if r.v_norm is not None]
-    energies = [r.f + r.v_norm**2 / (2 * RECIPE["eta"]) for r in scored]
+    energies = [r.f + r.v_norm**2 / (2 * params.eta) for r in scored]
     steps = list(zip(energies, energies[1:], scored[1:]))
     plain = [b - a for a, b, rec in steps if rec.event in ("agd", "nce")]
     across = [b - a for a, b, rec in steps if rec.event == "ncf-exploit"]

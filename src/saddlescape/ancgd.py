@@ -89,7 +89,9 @@ def accelerate(
     the step from it is taken in the same iteration, tagged as the hook
     says, and the loop stops after that record if the hook says so.  A
     per-step certificate compares f(x) against the gamma-strongly-convex
-    lower model at z and resets the momentum when violated.  The loop
+    lower model at z; when it is violated, momentum shorter than nce_radius
+    (not zero) is stretched to it and x takes the lower side
+    (ncfind._lower_step), and z restarts at x.  The loop
     carries the momentum's length v_norm, which each record takes: 0 at the
     start, after a reset and at a budget-end episode, and None on held
     records.  params supplies eta, theta, gamma, nce_radius (none of them

@@ -400,13 +400,17 @@ _FUSED = _dot_is_fused(_numpy_square_sum)
 
 def _norm2(a: float, b: float) -> float:
     """The length of [a, b], bit for bit as _norm gives it, on Python floats
-    where _square_sum is exact; other pairs (inf, NaN, subnormal or huge
-    values), and every pair where the dot is not fused, take numpy's dot."""
+    where _square_sum is exact, or where |b| <= 1e-140 and |a| >= 1e-100, so
+    that b*b <= 1e-280 is below half an ulp of a*a and the dot is a*a; other
+    pairs (inf, NaN, subnormal or huge values), and every pair where the dot
+    is not fused, take numpy's dot."""
     if _FUSED:
         if b == 0.0:
             return math.sqrt(a * a)
         if 1e-140 < abs(b) < 1e150 and abs(a) < 1e150:
             return math.sqrt(_square_sum(a, b))
+        if abs(b) <= 1e-140 and abs(a) >= 1e-100:
+            return math.sqrt(a * a)
     return math.sqrt(_numpy_square_sum(a, b))
 
 
@@ -455,7 +459,8 @@ class TraceRecord:
 
     x is the iterate itself at recording level "full", not a copy: records may
     share one array (an episode's search steps all hold the anchor) with each
-    other and the run's meta, so treat it as read-only.  At "summary" it is None.
+    other and the run's meta, so treat it as read-only.  At "summary" it is
+    None, and every other field, and the trace's meta, is as at "full".
     """
 
     t: int

@@ -148,7 +148,8 @@ def nc_find(
     Gradient differences at a fixed probe radius act as Hessian-vector
     products, so _power_search converges to the bottom eigenvector.  The
     search starts from a uniform draw in the probe ball.  g is grad f at
-    x_tilde, queried here when absent; each step queries one gradient.
+    x_tilde, queried here when absent; passing it or not leaves e_hat's
+    bytes unchanged.  Each step queries one gradient.
     """
     x_tilde = require_vector(x_tilde, "x_tilde", oracle.dim)
     g = oracle.gradient(x_tilde) if g is None else require_vector(g, "g", oracle.dim)
@@ -263,7 +264,9 @@ def _episode(escape, records: list, x: Array, g: Array, t: int, total: int) -> t
     escape(x, g, t, total - t) of descend or accelerate.  The hook returns
     None to decline, else (new x, tag, held, stop); each held iteration,
     up to total - t - 1 of them, is billed as an ncf-step record that repeats
-    x's f, gradient norm and x.  Returns the hook's result."""
+    x's f, gradient norm and x.  A declined offer bills nothing and starts no
+    cooldown: the loop goes on as if the trigger had not fired.  Returns the
+    hook's result."""
     episode = escape(x, g, t, total - t)
     if episode is not None:
         anchor = records[-1]

@@ -77,7 +77,8 @@ def snc_find(
     reached: dividing the injected noise by scale / radius keeps the
     noise-to-signal schedule of that recursion.  Gradient differences share
     the sample draw across both query points, which is what turns them into
-    curvature probes.  g is grad f at x_tilde, queried here when absent.
+    curvature probes.  g is grad f at x_tilde, queried here when absent;
+    passing it or not leaves e_hat's bytes unchanged.
     Under additive noise a search then queries grad f once per step but the
     first, whose difference at offset zero is zero; sgd_nc_run bills
     2 * batch samples per step but that first, which draws none.  The

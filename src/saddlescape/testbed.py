@@ -364,7 +364,8 @@ VERIFY_IDS = [*_FACTORIES, "highdim-10"]
 
 
 def get_landscape(land_id: str) -> Landscape:
-    """Look up a landscape by id; highdim ids encode the dimension."""
+    """Look up a landscape by id; highdim ids encode the dimension.  Building
+    one makes no oracle call: run_verify checks what it declares."""
     if not isinstance(land_id, str):
         raise ParameterError(f"unknown landscape id: {land_id!r}")
     if land_id in _FACTORIES:

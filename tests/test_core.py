@@ -844,9 +844,10 @@ def _same_float(got: float, want: float) -> bool:
     return math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want)
 
 
-# Pairs either side of each edge of _norm2's exact range, |b| in (1e-140,
-# 1e150) and |a| < 1e150, with operands that make the dot round both ways.
-_EDGES = (1e-140, 1e150)
+# Pairs either side of each edge of _norm2's float ranges, |b| in (1e-140,
+# 1e150) and |a| < 1e150, or |b| <= 1e-140 and |a| >= 1e-100, with operands
+# that make the dot round both ways.
+_EDGES = (1e-140, 1e150, 1e-100)
 _NORM2_EXAMPLES = [
     pair
     for edge in _EDGES

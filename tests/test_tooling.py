@@ -1,5 +1,5 @@
 """Package surface and demos: every exported name resolves, every demo
-imports against the current API, no module keeps a dead import, and the
+runs against the current API, no module keeps a dead import, and the
 benchmark's tracer still finds every name it wraps."""
 
 import argparse
@@ -72,12 +72,27 @@ def test_package_exports_only_what_submodules_declare():
     assert sorted(strings & exported) == []
 
 
+# The first line each demo prints (blank lines aside).
+DEMO_FIRST_LINES = {
+    "accelerated_escape": "one trace, event timeline:",
+    "curvature_search_concentration":
+        "landscape     quartic, saddle at [0. 0.], lambda_min = -1.0",
+    "dimension_scaling": "     n  nc steps  nc rate  pgd steps  pgd rate",
+    "quartic_escape_comparison":
+        "curvature search (nc): escape rate 1.000 (bar: decrease >= 0.9)",
+    "stochastic_escape": "trials 200, threshold: decrease >= 0.6",
+    "verification_tour": "catalog sweep: OK (49 checks, 0 failures)",
+}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
-def test_demo_imports(path):
-    # run_name is not "__main__", so the module body runs (imports and
-    # definitions) without the demo itself.
-    namespace = runpy.run_path(str(path), run_name="smoke")
-    assert namespace["__name__"] == "smoke"
+def test_demo_runs(path, monkeypatch, capsys):
+    # Each demo runs in full, as `python3 demos/<name>.py` with no argument
+    # (dimension_scaling reads sys.argv[1] as its trial count).
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runpy.run_path(str(path), run_name="__main__")
+    lines = [line for line in capsys.readouterr().out.splitlines() if line]
+    assert lines[0] == DEMO_FIRST_LINES[path.stem]
 
 
 def test_verification_tour_runs(capsys):
@@ -92,12 +107,18 @@ def test_verification_tour_runs(capsys):
     ]
 
 
-def test_readme_quick_tour_runs():
-    # The README's one python block is the documented example of the API.
+def test_readme_quick_tour_runs(capsys):
+    # The README's one python block is the documented example of the API,
+    # and it prints what its comments claim: the certificate is about -1,
+    # and the exploit lands below f(saddle) by at least the lemma bound.
     readme = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1
-    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    namespace = {"__name__": "readme"}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    quadform, f_next = map(float, capsys.readouterr().out.split())
+    assert abs(quadform + 1.0) <= 1e-6
+    assert f_next <= namespace["f0"] - saddlescape.lemma_decrease_bound(0.04, 1.0)
 
 
 @pytest.mark.parametrize("module", SOURCES, ids=lambda path: path.stem)
@@ -233,6 +254,27 @@ def test_readme_cli_section_names_only_what_exists():
     assert sorted(set(re.findall(r"\bSADDLESCAPE_\w+", section)) - read) == []
 
 
+def _defines_test(file: str, name: str) -> bool:
+    """Whether tests/<file> defines the test function or class name, a
+    ::-separated path such as TestNorm::test_planar_length_bit_identical_to_numpy."""
+    body = ast.parse((ROOT / "tests" / file).read_text()).body
+    for part in name.split("::"):
+        found = [
+            node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
+        ]
+        if not found or not part.startswith(("test_", "Test")):
+            return False
+        body = found[0].body
+    return True
+
+
+def test_readme_stays_a_map():
+    # Contracts live in the docstrings of the code they describe; the README
+    # only points at them, and a restatement creeping back shows as length.
+    assert len((ROOT / "README.md").read_text().splitlines()) <= 260
+
+
 def test_readme_references_resolve():
     # Each backticked `module.name` in the README names something that
     # saddlescape.<module> defines (file names such as `harness.py` are not
@@ -253,6 +295,11 @@ def test_readme_references_resolve():
         if not hasattr(importlib.import_module(f"saddlescape.{module}"), name)
     ]
     assert unresolved == []
+    # Each `tests/<file>.py::<name>` (or ::<Class>::<name>) names a test
+    # that the file defines.
+    cited = re.findall(r"`tests/(\w+\.py)::([\w:]+)`", readme)
+    assert cited
+    assert [f"{file}::{name}" for file, name in cited if not _defines_test(file, name)] == []
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     commands = re.findall(rf"\bsaddlescape ({'|'.join(sub.choices)})\b(.*)", readme)
