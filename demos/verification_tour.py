@@ -50,7 +50,7 @@ def big_eigenvalue():
     saddle, spec = land.saddles[0], land.oracle.spec
     # A vanishing probe radius, so the search sees the Hessian at the saddle.
     radius = 1e-5 * max(1.0, float(np.linalg.norm(saddle.point)))
-    params = NCParams(steps=300, radius=radius, eps=0.1, delta0=0.1, ell=spec.ell, rho=spec.rho)
+    params = NCParams(steps=300, radius=radius, eps=0.1, ell=spec.ell, rho=spec.rho)
     e_hat = nc_find(land.oracle, saddle.point, params, RngStream(0, 0)).e_hat
     lam = fd_quadform(land.oracle, saddle.point, e_hat)
     print(f"  n = 300 nc_find + fd_quadform: lambda_min ~ {lam:+.4f} "

@@ -50,8 +50,6 @@ class ANCParams:
     perturb_radius: float
     total_steps: int
     eps: float
-    delta0: float
-    ell: float
     rho: float
     cooldown: int | None = None
     grad_threshold: float | None = None
@@ -61,14 +59,12 @@ class ANCParams:
 
     def __post_init__(self):
         require_positive(
-            eta=self.eta, ell=self.ell, rho=self.rho, gamma=self.gamma,
-            nce_radius=self.nce_radius, perturb_radius=self.perturb_radius,
-            eps=self.eps, exploit_step=self.exploit_step,
+            eta=self.eta, rho=self.rho, gamma=self.gamma, nce_radius=self.nce_radius,
+            perturb_radius=self.perturb_radius, eps=self.eps, exploit_step=self.exploit_step,
         )
         require_square(perturb_radius=self.perturb_radius)
         require_nonnegative(grad_threshold=self.grad_threshold)
         require_fraction(theta=self.theta)
-        require_fraction(closed=True, delta0=self.delta0)
         require_count(ncf_steps=self.ncf_steps, total_steps=self.total_steps)
         require_count(least=0, cooldown=self.cooldown)
         require_bound(trust_region=self.trust_region)

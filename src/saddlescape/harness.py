@@ -119,11 +119,8 @@ class ExperimentConfig:
             )
         if not isinstance(self.landscape, str):
             raise ParameterError(f"landscape must be a string, got {self.landscape!r}")
-        # out less ".csv" must end in a file name, so "r/" and ".csv" are refused.
-        if self.out is not None and not (
-            isinstance(self.out, str) and os.path.basename(self.out.removesuffix(".csv"))
-        ):
-            raise ParameterError(f"out must be a string naming a file, got {self.out!r}")
+        if self.out is not None:
+            _require_file_name(self.out)
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if not (_is_number(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
@@ -528,7 +525,8 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     are dealt round-robin to at most jobs workers (see _fork_map), which
     keeps cheap and dear experiments of a sweep balanced.  The same
     per-trial entry point runs on every worker and rows go back into trial
-    order, so outputs are byte-identical for any job count."""
+    order, so rows and CSVs are byte-identical for any job count; the
+    summary differs only in its echo of jobs."""
     payloads, trials = [], []
     for cfg in cfgs:
         if cfg.out is not None:
@@ -569,6 +567,12 @@ def _check_out_dir(*paths: str) -> None:
             raise ParameterError(f"output path {path!r} is a directory")
 
 
+def _require_file_name(out) -> None:
+    """Refuse an out that is no string or, less ".csv", names no file ("r/", ".csv")."""
+    if not (isinstance(out, str) and os.path.basename(out.removesuffix(".csv"))):
+        raise ParameterError(f"out must be a string naming a file, got {out!r}")
+
+
 def _out_paths(out: str) -> tuple[str, str]:
     base = out.removesuffix(".csv")
     return base + ".csv", base + ".summary.json"
@@ -603,6 +607,7 @@ def run_dimension_scaling(
         raise ParameterError("ps must list at least one exponent")
     if out is not None:
         _check_out_dir(out)
+        _require_file_name(out)
     require_count(trials=trials)
     rows, cfgs = [], []
     for p in ps:

@@ -26,7 +26,6 @@ from .core import (
     require_bound,
     require_count,
     require_finite,
-    require_fraction,
     require_nonnegative,
     require_positive,
     require_square,
@@ -47,13 +46,11 @@ class NCParams:
     steps: int
     radius: float
     eps: float
-    delta0: float
     ell: float
     rho: float
 
     def __post_init__(self):
         require_count(steps=self.steps)
-        require_fraction(closed=True, delta0=self.delta0)
         require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
         require_square(radius=self.radius)
         if self.radius * self.ell == 0.0:

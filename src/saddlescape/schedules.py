@@ -87,7 +87,7 @@ def derive_nc_params(spec: SmoothnessSpec, eps: float, delta0: float, n: int) ->
     log_arg = (ell / delta0) * math.sqrt(n / (math.pi * rho * eps))
     steps = _count(8 * ell / threshold * math.log(log_arg))
     radius = _q(eps / (8 * ell) * math.sqrt(math.pi / n) * delta0)
-    return NCParams(steps=steps, radius=radius, eps=eps, delta0=delta0, ell=ell, rho=rho)
+    return NCParams(steps=steps, radius=radius, eps=eps, ell=ell, rho=rho)
 
 
 @_checked
@@ -120,7 +120,7 @@ def derive_anc_params(
         ))
     return ANCParams(
         eta=eta, **momentum, ncf_steps=ncf_steps, perturb_radius=r_prime,
-        total_steps=total_steps, eps=eps, delta0=delta0, ell=ell, rho=rho,
+        total_steps=total_steps, eps=eps, rho=rho,
     )
 
 
@@ -164,8 +164,7 @@ def derive_snc_params(
         raise ParameterError("concentration exponent iteration did not converge")
     batch_raw = _q(160.0 * (ell + ell_tilde) / (delta * threshold) * math.sqrt(steps * iota))
     return SNCParams(
-        steps=steps, radius=radius_of(iota), batch=_count(batch_raw), log_term=iota, eps=eps,
-        delta=delta, ell=ell, rho=rho, ell_tilde=ell_tilde, batch_raw=batch_raw,
+        steps=steps, radius=radius_of(iota), batch=_count(batch_raw), eps=eps, ell=ell, rho=rho
     )
 
 
@@ -239,7 +238,7 @@ def _fields(knobs: dict, **names) -> dict:
 
 # Each builder lays the knobs over a base that only the mode chooses: paper
 # mode derives it at the declared (ell, rho), experiment mode takes the local
-# constants ell = 1/eta (1/(4 eta) for ancgd), rho_local and delta0 = delta.
+# constants ell = 1/eta and rho_local (ancgd only checks eta by 1/(4 eta)).
 _OUTER_KNOBS = dict(
     total_steps="steps", eta="eta", grad_threshold="grad_threshold",
     exploit_step="exploit_step", cooldown="cooldown", trust_region="trust_region",
@@ -263,9 +262,7 @@ def _descent(s: _Setting, noisy: bool = False) -> NCDescentParams:
     ell, rho, eps = s.spec.ell, s.spec.rho, s.eps
     if not s.paper:
         local = dict(**search, eps=eps, ell=_local_ell(k["eta"]), rho=s.rho_loc)
-        noise = dict(log_term=10.0, delta=s.delta, ell_tilde=s.ell_tilde)
-        base = SNCParams(**local, **noise) if noisy else NCParams(**local, delta0=s.delta)
-        return NCDescentParams(base, **outer)
+        return NCDescentParams((SNCParams if noisy else NCParams)(**local), **outer)
     if noisy:
         base = _episode_search(
             s, derive_snc_params, s.spec, s.ell_tilde, eps, n=s.n, k=6.0 * _K, cap=math.inf
@@ -289,9 +286,8 @@ def _ancgd(s: _Setting) -> ANCParams:
         eta, given = k.get("eta", params.eta), _fields(k, **_MOMENTUM_KNOBS)
         fields.update(_momentum(s.spec.ell, s.spec.rho, s.eps, eta, **given))
         return dataclasses.replace(params, **fields)
-    return ANCParams(
-        **fields, eps=s.eps, delta0=s.delta, ell=_local_ell(k["eta"], 4.0), rho=s.rho_loc
-    )
+    _local_ell(k["eta"], 4.0)  # eta's range check; ancgd keeps no ell
+    return ANCParams(**fields, eps=s.eps, rho=s.rho_loc)
 
 
 def _baseline(s: _Setting, momentum: bool = False) -> BaselineParams:

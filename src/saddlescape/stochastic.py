@@ -16,8 +16,6 @@ from .core import (
     _float_pair,
     _normal_rows,
     require_count,
-    require_fraction,
-    require_nonnegative,
     require_positive,
     require_square,
     require_vector,
@@ -33,32 +31,19 @@ from .ncfind import (
 
 @dataclass(frozen=True)
 class SNCParams:
-    """Schedule for the stochastic curvature search.
-
-    log_term is the concentration exponent solved jointly with the probe
-    radius; batch_raw keeps the pre-ceiling minibatch size for scaling checks.
-    """
+    """Step count, probe radius and minibatch for the stochastic curvature search."""
 
     steps: int
     radius: float
     batch: int
-    log_term: float
     eps: float
-    delta: float
     ell: float
     rho: float
-    ell_tilde: float
-    batch_raw: float = 0.0
 
     def __post_init__(self):
         require_count(steps=self.steps, batch=self.batch)
-        require_positive(
-            eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho,
-            ell_tilde=self.ell_tilde, log_term=self.log_term,
-        )
+        require_positive(eps=self.eps, radius=self.radius, ell=self.ell, rho=self.rho)
         require_square(radius=self.radius)
-        require_fraction(delta=self.delta)
-        require_nonnegative(batch_raw=self.batch_raw)
 
 
 def snc_find(

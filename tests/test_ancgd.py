@@ -49,8 +49,8 @@ from conftest import (
 def _window_params(**overrides):
     base = dict(
         eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=20,
-        perturb_radius=0.08, total_steps=40, eps=0.02, delta0=0.1, ell=5.0,
-        rho=1.0, grad_threshold=0.02, exploit_step=1.2,
+        perturb_radius=0.08, total_steps=40, eps=0.02, rho=1.0, grad_threshold=0.02,
+        exploit_step=1.2,
     )
     base.update(overrides)
     return ANCParams(**base)
@@ -205,7 +205,7 @@ class TestWindowEquivalence:
         saddle_quad = make_quadratic([-1.0, 2.0])
         params = _window_params(
             eta=0.1, theta=0.05, ncf_steps=25, total_steps=27,
-            perturb_radius=0.05, ell=2.5, cooldown=10**6,
+            perturb_radius=0.05, cooldown=10**6,
         )
         spy, queried = _gradient_spy(saddle_quad)
         trace = ancgd_run(spy, np.zeros(2), params, RngStream(0, 0))
@@ -440,8 +440,7 @@ class TestRunMechanics:
     def test_candidate_and_stop_at_minimum(self):
         bowl = make_quadratic([1.0, 2.0])
         params = _window_params(
-            ell=2.0, ncf_steps=5, total_steps=30, stop_at_candidate=True,
-            exploit_step=0.05,
+            ncf_steps=5, total_steps=30, stop_at_candidate=True, exploit_step=0.05,
         )
         trace = ancgd_run(bowl, np.zeros(2), params, RngStream(8, 0))
         assert len(trace.meta["candidates"]) == 1
@@ -452,7 +451,7 @@ class TestRunMechanics:
 
     def test_cooldown_permits_repeat_windows(self):
         bowl = make_quadratic([1.0, 2.0])
-        params = _window_params(ell=2.0, ncf_steps=4, total_steps=30, exploit_step=0.05)
+        params = _window_params(ncf_steps=4, total_steps=30, exploit_step=0.05)
         trace = ancgd_run(bowl, np.zeros(2), params, RngStream(9, 0))
         assert len(trace.meta["perturbs"]) >= 2
 
@@ -617,9 +616,7 @@ class TestHamiltonian:
 
     def test_energy_monotone_on_convex_quadratic(self):
         bowl = make_quadratic([0.5, 2.0])
-        params = _window_params(
-            ell=2.0, grad_threshold=1e-12, total_steps=60,
-        )
+        params = _window_params(grad_threshold=1e-12, total_steps=60)
         trace = ancgd_run(bowl, np.array([1.0, -1.5]), params, RngStream(0, 3))
         eta = trace.meta["eta"]
         energies = [r.f + r.v_norm**2 / (2 * eta) for r in trace.records]

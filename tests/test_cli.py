@@ -396,6 +396,20 @@ class TestRunCommand:
         assert trials_run == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["results"]
 
+    @pytest.mark.parametrize("out", [".csv", "results/.csv"])
+    def test_dimscale_out_with_no_file_name_fails_before_first_trial(
+        self, out, tmp_path, monkeypatch, trials_run, capsys
+    ):
+        # dimscale writes out as given, so ".csv" would be a hidden file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        assert main(["dimscale", "--p", "1", "--trials", "2", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out must be a string naming a file, got {out!r}\n"
+        assert captured.out == ""
+        assert trials_run == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results"]
+
     def test_write_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def full(*args):
             raise OSError(28, "No space left on device")

@@ -384,14 +384,11 @@ _ORIGIN = np.zeros(2)
 _AXIS = np.array([1.0, 0.0])
 _NAN, _INF = math.nan, math.inf
 _NOISY = AdditiveNoiseOracle(_SADDLE, 0.1)
-_NC = NCParams(steps=5, radius=1e-3, eps=0.1, delta0=0.1, ell=2.0, rho=1.0)
-_SNC = SNCParams(
-    steps=5, radius=1e-3, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=2.0, rho=1.0,
-    ell_tilde=2.0,
-)
+_NC = NCParams(steps=5, radius=1e-3, eps=0.1, ell=2.0, rho=1.0)
+_SNC = SNCParams(steps=5, radius=1e-3, batch=1, eps=0.1, ell=2.0, rho=1.0)
 _ANC = dict(
     eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=5,
-    perturb_radius=0.08, total_steps=5, eps=0.02, delta0=0.1, ell=5.0, rho=1.0,
+    perturb_radius=0.08, total_steps=5, eps=0.02, rho=1.0,
 )
 _PAGD = BaselineParams(
     eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=5, theta=0.042,
@@ -484,7 +481,6 @@ _BAD_INPUTS = [
     # the census feeds each fraction below its range, these feed it above.
     ("ANCParams", "theta", lambda v: ANCParams(**{**_ANC, "theta": v}), (1.0,)),
     ("BaselineParams", "theta", lambda v: dataclasses.replace(_PAGD, theta=v), (1.0,)),
-    ("NCParams", "delta0", lambda v: dataclasses.replace(_NC, delta0=v), (1.5,)),
     ("derive_nc_params", "delta0",
      lambda v: derive_nc_params(SmoothnessSpec(2.0, 1.0), 0.1, v, 2), (1.5,)),
     ("derive_anc_params", "delta0",
@@ -559,7 +555,6 @@ _CENSUS_EXEMPT = {
     ("trust_region", _INF): "inf means no trust region",
     ("grad_threshold", 0): "a zero trigger starts episodes at exact stationary points only",
     ("cooldown", 0): "no cooldown lets any flat iteration start an episode",
-    ("batch_raw", 0): "experiment mode, which derives no batch, carries 0.0",
     ("sigma", 0): "sigma = 0 is the noiseless oracle",
     ("seed", 0): "any integer keys a stream",
     ("RngStream.seed", -1): "RngStream keys Philox with any integer, modulo 2**64",
@@ -810,8 +805,8 @@ def test_cli_census(command, action, capsys):
             "landscape quartic declares no saddle to start from", id="build_payload-no-saddle",
         ),
         pytest.param(
-            lambda: dataclasses.replace(_NC, delta0=0.0),
-            r"delta0 must be in \(0, 1\], got 0.0", id="NCParams-delta0",
+            lambda: derive_nc_params(SmoothnessSpec(2.0, 1.0), 0.1, 0.0, 2),
+            r"delta0 must be in \(0, 1\], got 0.0", id="derive_nc_params-delta0",
         ),
         pytest.param(
             lambda: derive_anc_params(SmoothnessSpec(5.75, 4.5), 0.04, 0.0, 2, 1.0),

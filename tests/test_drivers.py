@@ -50,7 +50,7 @@ from conftest import make_quadratic, repeated_queries, trace_decrease, trace_eve
 
 def _nc_run_params(**overrides):
     # The calibrated quartic comparison settings.
-    nc = NCParams(steps=30, radius=0.1, eps=0.05, delta0=0.1, ell=20.0, rho=1.0)
+    nc = NCParams(steps=30, radius=0.1, eps=0.05, ell=20.0, rho=1.0)
     base = dict(search=nc, total_steps=90, eta=0.05, grad_threshold=0.05, exploit_step=1.0)
     base.update(overrides)
     return NCDescentParams(**base)
@@ -62,11 +62,13 @@ class TestDerivedSchedule:
         p = derive_params_for("nc", 1.0, 1.0, 0.1, 0.1, 2, 1.0)
         assert p.total_steps == 24287
         assert p.search.steps == 320
-        assert p.search.delta0 == pytest.approx(8.235098073355155e-06, rel=1e-12)
+        # The per-episode delta0, through radius = eps / (8 ell) * sqrt(pi / n) * delta0.
+        delta0 = p.search.radius / (0.1 / 8.0 * math.sqrt(math.pi / 2.0))
+        assert delta0 == pytest.approx(8.235098073355155e-06, rel=1e-12)
 
     def test_delta_capped_at_one(self):
         p = derive_params_for("nc", 1.0, 1.0, 0.9, 0.9, 2, 1e-6)
-        assert p.search.delta0 == 1.0
+        assert p.search.radius == pytest.approx(0.9 / 8.0 * math.sqrt(math.pi / 2.0), rel=1e-15)
 
     def test_unset_step_and_trigger_default_to_one_over_ell_and_eps(self, monkeypatch):
         seen = []
@@ -508,8 +510,8 @@ class TestOracleCounts:
     def _anc(self, **overrides):
         base = dict(
             eta=0.05, theta=0.042, gamma=0.0355, nce_radius=0.0089, ncf_steps=20,
-            perturb_radius=0.08, total_steps=40, eps=0.02, delta0=0.1, ell=5.0,
-            rho=1.0, grad_threshold=0.02, exploit_step=1.2,
+            perturb_radius=0.08, total_steps=40, eps=0.02, rho=1.0, grad_threshold=0.02,
+            exploit_step=1.2,
         )
         base.update(overrides)
         return ANCParams(**base)

@@ -19,6 +19,7 @@ from saddlescape import (
     SmoothnessSpec,
     SNCParams,
     VERIFY_IDS,
+    derive_anc_params,
     derive_nc_params,
     derive_snc_params,
     drivers,
@@ -137,11 +138,8 @@ def test_held_records_repeat_the_anchor_record(alg, land_id):
         assert held
 
 
-_NC = dict(steps=5, radius=0.1, eps=0.05, delta0=0.1, ell=1.0, rho=1.0)
-_SNC = dict(
-    steps=5, radius=0.01, batch=1, log_term=10.0, eps=0.5, delta=0.1,
-    ell=50.0, rho=5.0, ell_tilde=50.0,
-)
+_NC = dict(steps=5, radius=0.1, eps=0.05, ell=1.0, rho=1.0)
+_SNC = dict(steps=5, radius=0.01, batch=1, eps=0.5, ell=50.0, rho=5.0)
 
 
 # Builders of valid params, keyed by test id; keywords override fields.
@@ -171,7 +169,7 @@ def test_params_reject_nonpositive_or_nonfinite(cls, name, value):
 
 _ANC = dict(
     eta=0.1, theta=0.1, gamma=0.1, nce_radius=0.1, ncf_steps=3,
-    perturb_radius=0.1, total_steps=10, eps=0.1, delta0=0.1, ell=1.0, rho=1.0,
+    perturb_radius=0.1, total_steps=10, eps=0.1, rho=1.0,
 )
 _BASELINE = dict(
     eta=0.05, radius=0.08, grad_threshold=0.02, total_steps=10,
@@ -210,7 +208,7 @@ def test_accelerated_params_reject_nan_eta():
     with pytest.raises(ParameterError, match="eta"):
         ANCParams(
             eta=math.nan, theta=0.1, gamma=0.1, nce_radius=0.1, ncf_steps=3,
-            perturb_radius=0.1, total_steps=10, eps=0.1, delta0=0.1, ell=1.0, rho=1.0,
+            perturb_radius=0.1, total_steps=10, eps=0.1, rho=1.0,
         )
 
 
@@ -406,19 +404,24 @@ def test_paper_mode_applies_flags(monkeypatch, mode, alg, fn, flag, value, field
     assert [functools.reduce(getattr, field.split("."), p) for p in seen] == [value, value]
 
 
+# Each algorithm's probe radius at failure probability d, with spec s, eps e and n.
+_RADIUS_AT = {
+    "nc": lambda s, e, d, n: derive_nc_params(s, e, d, n).radius,
+    "snc": lambda s, e, d, n: derive_snc_params(s, s.ell, e, d, n).radius,
+    "ancgd": lambda s, e, d, n: derive_anc_params(s, e, d, n, 1.0, total_steps=1).perturb_radius,
+}
+
+
 @pytest.mark.parametrize("mode", ["paper", "experiment"])
 @pytest.mark.parametrize(
-    "alg, fn, search, scale, delta0",
-    [
-        ("nc", "quartic", "search", 1.0, "delta0"),
-        ("snc", "cubic", "search", 1.0, "delta"),
-        ("ancgd", "quartic", None, 4.0, "delta0"),
-    ],
+    "alg, fn, search",
+    [("nc", "quartic", "search"), ("snc", "cubic", "search"), ("ancgd", "quartic", None)],
 )
-def test_search_constants_follow_mode(monkeypatch, mode, alg, fn, search, scale, delta0):
+def test_search_constants_follow_mode(monkeypatch, mode, alg, fn, search):
     """Paper mode searches with the declared (ell, rho) and a per-episode
     failure probability derived from delta; experiment mode with
-    ell = 1/(scale * eta) and the saddle's local rho (delta is paper-only)."""
+    ell = 1/eta and the saddle's local rho (delta is paper-only).  ancgd
+    keeps no ell."""
     seen = _spy_params(monkeypatch, alg)
     delta = ["--delta", "0.2"] if mode == "paper" else []
     code = main([
@@ -430,9 +433,13 @@ def test_search_constants_follow_mode(monkeypatch, mode, alg, fn, search, scale,
     if mode == "paper":
         ell, rho = land.oracle.spec.ell, land.oracle.spec.rho
     else:
-        ell, rho = 1.0 / (scale * 0.04), land.saddles[0].rho_local
+        ell, rho = 1.0 / 0.04, land.saddles[0].rho_local
     (params,) = seen
     inner = getattr(params, search) if search else params
-    assert (inner.ell, inner.rho) == (ell, rho)
+    assert inner.rho == rho
+    assert alg == "ancgd" or inner.ell == ell
     if mode == "paper":
-        assert getattr(inner, delta0) < 0.2
+        # The probe radius grows with the search's failure probability, which
+        # is delta's per-episode share, so it lies below its value at delta.
+        r = inner.radius if search else inner.perturb_radius
+        assert r < _RADIUS_AT[alg](land.oracle.spec, inner.eps, 0.2, land.dim)

@@ -636,8 +636,12 @@ class TestDeriveParamsFor:
 
     @pytest.mark.parametrize("ell_tilde, read", [(None, 1.0), (3.0, 3.0)])
     def test_snc_search_reads_ell_tilde(self, ell_tilde, read):
-        out = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, ell_tilde=ell_tilde)
-        assert out.search.ell_tilde == read
+        # Only the minibatch, 160 (ell + ell_tilde) / (delta sqrt(rho eps)) *
+        # sqrt(steps iota), reads ell_tilde; ell = 1 here.
+        one = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, ell_tilde=1.0).search
+        out = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, ell_tilde=ell_tilde).search
+        assert out == dataclasses.replace(one, batch=out.batch)
+        assert out.batch == pytest.approx(one.batch * (1.0 + read) / 2.0, rel=1e-9)
 
     def test_ell_tilde_zero_is_not_unset(self):
         with pytest.raises(ParameterError, match="ell_tilde must be positive"):

@@ -94,21 +94,21 @@ class TestDerivedSchedule:
 
     def test_params_validation(self):
         with pytest.raises(ParameterError):
-            NCParams(steps=0, radius=0.1, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+            NCParams(steps=0, radius=0.1, eps=0.1, ell=1.0, rho=1.0)
         with pytest.raises(ParameterError):
-            NCParams(steps=5, radius=-0.1, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+            NCParams(steps=5, radius=-0.1, eps=0.1, ell=1.0, rho=1.0)
 
     def test_params_refuse_a_probe_scale_that_underflows(self):
         # The search divides by radius * ell; here that product is 0 in floats.
         with pytest.raises(ParameterError, match=r"^radius 1e-100 times ell 1e-250 underflows"):
-            NCParams(steps=5, radius=1e-100, eps=0.1, delta0=0.1, ell=1e-250, rho=1.0)
+            NCParams(steps=5, radius=1e-100, eps=0.1, ell=1e-250, rho=1.0)
 
     def test_params_refuse_a_radius_whose_square_overflows(self):
         # Every length of the search squares the radius: 1.3e154 squares to
         # about 1.7e308, 1.4e154 to inf.
-        NCParams(steps=5, radius=1.3e154, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+        NCParams(steps=5, radius=1.3e154, eps=0.1, ell=1.0, rho=1.0)
         with pytest.raises(ParameterError, match=r"^radius must have a finite square.*1\.4e\+154$"):
-            NCParams(steps=5, radius=1.4e154, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
+            NCParams(steps=5, radius=1.4e154, eps=0.1, ell=1.0, rho=1.0)
 
 
 def _pinned_vs_free_gap(land_id, steps):
@@ -117,9 +117,7 @@ def _pinned_vs_free_gap(land_id, steps):
     land = get_landscape(land_id)
     sad = land.saddles[0]
     oracle = relabel(land.oracle, sad.ell_local, sad.rho_local)
-    params = NCParams(
-        steps=steps, radius=1e-3, eps=0.04, delta0=0.1, ell=sad.ell_local, rho=sad.rho_local,
-    )
+    params = NCParams(steps=steps, radius=1e-3, eps=0.04, ell=sad.ell_local, rho=sad.rho_local)
     pinned = nc_find(oracle, sad.point, params, RngStream(3, 0))
     free = free_nc_direction(oracle, sad.point, params, RngStream(3, 0))
     return angular_gap(pinned.e_hat, free)
@@ -136,11 +134,8 @@ def _degenerate_oracle():
     return GradientOracle(f=lambda x: 0.0, grad=grad, spec=SmoothnessSpec(1.0, 1.0), dim=2)
 
 
-_NC = NCParams(steps=5, radius=1e-3, eps=0.1, delta0=0.1, ell=1.0, rho=1.0)
-_SNC = SNCParams(
-    steps=5, radius=1e-3, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=1.0, rho=1.0,
-    ell_tilde=1.0,
-)
+_NC = NCParams(steps=5, radius=1e-3, eps=0.1, ell=1.0, rho=1.0)
+_SNC = SNCParams(steps=5, radius=1e-3, batch=1, eps=0.1, ell=1.0, rho=1.0)
 # Each finder's module (whose _power_search it calls) and a run of it whose
 # gradient differences are NaN from the first search step on.
 _DEGENERATE_RUNS = {
@@ -170,7 +165,7 @@ def _start_draws_before_raise(monkeypatch, finder):
 
 class TestSearchDynamics:
     def test_aligns_with_bottom_eigenvector(self, quad5):
-        params = NCParams(steps=80, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
+        params = NCParams(steps=80, radius=1e-4, eps=0.1, ell=3.0, rho=1.0)
         out = nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
         assert np.linalg.norm(out.e_hat) == pytest.approx(1.0, abs=1e-12)
         assert angular_gap(out.e_hat, np.array([1, 0, 0, 0, 0.0])) <= 1e-10
@@ -181,7 +176,7 @@ class TestSearchDynamics:
         # direction after k steps must match the explicit matrix iteration.
         d = np.array([-2.0, -0.5, 0.3, 1.0, 3.0])
         ell = 3.0
-        params = NCParams(steps=23, radius=1e-3, eps=0.1, delta0=0.1, ell=ell, rho=1.0)
+        params = NCParams(steps=23, radius=1e-3, eps=0.1, ell=ell, rho=1.0)
         # The search starts from its stream's first draw.
         y0 = uniform_ball_sample(np.zeros(5), params.radius, RngStream(42, 0))
         out = nc_find(quad5, np.zeros(5), params, RngStream(42, 0))
@@ -201,7 +196,7 @@ class TestSearchDynamics:
         assert _pinned_vs_free_gap(land_id, steps) <= 1e-8
 
     def test_seeded_determinism(self, quad5):
-        params = NCParams(steps=40, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
+        params = NCParams(steps=40, radius=1e-4, eps=0.1, ell=3.0, rho=1.0)
         a = nc_find(quad5, np.zeros(5), params, RngStream(9, 4))
         b = nc_find(quad5, np.zeros(5), params, RngStream(9, 4))
         assert np.array_equal(a.e_hat, b.e_hat)
@@ -223,7 +218,7 @@ class TestSearchDynamics:
             return np.zeros(5)
 
         monkeypatch.setattr(ncfind, "uniform_ball_sample", draw)
-        params = NCParams(steps=80, radius=1e-4, eps=0.1, delta0=0.1, ell=3.0, rho=1.0)
+        params = NCParams(steps=80, radius=1e-4, eps=0.1, ell=3.0, rho=1.0)
         with pytest.raises(AlgorithmError, match="degenerated"):
             nc_find(quad5, np.zeros(5), params, RngStream(0, 0))
         assert len(draws) == 1
@@ -290,11 +285,8 @@ def _finder_runs(land_id: str, anchor, radius: float, steps: int, seed: int) -> 
     meta, with the oracle's counts."""
     oracle = get_landscape(land_id).oracle
     ell, rho, x = oracle.spec.ell, oracle.spec.rho, np.array(anchor)
-    nc = NCParams(steps=steps, radius=radius, eps=0.1, delta0=0.1, ell=ell, rho=rho)
-    snc = SNCParams(
-        steps=steps, radius=radius, batch=2, log_term=10.0, eps=0.1, delta=0.1, ell=ell,
-        rho=rho, ell_tilde=ell,
-    )
+    nc = NCParams(steps=steps, radius=radius, eps=0.1, ell=ell, rho=rho)
+    snc = SNCParams(steps=steps, radius=radius, batch=2, eps=0.1, ell=ell, rho=rho)
     noises = {
         "additive": lambda mean: AdditiveNoiseOracle(mean, 0.1),
         "quadratic": lambda mean: RandomQuadraticNoiseOracle(mean, 0.1, 0.05),
@@ -370,11 +362,10 @@ def _three_finders(oracle, seed):
     (0.7, -1.3) at n = 2: the bits of each output and the gradient queries
     each billed."""
     ell, rho, x = oracle.spec.ell, oracle.spec.rho, np.array([0.7, -1.3])
-    nc = NCParams(steps=9, radius=0.01, eps=0.1, delta0=0.1, ell=ell, rho=rho)
-    snc = SNCParams(steps=9, radius=0.01, batch=2, log_term=10.0, eps=0.1, delta=0.1, ell=ell,
-                    rho=rho, ell_tilde=ell)
+    nc = NCParams(steps=9, radius=0.01, eps=0.1, ell=ell, rho=rho)
+    snc = SNCParams(steps=9, radius=0.01, batch=2, eps=0.1, ell=ell, rho=rho)
     anc = ANCParams(eta=0.05, theta=0.04, gamma=0.04, nce_radius=0.01, ncf_steps=9,
-                    perturb_radius=0.01, total_steps=12, eps=0.1, delta0=0.1, ell=ell, rho=rho,
+                    perturb_radius=0.01, total_steps=12, eps=0.1, rho=rho,
                     grad_threshold=1e300, cooldown=10**6)
     nc_counted, snc_counted = CountingOracle(oracle), CountingOracle(oracle)
     trace = ancgd_run(oracle, x, anc, RngStream(seed, 0))
@@ -426,10 +417,7 @@ def _underflowing_scale():
     vanishes after its first row, so scale underflows to 0: the numpy step's
     0 / 0 is NaN where a float 0 / 0 would raise ZeroDivisionError."""
     oracle = AdditiveNoiseOracle(make_quadratic([1.0 - 2.0**-52] * 2), 0.0)
-    params = SNCParams(
-        steps=40, radius=1.0, batch=1, log_term=10.0, eps=0.1, delta=0.1, ell=1.0, rho=1.0,
-        ell_tilde=1.0,
-    )
+    params = SNCParams(steps=40, radius=1.0, batch=1, eps=0.1, ell=1.0, rho=1.0)
     with mock.patch.object(stochastic, "_normal_rows", _vanishing_noise):
         return snc_find(oracle, np.zeros(2), params, RngStream(0, 0))
 
@@ -442,7 +430,7 @@ _DEGENERATE_SEARCHES = {
     **{name: run for name, (_, run) in _DEGENERATE_RUNS.items()},
     "overflowing iterate": lambda: nc_find(
         make_quadratic([-1.0, 2.0]), np.zeros(2),
-        NCParams(steps=5, radius=1.3e154, eps=0.1, delta0=0.1, ell=0.5, rho=1.0),
+        NCParams(steps=5, radius=1.3e154, eps=0.1, ell=0.5, rho=1.0),
         RngStream(0, 0),
     ),
     "underflowing scale": _underflowing_scale,

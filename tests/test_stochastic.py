@@ -43,12 +43,15 @@ from conftest import (
 
 
 def _search_params(**overrides):
-    base = dict(
-        steps=45, radius=0.01, batch=1, log_term=10.0, eps=0.5, delta=0.1,
-        ell=50.0, rho=5.0, ell_tilde=50.0,
-    )
+    base = dict(steps=45, radius=0.01, batch=1, eps=0.5, ell=50.0, rho=5.0)
     base.update(overrides)
     return SNCParams(**base)
+
+
+def _iota(p, rho: float, eps: float, delta: float, n: int) -> float:
+    """The concentration exponent iota, recovered from the probe radius
+    delta / (480 rho n steps) * sqrt(rho eps / iota)."""
+    return rho * eps * (delta / (480.0 * rho * n * p.steps * p.radius)) ** 2
 
 
 class TestDerivedSchedule:
@@ -57,26 +60,20 @@ class TestDerivedSchedule:
         p = derive_snc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2)
         assert p.steps == 105
         assert p.radius == pytest.approx(2.5458715217826227e-08, rel=1e-12)
-        assert p.log_term == pytest.approx(151.8469138337941, rel=1e-12)
+        assert _iota(p, 1.0, 0.1, 0.1, 2) == pytest.approx(151.8469138337941, rel=1e-12)
         assert p.batch == 1277756
 
     def test_concentration_exponent_is_a_fixed_point(self):
         p = derive_snc_params(SmoothnessSpec(2.0, 3.0), 1.5, 0.05, 0.2, 4)
-        eta = 1.0 / 2.0
+        iota, eta = _iota(p, 3.0, 0.05, 0.2, 4), 1.0 / 2.0
         inner = math.sqrt(4) / (eta * p.radius)
         recomputed = 10.0 * math.log((4 * p.steps**2 / 0.2) * math.log(inner))
-        assert p.log_term == pytest.approx(recomputed, rel=1e-9)
-        assert p.radius == pytest.approx(
-            0.2 / (480.0 * 3.0 * 4 * p.steps) * math.sqrt(3.0 * 0.05 / p.log_term)
-        )
+        assert iota == pytest.approx(recomputed, rel=1e-9)
 
     def test_batch_ceiling_kept_with_raw(self):
         p = derive_snc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, 0.1, 2)
-        assert p.batch == math.ceil(p.batch_raw)
-        thr = math.sqrt(0.1)
-        assert p.batch_raw == pytest.approx(
-            160.0 * 2.0 / (0.1 * thr) * math.sqrt(p.steps * p.log_term), rel=1e-12
-        )
+        raw = 160.0 * 2.0 / (0.1 * math.sqrt(0.1)) * math.sqrt(p.steps * _iota(p, 1.0, 0.1, 0.1, 2))
+        assert p.batch == math.ceil(raw)
 
     def test_validation(self):
         spec = SmoothnessSpec(1.0, 1.0)
@@ -152,9 +149,9 @@ class TestOuterLoopSchedule:
         p = derive_params_for("snc", 1.0, 1.0, 0.1, 0.1, 2, 1.0, ell_tilde=1.0)
         assert p.outer_batch == 1600
         assert p.total_steps == 24287
-        assert p.search.delta == pytest.approx(
-            0.1 / 2304.0 * math.sqrt(0.1**3), rel=1e-12
-        )
+        # The search runs at the per-episode delta = 0.1 / (6 K) * sqrt(eps^3 / rho).
+        delta = 0.1 / 2304.0 * math.sqrt(0.1**3)
+        assert p.search == derive_snc_params(SmoothnessSpec(1.0, 1.0), 1.0, 0.1, delta, 2)
 
     def test_unset_step_and_trigger_default_to_one_over_ell_and_three_quarters_eps(
         self, monkeypatch
@@ -198,7 +195,7 @@ def _run_params(**overrides):
 
 def _bowl_run_params(**overrides):
     # A convex bowl: at its minimum every exploit fails and the search re-runs.
-    search = _search_params(steps=5, batch=2, ell=2.0, rho=1.0, ell_tilde=2.0)
+    search = _search_params(steps=5, batch=2, ell=2.0, rho=1.0)
     return _run_params(search=search, eta=0.1, outer_batch=3, **overrides)
 
 
@@ -225,7 +222,7 @@ class TestSgdNcRun:
             return real(oracle, x, params, stream, *args, **kwargs)
 
         monkeypatch.setattr(stochastic, "snc_find", spy)
-        outer = _search_params(batch_raw=1.7)
+        outer = _search_params(batch=2)
         oracle = with_noise(get_landscape("cubic"), 0.01)
         sgd_nc_run(oracle, np.zeros(2), _run_params(search=outer, total_steps=10), RngStream(1, 0))
         assert seen
@@ -282,7 +279,7 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                search=_search_params(steps=5, ell=2.0, rho=1.0),
                 eta=0.1, total_steps=30, cooldown=10**9,
             ),
             RngStream(3, 0),
@@ -292,7 +289,7 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                search=_search_params(steps=5, ell=2.0, rho=1.0),
                 eta=0.1, total_steps=30,
             ),
             RngStream(3, 0),
@@ -306,7 +303,7 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                search=_search_params(steps=5, ell=2.0, rho=1.0, ell_tilde=2.0),
+                search=_search_params(steps=5, ell=2.0, rho=1.0),
                 eta=0.1, total_steps=50, stop_at_candidate=True,
             ),
             RngStream(4, 0),
@@ -323,7 +320,7 @@ class TestSgdNcRun:
             oracle,
             np.zeros(2),
             _run_params(
-                search=_search_params(steps=5, batch=2, ell=2.0, rho=1.0, ell_tilde=2.0),
+                search=_search_params(steps=5, batch=2, ell=2.0, rho=1.0),
                 outer_batch=3, eta=0.1, total_steps=50,
                 stop_at_candidate=True,
             ),
@@ -431,7 +428,7 @@ def test_block_draws_match_row_by_row_draws(n, steps, seed):
     # At n = 1000 the noise of more than four steps crosses _BLOCK_FLOATS.
     assert 5 * 1000 > _BLOCK_FLOATS
     quad = make_quadratic(np.linspace(-1.0, 2.0, n))
-    search = _search_params(steps=steps, batch=3, ell=2.0, rho=1.0, ell_tilde=2.0)
+    search = _search_params(steps=steps, batch=3, ell=2.0, rho=1.0)
     loop = _run_params(search=search, total_steps=2 * steps + 5, outer_batch=4, eta=0.1)
     base = BaselineParams(
         eta=0.1, radius=0.01, grad_threshold=0.05, total_steps=steps, cooldown=3, batch=2,

@@ -4,6 +4,7 @@ benchmark's tracer still finds every name it wraps."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -366,6 +367,40 @@ def test_algorithm_table_is_written_once():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     run_help = sub.choices["run"].format_help()
     assert [alg for alg in ALGORITHMS if not re.search(rf"\b{alg}\b", run_help)] == []
+
+
+def test_every_params_field_is_read_by_a_run(monkeypatch, capsys):
+    # A field that no run reads would be validated and printed by `params`
+    # without changing any run.  Reads count only from the run modules, and
+    # not from __post_init__, so dataclasses.replace and the checks do not.
+    from saddlescape import (
+        ANCParams, BaselineParams, NCDescentParams, NCParams, SNCParams,
+    )
+    from saddlescape.cli import main
+    from saddlescape.harness import RECIPES
+
+    runs = {"ncfind", "ancgd", "stochastic", "drivers"}
+    read = set()
+
+    def spy(self, name):
+        caller = sys._getframe(1).f_code
+        if Path(caller.co_filename).stem in runs and caller.co_name != "__post_init__":
+            read.add((type(self).__name__, name))
+        return object.__getattribute__(self, name)
+
+    classes = (NCParams, SNCParams, ANCParams, NCDescentParams, BaselineParams)
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", spy)
+    recipes = [(alg, fn) for alg, fn in RECIPES if fn != "highdim"]
+    assert len(recipes) == 6
+    for alg, fn in recipes:
+        assert main(["run", "--alg", alg, "--fn", fn, "--trials", "3", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    unread = [
+        (cls.__name__, f.name) for cls in classes for f in dataclasses.fields(cls)
+        if (cls.__name__, f.name) not in read
+    ]
+    assert unread == []
 
 
 def test_vectors_are_checked_in_one_place():

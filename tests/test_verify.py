@@ -154,8 +154,7 @@ def _power_estimate(oracle, x, steps, seed):
     fd_quadform: the gradient-only estimate of the bottom eigenpair."""
     radius = 1e-5 * max(1.0, float(np.linalg.norm(x)))
     params = NCParams(
-        steps=steps, radius=radius, eps=0.1, delta0=0.1, ell=oracle.spec.ell,
-        rho=oracle.spec.rho,
+        steps=steps, radius=radius, eps=0.1, ell=oracle.spec.ell, rho=oracle.spec.rho
     )
     e_hat = nc_find(oracle, x, params, RngStream(seed, 0)).e_hat
     return fd_quadform(oracle, x, e_hat), e_hat
@@ -186,10 +185,7 @@ class TestGradPower:
         # params refuse it before any gradient is queried.
         oracle = make_quadratic([-1.0, 1.0], ell=1e-10)
         with pytest.raises(ParameterError, match=r"^radius 1e-320 times ell 1e-10 underflows"):
-            NCParams(
-                steps=3, radius=1e-320, eps=0.1, delta0=0.1, ell=oracle.spec.ell,
-                rho=oracle.spec.rho,
-            )
+            NCParams(steps=3, radius=1e-320, eps=0.1, ell=oracle.spec.ell, rho=oracle.spec.rho)
 
 
 class TestDefaultStep:
