@@ -102,8 +102,6 @@ def _cmd_dimscale(args: argparse.Namespace) -> int:
         ps = [int(p) for p in args.p.split(",") if p.strip()]
     except ValueError:
         raise ParameterError(f"bad --p list {args.p!r}") from None
-    if not ps:
-        raise ParameterError("--p must list at least one exponent")
     rows = run_dimension_scaling(
         ps, trials=args.trials, seed=args.seed, jobs=args.jobs, out=args.out
     )

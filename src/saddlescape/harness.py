@@ -40,7 +40,7 @@ from .drivers import BaselineParams, pagd_run, pgd_nc_run, pgd_run, psgd_run
 from .ncfind import NCDescentParams, NCParams
 from .schedules import _ancgd, _baseline, _descent, _Setting, derive_nc_params
 from .stochastic import sgd_nc_run
-from .testbed import Landscape, get_landscape, with_noise
+from .testbed import MAX_HIGHDIM, Landscape, get_landscape, with_noise
 
 
 BIN_WIDTH = 0.05
@@ -120,7 +120,7 @@ class ExperimentConfig:
         if not isinstance(self.landscape, str):
             raise ParameterError(f"landscape must be a string, got {self.landscape!r}")
         if self.out is not None:
-            _require_file_name(self.out)
+            _check_out(self.out)
         if self.mode not in ("paper", "experiment"):
             raise ParameterError(f"mode must be 'paper' or 'experiment', got {self.mode!r}")
         if not (_is_number(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
@@ -508,6 +508,7 @@ def derive_params_for(
     ell_tilde = ell if ell_tilde is None else ell_tilde
     require_positive(eps=eps, delta_f=delta_f, ell_tilde=ell_tilde)
     require_fraction(delta=delta)
+    require_count(n=n)  # here, as the builders' refusals also name delta and delta_f
     return _ALGORITHMS[alg].build(_Setting(
         paper=True, spec=spec, n=n, knobs={}, eps=eps, delta=delta, delta_f=delta_f,
         rho_loc=rho, ell_tilde=ell_tilde,
@@ -530,7 +531,7 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     payloads, trials = [], []
     for cfg in cfgs:
         if cfg.out is not None:
-            _check_out_dir(*_out_paths(cfg.out))
+            _check_out(cfg.out, *_out_paths(cfg.out))
         payloads.append(build_payload(cfg, get_landscape(cfg.landscape)))
         trials += [(payloads[-1], trial) for trial in range(cfg.trials)]
     workers = max(1, min(_resolve_jobs(jobs), len(trials)))
@@ -552,25 +553,18 @@ def _run_experiments(cfgs: list[ExperimentConfig], jobs: int | None) -> list[Exp
     return results
 
 
-def _check_out_dir(*paths: str) -> None:
-    """Fail before the first trial when an output path is not a string or is
-    empty, its directory is missing or the path is itself a directory."""
+def _check_out(out, *paths: str) -> None:
+    """Fail before the first trial when out is no string or, less ".csv",
+    names no file ("", "r/", ".csv"), or when one of paths, the files out
+    stands for, has a missing directory or is itself a directory."""
+    if not (isinstance(out, str) and os.path.basename(out.removesuffix(".csv"))):
+        raise ParameterError(f"out must be a string naming a file, got {out!r}")
     for path in paths:
-        if not isinstance(path, str):
-            raise ParameterError(f"out must be a string naming a file, got {path!r}")
-        if not path:
-            raise ParameterError("output path is empty")
         parent = os.path.dirname(path)
         if parent and not os.path.isdir(parent):
             raise ParameterError(f"output directory {parent!r} does not exist")
         if os.path.isdir(path):
             raise ParameterError(f"output path {path!r} is a directory")
-
-
-def _require_file_name(out) -> None:
-    """Refuse an out that is no string or, less ".csv", names no file ("r/", ".csv")."""
-    if not (isinstance(out, str) and os.path.basename(out.removesuffix(".csv"))):
-        raise ParameterError(f"out must be a string naming a file, got {out!r}")
 
 
 def _out_paths(out: str) -> tuple[str, str]:
@@ -601,41 +595,33 @@ def run_dimension_scaling(
 ) -> list[dict]:
     """Escape rates across dimensions n = 10**p under the published budgets:
     the curvature arm gets 30p iterations, the perturbation arm 20p**2 + 10.
-    ps must list at least one exponent (a string is refused, not read as digits)."""
+    ps must list at least one exponent (a string is refused, not read as
+    digits), each at most log10(MAX_HIGHDIM)."""
     ps = require_list(ps, "ps", "exponents")
     if not ps:
         raise ParameterError("ps must list at least one exponent")
     if out is not None:
-        _check_out_dir(out)
-        _require_file_name(out)
-    require_count(trials=trials)
-    rows, cfgs = [], []
+        _check_out(out, out)
+    cfgs = []
     for p in ps:
         require_count(p=p)
-        n = 10**p
-        nc_steps, pgd_steps = 30 * p, 20 * p * p + 10
-        rows.append(
-            {"p": p, "n": n, "trials": trials, "nc_steps": nc_steps, "pgd_steps": pgd_steps}
-        )
+        # Refused before 10**p is built, which is costly for a large p.
+        if p > math.log10(MAX_HIGHDIM):
+            raise ParameterError(f"p={p} asks for n = 10**{p}; highdim needs n <= {MAX_HIGHDIM}")
         # The ("nc", "highdim") and ("pgd", "highdim") recipes supply every
         # other knob.
+        plan = dict(landscape=f"highdim-{10**p}", trials=trials, seed=seed, jobs=jobs)
         cfgs += [
-            ExperimentConfig(
-                algorithm="nc", landscape=f"highdim-{n}", trials=trials, seed=seed,
-                steps=nc_steps, ncf_steps=nc_steps - 2, jobs=jobs,
-            ),
-            ExperimentConfig(
-                algorithm="pgd", landscape=f"highdim-{n}", trials=trials, seed=seed,
-                steps=pgd_steps, jobs=jobs,
-            ),
+            ExperimentConfig(algorithm="nc", steps=30 * p, ncf_steps=30 * p - 2, **plan),
+            ExperimentConfig(algorithm="pgd", steps=20 * p * p + 10, **plan),
         ]
     # Every p is checked and every payload built before the first trial.
     results = _run_experiments(cfgs, jobs)
-    for row, nc_res, pgd_res in zip(rows, results[::2], results[1::2]):
-        row["nc_escape_rate"] = nc_res.escape_rate
-        row["pgd_escape_rate"] = pgd_res.escape_rate
+    rows = [
+        dict(p=p, n=10**p, trials=trials, nc_steps=nc.config.steps, pgd_steps=pgd.config.steps,
+             nc_escape_rate=nc.escape_rate, pgd_escape_rate=pgd.escape_rate)
+        for p, nc, pgd in zip(ps, results[::2], results[1::2])
+    ]
     if out is not None:
-        cols = ("p", "n", "trials", "nc_steps", "pgd_steps", "nc_escape_rate", "pgd_escape_rate")
-        _write_table(out, cols, ([r[c] for c in cols] for r in rows))
+        _write_table(out, rows[0], (row.values() for row in rows))
     return rows
-

@@ -382,28 +382,19 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: output path '{taken}' is a directory\n"
         assert trials_run == []
 
-    @pytest.mark.parametrize("out", ["results/", ".csv", "results/.csv"])
+    @pytest.mark.parametrize("out", ["", "results/", ".csv", "results/.csv"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--alg", "nc", "--fn", "quartic", "--trials", "2"],
+        ["dimscale", "--p", "1", "--trials", "2"],
+    ], ids=["run", "dimscale"])
     def test_out_with_no_file_name_fails_before_first_trial(
-        self, out, tmp_path, monkeypatch, trials_run, capsys
+        self, command, out, tmp_path, monkeypatch, trials_run, capsys
     ):
+        # Both commands refuse by one rule; dimscale writes out as given, so
+        # ".csv" would be a hidden file.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "results").mkdir()
-        argv = ["run", "--alg", "nc", "--fn", "quartic", "--trials", "2", "--out", out]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: out must be a string naming a file, got {out!r}\n"
-        assert captured.out == ""
-        assert trials_run == []
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results"]
-
-    @pytest.mark.parametrize("out", [".csv", "results/.csv"])
-    def test_dimscale_out_with_no_file_name_fails_before_first_trial(
-        self, out, tmp_path, monkeypatch, trials_run, capsys
-    ):
-        # dimscale writes out as given, so ".csv" would be a hidden file.
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "results").mkdir()
-        assert main(["dimscale", "--p", "1", "--trials", "2", "--out", out]) == 1
+        assert main([*command, "--out", out]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: out must be a string naming a file, got {out!r}\n"
         assert captured.out == ""
@@ -731,6 +722,12 @@ class TestParamsCommand:
         assert code == 1
         assert "unknown algorithm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alg", ["ncf", *harness.ALGORITHMS])
+    def test_zero_n_gives_one_message_for_every_alg(self, alg, capsys):
+        argv = ["params", "--alg", alg, "--ell", "1", "--rho", "1", "--eps", "0.1", "--n", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: n must be an integer >= 1, got 0\n"
+
     @pytest.mark.parametrize("alg", ["pgd", "pagd", "psgd"])
     def test_baselines_print_their_paper_params(self, alg, capsys):
         code = main([
@@ -769,10 +766,12 @@ class TestDimscaleCommand:
         assert code == 1
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p", ["2,0", "2,7"])
+    # 10**5000 has more digits than Python converts to text.
+    @pytest.mark.parametrize("p", ["2,0", "2,7", "5000"])
     def test_bad_exponent_exits_one_before_any_trial(self, p, forks, trials_run, capsys):
         assert main(["dimscale", "--p", p, "--trials", "4", "--jobs", "2"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert trials_run == [] and forks == []
 
     def test_bad_p_list(self, capsys):
@@ -781,4 +780,4 @@ class TestDimscaleCommand:
 
     def test_empty_p_list_exits_one(self, capsys):
         assert main(["dimscale", "--p", ","]) == 1
-        assert "error: --p must list at least one exponent" in capsys.readouterr().err
+        assert "error: ps must list at least one exponent" in capsys.readouterr().err

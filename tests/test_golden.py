@@ -157,10 +157,24 @@ def test_recipes_match_benchmark_reference(jobs, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_dimension_sweep_matches_benchmark_reference(jobs):
+def test_dimension_sweep_matches_benchmark_reference(jobs, tmp_path):
     rows = run_dimension_scaling([1, 2, 3], trials=20, seed=0, jobs=jobs)
     want = json.loads((REF / "dimscale" / "rows.json").read_text())
     assert {f"p={row['p']}": row for row in rows} == want
+    # The CLI writes those rows, cell by cell as str() gives them, and prints them.
+    out = tmp_path / "d.csv"
+    argv = ["dimscale", "--p", "1,2,3", "--trials", "20", "--seed", "0", "--jobs", str(jobs)]
+    stdout = _stdout_of(argv + ["--out", str(out)])
+    cols = ("p", "n", "trials", "nc_steps", "pgd_steps", "nc_escape_rate", "pgd_escape_rate")
+    assert out.read_text() == "".join(
+        ",".join(map(str, line)) + "\n"
+        for line in [cols, *([row[c] for c in cols] for row in want.values())]
+    )
+    assert stdout == "".join(
+        f"p={r['p']} n={r['n']} nc[{r['nc_steps']} steps]={r['nc_escape_rate']:.4f} "
+        f"pgd[{r['pgd_steps']} steps]={r['pgd_escape_rate']:.4f}\n"
+        for r in want.values()
+    )
 
 
 if __name__ == "__main__":

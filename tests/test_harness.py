@@ -465,8 +465,13 @@ class TestDimensionScaling:
             run_dimension_scaling([0], trials=1)
 
     def test_rejects_empty_out_before_any_trial(self, trials_run):
-        with pytest.raises(ParameterError, match="^output path is empty$"):
+        with pytest.raises(ParameterError, match="^out must be a string naming a file, got ''$"):
             run_dimension_scaling([1], trials=2, out="")
+        assert trials_run == []
+
+    def test_rejects_p_beyond_the_largest_highdim_before_any_trial(self, trials_run):
+        with pytest.raises(ParameterError, match=r"^p=5000 .* n <= 1000000$"):
+            run_dimension_scaling([5000], trials=1)
         assert trials_run == []
 
     @pytest.mark.parametrize("ps, message", [

@@ -415,6 +415,21 @@ def test_vectors_are_checked_in_one_place():
     assert modules == {"core.py"}
 
 
+def test_output_paths_are_checked_in_one_place():
+    # harness._check_out is the one rule for an output path, so run and
+    # dimscale refuse a bad --out alike: os.path used anywhere else fails here.
+    users = set()
+    for path in Path(saddlescape.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "os.path":
+                # ast.walk meets an outer function before one nested in it.
+                owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                users.add(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert users == {"harness._check_out"}
+
+
 def test_episode_holds_are_built_in_one_place():
     # ncfind._episode bills the held iterations of both escape loops: an
     # ncf-step TraceRecord built anywhere else fails here.
