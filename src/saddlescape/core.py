@@ -103,6 +103,8 @@ def require_vector(x, name: str, dim: int | None = None) -> Array:
         a = np.asarray(x)
     except ValueError:  # a ragged nesting
         a = np.asarray(None)
+    if isinstance(x, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in x):
+        a = np.asarray(None)  # numpy promotes a bool beside a float to a number
     if a.dtype.kind in "iuf" and a.ndim == 1 and (dim is None or a.shape[0] == dim):
         a = a.astype(float, copy=False)
         if np.isfinite(a).all():

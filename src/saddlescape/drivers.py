@@ -3,7 +3,6 @@ perturbation-based baselines it is compared against."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -13,7 +12,6 @@ from .core import (
     EVENT_PERTURB,
     EVENT_SGD,
     CountingOracle,
-    DivergenceError,
     GradientOracle,
     RngStream,
     StochasticOracle,
@@ -24,6 +22,7 @@ from .core import (
     require_fraction,
     require_nonnegative,
     require_positive,
+    require_square,
     uniform_ball_sample,
 )
 from .ancgd import accelerate
@@ -84,6 +83,7 @@ class BaselineParams:
         require_positive(
             eta=self.eta, radius=self.radius, gamma=self.gamma, nce_radius=self.nce_radius
         )
+        require_square(radius=self.radius)
         require_fraction(theta=self.theta)
         require_bound(trust_region=self.trust_region)
         require_nonnegative(grad_threshold=self.grad_threshold)
@@ -150,22 +150,14 @@ def psgd_run(
     the true landscape.
     """
     trace = Trace.start("psgd", stream, perturbs=[], samples=0)
-    try:
-        variance = params.radius**2 / oracle.dim
-    except OverflowError:  # no draw at this spread is a float: the first one diverges
-        variance = math.inf
+    variance = params.radius**2 / oracle.dim
     sample = oracle.mean_sampler(params.batch, stream.substream("theta"), params.total_steps)
 
     def estimate(x: Array, g: Array) -> Array:
         trace.meta["samples"] += params.batch
         return sample(x, g)
 
-    def draw(x: Array) -> Array:
-        if variance == math.inf:
-            raise DivergenceError(f"perturbation radius {params.radius!r} squared overflows", trace)
-        return gaussian_sample(x, variance, stream)
-
-    escape = _perturbation(trace, draw)
+    escape = _perturbation(trace, lambda x: gaussian_sample(x, variance, stream))
     return descend(
         x0, params, trace, estimate, oracle.mean, escape, EVENT_SGD,
         params.eta, params.grad_threshold, record=record,

@@ -45,8 +45,6 @@ from .testbed import MAX_HIGHDIM, Landscape, get_landscape, with_noise
 
 BIN_WIDTH = 0.05
 _NEVER = 10**9
-# The largest budget a run takes from a derivation; a larger one needs steps.
-MAX_DERIVED_STEPS = 10**7
 # The most work an experiment may take, as trials * (steps + 1) * (step cost): a step
 # costs _STEP_COORDS coordinates plus n, or 6 n past 2**14 floats (128 KiB), where nc's
 # time per coordinate about quadruples.  An hour or so of nc at each n from 2 to 10**6.
@@ -139,13 +137,10 @@ class ExperimentConfig:
         )
         require_count(least=0, cooldown=self.cooldown)
         require_fraction(delta=self.delta, theta=self.theta)
-        if self.x0 is not None and not (
-            isinstance(self.x0, (tuple, list))
-            and all(_is_number(v) and math.isfinite(v) for v in self.x0)
-        ):
-            raise ParameterError(
-                f"x0 must be a flat sequence of finite numbers, got {self.x0!r}"
-            )
+        if self.x0 is not None and not isinstance(self.x0, (tuple, list)):
+            raise ParameterError(f"x0 must be a flat sequence of finite numbers, got {self.x0!r}")
+        if self.x0 is not None:
+            require_vector(self.x0, "x0")
         alg = _ALGORITHMS[self.algorithm]
         ignored = [n for n in _KNOBS if getattr(self, n) is not None and n not in alg.reads]
         if ignored:
@@ -462,11 +457,6 @@ def build_payload(cfg: ExperimentConfig, land: Landscape) -> dict:
         rho_loc=land.saddles[0].rho_local if land.saddles else spec.rho,
         ell_tilde=oracle.ell_tilde if alg.noisy else spec.ell,
     ))
-    if "steps" not in knobs and params.total_steps > MAX_DERIVED_STEPS:
-        raise ParameterError(
-            f"derived budget of {params.total_steps} steps exceeds {MAX_DERIVED_STEPS}; "
-            "pass --steps"
-        )
     step_cost = _STEP_COORDS + (land.dim if land.dim <= 2**14 else 6 * land.dim)
     if cfg.trials * (params.total_steps + 1) * step_cost > MAX_WORK:
         raise ParameterError(

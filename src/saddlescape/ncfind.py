@@ -73,9 +73,9 @@ def _power_search(
     """The Hessian power method of every curvature search: from y = start(),
     steps times y <- step(y, norm) ~ y - H y / ell, rescaled to radius after
     each step; norm is y's length before that rescaling (the start's at the
-    first step).  A start of non-finite length or an iterate that turns zero
-    or not finite raises AlgorithmError at once.  Returns the last iterate,
-    whose length is radius.  At n = 2 a given planar(y1, y2, norm), step on
+    first step).  An iterate that turns zero or not finite raises
+    AlgorithmError at once.  Returns the last iterate, whose length is
+    radius.  At n = 2 a given planar(y1, y2, norm), step on
     the pair's Python floats, runs in its place with step's bytes: float +,
     -, * and / round as numpy's elementwise ops do, every length comes
     from core._norm2, which gives _norm's bits, fused dot and all, on the
@@ -83,8 +83,6 @@ def _power_search(
     """
     y = start()
     norm = _norm(y)
-    if not math.isfinite(norm):
-        raise AlgorithmError("curvature search degenerated: its start is not finite")
     if planar is None or y.shape != (2,):
         for _ in range(steps):
             y = step(y, norm)

@@ -61,16 +61,15 @@ class TestRunCommand:
         assert main(argv) == 0
         assert " trials=2 steps=512 " in capsys.readouterr().out
 
-    def test_derived_budget_too_large_needs_steps(self, tmp_path, capsys, monkeypatch):
+    def test_derived_budget_over_the_work_cap_is_refused(self, tmp_path, capsys, monkeypatch):
         # Paper-mode ancgd on the quartic derives 58 734 828 411 955 steps;
         # a trial that started would not end, so one fails the test at once.
         argv = ["run", "--alg", "ancgd", "--fn", "quartic", "--mode", "paper", "--trials", "1"]
         with monkeypatch.context() as m:
             m.setattr(harness, "ancgd_run", lambda *args: pytest.fail("a trial ran"))
             assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "58734828411955" in err and str(harness.MAX_DERIVED_STEPS) in err
-        assert "--steps" in err
+        assert capsys.readouterr().err.startswith(
+            "error: 1 trials of 58734828411955 steps at n=2 exceed the work cap")
         out = tmp_path / "anc"
         assert main(argv + ["--steps", "200", "--out", str(out)]) == 0
         assert (tmp_path / "anc.csv").read_text() == (
@@ -100,20 +99,6 @@ class TestRunCommand:
         ])
         assert code == 3
         assert "diverged:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_psgd_radius_whose_square_overflows_diverges(self, jobs, tmp_path, monkeypatch,
-                                                         capsys):
-        # radius**2 overflows; the perturbation's variance is then infinite,
-        # and the first draw ends the run as a divergence, in a worker too.
-        monkeypatch.chdir(tmp_path)
-        code = main([
-            "run", "--alg", "psgd", "--fn", "cubic", "--trials", "2", "--r", "1e155",
-            "--jobs", jobs,
-        ])
-        assert code == 3
-        assert capsys.readouterr() == (
-            "", "diverged: perturbation radius 1e+155 squared overflows\n")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_degenerate_search_exits_three(self, capsys):
@@ -471,18 +456,18 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("alg, fn, field", [
         ("nc", "quartic", "radius"), ("snc", "cubic", "radius"),
-        ("ancgd", "quartic", "perturb_radius"),
+        ("ancgd", "quartic", "perturb_radius"), ("pgd", "quartic", "radius"),
+        ("pagd", "quartic", "radius"), ("psgd", "cubic", "radius"),
     ])
     @pytest.mark.parametrize("mode", [[], ["--mode", "paper", "--steps", "50"]])
     def test_radius_whose_square_overflows_exits_one(self, alg, fn, field, mode, trials_run,
                                                      capsys):
-        # Every length of a curvature search or window squares its radius.
-        # Such a run used to end as a degenerate search or a divergence,
-        # exit 3, rather than being refused.
+        # Every length of a curvature search or window squares its radius,
+        # psgd's perturbation variance does, and a ball perturbation that wide
+        # can only diverge: all six arms refuse it before any trial runs.
         argv = ["run", "--alg", alg, "--fn", fn, "--trials", "2", "--r", "1e200", *mode]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must have a finite square")
+        assert capsys.readouterr().err == f"error: {field} must have a finite square, got 1e+200\n"
         assert trials_run == []
 
     def test_batch_help_names_both_readers(self):

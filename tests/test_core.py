@@ -428,9 +428,11 @@ _BAD_INPUTS = [
      lambda v: nc_find(_SADDLE, np.array([v, 0.0]), _NC, RngStream(0, 0)), (_NAN, _INF, "a")),
     ("nc_find", "^x_tilde must",
      lambda v: nc_find(_SADDLE, np.zeros(v), _NC, RngStream(0, 0)), (1, 3, (2, 1))),
-    # A ragged nesting, which numpy refuses to make an array of.
+    # A ragged nesting, which numpy refuses to make an array of, and a bool
+    # beside a float, which numpy would promote to the number 1.0.
     ("nc_find", "^x_tilde must",
-     lambda v: nc_find(_SADDLE, v, _NC, RngStream(0, 0)), ([[1.0], [2.0, 3.0]],)),
+     lambda v: nc_find(_SADDLE, v, _NC, RngStream(0, 0)),
+     ([[1.0], [2.0, 3.0]], (True, 0.0), [0.0, np.True_])),
     ("snc_find", "^x_tilde must",
      lambda v: snc_find(_NOISY, np.array([v, 0.0]), _SNC, RngStream(0, 0)), (_NAN, _INF)),
     ("snc_find", "^x_tilde must",

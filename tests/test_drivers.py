@@ -644,6 +644,8 @@ class TestBaselineParams:
             BaselineParams(
                 eta=0.1, radius=0.1, grad_threshold=0.1, total_steps=10, batch=0
             )
+        with pytest.raises(ParameterError, match="radius must have a finite square"):
+            BaselineParams(eta=0.1, radius=1e200, grad_threshold=0.1, total_steps=10)
 
 
 _RUNS = {

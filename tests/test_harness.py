@@ -133,26 +133,30 @@ class TestExperimentConfig:
         assert payload["threshold"] == pytest.approx(0.9)
 
     @pytest.mark.parametrize(
-        "alg, land_id, budget, refused",
+        "alg, land_id, budget, fits_one_trial",
         [
             ("nc", "triangle", 14971077, True),
             ("snc", "triangle", 14971077, True),
-            ("ancgd", "highdim-10-soft", 3712188226, True),
-            ("nc", "exponential", 3072000, False),
-            ("snc", "cubic", 5738301, False),
-            ("pgd", "triangle", 4400000, False),
+            ("ancgd", "highdim-10-soft", 3712188226, False),
+            ("nc", "exponential", 3072000, True),
+            ("snc", "cubic", 5738301, True),
+            ("pgd", "triangle", 4400000, True),
         ],
     )
-    def test_derived_budget_cap(self, alg, land_id, budget, refused):
-        # Derived paper-mode budgets at the default eps; the largest allowed
-        # and the smallest refused among the shipped landscapes.
+    def test_derived_budget_cap(self, alg, land_id, budget, fits_one_trial):
+        # Derived paper-mode budgets at the default eps meet the one work cap,
+        # trials * (budget + 1) * (n + _STEP_COORDS) <= MAX_WORK, as given ones do.
         land = get_landscape(land_id)
-        cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode="paper", trials=1)
-        if refused:
-            with pytest.raises(ParameterError, match=f"budget of {budget} steps.*--steps"):
-                build_payload(cfg, land)
-        else:
-            assert build_payload(cfg, land)["params"].total_steps == budget
+        work = (budget + 1) * (land.dim + harness._STEP_COORDS)
+        assert (work <= harness.MAX_WORK) == fits_one_trial
+        for trials in (1, 100):
+            cfg = ExperimentConfig(algorithm=alg, landscape=land_id, mode="paper", trials=trials)
+            if trials * work <= harness.MAX_WORK:
+                assert build_payload(cfg, land)["params"].total_steps == budget
+            else:
+                refusal = f"^{trials} trials of {budget} steps at n={land.dim} exceed the work cap"
+                with pytest.raises(ParameterError, match=refusal):
+                    build_payload(cfg, land)
         capped = dataclasses.replace(cfg, steps=200)
         assert build_payload(capped, land)["params"].total_steps == 200
 
@@ -178,6 +182,11 @@ class TestExperimentConfig:
     def test_x0_must_be_flat_finite_numbers(self, x0):
         with pytest.raises(ParameterError, match="x0 must be"):
             ExperimentConfig(algorithm="pgd", landscape="quartic", trials=1, x0=x0)
+
+    def test_x0_past_the_floats_is_refused(self):
+        # 2**1100 has no float, so a math.isfinite check of it raises OverflowError.
+        with pytest.raises(ParameterError, match="^x0 must be a finite numeric vector"):
+            ExperimentConfig(algorithm="nc", landscape="quartic", x0=(1, 2**1100))
 
 
 def _summary_of(decreases) -> dict:
@@ -607,8 +616,8 @@ class TestDeriveParamsFor:
     @pytest.mark.parametrize("alg", harness.ALGORITHMS)
     def test_equals_paper_mode(self, alg, land_id):
         # At the landscape's declared constants and an explicit gap bound,
-        # the params are those run --mode paper builds; where the cap refuses
-        # the derived budget, --steps sets it.
+        # the params are those run --mode paper builds; where the work cap
+        # refuses the derived budget at one trial, --steps sets it.
         land = get_landscape(land_id)
         spec = land.oracle.spec
         ell_tilde = with_noise(land, 0.01).ell_tilde if alg == "snc" else None
@@ -616,7 +625,7 @@ class TestDeriveParamsFor:
         cfg = ExperimentConfig(
             algorithm=alg, landscape=land_id, mode="paper", trials=1, delta_f=1.5
         )
-        if out.total_steps > harness.MAX_DERIVED_STEPS:
+        if (out.total_steps + 1) * (harness._STEP_COORDS + land.dim) > harness.MAX_WORK:
             cfg = dataclasses.replace(cfg, steps=200)
             out = dataclasses.replace(out, total_steps=200)
         assert build_payload(cfg, land)["params"] == out

@@ -227,17 +227,16 @@ class TestSearchDynamics:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e200])
     @pytest.mark.parametrize("n", [2, 3])
     def test_non_finite_start_raises(self, n, bad):
-        # n = 2 offers the planar branch, n = 3 takes the numpy loop; the
-        # start's length (inf at 1e200, whose square overflows) is checked
-        # before either step runs.
+        # n = 2 takes the planar branch, n = 3 the numpy loop.  A start of
+        # non-finite length (inf at 1e200, whose square overflows) leaves the
+        # first real difference step nothing finite, so the search raises there.
+        oracle = make_quadratic([-1.0] + [1.0] * (n - 1))
+        x = np.zeros(n)
+        step, planar = ncfind._difference_step(oracle, x, oracle.gradient(x), 1.0, 1.0)
         start = np.full(n, bad)
         start[0] = 0.5
-
-        def step(*args):
-            raise AssertionError("a step ran")
-
-        with pytest.raises(AlgorithmError, match="its start is not finite"):
-            ncfind._power_search(lambda: start.copy(), step, 1.0, 5, step)
+        with pytest.raises(AlgorithmError, match="an iterate is zero or not finite"):
+            ncfind._power_search(lambda: start.copy(), step, 1.0, 5, planar)
 
     def test_certified_direction_on_every_landscape_saddle(self):
         for land_id in ("quartic", "cubic", "triangle", "exponential"):

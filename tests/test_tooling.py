@@ -560,6 +560,28 @@ def test_testbed_catches_overflow_in_two_places():
     assert len(caught) == 2
 
 
+def test_overflow_is_caught_only_by_the_float_fallbacks():
+    # A float twin that overflows falls back to numpy's inf or NaN; every
+    # other overflow is refused where the input enters (core.require_square).
+    def handlers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from handlers(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                if "OverflowError" in ast.unparse(child.type):
+                    yield scope
+            yield from handlers(child, scope)
+
+    caught = sorted(
+        name for path in Path(saddlescape.__file__).parent.glob("*.py")
+        for name in handlers(ast.parse(path.read_text()), path.stem)
+    )
+    assert caught == [
+        "core._float_pair", "testbed._on_floats.evaluate", "testbed.make_exponential._parts",
+    ]
+
+
 def _perfbench_module(name: str, monkeypatch):
     """perfbench/<name>.py imported under its own name, read-only (no cache
     file), and forgotten after the test."""
